@@ -16,7 +16,6 @@ from .channel import (
     lambert_mode,
     los_dc_gain,
     los_gain_for,
-    reflected_dc_gain,
     reflected_gain_convergence,
     total_reflected_gain,
 )
@@ -43,9 +42,7 @@ from .geometry import (
     Pose,
     RoomScenario,
     SurfaceGrid,
-    SurfacePatch,
     link_geometry,
-    tessellate,
     wall_and_floor_grids,
 )
 from .keyrate import (
@@ -80,9 +77,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # geometry
-    "Point3", "Pose", "LinkGeometry", "SurfacePatch", "SurfaceGrid",
+    "Point3", "Pose", "LinkGeometry", "SurfaceGrid",
     "RoomScenario", "DegenerateGeometryError",
-    "link_geometry", "wall_and_floor_grids", "tessellate",
+    "link_geometry", "wall_and_floor_grids",
     # spectra
     "SpectralCurve", "OutOfBandError", "SpectrumFormatError", "SpectrumKindError",
     "density_at", "irradiance_to_psd", "load_spectrum_csv", "bundled_spectrum_path",
@@ -90,7 +87,7 @@ __all__ = [
     "DetectorParams", "ChannelGains", "ConvergenceReport",
     "UndefinedModeError", "ReflectionConvergenceWarning",
     "lambert_mode", "concentrator_gain", "los_dc_gain", "los_gain_for",
-    "reflected_dc_gain", "total_reflected_gain", "reflected_gain_convergence",
+    "total_reflected_gain", "reflected_gain_convergence",
     # noise
     "NoiseBudget", "BLACKBODY_AMBIENT_W_NM_M2",
     "matched_filter_bandwidth_nm", "isotropic_noise_power",

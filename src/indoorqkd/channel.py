@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LinkGeometry, RoomScenario, SurfacePatch, link_geometry, wall_and_floor_grids
+from .geometry import LinkGeometry, RoomScenario, link_geometry, wall_and_floor_grids
 
 __all__ = [
     "UndefinedModeError",
@@ -32,7 +32,6 @@ __all__ = [
     "concentrator_gain",
     "los_dc_gain",
     "los_gain_for",
-    "reflected_dc_gain",
     "total_reflected_gain",
     "reflected_gain_convergence",
 ]
@@ -178,54 +177,6 @@ def los_gain_for(room: RoomScenario, *, enforce_fov: bool = True) -> float:
     )
 
 
-def reflected_dc_gain(patch: SurfacePatch, room: RoomScenario) -> float:
-    """Contribution of one surface patch to the lamp -> receiver bounce.
-
-    Implements
-
-        H = A (m1 + 1) / (2 pi^2 d1^2 d2^2) * cos(phi)^m1 * rho * T_s
-            * g(psi) * dA * cos(alpha) * cos(beta) * cos(psi)
-
-    for patches inside the receiver's acceptance cone, zero outside.  All
-    cosines clamp at zero: surfaces do not receive or emit behind themselves.
-    A patch coincident with the lamp or the receiver contributes zero.
-    """
-    m1 = lambert_mode(room.lamp_semi_angle_deg)
-    lamp, rx = room.lamp, room.receiver
-
-    to_patch = patch.center.minus(lamp.position)
-    d1 = to_patch.norm()
-    to_rx = rx.position.minus(patch.center)
-    d2 = to_rx.norm()
-    if d1 < 1e-12 or d2 < 1e-12:
-        return 0.0
-
-    cos_phi = lamp.axis.dot(to_patch) / d1
-    cos_alpha = -patch.normal.dot(to_patch) / d1
-    cos_beta = patch.normal.dot(to_rx) / d2
-    cos_psi = -rx.axis.dot(to_rx) / d2
-    if min(cos_phi, cos_alpha, cos_beta, cos_psi) <= 0.0:
-        return 0.0
-
-    fov_rad = math.radians(room.fov_deg)
-    g = concentrator_gain(math.acos(min(1.0, cos_psi)), room.concentrator_index, fov_rad)
-    if g == 0.0:
-        return 0.0
-    return (
-        room.detector_area_m2
-        * (m1 + 1.0)
-        / (2.0 * math.pi**2 * d1 * d1 * d2 * d2)
-        * cos_phi**m1
-        * patch.reflectivity
-        * room.filter_transmission
-        * g
-        * patch.area
-        * cos_alpha
-        * cos_beta
-        * cos_psi
-    )
-
-
 def _cell_gains(
     centers: np.ndarray,
     normals: np.ndarray,
@@ -235,7 +186,17 @@ def _cell_gains(
     m1: float,
     g_in: float,
 ) -> np.ndarray:
-    """Vectorized bounce gain for cells already inside the acceptance cone."""
+    """Single-bounce gain of each cell already inside the acceptance cone.
+
+    Implements
+
+        H = A (m1 + 1) / (2 pi^2 d1^2 d2^2) * cos(phi)^m1 * rho * T_s
+            * g_in * dA * cos(alpha) * cos(beta) * cos(psi)
+
+    per cell.  All cosines clamp at zero: surfaces do not receive or emit
+    behind themselves.  A cell coincident with the lamp or the receiver
+    contributes zero.
+    """
     lamp_pos = np.array(room.lamp.position.as_tuple())
     lamp_axis = np.array(room.lamp.axis.as_tuple())
     rx_pos = np.array(room.receiver.position.as_tuple())
@@ -323,47 +284,35 @@ def total_reflected_gain(
 
         surface_sum = 0.0
         for level in range(depth + 1):
-            if centers.shape[0] == 0:
-                break
-            last = level == depth
-            if last:
+            if level == depth:
                 # Finest level: midpoint in/out decides the remainder.
-                cos_c = _cos_psi_at(centers, rx_pos, rx_axis)
-                inside = cos_c >= cos_fov
-                keep = centers[inside]
-                if keep.shape[0]:
-                    areas = 4.0 * half_u[inside] * half_v[inside]
-                    refl = np.full(keep.shape[0], grid.reflectivity)
-                    normals = np.broadcast_to(normal, keep.shape)
-                    surface_sum += float(np.sum(_cell_gains(keep, normals, areas, refl, room, m1, g_in)))
-                break
+                accept = _cos_psi_at(centers, rx_pos, rx_axis) >= cos_fov
+                straddle = None
+            else:
+                du = half_u[:, None] * u_dir
+                dv = half_v[:, None] * v_dir
+                probes = np.stack(
+                    [
+                        centers,
+                        centers + du + dv,
+                        centers + du - dv,
+                        centers - du + dv,
+                        centers - du - dv,
+                    ],
+                    axis=1,
+                )
+                inside = _cos_psi_at(probes, rx_pos, rx_axis) >= cos_fov
+                accept = inside.all(axis=1)
+                straddle = inside.any(axis=1) & ~accept
 
-            du = half_u[:, None] * u_dir
-            dv = half_v[:, None] * v_dir
-            probes = np.stack(
-                [
-                    centers,
-                    centers + du + dv,
-                    centers + du - dv,
-                    centers - du + dv,
-                    centers - du - dv,
-                ],
-                axis=1,
-            )
-            cos_p = _cos_psi_at(probes, rx_pos, rx_axis)
-            inside = cos_p >= cos_fov
-            all_in = inside.all(axis=1)
-            any_in = inside.any(axis=1)
-            straddle = any_in & ~all_in
-
-            if np.any(all_in):
-                keep = centers[all_in]
-                areas = 4.0 * half_u[all_in] * half_v[all_in]
+            if np.any(accept):
+                keep = centers[accept]
+                areas = 4.0 * half_u[accept] * half_v[accept]
                 refl = np.full(keep.shape[0], grid.reflectivity)
                 normals = np.broadcast_to(normal, keep.shape)
                 surface_sum += float(np.sum(_cell_gains(keep, normals, areas, refl, room, m1, g_in)))
 
-            if not np.any(straddle):
+            if straddle is None or not np.any(straddle):
                 break
             c = centers[straddle]
             hu = 0.5 * half_u[straddle]

@@ -29,14 +29,8 @@ from .experiments import (
     secure_fov_boundary,
     sweep,
 )
-from .spectra import (
-    KINDS,
-    OutOfBandError,
-    SpectrumFormatError,
-    density_at,
-    irradiance_to_psd,
-    load_spectrum_csv,
-)
+from .geometry import wall_and_floor_grids
+from .spectra import KINDS, density_at, irradiance_to_psd, load_spectrum_csv
 
 __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main"]
 
@@ -77,7 +71,7 @@ _SECTION_KEYS: dict[str, tuple[str, ...]] = {
         "source_min", "source_max", "source_steps", "source_scale",
     ),
     "cli": (
-        "output_dir", "resolution_patches_per_meter", "strict", "random_seed",
+        "output_dir", "resolution_patches_per_meter", "strict",
     ),
 }
 
@@ -105,7 +99,6 @@ class RunConfig:
     output_dir: str = "out"
     resolution_patches_per_meter: int = 10
     strict: bool = False
-    random_seed: int = 0
 
     def effective_parameters(self) -> dict[str, object]:
         """Flat view of everything that influences the run, for comparisons."""
@@ -115,7 +108,7 @@ class RunConfig:
             "scenario", "fov_min_deg", "fov_max_deg", "fov_steps", "fov_scale",
             "source_min", "source_max", "source_steps", "source_scale",
             "lamp_spectrum_file", "lamp_spectrum_kind", "lamp_spectrum_distance_m",
-            "output_dir", "resolution_patches_per_meter", "strict", "random_seed",
+            "output_dir", "resolution_patches_per_meter", "strict",
         ):
             merged[name] = getattr(self, name)
         return merged
@@ -140,14 +133,18 @@ class RunConfig:
 
 def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
     if steps < 1:
-        raise ValueError("axis steps must be >= 1")
+        raise ValueError(f"steps = {steps}: must be >= 1")
+    if scale not in ("linear", "log"):
+        raise ValueError(f"scale = {scale!r}: must be 'linear' or 'log'")
+    if lo > hi:
+        raise ValueError(f"min {lo!r} exceeds max {hi!r}")
+    if scale == "log" and lo <= 0.0:
+        raise ValueError(f"log scale needs a positive minimum, got {lo!r}")
     if steps == 1:
         return (lo,)
     if scale == "linear":
         return tuple(np.linspace(lo, hi, steps).tolist())
-    if scale == "log":
-        return tuple(np.logspace(math.log10(lo), math.log10(hi), steps).tolist())
-    raise ValueError(f"unknown axis scale {scale!r}")
+    return tuple(np.logspace(math.log10(lo), math.log10(hi), steps).tolist())
 
 
 def _format_value(key: str, value: object) -> str:
@@ -224,10 +221,7 @@ def _apply_key(config: RunConfig, key: str, raw: str) -> None:
     if key in _SENTINELS and raw.lower() == _SENTINELS[key]:
         config.overrides[key] = None
         return
-    if key in NOMINAL:
-        config.overrides[key] = float(raw)
-        return
-    if key in ("fov_steps", "source_steps", "resolution_patches_per_meter", "random_seed"):
+    if key in ("fov_steps", "source_steps", "resolution_patches_per_meter"):
         setattr(config, key, int(raw))
         return
     if key == "strict":
@@ -237,92 +231,73 @@ def _apply_key(config: RunConfig, key: str, raw: str) -> None:
                "lamp_spectrum_file", "lamp_spectrum_kind"):
         setattr(config, key, raw)
         return
-    setattr(config, key, float(raw))
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    if key in NOMINAL:
+        config.overrides[key] = value
+    else:
+        setattr(config, key, value)
 
 
 def validate(config: RunConfig) -> list[str]:
     """Non-mutating sanity check; returns one diagnostic per problem."""
+    return _resolve(config)[1]
+
+
+def _resolve(
+    config: RunConfig,
+) -> tuple[tuple[Scenario, tuple[float, ...], tuple[float, ...]] | None, list[str]]:
+    """Scenario and both sweep axes of a run, or None plus every diagnostic.
+
+    The range rules live in the setup dataclasses.  The whole run is built
+    at both corners of its grid; when that fails, each overridden key is
+    built alone on the nominal table so that its diagnostic names it, and
+    a failure no single key explains is reported as it is (a lamp outside a
+    shrunk room, say).
+    """
     out: list[str] = []
-    p = dict(NOMINAL)
-    p.update(config.overrides)
+    fov_values = source_values = ()
+    try:
+        Scenario.named(config.scenario)
+    except ValueError as exc:
+        out.append(f"scenario = {config.scenario!r}: {exc}")
+    try:
+        fov_values = config.fov_values()
+    except ValueError as exc:
+        out.append(f"fov axis: {exc}")
+    spectrum = config.lamp_spectrum_file
+    if spectrum and config.lamp_spectrum_kind not in KINDS:
+        out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: must be one of {', '.join(KINDS)}")
+    elif spectrum and not Path(spectrum).exists():
+        out.append(f"lamp_spectrum_file = {spectrum!r}: file not found")
+    elif spectrum and config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
+        out.append("ambient scenarios take an 'irradiance' spectrum, not a source PSD")
+    else:
+        try:
+            source_values = config.source_values()
+        except (ValueError, OSError) as exc:
+            out.append(f"{'lamp_spectrum_file' if spectrum else 'source axis'}: {exc}")
 
-    def bad(key: str, why: str) -> None:
-        out.append(f"{key} = {p.get(key, getattr(config, key, None))!r}: {why}")
+    whole_run: list[str] = []
+    if not out:
+        try:
+            scenario = Scenario.named(config.scenario, config.overrides)
+            # The boundary search and the tolerance scan go up to fov_max_deg.
+            widest = max(fov_values[-1], config.fov_max_deg)
+            for fov, level in ((fov_values[0], source_values[0]), (widest, source_values[-1])):
+                room = build_setup(scenario, fov, level).room
+            wall_and_floor_grids(room, config.resolution_patches_per_meter)
+            return (scenario, fov_values, source_values), []
+        except ValueError as exc:
+            whole_run.append(str(exc))
 
-    if config.scenario not in SCENARIOS:
-        out.append(f"scenario = {config.scenario!r}: unknown; choose one of {', '.join(SCENARIOS)}")
-    for key in ("wall_reflectivity", "floor_reflectivity"):
-        if not 0.0 <= float(p[key]) <= 1.0:
-            bad(key, "reflectivity must lie in [0, 1]")
-    if not 0.0 < float(p["lamp_semi_angle_deg"]) < 90.0:
-        bad("lamp_semi_angle_deg", "Lambert mode is undefined outside (0, 90) degrees")
-    for key in ("room_x_m", "room_y_m", "room_z_m", "detector_area_m2",
-                "pulse_width_s", "wavelength_nm"):
-        if float(p[key]) <= 0.0:
-            bad(key, "must be positive")
-    if float(p["concentrator_index"]) < 1.0:
-        bad("concentrator_index", "refractive index must be >= 1")
-    if not 0.0 < float(p["filter_transmission"]) <= 1.0:
-        bad("filter_transmission", "must lie in (0, 1]")
-    if p["filter_bandwidth_nm"] is not None and float(p["filter_bandwidth_nm"]) <= 0.0:
-        bad("filter_bandwidth_nm", "must be positive (or 'matched')")
-    if not 0.0 <= float(p["detector_efficiency"]) <= 1.0:
-        bad("detector_efficiency", "must lie in [0, 1]")
-    if float(p["dark_count_rate_hz"]) < 0.0:
-        bad("dark_count_rate_hz", "must be non-negative")
-    if float(p["ambient_irradiance_w_nm_m2"]) < 0.0:
-        bad("ambient_irradiance_w_nm_m2", "must be non-negative")
-    if float(p["mean_photons_per_pulse"]) < 0.0:
-        bad("mean_photons_per_pulse", "must be non-negative")
-    if not 0.0 < float(p["sift_factor"]) <= 1.0:
-        bad("sift_factor", "must lie in (0, 1]")
-    if float(p["error_correction_inefficiency"]) < 1.0:
-        bad("error_correction_inefficiency", "must be >= 1")
-    if not 0.0 <= float(p["misalignment_error"]) <= 0.5:
-        bad("misalignment_error", "must lie in [0, 0.5]")
-    for key in ("lamp_x_m", "lamp_y_m"):
-        if p[key] is not None:
-            axis_len = float(p["room_x_m"] if key == "lamp_x_m" else p["room_y_m"])
-            if not 0.0 <= float(p[key]) <= axis_len:
-                bad(key, "lamp must sit inside the room (or 'center')")
-
-    for prefix in ("fov", "source"):
-        lo = getattr(config, f"{prefix}_min" + ("_deg" if prefix == "fov" else ""))
-        hi = getattr(config, f"{prefix}_max" + ("_deg" if prefix == "fov" else ""))
-        steps = getattr(config, f"{prefix}_steps")
-        scale = getattr(config, f"{prefix}_scale")
-        if steps < 1:
-            out.append(f"{prefix}_steps = {steps}: must be >= 1")
-        if scale not in ("linear", "log"):
-            out.append(f"{prefix}_scale = {scale!r}: must be 'linear' or 'log'")
-        if lo > hi:
-            out.append(f"{prefix} axis: min {lo!r} exceeds max {hi!r}")
-        if scale == "log" and lo <= 0.0:
-            out.append(f"{prefix} axis: log scale needs a positive minimum, got {lo!r}")
-    if not 0.0 < config.fov_min_deg <= 90.0 or not 0.0 < config.fov_max_deg <= 90.0:
-        out.append("fov axis must lie inside (0, 90] degrees")
-    if config.resolution_patches_per_meter < 1:
-        out.append(f"resolution_patches_per_meter = {config.resolution_patches_per_meter}: must be >= 1")
-
-    if config.lamp_spectrum_file:
-        if config.lamp_spectrum_kind not in KINDS:
-            out.append(
-                f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: must be one of {', '.join(KINDS)}"
-            )
-        elif not Path(config.lamp_spectrum_file).exists():
-            out.append(f"lamp_spectrum_file = {config.lamp_spectrum_file!r}: file not found")
-        elif config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
-            out.append("ambient scenarios take an 'irradiance' spectrum, not a source PSD")
-        else:
-            try:
-                config._spectrum_level()
-            except OutOfBandError as exc:
-                out.append(f"lamp_spectrum_file: {exc}")
-            except SpectrumFormatError as exc:
-                out.append(f"lamp_spectrum_file: {exc}")
-        if config.lamp_spectrum_distance_m <= 0.0:
-            out.append("lamp_spectrum_distance_m must be positive")
-    return out
+    for key, value in config.overrides.items():
+        try:  # a lamp scenario, so that the ambient key is checked too
+            build_setup(Scenario.named("lamp-center", {key: value}), 10.0, 0.0)
+        except ValueError as exc:
+            out.append(f"{key} = {value!r}: {exc}")
+    return None, out or whole_run
 
 
 def _csv_line(values: list[float], secure: bool) -> str:
@@ -333,21 +308,12 @@ def _csv_line(values: list[float], secure: bool) -> str:
 
 def run(config: RunConfig) -> int:
     """Execute one configured sweep; write sweep.csv and summary.txt."""
-    problems = validate(config)
-    if problems:
+    resolved, problems = _resolve(config)
+    if resolved is None:
         for line in problems:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    scenario = Scenario.named(config.scenario, {
-        k: v for k, v in config.overrides.items() if k in NOMINAL
-    })
-    try:
-        fov_values = config.fov_values()
-        source_values = config.source_values()
-    except (ValueError, OutOfBandError, SpectrumFormatError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    scenario, fov_values, source_values = resolved
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -141,6 +141,10 @@ class Setup:
     protocol: ProtocolParams
     wavelength_nm: float
 
+    def __post_init__(self) -> None:
+        if not self.wavelength_nm > 0.0:
+            raise ValueError("wavelength_nm must be positive")
+
 
 @dataclass(frozen=True, slots=True)
 class OperatingPoint:
@@ -187,9 +191,7 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
     receiver = Pose(Point3(x / 2.0, y / 2.0, z), down)
     lamp = Pose(Point3(lamp_x, lamp_y, z), down)
 
-    if scenario.name.endswith("corner") and not scenario.name.endswith("steered"):
-        tx_position = Point3(0.0, 0.0, 0.0)
-    elif scenario.name == "lamp-corner-steered":
+    if "corner" in scenario.name:
         tx_position = Point3(0.0, 0.0, 0.0)
     else:
         tx_position = Point3(x / 2.0, y / 2.0, 0.0)
@@ -395,7 +397,7 @@ def ambient_tolerance(
     def rate(fov: float, level: float) -> float:
         return evaluate_point(scenario, fov, level, patches_per_meter=patches_per_meter).report.rate
 
-    coarse = [float(f) for f in range(int(fov_floor_deg), int(fov_ceiling_deg) + 1)]
+    coarse = [max(fov_floor_deg, float(f)) for f in range(int(fov_floor_deg), int(fov_ceiling_deg) + 1)]
     best = max(coarse, key=lambda f: rate(f, reference))
     fine_lo = max(fov_floor_deg, best - 1.0)
     fine_hi = min(fov_ceiling_deg, best + 1.0)
@@ -408,9 +410,9 @@ def ambient_tolerance(
     lo = math.log10(reference)
     hi = lo
     while rate(best, 10.0**hi) > 0.0:
-        hi += 1.0
-        if hi > 2.0:  # > 100 W/nm/m^2: nothing indoors is that bright
+        if hi >= 2.0:  # 100 W/nm/m^2 is secure, and nothing indoors is brighter
             return 10.0**hi
+        hi += 1.0
     while hi - lo > precision_decades:
         mid = 0.5 * (lo + hi)
         if rate(best, 10.0**mid) > 0.0:

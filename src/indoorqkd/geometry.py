@@ -15,11 +15,9 @@ __all__ = [
     "Point3",
     "Pose",
     "LinkGeometry",
-    "SurfacePatch",
     "SurfaceGrid",
     "RoomScenario",
     "link_geometry",
-    "tessellate",
     "wall_and_floor_grids",
 ]
 
@@ -84,16 +82,6 @@ class LinkGeometry:
     distance: float
     irradiance_angle: float
     incidence_angle: float
-
-
-@dataclass(frozen=True, slots=True)
-class SurfacePatch:
-    """A small flat reflecting element of a wall or the floor."""
-
-    center: Point3
-    normal: Point3
-    area: float
-    reflectivity: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,10 +164,12 @@ class RoomScenario:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        for name in ("lamp_semi_angle_deg", "tx_semi_angle_deg", "fov_deg"):
+        for name in ("lamp_semi_angle_deg", "tx_semi_angle_deg"):
             value = getattr(self, name)
-            if not 0.0 < value <= 90.0:
-                raise ValueError(f"{name} must lie in (0, 90] degrees, got {value!r}")
+            if not 0.0 < value < 90.0:
+                raise ValueError(f"{name} must lie in (0, 90) degrees (Lambert mode is undefined outside), got {value!r}")
+        if not 0.0 < self.fov_deg <= 90.0:
+            raise ValueError(f"fov_deg must lie in (0, 90] degrees, got {self.fov_deg!r}")
         if self.detector_area_m2 <= 0.0:
             raise ValueError("detector_area_m2 must be positive")
         if self.concentrator_index < 1.0:
@@ -241,23 +231,3 @@ def wall_and_floor_grids(room: RoomScenario, patches_per_meter: int) -> tuple[Su
         grid(o, ex, ez, ey, x, z, r_wall),                                   # wall y = 0
         grid(Point3(0.0, y, 0.0), ex, ez, Point3(0.0, -1.0, 0.0), x, z, r_wall),  # wall y = Y
     )
-
-
-def tessellate(room: RoomScenario, patches_per_meter: int) -> list[SurfacePatch]:
-    """Flat list of midpoint patches over the floor and the four walls."""
-    patches: list[SurfacePatch] = []
-    for g in wall_and_floor_grids(room, patches_per_meter):
-        area = g.cell_u * g.cell_v
-        for i in range(g.n_u):
-            cu = (i + 0.5) * g.cell_u
-            for j in range(g.n_v):
-                cv = (j + 0.5) * g.cell_v
-                center = Point3(
-                    g.origin.x + cu * g.u_dir.x + cv * g.v_dir.x,
-                    g.origin.y + cu * g.u_dir.y + cv * g.v_dir.y,
-                    g.origin.z + cu * g.u_dir.z + cv * g.v_dir.z,
-                )
-                patches.append(
-                    SurfacePatch(center=center, normal=g.normal, area=area, reflectivity=g.reflectivity)
-                )
-    return patches

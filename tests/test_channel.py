@@ -14,6 +14,7 @@ to polar coordinates on the floor.  It is independent of the patch code.
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from indoorqkd.channel import (
@@ -25,17 +26,15 @@ from indoorqkd.channel import (
     lambert_mode,
     los_dc_gain,
     los_gain_for,
-    reflected_dc_gain,
     reflected_gain_convergence,
     total_reflected_gain,
+    _cell_gains,
 )
 from indoorqkd.geometry import (
     LinkGeometry,
     Point3,
     Pose,
     RoomScenario,
-    SurfacePatch,
-    tessellate,
 )
 
 
@@ -151,16 +150,24 @@ class TestLosGain:
 
 
 class TestReflectedPatchGain:
-    def _floor_patch_near(self, room, x, y):
-        floor = [p for p in tessellate(room, 2) if p.center.z == 0.0]
-        return min(floor, key=lambda p: (p.center.x - x) ** 2 + (p.center.y - y) ** 2)
+    """The bounce integrand for single cells, against the hand formula."""
+
+    def _cell_gain(self, room, center, normal, area, reflectivity):
+        m1 = lambert_mode(room.lamp_semi_angle_deg)
+        g_in = concentrator_gain(0.0, room.concentrator_index, math.radians(room.fov_deg))
+        gains = _cell_gains(
+            np.array([center.as_tuple()]), np.array([normal.as_tuple()]),
+            np.array([area]), np.array([reflectivity]), room, m1, g_in,
+        )
+        return float(gains[0])
 
     def test_in_cone_patch_matches_hand_formula(self):
         room = nominal_room(fov_deg=30.0)
-        patch = self._floor_patch_near(room, 2.25, 2.25)
-        v1 = patch.center.minus(room.lamp.position)
+        # floor cell of the 2 patches/m grid nearest (2.25, 2.25)
+        center, area = Point3(2.25, 2.25, 0.0), 0.25
+        v1 = center.minus(room.lamp.position)
         d1 = v1.norm()
-        v2 = room.receiver.position.minus(patch.center)
+        v2 = room.receiver.position.minus(center)
         d2 = v2.norm()
         cos_phi = -v1.z / d1  # lamp looks straight down
         cos_alpha = -v1.z / d1
@@ -171,26 +178,15 @@ class TestReflectedPatchGain:
         g = 1.5**2 / math.sin(math.radians(30.0)) ** 2
         expected = (
             1e-4 * (m1 + 1.0) / (2.0 * math.pi**2 * d1**2 * d2**2)
-            * cos_phi**m1 * 0.1 * g * patch.area * cos_alpha * cos_beta * cos_psi
+            * cos_phi**m1 * 0.1 * g * area * cos_alpha * cos_beta * cos_psi
         )
-        assert reflected_dc_gain(patch, room) == pytest.approx(expected, rel=1e-12)
-
-    def test_out_of_cone_patch_contributes_nothing(self):
-        room = nominal_room(fov_deg=30.0)
-        corner_patch = self._floor_patch_near(room, 0.0, 0.0)
-        v2 = room.receiver.position.minus(corner_patch.center)
-        assert math.acos(v2.z / v2.norm()) > math.radians(30.0)
-        assert reflected_dc_gain(corner_patch, room) == 0.0
+        gain = self._cell_gain(room, center, Point3(0.0, 0.0, 1.0), area, 0.1)
+        assert gain == pytest.approx(expected, rel=1e-12)
 
     def test_patch_coincident_with_receiver_contributes_nothing(self):
         room = nominal_room()
-        coincident = SurfacePatch(
-            center=room.receiver.position,
-            normal=Point3(0.0, 0.0, 1.0),
-            area=0.01,
-            reflectivity=0.5,
-        )
-        assert reflected_dc_gain(coincident, room) == 0.0
+        gain = self._cell_gain(room, room.receiver.position, Point3(0.0, 0.0, 1.0), 0.01, 0.5)
+        assert gain == 0.0
 
 
 class TestTotalReflectedGain:

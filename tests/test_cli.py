@@ -5,6 +5,7 @@ import re
 import pytest
 
 from indoorqkd.cli import (
+    _SECTION_KEYS,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_STRICT_CONVERGENCE,
@@ -18,6 +19,17 @@ from indoorqkd.cli import (
 from indoorqkd.spectra import bundled_spectrum_path
 
 SCI_NOTATION = re.compile(r"^-?\d\.\d{9}e[+-]\d{2,3}$")
+
+_TEXT_KEYS = {
+    "scenario", "fov_scale", "source_scale", "output_dir",
+    "lamp_spectrum_file", "lamp_spectrum_kind", "strict",
+}
+NUMERIC_KEYS = [
+    (section, key)
+    for section, keys in _SECTION_KEYS.items()
+    for key in keys
+    if key not in _TEXT_KEYS
+]
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -87,6 +99,30 @@ class TestValidationDiagnostics:
             lamp_spectrum_kind="source-psd",
         )
         assert any("irradiance" in m for m in validate(config))
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("section,key", NUMERIC_KEYS)
+    def test_every_numeric_value_ends_in_result_or_diagnostic(self, tmp_path, section, key, raw):
+        tiny = {
+            "experiments": {"fov_steps": "2", "source_steps": "2"},
+            "cli": {"resolution_patches_per_meter": "2"},
+        }
+        tiny.setdefault(section, {})[key] = raw
+        body = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+            for name, entries in tiny.items()
+        )
+        out_dir = tmp_path / "out"
+        code = main([str(write_config(tmp_path, body)), "--out", str(out_dir)])
+        assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
+        if code == EXIT_CONFIG_ERROR:
+            assert not out_dir.exists()
+
+    def test_lamp_outside_shrunk_room(self, tmp_path):
+        path = write_config(tmp_path, "[geometry]\nroom_x_m = 3\nlamp_x_m = 3.5\n")
+        out_dir = tmp_path / "out"
+        assert main([str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
 
     def test_bad_axis(self):
         config = RunConfig(source_min=1e-4, source_max=1e-6)

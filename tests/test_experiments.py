@@ -170,6 +170,18 @@ class TestAmbientTolerance:
         assert secure.report.secure
         assert not blinded.report.secure
 
+    def test_capped_tolerance_is_verified_secure(self):
+        # so narrow a filter leaves 100 W/nm/m^2 secure; the search stops
+        # there and must return that checked level, not the next decade
+        scenario = Scenario.named("ambient-only-center", {"filter_bandwidth_nm": 1e-12})
+        tol = ambient_tolerance(scenario)
+        assert evaluate_point(scenario, 10.0, tol).report.rate > 0.0
+
+    def test_fractional_fov_floor_never_probes_below_it(self):
+        scenario = Scenario.named("ambient-only-center")
+        tol = ambient_tolerance(scenario, fov_floor_deg=0.5, fov_ceiling_deg=3.0)
+        assert evaluate_point(scenario, 0.5, tol).report.secure
+
 
 class TestPathLossProfile:
     def test_loss_grows_with_fov(self):

@@ -11,7 +11,6 @@ from indoorqkd.geometry import (
     Pose,
     RoomScenario,
     link_geometry,
-    tessellate,
     wall_and_floor_grids,
 )
 
@@ -119,6 +118,12 @@ class TestRoomScenario:
         with pytest.raises(ValueError):
             nominal_room(**bad)
 
+    def test_semi_angles_exclude_ninety_but_fov_includes_it(self):
+        for name in ("lamp_semi_angle_deg", "tx_semi_angle_deg"):
+            with pytest.raises(ValueError, match="Lambert mode is undefined"):
+                nominal_room(**{name: 90.0})
+        assert nominal_room(fov_deg=90.0).fov_deg == 90.0
+
     def test_poses_must_sit_inside_room(self):
         outside = Pose(Point3(5.0, 2.0, 0.0), Point3(0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
@@ -146,19 +151,21 @@ class TestTessellation:
         assert total == pytest.approx(walls + 4.0 * 4.0, rel=1e-12)
 
     def test_patch_count_matches_resolution(self):
-        patches = tessellate(nominal_room(), 10)
-        assert len(patches) == 40 * 40 + 4 * (40 * 30)
+        grids = wall_and_floor_grids(nominal_room(), 10)
+        assert sum(g.patch_count() for g in grids) == 40 * 40 + 4 * (40 * 30)
 
     def test_patch_areas_sum_to_grid_area(self):
-        patches = tessellate(nominal_room(), 3)
-        assert sum(p.area for p in patches) == pytest.approx(64.0, rel=1e-12)
+        grids = wall_and_floor_grids(nominal_room(), 3)
+        cell_area_sum = sum(g.patch_count() * g.cell_u * g.cell_v for g in grids)
+        assert cell_area_sum == pytest.approx(64.0, rel=1e-12)
 
     def test_reflectivity_assignment(self):
-        patches = tessellate(nominal_room(), 2)
-        floor = [p for p in patches if p.center.z == pytest.approx(0.0)]
-        walls = [p for p in patches if p.center.z > 0.0]
-        assert all(p.reflectivity == 0.1 for p in floor)
-        assert all(p.reflectivity == 0.7 for p in walls)
+        grids = wall_and_floor_grids(nominal_room(), 2)
+        floor = [g for g in grids if g.normal.z == 1.0]
+        walls = [g for g in grids if g.normal.z == 0.0]
+        assert len(floor) == 1 and len(walls) == 4
+        assert all(g.reflectivity == 0.1 for g in floor)
+        assert all(g.reflectivity == 0.7 for g in walls)
 
     @given(
         st.floats(1.0, 8.0), st.floats(1.0, 8.0), st.floats(2.0, 4.0),
