@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Per-layer timings of the feasibility-map pipeline, written to a JSON file.
+
+Each layer is timed as the median and interquartile range (wall clock) over
+ROUNDS runs, after one untimed warm-up run:
+
+* total_reflected_gain, lamp-center at FOV 20 deg, 10/20/40/80 patches/m;
+* one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
+  lamp-center at 10 patches/m;
+* one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches/m.
+
+"Cold" clears the reflected-integral cache before every run.  Each layer
+also records a value it computed, so runs of two source trees can be
+checked for identical results.  --src picks the source tree to import
+(default: src/ of this checkout), so one copy of the script times any
+checkout.  --label names the run inside the output file; runs stored there
+under other labels are kept, so one file can hold a before/after pair:
+
+    python3 scripts/bench_layers.py --src ../parent/src --label parent --out BENCH.json
+    python3 scripts/bench_layers.py --label change --out BENCH.json
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+RESOLUTIONS = (10, 20, 40, 80)
+ROUNDS = 7
+
+
+def git_sha(path: Path) -> tuple[str, bool]:
+    """HEAD of the checkout holding ``path`` and whether its src/ has edits."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(path), *args], capture_output=True, text=True, check=True).stdout
+    try:
+        return git("rev-parse", "HEAD").strip(), bool(git("status", "--porcelain", "--", ".").strip())
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown", False
+
+
+def source_digest(package: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def timed(run, before=lambda: None) -> dict:
+    before()
+    value = run()  # warm-up, and the value recorded for the layer
+    times = []
+    for _ in range(ROUNDS):
+        before()
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": median, "iqr_s": q3 - q1, "rounds": ROUNDS, "times_s": times, "value": value}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--label", required=True, help="name of this run in the output file")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write (runs with other labels stay)")
+    args = parser.parse_args()
+
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    from indoorqkd import experiments
+    from indoorqkd.channel import total_reflected_gain
+    from indoorqkd.experiments import Scenario, build_setup, secure_fov_boundary, sweep
+
+    scenario = Scenario.named("lamp-center")
+    room = build_setup(scenario, 20.0, 1e-5).room
+    cold = experiments._cached_reflected_integral.cache_clear
+    fovs = tuple(0.9 * (k + 1) for k in range(100))
+    levels = tuple(10.0 ** (-7.0 + 3.0 * k / 99) for k in range(100))
+
+    def secure_points() -> int:
+        grid = sweep(scenario, fovs, levels, patches_per_meter=10)
+        return sum(p.report.secure for row in grid.points for p in row)
+
+    layers = {}
+    for res in RESOLUTIONS:
+        layers[f"total_reflected_gain_{res}_per_m"] = timed(lambda: total_reflected_gain(room, res))
+    layers["sweep_100x100_cold_10_per_m"] = timed(secure_points, cold)
+    layers["secure_fov_boundary_cold_10_per_m"] = timed(
+        lambda: secure_fov_boundary(scenario, 1e-5, patches_per_meter=10), cold
+    )
+
+    sha, dirty = git_sha(src)
+    run = {
+        "git_sha": sha,
+        "src_has_uncommitted_edits": dirty,
+        "source_sha256": source_digest(src / "indoorqkd"),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "layers": layers,
+    }
+    results = json.loads(args.out.read_text()) if args.out.exists() else {}
+    results[args.label] = run
+    args.out.write_text(json.dumps(results, indent=2) + "\n")
+    for name, layer in layers.items():
+        print(f"{args.label:>8} {name:36s} median {layer['median_s'] * 1e3:9.2f} ms  IQR {layer['iqr_s'] * 1e3:7.2f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,6 +10,8 @@ diffuse bounce off the walls or floor; the room surfaces are tessellated
 into midpoint patches and summed.  Patches cut by the edge of the receiver's
 acceptance cone are subdivided adaptively, otherwise the hard cutoff in
 g(psi) would leave the sum stuck at the patch size instead of converging.
+The cone test probes each patch's center and corners in its surface's own
+plane coordinates, so a refinement level is a few passes over two flat arrays.
 """
 
 from __future__ import annotations
@@ -61,11 +63,11 @@ class DetectorParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("detector efficiency must lie in (0, 1]")
-        if self.dark_count_rate_hz < 0.0:
-            raise ValueError("dark_count_rate_hz must be non-negative")
-        if self.pulse_width_s <= 0.0:
-            raise ValueError("pulse_width_s must be positive")
+            raise ValueError(f"detector efficiency must lie in (0, 1], got {self.efficiency!r}")
+        if not 0.0 <= self.dark_count_rate_hz < math.inf:
+            raise ValueError(f"dark_count_rate_hz must be non-negative and finite, got {self.dark_count_rate_hz!r}")
+        if not 0.0 < self.pulse_width_s < math.inf:
+            raise ValueError(f"pulse_width_s must be positive and finite, got {self.pulse_width_s!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,19 +231,6 @@ def _cell_gains(
     return np.where(ok, gains, 0.0)
 
 
-def _cos_psi_at(points: np.ndarray, rx_pos: np.ndarray, rx_axis: np.ndarray) -> np.ndarray:
-    v = rx_pos - points
-    d = np.linalg.norm(v, axis=-1)
-    d = np.where(d > 1e-12, d, 1.0)
-    return -np.einsum("...j,j->...", v, rx_axis) / d
-
-
-def _auto_refine_depth(max_cell_m: float) -> int:
-    if max_cell_m <= _REFINE_TARGET_M:
-        return 0
-    return min(_MAX_REFINE_DEPTH, math.ceil(math.log2(max_cell_m / _REFINE_TARGET_M)))
-
-
 def total_reflected_gain(
     room: RoomScenario,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
@@ -251,78 +240,79 @@ def total_reflected_gain(
     """Sum of single-bounce gains over the tessellated walls and floor.
 
     ``refine_depth`` levels of 4-way splitting are applied to cells whose
-    corners straddle the acceptance-cone edge (depth picked automatically
-    from the cell size when None; 0 disables refinement and reproduces the
-    plain midpoint sum over the base tessellation).
+    center and corners straddle the acceptance-cone edge (depth picked
+    automatically from the cell size when None; 0 disables refinement and
+    reproduces the plain midpoint sum over the base tessellation).
+
+    The five probes of a cell are tested in its grid's plane coordinates.
+    With the receiver at (u0, v0) and signed height h over the plane, and
+    its axis split into (a_u, a_v, a_n) along u_dir, v_dir and the normal,
+    the incidence cosine at (u, v) is
+
+        -(du a_u + dv a_v + h a_n) / sqrt(du^2 + dv^2 + h^2),  du = u0 - u,  dv = v0 - v.
+
+    A level is two flat arrays of cell centers plus one half-size per axis;
+    only accepted cells become 3-D centers, integrated by ``_cell_gains``.
     """
     m1 = lambert_mode(room.lamp_semi_angle_deg)
     fov_rad = math.radians(room.fov_deg)
     g_in = concentrator_gain(0.0, room.concentrator_index, fov_rad)
     cos_fov = math.cos(fov_rad)
-    rx_pos = np.array(room.receiver.position.as_tuple())
-    rx_axis = np.array(room.receiver.axis.as_tuple())
 
     total = 0.0
     for grid in wall_and_floor_grids(room, patches_per_meter):
         if grid.reflectivity == 0.0:
             continue
-        origin = np.array(grid.origin.as_tuple())
-        u_dir = np.array(grid.u_dir.as_tuple())
-        v_dir = np.array(grid.v_dir.as_tuple())
-        normal = np.array(grid.normal.as_tuple())
+        plane = (grid.u_dir, grid.v_dir, grid.normal)
+        origin, u_dir, v_dir, normal = (np.array(p.as_tuple()) for p in (grid.origin, *plane))
+        offset = room.receiver.position.minus(grid.origin)
+        u0, v0, h = (offset.dot(e) for e in plane)
+        # (du, dv, h) are the world x, y, z offsets in some order (the grids
+        # are axis-aligned).  Adding them up in the order numpy rounds a 3-D
+        # norm, (x + y) + z, and dot product, (x + z) + y, keeps every probe
+        # that sits exactly on the cone edge on the side the 3-D test put it.
+        order = [next(k for k in range(3) if plane[k].as_tuple()[i]) for i in range(3)]
+        a_x, a_y, a_z = (room.receiver.axis.dot(plane[k]) for k in order)
 
-        iu = (np.arange(grid.n_u) + 0.5) * grid.cell_u
-        iv = (np.arange(grid.n_v) + 0.5) * grid.cell_v
-        uu, vv = np.meshgrid(iu, iv, indexing="ij")
-        centers = origin + uu.reshape(-1, 1) * u_dir + vv.reshape(-1, 1) * v_dir
-        half_u = np.full(centers.shape[0], 0.5 * grid.cell_u)
-        half_v = np.full(centers.shape[0], 0.5 * grid.cell_v)
+        def inside(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+            x, y, z = ((du, dv, h)[k] for k in order)
+            d = np.sqrt(x * x + y * y + z * z)
+            d = np.where(d > 1e-12, d, 1.0)
+            return -(x * a_x + z * a_z + y * a_y) / d >= cos_fov
 
+        # Level 0 is an outer (n_u, 1) x (1, n_v) grid: one pass per axis for the offsets.
+        u = ((np.arange(grid.n_u) + 0.5) * grid.cell_u)[:, None]
+        v = ((np.arange(grid.n_v) + 0.5) * grid.cell_v)[None, :]
+        hu, hv = 0.5 * grid.cell_u, 0.5 * grid.cell_v
         depth = refine_depth
-        if depth is None:
-            depth = _auto_refine_depth(max(grid.cell_u, grid.cell_v))
+        if depth is None:  # split until the cells shrink to _REFINE_TARGET_M
+            levels = math.ceil(math.log2(max(grid.cell_u, grid.cell_v) / _REFINE_TARGET_M))
+            depth = max(0, min(_MAX_REFINE_DEPTH, levels))
 
         surface_sum = 0.0
         for level in range(depth + 1):
-            if level == depth:
-                # Finest level: midpoint in/out decides the remainder.
-                accept = _cos_psi_at(centers, rx_pos, rx_axis) >= cos_fov
-                straddle = None
-            else:
-                du = half_u[:, None] * u_dir
-                dv = half_v[:, None] * v_dir
-                probes = np.stack(
-                    [
-                        centers,
-                        centers + du + dv,
-                        centers + du - dv,
-                        centers - du + dv,
-                        centers - du - dv,
-                    ],
-                    axis=1,
-                )
-                inside = _cos_psi_at(probes, rx_pos, rx_axis) >= cos_fov
-                accept = inside.all(axis=1)
-                straddle = inside.any(axis=1) & ~accept
-
-            if np.any(accept):
-                keep = centers[accept]
-                areas = 4.0 * half_u[accept] * half_v[accept]
-                refl = np.full(keep.shape[0], grid.reflectivity)
-                normals = np.broadcast_to(normal, keep.shape)
-                surface_sum += float(np.sum(_cell_gains(keep, normals, areas, refl, room, m1, g_in)))
-
-            if straddle is None or not np.any(straddle):
+            accept = inside(u0 - u, v0 - v)
+            if level < depth:  # the finest level lets the midpoint decide
+                du_p, du_m = u0 - (u + hu), u0 - (u - hu)
+                dv_p, dv_m = v0 - (v + hv), v0 - (v - hv)
+                # Corners (+,+), (+,-), (-,+), (-,-).
+                corners = (inside(du_p, dv_p), inside(du_p, dv_m), inside(du_m, dv_p), inside(du_m, dv_m))
+                straddle = accept | corners[0] | corners[1] | corners[2] | corners[3]
+                accept = accept & corners[0] & corners[1] & corners[2] & corners[3]
+                straddle &= ~accept
+            u, v = np.broadcast_arrays(u, v)
+            n = int(np.count_nonzero(accept))
+            if n:
+                centers = origin + u[accept][:, None] * u_dir + v[accept][:, None] * v_dir
+                areas, refl = np.full(n, 4.0 * hu * hv), np.full(n, grid.reflectivity)
+                gains = _cell_gains(centers, np.broadcast_to(normal, (n, 3)), areas, refl, room, m1, g_in)
+                surface_sum += float(np.sum(gains))
+            if level == depth or not np.any(straddle):
                 break
-            c = centers[straddle]
-            hu = 0.5 * half_u[straddle]
-            hv = 0.5 * half_v[straddle]
-            du = hu[:, None] * u_dir
-            dv = hv[:, None] * v_dir
-            centers = np.concatenate([c + du + dv, c + du - dv, c - du + dv, c - du - dv])
-            half_u = np.concatenate([hu, hu, hu, hu])
-            half_v = np.concatenate([hv, hv, hv, hv])
-
+            us, vs = u[straddle], v[straddle]  # children in the corner order
+            hu, hv = 0.5 * hu, 0.5 * hv
+            u = np.concatenate([us + hu, us + hu, us - hu, us - hu])
+            v = np.concatenate([vs + hv, vs - hv, vs + hv, vs - hv])
         total += surface_sum
     return total
 

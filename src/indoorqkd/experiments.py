@@ -142,8 +142,8 @@ class Setup:
     wavelength_nm: float
 
     def __post_init__(self) -> None:
-        if not self.wavelength_nm > 0.0:
-            raise ValueError("wavelength_nm must be positive")
+        if not 0.0 < self.wavelength_nm < math.inf:
+            raise ValueError(f"wavelength_nm must be positive and finite, got {self.wavelength_nm!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,16 +174,20 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
     ``source_level`` is the lamp PSD in W/nm for lamp scenarios and the
     ambient spectral irradiance in W/nm/m^2 for ambient-only scenarios.
     """
-    if source_level < 0.0:
-        raise ValueError("source_level must be non-negative")
+    if not 0.0 <= source_level < math.inf:
+        raise ValueError(f"source_level must be non-negative and finite, got {source_level!r}")
     p = scenario.params()
     x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
     wavelength = float(p["wavelength_nm"])
-    tau = float(p["pulse_width_s"])
 
+    detector = DetectorParams(
+        efficiency=float(p["detector_efficiency"]),
+        dark_count_rate_hz=float(p["dark_count_rate_hz"]),
+        pulse_width_s=float(p["pulse_width_s"]),
+    )
     bandwidth = p["filter_bandwidth_nm"]
     if bandwidth is None:
-        bandwidth = matched_filter_bandwidth_nm(wavelength, tau)
+        bandwidth = matched_filter_bandwidth_nm(wavelength, detector.pulse_width_s)
 
     lamp_x = x / 2.0 if p["lamp_x_m"] is None else float(p["lamp_x_m"])
     lamp_y = y / 2.0 if p["lamp_y_m"] is None else float(p["lamp_y_m"])
@@ -225,11 +229,6 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         filter_transmission=float(p["filter_transmission"]),
         filter_bandwidth_nm=float(bandwidth),
         ambient_irradiance_w_nm_m2=ambient,
-    )
-    detector = DetectorParams(
-        efficiency=float(p["detector_efficiency"]),
-        dark_count_rate_hz=float(p["dark_count_rate_hz"]),
-        pulse_width_s=tau,
     )
     protocol = ProtocolParams(
         mean_photons_per_pulse=float(p["mean_photons_per_pulse"]),

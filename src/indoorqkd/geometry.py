@@ -158,8 +158,14 @@ class RoomScenario:
     ambient_irradiance_w_nm_m2: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.room_x_m, self.room_y_m, self.room_z_m) <= 0.0:
-            raise ValueError("room dimensions must be positive")
+        # Every rule is written so that nan fails it and every bound excludes
+        # +-inf: a non-finite value names its field here, not deep in a sum.
+        for name in ("room_x_m", "room_y_m", "room_z_m", "detector_area_m2", "filter_bandwidth_nm"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        for name in ("lamp_psd_w_per_nm", "ambient_irradiance_w_nm_m2"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)!r}")
         for name in ("wall_reflectivity", "floor_reflectivity"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -170,16 +176,10 @@ class RoomScenario:
                 raise ValueError(f"{name} must lie in (0, 90) degrees (Lambert mode is undefined outside), got {value!r}")
         if not 0.0 < self.fov_deg <= 90.0:
             raise ValueError(f"fov_deg must lie in (0, 90] degrees, got {self.fov_deg!r}")
-        if self.detector_area_m2 <= 0.0:
-            raise ValueError("detector_area_m2 must be positive")
-        if self.concentrator_index < 1.0:
-            raise ValueError("concentrator_index must be >= 1")
+        if not 1.0 <= self.concentrator_index < math.inf:
+            raise ValueError(f"concentrator_index must be >= 1 and finite, got {self.concentrator_index!r}")
         if not 0.0 < self.filter_transmission <= 1.0:
-            raise ValueError("filter_transmission must lie in (0, 1]")
-        if self.filter_bandwidth_nm <= 0.0:
-            raise ValueError("filter_bandwidth_nm must be positive")
-        if self.lamp_psd_w_per_nm < 0.0 or self.ambient_irradiance_w_nm_m2 < 0.0:
-            raise ValueError("spectral densities must be non-negative")
+            raise ValueError(f"filter_transmission must lie in (0, 1], got {self.filter_transmission!r}")
         for name in ("lamp", "transmitter", "receiver"):
             pos = getattr(self, name).position
             if not (

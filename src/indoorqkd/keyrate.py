@@ -49,14 +49,14 @@ class ProtocolParams:
     misalignment_error: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mean_photons_per_pulse < 0.0:
-            raise ValueError("mean_photons_per_pulse must be non-negative")
+        if not 0.0 <= self.mean_photons_per_pulse < math.inf:
+            raise ValueError(f"mean_photons_per_pulse must be non-negative and finite, got {self.mean_photons_per_pulse!r}")
         if not 0.0 < self.sift_factor <= 1.0:
-            raise ValueError("sift_factor must lie in (0, 1]")
-        if self.error_correction_inefficiency < 1.0:
-            raise ValueError("error_correction_inefficiency must be >= 1")
+            raise ValueError(f"sift_factor must lie in (0, 1], got {self.sift_factor!r}")
+        if not 1.0 <= self.error_correction_inefficiency < math.inf:
+            raise ValueError(f"error_correction_inefficiency must be >= 1 and finite, got {self.error_correction_inefficiency!r}")
         if not 0.0 <= self.misalignment_error <= 0.5:
-            raise ValueError("misalignment_error must lie in [0, 0.5]")
+            raise ValueError(f"misalignment_error must lie in [0, 0.5], got {self.misalignment_error!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,6 +9,7 @@ and only one reaches a given detector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -60,8 +61,8 @@ def matched_filter_bandwidth_nm(wavelength_nm: float, pulse_width_s: float) -> f
     With this choice the admitted background energy per pulse is independent
     of the pulse width: bandwidth * tau is a constant of the wavelength.
     """
-    if wavelength_nm <= 0.0:
-        raise ValueError("wavelength_nm must be positive")
+    if not 0.0 < wavelength_nm < math.inf:
+        raise ValueError(f"wavelength_nm must be positive and finite, got {wavelength_nm!r}")
     if pulse_width_s <= 0.0:
         raise ValueError("pulse_width_s must be positive")
     lam_m = wavelength_nm * 1e-9

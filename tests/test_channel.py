@@ -13,6 +13,7 @@ to polar coordinates on the floor.  It is independent of the patch code.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from indoorqkd.channel import (
     total_reflected_gain,
     _cell_gains,
 )
+from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.geometry import (
     LinkGeometry,
     Point3,
@@ -244,6 +246,174 @@ class TestTotalReflectedGain:
     def test_dead_surfaces_give_zero(self):
         room = nominal_room(wall_reflectivity=0.0, floor_reflectivity=0.0)
         assert total_reflected_gain(room, 5) == 0.0
+
+
+class TestFloorConeClosedForm:
+    """The patch sum against the exact floor-cone integral on a fine FOV ladder."""
+
+    @pytest.mark.parametrize(
+        "patches_per_meter, rtol",
+        [(10, 1e-3), (40, 3e-4)],  # worst measured: 5.9e-4 and 1.9e-4
+    )
+    def test_lamp_center_two_to_thirty_degrees(self, patches_per_meter, rtol):
+        for fov in np.arange(2.0, 30.25, 0.5):
+            room = build_setup(Scenario.named("lamp-center"), float(fov), 1e-5).room
+            numeric = total_reflected_gain(room, patches_per_meter)
+            assert numeric == pytest.approx(floor_cone_closed_form(room), rel=rtol), fov
+
+
+def pinned_room(kind, fov):
+    if kind == "nominal":
+        return build_setup(Scenario.named("lamp-center"), fov, 1e-5).room
+    if kind == "offset-lamp":
+        overrides = {"lamp_x_m": 1.0, "lamp_y_m": 2.5}
+        return build_setup(Scenario.named("lamp-center", overrides), fov, 1e-5).room
+    # steered-corner: the receiver turned toward the corner transmitter, so
+    # its axis has a component along every surface direction
+    room = build_setup(Scenario.named("lamp-corner-steered"), fov, 1e-5).room
+    return replace(room, receiver=Pose.aimed_at(room.receiver.position, room.transmitter.position))
+
+
+# total_reflected_gain(pinned_room(kind, fov), patches_per_meter,
+# refine_depth=depth) as computed by the world-coordinate refinement that
+# preceded the plane-coordinate one.  A single cell whose accept/straddle
+# decision flips moves a value by far more than 1e-12.
+PINNED_REFLECTED_GAIN = {
+    ('nominal', 0.25, 10, None): 6.534743342515902e-07,
+    ('nominal', 0.25, 10, 0): 0.0,
+    ('nominal', 0.25, 20, None): 6.534743342515902e-07,
+    ('nominal', 0.25, 20, 0): 0.0,
+    ('nominal', 0.25, 40, None): 6.534743342515902e-07,
+    ('nominal', 0.25, 40, 0): 0.0,
+    ('nominal', 2.0, 10, None): 6.542768295006273e-07,
+    ('nominal', 2.0, 10, 0): 7.591238122009197e-07,
+    ('nominal', 2.0, 20, None): 6.542768295006273e-07,
+    ('nominal', 2.0, 20, 0): 5.694439434626632e-07,
+    ('nominal', 2.0, 40, None): 6.542516195661401e-07,
+    ('nominal', 2.0, 40, 0): 6.167572129261619e-07,
+    ('nominal', 5.0, 10, None): 6.507226187783001e-07,
+    ('nominal', 5.0, 10, 0): 7.20111207283788e-07,
+    ('nominal', 5.0, 20, None): 6.505321547982817e-07,
+    ('nominal', 5.0, 20, 0): 6.610586691412629e-07,
+    ('nominal', 5.0, 40, None): 6.504653113590601e-07,
+    ('nominal', 5.0, 40, 0): 6.239955003875064e-07,
+    ('nominal', 16.0, 10, None): 6.108602252331606e-07,
+    ('nominal', 16.0, 10, 0): 6.093349353046568e-07,
+    ('nominal', 16.0, 20, None): 6.106210538996817e-07,
+    ('nominal', 16.0, 20, 0): 6.094677157373493e-07,
+    ('nominal', 16.0, 40, None): 6.105593947304968e-07,
+    ('nominal', 16.0, 40, 0): 6.09457750627888e-07,
+    ('nominal', 30.0, 10, None): 5.162105470464231e-07,
+    ('nominal', 30.0, 10, 0): 5.140728576462103e-07,
+    ('nominal', 30.0, 20, None): 5.160933789962048e-07,
+    ('nominal', 30.0, 20, 0): 5.152832356671376e-07,
+    ('nominal', 30.0, 40, None): 5.16064218750565e-07,
+    ('nominal', 30.0, 40, 0): 5.156760439636889e-07,
+    ('nominal', 60.0, 10, None): 1.500543836888292e-06,
+    ('nominal', 60.0, 10, 0): 1.480714033211243e-06,
+    ('nominal', 60.0, 20, None): 1.5004113215268674e-06,
+    ('nominal', 60.0, 20, 0): 1.5060017407722364e-06,
+    ('nominal', 60.0, 40, None): 1.5003756619788266e-06,
+    ('nominal', 60.0, 40, 0): 1.5008080746945646e-06,
+    ('nominal', 90.0, 10, None): 1.8697580326040472e-06,
+    ('nominal', 90.0, 10, 0): 1.8695269733687435e-06,
+    ('nominal', 90.0, 20, None): 1.8693302635915359e-06,
+    ('nominal', 90.0, 20, 0): 1.8692928658409882e-06,
+    ('nominal', 90.0, 40, None): 1.8692440422516456e-06,
+    ('nominal', 90.0, 40, 0): 1.8692380488099174e-06,
+    ('offset-lamp', 0.25, 10, None): 5.155424817441705e-07,
+    ('offset-lamp', 0.25, 10, 0): 0.0,
+    ('offset-lamp', 0.25, 20, None): 5.155424817441705e-07,
+    ('offset-lamp', 0.25, 20, 0): 0.0,
+    ('offset-lamp', 0.25, 40, None): 5.155424817441705e-07,
+    ('offset-lamp', 0.25, 40, 0): 0.0,
+    ('offset-lamp', 2.0, 10, None): 5.164074162108924e-07,
+    ('offset-lamp', 2.0, 10, 0): 5.991449548257917e-07,
+    ('offset-lamp', 2.0, 20, None): 5.164074162108924e-07,
+    ('offset-lamp', 2.0, 20, 0): 4.4942231025144557e-07,
+    ('offset-lamp', 2.0, 40, None): 5.163915453930779e-07,
+    ('offset-lamp', 2.0, 40, 0): 4.867857293380323e-07,
+    ('offset-lamp', 5.0, 10, None): 5.148278490320075e-07,
+    ('offset-lamp', 5.0, 10, 0): 5.69960860843176e-07,
+    ('offset-lamp', 5.0, 20, None): 5.147073851510883e-07,
+    ('offset-lamp', 5.0, 20, 0): 5.230703385162608e-07,
+    ('offset-lamp', 5.0, 40, None): 5.146650120255902e-07,
+    ('offset-lamp', 5.0, 40, 0): 4.936650246780785e-07,
+    ('offset-lamp', 16.0, 10, None): 4.956910461091387e-07,
+    ('offset-lamp', 16.0, 10, 0): 4.944841633140175e-07,
+    ('offset-lamp', 16.0, 20, None): 4.955277599024636e-07,
+    ('offset-lamp', 16.0, 20, 0): 4.94575300668657e-07,
+    ('offset-lamp', 16.0, 40, None): 4.954855118975544e-07,
+    ('offset-lamp', 16.0, 40, 0): 4.945684286744814e-07,
+    ('offset-lamp', 30.0, 10, None): 4.427212771389543e-07,
+    ('offset-lamp', 30.0, 10, 0): 4.407370149980857e-07,
+    ('offset-lamp', 30.0, 20, None): 4.4262525400370776e-07,
+    ('offset-lamp', 30.0, 20, 0): 4.418706332854499e-07,
+    ('offset-lamp', 30.0, 40, None): 4.4260123020435217e-07,
+    ('offset-lamp', 30.0, 40, 0): 4.4223864688915524e-07,
+    ('offset-lamp', 60.0, 10, None): 1.3206428480293892e-06,
+    ('offset-lamp', 60.0, 10, 0): 1.3017135968884608e-06,
+    ('offset-lamp', 60.0, 20, None): 1.3206610152654839e-06,
+    ('offset-lamp', 60.0, 20, 0): 1.3261527549876443e-06,
+    ('offset-lamp', 60.0, 40, None): 1.3206639961910137e-06,
+    ('offset-lamp', 60.0, 40, 0): 1.3210583346344196e-06,
+    ('offset-lamp', 90.0, 10, None): 1.8748076956319995e-06,
+    ('offset-lamp', 90.0, 10, 0): 1.8744462106601825e-06,
+    ('offset-lamp', 90.0, 20, None): 1.8742569405857411e-06,
+    ('offset-lamp', 90.0, 20, 0): 1.8741978106246445e-06,
+    ('offset-lamp', 90.0, 40, None): 1.8741511357606446e-06,
+    ('offset-lamp', 90.0, 40, 0): 1.8741416345830545e-06,
+    ('steered-corner', 0.25, 10, None): 7.394992747424398e-07,
+    ('steered-corner', 0.25, 10, 0): 0.0,
+    ('steered-corner', 0.25, 20, None): 7.394992747424398e-07,
+    ('steered-corner', 0.25, 20, 0): 0.0,
+    ('steered-corner', 0.25, 40, None): 7.394992747424398e-07,
+    ('steered-corner', 0.25, 40, 0): 6.779657915915591e-07,
+    ('steered-corner', 2.0, 10, None): 8.024776983166943e-07,
+    ('steered-corner', 2.0, 10, 0): 7.609847828839984e-07,
+    ('steered-corner', 2.0, 20, None): 8.026071841764793e-07,
+    ('steered-corner', 2.0, 20, 0): 7.952639568405664e-07,
+    ('steered-corner', 2.0, 40, None): 8.026574219069483e-07,
+    ('steered-corner', 2.0, 40, 0): 8.164110804907062e-07,
+    ('steered-corner', 5.0, 10, None): 9.117016135054604e-07,
+    ('steered-corner', 5.0, 10, 0): 9.476108732580326e-07,
+    ('steered-corner', 5.0, 20, None): 9.119298475727965e-07,
+    ('steered-corner', 5.0, 20, 0): 8.962490509609838e-07,
+    ('steered-corner', 5.0, 40, None): 9.120011361176893e-07,
+    ('steered-corner', 5.0, 40, 0): 9.135764671790459e-07,
+    ('steered-corner', 16.0, 10, None): 1.3350049758429243e-06,
+    ('steered-corner', 16.0, 10, 0): 1.328524942605447e-06,
+    ('steered-corner', 16.0, 20, None): 1.335346536415826e-06,
+    ('steered-corner', 16.0, 20, 0): 1.3300370432377234e-06,
+    ('steered-corner', 16.0, 40, None): 1.3354363444219932e-06,
+    ('steered-corner', 16.0, 40, 0): 1.3385210921515774e-06,
+    ('steered-corner', 30.0, 10, None): 1.80175875956253e-06,
+    ('steered-corner', 30.0, 10, 0): 1.7992674970493499e-06,
+    ('steered-corner', 30.0, 20, None): 1.8018362770441734e-06,
+    ('steered-corner', 30.0, 20, 0): 1.8061779622520197e-06,
+    ('steered-corner', 30.0, 40, None): 1.8018487141483427e-06,
+    ('steered-corner', 30.0, 40, 0): 1.800542103454376e-06,
+    ('steered-corner', 60.0, 10, None): 1.8645366928081e-06,
+    ('steered-corner', 60.0, 10, 0): 1.8661372544218424e-06,
+    ('steered-corner', 60.0, 20, None): 1.863362053504962e-06,
+    ('steered-corner', 60.0, 20, 0): 1.8624182631079239e-06,
+    ('steered-corner', 60.0, 40, None): 1.8630152047643391e-06,
+    ('steered-corner', 60.0, 40, 0): 1.8628274001858857e-06,
+    ('steered-corner', 90.0, 10, None): 1.668117877930554e-06,
+    ('steered-corner', 90.0, 10, 0): 1.66800296444538e-06,
+    ('steered-corner', 90.0, 20, None): 1.666968283942164e-06,
+    ('steered-corner', 90.0, 20, 0): 1.66693746756833e-06,
+    ('steered-corner', 90.0, 40, None): 1.6666192431039965e-06,
+    ('steered-corner', 90.0, 40, 0): 1.6666112782806145e-06,
+}
+
+
+class TestPinnedReflectedGain:
+    @pytest.mark.parametrize("kind, fov, patches_per_meter, depth", sorted(PINNED_REFLECTED_GAIN, key=str))
+    def test_value_unchanged(self, kind, fov, patches_per_meter, depth):
+        value = total_reflected_gain(pinned_room(kind, fov), patches_per_meter, refine_depth=depth)
+        expected = PINNED_REFLECTED_GAIN[(kind, fov, patches_per_meter, depth)]
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestConvergenceReporting:

@@ -6,6 +6,7 @@ import pytest
 
 from indoorqkd.experiments import (
     AMBIENT_SCENARIOS,
+    NOMINAL,
     SCENARIOS,
     Scenario,
     ambient_tolerance,
@@ -100,6 +101,24 @@ class TestEvaluatePoint:
     def test_negative_source_rejected(self):
         with pytest.raises(ValueError):
             evaluate_point(Scenario.named("lamp-center"), 11.0, -1e-6)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", sorted(NOMINAL))
+    def test_non_finite_override_names_its_field(self, key, value):
+        # the library alone (no CLI parse step) must stop a non-finite value
+        # with a ValueError that names the field it lands in
+        field = {"detector_efficiency": "efficiency", "lamp_x_m": "lamp", "lamp_y_m": "lamp"}.get(key, key)
+        for name in ("lamp-center", "lamp-corner-steered"):
+            scenario = Scenario.named(name, {key: value})
+            with pytest.raises(ValueError, match=field):
+                build_setup(scenario, 10.0, 1e-5)
+            with pytest.raises(ValueError, match=field):
+                evaluate_point(scenario, 10.0, 1e-5)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_source_level_rejected(self, level):
+        with pytest.raises(ValueError, match="source_level"):
+            build_setup(Scenario.named("lamp-center"), 10.0, level)
 
     def test_signal_cutoff_mode_kills_corner_link(self):
         # the corner sits 43 degrees off the receiver axis; with the
