@@ -7,7 +7,17 @@ ROUNDS runs, after one untimed warm-up run:
 * total_reflected_gain, lamp-center at FOV 20 deg, 10/20/40/80 patches/m;
 * one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
   lamp-center at 10 patches/m;
-* one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches/m.
+* one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches/m;
+* one scalar secret_key_rate call, and a batch of 90 key-rate evaluations
+  (eta 1e-3, noise 1e-9-1e-2): one call over a noise array on trees whose
+  key rate takes arrays, 90 scalar calls on older trees;
+* one evaluate_point, lamp-center at FOV 20 deg and 1e-5 W/nm, with the
+  bounce integral already cached;
+* one cold 90 x 90 sweep (FOV 2-30 deg x ambient 1e-9-1e-5 W/nm/m^2) of
+  ambient-only-center.
+
+Rows that take microseconds time CALLS calls per round and report the time
+per call.
 
 "Cold" clears the reflected-integral cache before every run.  Each layer
 also records a value it computed, so runs of two source trees can be
@@ -31,8 +41,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 RESOLUTIONS = (10, 20, 40, 80)
 ROUNDS = 7
+CALLS = 200
 
 
 def git_sha(path: Path) -> tuple[str, bool]:
@@ -52,17 +65,25 @@ def source_digest(package: Path) -> str:
     return digest.hexdigest()
 
 
-def timed(run, before=lambda: None) -> dict:
+def timed(run, before=lambda: None, calls: int = 1) -> dict:
     before()
     value = run()  # warm-up, and the value recorded for the layer
     times = []
     for _ in range(ROUNDS):
         before()
         start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
+        for _ in range(calls):
+            run()
+        times.append((time.perf_counter() - start) / calls)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"median_s": median, "iqr_s": q3 - q1, "rounds": ROUNDS, "times_s": times, "value": value}
+    return {"median_s": median, "iqr_s": q3 - q1, "rounds": ROUNDS, "calls_per_round": calls, "times_s": times, "value": value}
+
+
+def secure_count(grid) -> int:
+    # One OperatingPoint per FOV, its flags an array over the source axis;
+    # older trees hold a tuple of one-level points per FOV.
+    rows = [row if isinstance(row, tuple) else (row,) for row in grid.points]
+    return sum(int(np.count_nonzero(p.report.secure)) for row in rows for p in row)
 
 
 def main() -> int:
@@ -74,28 +95,50 @@ def main() -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    import numpy as np
-
     from indoorqkd import experiments
     from indoorqkd.channel import total_reflected_gain
-    from indoorqkd.experiments import Scenario, build_setup, secure_fov_boundary, sweep
+    from indoorqkd.experiments import Scenario, build_setup, evaluate_point, secure_fov_boundary, sweep
+    from indoorqkd.keyrate import secret_key_rate
 
     scenario = Scenario.named("lamp-center")
-    room = build_setup(scenario, 20.0, 1e-5).room
+    setup = build_setup(scenario, 20.0, 1e-5)
+    room = setup.room
     cold = experiments._cached_reflected_integral.cache_clear
     fovs = tuple(0.9 * (k + 1) for k in range(100))
     levels = tuple(10.0 ** (-7.0 + 3.0 * k / 99) for k in range(100))
+    ambient = Scenario.named("ambient-only-center")
+    ambient_fovs = tuple(np.linspace(2.0, 30.0, 90).tolist())
+    ambient_levels = tuple(np.logspace(-9.0, -5.0, 90).tolist())
+    noises = np.logspace(-9.0, -2.0, 90)
+    try:
+        secret_key_rate(setup.protocol, 1e-3, noises)
+        array_key_rate = True
+    except ValueError:  # a key rate that takes scalars only
+        array_key_rate = False
 
-    def secure_points() -> int:
-        grid = sweep(scenario, fovs, levels, patches_per_meter=10)
-        return sum(p.report.secure for row in grid.points for p in row)
+    def batch_rates() -> float:
+        if array_key_rate:
+            return sum(secret_key_rate(setup.protocol, 1e-3, noises).rate.tolist())
+        return sum(secret_key_rate(setup.protocol, 1e-3, n).rate for n in noises.tolist())
 
     layers = {}
     for res in RESOLUTIONS:
         layers[f"total_reflected_gain_{res}_per_m"] = timed(lambda: total_reflected_gain(room, res))
-    layers["sweep_100x100_cold_10_per_m"] = timed(secure_points, cold)
+    layers["sweep_100x100_cold_10_per_m"] = timed(
+        lambda: secure_count(sweep(scenario, fovs, levels, patches_per_meter=10)), cold
+    )
     layers["secure_fov_boundary_cold_10_per_m"] = timed(
         lambda: secure_fov_boundary(scenario, 1e-5, patches_per_meter=10), cold
+    )
+    layers["secret_key_rate_scalar"] = timed(
+        lambda: float(secret_key_rate(setup.protocol, 1e-3, 1e-6).rate), calls=CALLS
+    )
+    layers["secret_key_rate_batch_90"] = timed(batch_rates, calls=CALLS)
+    layers["evaluate_point_warm_10_per_m"] = timed(
+        lambda: float(evaluate_point(scenario, 20.0, 1e-5, patches_per_meter=10).report.rate), calls=CALLS
+    )
+    layers["sweep_90x90_ambient_only_center_cold"] = timed(
+        lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold
     )
 
     sha, dirty = git_sha(src)
@@ -113,7 +156,7 @@ def main() -> int:
     results[args.label] = run
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     for name, layer in layers.items():
-        print(f"{args.label:>8} {name:36s} median {layer['median_s'] * 1e3:9.2f} ms  IQR {layer['iqr_s'] * 1e3:7.2f} ms")
+        print(f"{args.label:>8} {name:38s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms")
     return 0
 
 

@@ -24,6 +24,7 @@ from .experiments import (
     NOMINAL,
     SCENARIOS,
     Scenario,
+    SweepGrid,
     ambient_tolerance,
     build_setup,
     secure_fov_boundary,
@@ -43,6 +44,8 @@ _CSV_COLUMNS = (
     "y1", "q1", "e1", "q_mu", "e_mu",
     "rate_bits_per_pulse", "secure_flag",
 )
+# The columns after eta: counts, key-rate intermediates, rate, then the flag.
+_CSV_TAIL = ",".join(["%.9e"] * (len(_CSV_COLUMNS) - 3) + ["%s"])
 
 # Section layout of the config file.  Parameter keys match the nominal table
 # in experiments; the rest is run plumbing.
@@ -300,10 +303,29 @@ def _resolve(
     return None, out or whole_run
 
 
-def _csv_line(values: list[float], secure: bool) -> str:
-    cells = [f"{v:.9e}" for v in values]
-    cells.append("true" if secure else "false")
-    return ",".join(cells)
+def _csv_lines(grid: SweepGrid) -> list[str]:
+    """The ``sweep.csv`` data rows, FOV-major, formatted one FOV row at a time.
+
+    The FOV and the gains are the same along a row and the source levels
+    the same in every row, so each of them is formatted once.
+    """
+    levels = ["%.9e" % level for level in grid.source_values]
+    lines: list[str] = []
+    for point in grid.points:
+        r, budget, gains = point.report, point.budget, point.gains
+        head = "%.9e" % point.fov_deg
+        gain_cells = "%.9e,%.9e" % (gains.line_of_sight, gains.transmittance)
+        *columns, secure = np.broadcast_arrays(
+            budget.ambient, budget.lamp_bounce, budget.total,
+            r.y1, r.q1, r.e1, r.q_mu, r.e_mu, r.rate, r.secure,
+        )
+        flags = np.where(secure, "true", "false").tolist()
+        tails = np.stack(columns, axis=-1).tolist()
+        lines += [
+            f"{head},{level},{gain_cells}," + _CSV_TAIL % (*tail, flag)
+            for level, tail, flag in zip(levels, tails, flags)
+        ]
+    return lines
 
 
 def run(config: RunConfig) -> int:
@@ -325,20 +347,7 @@ def run(config: RunConfig) -> int:
 
     ambient_run = config.scenario in AMBIENT_SCENARIOS
     source_column = "pn_w_per_nm_m2" if ambient_run else "psd_w_per_nm"
-    header = ",".join(("fov_deg", source_column) + _CSV_COLUMNS)
-    rows = [header]
-    for row in grid.points:
-        for point in row:
-            r = point.report
-            rows.append(_csv_line(
-                [
-                    point.fov_deg, point.source_level,
-                    point.gains.line_of_sight, point.gains.transmittance,
-                    point.budget.ambient, point.budget.lamp_bounce, point.budget.total,
-                    r.y1, r.q1, r.e1, r.q_mu, r.e_mu, r.rate,
-                ],
-                r.secure,
-            ))
+    rows = [",".join(("fov_deg", source_column) + _CSV_COLUMNS)] + _csv_lines(grid)
     (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
 
     convergence_note, strict_trip = _convergence_check(config, scenario, max(fov_values), max(source_values))
@@ -373,25 +382,21 @@ def _convergence_check(
     return note, bool(caught) and config.strict
 
 
-def _summarize(config: RunConfig, scenario: Scenario, grid, convergence_note: str) -> str:
+def _summarize(config: RunConfig, scenario: Scenario, grid: SweepGrid, convergence_note: str) -> str:
     ambient_run = config.scenario in AMBIENT_SCENARIOS
     unit = "W/nm/m^2" if ambient_run else "W/nm"
-    points = [p for row in grid.points for p in row]
-    secure_count = sum(1 for p in points if p.report.secure)
+    secure = np.array([point.report.secure for point in grid.points])  # [fov][source]
     lines = [
         f"scenario: {config.scenario}",
         f"grid: {len(grid.fov_values_deg)} FOV values x {len(grid.source_values)} source values",
         f"resolution: {config.resolution_patches_per_meter} patches per meter",
-        f"secure points: {secure_count} of {len(points)}",
+        f"secure points: {np.count_nonzero(secure)} of {secure.size}",
     ]
     lines.append("largest secure FOV per source level (grid resolution):")
+    fovs = np.array(grid.fov_values_deg)
     for j, level in enumerate(grid.source_values):
-        secure_fovs = [
-            grid.fov_values_deg[i]
-            for i in range(len(grid.fov_values_deg))
-            if grid.points[i][j].report.secure
-        ]
-        frontier = f"{max(secure_fovs):.1f} deg" if secure_fovs else "none"
+        secure_fovs = fovs[secure[:, j]]
+        frontier = f"{secure_fovs.max():.1f} deg" if secure_fovs.size else "none"
         lines.append(f"  {level:.9e} {unit}: {frontier}")
 
     if ambient_run:

@@ -18,6 +18,11 @@ coupled to the source", so the field of view throttles background light and
 concentrator gain but is not allowed to geometrically orphan the one known
 signal direction.  Set ``signal_fov_cutoff=True`` to study the physical
 cutoff instead.
+
+Along one field of view only the background count changes with the source
+level, so ``evaluate_point`` takes a whole array of levels: the geometry,
+the gains and the bounce integral are resolved once, and the noise and
+the key rate are computed over the array.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
+
+import numpy as np
 
 from .channel import (
     DEFAULT_PATCHES_PER_METER,
@@ -148,11 +155,16 @@ class Setup:
 
 @dataclass(frozen=True, slots=True)
 class OperatingPoint:
-    """One evaluated grid point: channel, noise, and key-rate stages."""
+    """Channel, noise, and key-rate stages at one FOV and one or more source levels.
+
+    ``gains`` do not depend on the source level and are scalars.  The
+    noise counts (except ``dark``) and the report fields take the shape of
+    ``source_level``: scalars for one level, arrays for an array of levels.
+    """
 
     scenario: str
     fov_deg: float
-    source_level: float
+    source_level: float | np.ndarray
     gains: ChannelGains
     budget: NoiseBudget
     report: KeyRateReport
@@ -165,7 +177,7 @@ class SweepGrid:
     scenario: str
     fov_values_deg: tuple[float, ...]
     source_values: tuple[float, ...]
-    points: tuple[tuple[OperatingPoint, ...], ...]  # indexed [fov][source]
+    points: tuple[OperatingPoint, ...]  # one per FOV; its arrays run over source_values
 
 
 def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setup:
@@ -174,8 +186,7 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
     ``source_level`` is the lamp PSD in W/nm for lamp scenarios and the
     ambient spectral irradiance in W/nm/m^2 for ambient-only scenarios.
     """
-    if not 0.0 <= source_level < math.inf:
-        raise ValueError(f"source_level must be non-negative and finite, got {source_level!r}")
+    _source_levels(source_level)
     p = scenario.params()
     x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
     wavelength = float(p["wavelength_nm"])
@@ -199,17 +210,7 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         tx_position = Point3(0.0, 0.0, 0.0)
     else:
         tx_position = Point3(x / 2.0, y / 2.0, 0.0)
-    if scenario.name == "lamp-corner-steered":
-        transmitter = Pose.aimed_at(tx_position, receiver.position)
-    else:
-        transmitter = Pose(tx_position, Point3(0.0, 0.0, 1.0))
-
-    if scenario.name in AMBIENT_SCENARIOS:
-        lamp_psd = 0.0
-        ambient = source_level
-    else:
-        lamp_psd = source_level
-        ambient = float(p["ambient_irradiance_w_nm_m2"])
+    lamp_psd, ambient = _swept_fields(scenario.name, source_level, float(p["ambient_irradiance_w_nm_m2"]))
 
     room = RoomScenario(
         room_x_m=x,
@@ -220,7 +221,7 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         lamp=lamp,
         lamp_semi_angle_deg=float(p["lamp_semi_angle_deg"]),
         lamp_psd_w_per_nm=lamp_psd,
-        transmitter=transmitter,
+        transmitter=Pose(tx_position, Point3(0.0, 0.0, 1.0)),
         tx_semi_angle_deg=_TX_SEMI_ANGLE_DEG[scenario.name],
         receiver=receiver,
         fov_deg=fov_deg,
@@ -230,6 +231,9 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         filter_bandwidth_nm=float(bandwidth),
         ambient_irradiance_w_nm_m2=ambient,
     )
+    if scenario.name == "lamp-corner-steered":
+        # Aimed only now, so that a bad room size is named by the room's rules.
+        room = replace(room, transmitter=Pose.aimed_at(tx_position, receiver.position))
     protocol = ProtocolParams(
         mean_photons_per_pulse=float(p["mean_photons_per_pulse"]),
         sift_factor=float(p["sift_factor"]),
@@ -237,6 +241,28 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         misalignment_error=float(p["misalignment_error"]),
     )
     return Setup(room=room, detector=detector, protocol=protocol, wavelength_nm=wavelength)
+
+
+def _source_levels(source_level: float | np.ndarray) -> float | np.ndarray:
+    """Source levels as a numpy float or a float array, each non-negative and
+    finite (nan fails)."""
+    levels = np.array(source_level, dtype=float)
+    if not ((levels >= 0.0) & (levels < math.inf)).all():
+        raise ValueError(f"source_level must be non-negative and finite, got {source_level!r}")
+    return levels[()]
+
+
+def _swept_fields(
+    name: str, level: float | np.ndarray, ambient: float
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(lamp PSD, ambient irradiance) at a source level.
+
+    Ambient-only scenarios sweep the ambient irradiance with the lamp off;
+    lamp scenarios sweep the lamp PSD under the fixed ``ambient``.
+    """
+    if name in AMBIENT_SCENARIOS:
+        return 0.0, level
+    return level, ambient
 
 
 @lru_cache(maxsize=4096)
@@ -254,25 +280,36 @@ def _reflected_integral(room: RoomScenario, patches_per_meter: int) -> float:
 def evaluate_point(
     scenario: Scenario,
     fov_deg: float,
-    source_level: float,
+    source_level: float | np.ndarray,
     *,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     signal_fov_cutoff: bool = False,
 ) -> OperatingPoint:
-    """Channel gains, noise budget, and key rate at one grid point."""
-    setup = build_setup(scenario, fov_deg, source_level)
+    """Channel gains, noise budget, and key rate at one FOV.
+
+    ``source_level`` is one level or an array of them; the scenario, the
+    gains and the bounce integral are resolved once for all of them.  The
+    integral is computed when any lamp level is positive, and is 0 otherwise.
+    """
+    levels = _source_levels(source_level)
+    setup = build_setup(scenario, fov_deg, 0.0)
     room, det = setup.room, setup.detector
+    # x + 0.0 == x for every x >= 0: adding zeros spreads a fixed field over the levels
+    zeros = levels * 0.0
+    lamp_psd, ambient = (
+        zeros + value for value in _swept_fields(scenario.name, levels, room.ambient_irradiance_w_nm_m2)
+    )
 
     h_sig = los_gain_for(room, enforce_fov=signal_fov_cutoff)
     eta = det.efficiency * h_sig
 
-    if room.lamp_psd_w_per_nm > 0.0:
+    if (lamp_psd > 0.0).any():
         integral = _reflected_integral(room, patches_per_meter)
     else:
         integral = 0.0
 
     ambient_power = isotropic_noise_power(
-        room.ambient_irradiance_w_nm_m2,
+        ambient,
         room.filter_bandwidth_nm,
         room.filter_transmission,
         room.detector_area_m2,
@@ -281,7 +318,7 @@ def evaluate_point(
     budget = NoiseBudget(
         ambient=photons_per_pulse(ambient_power, det.pulse_width_s, det.efficiency, setup.wavelength_nm),
         lamp_bounce=lamp_noise_photons(
-            room.lamp_psd_w_per_nm,
+            lamp_psd,
             room.filter_bandwidth_nm,
             det.pulse_width_s,
             det.efficiency,
@@ -294,7 +331,7 @@ def evaluate_point(
     return OperatingPoint(
         scenario=scenario.name,
         fov_deg=fov_deg,
-        source_level=source_level,
+        source_level=levels,
         gains=ChannelGains(line_of_sight=h_sig, transmittance=eta, reflected_integral=integral),
         budget=budget,
         report=report,
@@ -309,25 +346,23 @@ def sweep(
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     signal_fov_cutoff: bool = False,
 ) -> SweepGrid:
-    """Evaluate the full (FOV, source level) grid for one scenario."""
+    """Evaluate the full (FOV, source level) grid for one scenario, one
+    ``evaluate_point`` call per FOV over the whole source axis."""
     if not fov_values_deg or not source_values:
         raise ValueError("sweep axes must be non-empty")
-    rows = []
-    for fov in fov_values_deg:
-        row = tuple(
-            evaluate_point(
-                scenario, fov, level,
-                patches_per_meter=patches_per_meter,
-                signal_fov_cutoff=signal_fov_cutoff,
-            )
-            for level in source_values
+    rows = tuple(
+        evaluate_point(
+            scenario, fov, source_values,
+            patches_per_meter=patches_per_meter,
+            signal_fov_cutoff=signal_fov_cutoff,
         )
-        rows.append(row)
+        for fov in fov_values_deg
+    )
     return SweepGrid(
         scenario=scenario.name,
         fov_values_deg=tuple(fov_values_deg),
         source_values=tuple(source_values),
-        points=tuple(rows),
+        points=rows,
     )
 
 

@@ -62,7 +62,7 @@ class Pose:
     axis: Point3
 
     def __post_init__(self) -> None:
-        if abs(self.axis.norm() - 1.0) > 1e-9:
+        if not abs(self.axis.norm() - 1.0) <= 1e-9:  # nan fails
             raise ValueError(f"pose axis must be a unit vector, got norm {self.axis.norm()!r}")
 
     @classmethod

@@ -10,12 +10,21 @@ with Q1, e1 the single-photon gain and error rate, Qmu, Emu the signal-state
 gain and QBER, h the binary entropy, f the error-correction inefficiency and
 q the sifting factor (1 for the efficient protocol variant, 1/2 for the
 symmetric one).
+
+Every function here is elementwise: it takes floats or numpy arrays that
+broadcast together, and returns numpy scalars for scalar inputs and arrays
+otherwise.  Each element goes through the floating-point operations of a
+scalar call, so one call over a vector of noise counts gives, bit for bit,
+the results of one call per count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "BACKGROUND_CLICK_ERROR",
@@ -33,6 +42,8 @@ __all__ = [
 
 # A background click lands in either bit value with equal probability.
 BACKGROUND_CLICK_ERROR = 0.5
+
+Values = float | np.ndarray
 
 
 class UndefinedRateError(ValueError):
@@ -66,131 +77,191 @@ class KeyRateReport:
     ``rate`` is clamped at zero; ``unclamped_rate`` keeps the sign so callers
     can bisect on the crossing.  ``degenerate`` marks evaluations where the
     error rates were undefined (no clicks at all) and the rate defaulted to 0.
+    Fields are scalars for a scalar evaluation and arrays, one element per
+    operating point, for an array one.
     """
 
-    y1: float
-    q1: float
-    e1: float
-    q_mu: float
-    e_mu: float
-    rate: float
-    unclamped_rate: float
-    degenerate: bool = False
+    y1: Values
+    q1: Values
+    e1: Values
+    q_mu: Values
+    e_mu: Values
+    rate: Values
+    unclamped_rate: Values
+    degenerate: bool | np.ndarray = False
 
     def __post_init__(self) -> None:
-        for name in ("y1", "q1", "e1", "q_mu", "e_mu"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.rate < 0.0:
+        _unit_interval(y1=self.y1, q1=self.q1, e1=self.e1, q_mu=self.q_mu, e_mu=self.e_mu)
+        if not (np.asarray(self.rate) >= 0.0).all():
             raise ValueError("rate must be non-negative")
 
     @property
-    def secure(self) -> bool:
+    def secure(self) -> bool | np.ndarray:
         return self.rate > 0.0
 
 
-def binary_entropy(x: float) -> float:
+def binary_entropy(x: Values) -> Values:
     """Binary Shannon entropy h(x) in bits; h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary_entropy needs x in [0, 1], got {x!r}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    (x,) = _unit_interval(x=x)
+    return _entropy(x)
 
 
-def yield_single(transmittance: float, noise: float) -> float:
+def yield_single(transmittance: Values, noise: Values) -> Values:
     """Click probability for a single-photon pulse: signal or either detector's background."""
-    _check_unit_interval(transmittance=transmittance, noise=noise)
-    return 1.0 - (1.0 - transmittance) * (1.0 - noise) ** 2
+    return _yield_single(*_unit_interval(transmittance=transmittance, noise=noise))
 
 
-def gain_single(y1: float, mean_photons: float) -> float:
+def gain_single(y1: Values, mean_photons: Values) -> Values:
     """Single-photon gain Q1 = Y1 * mu * exp(-mu) of a Poissonian source."""
-    _check_unit_interval(y1=y1)
-    if mean_photons < 0.0:
-        raise ValueError("mean_photons must be non-negative")
-    return y1 * mean_photons * math.exp(-mean_photons)
+    (y1,) = _unit_interval(y1=y1)
+    return _gain_single(y1, _photon_number(mean_photons))
 
 
-def error_single(y1: float, transmittance: float, noise: float, misalignment: float = 0.0) -> float:
+def error_single(y1: Values, transmittance: Values, noise: Values, misalignment: float = 0.0) -> Values:
     """Single-photon error rate e1.
 
     Background clicks are random (error 1/2); detected signal photons err
     with the misalignment probability only.
     """
-    _check_unit_interval(y1=y1, transmittance=transmittance, noise=noise)
-    if y1 == 0.0:
+    y1, eta, n = _unit_interval(y1=y1, transmittance=transmittance, noise=noise)
+    if (y1 == 0.0).any():
         raise UndefinedRateError("e1 undefined: single-photon yield is zero")
-    e0 = BACKGROUND_CLICK_ERROR
-    value = (e0 * y1 - (e0 - misalignment) * transmittance * (1.0 - noise)) / y1
-    return min(max(value, 0.0), 1.0)
+    return _error_rate(y1, eta, n, misalignment)
 
 
-def gain_mu(transmittance: float, mean_photons: float, noise: float) -> float:
+def gain_mu(transmittance: Values, mean_photons: Values, noise: Values) -> Values:
     """Signal-state gain Qmu = 1 - exp(-eta mu) (1 - noise)^2."""
-    _check_unit_interval(transmittance=transmittance, noise=noise)
-    if mean_photons < 0.0:
-        raise ValueError("mean_photons must be non-negative")
-    return 1.0 - math.exp(-transmittance * mean_photons) * (1.0 - noise) ** 2
+    eta, n = _unit_interval(transmittance=transmittance, noise=noise)
+    return _gain_mu(eta, _photon_number(mean_photons), n)
 
 
 def qber_mu(
-    q_mu: float,
-    transmittance: float,
-    mean_photons: float,
-    noise: float,
+    q_mu: Values,
+    transmittance: Values,
+    mean_photons: Values,
+    noise: Values,
     misalignment: float = 0.0,
-) -> float:
+) -> Values:
     """Signal-state quantum bit error rate Emu."""
-    _check_unit_interval(q_mu=q_mu, transmittance=transmittance, noise=noise)
-    if q_mu == 0.0:
+    q_mu, eta, n = _unit_interval(q_mu=q_mu, transmittance=transmittance, noise=noise)
+    if (q_mu == 0.0).any():
         raise UndefinedRateError("Emu undefined: signal gain is zero")
-    e0 = BACKGROUND_CLICK_ERROR
-    detected = 1.0 - math.exp(-transmittance * mean_photons)
-    value = (e0 * q_mu - (e0 - misalignment) * detected * (1.0 - noise)) / q_mu
-    return min(max(value, 0.0), 1.0)
+    return _error_rate(q_mu, _detected(eta, mean_photons), n, misalignment)
 
 
-def secret_key_rate(params: ProtocolParams, transmittance: float, noise: float) -> KeyRateReport:
-    """Key-rate lower bound in bits per pulse for one operating point.
+def secret_key_rate(params: ProtocolParams, transmittance: Values, noise: Values) -> KeyRateReport:
+    """Key-rate lower bound in bits per pulse, per operating point.
 
-    Inputs above one are treated as saturated probabilities (a background
-    brighter than one count per gate cannot get worse); negative inputs are
-    rejected.  When nothing ever clicks the error rates are undefined and the
-    report carries rate 0 with the ``degenerate`` flag set.
+    ``transmittance`` and ``noise`` are scalars or arrays that broadcast
+    together; the report holds one element per operating point.  Inputs
+    above one are treated as saturated probabilities (a background brighter
+    than one count per gate cannot get worse); negative and nan inputs are
+    rejected.  Where nothing ever clicks the error rates are undefined and
+    the report carries rate 0 with the ``degenerate`` flag set.
     """
-    if transmittance < 0.0 or noise < 0.0:
-        raise ValueError("transmittance and noise must be non-negative")
-    eta = min(transmittance, 1.0)
-    n = min(noise, 1.0)
+    eta = np.asarray(transmittance, dtype=float)[()]
+    n = np.asarray(noise, dtype=float)[()]
+    if not ((eta >= 0.0).all() and (n >= 0.0).all()):
+        raise ValueError(f"transmittance and noise must be non-negative, got {transmittance!r} and {noise!r}")
+    eta = np.minimum(eta, 1.0)
+    n = np.minimum(n, 1.0)
+    mu = params.mean_photons_per_pulse
+    m = params.misalignment_error
 
-    y1 = yield_single(eta, n)
-    q1 = gain_single(y1, params.mean_photons_per_pulse)
-    q_mu = gain_mu(eta, params.mean_photons_per_pulse, n)
-    if y1 == 0.0 or q_mu == 0.0:
-        return KeyRateReport(
-            y1=y1, q1=q1, e1=0.0, q_mu=q_mu, e_mu=0.0,
-            rate=0.0, unclamped_rate=0.0, degenerate=True,
-        )
-    e1 = error_single(y1, eta, n, params.misalignment_error)
-    e_mu = qber_mu(q_mu, eta, params.mean_photons_per_pulse, n, params.misalignment_error)
+    y1 = _yield_single(eta, n)
+    q1 = _gain_single(y1, mu)
+    q_mu = _gain_mu(eta, mu, n)
+    degenerate = (y1 == 0.0) | (q_mu == 0.0)
+    # Degenerate points take a gain of one in the error rates, which are
+    # then defined everywhere; their results are replaced by zeros.
+    e1 = _where(degenerate, 0.0, _error_rate(_where(degenerate, 1.0, y1), eta, n, m))
+    e_mu = _where(degenerate, 0.0, _error_rate(_where(degenerate, 1.0, q_mu), _detected(eta, mu), n, m))
     unclamped = params.sift_factor * (
-        q1 * (1.0 - binary_entropy(e1))
-        - params.error_correction_inefficiency * q_mu * binary_entropy(e_mu)
+        q1 * (1.0 - _entropy(e1))
+        - params.error_correction_inefficiency * q_mu * _entropy(e_mu)
     )
+    unclamped = _where(degenerate, 0.0, unclamped)
     return KeyRateReport(
         y1=y1,
         q1=q1,
         e1=e1,
         q_mu=q_mu,
         e_mu=e_mu,
-        rate=max(0.0, unclamped),
+        rate=_where(unclamped > 0.0, unclamped, 0.0),
         unclamped_rate=unclamped,
+        degenerate=degenerate,
     )
 
 
-def _check_unit_interval(**kwargs: float) -> None:
+# The formulas, on inputs already checked.  The public functions above and
+# secret_key_rate share them, so each formula is written once.  A scalar
+# input stays a numpy scalar throughout (``[()]``), whose arithmetic costs
+# a tenth of a 0-d array's.
+
+def _entropy(x: np.ndarray) -> np.ndarray:
+    inner = (x > 0.0) & (x < 1.0)
+    p = _where(inner, x, 0.5)
+    h = -p * _libm(math.log2, p) - (1.0 - p) * _libm(math.log2, 1.0 - p)
+    return _where(inner, h, 0.0)
+
+
+def _yield_single(eta: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return 1.0 - (1.0 - eta) * _square(1.0 - n)
+
+
+def _gain_single(y1: np.ndarray, mu: Values) -> np.ndarray:
+    return y1 * mu * _libm(math.exp, -mu)
+
+
+def _gain_mu(eta: np.ndarray, mu: Values, n: np.ndarray) -> np.ndarray:
+    return 1.0 - _libm(math.exp, -eta * mu) * _square(1.0 - n)
+
+
+def _detected(eta: np.ndarray, mu: Values) -> np.ndarray:
+    """Probability that a signal pulse delivers at least one photon."""
+    return 1.0 - _libm(math.exp, -eta * mu)
+
+
+def _error_rate(gain: np.ndarray, signal: np.ndarray, n: np.ndarray, misalignment: float) -> np.ndarray:
+    """Error rate of clicks at ``gain``, of which ``signal`` (times 1 - n) carry the signal."""
+    e0 = BACKGROUND_CLICK_ERROR
+    value = (e0 * gain - (e0 - misalignment) * signal * (1.0 - n)) / gain
+    return np.minimum(np.maximum(value, 0.0), 1.0)
+
+
+def _unit_interval(**kwargs: Values) -> list[np.ndarray]:
+    """The arguments as numpy floats or float arrays, each checked to lie in
+    [0, 1] (nan fails)."""
+    arrays = []
     for name, value in kwargs.items():
-        if not 0.0 <= value <= 1.0:
+        array = np.asarray(value, dtype=float)[()]
+        if not (0.0 <= value <= 1.0 if isinstance(value, float) else ((array >= 0.0) & (array <= 1.0)).all()):
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        arrays.append(array)
+    return arrays
+
+
+def _photon_number(mean_photons: Values) -> np.ndarray:
+    mu = np.asarray(mean_photons, dtype=float)[()]
+    if not (mu >= 0.0).all():
+        raise ValueError(f"mean_photons must be non-negative, got {mean_photons!r}")
+    return mu
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    # The C library's pow(x, 2), as Python's float ** 2 computes it; numpy's
+    # x ** 2 is x * x, which rounds differently for about one x in a thousand.
+    return np.float_power(x, 2.0)
+
+
+def _where(condition, x, y) -> np.ndarray:
+    return np.where(condition, x, y)[()]
+
+
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    # A math-module function per element: numpy's exp and log2 differ from
+    # the C library's in the last bit for some inputs.  A sweep row has one
+    # transmittance, so its exp is a single scalar call.
+    if not isinstance(x, np.ndarray):
+        return np.float64(fn(x))
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)

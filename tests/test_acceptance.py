@@ -131,9 +131,8 @@ def test_criterion_6_steering_dominance():
     plain = sweep(Scenario.named("lamp-corner"), fovs, psds)
     steered = sweep(Scenario.named("lamp-corner-steered"), fovs, psds)
     dominated = all(
-        steered.points[i][j].report.rate >= plain.points[i][j].report.rate
-        for i in range(len(fovs))
-        for j in range(len(psds))
+        np.all(steered_row.report.rate >= plain_row.report.rate)
+        for steered_row, plain_row in zip(steered.points, plain.points)
     )
     tol_plain = psd_tolerance_at_fov(Scenario.named("lamp-corner"), 5.0)
     tol_steered = psd_tolerance_at_fov(Scenario.named("lamp-corner-steered"), 5.0)

@@ -1,7 +1,10 @@
 """Named scenarios, sweep grids, and the secure-region boundary searches."""
 
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from indoorqkd.experiments import (
@@ -17,6 +20,14 @@ from indoorqkd.experiments import (
     sweep,
 )
 from indoorqkd.geometry import Point3
+
+# Sweep values recorded when every grid point was its own evaluate_point call
+# (two ambient-only 12 x 9 grids and two lamp 7 x 5 grids at 10 patches/m).
+PINNED_SWEEPS = json.loads((Path(__file__).parent / "data" / "pinned_sweeps.json").read_text())
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
 
 
 class TestScenarioTable:
@@ -120,6 +131,28 @@ class TestEvaluatePoint:
         with pytest.raises(ValueError, match="source_level"):
             build_setup(Scenario.named("lamp-center"), 10.0, level)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+    def test_bad_level_in_an_array_rejected(self, bad):
+        levels = np.array([1e-6, bad, 1e-5])
+        for name in ("lamp-center", "ambient-only-center"):
+            with pytest.raises(ValueError, match="source_level"):
+                evaluate_point(Scenario.named(name), 10.0, levels)
+            with pytest.raises(ValueError, match="source_level"):
+                sweep(Scenario.named(name), (5.0, 10.0), (1e-6, bad))
+
+    @pytest.mark.parametrize("name", ["lamp-center", "lamp-corner-steered", "ambient-only-corner"])
+    def test_level_array_equals_scalar_points_bit_for_bit(self, name):
+        levels = (0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4)
+        row = evaluate_point(Scenario.named(name), 12.0, np.array(levels))
+        assert row.gains.line_of_sight == evaluate_point(Scenario.named(name), 12.0, 0.0).gains.line_of_sight
+        for j, level in enumerate(levels):
+            point = evaluate_point(Scenario.named(name), 12.0, level)
+            for field in ("y1", "q1", "e1", "q_mu", "e_mu", "rate", "unclamped_rate"):
+                assert bits(getattr(row.report, field)[j]) == bits(getattr(point.report, field)), field
+            assert row.report.degenerate[j] == point.report.degenerate
+            for field in ("ambient", "lamp_bounce", "total"):
+                assert bits(getattr(row.budget, field)[j]) == bits(getattr(point.budget, field)), field
+
     def test_signal_cutoff_mode_kills_corner_link(self):
         # the corner sits 43 degrees off the receiver axis; with the
         # physical cutoff enabled no signal survives an 11 degree cone
@@ -134,22 +167,39 @@ class TestSweep:
     def test_grid_shape_matches_axes(self):
         grid = sweep(Scenario.named("lamp-center"), (5.0, 10.0, 15.0), (1e-6, 1e-5))
         assert len(grid.points) == 3
-        assert all(len(row) == 2 for row in grid.points)
+        assert all(row.report.rate.shape == (2,) for row in grid.points)
 
     def test_single_cell_grid_equals_point_evaluation(self):
         grid = sweep(Scenario.named("lamp-center"), (9.0,), (1e-5,))
         point = evaluate_point(Scenario.named("lamp-center"), 9.0, 1e-5)
-        assert grid.points[0][0].report.rate == point.report.rate
+        assert grid.points[0].report.rate[0] == point.report.rate
 
     def test_rate_non_increasing_along_source_axis(self):
         levels = (1e-7, 1e-6, 1e-5, 1e-4)
         grid = sweep(Scenario.named("lamp-center"), (8.0,), levels)
-        rates = [p.report.rate for p in grid.points[0]]
+        rates = grid.points[0].report.rate.tolist()
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             sweep(Scenario.named("lamp-center"), (), (1e-5,))
+
+
+class TestPinnedSweep:
+    @pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+    def test_values_unchanged(self, name):
+        pinned = PINNED_SWEEPS[name]
+        grid = sweep(
+            Scenario.named(name), tuple(pinned["fov_deg"]), tuple(pinned["source_level"]),
+            patches_per_meter=10,
+        )
+        got = {
+            "rate": [row.report.rate for row in grid.points],
+            "noise_total": [row.budget.total for row in grid.points],
+            "e_mu": [row.report.e_mu for row in grid.points],
+        }
+        for key, values in got.items():
+            np.testing.assert_allclose(values, pinned[key], rtol=1e-12, atol=0.0, err_msg=key)
 
 
 class TestSecureFovBoundary:

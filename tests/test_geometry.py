@@ -53,6 +53,12 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(Point3(0.0, 0.0, 0.0), Point3(0.0, 0.0, 2.0))
 
+    def test_nan_axis_rejected(self):
+        # a nan norm passes a "norm - 1 > tol" rule, and every gain computed
+        # through such an axis silently reads 0
+        with pytest.raises(ValueError, match="unit vector"):
+            Pose(Point3(0.0, 0.0, 0.0), Point3(math.nan, 0.0, 0.0))
+
     def test_aimed_at_points_toward_target(self):
         pose = Pose.aimed_at(Point3(0.0, 0.0, 0.0), Point3(2.0, 2.0, 3.0))
         expected = Point3(2.0, 2.0, 3.0).normalized()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from indoorqkd.keyrate import (
     KeyRateReport,
@@ -187,3 +187,81 @@ class TestMonotonicity:
         ]
         flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
         assert flips <= 1
+
+
+REPORT_FIELDS = ("y1", "q1", "e1", "q_mu", "e_mu", "rate", "unclamped_rate", "degenerate")
+
+# Probabilities that reach every branch: zero (with zero noise, a point where
+# nothing clicks), ordinary values, and values above one, which saturate.
+probability = st.one_of(
+    st.just(0.0),
+    st.floats(1e-12, 1.0),
+    st.floats(1.0, 1e3, exclude_min=True),
+    st.just(math.inf),
+)
+protocol = st.sampled_from([
+    params(),
+    params(misalignment_error=0.01, sift_factor=0.5),
+    params(mean_photons_per_pulse=0.0),  # Qmu = 0 without noise: degenerate at any eta
+])
+
+
+def assert_bitwise_equal_to_scalar_calls(vector, scalars):
+    for name in REPORT_FIELDS:
+        got = np.asarray(getattr(vector, name))
+        want = np.array([getattr(r, name) for r in scalars], dtype=got.dtype)
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestArrayEvaluation:
+    @given(protocol, probability, st.lists(probability, min_size=1, max_size=12))
+    @example(params(), 0.0, [0.0, 1e-6, 2.0])
+    @example(params(), 1e-3, [0.0, 1e-6, math.inf])
+    def test_noise_vector_equals_scalar_calls(self, p, eta, noises):
+        vector = secret_key_rate(p, eta, np.array(noises))
+        assert_bitwise_equal_to_scalar_calls(vector, [secret_key_rate(p, eta, n) for n in noises])
+
+    @given(protocol, st.lists(st.tuples(probability, probability), min_size=1, max_size=12))
+    def test_transmittance_and_noise_vectors_equal_scalar_calls(self, p, pairs):
+        eta, noise = (np.array(column) for column in zip(*pairs))
+        vector = secret_key_rate(p, eta, noise)
+        assert_bitwise_equal_to_scalar_calls(vector, [secret_key_rate(p, e, n) for e, n in pairs])
+
+    def test_degenerate_flag_is_per_element(self):
+        report = secret_key_rate(params(), 0.0, np.array([0.0, 1e-6]))
+        assert report.degenerate.tolist() == [True, False]
+        assert report.rate.tolist() == [0.0, 0.0]
+        assert report.e1[1] == pytest.approx(0.5, rel=1e-9)
+
+    def test_scalar_call_gives_scalars(self):
+        report = secret_key_rate(params(), 0.01, 1e-5)
+        assert all(np.ndim(getattr(report, name)) == 0 for name in REPORT_FIELDS)
+        assert isinstance(report.rate, float)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-9])
+    def test_bad_element_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            secret_key_rate(params(), 0.01, np.array([1e-6, bad]))
+        with pytest.raises(ValueError, match="non-negative"):
+            secret_key_rate(params(), np.array([0.01, bad]), 1e-6)
+
+    def test_helpers_reject_nan_elements(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            binary_entropy(np.array([0.1, math.nan]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            yield_single(np.array([0.1, 0.2]), np.array([1e-6, math.nan]))
+        with pytest.raises(ValueError, match="non-negative"):
+            gain_single(0.1, np.array([0.5, math.nan]))
+
+    def test_report_rejects_nan_fields(self):
+        with pytest.raises(ValueError, match=r"y1 must lie in \[0, 1\]"):
+            KeyRateReport(y1=np.array([0.1, math.nan]), q1=0.0, e1=0.0, q_mu=0.0, e_mu=0.0, rate=0.0, unclamped_rate=0.0)
+        for rate in (math.nan, np.array([0.0, math.nan])):
+            with pytest.raises(ValueError, match="rate must be non-negative"):
+                KeyRateReport(y1=0.1, q1=0.0, e1=0.0, q_mu=0.0, e_mu=0.0, rate=rate, unclamped_rate=0.0)
+
+    def test_undefined_error_rates_raise_for_any_zero_gain(self):
+        with pytest.raises(UndefinedRateError):
+            error_single(np.array([0.1, 0.0]), 0.0, 0.0)
+        with pytest.raises(UndefinedRateError):
+            qber_mu(np.array([0.1, 0.0]), 0.0, 0.5, 0.0)

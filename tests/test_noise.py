@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,3 +125,26 @@ class TestNoiseBudget:
         bw = matched_filter_bandwidth_nm(WL, TAU)
         power = isotropic_noise_power(BLACKBODY_AMBIENT_W_NM_M2, bw, 1.0, 1e-4, 1.5)
         assert photons_per_pulse(power, TAU, 0.6, WL) < 1e-12
+
+
+class TestArrayLevels:
+    def test_counts_are_elementwise_scalar_counts(self):
+        levels = [0.0, 1e-9, 3e-7, 1e-5]
+        bw = matched_filter_bandwidth_nm(WL, TAU)
+        ambient = photons_per_pulse(isotropic_noise_power(np.array(levels), bw, 1.0, 1e-4, 1.5), TAU, 0.6, WL)
+        lamp = lamp_noise_photons(np.array(levels), bw, TAU, 0.6, WL, 6.5e-7)
+        for k, level in enumerate(levels):
+            assert ambient[k] == photons_per_pulse(isotropic_noise_power(level, bw, 1.0, 1e-4, 1.5), TAU, 0.6, WL)
+            assert lamp[k] == lamp_noise_photons(level, bw, TAU, 0.6, WL, 6.5e-7)
+
+    @pytest.mark.parametrize("level", [math.nan, np.array([1e-9, math.nan]), np.array([1e-9, -1e-12])])
+    def test_nan_and_negative_levels_rejected(self, level):
+        bw = matched_filter_bandwidth_nm(WL, TAU)
+        with pytest.raises(ValueError, match="non-negative"):
+            isotropic_noise_power(level, bw, 1.0, 1e-4, 1.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            photons_per_pulse(level, TAU, 0.6, WL)
+        with pytest.raises(ValueError, match="non-negative"):
+            lamp_noise_photons(level, bw, TAU, 0.6, WL, 6.5e-7)
+        with pytest.raises(ValueError, match="non-negative"):
+            NoiseBudget(ambient=level, lamp_bounce=0.0, dark=0.0)
