@@ -14,7 +14,12 @@ ROUNDS runs, after one untimed warm-up run:
 * one evaluate_point, lamp-center at FOV 20 deg and 1e-5 W/nm, with the
   bounce integral already cached;
 * one cold 90 x 90 sweep (FOV 2-30 deg x ambient 1e-9-1e-5 W/nm/m^2) of
-  ambient-only-center.
+  ambient-only-center;
+* estimate_reflected_gain with 1e6 and 1e7 rays (seed 7), lamp-center at
+  FOV 20 deg;
+* a CLI run with the default config, and scripts/run_all_scenarios.py,
+  each in a fresh Python process so that imports count; their value is
+  the sha256 of the files they write.
 
 Rows that take microseconds time CALLS calls per round and report the time
 per call.
@@ -38,6 +43,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -79,6 +85,18 @@ def timed(run, before=lambda: None, calls: int = 1) -> dict:
     return {"median_s": median, "iqr_s": q3 - q1, "rounds": ROUNDS, "calls_per_round": calls, "times_s": times, "value": value}
 
 
+def outputs_digest(command: list[str], src: Path) -> str:
+    """Run ``command --out DIR`` against ``src`` and hash the files it writes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as out:
+        subprocess.run([*command, "--out", out], check=True, capture_output=True, env=env)
+        digest = hashlib.sha256()
+        for path in sorted(Path(out).rglob("*")):
+            if path.is_file():
+                digest.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def secure_count(grid) -> int:
     # One OperatingPoint per FOV, its flags an array over the source axis;
     # older trees hold a tuple of one-level points per FOV.
@@ -99,6 +117,7 @@ def main() -> int:
     from indoorqkd.channel import total_reflected_gain
     from indoorqkd.experiments import Scenario, build_setup, evaluate_point, secure_fov_boundary, sweep
     from indoorqkd.keyrate import secret_key_rate
+    from indoorqkd.montecarlo import estimate_reflected_gain
 
     scenario = Scenario.named("lamp-center")
     setup = build_setup(scenario, 20.0, 1e-5)
@@ -139,6 +158,16 @@ def main() -> int:
     )
     layers["sweep_90x90_ambient_only_center_cold"] = timed(
         lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold
+    )
+    for label, rays in (("1e6", 1_000_000), ("1e7", 10_000_000)):
+        layers[f"estimate_reflected_gain_{label}_rays"] = timed(
+            lambda: estimate_reflected_gain(room, samples=rays, seed=7).value
+        )
+    layers["cli_default_run_subprocess"] = timed(
+        lambda: outputs_digest([sys.executable, "-m", "indoorqkd.cli"], src)
+    )
+    layers["run_all_scenarios_subprocess"] = timed(
+        lambda: outputs_digest([sys.executable, str(src.parent / "scripts" / "run_all_scenarios.py")], src)
     )
 
     sha, dirty = git_sha(src)

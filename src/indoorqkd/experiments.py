@@ -153,7 +153,8 @@ class Setup:
             raise ValueError(f"wavelength_nm must be positive and finite, got {self.wavelength_nm!r}")
 
 
-@dataclass(frozen=True, slots=True)
+# eq=False: fields may be arrays, whose == has no truth value; compare fields.
+@dataclass(frozen=True, slots=True, eq=False)
 class OperatingPoint:
     """Channel, noise, and key-rate stages at one FOV and one or more source levels.
 
@@ -170,7 +171,8 @@ class OperatingPoint:
     report: KeyRateReport
 
 
-@dataclass(frozen=True, slots=True)
+# eq=False: fields may be arrays, whose == has no truth value; compare fields.
+@dataclass(frozen=True, slots=True, eq=False)
 class SweepGrid:
     """Feasibility map over (field of view) x (source spectral density)."""
 

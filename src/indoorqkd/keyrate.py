@@ -70,7 +70,8 @@ class ProtocolParams:
             raise ValueError(f"misalignment_error must lie in [0, 0.5], got {self.misalignment_error!r}")
 
 
-@dataclass(frozen=True, slots=True)
+# eq=False: fields may be arrays, whose == has no truth value; compare fields.
+@dataclass(frozen=True, slots=True, eq=False)
 class KeyRateReport:
     """All intermediate quantities of one key-rate evaluation.
 

@@ -38,7 +38,8 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 BLACKBODY_AMBIENT_W_NM_M2 = 1e-18
 
 
-@dataclass(frozen=True, slots=True)
+# eq=False: fields may be arrays, whose == has no truth value; compare fields.
+@dataclass(frozen=True, slots=True, eq=False)
 class NoiseBudget:
     """Per-pulse, per-detector background counts, split by origin.
 

@@ -163,6 +163,19 @@ class TestEvaluatePoint:
         assert point.report.rate == 0.0
 
 
+class TestArrayValuedResults:
+    def test_equality_and_hash_do_not_raise(self):
+        a = sweep(Scenario.named("lamp-center"), (8.0,), (1e-6, 1e-5))
+        b = sweep(Scenario.named("lamp-center"), (8.0,), (1e-6, 1e-5))
+        pairs = [(a, b), (a.points[0], b.points[0])]
+        pairs += [(getattr(a.points[0], name), getattr(b.points[0], name)) for name in ("report", "budget")]
+        for x, y in pairs:
+            assert x == x
+            assert x != y  # distinct objects; compare their fields for values
+            assert hash(x) == hash(x)
+            hash(y)
+
+
 class TestSweep:
     def test_grid_shape_matches_axes(self):
         grid = sweep(Scenario.named("lamp-center"), (5.0, 10.0, 15.0), (1e-6, 1e-5))

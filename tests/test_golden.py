@@ -1,0 +1,48 @@
+"""The five scenario maps of scripts/run_all_scenarios.py, byte for byte.
+
+tests/data/golden_digests.json holds, for each scenario's sweep.csv and
+summary.txt at the default grid (29 FOVs x 13 source levels, 10 patches/m),
+the sha256 of the file and an 8-hex-digit sha256 prefix of each of its
+lines, so a mismatch names the first line that moved.  The digests were
+recorded on x86-64 Linux with glibc's libm, Python 3.11 and numpy 2.4, and
+they hold on that libm: another libm may round exp, log or pow differently
+in the last place and move a printed digit.  A change that moves numbers on
+purpose records new digests and lists the moved values in CHANGES.md.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "tests" / "data" / "golden_digests.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def maps(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all_scenarios.py"), "--out", str(out)],
+        check=True, capture_output=True, env=env,
+    )
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_map_bytes_unchanged(maps, name):
+    data = (maps / name).read_bytes()
+    golden = GOLDEN[name]
+    if hashlib.sha256(data).hexdigest() == golden["sha256"]:
+        return
+    lines = data.split(b"\n")
+    rows = golden["rows"].split()
+    for number, (line, row) in enumerate(zip(lines, rows), start=1):
+        if hashlib.sha256(line).hexdigest()[:8] != row:
+            pytest.fail(f"{name}: line {number} differs from the recorded map; it now reads\n{line.decode()}")
+    pytest.fail(f"{name}: {len(lines)} lines against {len(rows)} recorded")

@@ -1,9 +1,12 @@
 """Ray-sampling cross-check of the deterministic bounce integral."""
 
+from dataclasses import replace
+
 import pytest
 
 from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.channel import total_reflected_gain
+from indoorqkd.geometry import Pose
 from indoorqkd.montecarlo import estimate_reflected_gain
 
 
@@ -41,11 +44,61 @@ class TestAgreementWithPatchSum:
         assert abs(est.value - deterministic) < 5.0 * est.std_error
 
     def test_estimate_scales_with_reflectivity(self):
-        from dataclasses import replace
-
         room = room_at(30.0)
         darker = replace(room, floor_reflectivity=0.05)
         bright = estimate_reflected_gain(room, samples=200_000, seed=5)
         dark = estimate_reflected_gain(darker, samples=200_000, seed=5)
         # cone sees only floor at 30 degrees: halving reflectivity halves it
         assert dark.value == pytest.approx(bright.value / 2.0, rel=1e-9)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("name, value", [
+        ("chunk_size", 0), ("chunk_size", -1), ("chunk_size", 2.5),
+        ("samples", 0), ("samples", -3), ("samples", 1e6),
+    ])
+    def test_non_positive_or_non_integer_counts_rejected(self, name, value):
+        kwargs = {"samples": 10, "chunk_size": 4, name: value}
+        with pytest.raises(ValueError, match=name):
+            estimate_reflected_gain(room_at(20.0), **kwargs)
+
+
+def pinned_room(kind, fov):
+    if kind == "steered-tilted":
+        room = build_setup(Scenario.named("lamp-corner-steered"), fov, 1e-5).room
+        return replace(room, receiver=Pose.aimed_at(room.receiver.position, room.transmitter.position))
+    overrides = {
+        "center": {},
+        "offset-lamp": {"lamp_x_m": 1.0, "lamp_y_m": 2.5},
+        "wall-lamp": {"lamp_x_m": 0.0},  # on the x = 0 plane
+        "reflectivities": {"wall_reflectivity": 0.7, "floor_reflectivity": 0.13},
+    }
+    return build_setup(Scenario.named("lamp-center", overrides[kind]), fov, 1e-5).room
+
+
+# (value, std_error) of estimate_reflected_gain(pinned_room(kind, fov),
+# samples, seed, chunk_size) as computed by the five-plane-pass sampler that
+# preceded the slab pass.  A ray whose hit surface or cone test flips moves
+# an estimate by far more than 1e-12.
+PINNED_ESTIMATES = {
+    ('center', 5.0, 500000, 7, 2000000): (6.520139143669395e-07, 1.1606646681620362e-08),
+    ('center', 11.0, 500000, 7, 2000000): (6.258864941820381e-07, 5.059912857220041e-09),
+    ('center', 30.0, 500000, 7, 2000000): (5.142688205806483e-07, 1.4330764517245573e-09),
+    ('center', 60.0, 500000, 7, 2000000): (1.49739886037122e-06, 2.316993681428602e-09),
+    ('center', 90.0, 500000, 7, 2000000): (1.8672014532882845e-06, 1.6347768984794365e-09),
+    ('offset-lamp', 45.0, 500000, 7, 2000000): (7.41579044697611e-07, 1.8795279231912176e-09),
+    ('wall-lamp', 60.0, 500000, 7, 2000000): (7.536119799084027e-07, 1.6643718065507817e-09),
+    ('steered-tilted', 30.0, 500000, 7, 2000000): (1.7982118745204887e-06, 7.161175838136634e-09),
+    ('reflectivities', 60.0, 500000, 7, 2000000): (1.5631851797576052e-06, 2.27979294548171e-09),
+    ('center', 15.0, 400000, 11, 2000000): (6.19426115926662e-07, 4.031500506266768e-09),
+    ('center', 20.0, 700001, 11, 300007): (5.88976906948722e-07, 2.146890118360975e-09),
+}
+
+
+class TestPinnedEstimates:
+    @pytest.mark.parametrize("kind, fov, samples, seed, chunk_size", sorted(PINNED_ESTIMATES, key=str))
+    def test_estimate_unchanged(self, kind, fov, samples, seed, chunk_size):
+        est = estimate_reflected_gain(pinned_room(kind, fov), samples=samples, seed=seed, chunk_size=chunk_size)
+        value, std_error = PINNED_ESTIMATES[(kind, fov, samples, seed, chunk_size)]
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
