@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
 """Per-layer timings of the feasibility-map pipeline, written to a JSON file.
 
-Each layer is timed as the median and interquartile range (wall clock) over
-ROUNDS runs, after one untimed warm-up run:
+Each layer is timed as the median and interquartile range over ROUNDS
+runs, after one untimed warm-up run.  A round's time is CPU time, this
+process's plus that of the child processes it waited for, divided by the
+host's slowdown: perfbench's fixed reference work (``hostspeed.Reference``)
+runs before and after each round, and the mean of its two slowdown factors
+scales the round to the reference box at full speed, as perfbench does for
+its op times.  The layers:
 
 * total_reflected_gain, lamp-center at FOV 20 deg, 10/20/40/80 patches/m;
 * one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
@@ -26,7 +31,8 @@ per call.
 
 "Cold" clears the reflected-integral cache before every run.  Each layer
 also records a value it computed, so runs of two source trees can be
-checked for identical results.  --src picks the source tree to import
+checked for identical results, and the run records the line count of
+``src/indoorqkd/*.py``.  --src picks the source tree to import
 (default: src/ of this checkout), so one copy of the script times any
 checkout.  --label names the run inside the output file; runs stored there
 under other labels are kept, so one file can hold a before/after pair:
@@ -40,6 +46,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,6 +55,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from hostspeed import Reference  # noqa: E402
 
 RESOLUTIONS = (10, 20, 40, 80)
 ROUNDS = 7
@@ -71,18 +81,33 @@ def source_digest(package: Path) -> str:
     return digest.hexdigest()
 
 
+REFERENCE = Reference(("interpreter", "array"))
+
+
+def cpu_s() -> float:
+    """CPU seconds of this process and of the children it has waited for."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
 def timed(run, before=lambda: None, calls: int = 1) -> dict:
     before()
     value = run()  # warm-up, and the value recorded for the layer
-    times = []
+    times, slowdowns = [], []
     for _ in range(ROUNDS):
         before()
-        start = time.perf_counter()
+        slow_before = REFERENCE.slowdown()
+        start = cpu_s()
         for _ in range(calls):
             run()
-        times.append((time.perf_counter() - start) / calls)
+        spent = cpu_s() - start
+        slowdowns.append(0.5 * (slow_before + REFERENCE.slowdown()))
+        times.append(spent / calls / slowdowns[-1])
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"median_s": median, "iqr_s": q3 - q1, "rounds": ROUNDS, "calls_per_round": calls, "times_s": times, "value": value}
+    return {
+        "median_s": median, "iqr_s": q3 - q1, "rounds": ROUNDS, "calls_per_round": calls,
+        "times_s": times, "host_slowdowns": slowdowns, "value": value,
+    }
 
 
 def outputs_digest(command: list[str], src: Path) -> str:
@@ -102,6 +127,11 @@ def secure_count(grid) -> int:
     # older trees hold a tuple of one-level points per FOV.
     rows = [row if isinstance(row, tuple) else (row,) for row in grid.points]
     return sum(int(np.count_nonzero(p.report.secure)) for row in rows for p in row)
+
+
+def line_count(package: Path) -> int:
+    """Lines of the package's modules, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
 
 
 def main() -> int:
@@ -175,6 +205,8 @@ def main() -> int:
         "git_sha": sha,
         "src_has_uncommitted_edits": dirty,
         "source_sha256": source_digest(src / "indoorqkd"),
+        "src_lines": line_count(src / "indoorqkd"),
+        "clock": "CPU s (children included) / host slowdown of perfbench hostspeed.Reference",
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

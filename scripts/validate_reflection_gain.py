@@ -7,26 +7,10 @@ estimates and '-' for the exact value.
 """
 
 import argparse
-import math
 
-from indoorqkd.channel import lambert_mode, total_reflected_gain
+from indoorqkd.channel import total_reflected_gain
 from indoorqkd.experiments import Scenario, build_setup
-from indoorqkd.montecarlo import estimate_reflected_gain
-
-
-def floor_cone_closed_form(room) -> float | None:
-    z = room.room_z_m
-    reach = z * math.tan(math.radians(room.fov_deg))
-    if reach > min(room.room_x_m, room.room_y_m) / 2.0:
-        return None  # cone spills onto the walls
-    m1 = lambert_mode(room.lamp_semi_angle_deg)
-    fov = math.radians(room.fov_deg)
-    k = m1 + 5.0
-    return (
-        room.detector_area_m2 * (m1 + 1.0) * room.floor_reflectivity
-        * room.concentrator_index**2 * room.filter_transmission
-        * (1.0 - math.cos(fov) ** k) / (math.pi * z * z * k * math.sin(fov) ** 2)
-    )
+from indoorqkd.montecarlo import estimate_reflected_gain, floor_cone_closed_form
 
 
 def main() -> int:

@@ -11,10 +11,6 @@ from .channel import (
     ConvergenceReport,
     DetectorParams,
     ReflectionConvergenceWarning,
-    UndefinedModeError,
-    concentrator_gain,
-    lambert_mode,
-    los_dc_gain,
     los_gain_for,
     reflected_gain_convergence,
     total_reflected_gain,
@@ -48,7 +44,6 @@ from .geometry import (
 from .keyrate import (
     KeyRateReport,
     ProtocolParams,
-    UndefinedRateError,
     binary_entropy,
     secret_key_rate,
 )
@@ -85,16 +80,14 @@ __all__ = [
     "density_at", "irradiance_to_psd", "load_spectrum_csv", "bundled_spectrum_path",
     # channel
     "DetectorParams", "ChannelGains", "ConvergenceReport",
-    "UndefinedModeError", "ReflectionConvergenceWarning",
-    "lambert_mode", "concentrator_gain", "los_dc_gain", "los_gain_for",
+    "ReflectionConvergenceWarning", "los_gain_for",
     "total_reflected_gain", "reflected_gain_convergence",
     # noise
     "NoiseBudget", "BLACKBODY_AMBIENT_W_NM_M2",
     "matched_filter_bandwidth_nm", "isotropic_noise_power",
     "photons_per_pulse", "lamp_noise_photons", "dark_counts_per_pulse",
     # keyrate
-    "ProtocolParams", "KeyRateReport", "UndefinedRateError",
-    "binary_entropy", "secret_key_rate",
+    "ProtocolParams", "KeyRateReport", "binary_entropy", "secret_key_rate",
     # experiments
     "SCENARIOS", "AMBIENT_SCENARIOS", "LAMP_SCENARIOS", "NOMINAL",
     "Scenario", "Setup", "OperatingPoint", "SweepGrid",

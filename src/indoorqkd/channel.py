@@ -22,17 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LinkGeometry, RoomScenario, link_geometry, wall_and_floor_grids
+from .geometry import RoomScenario, link_geometry, wall_and_floor_grids
 
 __all__ = [
-    "UndefinedModeError",
     "ReflectionConvergenceWarning",
     "DetectorParams",
     "ChannelGains",
     "ConvergenceReport",
-    "lambert_mode",
-    "concentrator_gain",
-    "los_dc_gain",
     "los_gain_for",
     "total_reflected_gain",
     "reflected_gain_convergence",
@@ -45,21 +41,19 @@ _REFINE_TARGET_M = 1e-3
 _MAX_REFINE_DEPTH = 10
 
 
-class UndefinedModeError(ValueError):
-    """Lambert mode is undefined at or beyond a 90 degree semi-angle."""
-
-
 class ReflectionConvergenceWarning(UserWarning):
     """The patch sum moved more than the tolerance when the grid was doubled."""
 
 
 @dataclass(frozen=True, slots=True)
 class DetectorParams:
-    """Single-photon detector figures shared by signal and noise paths."""
+    """Single-photon detector figures shared by signal and noise paths,
+    with the wavelength it detects."""
 
     efficiency: float
     dark_count_rate_hz: float
     pulse_width_s: float
+    wavelength_nm: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.efficiency <= 1.0:
@@ -68,6 +62,8 @@ class DetectorParams:
             raise ValueError(f"dark_count_rate_hz must be non-negative and finite, got {self.dark_count_rate_hz!r}")
         if not 0.0 < self.pulse_width_s < math.inf:
             raise ValueError(f"pulse_width_s must be positive and finite, got {self.pulse_width_s!r}")
+        if not 0.0 < self.wavelength_nm < math.inf:
+            raise ValueError(f"wavelength_nm must be positive and finite, got {self.wavelength_nm!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,87 +92,52 @@ class ConvergenceReport:
     patches_per_meter: int
 
 
-def lambert_mode(semi_angle_deg: float) -> float:
+# The two helpers below take values that RoomScenario has already checked:
+# a semi-angle in (0, 90) degrees, an index >= 1 and a FOV in (0, 90]
+# degrees whose concentrator gain is finite.
+
+def _lambert_mode(semi_angle_deg: float) -> float:
     """Lambert mode number m = -ln 2 / ln cos(semi-angle at half power)."""
-    if not 0.0 < semi_angle_deg < 90.0:
-        raise UndefinedModeError(
-            f"Lambert mode needs a semi-angle in (0, 90) degrees, got {semi_angle_deg!r}"
-        )
     return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
 
 
-def concentrator_gain(incidence_rad: float, index: float, fov_rad: float) -> float:
-    """Ideal non-imaging concentrator gain n^2 / sin^2(fov) inside the cone.
-
-    The acceptance test is inclusive at the cone edge.  Outside the cone the
-    concentrator passes nothing.
-    """
-    if not 0.0 < fov_rad <= math.pi / 2.0:
-        raise ValueError("fov_rad must lie in (0, pi/2]")
-    if index < 1.0:
-        raise ValueError("index must be >= 1")
-    if incidence_rad < 0.0 or incidence_rad > fov_rad:
-        return 0.0
+def _concentrator_gain(index: float, fov_rad: float) -> float:
+    """Ideal non-imaging concentrator gain n^2 / sin^2(fov) inside the cone."""
     s = math.sin(fov_rad)
     return index * index / (s * s)
 
 
-def los_dc_gain(
-    geom: LinkGeometry,
-    *,
-    tx_semi_angle_deg: float,
-    detector_area_m2: float,
-    concentrator_index: float,
-    fov_deg: float,
-    filter_transmission: float = 1.0,
-    enforce_fov: bool = True,
-) -> float:
-    """Line-of-sight DC gain of the Lambertian source toward the receiver.
+def los_gain_for(room: RoomScenario, *, enforce_fov: bool = True) -> float:
+    """Line-of-sight DC gain of the room's Lambertian transmitter toward its receiver.
 
     With ``enforce_fov`` the gain is zero when the incidence angle falls
-    outside the acceptance cone, which is the physical concentrator behavior.
-    Feasibility sweeps over receivers assumed to stay coupled to the (single,
-    known) source direction disable the cutoff and keep the concentrator
-    factor n^2 / sin^2(fov); see the experiments module.
+    outside the acceptance cone (the test is inclusive at the cone edge),
+    which is the physical concentrator behavior.  Feasibility sweeps over
+    receivers assumed to stay coupled to the (single, known) source
+    direction disable the cutoff and keep the concentrator factor
+    n^2 / sin^2(fov); see the experiments module.
     """
-    m = lambert_mode(tx_semi_angle_deg)
+    geom = link_geometry(room.transmitter, room.receiver)
+    m = _lambert_mode(room.tx_semi_angle_deg)
     cos_phi = math.cos(geom.irradiance_angle)
     cos_psi = math.cos(geom.incidence_angle)
     if cos_phi <= 0.0 or cos_psi <= 0.0:
         return 0.0  # behind the emitter or the receiver plane
-    fov_rad = math.radians(fov_deg)
-    if enforce_fov:
-        g = concentrator_gain(geom.incidence_angle, concentrator_index, fov_rad)
-    else:
-        g = concentrator_gain(0.0, concentrator_index, fov_rad)
-    if g == 0.0:
-        return 0.0
+    fov_rad = math.radians(room.fov_deg)
+    if enforce_fov and geom.incidence_angle > fov_rad:
+        return 0.0  # outside the cone the concentrator passes nothing
     gain = (
-        detector_area_m2
+        room.detector_area_m2
         * (m + 1.0)
         / (2.0 * math.pi * geom.distance**2)
         * cos_phi**m
-        * filter_transmission
-        * g
+        * room.filter_transmission
+        * _concentrator_gain(room.concentrator_index, fov_rad)
         * cos_psi
     )
     # An ideal concentrator formula can exceed unity at tiny acceptance
     # angles; a gain is still a transmittance, so cap it.
     return min(gain, 1.0)
-
-
-def los_gain_for(room: RoomScenario, *, enforce_fov: bool = True) -> float:
-    """LOS gain for a scenario's transmitter -> receiver link."""
-    geom = link_geometry(room.transmitter, room.receiver)
-    return los_dc_gain(
-        geom,
-        tx_semi_angle_deg=room.tx_semi_angle_deg,
-        detector_area_m2=room.detector_area_m2,
-        concentrator_index=room.concentrator_index,
-        fov_deg=room.fov_deg,
-        filter_transmission=room.filter_transmission,
-        enforce_fov=enforce_fov,
-    )
 
 
 def _cell_gains(
@@ -254,9 +215,9 @@ def total_reflected_gain(
     A level is two flat arrays of cell centers plus one half-size per axis;
     only accepted cells become 3-D centers, integrated by ``_cell_gains``.
     """
-    m1 = lambert_mode(room.lamp_semi_angle_deg)
+    m1 = _lambert_mode(room.lamp_semi_angle_deg)
     fov_rad = math.radians(room.fov_deg)
-    g_in = concentrator_gain(0.0, room.concentrator_index, fov_rad)
+    g_in = _concentrator_gain(room.concentrator_index, fov_rad)
     cos_fov = math.cos(fov_rad)
 
     total = 0.0

@@ -13,7 +13,7 @@ import configparser
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .experiments import (
     secure_fov_boundary,
     sweep,
 )
-from .geometry import wall_and_floor_grids
+from .geometry import RoomScenario, wall_and_floor_grids
 from .spectra import KINDS, density_at, irradiance_to_psd, load_spectrum_csv
 
 __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main"]
@@ -38,6 +38,11 @@ __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_STRICT_CONVERGENCE = 3
+
+# Most cells a run may tessellate at the convergence check's resolution,
+# twice the run's.  The check's peak memory, measured at 20-30 B a cell,
+# stays near 1 GiB here; 1e8 cells fail to allocate under a 2 GiB cap.
+PATCH_BUDGET = 40_000_000
 
 _CSV_COLUMNS = (
     "h_dc", "eta", "n_b1", "n_b2", "n_n",
@@ -107,12 +112,7 @@ class RunConfig:
         """Flat view of everything that influences the run, for comparisons."""
         merged: dict[str, object] = dict(NOMINAL)
         merged.update(self.overrides)
-        for name in (
-            "scenario", "fov_min_deg", "fov_max_deg", "fov_steps", "fov_scale",
-            "source_min", "source_max", "source_steps", "source_scale",
-            "lamp_spectrum_file", "lamp_spectrum_kind", "lamp_spectrum_distance_m",
-            "output_dir", "resolution_patches_per_meter", "strict",
-        ):
+        for name in _RUN_KEY_TYPES:
             merged[name] = getattr(self, name)
         return merged
 
@@ -126,12 +126,17 @@ class RunConfig:
 
     def _spectrum_level(self) -> float:
         curve = load_spectrum_csv(self.lamp_spectrum_file, self.lamp_spectrum_kind)
-        wavelength = float(self.overrides.get("wavelength_nm", NOMINAL["wavelength_nm"]))
+        wavelength = float(Scenario.named(self.scenario, self.overrides).params()["wavelength_nm"])
         if self.scenario in AMBIENT_SCENARIOS:
             return density_at(curve, wavelength)
         if curve.kind == "irradiance":
             curve = irradiance_to_psd(curve, self.lamp_spectrum_distance_m)
         return density_at(curve, wavelength)
+
+
+# The run keys (every RunConfig field but the overrides) and their types,
+# as annotation strings: this module has postponed evaluation of annotations.
+_RUN_KEY_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "overrides"}
 
 
 def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
@@ -224,15 +229,9 @@ def _apply_key(config: RunConfig, key: str, raw: str) -> None:
     if key in _SENTINELS and raw.lower() == _SENTINELS[key]:
         config.overrides[key] = None
         return
-    if key in ("fov_steps", "source_steps", "resolution_patches_per_meter"):
-        setattr(config, key, int(raw))
-        return
-    if key == "strict":
-        config.strict = _parse_bool(raw)
-        return
-    if key in ("scenario", "fov_scale", "source_scale", "output_dir",
-               "lamp_spectrum_file", "lamp_spectrum_kind"):
-        setattr(config, key, raw)
+    kind = _RUN_KEY_TYPES.get(key, "float")  # every NOMINAL key is a float
+    if kind != "float":
+        setattr(config, key, {"int": int, "bool": _parse_bool, "str": str}[kind](raw))
         return
     value = float(raw)
     if not math.isfinite(value):
@@ -254,10 +253,11 @@ def _resolve(
     """Scenario and both sweep axes of a run, or None plus every diagnostic.
 
     The range rules live in the setup dataclasses.  The whole run is built
-    at both corners of its grid; when that fails, each overridden key is
-    built alone on the nominal table so that its diagnostic names it, and
-    a failure no single key explains is reported as it is (a lamp outside a
-    shrunk room, say).
+    at both corners of its grid, and a run with a reflected integral holds
+    its room to ``PATCH_BUDGET`` before any array exists; when that fails,
+    each overridden key is built alone on the nominal table so that its
+    diagnostic names it, and a failure no single key explains is reported
+    as it is (a lamp outside a shrunk room, or a room over budget, say).
     """
     out: list[str] = []
     fov_values = source_values = ()
@@ -276,7 +276,7 @@ def _resolve(
         out.append(f"lamp_spectrum_file = {spectrum!r}: file not found")
     elif spectrum and config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
         out.append("ambient scenarios take an 'irradiance' spectrum, not a source PSD")
-    else:
+    elif not spectrum or config.scenario in SCENARIOS:  # a spectrum is read at the scenario's wavelength
         try:
             source_values = config.source_values()
         except (ValueError, OSError) as exc:
@@ -290,7 +290,8 @@ def _resolve(
             widest = max(fov_values[-1], config.fov_max_deg)
             for fov, level in ((fov_values[0], source_values[0]), (widest, source_values[-1])):
                 room = build_setup(scenario, fov, level).room
-            wall_and_floor_grids(room, config.resolution_patches_per_meter)
+            reflects = config.scenario not in AMBIENT_SCENARIOS and max(source_values) > 0.0
+            _check_patch_budget(room, config.resolution_patches_per_meter, reflects)
             return (scenario, fov_values, source_values), []
         except ValueError as exc:
             whole_run.append(str(exc))
@@ -301,6 +302,20 @@ def _resolve(
         except ValueError as exc:
             out.append(f"{key} = {value!r}: {exc}")
     return None, out or whole_run
+
+
+def _check_patch_budget(room: RoomScenario, patches_per_meter: int, reflects: bool) -> None:
+    """Reject a resolution below 1 and, in a run that ``reflects``, a room over PATCH_BUDGET."""
+    try:  # the grids reject a resolution below 1
+        cells = sum(g.patch_count() for g in wall_and_floor_grids(room, 2 * patches_per_meter))
+    except OverflowError:  # a side with more cells than a float can count
+        cells = math.inf
+    if reflects and cells > PATCH_BUDGET:
+        sizes = ", ".join(f"{k} = {getattr(room, k)!r}" for k in ("room_x_m", "room_y_m", "room_z_m"))
+        raise ValueError(
+            f"{sizes} at resolution_patches_per_meter = {patches_per_meter} tessellate into more than "
+            f"the patch budget of {PATCH_BUDGET:,} cells at {2 * patches_per_meter}/m (the convergence check)"
+        )
 
 
 def _csv_lines(grid: SweepGrid) -> list[str]:

@@ -146,11 +146,6 @@ class Setup:
     room: RoomScenario
     detector: DetectorParams
     protocol: ProtocolParams
-    wavelength_nm: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.wavelength_nm < math.inf:
-            raise ValueError(f"wavelength_nm must be positive and finite, got {self.wavelength_nm!r}")
 
 
 # eq=False: fields may be arrays, whose == has no truth value; compare fields.
@@ -191,16 +186,16 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
     _source_levels(source_level)
     p = scenario.params()
     x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
-    wavelength = float(p["wavelength_nm"])
 
     detector = DetectorParams(
         efficiency=float(p["detector_efficiency"]),
         dark_count_rate_hz=float(p["dark_count_rate_hz"]),
         pulse_width_s=float(p["pulse_width_s"]),
+        wavelength_nm=float(p["wavelength_nm"]),
     )
     bandwidth = p["filter_bandwidth_nm"]
     if bandwidth is None:
-        bandwidth = matched_filter_bandwidth_nm(wavelength, detector.pulse_width_s)
+        bandwidth = matched_filter_bandwidth_nm(detector)
 
     lamp_x = x / 2.0 if p["lamp_x_m"] is None else float(p["lamp_x_m"])
     lamp_y = y / 2.0 if p["lamp_y_m"] is None else float(p["lamp_y_m"])
@@ -242,7 +237,7 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         error_correction_inefficiency=float(p["error_correction_inefficiency"]),
         misalignment_error=float(p["misalignment_error"]),
     )
-    return Setup(room=room, detector=detector, protocol=protocol, wavelength_nm=wavelength)
+    return Setup(room=room, detector=detector, protocol=protocol)
 
 
 def _source_levels(source_level: float | np.ndarray) -> float | np.ndarray:
@@ -310,24 +305,10 @@ def evaluate_point(
     else:
         integral = 0.0
 
-    ambient_power = isotropic_noise_power(
-        ambient,
-        room.filter_bandwidth_nm,
-        room.filter_transmission,
-        room.detector_area_m2,
-        room.concentrator_index,
-    )
     budget = NoiseBudget(
-        ambient=photons_per_pulse(ambient_power, det.pulse_width_s, det.efficiency, setup.wavelength_nm),
-        lamp_bounce=lamp_noise_photons(
-            lamp_psd,
-            room.filter_bandwidth_nm,
-            det.pulse_width_s,
-            det.efficiency,
-            setup.wavelength_nm,
-            integral,
-        ),
-        dark=dark_counts_per_pulse(det.dark_count_rate_hz, det.pulse_width_s),
+        ambient=photons_per_pulse(isotropic_noise_power(ambient, room), det),
+        lamp_bounce=lamp_noise_photons(lamp_psd, room, det, integral),
+        dark=dark_counts_per_pulse(det),
     )
     report = secret_key_rate(setup.protocol, eta, budget.total)
     return OperatingPoint(
@@ -471,20 +452,17 @@ def path_loss_profile(
     the concentrator factor included, so it grows as the FOV opens.  Like the
     sweeps, the profile tracks the formula without the acceptance-cone
     cutoff; a position outside the cone would otherwise read infinite loss
-    regardless of FOV.
+    regardless of FOV.  ``overrides`` take any key of ``NOMINAL``, as in
+    ``Scenario.named``; an unknown key raises ValueError.
     """
     losses = []
-    scenario = Scenario.named("lamp-center")
+    scenario = Scenario.named("lamp-center", overrides)
     for fov in fov_values_deg:
-        setup = build_setup(scenario, fov, 0.0)
         room = replace(
-            setup.room,
+            build_setup(scenario, fov, 0.0).room,
             transmitter=Pose(position, Point3(0.0, 0.0, 1.0)),
             tx_semi_angle_deg=tx_semi_angle_deg,
         )
-        for key, value in (overrides or {}).items():
-            if key in ("detector_area_m2", "concentrator_index", "filter_transmission"):
-                room = replace(room, **{key: float(value)})
         h = los_gain_for(room, enforce_fov=False)
         losses.append(-10.0 * math.log10(h) if h > 0.0 else math.inf)
     return tuple(losses)

@@ -176,8 +176,11 @@ class RoomScenario:
                 raise ValueError(f"{name} must lie in (0, 90) degrees (Lambert mode is undefined outside), got {value!r}")
         if not 0.0 < self.fov_deg <= 90.0:
             raise ValueError(f"fov_deg must lie in (0, 90] degrees, got {self.fov_deg!r}")
-        if not 1.0 <= self.concentrator_index < math.inf:
-            raise ValueError(f"concentrator_index must be >= 1 and finite, got {self.concentrator_index!r}")
+        # The concentrator gain n^2 / sin^2(fov) must be finite: a huge index,
+        # or a cone so narrow that sin^2 underflows, would overflow it.
+        n, s = self.concentrator_index, math.sin(math.radians(self.fov_deg))
+        if not (1.0 <= n and s * s > 0.0 and n * n / (s * s) < math.inf):
+            raise ValueError(f"concentrator_index must be >= 1 with a finite gain n^2 / sin^2(fov) at fov_deg = {self.fov_deg!r}, got {n!r}")
         if not 0.0 < self.filter_transmission <= 1.0:
             raise ValueError(f"filter_transmission must lie in (0, 1], got {self.filter_transmission!r}")
         for name in ("lamp", "transmitter", "receiver"):

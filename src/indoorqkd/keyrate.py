@@ -28,15 +28,9 @@ import numpy as np
 
 __all__ = [
     "BACKGROUND_CLICK_ERROR",
-    "UndefinedRateError",
     "ProtocolParams",
     "KeyRateReport",
     "binary_entropy",
-    "yield_single",
-    "gain_single",
-    "error_single",
-    "gain_mu",
-    "qber_mu",
     "secret_key_rate",
 ]
 
@@ -44,10 +38,6 @@ __all__ = [
 BACKGROUND_CLICK_ERROR = 0.5
 
 Values = float | np.ndarray
-
-
-class UndefinedRateError(ValueError):
-    """An error rate was requested for a gain of exactly zero (no clicks)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,49 +97,6 @@ def binary_entropy(x: Values) -> Values:
     return _entropy(x)
 
 
-def yield_single(transmittance: Values, noise: Values) -> Values:
-    """Click probability for a single-photon pulse: signal or either detector's background."""
-    return _yield_single(*_unit_interval(transmittance=transmittance, noise=noise))
-
-
-def gain_single(y1: Values, mean_photons: Values) -> Values:
-    """Single-photon gain Q1 = Y1 * mu * exp(-mu) of a Poissonian source."""
-    (y1,) = _unit_interval(y1=y1)
-    return _gain_single(y1, _photon_number(mean_photons))
-
-
-def error_single(y1: Values, transmittance: Values, noise: Values, misalignment: float = 0.0) -> Values:
-    """Single-photon error rate e1.
-
-    Background clicks are random (error 1/2); detected signal photons err
-    with the misalignment probability only.
-    """
-    y1, eta, n = _unit_interval(y1=y1, transmittance=transmittance, noise=noise)
-    if (y1 == 0.0).any():
-        raise UndefinedRateError("e1 undefined: single-photon yield is zero")
-    return _error_rate(y1, eta, n, misalignment)
-
-
-def gain_mu(transmittance: Values, mean_photons: Values, noise: Values) -> Values:
-    """Signal-state gain Qmu = 1 - exp(-eta mu) (1 - noise)^2."""
-    eta, n = _unit_interval(transmittance=transmittance, noise=noise)
-    return _gain_mu(eta, _photon_number(mean_photons), n)
-
-
-def qber_mu(
-    q_mu: Values,
-    transmittance: Values,
-    mean_photons: Values,
-    noise: Values,
-    misalignment: float = 0.0,
-) -> Values:
-    """Signal-state quantum bit error rate Emu."""
-    q_mu, eta, n = _unit_interval(q_mu=q_mu, transmittance=transmittance, noise=noise)
-    if (q_mu == 0.0).any():
-        raise UndefinedRateError("Emu undefined: signal gain is zero")
-    return _error_rate(q_mu, _detected(eta, mean_photons), n, misalignment)
-
-
 def secret_key_rate(params: ProtocolParams, transmittance: Values, noise: Values) -> KeyRateReport:
     """Key-rate lower bound in bits per pulse, per operating point.
 
@@ -194,8 +141,8 @@ def secret_key_rate(params: ProtocolParams, transmittance: Values, noise: Values
     )
 
 
-# The formulas, on inputs already checked.  The public functions above and
-# secret_key_rate share them, so each formula is written once.  A scalar
+# The formulas, on inputs already checked; secret_key_rate reports each of
+# their results (Y1, Q1, e1, Qmu, Emu), so none needs a public twin.  A scalar
 # input stays a numpy scalar throughout (``[()]``), whose arithmetic costs
 # a tenth of a 0-d array's.
 
@@ -240,13 +187,6 @@ def _unit_interval(**kwargs: Values) -> list[np.ndarray]:
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         arrays.append(array)
     return arrays
-
-
-def _photon_number(mean_photons: Values) -> np.ndarray:
-    mu = np.asarray(mean_photons, dtype=float)[()]
-    if not (mu >= 0.0).all():
-        raise ValueError(f"mean_photons must be non-negative, got {mean_photons!r}")
-    return mu
 
 
 def _square(x: np.ndarray) -> np.ndarray:

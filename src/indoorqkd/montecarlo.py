@@ -1,11 +1,13 @@
-"""Monte-Carlo estimate of the single-bounce lamp-to-receiver gain.
+"""Independent oracles for the single-bounce lamp-to-receiver gain.
 
-This is a validation path for the deterministic patch sum in the channel
-module and deliberately shares none of its machinery: rays are sampled from
-the lamp's Lambertian lobe, traced to their first wall or floor hit, and the
-last bounce into the receiver is folded in analytically (next-event
-estimation).  The expectation of the per-ray contribution equals the same
-double integral the patch sum approximates.
+Both are validation paths for the deterministic patch sum in the channel
+module and deliberately share none of its machinery.  The Monte-Carlo
+estimate samples rays from the lamp's Lambertian lobe, traces them to their
+first wall or floor hit, and folds the last bounce into the receiver in
+analytically (next-event estimation); the expectation of the per-ray
+contribution equals the same double integral the patch sum approximates.
+The floor-cone closed form is that integral done exactly, for the one
+geometry where it has an antiderivative.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .geometry import RoomScenario
 
-__all__ = ["McEstimate", "estimate_reflected_gain"]
+__all__ = ["McEstimate", "estimate_reflected_gain", "floor_cone_closed_form"]
 
 # Rays traced per vectorised pass.  Each temporary then holds 256 kB, so the
 # passes run in cache and peak memory does not grow with the draw chunk
@@ -54,7 +56,7 @@ def estimate_reflected_gain(
     for name, value in (("samples", samples), ("chunk_size", chunk_size)):
         if not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    m1 = -math.log(2.0) / math.log(math.cos(math.radians(room.lamp_semi_angle_deg)))
+    m1 = _lamp_mode(room)
     fov_rad = math.radians(room.fov_deg)
     sin_fov = math.sin(fov_rad)
     g_in = room.concentrator_index**2 / (sin_fov * sin_fov)
@@ -128,6 +130,41 @@ def estimate_reflected_gain(
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return McEstimate(value=mean, std_error=math.sqrt(var / samples), samples=samples)
+
+
+def floor_cone_closed_form(room: RoomScenario) -> float | None:
+    """Exact bounce integral while the receiver's acceptance cone sees only floor.
+
+    For a lamp and a receiver at one point facing straight down, height Z
+    over the floor, substituting that geometry and switching to polar
+    coordinates on the floor give (Kahn & Barry, Proc. IEEE 85(2), 1997)
+
+        I(fov) = A (m1+1) rho_floor n^2 T_s (1 - cos(fov)^(m1+5))
+                 / (pi Z^2 (m1+5) sin(fov)^2).
+
+    Returns None for any other geometry, and when the cone spills onto the
+    walls.
+    """
+    down = (0.0, 0.0, -1.0)
+    lamp, rx = room.lamp, room.receiver
+    if lamp.position != rx.position or lamp.axis.as_tuple() != down or rx.axis.as_tuple() != down:
+        return None
+    x, y, z = rx.position.as_tuple()
+    fov = math.radians(room.fov_deg)
+    if z * math.tan(fov) > min(x, room.room_x_m - x, y, room.room_y_m - y):
+        return None  # the cone spills onto the walls
+    m1 = _lamp_mode(room)
+    k = m1 + 5.0
+    return (
+        room.detector_area_m2 * (m1 + 1.0) * room.floor_reflectivity
+        * room.concentrator_index**2 * room.filter_transmission
+        * (1.0 - math.cos(fov) ** k) / (math.pi * z * z * k * math.sin(fov) ** 2)
+    )
+
+
+def _lamp_mode(room: RoomScenario) -> float:
+    """Lambert mode of the lamp, m1 = -ln 2 / ln cos(semi-angle)."""
+    return -math.log(2.0) / math.log(math.cos(math.radians(room.lamp_semi_angle_deg)))
 
 
 def _frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

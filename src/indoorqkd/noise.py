@@ -6,17 +6,21 @@ diffuse bounce, and dark counts.  Optical contributions carry a factor 1/2
 because unpolarized background splits evenly between two polarization modes
 and only one reaches a given detector.
 
-The count functions are elementwise: spectral levels may be numpy arrays
-(one per operating point), and every element goes through the operations
-of a scalar call.
+The count functions take the validated ``DetectorParams`` and
+``RoomScenario`` for their fixed figures, so they check only the levels,
+powers and integrals they are handed.  They are elementwise: spectral
+levels may be numpy arrays (one per operating point), and every element
+goes through the operations of a scalar call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import DetectorParams
+from .geometry import RoomScenario
 
 __all__ = [
     "PLANCK_J_S",
@@ -61,90 +65,73 @@ class NoiseBudget:
 
 
 def _photon_energy_j(wavelength_nm: float) -> float:
-    if wavelength_nm <= 0.0:
-        raise ValueError("wavelength_nm must be positive")
     return PLANCK_J_S * SPEED_OF_LIGHT_M_S / (wavelength_nm * 1e-9)
 
 
-def matched_filter_bandwidth_nm(wavelength_nm: float, pulse_width_s: float) -> float:
+def matched_filter_bandwidth_nm(detector: DetectorParams) -> float:
     """Spectral width lambda^2 / (tau c) of a filter matched to the pulse.
 
     With this choice the admitted background energy per pulse is independent
     of the pulse width: bandwidth * tau is a constant of the wavelength.
     """
-    if not 0.0 < wavelength_nm < math.inf:
-        raise ValueError(f"wavelength_nm must be positive and finite, got {wavelength_nm!r}")
-    if pulse_width_s <= 0.0:
-        raise ValueError("pulse_width_s must be positive")
-    lam_m = wavelength_nm * 1e-9
-    return lam_m * lam_m / (pulse_width_s * SPEED_OF_LIGHT_M_S) * 1e9
+    lam_m = detector.wavelength_nm * 1e-9
+    return lam_m * lam_m / (detector.pulse_width_s * SPEED_OF_LIGHT_M_S) * 1e9
 
 
 def isotropic_noise_power(
-    ambient_irradiance_w_nm_m2: float | np.ndarray,
-    bandwidth_nm: float,
-    filter_transmission: float,
-    detector_area_m2: float,
-    concentrator_index: float,
+    ambient_irradiance_w_nm_m2: float | np.ndarray, room: RoomScenario
 ) -> float | np.ndarray:
-    """Optical power collected from an isotropic ambient background.
+    """Optical power collected from an isotropic ambient background through
+    the room's receiver filter, detector area and concentrator.
 
     The concentrator contributes a constant n^2: opening the field of view
     admits more sky while diluting the gain by exactly the same factor.
     """
-    if not _non_negative(ambient_irradiance_w_nm_m2, bandwidth_nm, detector_area_m2):
+    if not _non_negative(ambient_irradiance_w_nm_m2):
         raise ValueError("ambient power inputs must be non-negative")
     return (
         ambient_irradiance_w_nm_m2
-        * bandwidth_nm
-        * filter_transmission
-        * detector_area_m2
-        * concentrator_index**2
+        * room.filter_bandwidth_nm
+        * room.filter_transmission
+        * room.detector_area_m2
+        * room.concentrator_index**2
     )
 
 
-def photons_per_pulse(
-    power_w: float | np.ndarray,
-    pulse_width_s: float,
-    efficiency: float,
-    wavelength_nm: float,
-) -> float | np.ndarray:
+def photons_per_pulse(power_w: float | np.ndarray, detector: DetectorParams) -> float | np.ndarray:
     """Detected photons per pulse window from a steady optical power."""
     if not _non_negative(power_w):
         raise ValueError("power_w must be non-negative")
-    return power_w * pulse_width_s * (efficiency / 2.0) / _photon_energy_j(wavelength_nm)
+    return power_w * detector.pulse_width_s * (detector.efficiency / 2.0) / _photon_energy_j(detector.wavelength_nm)
 
 
 def lamp_noise_photons(
     lamp_psd_w_per_nm: float | np.ndarray,
-    bandwidth_nm: float,
-    pulse_width_s: float,
-    efficiency: float,
-    wavelength_nm: float,
+    room: RoomScenario,
+    detector: DetectorParams,
     reflected_integral: float,
 ) -> float | np.ndarray:
     """Detected photons per pulse from single-bounce lamp light.
 
     ``reflected_integral`` is the summed bounce gain from the channel module;
-    multiplying by the lamp's in-band energy per pulse turns it into counts.
+    multiplying by the lamp's in-band energy per pulse (in the room's filter
+    band) turns it into counts.
     """
     if not _non_negative(lamp_psd_w_per_nm, reflected_integral):
         raise ValueError("lamp noise inputs must be non-negative")
-    in_band_power = lamp_psd_w_per_nm * bandwidth_nm
+    in_band_power = lamp_psd_w_per_nm * room.filter_bandwidth_nm
     return (
         in_band_power
-        * pulse_width_s
-        * (efficiency / 2.0)
-        / _photon_energy_j(wavelength_nm)
+        * detector.pulse_width_s
+        * (detector.efficiency / 2.0)
+        / _photon_energy_j(detector.wavelength_nm)
         * reflected_integral
     )
 
 
-def dark_counts_per_pulse(dark_count_rate_hz: float, pulse_width_s: float) -> float:
+def dark_counts_per_pulse(detector: DetectorParams) -> float:
     """Dark counts expected inside one pulse-width gate."""
-    if not (_non_negative(dark_count_rate_hz) and pulse_width_s > 0.0):
-        raise ValueError("dark-count inputs must be non-negative")
-    return dark_count_rate_hz * pulse_width_s
+    return detector.dark_count_rate_hz * detector.pulse_width_s
 
 
 def _non_negative(*values: float | np.ndarray) -> bool:

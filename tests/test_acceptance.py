@@ -31,7 +31,6 @@ from indoorqkd.montecarlo import estimate_reflected_gain
 from indoorqkd.noise import (
     isotropic_noise_power,
     lamp_noise_photons,
-    matched_filter_bandwidth_nm,
     photons_per_pulse,
 )
 
@@ -193,11 +192,10 @@ def test_criterion_8_property_suite():
     # matched-filter noise counts independent of pulse width, 1e-12 relative
     reference = None
     for tau in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8):
-        bw = matched_filter_bandwidth_nm(880.0, tau)
-        ambient = photons_per_pulse(
-            isotropic_noise_power(1e-8, bw, 1.0, 1e-4, 1.5), tau, 0.6, 880.0
-        )
-        bounce = lamp_noise_photons(1e-5, bw, tau, 0.6, 880.0, 6.5e-7)
+        # the nominal receiver behind the filter matched to tau
+        setup = build_setup(Scenario.named("lamp-center", {"pulse_width_s": tau}), 10.0, 0.0)
+        ambient = photons_per_pulse(isotropic_noise_power(1e-8, setup.room), setup.detector)
+        bounce = lamp_noise_photons(1e-5, setup.room, setup.detector, 6.5e-7)
         if reference is None:
             reference = (ambient, bounce)
         else:

@@ -1,14 +1,9 @@
 """Lambertian LOS gain, concentrator cutoff, and the single-bounce patch sum.
 
-The floor-only closed form used as an oracle below: when the acceptance cone
-of a ceiling-center receiver looking straight down stays entirely on the
-floor, the bounce sum reduces to an integral with an exact antiderivative,
-
-    I(fov) = A (m1+1) rho_floor n^2 T_s (1 - cos(fov)^(m1+5))
-             / (pi Z^2 (m1+5) sin(fov)^2)
-
-derived by substituting the co-located lamp/receiver geometry and switching
-to polar coordinates on the floor.  It is independent of the patch code.
+The floor-only closed form used as an oracle below
+(``montecarlo.floor_cone_closed_form``) is exact while the acceptance cone of
+a ceiling-center receiver looking straight down stays entirely on the
+floor.  It is independent of the patch code.
 """
 
 import math
@@ -18,18 +13,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from indoorqkd import channel
 from indoorqkd.channel import (
     ChannelGains,
     DetectorParams,
     ReflectionConvergenceWarning,
-    UndefinedModeError,
-    concentrator_gain,
-    lambert_mode,
-    los_dc_gain,
     los_gain_for,
     reflected_gain_convergence,
     total_reflected_gain,
     _cell_gains,
+    _concentrator_gain,
+    _lambert_mode,
 )
 from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.geometry import (
@@ -38,6 +32,7 @@ from indoorqkd.geometry import (
     Pose,
     RoomScenario,
 )
+from indoorqkd.montecarlo import floor_cone_closed_form
 
 
 def nominal_room(fov_deg=30.0, **overrides):
@@ -56,62 +51,63 @@ def nominal_room(fov_deg=30.0, **overrides):
     return RoomScenario(**defaults)
 
 
-def floor_cone_closed_form(room):
-    """Exact bounce integral while the acceptance cone sees only floor."""
-    m1 = lambert_mode(room.lamp_semi_angle_deg)
-    fov = math.radians(room.fov_deg)
-    k = m1 + 5.0
-    return (
-        room.detector_area_m2 * (m1 + 1.0) * room.floor_reflectivity
-        * room.concentrator_index**2 * room.filter_transmission
-        * (1.0 - math.cos(fov) ** k)
-        / (math.pi * room.room_z_m**2 * k * math.sin(fov) ** 2)
-    )
-
-
 class TestLambertMode:
     def test_sixty_degrees_is_plain_lambertian(self):
-        assert lambert_mode(60.0) == pytest.approx(1.0, abs=1e-12)
+        assert _lambert_mode(60.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_narrow_source(self):
-        assert lambert_mode(30.0) == pytest.approx(4.81884167930642, rel=1e-12)
+        assert _lambert_mode(30.0) == pytest.approx(4.81884167930642, rel=1e-12)
 
     def test_wide_source(self):
-        assert lambert_mode(70.0) == pytest.approx(0.646058770348734, rel=1e-12)
+        assert _lambert_mode(70.0) == pytest.approx(0.646058770348734, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, 90.0, 95.0, -10.0])
     def test_undefined_outside_open_interval(self, bad):
-        with pytest.raises(UndefinedModeError):
-            lambert_mode(bad)
+        # the domain rule lives in RoomScenario, for the lamp and the transmitter
+        for field in ("lamp_semi_angle_deg", "tx_semi_angle_deg"):
+            with pytest.raises(ValueError, match=f"{field}.*Lambert mode is undefined"):
+                nominal_room(**{field: bad})
+
+
+def incidence_at(monkeypatch, incidence_deg):
+    """Make the channel see a 3 m on-axis link arriving at ``incidence_deg``."""
+    geom = LinkGeometry(distance=3.0, irradiance_angle=0.0, incidence_angle=math.radians(incidence_deg))
+    monkeypatch.setattr(channel, "link_geometry", lambda emitter, collector: geom)
 
 
 class TestConcentratorGain:
     def test_hemispherical_fov(self):
-        assert concentrator_gain(0.0, 1.5, math.pi / 2.0) == pytest.approx(2.25)
+        assert _concentrator_gain(1.5, math.pi / 2.0) == pytest.approx(2.25)
 
     def test_narrow_fov(self):
-        g = concentrator_gain(0.0, 1.5, math.radians(11.0))
+        g = _concentrator_gain(1.5, math.radians(11.0))
         assert g == pytest.approx(61.799481052281564, rel=1e-12)
 
-    def test_cone_edge_inclusive(self):
-        fov = math.radians(20.0)
-        assert concentrator_gain(fov, 1.5, fov) > 0.0
+    def test_cone_edge_inclusive(self, monkeypatch):
+        incidence_at(monkeypatch, 20.0)
+        assert los_gain_for(nominal_room(fov_deg=20.0)) > 0.0
 
-    def test_outside_cone_blocked(self):
-        assert concentrator_gain(math.radians(21.0), 1.5, math.radians(20.0)) == 0.0
+    def test_outside_cone_blocked(self, monkeypatch):
+        incidence_at(monkeypatch, 21.0)
+        assert los_gain_for(nominal_room(fov_deg=20.0)) == 0.0
 
     def test_invalid_fov(self):
-        with pytest.raises(ValueError):
-            concentrator_gain(0.0, 1.5, 0.0)
-        with pytest.raises(ValueError):
-            concentrator_gain(0.0, 1.5, math.pi)
+        for fov_deg in (0.0, 180.0):
+            with pytest.raises(ValueError, match="fov_deg"):
+                nominal_room(fov_deg=fov_deg)
+
+    # n^2 overflows; n^2 fits a float but n^2 / sin^2(1 deg) does not
+    @pytest.mark.parametrize("index, fov_deg", [(1e300, 30.0), (1e153, 1.0)])
+    def test_gain_that_overflows_rejected(self, index, fov_deg):
+        with pytest.raises(ValueError, match=r"concentrator_index must be >= 1 with a finite gain n\^2 / sin\^2"):
+            nominal_room(fov_deg=fov_deg, concentrator_index=index)
 
 
 class TestLosGain:
     def test_center_link_matches_hand_formula(self):
         # straight-up link, 3 m, narrow acceptance: every factor is textbook
         room = nominal_room(fov_deg=11.0)
-        m = lambert_mode(30.0)
+        m = _lambert_mode(30.0)
         expected = 1e-4 * (m + 1.0) / (2.0 * math.pi * 9.0) * (1.5**2 / math.sin(math.radians(11.0)) ** 2)
         gain = los_gain_for(room)
         assert gain == pytest.approx(expected, rel=1e-12)
@@ -135,15 +131,13 @@ class TestLosGain:
         assert los_gain_for(room) == 0.0
 
     def test_gain_capped_at_unity(self):
-        geom = LinkGeometry(distance=0.01, irradiance_angle=0.0, incidence_angle=0.0)
-        gain = los_dc_gain(
-            geom,
-            tx_semi_angle_deg=5.0,
-            detector_area_m2=1e-4,
-            concentrator_index=1.5,
+        # the transmitter sits 1 cm under the receiver
+        room = nominal_room(
             fov_deg=2.0,
+            tx_semi_angle_deg=5.0,
+            transmitter=Pose(Point3(2.0, 2.0, 2.99), Point3(0.0, 0.0, 1.0)),
         )
-        assert gain == 1.0
+        assert los_gain_for(room) == 1.0
 
     def test_wider_fov_means_less_gain(self):
         narrow = los_gain_for(nominal_room(fov_deg=5.0))
@@ -155,8 +149,8 @@ class TestReflectedPatchGain:
     """The bounce integrand for single cells, against the hand formula."""
 
     def _cell_gain(self, room, center, normal, area, reflectivity):
-        m1 = lambert_mode(room.lamp_semi_angle_deg)
-        g_in = concentrator_gain(0.0, room.concentrator_index, math.radians(room.fov_deg))
+        m1 = _lambert_mode(room.lamp_semi_angle_deg)
+        g_in = _concentrator_gain(room.concentrator_index, math.radians(room.fov_deg))
         gains = _cell_gains(
             np.array([center.as_tuple()]), np.array([normal.as_tuple()]),
             np.array([area]), np.array([reflectivity]), room, m1, g_in,
@@ -176,7 +170,7 @@ class TestReflectedPatchGain:
         cos_beta = v2.z / d2
         cos_psi = v2.z / d2
         assert math.acos(cos_psi) <= math.radians(30.0)  # sanity: inside cone
-        m1 = lambert_mode(70.0)
+        m1 = _lambert_mode(70.0)
         g = 1.5**2 / math.sin(math.radians(30.0)) ** 2
         expected = (
             1e-4 * (m1 + 1.0) / (2.0 * math.pi**2 * d1**2 * d2**2)
@@ -438,9 +432,9 @@ class TestConvergenceReporting:
 class TestValidation:
     def test_detector_params_bounds(self):
         with pytest.raises(ValueError):
-            DetectorParams(efficiency=0.0, dark_count_rate_hz=1000.0, pulse_width_s=1e-10)
+            DetectorParams(efficiency=0.0, dark_count_rate_hz=1000.0, pulse_width_s=1e-10, wavelength_nm=880.0)
         with pytest.raises(ValueError):
-            DetectorParams(efficiency=0.6, dark_count_rate_hz=-1.0, pulse_width_s=1e-10)
+            DetectorParams(efficiency=0.6, dark_count_rate_hz=-1.0, pulse_width_s=1e-10, wavelength_nm=880.0)
 
     def test_channel_gains_bounds(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,13 @@ class TestValidationDiagnostics:
         config = RunConfig(scenario="lamp-hallway")
         assert any("scenario" in m for m in validate(config))
 
+    def test_unknown_scenario_with_a_spectrum_reported_once(self):
+        config = RunConfig(
+            scenario="lamp-hallway",
+            lamp_spectrum_file=str(bundled_spectrum_path("cool_white_led.csv")),
+        )
+        assert len([m for m in validate(config) if "unknown scenario" in m]) == 1
+
     def test_dangling_spectrum_file(self):
         config = RunConfig(lamp_spectrum_file="/nowhere/led.csv")
         assert any("not found" in m for m in validate(config))
@@ -100,7 +107,7 @@ class TestValidationDiagnostics:
         )
         assert any("irradiance" in m for m in validate(config))
 
-    @pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf", "1e5", "1e300"])
     @pytest.mark.parametrize("section,key", NUMERIC_KEYS)
     def test_every_numeric_value_ends_in_result_or_diagnostic(self, tmp_path, section, key, raw):
         tiny = {
@@ -117,6 +124,38 @@ class TestValidationDiagnostics:
         assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
         if code == EXIT_CONFIG_ERROR:
             assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["room_x_m", "room_y_m", "room_z_m"])
+    def test_room_over_patch_budget_named_before_any_array(self, key):
+        # 1e5 m at 10/m is some 1e8 cells at the 20/m convergence check
+        config = RunConfig(overrides={key: 1e5})
+        messages = validate(config)
+        assert any(key in m and "patch budget" in m and "resolution_patches_per_meter = 10" in m for m in messages)
+
+    def test_patch_budget_admits_a_large_hall(self):
+        # 300 x 300 x 5 m at 10/m: 3.84e7 cells at 20/m, about 0.76 GiB at peak
+        config = RunConfig(overrides={"room_x_m": 300.0, "room_y_m": 300.0, "room_z_m": 5.0})
+        assert validate(config) == []
+
+    def test_patch_budget_spares_a_dark_lamp_run(self):
+        # no source level above 0, so nothing is tessellated however large the room
+        config = RunConfig(source_min=0.0, source_max=0.0, source_scale="linear", overrides={"room_x_m": 1e5})
+        assert validate(config) == []
+
+    def test_ambient_run_in_a_room_over_budget(self, tmp_path):
+        # no lamp, so nothing is tessellated: 100 x 100 x 3 m at 1000/m runs
+        body = (
+            "[experiments]\nscenario = ambient-only-center\nfov_steps = 2\nsource_steps = 2\n"
+            "[geometry]\nroom_x_m = 100\nroom_y_m = 100\nroom_z_m = 3\n"
+            "[cli]\nresolution_patches_per_meter = 1000\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main([str(write_config(tmp_path, body)), "--out", str(out_dir)]) == EXIT_OK
+        assert "no reflected-light integral" in (out_dir / "summary.txt").read_text()
+
+    def test_overflowing_concentrator_gain_named(self):
+        messages = validate(RunConfig(overrides={"concentrator_index": 1e300}))
+        assert any(m.startswith("concentrator_index = 1e+300") and "finite gain" in m for m in messages)
 
     def test_lamp_outside_shrunk_room(self, tmp_path):
         path = write_config(tmp_path, "[geometry]\nroom_x_m = 3\nlamp_x_m = 3.5\n")

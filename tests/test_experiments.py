@@ -26,6 +26,14 @@ from indoorqkd.geometry import Point3
 PINNED_SWEEPS = json.loads((Path(__file__).parent / "data" / "pinned_sweeps.json").read_text())
 
 
+# Keys whose domain includes 0 (a lamp on a wall, a dark room, no source).
+ZERO_IS_VALID = {
+    "wall_reflectivity", "floor_reflectivity", "lamp_x_m", "lamp_y_m",
+    "ambient_irradiance_w_nm_m2", "dark_count_rate_hz",
+    "mean_photons_per_pulse", "misalignment_error",
+}
+
+
 def bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
@@ -113,14 +121,19 @@ class TestEvaluatePoint:
         with pytest.raises(ValueError):
             evaluate_point(Scenario.named("lamp-center"), 11.0, -1e-6)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("key", sorted(NOMINAL))
     def test_non_finite_override_names_its_field(self, key, value):
-        # the library alone (no CLI parse step) must stop a non-finite value
-        # with a ValueError that names the field it lands in
+        # the library alone (no CLI parse step) must stop a non-finite,
+        # zero or negative value outside the key's domain with a ValueError
+        # that names the field it lands in: each rule fires from the setup
+        # dataclass that carries the value
         field = {"detector_efficiency": "efficiency", "lamp_x_m": "lamp", "lamp_y_m": "lamp"}.get(key, key)
         for name in ("lamp-center", "lamp-corner-steered"):
             scenario = Scenario.named(name, {key: value})
+            if value == 0.0 and key in ZERO_IS_VALID:
+                build_setup(scenario, 10.0, 1e-5)
+                continue
             with pytest.raises(ValueError, match=field):
                 build_setup(scenario, 10.0, 1e-5)
             with pytest.raises(ValueError, match=field):
@@ -281,6 +294,20 @@ class TestPathLossProfile:
     def test_loss_is_positive_decibels(self):
         losses = path_loss_profile(Point3(1.0, 1.0, 0.0), 30.0, (15.0,))
         assert losses[0] > 0.0
+
+    def test_every_override_key_applies(self):
+        nominal = path_loss_profile(Point3(0.0, 0.0, 0.0), 30.0, (10.0,))
+        assert nominal[0] == pytest.approx(41.9455, abs=1e-4)
+        # a higher ceiling lengthens the corner link but steepens it toward
+        # the beam axis, which wins; a larger area collects more
+        taller = path_loss_profile(Point3(0.0, 0.0, 0.0), 30.0, (10.0,), {"room_z_m": 6.0})
+        assert taller[0] < nominal[0] - 1.0
+        bigger = path_loss_profile(Point3(0.0, 0.0, 0.0), 30.0, (10.0,), {"detector_area_m2": 2e-4})
+        assert bigger[0] == pytest.approx(nominal[0] - 10.0 * math.log10(2.0), rel=1e-12)
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ValueError, match="room_zz"):
+            path_loss_profile(Point3(0.0, 0.0, 0.0), 30.0, (10.0,), {"room_zz": 6.0})
 
 
 class TestScenarioHygiene:

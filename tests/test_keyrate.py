@@ -9,14 +9,8 @@ from hypothesis import example, given, strategies as st
 from indoorqkd.keyrate import (
     KeyRateReport,
     ProtocolParams,
-    UndefinedRateError,
     binary_entropy,
-    error_single,
-    gain_mu,
-    gain_single,
-    qber_mu,
     secret_key_rate,
-    yield_single,
 )
 
 
@@ -61,50 +55,55 @@ class TestBinaryEntropy:
 
 
 class TestSinglePhotonQuantities:
+    """Y1, Q1 and e1 as the key-rate report carries them."""
+
     def test_yield_combines_signal_and_background(self):
-        assert yield_single(0.1, 1e-5) == pytest.approx(0.10001799990999993, rel=1e-12)
+        assert secret_key_rate(params(), 0.1, 1e-5).y1 == pytest.approx(0.10001799990999993, rel=1e-12)
 
     def test_yield_dark_receiver(self):
-        assert yield_single(0.0, 0.0) == 0.0
-        assert yield_single(1.0, 0.0) == 1.0
+        assert secret_key_rate(params(), 0.0, 0.0).y1 == 0.0
+        assert secret_key_rate(params(), 1.0, 0.0).y1 == 1.0
 
     def test_gain_is_poisson_weighted_yield(self):
-        y1 = 0.25
-        assert gain_single(y1, 0.5) == pytest.approx(y1 * 0.5 * math.exp(-0.5), rel=1e-12)
+        report = secret_key_rate(params(), 0.1, 1e-5)
+        assert report.q1 == pytest.approx(report.y1 * 0.5 * math.exp(-0.5), rel=1e-12)
 
     def test_error_known_value(self):
-        y1 = yield_single(0.1, 1e-5)
-        assert error_single(y1, 0.1, 1e-5) == pytest.approx(9.498245324354188e-05, rel=1e-9)
+        assert secret_key_rate(params(), 0.1, 1e-5).e1 == pytest.approx(9.498245324354188e-05, rel=1e-9)
 
     def test_error_all_noise_is_half(self):
-        y1 = yield_single(0.0, 1e-6)
-        assert error_single(y1, 0.0, 1e-6) == pytest.approx(0.5, rel=1e-9)
+        assert secret_key_rate(params(), 0.0, 1e-6).e1 == pytest.approx(0.5, rel=1e-9)
 
     def test_error_undefined_when_nothing_clicks(self):
-        with pytest.raises(UndefinedRateError):
-            error_single(0.0, 0.0, 0.0)
+        # e1 is 0/0 here; the report flags the point and carries zeros
+        report = secret_key_rate(params(), 0.0, 0.0)
+        assert report.degenerate
+        assert report.e1 == 0.0 and report.rate == 0.0
 
     def test_misalignment_floors_the_error(self):
-        y1 = yield_single(0.5, 0.0)
-        assert error_single(y1, 0.5, 0.0, misalignment=0.01) == pytest.approx(0.01, rel=1e-9)
+        report = secret_key_rate(params(misalignment_error=0.01), 0.5, 0.0)
+        assert report.e1 == pytest.approx(0.01, rel=1e-9)
 
 
 class TestSignalStateQuantities:
+    """Qmu and Emu as the key-rate report carries them."""
+
     def test_gain_known_value(self):
         # eta mu small: Qmu ~ eta mu + 2n
-        assert gain_mu(0.1, 0.5, 1e-5) == pytest.approx(0.04878959999265298, rel=1e-12)
+        assert secret_key_rate(params(), 0.1, 1e-5).q_mu == pytest.approx(0.04878959999265298, rel=1e-12)
 
     def test_qber_undefined_at_zero_gain(self):
-        with pytest.raises(UndefinedRateError):
-            qber_mu(0.0, 0.0, 0.5, 0.0)
+        report = secret_key_rate(params(), 0.0, 0.0)
+        assert report.q_mu == 0.0
+        assert report.degenerate
+        assert report.e_mu == 0.0
 
     def test_qber_known_value(self):
-        q = gain_mu(0.1, 0.5, 1e-5)
-        assert qber_mu(q, 0.1, 0.5, 1e-5) == pytest.approx(0.00019996268800031523, rel=1e-9)
+        report = secret_key_rate(params(), 0.1, 1e-5)
+        assert report.e_mu == pytest.approx(0.00019996268800031523, rel=1e-9)
 
     def test_qber_pure_noise_is_half(self):
-        q = gain_mu(0.0, 0.5, 1e-4)
-        assert qber_mu(q, 0.0, 0.5, 1e-4) == pytest.approx(0.5, rel=1e-9)
+        assert secret_key_rate(params(), 0.0, 1e-4).e_mu == pytest.approx(0.5, rel=1e-9)
 
 
 class TestSecretKeyRate:
@@ -248,10 +247,10 @@ class TestArrayEvaluation:
     def test_helpers_reject_nan_elements(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             binary_entropy(np.array([0.1, math.nan]))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            yield_single(np.array([0.1, 0.2]), np.array([1e-6, math.nan]))
         with pytest.raises(ValueError, match="non-negative"):
-            gain_single(0.1, np.array([0.5, math.nan]))
+            secret_key_rate(params(), np.array([0.1, 0.2]), np.array([1e-6, math.nan]))
+        with pytest.raises(ValueError, match="mean_photons_per_pulse"):
+            params(mean_photons_per_pulse=math.nan)
 
     def test_report_rejects_nan_fields(self):
         with pytest.raises(ValueError, match=r"y1 must lie in \[0, 1\]"):
@@ -260,8 +259,7 @@ class TestArrayEvaluation:
             with pytest.raises(ValueError, match="rate must be non-negative"):
                 KeyRateReport(y1=0.1, q1=0.0, e1=0.0, q_mu=0.0, e_mu=0.0, rate=rate, unclamped_rate=0.0)
 
-    def test_undefined_error_rates_raise_for_any_zero_gain(self):
-        with pytest.raises(UndefinedRateError):
-            error_single(np.array([0.1, 0.0]), 0.0, 0.0)
-        with pytest.raises(UndefinedRateError):
-            qber_mu(np.array([0.1, 0.0]), 0.0, 0.5, 0.0)
+    def test_undefined_error_rates_flagged_for_any_zero_gain(self):
+        report = secret_key_rate(params(), np.array([0.1, 0.0]), 0.0)
+        assert report.degenerate.tolist() == [False, True]
+        assert report.e1[1] == 0.0 and report.e_mu[1] == 0.0 and report.rate[1] == 0.0

@@ -1,13 +1,17 @@
-"""Ray-sampling cross-check of the deterministic bounce integral."""
+"""Ray-sampling and closed-form cross-checks of the deterministic bounce integral."""
 
+import ast
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from indoorqkd import montecarlo
 from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.channel import total_reflected_gain
-from indoorqkd.geometry import Pose
-from indoorqkd.montecarlo import estimate_reflected_gain
+from indoorqkd.geometry import Point3, Pose
+from indoorqkd.montecarlo import estimate_reflected_gain, floor_cone_closed_form
 
 
 def room_at(fov_deg):
@@ -50,6 +54,35 @@ class TestAgreementWithPatchSum:
         dark = estimate_reflected_gain(darker, samples=200_000, seed=5)
         # cone sees only floor at 30 degrees: halving reflectivity halves it
         assert dark.value == pytest.approx(bright.value / 2.0, rel=1e-9)
+
+
+class TestFloorConeClosedForm:
+    def test_independent_of_the_channel_module(self):
+        tree = ast.parse(Path(montecarlo.__file__).read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        assert "geometry" in imported
+        assert not any("channel" in name for name in imported)
+
+    def test_hand_value_at_twenty_degrees(self):
+        # m1 for a 70 degree semi-angle, Z = 3 m, the nominal receiver
+        m1 = -math.log(2.0) / math.log(math.cos(math.radians(70.0)))
+        fov, k = math.radians(20.0), m1 + 5.0
+        expected = (
+            1e-4 * (m1 + 1.0) * 0.1 * 1.5**2 * (1.0 - math.cos(fov) ** k)
+            / (math.pi * 9.0 * k * math.sin(fov) ** 2)
+        )
+        assert floor_cone_closed_form(room_at(20.0)) == pytest.approx(expected, rel=1e-12)
+
+    def test_none_once_the_cone_reaches_the_walls(self):
+        # 3 m * tan(fov) passes the 2 m to the nearest wall at 33.7 degrees
+        assert floor_cone_closed_form(room_at(33.0)) is not None
+        assert floor_cone_closed_form(room_at(34.0)) is None
+
+    def test_none_for_a_lamp_beside_the_receiver(self):
+        room = room_at(20.0)
+        moved = replace(room, lamp=Pose(Point3(1.0, 2.0, 3.0), room.lamp.axis))
+        assert floor_cone_closed_form(moved) is None
 
 
 class TestArguments:
