@@ -20,11 +20,14 @@ its op times.  The layers:
   bounce integral already cached;
 * one cold 90 x 90 sweep (FOV 2-30 deg x ambient 1e-9-1e-5 W/nm/m^2) of
   ambient-only-center;
+* one cold ambient_tolerance of ambient-only-center over FOV 2-30 deg;
 * estimate_reflected_gain with 1e6 and 1e7 rays (seed 7), lamp-center at
   FOV 20 deg;
-* a CLI run with the default config, and scripts/run_all_scenarios.py,
-  each in a fresh Python process so that imports count; their value is
-  the sha256 of the files they write.
+* a CLI run with the default config, a CLI run of the 90 x 90
+  ambient-only-center map above (the shape of a perfbench ambient-map op:
+  sweep, ambient tolerance, sweep.csv and summary.txt), and
+  scripts/run_all_scenarios.py, each in a fresh Python process so that
+  imports count; their value is the sha256 of the files they write.
 
 Rows that take microseconds time CALLS calls per round and report the time
 per call.
@@ -123,8 +126,11 @@ def outputs_digest(command: list[str], src: Path) -> str:
 
 
 def secure_count(grid) -> int:
-    # One OperatingPoint per FOV, its flags an array over the source axis;
-    # older trees hold a tuple of one-level points per FOV.
+    # One OperatingPoint over the whole (FOV, level) grid; older trees hold
+    # one per FOV (its flags an array over the source axis) or a tuple of
+    # one-level points per FOV.
+    if hasattr(grid, "point"):
+        return int(np.count_nonzero(grid.point.report.secure))
     rows = [row if isinstance(row, tuple) else (row,) for row in grid.points]
     return sum(int(np.count_nonzero(p.report.secure)) for row in rows for p in row)
 
@@ -145,7 +151,9 @@ def main() -> int:
     sys.path.insert(0, str(src))
     from indoorqkd import experiments
     from indoorqkd.channel import total_reflected_gain
-    from indoorqkd.experiments import Scenario, build_setup, evaluate_point, secure_fov_boundary, sweep
+    from indoorqkd.experiments import (
+        Scenario, ambient_tolerance, build_setup, evaluate_point, secure_fov_boundary, sweep,
+    )
     from indoorqkd.keyrate import secret_key_rate
     from indoorqkd.montecarlo import estimate_reflected_gain
 
@@ -189,6 +197,9 @@ def main() -> int:
     layers["sweep_90x90_ambient_only_center_cold"] = timed(
         lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold
     )
+    layers["ambient_tolerance_cold"] = timed(
+        lambda: ambient_tolerance(ambient, fov_floor_deg=2.0, fov_ceiling_deg=30.0), cold
+    )
     for label, rays in (("1e6", 1_000_000), ("1e7", 10_000_000)):
         layers[f"estimate_reflected_gain_{label}_rays"] = timed(
             lambda: estimate_reflected_gain(room, samples=rays, seed=7).value
@@ -196,6 +207,16 @@ def main() -> int:
     layers["cli_default_run_subprocess"] = timed(
         lambda: outputs_digest([sys.executable, "-m", "indoorqkd.cli"], src)
     )
+    with tempfile.TemporaryDirectory() as config_dir:
+        ambient_ini = Path(config_dir) / "ambient_90x90.ini"
+        ambient_ini.write_text(
+            "[experiments]\nscenario = ambient-only-center\n"
+            "fov_min_deg = 2\nfov_max_deg = 30\nfov_steps = 90\n"
+            "source_min = 1e-9\nsource_max = 1e-5\nsource_steps = 90\nsource_scale = log\n"
+        )
+        layers["cli_ambient_90x90_subprocess"] = timed(
+            lambda: outputs_digest([sys.executable, "-m", "indoorqkd.cli", str(ambient_ini)], src)
+        )
     layers["run_all_scenarios_subprocess"] = timed(
         lambda: outputs_digest([sys.executable, str(src.parent / "scripts" / "run_all_scenarios.py")], src)
     )

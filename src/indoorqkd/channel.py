@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import RoomScenario, link_geometry, wall_and_floor_grids
+from .geometry import RoomScenario, concentrator_gain, link_geometry, wall_and_floor_grids
 
 __all__ = [
     "ReflectionConvergenceWarning",
@@ -66,20 +67,22 @@ class DetectorParams:
             raise ValueError(f"wavelength_nm must be positive and finite, got {self.wavelength_nm!r}")
 
 
-@dataclass(frozen=True, slots=True)
+# eq=False: fields may be arrays, whose == has no truth value; compare fields.
+@dataclass(frozen=True, slots=True, eq=False)
 class ChannelGains:
-    """Channel-level summary fed to the noise and key-rate stages."""
+    """Channel-level summary fed to the noise and key-rate stages: scalars
+    for one field of view, arrays with one element per FOV for several."""
 
-    line_of_sight: float
-    transmittance: float
-    reflected_integral: float
+    line_of_sight: float | np.ndarray
+    transmittance: float | np.ndarray
+    reflected_integral: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.line_of_sight <= 1.0:
+        if not np.all((self.line_of_sight >= 0.0) & (self.line_of_sight <= 1.0)):
             raise ValueError("line_of_sight gain must lie in [0, 1]")
-        if not 0.0 <= self.transmittance <= 1.0:
+        if not np.all((self.transmittance >= 0.0) & (self.transmittance <= 1.0)):
             raise ValueError("transmittance must lie in [0, 1]")
-        if self.reflected_integral < 0.0:
+        if not np.all(self.reflected_integral >= 0.0):
             raise ValueError("reflected_integral must be non-negative")
 
 
@@ -92,22 +95,15 @@ class ConvergenceReport:
     patches_per_meter: int
 
 
-# The two helpers below take values that RoomScenario has already checked:
-# a semi-angle in (0, 90) degrees, an index >= 1 and a FOV in (0, 90]
-# degrees whose concentrator gain is finite.
-
 def _lambert_mode(semi_angle_deg: float) -> float:
-    """Lambert mode number m = -ln 2 / ln cos(semi-angle at half power)."""
+    """Lambert mode number m = -ln 2 / ln cos(semi-angle at half power),
+    for a semi-angle in (0, 90) degrees, as RoomScenario has checked."""
     return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
 
 
-def _concentrator_gain(index: float, fov_rad: float) -> float:
-    """Ideal non-imaging concentrator gain n^2 / sin^2(fov) inside the cone."""
-    s = math.sin(fov_rad)
-    return index * index / (s * s)
-
-
-def los_gain_for(room: RoomScenario, *, enforce_fov: bool = True) -> float:
+def los_gain_for(
+    room: RoomScenario, *, enforce_fov: bool = True, fov_deg: float | Sequence[float] | None = None
+) -> float | np.ndarray:
     """Line-of-sight DC gain of the room's Lambertian transmitter toward its receiver.
 
     With ``enforce_fov`` the gain is zero when the incidence angle falls
@@ -116,28 +112,32 @@ def los_gain_for(room: RoomScenario, *, enforce_fov: bool = True) -> float:
     receivers assumed to stay coupled to the (single, known) source
     direction disable the cutoff and keep the concentrator factor
     n^2 / sin^2(fov); see the experiments module.
+
+    ``fov_deg`` puts one FOV or an array, each held to ``concentrator_gain``'s
+    rule, in place of the room's; the gain takes its shape, bit for bit.
     """
+    fovs = np.array(room.fov_deg if fov_deg is None else fov_deg, dtype=float)
+    g = np.array([concentrator_gain(room.concentrator_index, f) for f in fovs.ravel().tolist()]).reshape(fovs.shape)
     geom = link_geometry(room.transmitter, room.receiver)
     m = _lambert_mode(room.tx_semi_angle_deg)
     cos_phi = math.cos(geom.irradiance_angle)
     cos_psi = math.cos(geom.incidence_angle)
     if cos_phi <= 0.0 or cos_psi <= 0.0:
-        return 0.0  # behind the emitter or the receiver plane
-    fov_rad = math.radians(room.fov_deg)
-    if enforce_fov and geom.incidence_angle > fov_rad:
-        return 0.0  # outside the cone the concentrator passes nothing
-    gain = (
+        return np.zeros(fovs.shape)[()]  # behind the emitter or the receiver plane
+    prefix = (
         room.detector_area_m2
         * (m + 1.0)
         / (2.0 * math.pi * geom.distance**2)
         * cos_phi**m
         * room.filter_transmission
-        * _concentrator_gain(room.concentrator_index, fov_rad)
-        * cos_psi
     )
     # An ideal concentrator formula can exceed unity at tiny acceptance
     # angles; a gain is still a transmittance, so cap it.
-    return min(gain, 1.0)
+    gain = np.minimum(prefix * g * cos_psi, 1.0)
+    if enforce_fov:  # outside the cone the concentrator passes nothing
+        outside = [geom.incidence_angle > math.radians(f) for f in fovs.ravel().tolist()]
+        gain = np.where(np.reshape(outside, fovs.shape), 0.0, gain)
+    return gain[()]
 
 
 def _cell_gains(
@@ -216,9 +216,8 @@ def total_reflected_gain(
     only accepted cells become 3-D centers, integrated by ``_cell_gains``.
     """
     m1 = _lambert_mode(room.lamp_semi_angle_deg)
-    fov_rad = math.radians(room.fov_deg)
-    g_in = _concentrator_gain(room.concentrator_index, fov_rad)
-    cos_fov = math.cos(fov_rad)
+    g_in = concentrator_gain(room.concentrator_index, room.fov_deg)
+    cos_fov = math.cos(math.radians(room.fov_deg))
 
     total = 0.0
     for grid in wall_and_floor_grids(room, patches_per_meter):

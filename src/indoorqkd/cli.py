@@ -15,6 +15,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -43,14 +44,15 @@ EXIT_STRICT_CONVERGENCE = 3
 # twice the run's.  The check's peak memory, measured at 20-30 B a cell,
 # stays near 1 GiB here; 1e8 cells fail to allocate under a 2 GiB cap.
 PATCH_BUDGET = 40_000_000
+# Most (FOV, source) points a run may sweep.  A CLI map's peak memory grows
+# by about 750 B a point: 0.1, 0.8 and 1.5 GB at 300^2, 1000^2 and 1414^2.
+GRID_BUDGET = 2_000_000
 
 _CSV_COLUMNS = (
     "h_dc", "eta", "n_b1", "n_b2", "n_n",
     "y1", "q1", "e1", "q_mu", "e_mu",
     "rate_bits_per_pulse", "secure_flag",
 )
-# The columns after eta: counts, key-rate intermediates, rate, then the flag.
-_CSV_TAIL = ",".join(["%.9e"] * (len(_CSV_COLUMNS) - 3) + ["%s"])
 
 # Section layout of the config file.  Parameter keys match the nominal table
 # in experiments; the rest is run plumbing.
@@ -127,9 +129,7 @@ class RunConfig:
     def _spectrum_level(self) -> float:
         curve = load_spectrum_csv(self.lamp_spectrum_file, self.lamp_spectrum_kind)
         wavelength = float(Scenario.named(self.scenario, self.overrides).params()["wavelength_nm"])
-        if self.scenario in AMBIENT_SCENARIOS:
-            return density_at(curve, wavelength)
-        if curve.kind == "irradiance":
+        if curve.kind == "irradiance" and self.scenario not in AMBIENT_SCENARIOS:
             curve = irradiance_to_psd(curve, self.lamp_spectrum_distance_m)
         return density_at(curve, wavelength)
 
@@ -142,6 +142,8 @@ _RUN_KEY_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "overri
 def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
     if steps < 1:
         raise ValueError(f"steps = {steps}: must be >= 1")
+    if steps > GRID_BUDGET:  # before an array of that length exists
+        raise ValueError(f"steps = {steps}: more than the grid budget of {GRID_BUDGET:,} points")
     if scale not in ("linear", "log"):
         raise ValueError(f"scale = {scale!r}: must be 'linear' or 'log'")
     if lo > hi:
@@ -252,12 +254,13 @@ def _resolve(
 ) -> tuple[tuple[Scenario, tuple[float, ...], tuple[float, ...]] | None, list[str]]:
     """Scenario and both sweep axes of a run, or None plus every diagnostic.
 
-    The range rules live in the setup dataclasses.  The whole run is built
-    at both corners of its grid, and a run with a reflected integral holds
-    its room to ``PATCH_BUDGET`` before any array exists; when that fails,
-    each overridden key is built alone on the nominal table so that its
-    diagnostic names it, and a failure no single key explains is reported
-    as it is (a lamp outside a shrunk room, or a room over budget, say).
+    The range rules live in the setup dataclasses.  No axis or grid over
+    ``GRID_BUDGET`` points is built, and the run is built at both corners of
+    its grid; a run with a reflected integral holds its room to ``PATCH_BUDGET``
+    before any array exists.  When that fails, each overridden key is built
+    alone on the nominal table so that its diagnostic names it, and a failure
+    no single key explains is reported as it is (a lamp outside a shrunk room,
+    or a room over budget, say).
     """
     out: list[str] = []
     fov_values = source_values = ()
@@ -265,6 +268,9 @@ def _resolve(
         Scenario.named(config.scenario)
     except ValueError as exc:
         out.append(f"scenario = {config.scenario!r}: {exc}")
+    resolution = config.resolution_patches_per_meter
+    if resolution < 1:
+        out.append(f"resolution_patches_per_meter = {resolution}: must be a positive integer")
     try:
         fov_values = config.fov_values()
     except ValueError as exc:
@@ -281,6 +287,9 @@ def _resolve(
             source_values = config.source_values()
         except (ValueError, OSError) as exc:
             out.append(f"{'lamp_spectrum_file' if spectrum else 'source axis'}: {exc}")
+    if len(fov_values) * len(source_values) > GRID_BUDGET:
+        grid = f"{len(fov_values)} x {len(source_values)}"
+        out.append(f"fov_steps x source_steps = {grid}: more than the grid budget of {GRID_BUDGET:,} points")
 
     whole_run: list[str] = []
     if not out:
@@ -291,7 +300,7 @@ def _resolve(
             for fov, level in ((fov_values[0], source_values[0]), (widest, source_values[-1])):
                 room = build_setup(scenario, fov, level).room
             reflects = config.scenario not in AMBIENT_SCENARIOS and max(source_values) > 0.0
-            _check_patch_budget(room, config.resolution_patches_per_meter, reflects)
+            _check_patch_budget(room, resolution, reflects)
             return (scenario, fov_values, source_values), []
         except ValueError as exc:
             whole_run.append(str(exc))
@@ -305,8 +314,8 @@ def _resolve(
 
 
 def _check_patch_budget(room: RoomScenario, patches_per_meter: int, reflects: bool) -> None:
-    """Reject a resolution below 1 and, in a run that ``reflects``, a room over PATCH_BUDGET."""
-    try:  # the grids reject a resolution below 1
+    """In a run that ``reflects``, reject a room over PATCH_BUDGET."""
+    try:
         cells = sum(g.patch_count() for g in wall_and_floor_grids(room, 2 * patches_per_meter))
     except OverflowError:  # a side with more cells than a float can count
         cells = math.inf
@@ -318,29 +327,32 @@ def _check_patch_budget(room: RoomScenario, patches_per_meter: int, reflects: bo
         )
 
 
-def _csv_lines(grid: SweepGrid) -> list[str]:
-    """The ``sweep.csv`` data rows, FOV-major, formatted one FOV row at a time.
+def _csv_lines(grid: SweepGrid) -> Iterator[str]:
+    """The ``sweep.csv`` data rows, FOV-major: one FOV row's lines at a time.
 
-    The FOV and the gains are the same along a row and the source levels
-    the same in every row, so each of them is formatted once.
+    A value shared along a row (FOV, gains) or by all rows (level, counts
+    with no FOV axis: ``n_b1``, and ``n_b2``, ``n_n`` unless a lamp is lit) is formatted once.
     """
+    report, budget, gains = grid.point.report, grid.point.budget, grid.point.gains
+    counts = (budget.ambient, budget.lamp_bounce, budget.total)
+    shared = next((k for k, c in enumerate(counts) if np.ndim(c) == 2), len(counts))
     levels = ["%.9e" % level for level in grid.source_values]
-    lines: list[str] = []
-    for point in grid.points:
-        r, budget, gains = point.report, point.budget, point.gains
-        head = "%.9e" % point.fov_deg
-        gain_cells = "%.9e,%.9e" % (gains.line_of_sight, gains.transmittance)
-        *columns, secure = np.broadcast_arrays(
-            budget.ambient, budget.lamp_bounce, budget.total,
-            r.y1, r.q1, r.e1, r.q_mu, r.e_mu, r.rate, r.secure,
+    fixed = [",".join(cells) for cells in zip(*(["%.9e" % v for v in c.tolist()] for c in counts[:shared]))]
+    varying = np.broadcast_arrays(
+        *counts[shared:], report.y1, report.q1, report.e1, report.q_mu, report.e_mu, report.rate
+    )
+    tail = ",".join(["%.9e"] * len(varying) + ["%s"])
+    secure = report.secure
+    h_dc, eta = gains.line_of_sight.ravel().tolist(), gains.transmittance.ravel().tolist()
+    for i, fov in enumerate(grid.fov_values_deg):
+        head = "%.9e" % fov
+        gain_cells = "%.9e,%.9e" % (h_dc[i], eta[i])
+        flags = np.where(secure[i], "true", "false").tolist()
+        tails = zip(*(column[i].tolist() for column in varying), flags)
+        yield "".join(
+            f"{head},{level},{gain_cells},{cells}," + tail % values + "\n"
+            for level, cells, values in zip(levels, fixed, tails)
         )
-        flags = np.where(secure, "true", "false").tolist()
-        tails = np.stack(columns, axis=-1).tolist()
-        lines += [
-            f"{head},{level},{gain_cells}," + _CSV_TAIL % (*tail, flag)
-            for level, tail, flag in zip(levels, tails, flags)
-        ]
-    return lines
 
 
 def run(config: RunConfig) -> int:
@@ -362,8 +374,9 @@ def run(config: RunConfig) -> int:
 
     ambient_run = config.scenario in AMBIENT_SCENARIOS
     source_column = "pn_w_per_nm_m2" if ambient_run else "psd_w_per_nm"
-    rows = [",".join(("fov_deg", source_column) + _CSV_COLUMNS)] + _csv_lines(grid)
-    (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
+    with (out_dir / "sweep.csv").open("w", encoding="ascii") as csv:
+        csv.write(",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n")
+        csv.writelines(_csv_lines(grid))
 
     convergence_note, strict_trip = _convergence_check(config, scenario, max(fov_values), max(source_values))
     summary = _summarize(config, scenario, grid, convergence_note)
@@ -400,7 +413,7 @@ def _convergence_check(
 def _summarize(config: RunConfig, scenario: Scenario, grid: SweepGrid, convergence_note: str) -> str:
     ambient_run = config.scenario in AMBIENT_SCENARIOS
     unit = "W/nm/m^2" if ambient_run else "W/nm"
-    secure = np.array([point.report.secure for point in grid.points])  # [fov][source]
+    secure = grid.point.report.secure  # [fov, source]
     lines = [
         f"scenario: {config.scenario}",
         f"grid: {len(grid.fov_values_deg)} FOV values x {len(grid.source_values)} source values",

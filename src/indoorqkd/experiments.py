@@ -19,10 +19,9 @@ concentrator gain but is not allowed to geometrically orphan the one known
 signal direction.  Set ``signal_fov_cutoff=True`` to study the physical
 cutoff instead.
 
-Along one field of view only the background count changes with the source
-level, so ``evaluate_point`` takes a whole array of levels: the geometry,
-the gains and the bounce integral are resolved once, and the noise and
-the key rate are computed over the array.
+``evaluate_point`` takes arrays of FOVs and of source levels: the room is
+built once, and each stage runs once over the (FOV, level) grid, so a whole
+map is one evaluation whose report arrays have shape ``(n_fov, n_src)``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -151,15 +150,16 @@ class Setup:
 # eq=False: fields may be arrays, whose == has no truth value; compare fields.
 @dataclass(frozen=True, slots=True, eq=False)
 class OperatingPoint:
-    """Channel, noise, and key-rate stages at one FOV and one or more source levels.
+    """Channel, noise, and key-rate stages at one or more FOVs and source levels.
 
-    ``gains`` do not depend on the source level and are scalars.  The
-    noise counts (except ``dark``) and the report fields take the shape of
-    ``source_level``: scalars for one level, arrays for an array of levels.
+    ``gains`` are scalars for one FOV, else one per FOV on an axis ahead of
+    the levels' (``(n_fov, 1)``).  The ambient count has the levels' shape,
+    the lamp and total counts gain the FOV axis when a lamp is lit, and the
+    report fields have the grid's shape, ``(n_fov, n_src)`` for two arrays.
     """
 
     scenario: str
-    fov_deg: float
+    fov_deg: float | np.ndarray
     source_level: float | np.ndarray
     gains: ChannelGains
     budget: NoiseBudget
@@ -169,12 +169,13 @@ class OperatingPoint:
 # eq=False: fields may be arrays, whose == has no truth value; compare fields.
 @dataclass(frozen=True, slots=True, eq=False)
 class SweepGrid:
-    """Feasibility map over (field of view) x (source spectral density)."""
+    """Feasibility map over (field of view) x (source spectral density), as
+    one ``OperatingPoint``: the rate at FOV i and level j is ``point.report.rate[i, j]``."""
 
     scenario: str
     fov_values_deg: tuple[float, ...]
     source_values: tuple[float, ...]
-    points: tuple[OperatingPoint, ...]  # one per FOV; its arrays run over source_values
+    point: OperatingPoint
 
 
 def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setup:
@@ -267,41 +268,46 @@ def _cached_reflected_integral(room_key: RoomScenario, patches_per_meter: int) -
     return total_reflected_gain(room_key, patches_per_meter)
 
 
-def _reflected_integral(room: RoomScenario, patches_per_meter: int) -> float:
-    # The integral does not depend on the spectral levels; normalize them out
-    # of the cache key so a PSD sweep reuses one tessellation pass per FOV.
-    key = replace(room, lamp_psd_w_per_nm=0.0, ambient_irradiance_w_nm_m2=0.0)
-    return _cached_reflected_integral(key, patches_per_meter)
-
-
 def evaluate_point(
     scenario: Scenario,
-    fov_deg: float,
-    source_level: float | np.ndarray,
+    fov_deg: float | Sequence[float] | np.ndarray,
+    source_level: float | Sequence[float] | np.ndarray,
     *,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     signal_fov_cutoff: bool = False,
 ) -> OperatingPoint:
-    """Channel gains, noise budget, and key rate at one FOV.
+    """Channel gains, noise budget, and key rate at one or more FOVs and levels.
 
-    ``source_level`` is one level or an array of them; the scenario, the
-    gains and the bounce integral are resolved once for all of them.  The
-    integral is computed when any lamp level is positive, and is 0 otherwise.
+    ``fov_deg`` is one FOV or a 1-D array, each held to the ``RoomScenario``
+    rules, and ``source_level`` one level or an array.  The bounce integral
+    is computed per FOV when a lamp level is positive, else it is 0.  Each
+    element is, bit for bit, a call at its one FOV and level.
     """
     levels = _source_levels(source_level)
-    setup = build_setup(scenario, fov_deg, 0.0)
+    fovs = np.array(fov_deg, dtype=float)
+    if fovs.ndim > 1 or fovs.size == 0:
+        raise ValueError(f"fov_deg must be one value or a non-empty 1-D array, got shape {fovs.shape}")
+    fov_list = fovs.ravel().tolist()
+    # The first FOV builds the room, as a scalar call would; los_gain_for checks the rest.
+    setup = build_setup(scenario, fov_list[0], 0.0)
     room, det = setup.room, setup.detector
     # x + 0.0 == x for every x >= 0: adding zeros spreads a fixed field over the levels
     zeros = levels * 0.0
     lamp_psd, ambient = (
         zeros + value for value in _swept_fields(scenario.name, levels, room.ambient_irradiance_w_nm_m2)
     )
+    # The FOV axis leads, with a unit axis per level axis, so it broadcasts.
+    column = fovs.shape + (1,) * levels.ndim if fovs.ndim else ()
 
-    h_sig = los_gain_for(room, enforce_fov=signal_fov_cutoff)
+    h_sig = los_gain_for(room, enforce_fov=signal_fov_cutoff, fov_deg=fov_list).reshape(column)[()]
     eta = det.efficiency * h_sig
 
     if (lamp_psd > 0.0).any():
-        integral = _reflected_integral(room, patches_per_meter)
+        # The integral does not depend on the spectral levels; out of the
+        # cache key with them, so a PSD sweep makes one pass per FOV.
+        unlit = replace(room, lamp_psd_w_per_nm=0.0, ambient_irradiance_w_nm_m2=0.0)
+        integrals = [_cached_reflected_integral(replace(unlit, fov_deg=f), patches_per_meter) for f in fov_list]
+        integral = np.array(integrals).reshape(column)[()]
     else:
         integral = 0.0
 
@@ -313,7 +319,7 @@ def evaluate_point(
     report = secret_key_rate(setup.protocol, eta, budget.total)
     return OperatingPoint(
         scenario=scenario.name,
-        fov_deg=fov_deg,
+        fov_deg=fovs[()],
         source_level=levels,
         gains=ChannelGains(line_of_sight=h_sig, transmittance=eta, reflected_integral=integral),
         budget=budget,
@@ -329,23 +335,17 @@ def sweep(
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     signal_fov_cutoff: bool = False,
 ) -> SweepGrid:
-    """Evaluate the full (FOV, source level) grid for one scenario, one
-    ``evaluate_point`` call per FOV over the whole source axis."""
+    """The full (FOV, source level) grid of one scenario, as one ``evaluate_point`` call."""
     if not fov_values_deg or not source_values:
         raise ValueError("sweep axes must be non-empty")
-    rows = tuple(
-        evaluate_point(
-            scenario, fov, source_values,
-            patches_per_meter=patches_per_meter,
-            signal_fov_cutoff=signal_fov_cutoff,
-        )
-        for fov in fov_values_deg
+    point = evaluate_point(
+        scenario, fov_values_deg, source_values, patches_per_meter=patches_per_meter, signal_fov_cutoff=signal_fov_cutoff
     )
     return SweepGrid(
         scenario=scenario.name,
         fov_values_deg=tuple(fov_values_deg),
         source_values=tuple(source_values),
-        points=rows,
+        point=point,
     )
 
 
@@ -411,18 +411,22 @@ def ambient_tolerance(
         raise ValueError("ambient_tolerance applies to the ambient-only scenarios")
     reference = 1e-9  # comfortably tolerable; used only to rank FOVs
 
-    def rate(fov: float, level: float) -> float:
+    def rate(fov: float | list[float], level: float) -> float | np.ndarray:
         return evaluate_point(scenario, fov, level, patches_per_meter=patches_per_meter).report.rate
 
+    def best_of(fovs: list[float]) -> tuple[float, float]:  # the first FOV of the top rate, and that rate
+        rates = rate(fovs, reference)
+        k = int(np.argmax(rates))
+        return fovs[k], rates[k]
+
     coarse = [max(fov_floor_deg, float(f)) for f in range(int(fov_floor_deg), int(fov_ceiling_deg) + 1)]
-    best = max(coarse, key=lambda f: rate(f, reference))
+    best, _ = best_of(coarse)
     fine_lo = max(fov_floor_deg, best - 1.0)
     fine_hi = min(fov_ceiling_deg, best + 1.0)
     steps = int(round((fine_hi - fine_lo) / 0.1))
-    fine = [fine_lo + i * 0.1 for i in range(steps + 1)]
-    best = max(fine, key=lambda f: rate(f, reference))
+    best, best_rate = best_of([fine_lo + i * 0.1 for i in range(steps + 1)])
 
-    if rate(best, reference) <= 0.0:
+    if best_rate <= 0.0:
         return 0.0
     lo = math.log10(reference)
     hi = lo
@@ -455,14 +459,13 @@ def path_loss_profile(
     regardless of FOV.  ``overrides`` take any key of ``NOMINAL``, as in
     ``Scenario.named``; an unknown key raises ValueError.
     """
-    losses = []
     scenario = Scenario.named("lamp-center", overrides)
-    for fov in fov_values_deg:
-        room = replace(
-            build_setup(scenario, fov, 0.0).room,
-            transmitter=Pose(position, Point3(0.0, 0.0, 1.0)),
-            tx_semi_angle_deg=tx_semi_angle_deg,
-        )
-        h = los_gain_for(room, enforce_fov=False)
-        losses.append(-10.0 * math.log10(h) if h > 0.0 else math.inf)
-    return tuple(losses)
+    if not fov_values_deg:
+        return ()
+    room = replace(
+        build_setup(scenario, fov_values_deg[0], 0.0).room,
+        transmitter=Pose(position, Point3(0.0, 0.0, 1.0)),
+        tx_semi_angle_deg=tx_semi_angle_deg,
+    )
+    gains = los_gain_for(room, enforce_fov=False, fov_deg=fov_values_deg).tolist()
+    return tuple(-10.0 * math.log10(h) if h > 0.0 else math.inf for h in gains)

@@ -17,6 +17,7 @@ __all__ = [
     "LinkGeometry",
     "SurfaceGrid",
     "RoomScenario",
+    "concentrator_gain",
     "link_geometry",
     "wall_and_floor_grids",
 ]
@@ -174,13 +175,7 @@ class RoomScenario:
             value = getattr(self, name)
             if not 0.0 < value < 90.0:
                 raise ValueError(f"{name} must lie in (0, 90) degrees (Lambert mode is undefined outside), got {value!r}")
-        if not 0.0 < self.fov_deg <= 90.0:
-            raise ValueError(f"fov_deg must lie in (0, 90] degrees, got {self.fov_deg!r}")
-        # The concentrator gain n^2 / sin^2(fov) must be finite: a huge index,
-        # or a cone so narrow that sin^2 underflows, would overflow it.
-        n, s = self.concentrator_index, math.sin(math.radians(self.fov_deg))
-        if not (1.0 <= n and s * s > 0.0 and n * n / (s * s) < math.inf):
-            raise ValueError(f"concentrator_index must be >= 1 with a finite gain n^2 / sin^2(fov) at fov_deg = {self.fov_deg!r}, got {n!r}")
+        concentrator_gain(self.concentrator_index, self.fov_deg)
         if not 0.0 < self.filter_transmission <= 1.0:
             raise ValueError(f"filter_transmission must lie in (0, 1], got {self.filter_transmission!r}")
         for name in ("lamp", "transmitter", "receiver"):
@@ -191,6 +186,18 @@ class RoomScenario:
                 and 0.0 <= pos.z <= self.room_z_m
             ):
                 raise ValueError(f"{name} position {pos} lies outside the room volume")
+
+
+def concentrator_gain(index: float, fov_deg: float) -> float:
+    """Ideal non-imaging concentrator gain n^2 / sin^2(fov), after the receiver's
+    rule: a FOV in (0, 90] degrees, an index >= 1 and a finite gain (a huge
+    index, or a cone so narrow that sin^2 underflows, would overflow it)."""
+    if not 0.0 < fov_deg <= 90.0:
+        raise ValueError(f"fov_deg must lie in (0, 90] degrees, got {fov_deg!r}")
+    s = math.sin(math.radians(fov_deg))
+    if not (1.0 <= index and s * s > 0.0 and index * index / (s * s) < math.inf):
+        raise ValueError(f"concentrator_index must be >= 1 with a finite gain n^2 / sin^2(fov) at fov_deg = {fov_deg!r}, got {index!r}")
+    return index * index / (s * s)
 
 
 def wall_and_floor_grids(room: RoomScenario, patches_per_meter: int) -> tuple[SurfaceGrid, ...]:

@@ -201,8 +201,8 @@ def _where(condition, x, y) -> np.ndarray:
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     # A math-module function per element: numpy's exp and log2 differ from
-    # the C library's in the last bit for some inputs.  A sweep row has one
-    # transmittance, so its exp is a single scalar call.
+    # the C library's in the last bit for some inputs.  A map has one
+    # transmittance per FOV, so its exp is one call per FOV.
     if not isinstance(x, np.ndarray):
         return np.float64(fn(x))
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)

@@ -109,13 +109,13 @@ def lamp_noise_photons(
     lamp_psd_w_per_nm: float | np.ndarray,
     room: RoomScenario,
     detector: DetectorParams,
-    reflected_integral: float,
+    reflected_integral: float | np.ndarray,
 ) -> float | np.ndarray:
     """Detected photons per pulse from single-bounce lamp light.
 
-    ``reflected_integral`` is the summed bounce gain from the channel module;
-    multiplying by the lamp's in-band energy per pulse (in the room's filter
-    band) turns it into counts.
+    ``reflected_integral`` is the summed bounce gain from the channel module,
+    one value or one per field of view; multiplying by the lamp's in-band
+    energy per pulse (in the room's filter band) turns it into counts.
     """
     if not _non_negative(lamp_psd_w_per_nm, reflected_integral):
         raise ValueError("lamp noise inputs must be non-negative")

@@ -22,7 +22,6 @@ from indoorqkd.channel import (
     reflected_gain_convergence,
     total_reflected_gain,
     _cell_gains,
-    _concentrator_gain,
     _lambert_mode,
 )
 from indoorqkd.experiments import Scenario, build_setup
@@ -31,6 +30,7 @@ from indoorqkd.geometry import (
     Point3,
     Pose,
     RoomScenario,
+    concentrator_gain,
 )
 from indoorqkd.montecarlo import floor_cone_closed_form
 
@@ -77,10 +77,10 @@ def incidence_at(monkeypatch, incidence_deg):
 
 class TestConcentratorGain:
     def test_hemispherical_fov(self):
-        assert _concentrator_gain(1.5, math.pi / 2.0) == pytest.approx(2.25)
+        assert concentrator_gain(1.5, 90.0) == pytest.approx(2.25)
 
     def test_narrow_fov(self):
-        g = _concentrator_gain(1.5, math.radians(11.0))
+        g = concentrator_gain(1.5, 11.0)
         assert g == pytest.approx(61.799481052281564, rel=1e-12)
 
     def test_cone_edge_inclusive(self, monkeypatch):
@@ -150,7 +150,7 @@ class TestReflectedPatchGain:
 
     def _cell_gain(self, room, center, normal, area, reflectivity):
         m1 = _lambert_mode(room.lamp_semi_angle_deg)
-        g_in = _concentrator_gain(room.concentrator_index, math.radians(room.fov_deg))
+        g_in = concentrator_gain(room.concentrator_index, room.fov_deg)
         gains = _cell_gains(
             np.array([center.as_tuple()]), np.array([normal.as_tuple()]),
             np.array([area]), np.array([reflectivity]), room, m1, g_in,

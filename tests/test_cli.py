@@ -1,11 +1,17 @@
 """Config parsing, validation diagnostics, CSV output, and exit codes."""
 
 import re
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from indoorqkd.cli import (
+    _RUN_KEY_TYPES,
     _SECTION_KEYS,
+    _SENTINELS,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_STRICT_CONVERGENCE,
@@ -16,6 +22,7 @@ from indoorqkd.cli import (
     run,
     validate,
 )
+from indoorqkd.experiments import NOMINAL
 from indoorqkd.spectra import bundled_spectrum_path
 
 SCI_NOTATION = re.compile(r"^-?\d\.\d{9}e[+-]\d{2,3}$")
@@ -124,6 +131,68 @@ class TestValidationDiagnostics:
         assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
         if code == EXIT_CONFIG_ERROR:
             assert not out_dir.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(NUMERIC_KEYS),
+        kind=st.sampled_from(("zero", "negative", "nan", "inf", "huge", "valid")),
+        scenario=st.sampled_from(("ambient-only-center", "lamp-center")),
+        magnitude=st.floats(0.0, 1.0),
+    )
+    # the smallest huge grid axes and resolution, which must not be built
+    @example(key=("experiments", "fov_steps"), kind="huge", scenario="ambient-only-center", magnitude=0.0)
+    @example(key=("experiments", "source_steps"), kind="huge", scenario="lamp-center", magnitude=0.0)
+    @example(key=("cli", "resolution_patches_per_meter"), kind="huge", scenario="lamp-center", magnitude=0.0)
+    def test_every_numeric_key_ends_in_result_or_diagnostic_within_memory(self, key, kind, scenario, magnitude):
+        # a value of each kind, on a 2 x 2 grid at 2/m: exit 0 or 2, and a
+        # huge one is refused (or runs) without allocating anything large
+        section, name = key
+        integer = _RUN_KEY_TYPES.get(name) == "int"
+        default = NOMINAL[name] if name in NOMINAL else getattr(RunConfig(), name)
+        raw = {
+            "zero": "0",
+            "negative": str(-1 - round(600 * magnitude)) if integer else repr(-(10.0 ** (600.0 * magnitude - 300.0))),
+            "nan": "nan",
+            "inf": "inf" if magnitude < 0.5 else "-inf",
+            "huge": str(10 ** round(7 + 23 * magnitude)) if integer else repr(10.0 ** (6.0 + 302.0 * magnitude)),
+            "valid": _SENTINELS[name] if default is None else str(default),
+        }[kind]
+        entries = {
+            "experiments": {"scenario": scenario, "fov_steps": "2", "source_steps": "2"},
+            "cli": {"resolution_patches_per_meter": "2"},
+        }
+        entries.setdefault(section, {})[name] = raw
+        body = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in e.items()) for s, e in entries.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(body)
+            tracemalloc.start()
+            try:
+                code = main([str(path), "--out", str(Path(tmp) / "out")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
+            assert code == EXIT_OK or not (Path(tmp) / "out").exists()
+        assert peak < 32 * 2**20, (key, raw, peak)
+
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    @pytest.mark.parametrize("scenario", ["ambient-only-center", "lamp-center"])
+    def test_bad_resolution_names_its_key(self, tmp_path, capsys, scenario, resolution):
+        body = (
+            f"[experiments]\nscenario = {scenario}\nfov_steps = 2\nsource_steps = 2\n"
+            f"[cli]\nresolution_patches_per_meter = {resolution}\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main([str(write_config(tmp_path, body)), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert f"resolution_patches_per_meter = {resolution}: must be a positive integer" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_grid_over_budget_refused_before_it_is_built(self):
+        messages = validate(RunConfig(fov_steps=10**12))
+        assert any(m.startswith("fov axis: steps = 1000000000000") and "grid budget" in m for m in messages)
+        messages = validate(RunConfig(fov_steps=2000, source_steps=2000))
+        assert any(m.startswith("fov_steps x source_steps = 2000 x 2000") and "grid budget" in m for m in messages)
 
     @pytest.mark.parametrize("key", ["room_x_m", "room_y_m", "room_z_m"])
     def test_room_over_patch_budget_named_before_any_array(self, key):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from indoorqkd.experiments import (
     AMBIENT_SCENARIOS,
@@ -115,7 +116,8 @@ class TestEvaluatePoint:
         a = evaluate_point(Scenario.named("lamp-center"), 13.0, 2e-6)
         b = evaluate_point(Scenario.named("lamp-center"), 13.0, 2e-6)
         assert a.report.rate == b.report.rate
-        assert a.gains == b.gains
+        for field in GAIN_FIELDS:
+            assert bits(getattr(a.gains, field)) == bits(getattr(b.gains, field)), field
 
     def test_negative_source_rejected(self):
         with pytest.raises(ValueError):
@@ -176,12 +178,80 @@ class TestEvaluatePoint:
         assert point.report.rate == 0.0
 
 
+GAIN_FIELDS = ("line_of_sight", "transmittance", "reflected_integral")
+BUDGET_FIELDS = ("ambient", "lamp_bounce", "dark", "total")
+REPORT_FIELDS = ("y1", "q1", "e1", "q_mu", "e_mu", "rate", "unclamped_rate", "degenerate")
+
+
+class TestFovArray:
+    """A FOV array, alone or in a sweep, is one scalar evaluation per (FOV, level)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(SCENARIOS),
+        cutoff=st.booleans(),
+        fovs=st.lists(st.floats(0.25, 90.0), min_size=1, max_size=4),
+        exponents=st.lists(st.floats(-10.0, -3.0), min_size=0, max_size=3),
+    )
+    # the LOS cap of 1 fires at 0.25 deg over lamp-center
+    @example(name="lamp-center", cutoff=False, fovs=[0.25, 0.5, 12.0], exponents=[-6.0])
+    @example(name="lamp-center", cutoff=True, fovs=[0.25, 30.0], exponents=[-5.0])
+    # the corner link arrives 43 deg off axis, so the cutoff zeroes the narrower cones
+    @example(name="lamp-corner", cutoff=True, fovs=[5.0, 42.0, 44.0, 90.0], exponents=[-7.0, -5.0])
+    @example(name="ambient-only-corner", cutoff=True, fovs=[11.0, 60.0], exponents=[-9.0])
+    def test_grid_equals_scalar_points_bit_for_bit(self, name, cutoff, fovs, exponents):
+        scenario = Scenario.named(name)
+        levels = [0.0] + [10.0**e for e in exponents]
+        options = dict(patches_per_meter=3, signal_fov_cutoff=cutoff)
+        grids = (
+            evaluate_point(scenario, np.array(fovs), np.array(levels), **options),
+            sweep(scenario, tuple(fovs), tuple(levels), **options).point,
+        )
+        shape = (len(fovs), len(levels))
+        for grid in grids:
+            assert grid.report.rate.shape == shape
+        for i, fov in enumerate(fovs):
+            for j, level in enumerate(levels):
+                point = evaluate_point(scenario, fov, level, **options)
+                # a scalar call at level 0 leaves the integral at 0; its lamp count is 0 either way
+                gain_fields = GAIN_FIELDS if level > 0.0 or name in AMBIENT_SCENARIOS else GAIN_FIELDS[:2]
+                for grid in grids:
+                    for part, fields in (("gains", gain_fields), ("budget", BUDGET_FIELDS), ("report", REPORT_FIELDS)):
+                        for field in fields:
+                            value = np.broadcast_to(getattr(getattr(grid, part), field), shape)[i, j]
+                            assert bits(value) == bits(getattr(getattr(point, part), field)), (part, field, fov, level)
+
+    def test_cap_and_cutoff_fire(self):
+        capped = evaluate_point(Scenario.named("lamp-center"), np.array([0.25, 12.0]), 1e-6)
+        assert capped.gains.line_of_sight[0] == 1.0 > capped.gains.line_of_sight[1]
+        cut = evaluate_point(Scenario.named("lamp-corner"), np.array([42.0, 44.0]), 1e-6, signal_fov_cutoff=True)
+        assert cut.gains.line_of_sight[0] == 0.0 < cut.gains.line_of_sight[1]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 90.0001, 1e-300])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_bad_fov_anywhere_raises_the_room_rule(self, bad, at):
+        scenario = Scenario.named("lamp-center")
+        with pytest.raises(ValueError) as expected:
+            build_setup(scenario, bad, 0.0)
+        fovs = [10.0, 20.0]
+        fovs.insert(at, bad)
+        calls = (
+            lambda: evaluate_point(scenario, np.array(fovs), np.array([1e-6, 1e-5])),
+            lambda: sweep(scenario, tuple(fovs), (1e-6, 1e-5)),
+            lambda: path_loss_profile(Point3(0.0, 0.0, 0.0), 30.0, tuple(fovs)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(expected.value)
+
+
 class TestArrayValuedResults:
     def test_equality_and_hash_do_not_raise(self):
         a = sweep(Scenario.named("lamp-center"), (8.0,), (1e-6, 1e-5))
         b = sweep(Scenario.named("lamp-center"), (8.0,), (1e-6, 1e-5))
-        pairs = [(a, b), (a.points[0], b.points[0])]
-        pairs += [(getattr(a.points[0], name), getattr(b.points[0], name)) for name in ("report", "budget")]
+        pairs = [(a, b), (a.point, b.point)]
+        pairs += [(getattr(a.point, name), getattr(b.point, name)) for name in ("gains", "report", "budget")]
         for x, y in pairs:
             assert x == x
             assert x != y  # distinct objects; compare their fields for values
@@ -192,18 +262,18 @@ class TestArrayValuedResults:
 class TestSweep:
     def test_grid_shape_matches_axes(self):
         grid = sweep(Scenario.named("lamp-center"), (5.0, 10.0, 15.0), (1e-6, 1e-5))
-        assert len(grid.points) == 3
-        assert all(row.report.rate.shape == (2,) for row in grid.points)
+        assert grid.point.report.rate.shape == (3, 2)
+        assert grid.point.gains.line_of_sight.shape == (3, 1)
 
     def test_single_cell_grid_equals_point_evaluation(self):
         grid = sweep(Scenario.named("lamp-center"), (9.0,), (1e-5,))
         point = evaluate_point(Scenario.named("lamp-center"), 9.0, 1e-5)
-        assert grid.points[0].report.rate[0] == point.report.rate
+        assert grid.point.report.rate[0, 0] == point.report.rate
 
     def test_rate_non_increasing_along_source_axis(self):
         levels = (1e-7, 1e-6, 1e-5, 1e-4)
         grid = sweep(Scenario.named("lamp-center"), (8.0,), levels)
-        rates = grid.points[0].report.rate.tolist()
+        rates = grid.point.report.rate[0].tolist()
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
     def test_empty_axis_rejected(self):
@@ -219,10 +289,11 @@ class TestPinnedSweep:
             Scenario.named(name), tuple(pinned["fov_deg"]), tuple(pinned["source_level"]),
             patches_per_meter=10,
         )
+        shape = grid.point.report.rate.shape
         got = {
-            "rate": [row.report.rate for row in grid.points],
-            "noise_total": [row.budget.total for row in grid.points],
-            "e_mu": [row.report.e_mu for row in grid.points],
+            "rate": grid.point.report.rate,
+            "noise_total": np.broadcast_to(grid.point.budget.total, shape),  # ambient runs: (n_src,)
+            "e_mu": grid.point.report.e_mu,
         }
         for key, values in got.items():
             np.testing.assert_allclose(values, pinned[key], rtol=1e-12, atol=0.0, err_msg=key)
