@@ -78,12 +78,17 @@ class ChannelGains:
     reflected_integral: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.all((self.line_of_sight >= 0.0) & (self.line_of_sight <= 1.0)):
+        if not _within(self.line_of_sight, 0.0, 1.0):
             raise ValueError("line_of_sight gain must lie in [0, 1]")
-        if not np.all((self.transmittance >= 0.0) & (self.transmittance <= 1.0)):
+        if not _within(self.transmittance, 0.0, 1.0):
             raise ValueError("transmittance must lie in [0, 1]")
-        if not np.all(self.reflected_integral >= 0.0):
+        if not _within(self.reflected_integral, 0.0, math.inf):
             raise ValueError("reflected_integral must be non-negative")
+
+
+def _within(value: float | np.ndarray, lo: float, hi: float) -> bool:
+    """lo <= value <= hi, for a number or for every element of an array (nan fails)."""
+    return bool(((value >= lo) & (value <= hi)).all()) if isinstance(value, np.ndarray) else lo <= value <= hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,30 +119,24 @@ def los_gain_for(
     n^2 / sin^2(fov); see the experiments module.
 
     ``fov_deg`` puts one FOV or an array, each held to ``concentrator_gain``'s
-    rule, in place of the room's; the gain takes its shape, bit for bit.
+    rule, in place of the room's; the gain takes its shape, and each element
+    is the one-FOV gain, bit for bit.
     """
-    fovs = np.array(room.fov_deg if fov_deg is None else fov_deg, dtype=float)
-    g = np.array([concentrator_gain(room.concentrator_index, f) for f in fovs.ravel().tolist()]).reshape(fovs.shape)
+    fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg, dtype=float)
+    fov_list = fovs.ravel().tolist()
+    g = [concentrator_gain(room.concentrator_index, f) for f in fov_list]
     geom = link_geometry(room.transmitter, room.receiver)
     m = _lambert_mode(room.tx_semi_angle_deg)
     cos_phi = math.cos(geom.irradiance_angle)
     cos_psi = math.cos(geom.incidence_angle)
-    if cos_phi <= 0.0 or cos_psi <= 0.0:
-        return np.zeros(fovs.shape)[()]  # behind the emitter or the receiver plane
-    prefix = (
-        room.detector_area_m2
-        * (m + 1.0)
-        / (2.0 * math.pi * geom.distance**2)
-        * cos_phi**m
-        * room.filter_transmission
-    )
-    # An ideal concentrator formula can exceed unity at tiny acceptance
-    # angles; a gain is still a transmittance, so cap it.
-    gain = np.minimum(prefix * g * cos_psi, 1.0)
-    if enforce_fov:  # outside the cone the concentrator passes nothing
-        outside = [geom.incidence_angle > math.radians(f) for f in fovs.ravel().tolist()]
-        gain = np.where(np.reshape(outside, fovs.shape), 0.0, gain)
-    return gain[()]
+    if cos_phi <= 0.0 or cos_psi <= 0.0:  # behind the emitter or the receiver plane
+        return 0.0 if fovs.ndim == 0 else np.zeros(fovs.shape)
+    prefix = room.detector_area_m2 * (m + 1.0) / (2.0 * math.pi * geom.distance**2) * cos_phi**m * room.filter_transmission
+    # Outside the cone the concentrator passes nothing.  An ideal concentrator formula can
+    # exceed unity at tiny acceptance angles; a gain is still a transmittance, so cap it.
+    cut = [enforce_fov and geom.incidence_angle > math.radians(f) for f in fov_list]
+    gains = [0.0 if out else min(prefix * g_f * cos_psi, 1.0) for out, g_f in zip(cut, g)]
+    return gains[0] if fovs.ndim == 0 else np.reshape(gains, fovs.shape)
 
 
 def _cell_gains(

@@ -44,9 +44,10 @@ EXIT_STRICT_CONVERGENCE = 3
 # twice the run's.  The check's peak memory, measured at 20-30 B a cell,
 # stays near 1 GiB here; 1e8 cells fail to allocate under a 2 GiB cap.
 PATCH_BUDGET = 40_000_000
-# Most (FOV, source) points a run may sweep.  A CLI map's peak memory grows
-# by about 750 B a point: 0.1, 0.8 and 1.5 GB at 300^2, 1000^2 and 1414^2.
-GRID_BUDGET = 2_000_000
+# Most (FOV, source) points a run may sweep, and so the longest axis.  Peak
+# memory grows by 200 B a point on a square map and 330 B on one row; under a
+# 1 GiB address-space cap 2.5e6 points run (0.5, 0.8 GB) and 3e6 on a row fail.
+GRID_BUDGET = 2_500_000
 
 _CSV_COLUMNS = (
     "h_dc", "eta", "n_b1", "n_b2", "n_n",
@@ -255,12 +256,11 @@ def _resolve(
     """Scenario and both sweep axes of a run, or None plus every diagnostic.
 
     The range rules live in the setup dataclasses.  No axis or grid over
-    ``GRID_BUDGET`` points is built, and the run is built at both corners of
-    its grid; a run with a reflected integral holds its room to ``PATCH_BUDGET``
-    before any array exists.  When that fails, each overridden key is built
-    alone on the nominal table so that its diagnostic names it, and a failure
-    no single key explains is reported as it is (a lamp outside a shrunk room,
-    or a room over budget, say).
+    ``GRID_BUDGET`` points is built; the run is built at both corners of its
+    grid, and one with a reflected integral holds its room to ``PATCH_BUDGET``.
+    When that fails, each overridden key is built alone on the nominal table
+    so that its diagnostic names it; a failure no single key explains is
+    reported as it is (a lamp outside a shrunk room, a room over budget).
     """
     out: list[str] = []
     fov_values = source_values = ()
@@ -327,32 +327,29 @@ def _check_patch_budget(room: RoomScenario, patches_per_meter: int, reflects: bo
         )
 
 
-def _csv_lines(grid: SweepGrid) -> Iterator[str]:
-    """The ``sweep.csv`` data rows, FOV-major: one FOV row's lines at a time.
+def _csv_lines(grid: SweepGrid, block: int = 4096) -> Iterator[str]:
+    """The ``sweep.csv`` data rows, FOV-major, at most ``block`` lines at a time.
 
-    A value shared along a row (FOV, gains) or by all rows (level, counts
-    with no FOV axis: ``n_b1``, and ``n_b2``, ``n_n`` unless a lamp is lit) is formatted once.
+    The FOV and gains are formatted once per row; the levels, and the columns
+    that repeat in every FOV row (``n_b1``, say), once per map.
     """
-    report, budget, gains = grid.point.report, grid.point.budget, grid.point.gains
-    counts = (budget.ambient, budget.lamp_bounce, budget.total)
-    shared = next((k for k, c in enumerate(counts) if np.ndim(c) == 2), len(counts))
+    r, b, gains = grid.point.report, grid.point.budget, grid.point.gains
+    columns = np.broadcast_arrays(b.ambient, b.lamp_bounce, b.total, r.y1, r.q1, r.e1, r.q_mu, r.e_mu, r.rate)
     levels = ["%.9e" % level for level in grid.source_values]
-    fixed = [",".join(cells) for cells in zip(*(["%.9e" % v for v in c.tolist()] for c in counts[:shared]))]
-    varying = np.broadcast_arrays(
-        *counts[shared:], report.y1, report.q1, report.e1, report.q_mu, report.e_mu, report.rate
-    )
-    tail = ",".join(["%.9e"] * len(varying) + ["%s"])
-    secure = report.secure
+    # Same bits in every row, same text in every row.
+    repeats = [len(c) > 1 and (c.view(np.uint64) == c[:1].view(np.uint64)).all() for c in columns]
+    fixed = [["%.9e" % v for v in c[0].tolist()] if same else None for c, same in zip(columns, repeats)]
+    tail = ",".join("%.9e" if f is None else "%s" for f in fixed) + ",%s\n"
+    secure = r.secure
     h_dc, eta = gains.line_of_sight.ravel().tolist(), gains.transmittance.ravel().tolist()
     for i, fov in enumerate(grid.fov_values_deg):
         head = "%.9e" % fov
         gain_cells = "%.9e,%.9e" % (h_dc[i], eta[i])
-        flags = np.where(secure[i], "true", "false").tolist()
-        tails = zip(*(column[i].tolist() for column in varying), flags)
-        yield "".join(
-            f"{head},{level},{gain_cells},{cells}," + tail % values + "\n"
-            for level, cells, values in zip(levels, fixed, tails)
-        )
+        for lo in range(0, len(levels), block):
+            part = slice(lo, lo + block)
+            flags = np.where(secure[i, part], "true", "false").tolist()
+            cells = zip(*(c[i, part].tolist() if f is None else f[part] for f, c in zip(fixed, columns)), flags)
+            yield "".join(f"{head},{level},{gain_cells}," + tail % values for level, values in zip(levels[part], cells))
 
 
 def run(config: RunConfig) -> int:

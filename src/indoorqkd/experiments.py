@@ -19,9 +19,11 @@ concentrator gain but is not allowed to geometrically orphan the one known
 signal direction.  Set ``signal_fov_cutoff=True`` to study the physical
 cutoff instead.
 
-``evaluate_point`` takes arrays of FOVs and of source levels: the room is
-built once, and each stage runs once over the (FOV, level) grid, so a whole
-map is one evaluation whose report arrays have shape ``(n_fov, n_src)``.
+``evaluate_point`` takes arrays of FOVs and of source levels, which broadcast
+against each other: the room is built once, the gains and the bounce
+integral are computed once per FOV, and the noise and the key rate once over
+the (FOV, level) grid.  A whole map is one evaluation whose count and report
+arrays have shape ``(n_fov, n_src)``.
 """
 
 from __future__ import annotations
@@ -152,10 +154,9 @@ class Setup:
 class OperatingPoint:
     """Channel, noise, and key-rate stages at one or more FOVs and source levels.
 
-    ``gains`` are scalars for one FOV, else one per FOV on an axis ahead of
-    the levels' (``(n_fov, 1)``).  The ambient count has the levels' shape,
-    the lamp and total counts gain the FOV axis when a lamp is lit, and the
-    report fields have the grid's shape, ``(n_fov, n_src)`` for two arrays.
+    ``gains`` have the shape of ``fov_deg`` (``(n_fov, 1)`` in a sweep), the
+    ambient count that of the levels, and the lamp and total counts (with a
+    lamp lit) and the report that of the grid, ``(n_fov, n_src)`` in a sweep.
     """
 
     scenario: str
@@ -278,36 +279,35 @@ def evaluate_point(
 ) -> OperatingPoint:
     """Channel gains, noise budget, and key rate at one or more FOVs and levels.
 
-    ``fov_deg`` is one FOV or a 1-D array, each held to the ``RoomScenario``
-    rules, and ``source_level`` one level or an array.  The bounce integral
-    is computed per FOV when a lamp level is positive, else it is 0.  Each
-    element is, bit for bit, a call at its one FOV and level.
+    ``fov_deg`` and ``source_level`` broadcast against each other as numpy
+    arrays do: a ``(n_fov, 1)`` FOV column against ``n_src`` levels is an
+    ``(n_fov, n_src)`` map.  Each FOV, held to the ``RoomScenario`` rules, gets
+    one LOS gain and, when a lamp level is positive, one bounce integral
+    (else 0).  Each element is, bit for bit, the call at its FOV and level.
     """
     levels = _source_levels(source_level)
-    fovs = np.array(fov_deg, dtype=float)
-    if fovs.ndim > 1 or fovs.size == 0:
-        raise ValueError(f"fov_deg must be one value or a non-empty 1-D array, got shape {fovs.shape}")
+    fovs = np.asarray(fov_deg, dtype=float)
+    if fovs.size == 0:
+        raise ValueError("fov_deg must hold at least one value")
+    if fovs.ndim and levels.ndim:
+        np.broadcast_shapes(fovs.shape, levels.shape)  # a ValueError before any work
     fov_list = fovs.ravel().tolist()
     # The first FOV builds the room, as a scalar call would; los_gain_for checks the rest.
     setup = build_setup(scenario, fov_list[0], 0.0)
     room, det = setup.room, setup.detector
     # x + 0.0 == x for every x >= 0: adding zeros spreads a fixed field over the levels
     zeros = levels * 0.0
-    lamp_psd, ambient = (
-        zeros + value for value in _swept_fields(scenario.name, levels, room.ambient_irradiance_w_nm_m2)
-    )
-    # The FOV axis leads, with a unit axis per level axis, so it broadcasts.
-    column = fovs.shape + (1,) * levels.ndim if fovs.ndim else ()
+    lamp_psd, ambient = (zeros + v for v in _swept_fields(scenario.name, levels, room.ambient_irradiance_w_nm_m2))
 
-    h_sig = los_gain_for(room, enforce_fov=signal_fov_cutoff, fov_deg=fov_list).reshape(column)[()]
+    h_sig = los_gain_for(room, enforce_fov=signal_fov_cutoff, fov_deg=fovs)
     eta = det.efficiency * h_sig
 
     if (lamp_psd > 0.0).any():
         # The integral does not depend on the spectral levels; out of the
         # cache key with them, so a PSD sweep makes one pass per FOV.
-        unlit = replace(room, lamp_psd_w_per_nm=0.0, ambient_irradiance_w_nm_m2=0.0)
-        integrals = [_cached_reflected_integral(replace(unlit, fov_deg=f), patches_per_meter) for f in fov_list]
-        integral = np.array(integrals).reshape(column)[()]
+        unlit = dict(lamp_psd_w_per_nm=0.0, ambient_irradiance_w_nm_m2=0.0)
+        integrals = [_cached_reflected_integral(replace(room, fov_deg=f, **unlit), patches_per_meter) for f in fov_list]
+        integral = integrals[0] if fovs.ndim == 0 else np.reshape(integrals, fovs.shape)
     else:
         integral = 0.0
 
@@ -335,12 +335,16 @@ def sweep(
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     signal_fov_cutoff: bool = False,
 ) -> SweepGrid:
-    """The full (FOV, source level) grid of one scenario, as one ``evaluate_point`` call."""
+    """The full (FOV, source level) grid of one scenario, as one ``evaluate_point`` call.
+
+    The levels go in as the whole ``(n_fov, n_src)`` grid, one element per
+    map cell, so every noise and report field of the map has its shape.
+    """
     if not fov_values_deg or not source_values:
         raise ValueError("sweep axes must be non-empty")
-    point = evaluate_point(
-        scenario, fov_values_deg, source_values, patches_per_meter=patches_per_meter, signal_fov_cutoff=signal_fov_cutoff
-    )
+    levels = np.broadcast_to(_source_levels(source_values), (len(fov_values_deg), len(source_values)))
+    options = dict(patches_per_meter=patches_per_meter, signal_fov_cutoff=signal_fov_cutoff)
+    point = evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, **options)
     return SweepGrid(
         scenario=scenario.name,
         fov_values_deg=tuple(fov_values_deg),

@@ -194,6 +194,9 @@ class TestValidationDiagnostics:
         messages = validate(RunConfig(fov_steps=2000, source_steps=2000))
         assert any(m.startswith("fov_steps x source_steps = 2000 x 2000") and "grid budget" in m for m in messages)
 
+    def test_grid_budget_admits_a_1500_square_map(self):
+        assert validate(RunConfig(fov_steps=1500, source_steps=1500)) == []
+
     @pytest.mark.parametrize("key", ["room_x_m", "room_y_m", "room_z_m"])
     def test_room_over_patch_budget_named_before_any_array(self, key):
         # 1e5 m at 10/m is some 1e8 cells at the 20/m convergence check

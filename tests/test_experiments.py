@@ -204,7 +204,7 @@ class TestFovArray:
         levels = [0.0] + [10.0**e for e in exponents]
         options = dict(patches_per_meter=3, signal_fov_cutoff=cutoff)
         grids = (
-            evaluate_point(scenario, np.array(fovs), np.array(levels), **options),
+            evaluate_point(scenario, np.array(fovs)[:, None], np.array(levels), **options),
             sweep(scenario, tuple(fovs), tuple(levels), **options).point,
         )
         shape = (len(fovs), len(levels))
@@ -221,6 +221,24 @@ class TestFovArray:
                             value = np.broadcast_to(getattr(getattr(grid, part), field), shape)[i, j]
                             assert bits(value) == bits(getattr(getattr(point, part), field)), (part, field, fov, level)
 
+    def test_fovs_and_levels_broadcast(self):
+        scenario = Scenario.named("lamp-center")
+        pairs = evaluate_point(scenario, np.array([8.0, 12.0]), np.array([1e-6, 1e-5]))
+        assert pairs.report.rate.shape == (2,)
+        for k, (fov, level) in enumerate(((8.0, 1e-6), (12.0, 1e-5))):
+            assert bits(pairs.report.rate[k]) == bits(evaluate_point(scenario, fov, level).report.rate)
+        with pytest.raises(ValueError, match="broadcast"):
+            evaluate_point(scenario, np.array([8.0, 12.0, 16.0]), np.array([1e-6, 1e-5]))
+
+    def test_sweep_fields_have_the_map_shape(self):
+        for name in ("ambient-only-center", "lamp-corner"):
+            point = sweep(Scenario.named(name), (5.0, 10.0, 15.0), (0.0, 1e-6)).point
+            assert point.gains.line_of_sight.shape == (3, 1)
+            for field in ("ambient", "lamp_bounce", "total"):
+                assert getattr(point.budget, field).shape == (3, 2), (name, field)
+            for field in REPORT_FIELDS:
+                assert getattr(point.report, field).shape == (3, 2), (name, field)
+
     def test_cap_and_cutoff_fire(self):
         capped = evaluate_point(Scenario.named("lamp-center"), np.array([0.25, 12.0]), 1e-6)
         assert capped.gains.line_of_sight[0] == 1.0 > capped.gains.line_of_sight[1]
@@ -236,7 +254,7 @@ class TestFovArray:
         fovs = [10.0, 20.0]
         fovs.insert(at, bad)
         calls = (
-            lambda: evaluate_point(scenario, np.array(fovs), np.array([1e-6, 1e-5])),
+            lambda: evaluate_point(scenario, np.array(fovs)[:, None], np.array([1e-6, 1e-5])),
             lambda: sweep(scenario, tuple(fovs), (1e-6, 1e-5)),
             lambda: path_loss_profile(Point3(0.0, 0.0, 0.0), 30.0, tuple(fovs)),
         )
