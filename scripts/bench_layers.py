@@ -13,14 +13,13 @@ its op times.  The layers:
 * one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
   lamp-center at 10 patches/m;
 * one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches/m;
-* one scalar secret_key_rate call, and a batch of 90 key-rate evaluations
-  (eta 1e-3, noise 1e-9-1e-2): one call over a noise array on trees whose
-  key rate takes arrays, 90 scalar calls on older trees;
+* one scalar secret_key_rate call, and one call over a batch of 90 noise
+  counts (eta 1e-3, noise 1e-9-1e-2);
 * one evaluate_point, lamp-center at FOV 20 deg and 1e-5 W/nm, with the
   bounce integral already cached;
 * one cold 90 x 90 sweep (FOV 2-30 deg x ambient 1e-9-1e-5 W/nm/m^2) of
   ambient-only-center;
-* one cold ambient_tolerance of ambient-only-center over FOV 2-30 deg;
+* one cold ambient_tolerance of ambient-only-center at a FOV floor of 2 deg;
 * estimate_reflected_gain with 1e6 and 1e7 rays (seed 7), lamp-center at
   FOV 20 deg;
 * a CLI run with the default config, a CLI run of the 90 x 90
@@ -126,13 +125,10 @@ def outputs_digest(command: list[str], src: Path) -> str:
 
 
 def secure_count(grid) -> int:
-    # One OperatingPoint over the whole (FOV, level) grid; older trees hold
-    # one per FOV (its flags an array over the source axis) or a tuple of
-    # one-level points per FOV.
-    if hasattr(grid, "point"):
-        return int(np.count_nonzero(grid.point.report.secure))
-    rows = [row if isinstance(row, tuple) else (row,) for row in grid.points]
-    return sum(int(np.count_nonzero(p.report.secure)) for row in rows for p in row)
+    # sweep returns one OperatingPoint over the whole (FOV, level) grid;
+    # older trees wrapped that point in a SweepGrid, as ``.point``.
+    point = getattr(grid, "point", grid)
+    return int(np.count_nonzero(point.report.secure))
 
 
 def line_count(package: Path) -> int:
@@ -167,16 +163,9 @@ def main() -> int:
     ambient_fovs = tuple(np.linspace(2.0, 30.0, 90).tolist())
     ambient_levels = tuple(np.logspace(-9.0, -5.0, 90).tolist())
     noises = np.logspace(-9.0, -2.0, 90)
-    try:
-        secret_key_rate(setup.protocol, 1e-3, noises)
-        array_key_rate = True
-    except ValueError:  # a key rate that takes scalars only
-        array_key_rate = False
 
     def batch_rates() -> float:
-        if array_key_rate:
-            return sum(secret_key_rate(setup.protocol, 1e-3, noises).rate.tolist())
-        return sum(secret_key_rate(setup.protocol, 1e-3, n).rate for n in noises.tolist())
+        return sum(secret_key_rate(setup.protocol, 1e-3, noises).rate.tolist())
 
     layers = {}
     for res in RESOLUTIONS:
@@ -198,7 +187,7 @@ def main() -> int:
         lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold
     )
     layers["ambient_tolerance_cold"] = timed(
-        lambda: ambient_tolerance(ambient, fov_floor_deg=2.0, fov_ceiling_deg=30.0), cold
+        lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold
     )
     for label, rays in (("1e6", 1_000_000), ("1e7", 10_000_000)):
         layers[f"estimate_reflected_gain_{label}_rays"] = timed(

@@ -23,7 +23,6 @@ from .experiments import (
     OperatingPoint,
     Scenario,
     Setup,
-    SweepGrid,
     ambient_tolerance,
     build_setup,
     evaluate_point,
@@ -90,7 +89,7 @@ __all__ = [
     "ProtocolParams", "KeyRateReport", "binary_entropy", "secret_key_rate",
     # experiments
     "SCENARIOS", "AMBIENT_SCENARIOS", "LAMP_SCENARIOS", "NOMINAL",
-    "Scenario", "Setup", "OperatingPoint", "SweepGrid",
+    "Scenario", "Setup", "OperatingPoint",
     "build_setup", "evaluate_point", "sweep",
     "secure_fov_boundary", "ambient_tolerance", "path_loss_profile",
 ]

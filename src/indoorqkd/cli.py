@@ -24,8 +24,8 @@ from .experiments import (
     AMBIENT_SCENARIOS,
     NOMINAL,
     SCENARIOS,
+    OperatingPoint,
     Scenario,
-    SweepGrid,
     ambient_tolerance,
     build_setup,
     secure_fov_boundary,
@@ -295,7 +295,7 @@ def _resolve(
     if not out:
         try:
             scenario = Scenario.named(config.scenario, config.overrides)
-            # The boundary search and the tolerance scan go up to fov_max_deg.
+            # The boundary search goes up to fov_max_deg.
             widest = max(fov_values[-1], config.fov_max_deg)
             for fov, level in ((fov_values[0], source_values[0]), (widest, source_values[-1])):
                 room = build_setup(scenario, fov, level).room
@@ -327,22 +327,25 @@ def _check_patch_budget(room: RoomScenario, patches_per_meter: int, reflects: bo
         )
 
 
-def _csv_lines(grid: SweepGrid, block: int = 4096) -> Iterator[str]:
-    """The ``sweep.csv`` data rows, FOV-major, at most ``block`` lines at a time.
+def _csv_lines(
+    grid: OperatingPoint, fov_values: tuple[float, ...], source_values: tuple[float, ...], block: int = 4096
+) -> Iterator[str]:
+    """The ``sweep.csv`` data rows of a ``sweep`` map over these axes, FOV-major,
+    at most ``block`` lines at a time.
 
     The FOV and gains are formatted once per row; the levels, and the columns
     that repeat in every FOV row (``n_b1``, say), once per map.
     """
-    r, b, gains = grid.point.report, grid.point.budget, grid.point.gains
+    r, b, gains = grid.report, grid.budget, grid.gains
     columns = np.broadcast_arrays(b.ambient, b.lamp_bounce, b.total, r.y1, r.q1, r.e1, r.q_mu, r.e_mu, r.rate)
-    levels = ["%.9e" % level for level in grid.source_values]
+    levels = ["%.9e" % level for level in source_values]
     # Same bits in every row, same text in every row.
     repeats = [len(c) > 1 and (c.view(np.uint64) == c[:1].view(np.uint64)).all() for c in columns]
     fixed = [["%.9e" % v for v in c[0].tolist()] if same else None for c, same in zip(columns, repeats)]
     tail = ",".join("%.9e" if f is None else "%s" for f in fixed) + ",%s\n"
     secure = r.secure
     h_dc, eta = gains.line_of_sight.ravel().tolist(), gains.transmittance.ravel().tolist()
-    for i, fov in enumerate(grid.fov_values_deg):
+    for i, fov in enumerate(fov_values):
         head = "%.9e" % fov
         gain_cells = "%.9e,%.9e" % (h_dc[i], eta[i])
         for lo in range(0, len(levels), block):
@@ -373,10 +376,10 @@ def run(config: RunConfig) -> int:
     source_column = "pn_w_per_nm_m2" if ambient_run else "psd_w_per_nm"
     with (out_dir / "sweep.csv").open("w", encoding="ascii") as csv:
         csv.write(",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n")
-        csv.writelines(_csv_lines(grid))
+        csv.writelines(_csv_lines(grid, fov_values, source_values))
 
     convergence_note, strict_trip = _convergence_check(config, scenario, max(fov_values), max(source_values))
-    summary = _summarize(config, scenario, grid, convergence_note)
+    summary = _summarize(config, scenario, grid.report.secure, fov_values, source_values, convergence_note)
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     print(summary, end="")
 
@@ -407,33 +410,31 @@ def _convergence_check(
     return note, bool(caught) and config.strict
 
 
-def _summarize(config: RunConfig, scenario: Scenario, grid: SweepGrid, convergence_note: str) -> str:
+def _summarize(
+    config: RunConfig, scenario: Scenario, secure: np.ndarray,
+    fov_values: tuple[float, ...], source_values: tuple[float, ...], convergence_note: str,
+) -> str:
+    """The summary of a run whose map has the ``secure`` flags [fov, source]."""
     ambient_run = config.scenario in AMBIENT_SCENARIOS
     unit = "W/nm/m^2" if ambient_run else "W/nm"
-    secure = grid.point.report.secure  # [fov, source]
     lines = [
         f"scenario: {config.scenario}",
-        f"grid: {len(grid.fov_values_deg)} FOV values x {len(grid.source_values)} source values",
+        f"grid: {len(fov_values)} FOV values x {len(source_values)} source values",
         f"resolution: {config.resolution_patches_per_meter} patches per meter",
         f"secure points: {np.count_nonzero(secure)} of {secure.size}",
     ]
     lines.append("largest secure FOV per source level (grid resolution):")
-    fovs = np.array(grid.fov_values_deg)
-    for j, level in enumerate(grid.source_values):
+    fovs = np.array(fov_values)
+    for j, level in enumerate(source_values):
         secure_fovs = fovs[secure[:, j]]
         frontier = f"{secure_fovs.max():.1f} deg" if secure_fovs.size else "none"
         lines.append(f"  {level:.9e} {unit}: {frontier}")
 
     if ambient_run:
-        tolerance = ambient_tolerance(
-            scenario,
-            fov_floor_deg=config.fov_min_deg,
-            fov_ceiling_deg=config.fov_max_deg,
-            patches_per_meter=config.resolution_patches_per_meter,
-        )
+        tolerance = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg)
         lines.append(f"ambient tolerance (largest secure level): {tolerance:.9e} {unit}")
     else:
-        mid = grid.source_values[len(grid.source_values) // 2]
+        mid = source_values[len(source_values) // 2]
         boundary = secure_fov_boundary(
             scenario, mid,
             patches_per_meter=config.resolution_patches_per_meter,

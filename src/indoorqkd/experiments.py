@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ __all__ = [
     "Scenario",
     "Setup",
     "OperatingPoint",
-    "SweepGrid",
     "build_setup",
     "evaluate_point",
     "sweep",
@@ -110,9 +109,14 @@ _TX_SEMI_ANGLE_DEG = {
     "lamp-corner-steered": 5.0,
 }
 
-# Probe ladder for bracketing the secure-FOV boundary; boundaries below the
-# smallest rung are reported as not secure.
+# Probe ladder for bracketing the secure-FOV boundary, bisected to 0.1 deg;
+# boundaries below the smallest rung are reported as not secure.
 _FOV_LADDER_DEG = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 90.0)
+_BOUNDARY_PRECISION_DEG = 0.1
+# Ambient levels as decades from 1e-9 W/nm/m^2 (comfortably tolerable) to
+# 100 W/nm/m^2 (brighter than anything indoors), bisected to 0.01 decades.
+_AMBIENT_LADDER_DECADES = tuple(float(k) for k in range(-9, 3))
+_TOLERANCE_PRECISION_DECADES = 0.01
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,18 +169,6 @@ class OperatingPoint:
     gains: ChannelGains
     budget: NoiseBudget
     report: KeyRateReport
-
-
-# eq=False: fields may be arrays, whose == has no truth value; compare fields.
-@dataclass(frozen=True, slots=True, eq=False)
-class SweepGrid:
-    """Feasibility map over (field of view) x (source spectral density), as
-    one ``OperatingPoint``: the rate at FOV i and level j is ``point.report.rate[i, j]``."""
-
-    scenario: str
-    fov_values_deg: tuple[float, ...]
-    source_values: tuple[float, ...]
-    point: OperatingPoint
 
 
 def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setup:
@@ -334,59 +326,40 @@ def sweep(
     *,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     signal_fov_cutoff: bool = False,
-) -> SweepGrid:
-    """The full (FOV, source level) grid of one scenario, as one ``evaluate_point`` call.
+) -> OperatingPoint:
+    """The full (FOV, source level) map of one scenario, as one ``evaluate_point`` call.
 
     The levels go in as the whole ``(n_fov, n_src)`` grid, one element per
-    map cell, so every noise and report field of the map has its shape.
+    map cell, so every noise and report field of the map has its shape: the
+    rate at FOV i and level j is ``report.rate[i, j]``.
     """
     if not fov_values_deg or not source_values:
         raise ValueError("sweep axes must be non-empty")
     levels = np.broadcast_to(_source_levels(source_values), (len(fov_values_deg), len(source_values)))
     options = dict(patches_per_meter=patches_per_meter, signal_fov_cutoff=signal_fov_cutoff)
-    point = evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, **options)
-    return SweepGrid(
-        scenario=scenario.name,
-        fov_values_deg=tuple(fov_values_deg),
-        source_values=tuple(source_values),
-        point=point,
-    )
+    return evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, **options)
 
 
-def secure_fov_boundary(
-    scenario: Scenario,
-    source_level: float,
-    *,
-    precision_deg: float = 0.1,
-    patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
-    fov_max_deg: float = 90.0,
-) -> float | None:
-    """Largest field of view with a positive key rate, or None if none is.
+def _largest_secure(secure: Callable[[float], bool], ladder: Iterable[float], precision: float) -> float | None:
+    """Largest value found secure: None if the first rung of the increasing
+    ``ladder`` is not, its last rung if every rung is.
 
-    Relies on the rate being monotone in the FOV (the concentrator gain only
-    falls and the admitted background only widens as the cone opens), probes
-    a coarse ladder for a bracket, then bisects to ``precision_deg``.  The
-    returned value is on the secure side of the crossing.
+    Relies on ``secure`` holding below a crossing and failing above it.  The
+    ladder is walked up to its first insecure rung, and the bracket from the
+    last secure rung to it is bisected until narrower than ``precision``; the
+    value returned was probed and found secure.
     """
-
-    def secure(fov: float) -> bool:
-        point = evaluate_point(scenario, fov, source_level, patches_per_meter=patches_per_meter)
-        return point.report.secure
-
-    ladder = [f for f in _FOV_LADDER_DEG if f < fov_max_deg] + [fov_max_deg]
     lo = None
-    hi = None
-    for fov in ladder:
-        if secure(fov):
-            lo = fov
-        else:
-            hi = fov
+    for rung in ladder:
+        if not secure(rung):
             break
+        lo = rung
+    else:
+        return lo
     if lo is None:
         return None
-    if hi is None:
-        return fov_max_deg
-    while hi - lo > precision_deg:
+    hi = rung
+    while hi - lo > precision:
         mid = 0.5 * (lo + hi)
         if secure(mid):
             lo = mid
@@ -395,56 +368,46 @@ def secure_fov_boundary(
     return lo
 
 
-def ambient_tolerance(
+def secure_fov_boundary(
     scenario: Scenario,
+    source_level: float,
     *,
-    fov_floor_deg: float = 10.0,
-    fov_ceiling_deg: float = 90.0,
-    precision_decades: float = 0.01,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
-) -> float:
-    """Largest tolerable ambient spectral irradiance (W/nm/m^2).
+    fov_max_deg: float = 90.0,
+) -> float | None:
+    """Largest field of view with a positive key rate, or None if none is.
 
-    First finds the rate-optimal field of view over the studied range by a
-    coarse one-degree scan plus local refinement (with an isotropic
-    background the optimum rides the smallest studied FOV, where the
-    concentrator gain is largest; the scan keeps this honest for parameter
-    sets where that changes), then log-bisects the irradiance at that FOV.
+    Relies on the rate being monotone in the FOV (the concentrator gain only
+    falls and the admitted background only widens as the cone opens), probes
+    a coarse ladder for a bracket, then bisects to 0.1 deg.  The returned
+    value is on the secure side of the crossing.
+    """
+
+    def secure(fov: float) -> bool:
+        point = evaluate_point(scenario, fov, source_level, patches_per_meter=patches_per_meter)
+        return point.report.secure
+
+    ladder = [f for f in _FOV_LADDER_DEG if f < fov_max_deg] + [fov_max_deg]
+    return _largest_secure(secure, ladder, _BOUNDARY_PRECISION_DEG)
+
+
+def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0) -> float:
+    """Largest tolerable ambient spectral irradiance (W/nm/m^2), 0 if none is.
+
+    Taken at ``fov_floor_deg``, the smallest studied FOV: the isotropic
+    background admitted does not depend on the FOV, and the concentrator
+    gain, and with it the transmittance, only falls as the cone opens.  The
+    level climbs decades from 1e-9 to 100 W/nm/m^2, then log-bisects to 0.01
+    decades; the returned level is verified secure.
     """
     if scenario.name not in AMBIENT_SCENARIOS:
         raise ValueError("ambient_tolerance applies to the ambient-only scenarios")
-    reference = 1e-9  # comfortably tolerable; used only to rank FOVs
 
-    def rate(fov: float | list[float], level: float) -> float | np.ndarray:
-        return evaluate_point(scenario, fov, level, patches_per_meter=patches_per_meter).report.rate
+    def secure(decades: float) -> bool:
+        return evaluate_point(scenario, fov_floor_deg, 10.0**decades).report.secure
 
-    def best_of(fovs: list[float]) -> tuple[float, float]:  # the first FOV of the top rate, and that rate
-        rates = rate(fovs, reference)
-        k = int(np.argmax(rates))
-        return fovs[k], rates[k]
-
-    coarse = [max(fov_floor_deg, float(f)) for f in range(int(fov_floor_deg), int(fov_ceiling_deg) + 1)]
-    best, _ = best_of(coarse)
-    fine_lo = max(fov_floor_deg, best - 1.0)
-    fine_hi = min(fov_ceiling_deg, best + 1.0)
-    steps = int(round((fine_hi - fine_lo) / 0.1))
-    best, best_rate = best_of([fine_lo + i * 0.1 for i in range(steps + 1)])
-
-    if best_rate <= 0.0:
-        return 0.0
-    lo = math.log10(reference)
-    hi = lo
-    while rate(best, 10.0**hi) > 0.0:
-        if hi >= 2.0:  # 100 W/nm/m^2 is secure, and nothing indoors is brighter
-            return 10.0**hi
-        hi += 1.0
-    while hi - lo > precision_decades:
-        mid = 0.5 * (lo + hi)
-        if rate(best, 10.0**mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 10.0**lo
+    decades = _largest_secure(secure, _AMBIENT_LADDER_DECADES, _TOLERANCE_PRECISION_DECADES)
+    return 0.0 if decades is None else 10.0**decades
 
 
 def path_loss_profile(

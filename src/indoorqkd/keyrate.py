@@ -118,12 +118,13 @@ def secret_key_rate(params: ProtocolParams, transmittance: Values, noise: Values
 
     y1 = _yield_single(eta, n)
     q1 = _gain_single(y1, mu)
-    q_mu = _gain_mu(eta, mu, n)
+    decay = _libm(math.exp, -eta * mu)  # P(a signal pulse delivers no photon)
+    q_mu = 1.0 - decay * _square(1.0 - n)
     degenerate = (y1 == 0.0) | (q_mu == 0.0)
     # Degenerate points take a gain of one in the error rates, which are
     # then defined everywhere; their results are replaced by zeros.
     e1 = _where(degenerate, 0.0, _error_rate(_where(degenerate, 1.0, y1), eta, n, m))
-    e_mu = _where(degenerate, 0.0, _error_rate(_where(degenerate, 1.0, q_mu), _detected(eta, mu), n, m))
+    e_mu = _where(degenerate, 0.0, _error_rate(_where(degenerate, 1.0, q_mu), 1.0 - decay, n, m))
     unclamped = params.sift_factor * (
         q1 * (1.0 - _entropy(e1))
         - params.error_correction_inefficiency * q_mu * _entropy(e_mu)
@@ -159,15 +160,6 @@ def _yield_single(eta: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _gain_single(y1: np.ndarray, mu: Values) -> np.ndarray:
     return y1 * mu * _libm(math.exp, -mu)
-
-
-def _gain_mu(eta: np.ndarray, mu: Values, n: np.ndarray) -> np.ndarray:
-    return 1.0 - _libm(math.exp, -eta * mu) * _square(1.0 - n)
-
-
-def _detected(eta: np.ndarray, mu: Values) -> np.ndarray:
-    """Probability that a signal pulse delivers at least one photon."""
-    return 1.0 - _libm(math.exp, -eta * mu)
 
 
 def _error_rate(gain: np.ndarray, signal: np.ndarray, n: np.ndarray, misalignment: float) -> np.ndarray:

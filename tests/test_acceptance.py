@@ -5,6 +5,7 @@ the measured value, then asserts.  Tolerances are part of each criterion.
 Run `pytest tests/test_acceptance.py -v -s` to see the lines directly.
 """
 
+import itertools
 import math
 import time
 
@@ -14,6 +15,7 @@ import pytest
 from indoorqkd.channel import reflected_gain_convergence, total_reflected_gain
 from indoorqkd.experiments import (
     Scenario,
+    _largest_secure,
     ambient_tolerance,
     build_setup,
     evaluate_point,
@@ -42,21 +44,15 @@ def check(label, ok, detail):
     assert ok, f"{label}: {detail}"
 
 
-def psd_tolerance_at_fov(scenario, fov_deg, lo_exp=-9.0):
-    """Largest lamp PSD with a positive rate at a fixed field of view."""
-    if evaluate_point(scenario, fov_deg, 10.0**lo_exp).report.rate <= 0.0:
-        return 0.0
-    hi_exp = lo_exp + 1.0
-    while evaluate_point(scenario, fov_deg, 10.0**hi_exp).report.rate > 0.0:
-        hi_exp += 1.0
-    lo, hi = hi_exp - 1.0, hi_exp
-    while hi - lo > 0.01:
-        mid = 0.5 * (lo + hi)
-        if evaluate_point(scenario, fov_deg, 10.0**mid).report.rate > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 10.0**lo
+def psd_tolerance_at_fov(scenario, fov_deg):
+    """Largest lamp PSD with a positive rate at a fixed field of view: decades
+    up from 1e-9 W/nm without a cap, then a bisection to 0.01 decades."""
+
+    def secure(decades):
+        return evaluate_point(scenario, fov_deg, 10.0**decades).report.secure
+
+    decades = _largest_secure(secure, itertools.count(-9.0), 0.01)
+    return 0.0 if decades is None else 10.0**decades
 
 
 def _fmt_boundary(boundary):
@@ -129,7 +125,7 @@ def test_criterion_6_steering_dominance():
     psds = tuple(float(p) for p in np.logspace(-7, -4, 7))
     plain = sweep(Scenario.named("lamp-corner"), fovs, psds)
     steered = sweep(Scenario.named("lamp-corner-steered"), fovs, psds)
-    dominated = bool(np.all(steered.point.report.rate >= plain.point.report.rate))
+    dominated = bool(np.all(steered.report.rate >= plain.report.rate))
     tol_plain = psd_tolerance_at_fov(Scenario.named("lamp-corner"), 5.0)
     tol_steered = psd_tolerance_at_fov(Scenario.named("lamp-corner-steered"), 5.0)
     ok = dominated and tol_steered > tol_plain
