@@ -124,10 +124,8 @@ def outputs_digest(command: list[str], src: Path) -> str:
     return digest.hexdigest()
 
 
-def secure_count(grid) -> int:
-    # sweep returns one OperatingPoint over the whole (FOV, level) grid;
-    # older trees wrapped that point in a SweepGrid, as ``.point``.
-    point = getattr(grid, "point", grid)
+def secure_count(point) -> int:
+    # sweep returns one OperatingPoint over the whole (FOV, level) grid
     return int(np.count_nonzero(point.report.secure))
 
 

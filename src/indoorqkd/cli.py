@@ -299,8 +299,8 @@ def _resolve(
             widest = max(fov_values[-1], config.fov_max_deg)
             for fov, level in ((fov_values[0], source_values[0]), (widest, source_values[-1])):
                 room = build_setup(scenario, fov, level).room
-            reflects = config.scenario not in AMBIENT_SCENARIOS and max(source_values) > 0.0
-            _check_patch_budget(room, resolution, reflects)
+            if _reflects(config, source_values):
+                _check_patch_budget(room, resolution)
             return (scenario, fov_values, source_values), []
         except ValueError as exc:
             whole_run.append(str(exc))
@@ -313,13 +313,19 @@ def _resolve(
     return None, out or whole_run
 
 
-def _check_patch_budget(room: RoomScenario, patches_per_meter: int, reflects: bool) -> None:
-    """In a run that ``reflects``, reject a room over PATCH_BUDGET."""
+def _reflects(config: RunConfig, source_values: tuple[float, ...]) -> bool:
+    """Whether a run has a reflected-light integral (and tessellates the room):
+    a lamp scenario with a source level above 0."""
+    return config.scenario not in AMBIENT_SCENARIOS and max(source_values) > 0.0
+
+
+def _check_patch_budget(room: RoomScenario, patches_per_meter: int) -> None:
+    """Reject a room over PATCH_BUDGET."""
     try:
         cells = sum(g.patch_count() for g in wall_and_floor_grids(room, 2 * patches_per_meter))
     except OverflowError:  # a side with more cells than a float can count
         cells = math.inf
-    if reflects and cells > PATCH_BUDGET:
+    if cells > PATCH_BUDGET:
         sizes = ", ".join(f"{k} = {getattr(room, k)!r}" for k in ("room_x_m", "room_y_m", "room_z_m"))
         raise ValueError(
             f"{sizes} at resolution_patches_per_meter = {patches_per_meter} tessellate into more than "
@@ -378,7 +384,8 @@ def run(config: RunConfig) -> int:
         csv.write(",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n")
         csv.writelines(_csv_lines(grid, fov_values, source_values))
 
-    convergence_note, strict_trip = _convergence_check(config, scenario, max(fov_values), max(source_values))
+    reflects = _reflects(config, source_values)
+    convergence_note, strict_trip = _convergence_check(config, scenario, max(fov_values), reflects)
     summary = _summarize(config, scenario, grid.report.secure, fov_values, source_values, convergence_note)
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     print(summary, end="")
@@ -389,18 +396,14 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _convergence_check(
-    config: RunConfig, scenario: Scenario, fov_deg: float, source_level: float
-) -> tuple[str, bool]:
-    """Probe tessellation convergence at the widest-FOV corner of the grid."""
-    if config.scenario in AMBIENT_SCENARIOS or source_level <= 0.0:
+def _convergence_check(config: RunConfig, scenario: Scenario, fov_deg: float, reflects: bool) -> tuple[str, bool]:
+    """Probe tessellation convergence of the room at the widest FOV of a run that ``reflects``."""
+    if not reflects:
         return "convergence: no reflected-light integral in this run\n", False
-    setup = build_setup(scenario, fov_deg, source_level)
+    room = build_setup(scenario, fov_deg, 0.0).room
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = reflected_gain_convergence(
-            setup.room, config.resolution_patches_per_meter
-        )
+        report = reflected_gain_convergence(room, config.resolution_patches_per_meter)
     note = (
         f"convergence: reflected integral {report.value:.9e} at "
         f"{report.patches_per_meter}/m vs {report.refined_value:.9e} refined; "
@@ -432,7 +435,8 @@ def _summarize(
 
     if ambient_run:
         tolerance = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg)
-        lines.append(f"ambient tolerance (largest secure level): {tolerance:.9e} {unit}")
+        text = "none secure" if tolerance is None else f"{tolerance:.9e} {unit}"
+        lines.append(f"ambient tolerance (largest secure level): {text}")
     else:
         mid = source_values[len(source_values) // 2]
         boundary = secure_fov_boundary(

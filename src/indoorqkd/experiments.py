@@ -144,13 +144,17 @@ class Scenario:
         return merged
 
 
-@dataclass(frozen=True, slots=True)
+# eq=False: the levels may be arrays, whose == has no truth value; compare fields.
+@dataclass(frozen=True, slots=True, eq=False)
 class Setup:
-    """Fully resolved inputs for one operating-point evaluation."""
+    """Fully resolved inputs for one operating-point evaluation; the spectral
+    levels are numpy floats or arrays shaped like the source levels."""
 
     room: RoomScenario
     detector: DetectorParams
     protocol: ProtocolParams
+    lamp_psd_w_per_nm: float | np.ndarray
+    ambient_irradiance_w_nm_m2: float | np.ndarray
 
 
 # eq=False: fields may be arrays, whose == has no truth value; compare fields.
@@ -171,14 +175,22 @@ class OperatingPoint:
     report: KeyRateReport
 
 
-def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setup:
-    """Resolve a scenario into concrete room, detector, and protocol values.
+def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.ndarray) -> Setup:
+    """Resolve a scenario into room, detector, protocol, and spectral levels.
 
-    ``source_level`` is the lamp PSD in W/nm for lamp scenarios and the
-    ambient spectral irradiance in W/nm/m^2 for ambient-only scenarios.
+    ``source_level``, one level or an array, is the lamp PSD in W/nm for lamp
+    scenarios and the ambient spectral irradiance in W/nm/m^2 for ambient-only
+    scenarios, whose lamp is off.
     """
-    _source_levels(source_level)
+    levels = _source_levels(source_level)
     p = scenario.params()
+    # x + 0.0 == x for every x >= 0: adding zeros spreads a fixed level over the swept ones
+    zeros = levels * 0.0
+    if scenario.name in AMBIENT_SCENARIOS:
+        lamp_psd, ambient = zeros + 0.0, levels
+    else:  # only lamp scenarios read the ambient override, so only they check it
+        ambient = _source_levels(p["ambient_irradiance_w_nm_m2"], "ambient_irradiance_w_nm_m2")
+        lamp_psd, ambient = levels, zeros + ambient
     x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
 
     detector = DetectorParams(
@@ -201,8 +213,6 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         tx_position = Point3(0.0, 0.0, 0.0)
     else:
         tx_position = Point3(x / 2.0, y / 2.0, 0.0)
-    lamp_psd, ambient = _swept_fields(scenario.name, source_level, float(p["ambient_irradiance_w_nm_m2"]))
-
     room = RoomScenario(
         room_x_m=x,
         room_y_m=y,
@@ -211,7 +221,6 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         floor_reflectivity=float(p["floor_reflectivity"]),
         lamp=lamp,
         lamp_semi_angle_deg=float(p["lamp_semi_angle_deg"]),
-        lamp_psd_w_per_nm=lamp_psd,
         transmitter=Pose(tx_position, Point3(0.0, 0.0, 1.0)),
         tx_semi_angle_deg=_TX_SEMI_ANGLE_DEG[scenario.name],
         receiver=receiver,
@@ -220,7 +229,6 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         concentrator_index=float(p["concentrator_index"]),
         filter_transmission=float(p["filter_transmission"]),
         filter_bandwidth_nm=float(bandwidth),
-        ambient_irradiance_w_nm_m2=ambient,
     )
     if scenario.name == "lamp-corner-steered":
         # Aimed only now, so that a bad room size is named by the room's rules.
@@ -231,29 +239,16 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float) -> Setu
         error_correction_inefficiency=float(p["error_correction_inefficiency"]),
         misalignment_error=float(p["misalignment_error"]),
     )
-    return Setup(room=room, detector=detector, protocol=protocol)
+    return Setup(room, detector, protocol, lamp_psd_w_per_nm=lamp_psd, ambient_irradiance_w_nm_m2=ambient)
 
 
-def _source_levels(source_level: float | np.ndarray) -> float | np.ndarray:
-    """Source levels as a numpy float or a float array, each non-negative and
-    finite (nan fails)."""
-    levels = np.array(source_level, dtype=float)
+def _source_levels(level: float | np.ndarray, name: str = "source_level") -> float | np.ndarray:
+    """Spectral levels as a numpy float or a float array, each non-negative
+    and finite (nan fails)."""
+    levels = np.array(level, dtype=float)
     if not ((levels >= 0.0) & (levels < math.inf)).all():
-        raise ValueError(f"source_level must be non-negative and finite, got {source_level!r}")
+        raise ValueError(f"{name} must be non-negative and finite, got {level!r}")
     return levels[()]
-
-
-def _swept_fields(
-    name: str, level: float | np.ndarray, ambient: float
-) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """(lamp PSD, ambient irradiance) at a source level.
-
-    Ambient-only scenarios sweep the ambient irradiance with the lamp off;
-    lamp scenarios sweep the lamp PSD under the fixed ``ambient``.
-    """
-    if name in AMBIENT_SCENARIOS:
-        return 0.0, level
-    return level, ambient
 
 
 @lru_cache(maxsize=4096)
@@ -277,28 +272,24 @@ def evaluate_point(
     one LOS gain and, when a lamp level is positive, one bounce integral
     (else 0).  Each element is, bit for bit, the call at its FOV and level.
     """
-    levels = _source_levels(source_level)
     fovs = np.asarray(fov_deg, dtype=float)
     if fovs.size == 0:
         raise ValueError("fov_deg must hold at least one value")
-    if fovs.ndim and levels.ndim:
-        np.broadcast_shapes(fovs.shape, levels.shape)  # a ValueError before any work
     fov_list = fovs.ravel().tolist()
     # The first FOV builds the room, as a scalar call would; los_gain_for checks the rest.
-    setup = build_setup(scenario, fov_list[0], 0.0)
+    setup = build_setup(scenario, fov_list[0], source_level)
     room, det = setup.room, setup.detector
-    # x + 0.0 == x for every x >= 0: adding zeros spreads a fixed field over the levels
-    zeros = levels * 0.0
-    lamp_psd, ambient = (zeros + v for v in _swept_fields(scenario.name, levels, room.ambient_irradiance_w_nm_m2))
+    lamp_psd, ambient = setup.lamp_psd_w_per_nm, setup.ambient_irradiance_w_nm_m2
+    levels = ambient if scenario.name in AMBIENT_SCENARIOS else lamp_psd
+    if fovs.ndim and levels.ndim:
+        np.broadcast_shapes(fovs.shape, levels.shape)  # a ValueError before any work
 
     h_sig = los_gain_for(room, enforce_fov=signal_fov_cutoff, fov_deg=fovs)
     eta = det.efficiency * h_sig
 
     if (lamp_psd > 0.0).any():
-        # The integral does not depend on the spectral levels; out of the
-        # cache key with them, so a PSD sweep makes one pass per FOV.
-        unlit = dict(lamp_psd_w_per_nm=0.0, ambient_irradiance_w_nm_m2=0.0)
-        integrals = [_cached_reflected_integral(replace(room, fov_deg=f, **unlit), patches_per_meter) for f in fov_list]
+        # The room, the cache key, holds no spectral level: a PSD sweep makes one pass per FOV.
+        integrals = [_cached_reflected_integral(replace(room, fov_deg=f), patches_per_meter) for f in fov_list]
         integral = integrals[0] if fovs.ndim == 0 else np.reshape(integrals, fovs.shape)
     else:
         integral = 0.0
@@ -335,7 +326,7 @@ def sweep(
     """
     if not fov_values_deg or not source_values:
         raise ValueError("sweep axes must be non-empty")
-    levels = np.broadcast_to(_source_levels(source_values), (len(fov_values_deg), len(source_values)))
+    levels = np.broadcast_to(source_values, (len(fov_values_deg), len(source_values)))
     options = dict(patches_per_meter=patches_per_meter, signal_fov_cutoff=signal_fov_cutoff)
     return evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, **options)
 
@@ -391,8 +382,8 @@ def secure_fov_boundary(
     return _largest_secure(secure, ladder, _BOUNDARY_PRECISION_DEG)
 
 
-def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0) -> float:
-    """Largest tolerable ambient spectral irradiance (W/nm/m^2), 0 if none is.
+def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0) -> float | None:
+    """Largest secure ambient spectral irradiance (W/nm/m^2), 0 if only the dark room is, None if not even it is.
 
     Taken at ``fov_floor_deg``, the smallest studied FOV: the isotropic
     background admitted does not depend on the FOV, and the concentrator
@@ -403,11 +394,13 @@ def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0) -> flo
     if scenario.name not in AMBIENT_SCENARIOS:
         raise ValueError("ambient_tolerance applies to the ambient-only scenarios")
 
-    def secure(decades: float) -> bool:
-        return evaluate_point(scenario, fov_floor_deg, 10.0**decades).report.secure
+    def secure(level: float) -> bool:
+        return evaluate_point(scenario, fov_floor_deg, level).report.secure
 
-    decades = _largest_secure(secure, _AMBIENT_LADDER_DECADES, _TOLERANCE_PRECISION_DECADES)
-    return 0.0 if decades is None else 10.0**decades
+    decades = _largest_secure(lambda d: secure(10.0**d), _AMBIENT_LADDER_DECADES, _TOLERANCE_PRECISION_DECADES)
+    if decades is not None:
+        return 10.0**decades
+    return 0.0 if secure(0.0) else None
 
 
 def path_loss_profile(

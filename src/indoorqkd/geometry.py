@@ -129,11 +129,11 @@ def link_geometry(emitter: Pose, collector: Pose) -> LinkGeometry:
 
 @dataclass(frozen=True, slots=True)
 class RoomScenario:
-    """Complete static description of one evaluation setup.
+    """The static room: its surfaces, the lamp, the transmitter, and the
+    receiver with its optics and FOV (the spectral levels are on ``Setup``).
 
-    Distances in meters, angles in degrees, spectral densities in W/nm
-    (source) and W/nm/m^2 (ambient irradiance).  The frozen dataclass is
-    hashable so derived quantities can be memoized per scenario.
+    Distances in meters, angles in degrees.  The frozen dataclass is
+    hashable so derived quantities can be memoized per room.
     """
 
     room_x_m: float
@@ -144,7 +144,6 @@ class RoomScenario:
 
     lamp: Pose
     lamp_semi_angle_deg: float
-    lamp_psd_w_per_nm: float
 
     transmitter: Pose
     tx_semi_angle_deg: float
@@ -156,17 +155,12 @@ class RoomScenario:
     filter_transmission: float
     filter_bandwidth_nm: float
 
-    ambient_irradiance_w_nm_m2: float = 0.0
-
     def __post_init__(self) -> None:
         # Every rule is written so that nan fails it and every bound excludes
         # +-inf: a non-finite value names its field here, not deep in a sum.
         for name in ("room_x_m", "room_y_m", "room_z_m", "detector_area_m2", "filter_bandwidth_nm"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        for name in ("lamp_psd_w_per_nm", "ambient_irradiance_w_nm_m2"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)!r}")
         for name in ("wall_reflectivity", "floor_reflectivity"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

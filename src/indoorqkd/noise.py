@@ -10,7 +10,8 @@ The count functions take the validated ``DetectorParams`` and
 ``RoomScenario`` for their fixed figures, so they check only the levels,
 powers and integrals they are handed.  They are elementwise: spectral
 levels may be numpy arrays (one per operating point), and every element
-goes through the operations of a scalar call.
+goes through the operations of a scalar call.  A count too large for a
+float is inf, without a warning; the key rate saturates counts at one.
 """
 
 from __future__ import annotations
@@ -89,20 +90,22 @@ def isotropic_noise_power(
     """
     if not _non_negative(ambient_irradiance_w_nm_m2):
         raise ValueError("ambient power inputs must be non-negative")
-    return (
-        ambient_irradiance_w_nm_m2
-        * room.filter_bandwidth_nm
-        * room.filter_transmission
-        * room.detector_area_m2
-        * room.concentrator_index**2
-    )
+    with np.errstate(over="ignore"):
+        return (
+            ambient_irradiance_w_nm_m2
+            * room.filter_bandwidth_nm
+            * room.filter_transmission
+            * room.detector_area_m2
+            * room.concentrator_index**2
+        )
 
 
 def photons_per_pulse(power_w: float | np.ndarray, detector: DetectorParams) -> float | np.ndarray:
     """Detected photons per pulse window from a steady optical power."""
     if not _non_negative(power_w):
         raise ValueError("power_w must be non-negative")
-    return power_w * detector.pulse_width_s * (detector.efficiency / 2.0) / _photon_energy_j(detector.wavelength_nm)
+    with np.errstate(over="ignore"):
+        return power_w * detector.pulse_width_s * (detector.efficiency / 2.0) / _photon_energy_j(detector.wavelength_nm)
 
 
 def lamp_noise_photons(
@@ -119,14 +122,17 @@ def lamp_noise_photons(
     """
     if not _non_negative(lamp_psd_w_per_nm, reflected_integral):
         raise ValueError("lamp noise inputs must be non-negative")
-    in_band_power = lamp_psd_w_per_nm * room.filter_bandwidth_nm
-    return (
-        in_band_power
-        * detector.pulse_width_s
-        * (detector.efficiency / 2.0)
-        / _photon_energy_j(detector.wavelength_nm)
-        * reflected_integral
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_band_power = lamp_psd_w_per_nm * room.filter_bandwidth_nm
+        counts = (
+            in_band_power
+            * detector.pulse_width_s
+            * (detector.efficiency / 2.0)
+            / _photon_energy_j(detector.wavelength_nm)
+            * reflected_integral
+        )
+    # An energy beyond the float range times a zero integral is nan: no bounce, no counts.
+    return np.where(np.isnan(counts), 0.0, counts)[()]
 
 
 def dark_counts_per_pulse(detector: DetectorParams) -> float:

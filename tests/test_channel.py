@@ -40,7 +40,7 @@ def nominal_room(fov_deg=30.0, **overrides):
         room_x_m=4.0, room_y_m=4.0, room_z_m=3.0,
         wall_reflectivity=0.7, floor_reflectivity=0.1,
         lamp=Pose(Point3(2.0, 2.0, 3.0), Point3(0.0, 0.0, -1.0)),
-        lamp_semi_angle_deg=70.0, lamp_psd_w_per_nm=1e-5,
+        lamp_semi_angle_deg=70.0,
         transmitter=Pose(Point3(2.0, 2.0, 0.0), Point3(0.0, 0.0, 1.0)),
         tx_semi_angle_deg=30.0,
         receiver=Pose(Point3(2.0, 2.0, 3.0), Point3(0.0, 0.0, -1.0)),

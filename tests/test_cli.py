@@ -235,6 +235,17 @@ class TestValidationDiagnostics:
         assert main([str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert not out_dir.exists()
 
+    # a band so wide that the lamp counts overflow a float, in a room that
+    # reflects nothing (inf times a zero integral) and in the nominal room
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("geometry", ["wall_reflectivity = 0\nfloor_reflectivity = 0\n", ""])
+    def test_overflowing_noise_counts_end_in_a_result(self, tmp_path, geometry):
+        body = (
+            f"[geometry]\n{geometry}[channel]\nfilter_bandwidth_nm = 1e308\n"
+            "[experiments]\nscenario = lamp-center\nfov_steps = 2\nsource_steps = 2\n"
+        )
+        assert main([str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_bad_axis(self):
         config = RunConfig(source_min=1e-4, source_max=1e-6)
         assert any("exceeds max" in m for m in validate(config))
@@ -306,6 +317,16 @@ class TestRunOutputs:
         assert run(config) == EXIT_OK
         header = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[0]
         assert header.startswith("fov_deg,pn_w_per_nm_m2,")
+
+    def test_ambient_run_with_no_secure_level(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            "[keyrate]\nmisalignment_error = 0.5\n"
+            "[experiments]\nscenario = ambient-only-center\nfov_steps = 2\nsource_steps = 2\n",
+        )
+        assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "ambient tolerance (largest secure level): none secure\n" in summary
 
     def test_zero_mean_photons_never_secure(self, tmp_path):
         path = write_config(

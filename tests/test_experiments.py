@@ -13,6 +13,7 @@ from indoorqkd.experiments import (
     NOMINAL,
     SCENARIOS,
     Scenario,
+    _cached_reflected_integral,
     ambient_tolerance,
     build_setup,
     evaluate_point,
@@ -77,13 +78,24 @@ class TestScenarioTable:
 
     def test_ambient_scenarios_run_with_lamp_off(self):
         setup = build_setup(Scenario.named("ambient-only-center"), 30.0, 1e-8)
-        assert setup.room.lamp_psd_w_per_nm == 0.0
-        assert setup.room.ambient_irradiance_w_nm_m2 == 1e-8
+        assert setup.lamp_psd_w_per_nm == 0.0
+        assert setup.ambient_irradiance_w_nm_m2 == 1e-8
 
     def test_lamp_scenarios_sweep_the_psd(self):
-        setup = build_setup(Scenario.named("lamp-corner"), 30.0, 3e-6)
-        assert setup.room.lamp_psd_w_per_nm == 3e-6
-        assert setup.room.ambient_irradiance_w_nm_m2 == 0.0
+        setup = build_setup(Scenario.named("lamp-corner", {"ambient_irradiance_w_nm_m2": 2e-9}), 30.0, 3e-6)
+        assert setup.lamp_psd_w_per_nm == 3e-6
+        assert setup.ambient_irradiance_w_nm_m2 == 2e-9
+
+    def test_levels_keep_the_shape_of_the_source_levels(self):
+        levels = np.array([[0.0, 1e-6], [1e-5, 1e-4]])
+        for name in ("lamp-center", "ambient-only-center"):
+            setup = build_setup(Scenario.named(name), 30.0, levels)
+            assert setup.lamp_psd_w_per_nm.shape == setup.ambient_irradiance_w_nm_m2.shape == (2, 2)
+
+    def test_ambient_scenarios_ignore_the_ambient_override(self):
+        # they sweep the irradiance; lamp scenarios read the override and check it
+        setup = build_setup(Scenario.named("ambient-only-center", {"ambient_irradiance_w_nm_m2": -1.0}), 30.0, 1e-8)
+        assert setup.ambient_irradiance_w_nm_m2 == 1e-8
 
     def test_overrides_reach_the_room(self):
         scenario = Scenario.named("lamp-center", {"wall_reflectivity": 0.4})
@@ -264,6 +276,20 @@ class TestFovArray:
             assert str(got.value) == str(expected.value)
 
 
+class TestIntegralCache:
+    def test_one_integral_per_fov_whatever_the_levels(self):
+        # the room, the cache key, holds no spectral level: other PSDs and
+        # another ambient irradiance reuse the integrals of a sweep's FOVs
+        _cached_reflected_integral.cache_clear()
+        fovs = (6.0, 12.0, 24.0)
+        sweep(Scenario.named("lamp-center"), fovs, (1e-7, 1e-6, 1e-5, 1e-4))
+        lit = Scenario.named("lamp-center", {"ambient_irradiance_w_nm_m2": 1e-8})
+        evaluate_point(lit, np.array(fovs)[:, None], np.array([3e-6, 3e-5]))
+        for fov in fovs:
+            evaluate_point(lit, fov, 2e-5)
+        assert _cached_reflected_integral.cache_info().misses == 3
+
+
 class TestArrayValuedResults:
     def test_equality_and_hash_do_not_raise(self):
         a = sweep(Scenario.named("lamp-center"), (8.0,), (1e-6, 1e-5))
@@ -360,6 +386,12 @@ class TestAmbientTolerance:
         scenario = Scenario.named("ambient-only-center", {"filter_bandwidth_nm": 1e-12})
         tol = ambient_tolerance(scenario)
         assert evaluate_point(scenario, 10.0, tol).report.rate > 0.0
+
+    def test_none_when_not_even_the_dark_room_is_secure(self):
+        # misalignment 0.5 leaves every click a coin flip, so no level is secure
+        scenario = Scenario.named("ambient-only-center", {"misalignment_error": 0.5})
+        assert not evaluate_point(scenario, 10.0, 0.0).report.secure
+        assert ambient_tolerance(scenario) is None
 
     def test_fractional_fov_floor_never_probes_below_it(self):
         scenario = Scenario.named("ambient-only-center")

@@ -37,7 +37,7 @@ def room(bandwidth_nm, fov_deg=30.0):
     return RoomScenario(
         room_x_m=4.0, room_y_m=4.0, room_z_m=3.0,
         wall_reflectivity=0.7, floor_reflectivity=0.1,
-        lamp=Pose(Point3(2.0, 2.0, 3.0), down), lamp_semi_angle_deg=70.0, lamp_psd_w_per_nm=0.0,
+        lamp=Pose(Point3(2.0, 2.0, 3.0), down), lamp_semi_angle_deg=70.0,
         transmitter=Pose(Point3(2.0, 2.0, 0.0), Point3(0.0, 0.0, 1.0)), tx_semi_angle_deg=30.0,
         receiver=Pose(Point3(2.0, 2.0, 3.0), down), fov_deg=fov_deg,
         detector_area_m2=1e-4, concentrator_index=1.5, filter_transmission=1.0,
