@@ -9,10 +9,11 @@ runs before and after each round, and the mean of its two slowdown factors
 scales the round to the reference box at full speed, as perfbench does for
 its op times.  The layers:
 
-* total_reflected_gain, lamp-center at FOV 20 deg, 10/20/40/80 patches/m;
+* total_reflected_gain, lamp-center at FOV 20 deg, at patches_per_meter
+  10/20/40/80 (a rule order since the quadrature replaced the patch sum);
 * one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
-  lamp-center at 10 patches/m;
-* one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches/m;
+  lamp-center at 10 patches_per_meter;
+* one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches_per_meter;
 * one scalar secret_key_rate call, and one call over a batch of 90 noise
   counts (eta 1e-3, noise 1e-9-1e-2);
 * one evaluate_point, lamp-center at FOV 20 deg and 1e-5 W/nm, with the
@@ -154,7 +155,9 @@ def main() -> int:
     scenario = Scenario.named("lamp-center")
     setup = build_setup(scenario, 20.0, 1e-5)
     room = setup.room
-    cold = experiments._cached_reflected_integral.cache_clear
+    # the bounce-integral cache: per room since the quadrature, per room and FOV before it
+    cache = getattr(experiments, "_integral_table", None) or experiments._cached_reflected_integral
+    cold = cache.cache_clear
     fovs = tuple(0.9 * (k + 1) for k in range(100))
     levels = tuple(10.0 ** (-7.0 + 3.0 * k / 99) for k in range(100))
     ambient = Scenario.named("ambient-only-center")

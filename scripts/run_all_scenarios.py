@@ -19,7 +19,7 @@ AMBIENT_AXIS = dict(source_min=1e-10, source_max=1e-6, source_steps=13, source_s
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output root directory")
-    parser.add_argument("--resolution", type=int, default=10, help="patches per meter")
+    parser.add_argument("--resolution", type=int, default=10, help="bounce-quadrature rule order (resolution_patches_per_meter)")
     parser.add_argument("--fov-steps", type=int, default=29)
     args = parser.parse_args()
 

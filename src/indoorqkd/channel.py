@@ -5,13 +5,23 @@ The line-of-sight DC gain of a generalized Lambertian emitter of mode m is
     H = A (m + 1) / (2 pi d^2) * cos(phi)^m * T_s * g(psi) * cos(psi)
 
 with g the ideal non-imaging concentrator gain n^2 / sin^2(fov) inside the
-acceptance cone and zero outside.  Reflected light is modeled with one
-diffuse bounce off the walls or floor; the room surfaces are tessellated
-into midpoint patches and summed.  Patches cut by the edge of the receiver's
-acceptance cone are subdivided adaptively, otherwise the hard cutoff in
-g(psi) would leave the sum stuck at the patch size instead of converging.
-The cone test probes each patch's center and corners in its surface's own
-plane coordinates, so a refinement level is a few passes over two flat arrays.
+acceptance cone and zero outside.  Reflected light takes one diffuse bounce
+off the walls or floor (Kahn & Barry, Proc. IEEE 85(2), 1997).  With
+dA cos(beta) / d2^2 = d omega the bounce integral runs over the directions
+omega the receiver looks along, at polar angle psi from its axis:
+
+    I(fov) = g(fov) * int_{psi <= fov} L(omega) cos(psi) d omega,
+    L = A (m1 + 1) / (2 pi^2) * T_s * rho * cos(phi)^m1 * cos(alpha) / d1^2,
+
+with L taken at the first floor or wall point seen along omega (the ceiling
+reflects nothing).  This is the Monte-Carlo oracle's next-event trace run
+from the receiver side and made deterministic.  psi is cut at the psi
+extremes of every room edge and into panels no wider than ``_PANEL_DEG``;
+each ring of directions at one psi into ``_THETA_ARCS`` arcs and where it
+crosses the plane through the receiver and a room edge.  L is smooth on
+every piece, and Gauss-Legendre rules mapped through
+s -> 3s^2 - 2s^3 absorb the square-root ends at edge tangencies.  The FOV
+enters only as the upper limit and through g, and the room size not at all.
 """
 
 from __future__ import annotations
@@ -19,11 +29,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import RoomScenario, concentrator_gain, link_geometry, wall_and_floor_grids
+from .geometry import RoomScenario, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
 
 __all__ = [
     "ReflectionConvergenceWarning",
@@ -35,15 +46,26 @@ __all__ = [
     "reflected_gain_convergence",
 ]
 
+PLANCK_J_S = 6.62607015e-34
+SPEED_OF_LIGHT_M_S = 299792458.0
+
+# The psi rule order per piece, under the config key's name (it once set a tessellation).
 DEFAULT_PATCHES_PER_METER = 10
-# Adaptive splitting at the acceptance-cone edge stops once sub-cells shrink
-# to about a millimeter; finer cuts cost time without moving the sum.
-_REFINE_TARGET_M = 1e-3
-_MAX_REFINE_DEPTH = 10
+# Widest psi panel, so that one rule order serves a narrow cone and a wide one.
+_PANEL_DEG = 15.0
+# Each ring of directions is cut into this many equal arcs before the edge
+# crossings cut it further, and each arc gets a Gauss-Legendre rule of
+# _THETA_ORDER points: a narrow lamp's spot is a sharp peak along the ring.
+_THETA_ARCS = 12
+_THETA_ORDER = 12
+# Most psi nodes traced in one pass, which holds tens of kB per node.
+_PSI_BLOCK = 64
+# Most psi nodes laid out at once (a FOV axis brings one piece per FOV).
+_PIECE_BLOCK = 4096
 
 
 class ReflectionConvergenceWarning(UserWarning):
-    """The patch sum moved more than the tolerance when the grid was doubled."""
+    """The bounce integral moved more than the tolerance when the rule order was doubled."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,8 +85,12 @@ class DetectorParams:
             raise ValueError(f"dark_count_rate_hz must be non-negative and finite, got {self.dark_count_rate_hz!r}")
         if not 0.0 < self.pulse_width_s < math.inf:
             raise ValueError(f"pulse_width_s must be positive and finite, got {self.pulse_width_s!r}")
-        if not 0.0 < self.wavelength_nm < math.inf:
-            raise ValueError(f"wavelength_nm must be positive and finite, got {self.wavelength_nm!r}")
+        if not (0.0 < self.wavelength_nm < math.inf and self.wavelength_nm * 1e-9 > 0.0 and self.photon_energy_j < math.inf):
+            raise ValueError(f"wavelength_nm must be positive and finite, with a finite photon energy h c / wavelength, got {self.wavelength_nm!r}")
+
+    @property
+    def photon_energy_j(self) -> float:
+        return PLANCK_J_S * SPEED_OF_LIGHT_M_S / (self.wavelength_nm * 1e-9)
 
 
 # eq=False: fields may be arrays, whose == has no truth value; compare fields.
@@ -100,12 +126,6 @@ class ConvergenceReport:
     patches_per_meter: int
 
 
-def _lambert_mode(semi_angle_deg: float) -> float:
-    """Lambert mode number m = -ln 2 / ln cos(semi-angle at half power),
-    for a semi-angle in (0, 90) degrees, as RoomScenario has checked."""
-    return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
-
-
 def los_gain_for(
     room: RoomScenario, *, enforce_fov: bool = True, fov_deg: float | Sequence[float] | None = None
 ) -> float | np.ndarray:
@@ -126,7 +146,7 @@ def los_gain_for(
     fov_list = fovs.ravel().tolist()
     g = [concentrator_gain(room.concentrator_index, f) for f in fov_list]
     geom = link_geometry(room.transmitter, room.receiver)
-    m = _lambert_mode(room.tx_semi_angle_deg)
+    m = lambert_mode(room.tx_semi_angle_deg)
     cos_phi = math.cos(geom.irradiance_angle)
     cos_psi = math.cos(geom.incidence_angle)
     if cos_phi <= 0.0 or cos_psi <= 0.0:  # behind the emitter or the receiver plane
@@ -139,141 +159,174 @@ def los_gain_for(
     return gains[0] if fovs.ndim == 0 else np.reshape(gains, fovs.shape)
 
 
-def _cell_gains(
-    centers: np.ndarray,
-    normals: np.ndarray,
-    areas: np.ndarray,
-    refl: np.ndarray,
-    room: RoomScenario,
-    m1: float,
-    g_in: float,
-) -> np.ndarray:
-    """Single-bounce gain of each cell already inside the acceptance cone.
+@lru_cache(maxsize=64)
+def _mapped_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``order``-point Gauss-Legendre rule on [0, 1] under s -> h(s) = 3s^2 - 2s^3:
+    positions h(s_i) and weights w_i h'(s_i).
 
-    Implements
-
-        H = A (m1 + 1) / (2 pi^2 d1^2 d2^2) * cos(phi)^m1 * rho * T_s
-            * g_in * dA * cos(alpha) * cos(beta) * cos(psi)
-
-    per cell.  All cosines clamp at zero: surfaces do not receive or emit
-    behind themselves.  A cell coincident with the lamp or the receiver
-    contributes zero.
+    h' vanishes at both ends, so an integrand that goes like sqrt(x) or
+    sqrt(1 - x) there becomes smooth in s.  The nodes and weights come from
+    the Jacobi matrix's eigenvectors (Golub & Welsch, Math. Comp. 23, 1969).
     """
-    lamp_pos = np.array(room.lamp.position.as_tuple())
-    lamp_axis = np.array(room.lamp.axis.as_tuple())
-    rx_pos = np.array(room.receiver.position.as_tuple())
-    rx_axis = np.array(room.receiver.axis.as_tuple())
+    k = np.arange(1.0, order)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    s = 0.5 * (x + 1.0)
+    positions, weights = s * s * (3.0 - 2.0 * s), vectors[0] ** 2 * 6.0 * s * (1.0 - s)
+    positions.flags.writeable = weights.flags.writeable = False
+    return positions, weights
 
-    v1 = centers - lamp_pos
-    d1 = np.linalg.norm(v1, axis=1)
-    v2 = rx_pos - centers
-    d2 = np.linalg.norm(v2, axis=1)
-    ok = (d1 > 1e-12) & (d2 > 1e-12)
-    d1 = np.where(ok, d1, 1.0)
-    d2 = np.where(ok, d2, 1.0)
 
-    cos_phi = np.clip(np.einsum("ij,j->i", v1, lamp_axis) / d1, 0.0, None)
-    cos_alpha = np.clip(-np.einsum("ij,ij->i", v1, normals) / d1, 0.0, None)
-    cos_beta = np.clip(np.einsum("ij,ij->i", v2, normals) / d2, 0.0, None)
-    cos_psi = np.clip(-np.einsum("ij,j->i", v2, rx_axis) / d2, 0.0, None)
+def _rows(arrays) -> np.ndarray:
+    return np.array([p.as_tuple() for p in arrays])
 
-    pref = room.detector_area_m2 * (m1 + 1.0) / (2.0 * math.pi**2) * room.filter_transmission * g_in
-    gains = (
-        pref
-        * refl
-        * areas
-        * cos_phi**m1
-        * cos_alpha
-        * cos_beta
-        * cos_psi
-        / (d1 * d1 * d2 * d2)
-    )
-    return np.where(ok, gains, 0.0)
+
+class _ReceiverView:
+    """The room as the receiver sees it: its frame, the planes that close the
+    room (the five surfaces of ``wall_and_floor_grids`` and a ceiling that
+    reflects nothing) and the room edges.
+
+    Positions are taken from the receiver and divided by ``scale``, the power
+    of two at or above the longest room side, so that neither a 1e300 m room
+    nor a 1e-300 m one leaves the float range on the way; a radiance in these
+    units is the true one times scale^2.
+    """
+
+    def __init__(self, room: RoomScenario) -> None:
+        grids = wall_and_floor_grids(room, 1)
+        extent = np.array([[g.n_u * g.cell_u, g.n_v * g.cell_v] for g in grids])
+        self.scale = math.ldexp(1.0, math.frexp(float(extent.max()))[1])
+        receiver = np.array(room.receiver.position.as_tuple())
+        local = lambda points: (np.asarray(points) - receiver) / self.scale  # noqa: E731
+        axis = np.array(room.receiver.axis.as_tuple())
+        helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        e1 = np.cross(axis, helper)
+        e1 /= np.linalg.norm(e1)
+        self.frame = np.array([axis, e1, np.cross(axis, e1)])
+        self.lamp = local(room.lamp.position.as_tuple())
+        self.lamp_axis = np.array(room.lamp.axis.as_tuple())
+        self.m1 = lambert_mode(room.lamp_semi_angle_deg)
+
+        corner, u_dir, v_dir, normal = (_rows(getattr(g, k) for g in grids) for k in ("origin", "u_dir", "v_dir", "normal"))
+        corner = local(corner)
+        u_side, v_side = extent[:, :1] / self.scale * u_dir, extent[:, 1:] / self.scale * v_dir
+        sides = {}
+        for start, end in ((corner, corner + u_side), (corner, corner + v_side), (corner + u_side, corner + u_side + v_side), (corner + v_side, corner + u_side + v_side)):
+            for a, b in zip(start, end):  # a room edge bounds two surfaces, or one and the ceiling
+                sides.setdefault(frozenset((tuple(a), tuple(b))), (a, b))
+        starts, ends = (np.array(e) for e in zip(*sides.values()))
+        length = np.linalg.norm(ends - starts, axis=1)
+        kept = length > 1e-12  # a side of a room flat to the precision bounds nothing
+        self.edge_start, self.edge_length = starts[kept], length[kept]
+        self.edge_dir = (ends - starts)[kept] / self.edge_length[:, None]
+
+        floor_normal = normal[0]
+        self.normal = np.vstack([normal, -floor_normal])
+        # Each plane's signed offset from the receiver, <= 0 inside the room.
+        self.height = np.append(np.einsum("ij,ij->i", corner, normal), -np.max(ends @ floor_normal))
+        # rho times the lamp's height over each plane (cos(alpha) d1 at any point of it)
+        over = np.clip(self.normal @ self.lamp - self.height, 0.0, None)
+        self.lamp_gain = np.append([g.reflectivity for g in grids], 0.0) * over
+
+    def breakpoints(self) -> np.ndarray:
+        """psi of every room corner and of every interior psi extreme of an edge, in (0, pi/2)."""
+        axis, u = self.frame[0], self.edge_start
+        p, q = u @ axis, self.edge_dir @ axis
+        r, w = np.einsum("ij,ij->i", u, u), np.einsum("ij,ij->i", u, self.edge_dir)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (p * w - q * r) / (q * w - p)  # d psi / ds = 0 along the edge line
+        inner = (s > 0.0) & (s < self.edge_length)
+        points = np.vstack([u, u + self.edge_length[:, None] * self.edge_dir, u[inner] + s[inner, None] * self.edge_dir[inner]])
+        distance = np.linalg.norm(points, axis=1)
+        seen = distance > 0.0
+        psi = np.arccos(np.clip(points[seen] @ axis / distance[seen], -1.0, 1.0))
+        return psi[(psi > 0.0) & (psi < 0.5 * math.pi)]
+
+    def piece_sums(self, lo: np.ndarray, hi: np.ndarray, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """int_lo^hi sin(psi) cos(psi) (ring integral) d psi on each piece, by the mapped rule."""
+        psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
+        weight = ((hi - lo)[:, None] * weights).ravel() * np.sin(psi) * np.cos(psi)
+        ring = np.concatenate([self.ring_integrals(psi[k : k + _PSI_BLOCK]) for k in range(0, len(psi), _PSI_BLOCK)])
+        return np.bincount(np.repeat(np.arange(len(lo)), len(positions)), weight * ring)
+
+    def ring_integrals(self, psi: np.ndarray) -> np.ndarray:
+        """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi."""
+        cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
+        # The ring crosses the plane through the receiver and an edge line where
+        # a cos(theta) + b sin(theta) = c: two crossings per line, if any.
+        n_axis, n_e1, n_e2 = self.frame @ np.cross(self.edge_start, self.edge_dir).T
+        a, b, c = sin_psi * n_e1, sin_psi * n_e2, -cos_psi * n_axis
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = np.arccos(c / np.hypot(a, b))  # nan where the ring misses the plane
+            mid = np.arctan2(b, a)
+            cuts = np.nan_to_num(np.mod(np.hstack([mid - half, mid + half]), 2.0 * math.pi))
+        arcs = np.linspace(0.0, 2.0 * math.pi, _THETA_ARCS + 1)
+        bounds = np.sort(np.hstack([np.broadcast_to(arcs, (len(psi), len(arcs))), cuts]), axis=1)
+        width = np.diff(bounds, axis=1)
+        ring, arc = np.nonzero(width > 0.0)
+        positions, weights = _mapped_rule(_THETA_ORDER)
+        theta = bounds[ring, arc][:, None] + width[ring, arc][:, None] * positions
+        weight = width[ring, arc][:, None] * weights
+        axis, e1, e2 = (v[:, None, None] for v in self.frame)
+        omega = axis * cos_psi[ring] + e1 * (sin_psi[ring] * np.cos(theta)) + e2 * (sin_psi[ring] * np.sin(theta))
+        return np.bincount(np.repeat(ring, _THETA_ORDER), (weight * self._radiance(omega)).ravel(), minlength=len(psi))
+
+    def _radiance(self, omega: np.ndarray) -> np.ndarray:
+        """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver
+        along ``omega`` (x, y, z on the first axis) leave the room."""
+        facing = np.tensordot(self.normal, omega, axes=1)  # exact: the normals are axis-aligned
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(facing < 0.0, self.height.reshape((-1,) + (1,) * (omega.ndim - 1)) / facing, np.inf)
+        plane = np.argmin(reach, axis=0)
+        t = np.take_along_axis(reach, plane[None], axis=0)[0]
+        v1 = t * omega - self.lamp.reshape((3,) + (1,) * (omega.ndim - 1))
+        d1_sq = v1[0] * v1[0] + v1[1] * v1[1] + v1[2] * v1[2]
+        d1 = np.sqrt(d1_sq)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            along = v1[0] * self.lamp_axis[0] + v1[1] * self.lamp_axis[1] + v1[2] * self.lamp_axis[2]
+            cos_phi = np.clip(along / d1, 0.0, None)
+            # cos(alpha) d1 is the lamp's height over the plane hit
+            radiance = self.lamp_gain[plane] * cos_phi**self.m1 / (d1_sq * d1)
+        return np.where(d1 > 1e-12, radiance, 0.0)
 
 
 def total_reflected_gain(
     room: RoomScenario,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     *,
-    refine_depth: int | None = None,
-) -> float:
-    """Sum of single-bounce gains over the tessellated walls and floor.
+    fov_deg: float | Sequence[float] | np.ndarray | None = None,
+) -> float | np.ndarray:
+    """Single-bounce gain from the lamp via the walls and floor into the receiver.
 
-    ``refine_depth`` levels of 4-way splitting are applied to cells whose
-    center and corners straddle the acceptance-cone edge (depth picked
-    automatically from the cell size when None; 0 disables refinement and
-    reproduces the plain midpoint sum over the base tessellation).
-
-    The five probes of a cell are tested in its grid's plane coordinates.
-    With the receiver at (u0, v0) and signed height h over the plane, and
-    its axis split into (a_u, a_v, a_n) along u_dir, v_dir and the normal,
-    the incidence cosine at (u, v) is
-
-        -(du a_u + dv a_v + h a_n) / sqrt(du^2 + dv^2 + h^2),  du = u0 - u,  dv = v0 - v.
-
-    A level is two flat arrays of cell centers plus one half-size per axis;
-    only accepted cells become 3-D centers, integrated by ``_cell_gains``.
+    ``patches_per_meter`` is the order of the Gauss-Legendre rule in psi on
+    each piece, so the cost grows linearly with it and does not depend on
+    the room size.  ``fov_deg`` puts one FOV or an array in place of the
+    room's, as in ``los_gain_for``.  The value at a FOV is the sum over the
+    whole psi pieces below it plus one partial piece ending at it, each
+    piece summed in a fixed order, so element i of an array call equals the
+    call at FOV i, bit for bit.
     """
-    m1 = _lambert_mode(room.lamp_semi_angle_deg)
-    g_in = concentrator_gain(room.concentrator_index, room.fov_deg)
-    cos_fov = math.cos(math.radians(room.fov_deg))
-
-    total = 0.0
-    for grid in wall_and_floor_grids(room, patches_per_meter):
-        if grid.reflectivity == 0.0:
-            continue
-        plane = (grid.u_dir, grid.v_dir, grid.normal)
-        origin, u_dir, v_dir, normal = (np.array(p.as_tuple()) for p in (grid.origin, *plane))
-        offset = room.receiver.position.minus(grid.origin)
-        u0, v0, h = (offset.dot(e) for e in plane)
-        # (du, dv, h) are the world x, y, z offsets in some order (the grids
-        # are axis-aligned).  Adding them up in the order numpy rounds a 3-D
-        # norm, (x + y) + z, and dot product, (x + z) + y, keeps every probe
-        # that sits exactly on the cone edge on the side the 3-D test put it.
-        order = [next(k for k in range(3) if plane[k].as_tuple()[i]) for i in range(3)]
-        a_x, a_y, a_z = (room.receiver.axis.dot(plane[k]) for k in order)
-
-        def inside(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-            x, y, z = ((du, dv, h)[k] for k in order)
-            d = np.sqrt(x * x + y * y + z * z)
-            d = np.where(d > 1e-12, d, 1.0)
-            return -(x * a_x + z * a_z + y * a_y) / d >= cos_fov
-
-        # Level 0 is an outer (n_u, 1) x (1, n_v) grid: one pass per axis for the offsets.
-        u = ((np.arange(grid.n_u) + 0.5) * grid.cell_u)[:, None]
-        v = ((np.arange(grid.n_v) + 0.5) * grid.cell_v)[None, :]
-        hu, hv = 0.5 * grid.cell_u, 0.5 * grid.cell_v
-        depth = refine_depth
-        if depth is None:  # split until the cells shrink to _REFINE_TARGET_M
-            levels = math.ceil(math.log2(max(grid.cell_u, grid.cell_v) / _REFINE_TARGET_M))
-            depth = max(0, min(_MAX_REFINE_DEPTH, levels))
-
-        surface_sum = 0.0
-        for level in range(depth + 1):
-            accept = inside(u0 - u, v0 - v)
-            if level < depth:  # the finest level lets the midpoint decide
-                du_p, du_m = u0 - (u + hu), u0 - (u - hu)
-                dv_p, dv_m = v0 - (v + hv), v0 - (v - hv)
-                # Corners (+,+), (+,-), (-,+), (-,-).
-                corners = (inside(du_p, dv_p), inside(du_p, dv_m), inside(du_m, dv_p), inside(du_m, dv_m))
-                straddle = accept | corners[0] | corners[1] | corners[2] | corners[3]
-                accept = accept & corners[0] & corners[1] & corners[2] & corners[3]
-                straddle &= ~accept
-            u, v = np.broadcast_arrays(u, v)
-            n = int(np.count_nonzero(accept))
-            if n:
-                centers = origin + u[accept][:, None] * u_dir + v[accept][:, None] * v_dir
-                areas, refl = np.full(n, 4.0 * hu * hv), np.full(n, grid.reflectivity)
-                gains = _cell_gains(centers, np.broadcast_to(normal, (n, 3)), areas, refl, room, m1, g_in)
-                surface_sum += float(np.sum(gains))
-            if level == depth or not np.any(straddle):
-                break
-            us, vs = u[straddle], v[straddle]  # children in the corner order
-            hu, hv = 0.5 * hu, 0.5 * hv
-            u = np.concatenate([us + hu, us + hu, us - hu, us - hu])
-            v = np.concatenate([vs + hv, vs - hv, vs + hv, vs - hv])
-        total += surface_sum
-    return total
+    fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg, dtype=float)
+    fov_list = fovs.ravel().tolist()
+    gains = [concentrator_gain(room.concentrator_index, f) for f in fov_list]
+    if not patches_per_meter >= 1:
+        raise ValueError("patches_per_meter must be a positive integer")
+    view = _ReceiverView(room)
+    panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
+    bounds = np.unique(np.concatenate([panels, view.breakpoints(), [0.5 * math.pi]]))
+    ends = [math.radians(f) for f in fov_list]
+    first = np.searchsorted(bounds, ends, side="right") - 1  # the partial piece starts here
+    whole = int(first.max())
+    lo = np.concatenate([bounds[:whole], bounds[first]])
+    hi = np.concatenate([bounds[1 : whole + 1], ends])
+    positions, weights = _mapped_rule(int(patches_per_meter))
+    step = max(1, _PIECE_BLOCK // len(positions))
+    pieces = np.concatenate([view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights) for k in range(0, len(lo), step)])
+    below = np.concatenate([[0.0], np.cumsum(pieces[:whole])])
+    scale = room.detector_area_m2 * (view.m1 + 1.0) / (2.0 * math.pi**2) * room.filter_transmission
+    with np.errstate(over="ignore"):  # a room a few nm across collects an unbounded gain
+        values = [float((below[k] + part) / view.scale / view.scale * (scale * g)) for k, part, g in zip(first.tolist(), pieces[whole:].tolist(), gains)]
+    return values[0] if fovs.ndim == 0 else np.reshape(values, fovs.shape)
 
 
 def reflected_gain_convergence(
@@ -281,7 +334,7 @@ def reflected_gain_convergence(
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     rtol: float = 0.005,
 ) -> ConvergenceReport:
-    """Patch sum at the requested grid and at double resolution.
+    """The bounce integral at the requested rule order and at twice that order.
 
     Emits ReflectionConvergenceWarning (carrying both estimates) when the
     relative change exceeds ``rtol``.
@@ -295,8 +348,8 @@ def reflected_gain_convergence(
     converged = rel <= rtol
     if not converged:
         warnings.warn(
-            f"reflected-gain sum moved {rel:.3%} between {patches_per_meter} and "
-            f"{2 * patches_per_meter} patches/m ({value:.6e} -> {refined:.6e})",
+            f"reflected-gain quadrature moved {rel:.3%} between orders {patches_per_meter} and "
+            f"{2 * patches_per_meter} ({value:.6e} -> {refined:.6e})",
             ReflectionConvergenceWarning,
             stacklevel=2,
         )

@@ -3,7 +3,7 @@
 The config is a flat key = value file grouped into sections named after the
 library modules.  ``indoorqkd --dump-defaults`` prints the nominal
 configuration; edit and pass it back.  Exit codes: 0 success, 2 config
-error, 3 when --strict escalates a tessellation-convergence warning.
+error, 3 when --strict escalates a bounce-quadrature convergence warning.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .experiments import (
     secure_fov_boundary,
     sweep,
 )
-from .geometry import RoomScenario, wall_and_floor_grids
 from .spectra import KINDS, density_at, irradiance_to_psd, load_spectrum_csv
 
 __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main"]
@@ -40,10 +39,11 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_STRICT_CONVERGENCE = 3
 
-# Most cells a run may tessellate at the convergence check's resolution,
-# twice the run's.  The check's peak memory, measured at 20-30 B a cell,
-# stays near 1 GiB here; 1e8 cells fail to allocate under a 2 GiB cap.
-PATCH_BUDGET = 40_000_000
+# Largest resolution_patches_per_meter, the bounce quadrature's rule order.
+# The convergence check doubles it, and the rule's nodes come from a dense
+# eigensolve: a default lamp run took 1.7 s and 75 MB peak RSS at 500, and
+# 5.3 s and 193 MB at 1,000, on a 2-core x86 VM.
+MAX_RESOLUTION = 500
 # Most (FOV, source) points a run may sweep, and so the longest axis.  Peak
 # memory grows by 200 B a point on a square map and 330 B on one row; under a
 # 1 GiB address-space cap 2.5e6 points run (0.5, 0.8 GB) and 3e6 on a row fail.
@@ -256,11 +256,10 @@ def _resolve(
     """Scenario and both sweep axes of a run, or None plus every diagnostic.
 
     The range rules live in the setup dataclasses.  No axis or grid over
-    ``GRID_BUDGET`` points is built; the run is built at both corners of its
-    grid, and one with a reflected integral holds its room to ``PATCH_BUDGET``.
-    When that fails, each overridden key is built alone on the nominal table
-    so that its diagnostic names it; a failure no single key explains is
-    reported as it is (a lamp outside a shrunk room, a room over budget).
+    ``GRID_BUDGET`` points is built, and the run is built at both corners of
+    its grid.  When that fails, each overridden key is built alone on the
+    nominal table so that its diagnostic names it; a failure no single key
+    explains is reported as it is (a lamp outside a shrunk room, say).
     """
     out: list[str] = []
     fov_values = source_values = ()
@@ -269,8 +268,8 @@ def _resolve(
     except ValueError as exc:
         out.append(f"scenario = {config.scenario!r}: {exc}")
     resolution = config.resolution_patches_per_meter
-    if resolution < 1:
-        out.append(f"resolution_patches_per_meter = {resolution}: must be a positive integer")
+    if not 1 <= resolution <= MAX_RESOLUTION:
+        out.append(f"resolution_patches_per_meter = {resolution}: must be a positive integer no larger than {MAX_RESOLUTION:,}")
     try:
         fov_values = config.fov_values()
     except ValueError as exc:
@@ -298,9 +297,7 @@ def _resolve(
             # The boundary search goes up to fov_max_deg.
             widest = max(fov_values[-1], config.fov_max_deg)
             for fov, level in ((fov_values[0], source_values[0]), (widest, source_values[-1])):
-                room = build_setup(scenario, fov, level).room
-            if _reflects(config, source_values):
-                _check_patch_budget(room, resolution)
+                build_setup(scenario, fov, level)
             return (scenario, fov_values, source_values), []
         except ValueError as exc:
             whole_run.append(str(exc))
@@ -311,26 +308,6 @@ def _resolve(
         except ValueError as exc:
             out.append(f"{key} = {value!r}: {exc}")
     return None, out or whole_run
-
-
-def _reflects(config: RunConfig, source_values: tuple[float, ...]) -> bool:
-    """Whether a run has a reflected-light integral (and tessellates the room):
-    a lamp scenario with a source level above 0."""
-    return config.scenario not in AMBIENT_SCENARIOS and max(source_values) > 0.0
-
-
-def _check_patch_budget(room: RoomScenario, patches_per_meter: int) -> None:
-    """Reject a room over PATCH_BUDGET."""
-    try:
-        cells = sum(g.patch_count() for g in wall_and_floor_grids(room, 2 * patches_per_meter))
-    except OverflowError:  # a side with more cells than a float can count
-        cells = math.inf
-    if cells > PATCH_BUDGET:
-        sizes = ", ".join(f"{k} = {getattr(room, k)!r}" for k in ("room_x_m", "room_y_m", "room_z_m"))
-        raise ValueError(
-            f"{sizes} at resolution_patches_per_meter = {patches_per_meter} tessellate into more than "
-            f"the patch budget of {PATCH_BUDGET:,} cells at {2 * patches_per_meter}/m (the convergence check)"
-        )
 
 
 def _csv_lines(
@@ -384,7 +361,7 @@ def run(config: RunConfig) -> int:
         csv.write(",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n")
         csv.writelines(_csv_lines(grid, fov_values, source_values))
 
-    reflects = _reflects(config, source_values)
+    reflects = config.scenario not in AMBIENT_SCENARIOS and max(source_values) > 0.0
     convergence_note, strict_trip = _convergence_check(config, scenario, max(fov_values), reflects)
     summary = _summarize(config, scenario, grid.report.secure, fov_values, source_values, convergence_note)
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
@@ -397,7 +374,8 @@ def run(config: RunConfig) -> int:
 
 
 def _convergence_check(config: RunConfig, scenario: Scenario, fov_deg: float, reflects: bool) -> tuple[str, bool]:
-    """Probe tessellation convergence of the room at the widest FOV of a run that ``reflects``."""
+    """Compare the bounce integral at the run's rule order and at twice it, at
+    the widest FOV of a run that ``reflects`` (a lamp scenario with a level above 0)."""
     if not reflects:
         return "convergence: no reflected-light integral in this run\n", False
     room = build_setup(scenario, fov_deg, 0.0).room
@@ -405,8 +383,8 @@ def _convergence_check(config: RunConfig, scenario: Scenario, fov_deg: float, re
         warnings.simplefilter("always")
         report = reflected_gain_convergence(room, config.resolution_patches_per_meter)
     note = (
-        f"convergence: reflected integral {report.value:.9e} at "
-        f"{report.patches_per_meter}/m vs {report.refined_value:.9e} refined; "
+        f"convergence: reflected integral {report.value:.9e} at order "
+        f"{report.patches_per_meter} vs {report.refined_value:.9e} at order {2 * report.patches_per_meter}; "
         f"relative change {report.rel_change:.3e}; "
         f"{'converged' if report.converged else 'NOT converged'}\n"
     )
@@ -423,7 +401,7 @@ def _summarize(
     lines = [
         f"scenario: {config.scenario}",
         f"grid: {len(fov_values)} FOV values x {len(source_values)} source values",
-        f"resolution: {config.resolution_patches_per_meter} patches per meter",
+        f"resolution: bounce quadrature of order {config.resolution_patches_per_meter} (resolution_patches_per_meter)",
         f"secure points: {np.count_nonzero(secure)} of {secure.size}",
     ]
     lines.append("largest secure FOV per source level (grid resolution):")
@@ -456,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("config", nargs="?", default=None, help="INI config file (defaults if omitted)")
     parser.add_argument("--scenario", choices=SCENARIOS, help="override the configured scenario")
-    parser.add_argument("--resolution", type=int, metavar="N", help="tessellation patches per meter")
+    parser.add_argument("--resolution", type=int, metavar="N", help="bounce-quadrature rule order (resolution_patches_per_meter)")
     parser.add_argument("--strict", action="store_true", help="escalate convergence warnings to exit 3")
     parser.add_argument("--dump-defaults", action="store_true", help="print the default config and exit")
     parser.add_argument("--out", metavar="DIR", help="output directory (default from config)")

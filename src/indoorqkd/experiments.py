@@ -20,9 +20,10 @@ signal direction.  Set ``signal_fov_cutoff=True`` to study the physical
 cutoff instead.
 
 ``evaluate_point`` takes arrays of FOVs and of source levels, which broadcast
-against each other: the room is built once, the gains and the bounce
-integral are computed once per FOV, and the noise and the key rate once over
-the (FOV, level) grid.  A whole map is one evaluation whose count and report
+against each other: the room is built once, the gains are computed once per
+FOV, the bounce integrals of every FOV not yet known for the room in one
+``total_reflected_gain`` call, and the noise and the key rate once over the
+(FOV, level) grid.  A whole map is one evaluation whose count and report
 arrays have shape ``(n_fov, n_src)``.
 """
 
@@ -251,9 +252,29 @@ def _source_levels(level: float | np.ndarray, name: str = "source_level") -> flo
     return levels[()]
 
 
-@lru_cache(maxsize=4096)
-def _cached_reflected_integral(room_key: RoomScenario, patches_per_meter: int) -> float:
-    return total_reflected_gain(room_key, patches_per_meter)
+@lru_cache(maxsize=256)
+def _integral_table(room_key: tuple, patches_per_meter: int) -> dict[float, float]:
+    """The bounce integrals computed so far for one room, by FOV."""
+    return {}
+
+
+def _reflected_integrals(room: RoomScenario, fov_list: list[float], patches_per_meter: int) -> list[float]:
+    """The bounce integral at each FOV, computed in one call for those not yet known.
+
+    The key holds what the integral depends on: the surfaces, the lamp, and
+    the receiver with its optics; not the transmitter, and not the FOV, each
+    of whose values depends only on the room and itself.
+    """
+    key = (
+        room.room_x_m, room.room_y_m, room.room_z_m, room.wall_reflectivity, room.floor_reflectivity,
+        room.lamp, room.lamp_semi_angle_deg,
+        room.receiver, room.detector_area_m2, room.concentrator_index, room.filter_transmission,
+    )
+    table = _integral_table(key, patches_per_meter)
+    missing = [f for f in dict.fromkeys(fov_list) if f not in table]
+    if missing:
+        table.update(zip(missing, total_reflected_gain(room, patches_per_meter, fov_deg=missing).tolist()))
+    return [table[f] for f in fov_list]
 
 
 def evaluate_point(
@@ -271,6 +292,7 @@ def evaluate_point(
     ``(n_fov, n_src)`` map.  Each FOV, held to the ``RoomScenario`` rules, gets
     one LOS gain and, when a lamp level is positive, one bounce integral
     (else 0).  Each element is, bit for bit, the call at its FOV and level.
+    ``patches_per_meter`` is the bounce quadrature's rule order.
     """
     fovs = np.asarray(fov_deg, dtype=float)
     if fovs.size == 0:
@@ -288,8 +310,7 @@ def evaluate_point(
     eta = det.efficiency * h_sig
 
     if (lamp_psd > 0.0).any():
-        # The room, the cache key, holds no spectral level: a PSD sweep makes one pass per FOV.
-        integrals = [_cached_reflected_integral(replace(room, fov_deg=f), patches_per_meter) for f in fov_list]
+        integrals = _reflected_integrals(room, fov_list, patches_per_meter)
         integral = integrals[0] if fovs.ndim == 0 else np.reshape(integrals, fovs.shape)
     else:
         integral = 0.0
@@ -312,8 +333,8 @@ def evaluate_point(
 
 def sweep(
     scenario: Scenario,
-    fov_values_deg: tuple[float, ...],
-    source_values: tuple[float, ...],
+    fov_values_deg: Sequence[float] | np.ndarray,
+    source_values: Sequence[float] | np.ndarray,
     *,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     signal_fov_cutoff: bool = False,
@@ -322,9 +343,10 @@ def sweep(
 
     The levels go in as the whole ``(n_fov, n_src)`` grid, one element per
     map cell, so every noise and report field of the map has its shape: the
-    rate at FOV i and level j is ``report.rate[i, j]``.
+    rate at FOV i and level j is ``report.rate[i, j]``.  Either axis may be
+    a sequence or a 1-D numpy array.
     """
-    if not fov_values_deg or not source_values:
+    if not (len(fov_values_deg) and len(source_values)):
         raise ValueError("sweep axes must be non-empty")
     levels = np.broadcast_to(source_values, (len(fov_values_deg), len(source_values)))
     options = dict(patches_per_meter=patches_per_meter, signal_fov_cutoff=signal_fov_cutoff)

@@ -18,6 +18,7 @@ __all__ = [
     "SurfaceGrid",
     "RoomScenario",
     "concentrator_gain",
+    "lambert_mode",
     "link_geometry",
     "wall_and_floor_grids",
 ]
@@ -167,8 +168,11 @@ class RoomScenario:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         for name in ("lamp_semi_angle_deg", "tx_semi_angle_deg"):
             value = getattr(self, name)
-            if not 0.0 < value < 90.0:
-                raise ValueError(f"{name} must lie in (0, 90) degrees (Lambert mode is undefined outside), got {value!r}")
+            if not (0.0 < value < 90.0 and math.isfinite(lambert_mode(value))):
+                raise ValueError(
+                    f"{name} must lie in (0, 90) degrees (Lambert mode is undefined outside) "
+                    f"with a finite mode -ln 2 / ln cos(semi-angle), got {value!r}"
+                )
         concentrator_gain(self.concentrator_index, self.fov_deg)
         if not 0.0 < self.filter_transmission <= 1.0:
             raise ValueError(f"filter_transmission must lie in (0, 1], got {self.filter_transmission!r}")
@@ -180,6 +184,16 @@ class RoomScenario:
                 and 0.0 <= pos.z <= self.room_z_m
             ):
                 raise ValueError(f"{name} position {pos} lies outside the room volume")
+        if self.receiver.position.minus(self.transmitter.position).norm() < _COINCIDENT_EPS:
+            sizes = ", ".join(f"{k} = {getattr(self, k)!r}" for k in ("room_x_m", "room_y_m", "room_z_m"))
+            raise ValueError(f"transmitter and receiver lie closer than {_COINCIDENT_EPS} m apart in the room {sizes}")
+
+
+def lambert_mode(semi_angle_deg: float) -> float:
+    """Lambert mode number m = -ln 2 / ln cos(semi-angle at half power), for a
+    semi-angle in (0, 90) degrees; inf where the cosine rounds to 1."""
+    log_cos = math.log(math.cos(math.radians(semi_angle_deg)))
+    return -math.log(2.0) / log_cos if log_cos < 0.0 else math.inf
 
 
 def concentrator_gain(index: float, fov_deg: float) -> float:

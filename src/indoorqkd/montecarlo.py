@@ -1,11 +1,11 @@
 """Independent oracles for the single-bounce lamp-to-receiver gain.
 
-Both are validation paths for the deterministic patch sum in the channel
-module and deliberately share none of its machinery.  The Monte-Carlo
+Both are validation paths for the deterministic quadrature in the channel
+module and share none of its machinery but the Lambert mode.  The Monte-Carlo
 estimate samples rays from the lamp's Lambertian lobe, traces them to their
 first wall or floor hit, and folds the last bounce into the receiver in
 analytically (next-event estimation); the expectation of the per-ray
-contribution equals the same double integral the patch sum approximates.
+contribution equals the same double integral the quadrature approximates.
 The floor-cone closed form is that integral done exactly, for the one
 geometry where it has an antiderivative.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RoomScenario
+from .geometry import RoomScenario, lambert_mode
 
 __all__ = ["McEstimate", "estimate_reflected_gain", "floor_cone_closed_form"]
 
@@ -56,7 +56,7 @@ def estimate_reflected_gain(
     for name, value in (("samples", samples), ("chunk_size", chunk_size)):
         if not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    m1 = _lamp_mode(room)
+    m1 = lambert_mode(room.lamp_semi_angle_deg)
     fov_rad = math.radians(room.fov_deg)
     sin_fov = math.sin(fov_rad)
     g_in = room.concentrator_index**2 / (sin_fov * sin_fov)
@@ -153,18 +153,13 @@ def floor_cone_closed_form(room: RoomScenario) -> float | None:
     fov = math.radians(room.fov_deg)
     if z * math.tan(fov) > min(x, room.room_x_m - x, y, room.room_y_m - y):
         return None  # the cone spills onto the walls
-    m1 = _lamp_mode(room)
+    m1 = lambert_mode(room.lamp_semi_angle_deg)
     k = m1 + 5.0
     return (
         room.detector_area_m2 * (m1 + 1.0) * room.floor_reflectivity
         * room.concentrator_index**2 * room.filter_transmission
         * (1.0 - math.cos(fov) ** k) / (math.pi * z * z * k * math.sin(fov) ** 2)
     )
-
-
-def _lamp_mode(room: RoomScenario) -> float:
-    """Lambert mode of the lamp, m1 = -ln 2 / ln cos(semi-angle)."""
-    return -math.log(2.0) / math.log(math.cos(math.radians(room.lamp_semi_angle_deg)))
 
 
 def _frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DetectorParams
+from .channel import PLANCK_J_S, SPEED_OF_LIGHT_M_S, DetectorParams
 from .geometry import RoomScenario
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "lamp_noise_photons",
     "dark_counts_per_pulse",
 ]
-
-PLANCK_J_S = 6.62607015e-34
-SPEED_OF_LIGHT_M_S = 299792458.0
 
 # Thermal (blackbody) room background is orders of magnitude below lamp
 # light in the near infrared; use this preset to include it anyway.
@@ -63,10 +60,6 @@ class NoiseBudget:
     @property
     def total(self) -> float | np.ndarray:
         return self.ambient + self.lamp_bounce + self.dark
-
-
-def _photon_energy_j(wavelength_nm: float) -> float:
-    return PLANCK_J_S * SPEED_OF_LIGHT_M_S / (wavelength_nm * 1e-9)
 
 
 def matched_filter_bandwidth_nm(detector: DetectorParams) -> float:
@@ -105,7 +98,7 @@ def photons_per_pulse(power_w: float | np.ndarray, detector: DetectorParams) -> 
     if not _non_negative(power_w):
         raise ValueError("power_w must be non-negative")
     with np.errstate(over="ignore"):
-        return power_w * detector.pulse_width_s * (detector.efficiency / 2.0) / _photon_energy_j(detector.wavelength_nm)
+        return power_w * detector.pulse_width_s * (detector.efficiency / 2.0) / detector.photon_energy_j
 
 
 def lamp_noise_photons(
@@ -128,7 +121,7 @@ def lamp_noise_photons(
             in_band_power
             * detector.pulse_width_s
             * (detector.efficiency / 2.0)
-            / _photon_energy_j(detector.wavelength_nm)
+            / detector.photon_energy_j
             * reflected_integral
         )
     # An energy beyond the float range times a zero integral is nan: no bounce, no counts.

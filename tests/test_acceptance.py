@@ -149,7 +149,7 @@ def test_criterion_7_monte_carlo_oracle():
         details.append(f"{fov:g} deg: {rel:.2%}")
     ok = worst <= 0.02
     check(
-        "criterion 7: patch sum vs Monte-Carlo ray sampling (1e7 rays)",
+        "criterion 7: bounce quadrature vs Monte-Carlo ray sampling (1e7 rays)",
         ok,
         f"relative gap {', '.join(details)} (tolerance 2%)",
     )
@@ -197,19 +197,19 @@ def test_criterion_8_property_suite():
             if abs(bounce - reference[1]) / reference[1] > 1e-12:
                 problems.append("bounce counts depend on pulse width")
 
-    # tessellation conserves area; patch sum converged at default resolution
+    # tessellation conserves area; bounce quadrature converged at the default order
     room = build_setup(Scenario.named("lamp-center"), 30.0, 1e-5).room
     area = sum(g.area() for g in wall_and_floor_grids(room, 10))
     if not math.isclose(area, 4.0 * 4.0 + 4.0 * (4.0 * 3.0), rel_tol=1e-12):
         problems.append("tessellation does not conserve area")
     report = reflected_gain_convergence(room, 10)
     if not report.converged or report.rel_change >= 5e-3:
-        problems.append(f"grid convergence {report.rel_change:.2%} at default resolution")
+        problems.append(f"quadrature convergence {report.rel_change:.2%} at the default order")
 
     check(
         "criterion 8: property suite",
         not problems,
         "entropy identities, 50x50 rate monotonicity and clamping, "
-        "matched-filter invariance, area conservation, grid convergence"
+        "matched-filter invariance, area conservation, quadrature convergence"
         + ("" if not problems else "; problems: " + "; ".join(problems)),
     )

@@ -1,14 +1,19 @@
-"""Lambertian LOS gain, concentrator cutoff, and the single-bounce patch sum.
+"""Lambertian LOS gain, concentrator cutoff, and the single-bounce quadrature.
 
 The floor-only closed form used as an oracle below
 (``montecarlo.floor_cone_closed_form``) is exact while the acceptance cone of
 a ceiling-center receiver looking straight down stays entirely on the
-floor.  It is independent of the patch code.
+floor.  It is independent of the quadrature code.  Where walls are in view,
+the quadrature is held to the fine patch sums it replaced, pinned in
+``tests/data/reflected_gain_pins.json``.
 """
 
+import json
 import math
+import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +26,7 @@ from indoorqkd.channel import (
     los_gain_for,
     reflected_gain_convergence,
     total_reflected_gain,
-    _cell_gains,
-    _lambert_mode,
+    _ReceiverView,
 )
 from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.geometry import (
@@ -31,6 +35,7 @@ from indoorqkd.geometry import (
     Pose,
     RoomScenario,
     concentrator_gain,
+    lambert_mode,
 )
 from indoorqkd.montecarlo import floor_cone_closed_form
 
@@ -53,15 +58,19 @@ def nominal_room(fov_deg=30.0, **overrides):
 
 class TestLambertMode:
     def test_sixty_degrees_is_plain_lambertian(self):
-        assert _lambert_mode(60.0) == pytest.approx(1.0, abs=1e-12)
+        assert lambert_mode(60.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_narrow_source(self):
-        assert _lambert_mode(30.0) == pytest.approx(4.81884167930642, rel=1e-12)
+        assert lambert_mode(30.0) == pytest.approx(4.81884167930642, rel=1e-12)
 
     def test_wide_source(self):
-        assert _lambert_mode(70.0) == pytest.approx(0.646058770348734, rel=1e-12)
+        assert lambert_mode(70.0) == pytest.approx(0.646058770348734, rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [0.0, 90.0, 95.0, -10.0])
+    def test_infinite_where_the_cosine_rounds_to_one(self):
+        assert lambert_mode(1e-9) == math.inf
+        assert math.isfinite(lambert_mode(1e-4))
+
+    @pytest.mark.parametrize("bad", [0.0, 90.0, 95.0, -10.0, 1e-9, 5e-324])
     def test_undefined_outside_open_interval(self, bad):
         # the domain rule lives in RoomScenario, for the lamp and the transmitter
         for field in ("lamp_semi_angle_deg", "tx_semi_angle_deg"):
@@ -107,7 +116,7 @@ class TestLosGain:
     def test_center_link_matches_hand_formula(self):
         # straight-up link, 3 m, narrow acceptance: every factor is textbook
         room = nominal_room(fov_deg=11.0)
-        m = _lambert_mode(30.0)
+        m = lambert_mode(30.0)
         expected = 1e-4 * (m + 1.0) / (2.0 * math.pi * 9.0) * (1.5**2 / math.sin(math.radians(11.0)) ** 2)
         gain = los_gain_for(room)
         assert gain == pytest.approx(expected, rel=1e-12)
@@ -145,44 +154,39 @@ class TestLosGain:
         assert narrow > wide
 
 
-class TestReflectedPatchGain:
-    """The bounce integrand for single cells, against the hand formula."""
+class TestRadiance:
+    """The bounce integrand at the first surface a ray meets, against the hand formula."""
 
-    def _cell_gain(self, room, center, normal, area, reflectivity):
-        m1 = _lambert_mode(room.lamp_semi_angle_deg)
-        g_in = concentrator_gain(room.concentrator_index, room.fov_deg)
-        gains = _cell_gains(
-            np.array([center.as_tuple()]), np.array([normal.as_tuple()]),
-            np.array([area]), np.array([reflectivity]), room, m1, g_in,
-        )
-        return float(gains[0])
+    def _radiance(self, room, direction):
+        omega = np.array(direction.normalized().as_tuple())[:, None, None]
+        view = _ReceiverView(room)
+        return float(view._radiance(omega)[0, 0]) / view.scale**2  # its units are the scale's
 
-    def test_in_cone_patch_matches_hand_formula(self):
+    def test_floor_point_matches_hand_formula(self):
         room = nominal_room(fov_deg=30.0)
-        # floor cell of the 2 patches/m grid nearest (2.25, 2.25)
-        center, area = Point3(2.25, 2.25, 0.0), 0.25
+        # the ray from the ceiling-center receiver meets the floor at (2.5, 2.25, 0)
+        direction = Point3(0.5, 0.25, -3.0)
+        center = room.receiver.position.minus(Point3(-0.5, -0.25, 3.0))
         v1 = center.minus(room.lamp.position)
         d1 = v1.norm()
-        v2 = room.receiver.position.minus(center)
-        d2 = v2.norm()
-        cos_phi = -v1.z / d1  # lamp looks straight down
-        cos_alpha = -v1.z / d1
-        cos_beta = v2.z / d2
-        cos_psi = v2.z / d2
-        assert math.acos(cos_psi) <= math.radians(30.0)  # sanity: inside cone
-        m1 = _lambert_mode(70.0)
-        g = 1.5**2 / math.sin(math.radians(30.0)) ** 2
-        expected = (
-            1e-4 * (m1 + 1.0) / (2.0 * math.pi**2 * d1**2 * d2**2)
-            * cos_phi**m1 * 0.1 * g * area * cos_alpha * cos_beta * cos_psi
-        )
-        gain = self._cell_gain(room, center, Point3(0.0, 0.0, 1.0), area, 0.1)
-        assert gain == pytest.approx(expected, rel=1e-12)
+        cos_phi = cos_alpha = -v1.z / d1  # lamp looks straight down at a floor facing up
+        m1 = lambert_mode(70.0)
+        expected = 0.1 * cos_phi**m1 * cos_alpha / d1**2
+        assert self._radiance(room, direction) == pytest.approx(expected, rel=1e-12)
 
-    def test_patch_coincident_with_receiver_contributes_nothing(self):
-        room = nominal_room()
-        gain = self._cell_gain(room, room.receiver.position, Point3(0.0, 0.0, 1.0), 0.01, 0.5)
-        assert gain == 0.0
+    def test_wall_point_matches_hand_formula(self):
+        room = nominal_room(fov_deg=90.0)
+        # the ray meets the wall x = 4 at (4, 2, 2)
+        v1 = Point3(4.0, 2.0, 2.0).minus(room.lamp.position)
+        d1 = v1.norm()
+        cos_phi, cos_alpha = -v1.z / d1, v1.x / d1
+        expected = 0.7 * cos_phi ** lambert_mode(70.0) * cos_alpha / d1**2
+        assert self._radiance(room, Point3(2.0, 0.0, -1.0)) == pytest.approx(expected, rel=1e-12)
+
+    def test_ceiling_reflects_nothing(self):
+        room = nominal_room(receiver=Pose(Point3(2.0, 2.0, 1.5), Point3(0.0, 0.0, -1.0)))
+        assert self._radiance(room, Point3(0.1, 0.2, 1.0)) == 0.0
+        assert self._radiance(room, Point3(0.1, 0.2, -1.0)) > 0.0
 
 
 class TestTotalReflectedGain:
@@ -193,17 +197,7 @@ class TestTotalReflectedGain:
         exact = floor_cone_closed_form(room)
         assert numeric == pytest.approx(exact, rel=5e-3)
 
-    def test_adaptive_refinement_beats_midpoint_rule(self):
-        # at 5 degrees the cone floor print is 0.26 m, comparable to the
-        # 0.1 m cells; the plain midpoint sum is visibly quantized
-        room = nominal_room(fov_deg=5.0)
-        exact = floor_cone_closed_form(room)
-        refined = total_reflected_gain(room, 10)
-        midpoint = total_reflected_gain(room, 10, refine_depth=0)
-        assert abs(refined - exact) < abs(midpoint - exact)
-        assert refined == pytest.approx(exact, rel=5e-3)
-
-    def test_grid_doubling_stays_within_half_percent(self):
+    def test_order_doubling_stays_within_half_percent(self):
         room = nominal_room(fov_deg=30.0)
         coarse = total_reflected_gain(room, 10)
         fine = total_reflected_gain(room, 20)
@@ -241,19 +235,57 @@ class TestTotalReflectedGain:
         room = nominal_room(wall_reflectivity=0.0, floor_reflectivity=0.0)
         assert total_reflected_gain(room, 5) == 0.0
 
+    @pytest.mark.parametrize("kind", ["nominal", "offset-lamp", "steered-corner"])
+    def test_fov_array_equals_one_fov_calls_bit_for_bit(self, kind):
+        fovs = [0.25, 2.0, 14.999, 15.0, 33.7, 44.0, 60.0, 89.9, 90.0]
+        room = pinned_room(kind, 30.0)
+        for order in fovs, fovs[::-1], fovs[3:]:
+            values = total_reflected_gain(room, 10, fov_deg=order)
+            assert values.shape == (len(order),)
+            for fov, value in zip(order, values.tolist()):
+                assert value == total_reflected_gain(replace(room, fov_deg=fov), 10), fov
+        column = total_reflected_gain(room, 10, fov_deg=np.array(fovs)[:, None])
+        assert column.shape == (len(fovs), 1)
+
+    def test_cost_does_not_grow_with_the_room(self):
+        def cpu(room):
+            start = time.process_time()
+            total_reflected_gain(room, 10)
+            return time.process_time() - start
+
+        cpu(nominal_room(fov_deg=60.0))
+        small = min(cpu(nominal_room(fov_deg=60.0)) for _ in range(3))
+        # 1e5 m is what the room-size cases of the CLI property test draw
+        for key, center in (("room_x_m", Point3(5e4, 2.0, 3.0)), ("room_z_m", Point3(2.0, 2.0, 1e5))):
+            pose = Pose(center, Point3(0.0, 0.0, -1.0))
+            huge = nominal_room(fov_deg=60.0, **{key: 1e5}, lamp=pose, receiver=pose)
+            assert total_reflected_gain(huge, 10) > 0.0
+            assert min(cpu(huge) for _ in range(3)) < 5.0 * small + 0.01, key
+
 
 class TestFloorConeClosedForm:
-    """The patch sum against the exact floor-cone integral on a fine FOV ladder."""
+    """The quadrature against the exact floor-cone integral on a fine FOV ladder."""
 
     @pytest.mark.parametrize(
         "patches_per_meter, rtol",
-        [(10, 1e-3), (40, 3e-4)],  # worst measured: 5.9e-4 and 1.9e-4
+        [(10, 1e-3), (40, 3e-4)],  # the bounds the patch sum was held to
     )
     def test_lamp_center_two_to_thirty_degrees(self, patches_per_meter, rtol):
         for fov in np.arange(2.0, 30.25, 0.5):
             room = build_setup(Scenario.named("lamp-center"), float(fov), 1e-5).room
             numeric = total_reflected_gain(room, patches_per_meter)
             assert numeric == pytest.approx(floor_cone_closed_form(room), rel=rtol), fov
+
+    @pytest.mark.parametrize("overrides", [{}, {"room_x_m": 7.0, "room_y_m": 3.0, "room_z_m": 2.5, "lamp_semi_angle_deg": 30.0}])
+    def test_quarter_to_thirty_degrees_to_1e_9(self, overrides):
+        # the patch sum was 2.2e-3 (nominal) and 5.8e-3 (7 x 3 x 2.5 m) off at 0.25 deg
+        scenario = Scenario.named("lamp-center", overrides)
+        for fov in np.arange(0.25, 30.01, 0.25):
+            room = build_setup(scenario, float(fov), 1e-5).room
+            exact = floor_cone_closed_form(room)
+            if exact is None:  # the cone reaches a wall of the narrow room
+                break
+            assert total_reflected_gain(room, 10) == pytest.approx(exact, rel=1e-9, abs=0.0), fov
 
 
 def pinned_room(kind, fov):
@@ -268,146 +300,32 @@ def pinned_room(kind, fov):
     return replace(room, receiver=Pose.aimed_at(room.receiver.position, room.transmitter.position))
 
 
-# total_reflected_gain(pinned_room(kind, fov), patches_per_meter,
-# refine_depth=depth) as computed by the world-coordinate refinement that
-# preceded the plane-coordinate one.  A single cell whose accept/straddle
-# decision flips moves a value by far more than 1e-12.
-PINNED_REFLECTED_GAIN = {
-    ('nominal', 0.25, 10, None): 6.534743342515902e-07,
-    ('nominal', 0.25, 10, 0): 0.0,
-    ('nominal', 0.25, 20, None): 6.534743342515902e-07,
-    ('nominal', 0.25, 20, 0): 0.0,
-    ('nominal', 0.25, 40, None): 6.534743342515902e-07,
-    ('nominal', 0.25, 40, 0): 0.0,
-    ('nominal', 2.0, 10, None): 6.542768295006273e-07,
-    ('nominal', 2.0, 10, 0): 7.591238122009197e-07,
-    ('nominal', 2.0, 20, None): 6.542768295006273e-07,
-    ('nominal', 2.0, 20, 0): 5.694439434626632e-07,
-    ('nominal', 2.0, 40, None): 6.542516195661401e-07,
-    ('nominal', 2.0, 40, 0): 6.167572129261619e-07,
-    ('nominal', 5.0, 10, None): 6.507226187783001e-07,
-    ('nominal', 5.0, 10, 0): 7.20111207283788e-07,
-    ('nominal', 5.0, 20, None): 6.505321547982817e-07,
-    ('nominal', 5.0, 20, 0): 6.610586691412629e-07,
-    ('nominal', 5.0, 40, None): 6.504653113590601e-07,
-    ('nominal', 5.0, 40, 0): 6.239955003875064e-07,
-    ('nominal', 16.0, 10, None): 6.108602252331606e-07,
-    ('nominal', 16.0, 10, 0): 6.093349353046568e-07,
-    ('nominal', 16.0, 20, None): 6.106210538996817e-07,
-    ('nominal', 16.0, 20, 0): 6.094677157373493e-07,
-    ('nominal', 16.0, 40, None): 6.105593947304968e-07,
-    ('nominal', 16.0, 40, 0): 6.09457750627888e-07,
-    ('nominal', 30.0, 10, None): 5.162105470464231e-07,
-    ('nominal', 30.0, 10, 0): 5.140728576462103e-07,
-    ('nominal', 30.0, 20, None): 5.160933789962048e-07,
-    ('nominal', 30.0, 20, 0): 5.152832356671376e-07,
-    ('nominal', 30.0, 40, None): 5.16064218750565e-07,
-    ('nominal', 30.0, 40, 0): 5.156760439636889e-07,
-    ('nominal', 60.0, 10, None): 1.500543836888292e-06,
-    ('nominal', 60.0, 10, 0): 1.480714033211243e-06,
-    ('nominal', 60.0, 20, None): 1.5004113215268674e-06,
-    ('nominal', 60.0, 20, 0): 1.5060017407722364e-06,
-    ('nominal', 60.0, 40, None): 1.5003756619788266e-06,
-    ('nominal', 60.0, 40, 0): 1.5008080746945646e-06,
-    ('nominal', 90.0, 10, None): 1.8697580326040472e-06,
-    ('nominal', 90.0, 10, 0): 1.8695269733687435e-06,
-    ('nominal', 90.0, 20, None): 1.8693302635915359e-06,
-    ('nominal', 90.0, 20, 0): 1.8692928658409882e-06,
-    ('nominal', 90.0, 40, None): 1.8692440422516456e-06,
-    ('nominal', 90.0, 40, 0): 1.8692380488099174e-06,
-    ('offset-lamp', 0.25, 10, None): 5.155424817441705e-07,
-    ('offset-lamp', 0.25, 10, 0): 0.0,
-    ('offset-lamp', 0.25, 20, None): 5.155424817441705e-07,
-    ('offset-lamp', 0.25, 20, 0): 0.0,
-    ('offset-lamp', 0.25, 40, None): 5.155424817441705e-07,
-    ('offset-lamp', 0.25, 40, 0): 0.0,
-    ('offset-lamp', 2.0, 10, None): 5.164074162108924e-07,
-    ('offset-lamp', 2.0, 10, 0): 5.991449548257917e-07,
-    ('offset-lamp', 2.0, 20, None): 5.164074162108924e-07,
-    ('offset-lamp', 2.0, 20, 0): 4.4942231025144557e-07,
-    ('offset-lamp', 2.0, 40, None): 5.163915453930779e-07,
-    ('offset-lamp', 2.0, 40, 0): 4.867857293380323e-07,
-    ('offset-lamp', 5.0, 10, None): 5.148278490320075e-07,
-    ('offset-lamp', 5.0, 10, 0): 5.69960860843176e-07,
-    ('offset-lamp', 5.0, 20, None): 5.147073851510883e-07,
-    ('offset-lamp', 5.0, 20, 0): 5.230703385162608e-07,
-    ('offset-lamp', 5.0, 40, None): 5.146650120255902e-07,
-    ('offset-lamp', 5.0, 40, 0): 4.936650246780785e-07,
-    ('offset-lamp', 16.0, 10, None): 4.956910461091387e-07,
-    ('offset-lamp', 16.0, 10, 0): 4.944841633140175e-07,
-    ('offset-lamp', 16.0, 20, None): 4.955277599024636e-07,
-    ('offset-lamp', 16.0, 20, 0): 4.94575300668657e-07,
-    ('offset-lamp', 16.0, 40, None): 4.954855118975544e-07,
-    ('offset-lamp', 16.0, 40, 0): 4.945684286744814e-07,
-    ('offset-lamp', 30.0, 10, None): 4.427212771389543e-07,
-    ('offset-lamp', 30.0, 10, 0): 4.407370149980857e-07,
-    ('offset-lamp', 30.0, 20, None): 4.4262525400370776e-07,
-    ('offset-lamp', 30.0, 20, 0): 4.418706332854499e-07,
-    ('offset-lamp', 30.0, 40, None): 4.4260123020435217e-07,
-    ('offset-lamp', 30.0, 40, 0): 4.4223864688915524e-07,
-    ('offset-lamp', 60.0, 10, None): 1.3206428480293892e-06,
-    ('offset-lamp', 60.0, 10, 0): 1.3017135968884608e-06,
-    ('offset-lamp', 60.0, 20, None): 1.3206610152654839e-06,
-    ('offset-lamp', 60.0, 20, 0): 1.3261527549876443e-06,
-    ('offset-lamp', 60.0, 40, None): 1.3206639961910137e-06,
-    ('offset-lamp', 60.0, 40, 0): 1.3210583346344196e-06,
-    ('offset-lamp', 90.0, 10, None): 1.8748076956319995e-06,
-    ('offset-lamp', 90.0, 10, 0): 1.8744462106601825e-06,
-    ('offset-lamp', 90.0, 20, None): 1.8742569405857411e-06,
-    ('offset-lamp', 90.0, 20, 0): 1.8741978106246445e-06,
-    ('offset-lamp', 90.0, 40, None): 1.8741511357606446e-06,
-    ('offset-lamp', 90.0, 40, 0): 1.8741416345830545e-06,
-    ('steered-corner', 0.25, 10, None): 7.394992747424398e-07,
-    ('steered-corner', 0.25, 10, 0): 0.0,
-    ('steered-corner', 0.25, 20, None): 7.394992747424398e-07,
-    ('steered-corner', 0.25, 20, 0): 0.0,
-    ('steered-corner', 0.25, 40, None): 7.394992747424398e-07,
-    ('steered-corner', 0.25, 40, 0): 6.779657915915591e-07,
-    ('steered-corner', 2.0, 10, None): 8.024776983166943e-07,
-    ('steered-corner', 2.0, 10, 0): 7.609847828839984e-07,
-    ('steered-corner', 2.0, 20, None): 8.026071841764793e-07,
-    ('steered-corner', 2.0, 20, 0): 7.952639568405664e-07,
-    ('steered-corner', 2.0, 40, None): 8.026574219069483e-07,
-    ('steered-corner', 2.0, 40, 0): 8.164110804907062e-07,
-    ('steered-corner', 5.0, 10, None): 9.117016135054604e-07,
-    ('steered-corner', 5.0, 10, 0): 9.476108732580326e-07,
-    ('steered-corner', 5.0, 20, None): 9.119298475727965e-07,
-    ('steered-corner', 5.0, 20, 0): 8.962490509609838e-07,
-    ('steered-corner', 5.0, 40, None): 9.120011361176893e-07,
-    ('steered-corner', 5.0, 40, 0): 9.135764671790459e-07,
-    ('steered-corner', 16.0, 10, None): 1.3350049758429243e-06,
-    ('steered-corner', 16.0, 10, 0): 1.328524942605447e-06,
-    ('steered-corner', 16.0, 20, None): 1.335346536415826e-06,
-    ('steered-corner', 16.0, 20, 0): 1.3300370432377234e-06,
-    ('steered-corner', 16.0, 40, None): 1.3354363444219932e-06,
-    ('steered-corner', 16.0, 40, 0): 1.3385210921515774e-06,
-    ('steered-corner', 30.0, 10, None): 1.80175875956253e-06,
-    ('steered-corner', 30.0, 10, 0): 1.7992674970493499e-06,
-    ('steered-corner', 30.0, 20, None): 1.8018362770441734e-06,
-    ('steered-corner', 30.0, 20, 0): 1.8061779622520197e-06,
-    ('steered-corner', 30.0, 40, None): 1.8018487141483427e-06,
-    ('steered-corner', 30.0, 40, 0): 1.800542103454376e-06,
-    ('steered-corner', 60.0, 10, None): 1.8645366928081e-06,
-    ('steered-corner', 60.0, 10, 0): 1.8661372544218424e-06,
-    ('steered-corner', 60.0, 20, None): 1.863362053504962e-06,
-    ('steered-corner', 60.0, 20, 0): 1.8624182631079239e-06,
-    ('steered-corner', 60.0, 40, None): 1.8630152047643391e-06,
-    ('steered-corner', 60.0, 40, 0): 1.8628274001858857e-06,
-    ('steered-corner', 90.0, 10, None): 1.668117877930554e-06,
-    ('steered-corner', 90.0, 10, 0): 1.66800296444538e-06,
-    ('steered-corner', 90.0, 20, None): 1.666968283942164e-06,
-    ('steered-corner', 90.0, 20, 0): 1.66693746756833e-06,
-    ('steered-corner', 90.0, 40, None): 1.6666192431039965e-06,
-    ('steered-corner', 90.0, 40, 0): 1.6666112782806145e-06,
-}
+PATCH_SUMS = json.loads((Path(__file__).parent / "data" / "reflected_gain_pins.json").read_text())["rooms"]
 
 
-class TestPinnedReflectedGain:
-    @pytest.mark.parametrize("kind, fov, patches_per_meter, depth", sorted(PINNED_REFLECTED_GAIN, key=str))
-    def test_value_unchanged(self, kind, fov, patches_per_meter, depth):
-        value = total_reflected_gain(pinned_room(kind, fov), patches_per_meter, refine_depth=depth)
-        expected = PINNED_REFLECTED_GAIN[(kind, fov, patches_per_meter, depth)]
-        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+def patch_sum_room(pin):
+    x, y, z = pin["room"]
+    return RoomScenario(
+        room_x_m=x, room_y_m=y, room_z_m=z,
+        wall_reflectivity=pin["wall_reflectivity"], floor_reflectivity=pin["floor_reflectivity"],
+        lamp=Pose(Point3(*pin["lamp"]), Point3(0.0, 0.0, -1.0)),
+        lamp_semi_angle_deg=pin["lamp_semi_angle_deg"],
+        transmitter=Pose(Point3(x / 2.0, y / 2.0, 0.0), Point3(0.0, 0.0, 1.0)),
+        tx_semi_angle_deg=30.0,
+        receiver=Pose(Point3(*pin["receiver"]), Point3(*pin["receiver_axis"])),
+        fov_deg=pin["fov_deg"], detector_area_m2=1e-4, concentrator_index=1.5,
+        filter_transmission=1.0, filter_bandwidth_nm=0.0258,
+    )
+
+
+class TestAgainstFinePatchSums:
+    @pytest.mark.parametrize("index", range(len(PATCH_SUMS)))
+    def test_within_the_patch_sums_own_error(self, index):
+        # walls in view: 1e-4 of the 160/m sum, or its own move to 320/m where larger
+        pin = PATCH_SUMS[index]
+        fine, finer = pin["patch_sum_160"], pin["patch_sum_320"]
+        bound = max(1e-4 * fine, abs(finer - fine))
+        assert abs(total_reflected_gain(patch_sum_room(pin), 10) - fine) <= bound, pin
 
 
 class TestConvergenceReporting:
@@ -418,10 +336,8 @@ class TestConvergenceReporting:
         assert report.converged
         assert report.rel_change < 5e-3
 
-    def test_coarse_grid_warns_with_both_estimates(self):
-        # wide cone over 1 m cells: plenty of all-in cells whose midpoint
-        # error moves when the grid is doubled (narrow cones are handled
-        # entirely by the edge refinement and converge even at 1/m)
+    def test_low_order_warns_with_both_estimates(self):
+        # a one-point rule per piece is far from the two-point one
         room = nominal_room(fov_deg=30.0)
         with pytest.warns(ReflectionConvergenceWarning):
             report = reflected_gain_convergence(room, 1)

@@ -15,6 +15,7 @@ from indoorqkd.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_STRICT_CONVERGENCE,
+    MAX_RESOLUTION,
     RunConfig,
     dump_defaults,
     load_config,
@@ -135,15 +136,22 @@ class TestValidationDiagnostics:
     @settings(max_examples=60, deadline=None)
     @given(
         key=st.sampled_from(NUMERIC_KEYS),
-        kind=st.sampled_from(("zero", "negative", "nan", "inf", "huge", "valid")),
+        kind=st.sampled_from(("zero", "negative", "nan", "inf", "huge", "tiny", "valid")),
         scenario=st.sampled_from(("ambient-only-center", "lamp-center")),
         magnitude=st.floats(0.0, 1.0),
+        bandwidth=st.none(),  # the matched filter; an example sets an explicit band
     )
     # the smallest huge grid axes and resolution, which must not be built
-    @example(key=("experiments", "fov_steps"), kind="huge", scenario="ambient-only-center", magnitude=0.0)
-    @example(key=("experiments", "source_steps"), kind="huge", scenario="lamp-center", magnitude=0.0)
-    @example(key=("cli", "resolution_patches_per_meter"), kind="huge", scenario="lamp-center", magnitude=0.0)
-    def test_every_numeric_key_ends_in_result_or_diagnostic_within_memory(self, key, kind, scenario, magnitude):
+    @example(key=("experiments", "fov_steps"), kind="huge", scenario="ambient-only-center", magnitude=0.0, bandwidth=None)
+    @example(key=("experiments", "source_steps"), kind="huge", scenario="lamp-center", magnitude=0.0, bandwidth=None)
+    @example(key=("cli", "resolution_patches_per_meter"), kind="huge", scenario="lamp-center", magnitude=0.0, bandwidth=None)
+    # a semi-angle whose cosine rounds to 1 (an infinite Lambert mode), a room
+    # so low that the transmitter touches the receiver, and a wavelength with
+    # no finite photon energy once an explicit band keeps the matched filter out
+    @example(key=("geometry", "lamp_semi_angle_deg"), kind="tiny", scenario="lamp-center", magnitude=0.0, bandwidth=None)
+    @example(key=("geometry", "room_z_m"), kind="tiny", scenario="ambient-only-center", magnitude=0.7, bandwidth=None)
+    @example(key=("channel", "wavelength_nm"), kind="tiny", scenario="lamp-center", magnitude=0.0, bandwidth="0.0258")
+    def test_every_numeric_key_ends_in_result_or_diagnostic_within_memory(self, key, kind, scenario, magnitude, bandwidth):
         # a value of each kind, on a 2 x 2 grid at 2/m: exit 0 or 2, and a
         # huge one is refused (or runs) without allocating anything large
         section, name = key
@@ -155,12 +163,15 @@ class TestValidationDiagnostics:
             "nan": "nan",
             "inf": "inf" if magnitude < 0.5 else "-inf",
             "huge": str(10 ** round(7 + 23 * magnitude)) if integer else repr(10.0 ** (6.0 + 302.0 * magnitude)),
+            "tiny": ("5e-324", "1e-310", "1e-200")[min(2, int(3 * magnitude))],
             "valid": _SENTINELS[name] if default is None else str(default),
         }[kind]
         entries = {
             "experiments": {"scenario": scenario, "fov_steps": "2", "source_steps": "2"},
             "cli": {"resolution_patches_per_meter": "2"},
         }
+        if bandwidth is not None:
+            entries["channel"] = {"filter_bandwidth_nm": bandwidth}
         entries.setdefault(section, {})[name] = raw
         body = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in e.items()) for s, e in entries.items())
         with tempfile.TemporaryDirectory() as tmp:
@@ -197,33 +208,35 @@ class TestValidationDiagnostics:
     def test_grid_budget_admits_a_1500_square_map(self):
         assert validate(RunConfig(fov_steps=1500, source_steps=1500)) == []
 
+    def test_resolution_over_its_bound_refused(self):
+        messages = validate(RunConfig(resolution_patches_per_meter=MAX_RESOLUTION + 1))
+        assert any(m.startswith(f"resolution_patches_per_meter = {MAX_RESOLUTION + 1}: must be a positive integer") for m in messages)
+        assert validate(RunConfig(resolution_patches_per_meter=MAX_RESOLUTION)) == []
+
     @pytest.mark.parametrize("key", ["room_x_m", "room_y_m", "room_z_m"])
-    def test_room_over_patch_budget_named_before_any_array(self, key):
-        # 1e5 m at 10/m is some 1e8 cells at the 20/m convergence check
-        config = RunConfig(overrides={key: 1e5})
-        messages = validate(config)
-        assert any(key in m and "patch budget" in m and "resolution_patches_per_meter = 10" in m for m in messages)
-
-    def test_patch_budget_admits_a_large_hall(self):
-        # 300 x 300 x 5 m at 10/m: 3.84e7 cells at 20/m, about 0.76 GiB at peak
-        config = RunConfig(overrides={"room_x_m": 300.0, "room_y_m": 300.0, "room_z_m": 5.0})
-        assert validate(config) == []
-
-    def test_patch_budget_spares_a_dark_lamp_run(self):
-        # no source level above 0, so nothing is tessellated however large the room
-        config = RunConfig(source_min=0.0, source_max=0.0, source_scale="linear", overrides={"room_x_m": 1e5})
-        assert validate(config) == []
-
-    def test_ambient_run_in_a_room_over_budget(self, tmp_path):
-        # no lamp, so nothing is tessellated: 100 x 100 x 3 m at 1000/m runs
-        body = (
-            "[experiments]\nscenario = ambient-only-center\nfov_steps = 2\nsource_steps = 2\n"
-            "[geometry]\nroom_x_m = 100\nroom_y_m = 100\nroom_z_m = 3\n"
-            "[cli]\nresolution_patches_per_meter = 1000\n"
-        )
+    def test_a_huge_room_runs_like_a_small_one(self, tmp_path, key):
+        # the quadrature's cost does not depend on the room size
+        body = f"[geometry]\n{key} = 1e5\n[experiments]\nfov_steps = 2\nsource_steps = 2\n"
         out_dir = tmp_path / "out"
         assert main([str(write_config(tmp_path, body)), "--out", str(out_dir)]) == EXIT_OK
-        assert "no reflected-light integral" in (out_dir / "summary.txt").read_text()
+        assert "converged" in (out_dir / "summary.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("lamp_semi_angle_deg", "1e-9", "lamp_semi_angle_deg = 1e-09: lamp_semi_angle_deg must lie in (0, 90) degrees"),
+            ("room_z_m", "1e-13", "room_z_m = 1e-13: transmitter and receiver lie closer than 1e-12 m apart"),
+        ],
+    )
+    def test_tiny_geometry_named(self, tmp_path, capsys, key, value, message):
+        body = f"[geometry]\n{key} = {value}\n[experiments]\nfov_steps = 2\nsource_steps = 2\n"
+        assert main([str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+
+    def test_wavelength_without_a_finite_photon_energy_named(self, tmp_path, capsys):
+        body = "[channel]\nwavelength_nm = 1e-320\nfilter_bandwidth_nm = 0.0258\n[experiments]\nfov_steps = 2\nsource_steps = 2\n"
+        assert main([str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert "wavelength_nm = 1e-320: wavelength_nm must be positive and finite, with a finite photon energy" in capsys.readouterr().err
 
     def test_overflowing_concentrator_gain_named(self):
         messages = validate(RunConfig(overrides={"concentrator_index": 1e300}))
@@ -372,9 +385,9 @@ class TestMainEntry:
         path = write_config(tmp_path, "[geometry]\ntypo_key = 1\n")
         assert main([str(path)]) == EXIT_CONFIG_ERROR
 
-    def test_strict_escalates_coarse_tessellation(self, tmp_path, capsys):
+    def test_strict_escalates_a_low_order_quadrature(self, tmp_path, capsys):
         # the convergence probe runs at the widest FOV of the grid, where a
-        # 1 patch/m tessellation is visibly unconverged
+        # one-point rule per piece is visibly unconverged
         path = write_config(
             tmp_path,
             "[experiments]\nfov_min_deg = 25\nfov_max_deg = 30\nfov_steps = 2\n"

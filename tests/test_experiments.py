@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from indoorqkd.experiments import (
     AMBIENT_SCENARIOS,
+    LAMP_SCENARIOS,
     NOMINAL,
     SCENARIOS,
     Scenario,
-    _cached_reflected_integral,
+    _integral_table,
     ambient_tolerance,
     build_setup,
     evaluate_point,
@@ -277,17 +278,39 @@ class TestFovArray:
 
 
 class TestIntegralCache:
-    def test_one_integral_per_fov_whatever_the_levels(self):
-        # the room, the cache key, holds no spectral level: other PSDs and
-        # another ambient irradiance reuse the integrals of a sweep's FOVs
-        _cached_reflected_integral.cache_clear()
+    def test_one_integral_per_fov_whatever_the_levels(self, monkeypatch):
+        # the key holds no spectral level and no FOV: other PSDs and another
+        # ambient irradiance reuse a sweep's integrals, FOV by FOV
+        import indoorqkd.experiments as experiments
+
+        _integral_table.cache_clear()
+        computed = []
+        original = experiments.total_reflected_gain
+
+        def counting(room, patches_per_meter, *, fov_deg):
+            computed.append(list(fov_deg))
+            return original(room, patches_per_meter, fov_deg=fov_deg)
+
+        monkeypatch.setattr(experiments, "total_reflected_gain", counting)
         fovs = (6.0, 12.0, 24.0)
         sweep(Scenario.named("lamp-center"), fovs, (1e-7, 1e-6, 1e-5, 1e-4))
         lit = Scenario.named("lamp-center", {"ambient_irradiance_w_nm_m2": 1e-8})
         evaluate_point(lit, np.array(fovs)[:, None], np.array([3e-6, 3e-5]))
         for fov in fovs:
             evaluate_point(lit, fov, 2e-5)
-        assert _cached_reflected_integral.cache_info().misses == 3
+        evaluate_point(lit, np.array([12.0, 7.0, 12.0, 7.0]), 2e-5)
+        assert computed == [[6.0, 12.0, 24.0], [7.0]]  # one call per array, the new FOV once
+        assert _integral_table.cache_info().misses == 1
+
+    def test_the_three_lamp_scenarios_share_one_entry(self):
+        # the integral does not depend on the transmitter, so the three lamp
+        # rooms, which differ only in it, share their integrals
+        _integral_table.cache_clear()
+        points = [sweep(Scenario.named(name), (4.0, 20.0), (1e-6,)) for name in LAMP_SCENARIOS]
+        info = _integral_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        for point in points[1:]:
+            assert bits(point.gains.reflected_integral) == bits(points[0].gains.reflected_integral)
 
 
 class TestArrayValuedResults:
@@ -322,6 +345,24 @@ class TestSweep:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             sweep(Scenario.named("lamp-center"), (), (1e-5,))
+        with pytest.raises(ValueError):
+            sweep(Scenario.named("lamp-center"), np.array([5.0]), np.array([]))
+
+    @pytest.mark.parametrize("name", ["ambient-only-center", "lamp-center"])
+    def test_numpy_axes_equal_tuple_axes(self, name):
+        fovs, levels = np.array([5.0, 10.0]), np.array([1e-9, 1e-8])
+        from_arrays = sweep(Scenario.named(name), fovs, levels)
+        from_tuples = sweep(Scenario.named(name), tuple(fovs.tolist()), tuple(levels.tolist()))
+        assert from_arrays.scenario == from_tuples.scenario
+        for part, fields in (
+            ("", ("fov_deg", "source_level")),
+            ("gains", GAIN_FIELDS),
+            ("budget", BUDGET_FIELDS),
+            ("report", REPORT_FIELDS),
+        ):
+            for field in fields:
+                a, b = (getattr(getattr(p, part) if part else p, field) for p in (from_arrays, from_tuples))
+                assert bits(a) == bits(b) and np.shape(a) == np.shape(b), (part, field)
 
 
 class TestPinnedSweep:
