@@ -5,7 +5,8 @@ The floor-only closed form used as an oracle below
 a ceiling-center receiver looking straight down stays entirely on the
 floor.  It is independent of the quadrature code.  Where walls are in view,
 the quadrature is held to the fine patch sums it replaced, pinned in
-``tests/data/reflected_gain_pins.json``.
+``tests/data/reflected_gain_pins.json``.  The quadrature's own values, at
+several rule orders, are pinned in ``tests/data/quadrature_pins.json``.
 """
 
 import json
@@ -326,6 +327,20 @@ class TestAgainstFinePatchSums:
         fine, finer = pin["patch_sum_160"], pin["patch_sum_320"]
         bound = max(1e-4 * fine, abs(finer - fine))
         assert abs(total_reflected_gain(patch_sum_room(pin), 10) - fine) <= bound, pin
+
+
+# total_reflected_gain(pinned_room(kind, fov), order) as the quadrature computes it
+QUADRATURE_PINS = {
+    (p["kind"], p["fov_deg"], p["order"]): p["value"]
+    for p in json.loads((Path(__file__).parent / "data" / "quadrature_pins.json").read_text())["pins"]
+}
+
+
+class TestPinnedReflectedGain:
+    @pytest.mark.parametrize("kind, fov, order", list(QUADRATURE_PINS))
+    def test_value_unchanged(self, kind, fov, order):
+        value = total_reflected_gain(pinned_room(kind, fov), order)
+        assert value == pytest.approx(QUADRATURE_PINS[(kind, fov, order)], rel=1e-12, abs=0.0)
 
 
 class TestConvergenceReporting:
