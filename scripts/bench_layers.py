@@ -10,7 +10,11 @@ scales the round to the reference box at full speed, as perfbench does for
 its op times.  The layers:
 
 * total_reflected_gain, lamp-center at FOV 20 deg, at patches_per_meter
-  10/20/40/80 (a rule order since the quadrature replaced the patch sum);
+  10/20/40/80 (a rule order since the quadrature replaced the patch sum),
+  each call with the room's receiver view already built;
+* one block of 64 psi nodes (0.01-1.5 rad) of the quadrature's ring
+  integrals, lamp-center with the lamp at (1.3, 2.0): the row divided by 64
+  is the cost of one psi node;
 * one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
   lamp-center at 10 patches_per_meter;
 * one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches_per_meter;
@@ -32,7 +36,8 @@ its op times.  The layers:
 Rows that take microseconds time CALLS calls per round and report the time
 per call.
 
-"Cold" clears the reflected-integral cache before every run.  Each layer
+"Cold" clears every per-room memo (the reflected-integral tables and the
+receiver views) before every run.  Each layer
 also records a value it computed, so runs of two source trees can be
 checked for identical results, and the run records the line count of
 ``src/indoorqkd/*.py``.  --src picks the source tree to import
@@ -144,7 +149,7 @@ def main() -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from indoorqkd import experiments
+    from indoorqkd import channel, experiments
     from indoorqkd.channel import total_reflected_gain
     from indoorqkd.experiments import (
         Scenario, ambient_tolerance, build_setup, evaluate_point, secure_fov_boundary, sweep,
@@ -157,7 +162,12 @@ def main() -> int:
     room = setup.room
     # the bounce-integral cache: per room since the quadrature, per room and FOV before it
     cache = getattr(experiments, "_integral_table", None) or experiments._cached_reflected_integral
-    cold = cache.cache_clear
+    views = getattr(channel, "_VIEWS", {})  # the per-room receiver views, where the tree memoizes them
+
+    def cold() -> None:
+        cache.cache_clear()
+        views.clear()
+
     fovs = tuple(0.9 * (k + 1) for k in range(100))
     levels = tuple(10.0 ** (-7.0 + 3.0 * k / 99) for k in range(100))
     ambient = Scenario.named("ambient-only-center")
@@ -171,6 +181,9 @@ def main() -> int:
     layers = {}
     for res in RESOLUTIONS:
         layers[f"total_reflected_gain_{res}_per_m"] = timed(lambda: total_reflected_gain(room, res))
+    offset = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room
+    view, psi = channel._ReceiverView(offset), np.linspace(0.01, 1.5, 64)
+    layers["ring_integrals_64_psi_nodes"] = timed(lambda: float(view.ring_integrals(psi).sum()), calls=20)
     layers["sweep_100x100_cold_10_per_m"] = timed(
         lambda: secure_count(sweep(scenario, fovs, levels, patches_per_meter=10)), cold
     )

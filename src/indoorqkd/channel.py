@@ -22,6 +22,11 @@ crosses the plane through the receiver and a room edge.  L is smooth on
 every piece, and Gauss-Legendre rules mapped through
 s -> 3s^2 - 2s^3 absorb the square-root ends at edge tangencies.  The FOV
 enters only as the upper limit and through g, and the room size not at all.
+
+A ray leaves through the nearest of three planes, each picked on its axis
+by the sign of the ray's component there (the oracle's slab rule); ties go
+to the floor, the x walls, the y walls, the ceiling last.  A room's view is
+built once and kept for the 64 rooms used last.
 """
 
 from __future__ import annotations
@@ -177,10 +182,6 @@ def _mapped_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return positions, weights
 
 
-def _rows(arrays) -> np.ndarray:
-    return np.array([p.as_tuple() for p in arrays])
-
-
 class _ReceiverView:
     """The room as the receiver sees it: its frame, the planes that close the
     room (the five surfaces of ``wall_and_floor_grids`` and a ceiling that
@@ -207,7 +208,7 @@ class _ReceiverView:
         self.lamp_axis = np.array(room.lamp.axis.as_tuple())
         self.m1 = lambert_mode(room.lamp_semi_angle_deg)
 
-        corner, u_dir, v_dir, normal = (_rows(getattr(g, k) for g in grids) for k in ("origin", "u_dir", "v_dir", "normal"))
+        corner, u_dir, v_dir, normal = (np.array([getattr(g, k).as_tuple() for g in grids]) for k in ("origin", "u_dir", "v_dir", "normal"))
         corner = local(corner)
         u_side, v_side = extent[:, :1] / self.scale * u_dir, extent[:, 1:] / self.scale * v_dir
         sides = {}
@@ -219,18 +220,17 @@ class _ReceiverView:
         kept = length > 1e-12  # a side of a room flat to the precision bounds nothing
         self.edge_start, self.edge_length = starts[kept], length[kept]
         self.edge_dir = (ends - starts)[kept] / self.edge_length[:, None]
+        # The normal, in the receiver's frame, of the plane through the receiver and each edge line.
+        self.edge_normal = self.frame @ np.cross(self.edge_start, self.edge_dir).T
 
-        floor_normal = normal[0]
-        self.normal = np.vstack([normal, -floor_normal])
+        self.normal = np.vstack([normal, -normal[0]])  # the ceiling faces the floor
         # Each plane's signed offset from the receiver, <= 0 inside the room.
-        self.height = np.append(np.einsum("ij,ij->i", corner, normal), -np.max(ends @ floor_normal))
+        self.height = np.append(np.einsum("ij,ij->i", corner, normal), -np.max(ends @ normal[0]))
         # rho times the lamp's height over each plane (cos(alpha) d1 at any point of it)
         over = np.clip(self.normal @ self.lamp - self.height, 0.0, None)
         self.lamp_gain = np.append([g.reflectivity for g in grids], 0.0) * over
-
-    def breakpoints(self) -> np.ndarray:
-        """psi of every room corner and of every interior psi extreme of an edge, in (0, pi/2)."""
-        axis, u = self.frame[0], self.edge_start
+        # The psi cuts: 15-degree panels, every room corner and every interior psi extreme of an edge.
+        u = self.edge_start
         p, q = u @ axis, self.edge_dir @ axis
         r, w = np.einsum("ij,ij->i", u, u), np.einsum("ij,ij->i", u, self.edge_dir)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -240,7 +240,8 @@ class _ReceiverView:
         distance = np.linalg.norm(points, axis=1)
         seen = distance > 0.0
         psi = np.arccos(np.clip(points[seen] @ axis / distance[seen], -1.0, 1.0))
-        return psi[(psi > 0.0) & (psi < 0.5 * math.pi)]
+        panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
+        self.bounds = np.unique(np.concatenate([panels, psi[(psi > 0.0) & (psi < 0.5 * math.pi)], [0.5 * math.pi]]))
 
     def piece_sums(self, lo: np.ndarray, hi: np.ndarray, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """int_lo^hi sin(psi) cos(psi) (ring integral) d psi on each piece, by the mapped rule."""
@@ -254,7 +255,7 @@ class _ReceiverView:
         cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
         # The ring crosses the plane through the receiver and an edge line where
         # a cos(theta) + b sin(theta) = c: two crossings per line, if any.
-        n_axis, n_e1, n_e2 = self.frame @ np.cross(self.edge_start, self.edge_dir).T
+        n_axis, n_e1, n_e2 = self.edge_normal
         a, b, c = sin_psi * n_e1, sin_psi * n_e2, -cos_psi * n_axis
         with np.errstate(divide="ignore", invalid="ignore"):
             half = np.arccos(c / np.hypot(a, b))  # nan where the ring misses the plane
@@ -273,21 +274,60 @@ class _ReceiverView:
 
     def _radiance(self, omega: np.ndarray) -> np.ndarray:
         """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver
-        along ``omega`` (x, y, z on the first axis) leave the room."""
-        facing = np.tensordot(self.normal, omega, axes=1)  # exact: the normals are axis-aligned
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reach = np.where(facing < 0.0, self.height.reshape((-1,) + (1,) * (omega.ndim - 1)) / facing, np.inf)
-        plane = np.argmin(reach, axis=0)
-        t = np.take_along_axis(reach, plane[None], axis=0)[0]
-        v1 = t * omega - self.lamp.reshape((3,) + (1,) * (omega.ndim - 1))
+        along ``omega`` (x, y, z on the first axis) leave the room: the nearest
+        of the planes ahead on each axis, whose height / facing is exact, for
+        the normals are axis-aligned.  Ties go as ``np.argmin`` over all six.
+        """
+        shape = (3,) + (1,) * (omega.ndim - 1)
+        # Planes 1, 3, 0 (x = 0, y = 0, floor) lie ahead of a negative component, 2, 4, 5 of a positive one.
+        with np.errstate(divide="ignore", invalid="ignore"):  # the plane behind gives a value <= 0
+            reach = np.maximum(self.height[[1, 3, 0]].reshape(shape) / omega, -self.height[[2, 4, 5]].reshape(shape) / omega)
+        if not omega.all():  # parallel to both planes of an axis
+            reach[omega == 0.0] = np.inf
+        (t_x, t_y, t_z), (up_x, up_y, up_z) = reach, (omega > 0.0).view(np.int8)
+        t = np.minimum(t_x, t_y)
+        plane = 3 + up_y - (2 + up_y - up_x) * (t_x <= t_y).view(np.int8)  # x walls 1, 2 win a tie with y walls 3, 4
+        z_first = (t_z < t) | ((t_z == t) & (up_z == 0))  # the floor 0 wins a tie, the ceiling 5 loses it
+        plane += (5 * up_z - plane) * z_first.view(np.int8)
+        t = np.minimum(t, t_z)
+        plane_gain = self.lamp_gain.take(plane)
+        v1 = t * omega - self.lamp.reshape(shape)
         d1_sq = v1[0] * v1[0] + v1[1] * v1[1] + v1[2] * v1[2]
         d1 = np.sqrt(d1_sq)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             along = v1[0] * self.lamp_axis[0] + v1[1] * self.lamp_axis[1] + v1[2] * self.lamp_axis[2]
             cos_phi = np.clip(along / d1, 0.0, None)
             # cos(alpha) d1 is the lamp's height over the plane hit
-            radiance = self.lamp_gain[plane] * cos_phi**self.m1 / (d1_sq * d1)
+            radiance = plane_gain * cos_phi**self.m1 / (d1_sq * d1)
         return np.where(d1 > 1e-12, radiance, 0.0)
+
+
+def _room_key(room: RoomScenario) -> tuple:
+    """What a room's bounce integral depends on: the surfaces, the lamp, and the
+    receiver with its optics; not the transmitter, and not the FOV."""
+    return (
+        room.room_x_m, room.room_y_m, room.room_z_m, room.wall_reflectivity, room.floor_reflectivity,
+        room.lamp, room.lamp_semi_angle_deg,
+        room.receiver, room.detector_area_m2, room.concentrator_index, room.filter_transmission,
+    )
+
+
+_VIEWS: dict[tuple, _ReceiverView] = {}  # by _room_key, least recently used first
+
+
+def _receiver_view(room: RoomScenario) -> _ReceiverView:
+    """The room's view, built once while it stays among the 64 rooms used last."""
+    key = _room_key(room)
+    _VIEWS[key] = _VIEWS.pop(key, None) or _ReceiverView(room)
+    if len(_VIEWS) > 64:
+        del _VIEWS[next(iter(_VIEWS))]
+    return _VIEWS[key]
+
+
+@lru_cache(maxsize=256)
+def _integral_table(room_key: tuple, patches_per_meter: int) -> dict[float, float]:
+    """The bounce integrals computed so far for one room, by FOV."""
+    return {}
 
 
 def total_reflected_gain(
@@ -311,14 +351,12 @@ def total_reflected_gain(
     gains = [concentrator_gain(room.concentrator_index, f) for f in fov_list]
     if not patches_per_meter >= 1:
         raise ValueError("patches_per_meter must be a positive integer")
-    view = _ReceiverView(room)
-    panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
-    bounds = np.unique(np.concatenate([panels, view.breakpoints(), [0.5 * math.pi]]))
+    view = _receiver_view(room)
     ends = [math.radians(f) for f in fov_list]
-    first = np.searchsorted(bounds, ends, side="right") - 1  # the partial piece starts here
+    first = np.searchsorted(view.bounds, ends, side="right") - 1  # the partial piece starts here
     whole = int(first.max())
-    lo = np.concatenate([bounds[:whole], bounds[first]])
-    hi = np.concatenate([bounds[1 : whole + 1], ends])
+    lo = np.concatenate([view.bounds[:whole], view.bounds[first]])
+    hi = np.concatenate([view.bounds[1 : whole + 1], ends])
     positions, weights = _mapped_rule(int(patches_per_meter))
     step = max(1, _PIECE_BLOCK // len(positions))
     pieces = np.concatenate([view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights) for k in range(0, len(lo), step)])
@@ -336,10 +374,13 @@ def reflected_gain_convergence(
 ) -> ConvergenceReport:
     """The bounce integral at the requested rule order and at twice that order.
 
-    Emits ReflectionConvergenceWarning (carrying both estimates) when the
-    relative change exceeds ``rtol``.
+    The first is read from the room's integral table when a sweep put it
+    there.  Emits ReflectionConvergenceWarning (carrying both estimates)
+    when the relative change exceeds ``rtol``.
     """
-    value = total_reflected_gain(room, patches_per_meter)
+    value = _integral_table(_room_key(room), patches_per_meter).get(room.fov_deg)
+    if value is None:
+        value = total_reflected_gain(room, patches_per_meter)
     refined = total_reflected_gain(room, 2 * patches_per_meter)
     if refined != 0.0:
         rel = abs(refined - value) / abs(refined)

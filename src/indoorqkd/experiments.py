@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +39,8 @@ from .channel import (
     DEFAULT_PATCHES_PER_METER,
     ChannelGains,
     DetectorParams,
+    _integral_table,
+    _room_key,
     los_gain_for,
     total_reflected_gain,
 )
@@ -252,25 +253,9 @@ def _source_levels(level: float | np.ndarray, name: str = "source_level") -> flo
     return levels[()]
 
 
-@lru_cache(maxsize=256)
-def _integral_table(room_key: tuple, patches_per_meter: int) -> dict[float, float]:
-    """The bounce integrals computed so far for one room, by FOV."""
-    return {}
-
-
 def _reflected_integrals(room: RoomScenario, fov_list: list[float], patches_per_meter: int) -> list[float]:
-    """The bounce integral at each FOV, computed in one call for those not yet known.
-
-    The key holds what the integral depends on: the surfaces, the lamp, and
-    the receiver with its optics; not the transmitter, and not the FOV, each
-    of whose values depends only on the room and itself.
-    """
-    key = (
-        room.room_x_m, room.room_y_m, room.room_z_m, room.wall_reflectivity, room.floor_reflectivity,
-        room.lamp, room.lamp_semi_angle_deg,
-        room.receiver, room.detector_area_m2, room.concentrator_index, room.filter_transmission,
-    )
-    table = _integral_table(key, patches_per_meter)
+    """The bounce integral at each FOV, computed in one call for those not yet in the room's table."""
+    table = _integral_table(_room_key(room), patches_per_meter)
     missing = [f for f in dict.fromkeys(fov_list) if f not in table]
     if missing:
         table.update(zip(missing, total_reflected_gain(room, patches_per_meter, fov_deg=missing).tolist()))
@@ -353,25 +338,21 @@ def sweep(
     return evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, **options)
 
 
-def _largest_secure(secure: Callable[[float], bool], ladder: Iterable[float], precision: float) -> float | None:
+def _largest_secure(secure: Callable[[float | np.ndarray], bool | np.ndarray], ladder: Sequence[float], precision: float) -> float | None:
     """Largest value found secure: None if the first rung of the increasing
     ``ladder`` is not, its last rung if every rung is.
 
-    Relies on ``secure`` holding below a crossing and failing above it.  The
-    ladder is walked up to its first insecure rung, and the bracket from the
-    last secure rung to it is bisected until narrower than ``precision``; the
-    value returned was probed and found secure.
+    ``secure`` flags one value or each of an array, holding below a crossing
+    and failing above it.  The ladder is flagged in one call, then the bracket
+    below its first insecure rung is bisected one value per call until
+    narrower than ``precision``; the value returned was found secure.
     """
-    lo = None
-    for rung in ladder:
-        if not secure(rung):
-            break
-        lo = rung
-    else:
-        return lo
-    if lo is None:
+    insecure = np.flatnonzero(~np.asarray(secure(np.array(ladder, dtype=float)), dtype=bool))
+    if not insecure.size:
+        return ladder[-1]
+    if insecure[0] == 0:
         return None
-    hi = rung
+    lo, hi = ladder[insecure[0] - 1], ladder[insecure[0]]
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
         if secure(mid):
@@ -391,14 +372,13 @@ def secure_fov_boundary(
     """Largest field of view with a positive key rate, or None if none is.
 
     Relies on the rate being monotone in the FOV (the concentrator gain only
-    falls and the admitted background only widens as the cone opens), probes
-    a coarse ladder for a bracket, then bisects to 0.1 deg.  The returned
-    value is on the secure side of the crossing.
+    falls and the admitted background only widens as the cone opens),
+    evaluates a coarse ladder as one FOV array for a bracket, then bisects
+    to 0.1 deg.  The returned value is on the secure side of the crossing.
     """
 
-    def secure(fov: float) -> bool:
-        point = evaluate_point(scenario, fov, source_level, patches_per_meter=patches_per_meter)
-        return point.report.secure
+    def secure(fov: float | np.ndarray) -> bool | np.ndarray:
+        return evaluate_point(scenario, fov, source_level, patches_per_meter=patches_per_meter).report.secure
 
     ladder = [f for f in _FOV_LADDER_DEG if f < fov_max_deg] + [fov_max_deg]
     return _largest_secure(secure, ladder, _BOUNDARY_PRECISION_DEG)
@@ -410,19 +390,20 @@ def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0) -> flo
     Taken at ``fov_floor_deg``, the smallest studied FOV: the isotropic
     background admitted does not depend on the FOV, and the concentrator
     gain, and with it the transmittance, only falls as the cone opens.  The
-    level climbs decades from 1e-9 to 100 W/nm/m^2, then log-bisects to 0.01
-    decades; the returned level is verified secure.
+    decades from 1e-9 to 100 W/nm/m^2 are one level array, then the level
+    log-bisects to 0.01 decades; the returned level is verified secure.
     """
     if scenario.name not in AMBIENT_SCENARIOS:
         raise ValueError("ambient_tolerance applies to the ambient-only scenarios")
 
-    def secure(level: float) -> bool:
-        return evaluate_point(scenario, fov_floor_deg, level).report.secure
+    def secure(decades: float | np.ndarray) -> bool | np.ndarray:  # at the levels 10^decades (0 at -inf)
+        levels = np.reshape([10.0**d for d in np.ravel(decades).tolist()], np.shape(decades))
+        return evaluate_point(scenario, fov_floor_deg, levels).report.secure
 
-    decades = _largest_secure(lambda d: secure(10.0**d), _AMBIENT_LADDER_DECADES, _TOLERANCE_PRECISION_DECADES)
+    decades = _largest_secure(secure, _AMBIENT_LADDER_DECADES, _TOLERANCE_PRECISION_DECADES)
     if decades is not None:
         return 10.0**decades
-    return 0.0 if secure(0.0) else None
+    return 0.0 if secure(-math.inf) else None
 
 
 def path_loss_profile(

@@ -319,6 +319,75 @@ def patch_sum_room(pin):
     )
 
 
+def six_plane_radiance(view, omega):
+    """The radiance with the exit plane found as the kernel once found it: the
+    distance to each of the six planes the ray faces, and ``np.argmin`` over them."""
+    facing = np.tensordot(view.normal, omega, axes=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(facing < 0.0, view.height.reshape((-1,) + (1,) * (omega.ndim - 1)) / facing, np.inf)
+    plane = np.argmin(reach, axis=0)
+    t = np.take_along_axis(reach, plane[None], axis=0)[0]
+    v1 = t * omega - view.lamp.reshape((3,) + (1,) * (omega.ndim - 1))
+    d1_sq = v1[0] * v1[0] + v1[1] * v1[1] + v1[2] * v1[2]
+    d1 = np.sqrt(d1_sq)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        along = v1[0] * view.lamp_axis[0] + v1[1] * view.lamp_axis[1] + v1[2] * view.lamp_axis[2]
+        cos_phi = np.clip(along / d1, 0.0, None)
+        radiance = view.lamp_gain[plane] * cos_phi**view.m1 / (d1_sq * d1)
+    return np.where(d1 > 1e-12, radiance, 0.0)
+
+
+def assert_same_bits(room, omega):
+    view = _ReceiverView(room)
+    got, want = view._radiance(omega), six_plane_radiance(view, omega)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return got
+
+
+class TestExitPlaneAgainstSixPlanes:
+    """The per-axis exit plane of ``_ReceiverView._radiance`` against the six-plane rule, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["nominal", "offset-lamp", "steered-corner"])
+    def test_seeded_random_directions(self, kind):
+        omega = np.random.default_rng(12).normal(size=(3, 400, 12))
+        omega /= np.linalg.norm(omega, axis=0)
+        assert_same_bits(pinned_room(kind, 30.0), omega)
+
+    def test_axis_parallel_rays(self):
+        # Components exactly 0 leave a ray parallel to both planes of an axis; the second
+        # receiver sits on the wall x = 0, whose distance along such a ray is 0 / 0.
+        rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0), (0, -1, -1), (-1, 0, 1)]
+        omega = np.array(rays, dtype=float).T.copy()
+        for room in (nominal_room(), nominal_room(receiver=Pose(Point3(0.0, 1.0, 1.5), Point3(1.0, 0.0, 0.0)))):
+            assert_same_bits(room, omega)
+
+    def test_ties_at_corners_and_edges(self):
+        # Unnormalized rays from the receiver at (2, 2, 3) toward floor corners, floor-wall
+        # edges and wall-wall edges meet their planes at exactly equal distances, so the tie
+        # rule picks the plane; the lamp off center gives each plane its own lamp gain.
+        lamp = Pose(Point3(1.5, 2.5, 3.0), Point3(0.0, 0.0, -1.0))
+        rays = [(-2, -2, -3), (2, 2, -3), (0, -2, -3), (2, 0, -3), (-2, -2, -1), (2, -2, -1)]
+        radiance = assert_same_bits(nominal_room(lamp=lamp), np.array(rays, dtype=float).T.copy())
+        assert (radiance > 0.0).all()
+        # From 1.5 m up toward ceiling-wall edges, lit by a lamp below that faces up.
+        low = nominal_room(
+            receiver=Pose(Point3(2.0, 2.0, 1.5), Point3(0.0, 0.0, -1.0)), lamp=Pose(Point3(2.0, 2.0, 1.0), Point3(0.0, 0.0, 1.0))
+        )
+        rays = [(2, 0, 1.5), (0, -2, 1.5), (-2, -2, 1.5)]
+        radiance = assert_same_bits(low, np.array(rays, dtype=float).T.copy())
+        assert (radiance > 0.0).all()  # the walls win the ties with the ceiling, which reflects nothing
+
+    @pytest.mark.parametrize("index", [i for i, pin in enumerate(PATCH_SUMS) if pin["receiver_axis"][2] != -1.0][:8])
+    def test_tilted_receiver_rooms(self, index):
+        room = patch_sum_room(PATCH_SUMS[index])
+        view = _ReceiverView(room)
+        psi, theta = np.meshgrid(np.linspace(0.01, 0.5 * math.pi - 0.01, 40), np.linspace(0.0, 2.0 * math.pi, 60), indexing="ij")
+        axis, e1, e2 = (v[:, None, None] for v in view.frame)
+        omega = axis * np.cos(psi) + e1 * (np.sin(psi) * np.cos(theta)) + e2 * (np.sin(psi) * np.sin(theta))
+        assert_same_bits(room, omega)
+
+
 class TestAgainstFinePatchSums:
     @pytest.mark.parametrize("index", range(len(PATCH_SUMS)))
     def test_within_the_patch_sums_own_error(self, index):

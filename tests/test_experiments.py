@@ -13,6 +13,10 @@ from indoorqkd.experiments import (
     LAMP_SCENARIOS,
     NOMINAL,
     SCENARIOS,
+    _AMBIENT_LADDER_DECADES,
+    _BOUNDARY_PRECISION_DEG,
+    _FOV_LADDER_DEG,
+    _TOLERANCE_PRECISION_DECADES,
     Scenario,
     _integral_table,
     ambient_tolerance,
@@ -475,6 +479,81 @@ class TestAmbientTolerance:
         fovs = np.linspace(floor, 90.0, 24)
         rates = evaluate_point(Scenario.named(name, overrides), fovs, 1e-9).report.rate
         assert (np.diff(rates) <= 0.0).all(), rates
+
+
+def scalar_walk(secure, ladder, precision):
+    """The searches as they ran before the ladder became one array: one
+    scalar probe per rung up to the first insecure one, then the bisection."""
+    lo = None
+    for rung in ladder:
+        if not secure(rung):
+            break
+        lo = rung
+    else:
+        return lo
+    if lo is None:
+        return None
+    hi = rung
+    while hi - lo > precision:
+        mid = 0.5 * (lo + hi)
+        if secure(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def seeded_rooms(seed, count):
+    rng = np.random.default_rng(seed)
+    rooms = []
+    for _ in range(count):
+        x, y, z = rng.uniform(3.0, 7.0), rng.uniform(3.0, 7.0), rng.uniform(2.5, 4.0)
+        rooms.append({
+            "room_x_m": x, "room_y_m": y, "room_z_m": z,
+            "wall_reflectivity": rng.uniform(0.3, 0.9), "floor_reflectivity": rng.uniform(0.05, 0.5),
+            "lamp_x_m": x / 2.0 + rng.uniform(-1.0, 1.0), "lamp_y_m": y / 2.0 + rng.uniform(-1.0, 1.0),
+        })
+    return rooms
+
+
+class TestSearchesAgainstScalarWalk:
+    """The ladder evaluated as one array finds what the scalar walk found, to the bit."""
+
+    @pytest.mark.parametrize("name", LAMP_SCENARIOS)
+    @pytest.mark.parametrize("room", [{}] + seeded_rooms(21, 2))
+    def test_boundary(self, name, room):
+        scenario = Scenario.named(name, room)
+        # 0 leaves every FOV secure in lamp-center, 10 W/nm none; 30 and 45.5 are no rungs
+        for level in (0.0, 1e-6, 1e-5, 1e-3, 10.0):
+            for fov_max in (30.0, 45.5, 90.0):
+                ladder = [f for f in _FOV_LADDER_DEG if f < fov_max] + [fov_max]
+                probe = lambda fov: evaluate_point(scenario, fov, level).report.secure  # noqa: E731
+                expected = scalar_walk(probe, ladder, _BOUNDARY_PRECISION_DEG)
+                boundary = secure_fov_boundary(scenario, level, fov_max_deg=fov_max)
+                assert bits(np.nan if boundary is None else boundary) == bits(np.nan if expected is None else expected)
+
+    @pytest.mark.parametrize("name", AMBIENT_SCENARIOS)
+    @pytest.mark.parametrize(
+        "overrides",
+        # a room of each kind, the tolerance capped at 100 W/nm/m^2, none secure, only the dark room secure
+        seeded_rooms(22, 2) + [{"filter_bandwidth_nm": 1e-12}, {"misalignment_error": 0.5}, {"dark_count_rate_hz": 392968.75}],
+    )
+    def test_ambient_tolerance(self, name, overrides):
+        scenario = Scenario.named(name, overrides)
+        for floor in (2.0, 10.0, 33.3):
+            probe = lambda level: evaluate_point(scenario, floor, level).report.secure  # noqa: E731
+            decades = scalar_walk(lambda d: probe(10.0**d), _AMBIENT_LADDER_DECADES, _TOLERANCE_PRECISION_DECADES)
+            expected = 10.0**decades if decades is not None else (0.0 if probe(0.0) else None)
+            tolerance = ambient_tolerance(scenario, fov_floor_deg=floor)
+            assert bits(np.nan if tolerance is None else tolerance) == bits(np.nan if expected is None else expected)
+
+    def test_the_outcomes_the_cases_reach(self):
+        lamp = Scenario.named("lamp-center")
+        assert [secure_fov_boundary(lamp, 0.0, fov_max_deg=f) for f in (30.0, 45.5)] == [30.0, 45.5]
+        assert secure_fov_boundary(lamp, 10.0, fov_max_deg=45.5) is None
+        assert ambient_tolerance(Scenario.named("ambient-only-center", {"filter_bandwidth_nm": 1e-12}), fov_floor_deg=2.0) == 100.0
+        assert ambient_tolerance(Scenario.named("ambient-only-center", {"misalignment_error": 0.5}), fov_floor_deg=2.0) is None
+        assert ambient_tolerance(Scenario.named("ambient-only-corner", {"dark_count_rate_hz": 392968.75}), fov_floor_deg=2.0) == 0.0
 
 
 class TestPathLossProfile:
