@@ -11,7 +11,8 @@ its op times.  The layers:
 
 * total_reflected_gain, lamp-center at FOV 20 deg, at patches_per_meter
   10/20/40/80 (a rule order since the quadrature replaced the patch sum),
-  each call with the room's receiver view already built;
+  each call with the room's receiver view already built and the integral
+  not yet in it;
 * one block of 64 psi nodes (0.01-1.5 rad) of the quadrature's ring
   integrals, lamp-center with the lamp at (1.3, 2.0): the row divided by 64
   is the cost of one psi node;
@@ -36,8 +37,9 @@ its op times.  The layers:
 Rows that take microseconds time CALLS calls per round and report the time
 per call.
 
-"Cold" clears every per-room memo (the reflected-integral tables and the
-receiver views) before every run.  Each layer
+"Cold" clears every per-room memo (the receiver views, which hold the
+integrals, and the reflected-integral tables of trees that keep them apart)
+before every run.  Each layer
 also records a value it computed, so runs of two source trees can be
 checked for identical results, and the run records the line count of
 ``src/indoorqkd/*.py``.  --src picks the source tree to import
@@ -160,13 +162,19 @@ def main() -> int:
     scenario = Scenario.named("lamp-center")
     setup = build_setup(scenario, 20.0, 1e-5)
     room = setup.room
-    # the bounce-integral cache: per room since the quadrature, per room and FOV before it
-    cache = getattr(experiments, "_integral_table", None) or experiments._cached_reflected_integral
+    # Bounce-integral memos that older trees keep outside the receiver views:
+    # per room and FOV before the quadrature, per room and order after it.
+    caches = [getattr(experiments, name) for name in ("_integral_table", "_cached_reflected_integral") if hasattr(experiments, name)]
     views = getattr(channel, "_VIEWS", {})  # the per-room receiver views, where the tree memoizes them
 
     def cold() -> None:
-        cache.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         views.clear()
+
+    def without_integrals() -> None:  # keep the views, drop the integrals a view holds
+        for view in views.values():
+            getattr(view, "integrals", {}).clear()
 
     fovs = tuple(0.9 * (k + 1) for k in range(100))
     levels = tuple(10.0 ** (-7.0 + 3.0 * k / 99) for k in range(100))
@@ -180,7 +188,7 @@ def main() -> int:
 
     layers = {}
     for res in RESOLUTIONS:
-        layers[f"total_reflected_gain_{res}_per_m"] = timed(lambda: total_reflected_gain(room, res))
+        layers[f"total_reflected_gain_{res}_per_m"] = timed(lambda: total_reflected_gain(room, res), without_integrals)
     offset = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room
     view, psi = channel._ReceiverView(offset), np.linspace(0.01, 1.5, 64)
     layers["ring_integrals_64_psi_nodes"] = timed(lambda: float(view.ring_integrals(psi).sum()), calls=20)

@@ -26,12 +26,14 @@ enters only as the upper limit and through g, and the room size not at all.
 A ray leaves through the nearest of three planes, each picked on its axis
 by the sign of the ray's component there (the oracle's slab rule); ties go
 to the floor, the x walls, the y walls, the ceiling last.  A room's view is
-built once and kept for the 64 rooms used last.
+built once and kept for the 64 rooms used last, and holds the integrals
+computed for the room so far, by rule order and FOV.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -190,7 +192,8 @@ class _ReceiverView:
     Positions are taken from the receiver and divided by ``scale``, the power
     of two at or above the longest room side, so that neither a 1e300 m room
     nor a 1e-300 m one leaves the float range on the way; a radiance in these
-    units is the true one times scale^2.
+    units is the true one times scale^2.  ``integrals`` holds the room's
+    bounce integrals computed so far, by rule order and then by FOV.
     """
 
     def __init__(self, room: RoomScenario) -> None:
@@ -242,6 +245,7 @@ class _ReceiverView:
         psi = np.arccos(np.clip(points[seen] @ axis / distance[seen], -1.0, 1.0))
         panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
         self.bounds = np.unique(np.concatenate([panels, psi[(psi > 0.0) & (psi < 0.5 * math.pi)], [0.5 * math.pi]]))
+        self.integrals: dict[int, dict[float, float]] = {}
 
     def piece_sums(self, lo: np.ndarray, hi: np.ndarray, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """int_lo^hi sin(psi) cos(psi) (ring integral) d psi on each piece, by the mapped rule."""
@@ -318,16 +322,10 @@ _VIEWS: dict[tuple, _ReceiverView] = {}  # by _room_key, least recently used fir
 def _receiver_view(room: RoomScenario) -> _ReceiverView:
     """The room's view, built once while it stays among the 64 rooms used last."""
     key = _room_key(room)
-    _VIEWS[key] = _VIEWS.pop(key, None) or _ReceiverView(room)
+    _VIEWS[key] = view = _VIEWS.pop(key, None) or _ReceiverView(room)
     if len(_VIEWS) > 64:
         del _VIEWS[next(iter(_VIEWS))]
-    return _VIEWS[key]
-
-
-@lru_cache(maxsize=256)
-def _integral_table(room_key: tuple, patches_per_meter: int) -> dict[float, float]:
-    """The bounce integrals computed so far for one room, by FOV."""
-    return {}
+    return view
 
 
 def total_reflected_gain(
@@ -344,26 +342,34 @@ def total_reflected_gain(
     room's, as in ``los_gain_for``.  The value at a FOV is the sum over the
     whole psi pieces below it plus one partial piece ending at it, each
     piece summed in a fixed order, so element i of an array call equals the
-    call at FOV i, bit for bit.
+    call at FOV i, bit for bit.  The values stay on the room's view, so a
+    call computes only the FOVs not yet known for the room at this order,
+    all in one pass.
     """
+    if not isinstance(patches_per_meter, numbers.Integral) or patches_per_meter < 1:
+        raise ValueError(f"patches_per_meter must be an integer >= 1, got {patches_per_meter!r}")
+    order = int(patches_per_meter)
     fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg, dtype=float)
     fov_list = fovs.ravel().tolist()
-    gains = [concentrator_gain(room.concentrator_index, f) for f in fov_list]
-    if not patches_per_meter >= 1:
-        raise ValueError("patches_per_meter must be a positive integer")
     view = _receiver_view(room)
-    ends = [math.radians(f) for f in fov_list]
-    first = np.searchsorted(view.bounds, ends, side="right") - 1  # the partial piece starts here
-    whole = int(first.max())
-    lo = np.concatenate([view.bounds[:whole], view.bounds[first]])
-    hi = np.concatenate([view.bounds[1 : whole + 1], ends])
-    positions, weights = _mapped_rule(int(patches_per_meter))
-    step = max(1, _PIECE_BLOCK // len(positions))
-    pieces = np.concatenate([view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights) for k in range(0, len(lo), step)])
-    below = np.concatenate([[0.0], np.cumsum(pieces[:whole])])
-    scale = room.detector_area_m2 * (view.m1 + 1.0) / (2.0 * math.pi**2) * room.filter_transmission
-    with np.errstate(over="ignore"):  # a room a few nm across collects an unbounded gain
-        values = [float((below[k] + part) / view.scale / view.scale * (scale * g)) for k, part, g in zip(first.tolist(), pieces[whole:].tolist(), gains)]
+    known = view.integrals.setdefault(order, {})
+    missing = [f for f in dict.fromkeys(fov_list) if f not in known]
+    if missing:
+        gains = [concentrator_gain(room.concentrator_index, f) for f in missing]
+        ends = [math.radians(f) for f in missing]
+        first = np.searchsorted(view.bounds, ends, side="right") - 1  # the partial piece starts here
+        whole = int(first.max())
+        lo = np.concatenate([view.bounds[:whole], view.bounds[first]])
+        hi = np.concatenate([view.bounds[1 : whole + 1], ends])
+        positions, weights = _mapped_rule(order)
+        step = max(1, _PIECE_BLOCK // len(positions))
+        pieces = np.concatenate([view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights) for k in range(0, len(lo), step)])
+        below = np.concatenate([[0.0], np.cumsum(pieces[:whole])])
+        scale = room.detector_area_m2 * (view.m1 + 1.0) / (2.0 * math.pi**2) * room.filter_transmission
+        with np.errstate(over="ignore"):  # a room a few nm across collects an unbounded gain
+            computed = [float((below[k] + part) / view.scale / view.scale * (scale * g)) for k, part, g in zip(first.tolist(), pieces[whole:].tolist(), gains)]
+        known.update(zip(missing, computed))
+    values = [known[f] for f in fov_list]
     return values[0] if fovs.ndim == 0 else np.reshape(values, fovs.shape)
 
 
@@ -374,13 +380,11 @@ def reflected_gain_convergence(
 ) -> ConvergenceReport:
     """The bounce integral at the requested rule order and at twice that order.
 
-    The first is read from the room's integral table when a sweep put it
-    there.  Emits ReflectionConvergenceWarning (carrying both estimates)
-    when the relative change exceeds ``rtol``.
+    Both come from ``total_reflected_gain``, so the first is the one a sweep
+    of the room already computed.  Emits ReflectionConvergenceWarning
+    (carrying both estimates) when the relative change exceeds ``rtol``.
     """
-    value = _integral_table(_room_key(room), patches_per_meter).get(room.fov_deg)
-    if value is None:
-        value = total_reflected_gain(room, patches_per_meter)
+    value = total_reflected_gain(room, patches_per_meter)
     refined = total_reflected_gain(room, 2 * patches_per_meter)
     if refined != 0.0:
         rel = abs(refined - value) / abs(refined)

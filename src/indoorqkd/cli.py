@@ -374,8 +374,9 @@ def run(config: RunConfig) -> int:
 
 
 def _convergence_check(config: RunConfig, scenario: Scenario, fov_deg: float, reflects: bool) -> tuple[str, bool]:
-    """Compare the bounce integral at the run's rule order, as the sweep left it, and at
-    twice it, at the widest FOV of a run that ``reflects`` (a lamp scenario, a level above 0)."""
+    """Compare the bounce integral at the run's rule order and at twice it, at the widest
+    FOV of a run that ``reflects`` (a lamp scenario, a level above 0).  The sweep already
+    computed the first for this room, so only the doubled order is computed here."""
     if not reflects:
         return "convergence: no reflected-light integral in this run\n", False
     room = build_setup(scenario, fov_deg, 0.0).room

@@ -21,10 +21,10 @@ cutoff instead.
 
 ``evaluate_point`` takes arrays of FOVs and of source levels, which broadcast
 against each other: the room is built once, the gains are computed once per
-FOV, the bounce integrals of every FOV not yet known for the room in one
-``total_reflected_gain`` call, and the noise and the key rate once over the
-(FOV, level) grid.  A whole map is one evaluation whose count and report
-arrays have shape ``(n_fov, n_src)``.
+FOV, the bounce integrals in one ``total_reflected_gain`` call (which keeps
+them per room, rule order and FOV), and the noise and the key rate once
+over the (FOV, level) grid.  A whole map is one evaluation whose count and
+report arrays have shape ``(n_fov, n_src)``.
 """
 
 from __future__ import annotations
@@ -35,15 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channel import (
-    DEFAULT_PATCHES_PER_METER,
-    ChannelGains,
-    DetectorParams,
-    _integral_table,
-    _room_key,
-    los_gain_for,
-    total_reflected_gain,
-)
+from .channel import DEFAULT_PATCHES_PER_METER, ChannelGains, DetectorParams, los_gain_for, total_reflected_gain
 from .geometry import Point3, Pose, RoomScenario
 from .keyrate import KeyRateReport, ProtocolParams, secret_key_rate
 from .noise import (
@@ -253,15 +245,6 @@ def _source_levels(level: float | np.ndarray, name: str = "source_level") -> flo
     return levels[()]
 
 
-def _reflected_integrals(room: RoomScenario, fov_list: list[float], patches_per_meter: int) -> list[float]:
-    """The bounce integral at each FOV, computed in one call for those not yet in the room's table."""
-    table = _integral_table(_room_key(room), patches_per_meter)
-    missing = [f for f in dict.fromkeys(fov_list) if f not in table]
-    if missing:
-        table.update(zip(missing, total_reflected_gain(room, patches_per_meter, fov_deg=missing).tolist()))
-    return [table[f] for f in fov_list]
-
-
 def evaluate_point(
     scenario: Scenario,
     fov_deg: float | Sequence[float] | np.ndarray,
@@ -276,15 +259,15 @@ def evaluate_point(
     arrays do: a ``(n_fov, 1)`` FOV column against ``n_src`` levels is an
     ``(n_fov, n_src)`` map.  Each FOV, held to the ``RoomScenario`` rules, gets
     one LOS gain and, when a lamp level is positive, one bounce integral
-    (else 0).  Each element is, bit for bit, the call at its FOV and level.
-    ``patches_per_meter`` is the bounce quadrature's rule order.
+    (else 0), which ``total_reflected_gain`` computes once per room, rule
+    order and FOV.  Each element is, bit for bit, the call at its FOV and
+    level.  ``patches_per_meter`` is the bounce quadrature's rule order.
     """
     fovs = np.asarray(fov_deg, dtype=float)
     if fovs.size == 0:
         raise ValueError("fov_deg must hold at least one value")
-    fov_list = fovs.ravel().tolist()
     # The first FOV builds the room, as a scalar call would; los_gain_for checks the rest.
-    setup = build_setup(scenario, fov_list[0], source_level)
+    setup = build_setup(scenario, float(fovs.flat[0]), source_level)
     room, det = setup.room, setup.detector
     lamp_psd, ambient = setup.lamp_psd_w_per_nm, setup.ambient_irradiance_w_nm_m2
     levels = ambient if scenario.name in AMBIENT_SCENARIOS else lamp_psd
@@ -294,11 +277,7 @@ def evaluate_point(
     h_sig = los_gain_for(room, enforce_fov=signal_fov_cutoff, fov_deg=fovs)
     eta = det.efficiency * h_sig
 
-    if (lamp_psd > 0.0).any():
-        integrals = _reflected_integrals(room, fov_list, patches_per_meter)
-        integral = integrals[0] if fovs.ndim == 0 else np.reshape(integrals, fovs.shape)
-    else:
-        integral = 0.0
+    integral = total_reflected_gain(room, patches_per_meter, fov_deg=fovs) if (lamp_psd > 0.0).any() else 0.0
 
     budget = NoiseBudget(
         ambient=photons_per_pulse(isotropic_noise_power(ambient, room), det),

@@ -241,15 +241,18 @@ class TestTotalReflectedGain:
         fovs = [0.25, 2.0, 14.999, 15.0, 33.7, 44.0, 60.0, 89.9, 90.0]
         room = pinned_room(kind, 30.0)
         for order in fovs, fovs[::-1], fovs[3:]:
+            channel._VIEWS.clear()  # each value computed, not read from the room's memo
             values = total_reflected_gain(room, 10, fov_deg=order)
             assert values.shape == (len(order),)
             for fov, value in zip(order, values.tolist()):
+                channel._VIEWS.clear()
                 assert value == total_reflected_gain(replace(room, fov_deg=fov), 10), fov
         column = total_reflected_gain(room, 10, fov_deg=np.array(fovs)[:, None])
         assert column.shape == (len(fovs), 1)
 
     def test_cost_does_not_grow_with_the_room(self):
         def cpu(room):
+            channel._VIEWS.clear()  # the view and the integral computed, not read from the memo
             start = time.process_time()
             total_reflected_gain(room, 10)
             return time.process_time() - start
@@ -262,6 +265,31 @@ class TestTotalReflectedGain:
             huge = nominal_room(fov_deg=60.0, **{key: 1e5}, lamp=pose, receiver=pose)
             assert total_reflected_gain(huge, 10) > 0.0
             assert min(cpu(huge) for _ in range(3)) < 5.0 * small + 0.01, key
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, math.inf, math.nan, 0, -3, "10"])
+    def test_rule_order_is_an_integer_of_at_least_one(self, order):
+        room = nominal_room()
+        channel._VIEWS.clear()
+        for call in total_reflected_gain, reflected_gain_convergence:
+            with pytest.raises(ValueError, match="patches_per_meter must be an integer >= 1"):
+                call(room, order)
+        assert not channel._VIEWS  # refused before the memo is touched
+
+    def test_numpy_integer_orders_share_the_int_table(self):
+        room = nominal_room()
+        channel._VIEWS.clear()
+        value = total_reflected_gain(room, 4)
+        [view] = channel._VIEWS.values()
+        for order in np.int64(4), np.int32(4), np.uint8(4):
+            assert total_reflected_gain(room, order) == value
+        assert [(type(k), list(v)) for k, v in view.integrals.items()] == [(int, [30.0])]
+
+    @pytest.mark.parametrize("fovs", [[], np.zeros((0, 1))])
+    def test_empty_fov_array_gives_an_empty_array(self, fovs):
+        room = nominal_room()
+        values = total_reflected_gain(room, 10, fov_deg=fovs)
+        assert isinstance(values, np.ndarray) and values.dtype == float
+        assert values.shape == np.shape(fovs) == los_gain_for(room, fov_deg=fovs).shape
 
 
 class TestFloorConeClosedForm:

@@ -371,34 +371,13 @@ class TestRunOutputs:
 
 
 class TestQuadratureWork:
-    def test_one_view_per_room_and_no_pass_twice(self, tmp_path, monkeypatch):
+    def test_one_view_per_room_and_no_pass_twice(self, tmp_path, quadrature_passes):
         # The sweep, the boundary search and the convergence check of a lamp run
-        # share one receiver view; the check reads the order-q value at the
-        # widest FOV from the sweep's table and computes only order 2q.
+        # share one receiver view; the check finds the order-q value at the
+        # widest FOV in the view's memo and computes only order 2q.
         import indoorqkd.channel as channel
-        import indoorqkd.experiments as experiments
 
-        channel._VIEWS.clear()
-        channel._integral_table.cache_clear()
-        views, passes = [], []
-        view_class = channel._ReceiverView
-
-        def counting_view(room):
-            views.append(room)
-            return view_class(room)
-
-        def count_passes(module):
-            original = module.total_reflected_gain
-
-            def counting(room, patches_per_meter, *, fov_deg=None):
-                passes.append((patches_per_meter, [room.fov_deg] if fov_deg is None else list(fov_deg)))
-                return original(room, patches_per_meter, fov_deg=fov_deg)
-
-            monkeypatch.setattr(module, "total_reflected_gain", counting)
-
-        monkeypatch.setattr(channel, "_ReceiverView", counting_view)
-        count_passes(channel)
-        count_passes(experiments)
+        passes = quadrature_passes
         path = write_config(
             tmp_path,
             "[experiments]\nfov_min_deg = 6\nfov_max_deg = 30\nfov_steps = 5\n"
@@ -406,11 +385,13 @@ class TestQuadratureWork:
             "[cli]\nresolution_patches_per_meter = 8\n",
         )
         assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
-        assert len(views) == 1
+        assert len(channel._VIEWS) == 1
         assert passes[0] == (8, [6.0, 12.0, 18.0, 24.0, 30.0])  # the sweep, one pass
         assert [p for p in passes if p[0] == 16] == [(16, [30.0])]  # the convergence check
         assert [p for p in passes if 30.0 in p[1]] == [passes[0], (16, [30.0])]
         assert {order for order, _ in passes} == {8, 16}
+        fovs = [fov for order, computed in passes if order == 8 for fov in computed]
+        assert len(fovs) == len(set(fovs))  # no FOV computed twice
 
 
 class TestMainEntry:

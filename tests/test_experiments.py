@@ -18,7 +18,6 @@ from indoorqkd.experiments import (
     _FOV_LADDER_DEG,
     _TOLERANCE_PRECISION_DECADES,
     Scenario,
-    _integral_table,
     ambient_tolerance,
     build_setup,
     evaluate_point,
@@ -26,6 +25,7 @@ from indoorqkd.experiments import (
     secure_fov_boundary,
     sweep,
 )
+from indoorqkd import channel
 from indoorqkd.geometry import Point3
 
 # Sweep values recorded when every grid point was its own evaluate_point call
@@ -282,20 +282,9 @@ class TestFovArray:
 
 
 class TestIntegralCache:
-    def test_one_integral_per_fov_whatever_the_levels(self, monkeypatch):
-        # the key holds no spectral level and no FOV: other PSDs and another
+    def test_one_integral_per_fov_whatever_the_levels(self, quadrature_passes):
+        # the memo key holds no spectral level and no FOV: other PSDs and another
         # ambient irradiance reuse a sweep's integrals, FOV by FOV
-        import indoorqkd.experiments as experiments
-
-        _integral_table.cache_clear()
-        computed = []
-        original = experiments.total_reflected_gain
-
-        def counting(room, patches_per_meter, *, fov_deg):
-            computed.append(list(fov_deg))
-            return original(room, patches_per_meter, fov_deg=fov_deg)
-
-        monkeypatch.setattr(experiments, "total_reflected_gain", counting)
         fovs = (6.0, 12.0, 24.0)
         sweep(Scenario.named("lamp-center"), fovs, (1e-7, 1e-6, 1e-5, 1e-4))
         lit = Scenario.named("lamp-center", {"ambient_irradiance_w_nm_m2": 1e-8})
@@ -303,16 +292,17 @@ class TestIntegralCache:
         for fov in fovs:
             evaluate_point(lit, fov, 2e-5)
         evaluate_point(lit, np.array([12.0, 7.0, 12.0, 7.0]), 2e-5)
-        assert computed == [[6.0, 12.0, 24.0], [7.0]]  # one call per array, the new FOV once
-        assert _integral_table.cache_info().misses == 1
+        evaluate_point(lit, 24.0, 2e-5, patches_per_meter=20)
+        # one pass per array, the new FOV once, and another order on its own
+        assert quadrature_passes == [(10, [6.0, 12.0, 24.0]), (10, [7.0]), (20, [24.0])]
+        assert len(channel._VIEWS) == 1
 
-    def test_the_three_lamp_scenarios_share_one_entry(self):
+    def test_the_three_lamp_scenarios_share_one_entry(self, quadrature_passes):
         # the integral does not depend on the transmitter, so the three lamp
         # rooms, which differ only in it, share their integrals
-        _integral_table.cache_clear()
         points = [sweep(Scenario.named(name), (4.0, 20.0), (1e-6,)) for name in LAMP_SCENARIOS]
-        info = _integral_table.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert len(channel._VIEWS) == 1
+        assert quadrature_passes == [(10, [4.0, 20.0])]
         for point in points[1:]:
             assert bits(point.gains.reflected_integral) == bits(points[0].gains.reflected_integral)
 
