@@ -190,16 +190,18 @@ class _ReceiverView:
     reflects nothing) and the room edges.
 
     Positions are taken from the receiver and divided by ``scale``, the power
-    of two at or above the longest room side, so that neither a 1e300 m room
-    nor a 1e-300 m one leaves the float range on the way; a radiance in these
-    units is the true one times scale^2.  ``integrals`` holds the room's
-    bounce integrals computed so far, by rule order and then by FOV.
+    of two just above the shortest room side (or 2^-1022 times the longest,
+    if larger, so that every position stays finite): the near surfaces, which
+    carry the integral, lie about one unit away in a room of any size, and a
+    far one's d1^2 may overflow, sending its radiance to 0.  A radiance in
+    these units is the true one times scale^2.  ``integrals`` holds the
+    room's bounce integrals computed so far, by rule order and then by FOV.
     """
 
     def __init__(self, room: RoomScenario) -> None:
         grids = wall_and_floor_grids(room, 1)
         extent = np.array([[g.n_u * g.cell_u, g.n_v * g.cell_v] for g in grids])
-        self.scale = math.ldexp(1.0, math.frexp(float(extent.max()))[1])
+        self.scale = math.ldexp(1.0, max(math.frexp(float(extent.min()))[1], math.frexp(float(extent.max()))[1] - 1022))
         receiver = np.array(room.receiver.position.as_tuple())
         local = lambda points: (np.asarray(points) - receiver) / self.scale  # noqa: E731
         axis = np.array(room.receiver.axis.as_tuple())
@@ -219,8 +221,8 @@ class _ReceiverView:
             for a, b in zip(start, end):  # a room edge bounds two surfaces, or one and the ceiling
                 sides.setdefault(frozenset((tuple(a), tuple(b))), (a, b))
         starts, ends = (np.array(e) for e in zip(*sides.values()))
-        length = np.linalg.norm(ends - starts, axis=1)
-        kept = length > 1e-12  # a side of a room flat to the precision bounds nothing
+        length = np.abs(ends - starts).max(axis=1)  # the edges are axis-aligned
+        kept = length > 0.0  # a side that underflows in these units bounds nothing
         self.edge_start, self.edge_length = starts[kept], length[kept]
         self.edge_dir = (ends - starts)[kept] / self.edge_length[:, None]
         # The normal, in the receiver's frame, of the plane through the receiver and each edge line.
@@ -234,13 +236,14 @@ class _ReceiverView:
         self.lamp_gain = np.append([g.reflectivity for g in grids], 0.0) * over
         # The psi cuts: 15-degree panels, every room corner and every interior psi extreme of an edge.
         u = self.edge_start
-        p, q = u @ axis, self.edge_dir @ axis
-        r, w = np.einsum("ij,ij->i", u, u), np.einsum("ij,ij->i", u, self.edge_dir)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (p * w - q * r) / (q * w - p)  # d psi / ds = 0 along the edge line
-        inner = (s > 0.0) & (s < self.edge_length)
-        points = np.vstack([u, u + self.edge_length[:, None] * self.edge_dir, u[inner] + s[inner, None] * self.edge_dir[inner]])
-        distance = np.linalg.norm(points, axis=1)
+        w = np.einsum("ij,ij->i", u, self.edge_dir)
+        foot = u - w[:, None] * self.edge_dir  # the edge line's point nearest the receiver, at s = -w
+        p, q, r = foot @ axis, self.edge_dir @ axis, np.einsum("ij,ij->i", foot, foot)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a far edge's cut is lost
+            s = q * r / p - w  # d psi / ds = 0 along the edge line
+            inner = (s > 0.0) & (s < self.edge_length)
+            points = np.vstack([u, u + self.edge_length[:, None] * self.edge_dir, u[inner] + s[inner, None] * self.edge_dir[inner]])
+            distance = np.linalg.norm(points, axis=1)
         seen = distance > 0.0
         psi = np.arccos(np.clip(points[seen] @ axis / distance[seen], -1.0, 1.0))
         panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
@@ -261,7 +264,7 @@ class _ReceiverView:
         # a cos(theta) + b sin(theta) = c: two crossings per line, if any.
         n_axis, n_e1, n_e2 = self.edge_normal
         a, b, c = sin_psi * n_e1, sin_psi * n_e2, -cos_psi * n_axis
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             half = np.arccos(c / np.hypot(a, b))  # nan where the ring misses the plane
             mid = np.arctan2(b, a)
             cuts = np.nan_to_num(np.mod(np.hstack([mid - half, mid + half]), 2.0 * math.pi))
@@ -284,7 +287,7 @@ class _ReceiverView:
         """
         shape = (3,) + (1,) * (omega.ndim - 1)
         # Planes 1, 3, 0 (x = 0, y = 0, floor) lie ahead of a negative component, 2, 4, 5 of a positive one.
-        with np.errstate(divide="ignore", invalid="ignore"):  # the plane behind gives a value <= 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the plane behind gives a value <= 0
             reach = np.maximum(self.height[[1, 3, 0]].reshape(shape) / omega, -self.height[[2, 4, 5]].reshape(shape) / omega)
         if not omega.all():  # parallel to both planes of an axis
             reach[omega == 0.0] = np.inf
@@ -296,14 +299,15 @@ class _ReceiverView:
         t = np.minimum(t, t_z)
         plane_gain = self.lamp_gain.take(plane)
         v1 = t * omega - self.lamp.reshape(shape)
-        d1_sq = v1[0] * v1[0] + v1[1] * v1[1] + v1[2] * v1[2]
-        d1 = np.sqrt(d1_sq)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d1_sq = v1[0] * v1[0] + v1[1] * v1[1] + v1[2] * v1[2]
+            d1 = np.sqrt(d1_sq)
             along = v1[0] * self.lamp_axis[0] + v1[1] * self.lamp_axis[1] + v1[2] * self.lamp_axis[2]
             cos_phi = np.clip(along / d1, 0.0, None)
             # cos(alpha) d1 is the lamp's height over the plane hit
             radiance = plane_gain * cos_phi**self.m1 / (d1_sq * d1)
-        return np.where(d1 > 1e-12, radiance, 0.0)
+        # nan only at the lamp itself (d1 = 0, on a plane it lies in) or past the float range; neither reflects
+        return np.where(np.isnan(radiance), 0.0, radiance)
 
 
 def _room_key(room: RoomScenario) -> tuple:
@@ -366,7 +370,7 @@ def total_reflected_gain(
         pieces = np.concatenate([view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights) for k in range(0, len(lo), step)])
         below = np.concatenate([[0.0], np.cumsum(pieces[:whole])])
         scale = room.detector_area_m2 * (view.m1 + 1.0) / (2.0 * math.pi**2) * room.filter_transmission
-        with np.errstate(over="ignore"):  # a room a few nm across collects an unbounded gain
+        with np.errstate(over="ignore"):  # a side under about 1e-155 m collects an unbounded gain
             computed = [float((below[k] + part) / view.scale / view.scale * (scale * g)) for k, part, g in zip(first.tolist(), pieces[whole:].tolist(), gains)]
         known.update(zip(missing, computed))
     values = [known[f] for f in fov_list]

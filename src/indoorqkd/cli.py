@@ -206,11 +206,13 @@ def load_config(path: str | Path | None) -> tuple[RunConfig, list[str]]:
 
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(str(path))
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    except OSError as exc:  # missing, a directory, no read permission
+        return config, [f"config file unreadable: {path}: {exc.strerror}"]
+    except UnicodeDecodeError as exc:
+        return config, [f"config file is not UTF-8 text: {path}: {exc.reason} at byte {exc.start}"]
     except configparser.Error as exc:
         return config, [f"config parse error: {exc}"]
-    if not read:
-        return config, [f"config file not found: {path}"]
 
     for section in parser.sections():
         if section not in _SECTION_KEYS:
@@ -348,7 +350,11 @@ def run(config: RunConfig) -> int:
     scenario, fov_values, source_values = resolved
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file there or on the way, no permission
+        print(f"config error: output_dir = {config.output_dir}: cannot create a directory there ({exc.strerror})", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     grid = sweep(
         scenario, fov_values, source_values,

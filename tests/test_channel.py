@@ -38,7 +38,7 @@ from indoorqkd.geometry import (
     concentrator_gain,
     lambert_mode,
 )
-from indoorqkd.montecarlo import floor_cone_closed_form
+from indoorqkd.montecarlo import estimate_reflected_gain, floor_cone_closed_form
 
 
 def nominal_room(fov_deg=30.0, **overrides):
@@ -315,6 +315,20 @@ class TestFloorConeClosedForm:
             if exact is None:  # the cone reaches a wall of the narrow room
                 break
             assert total_reflected_gain(room, 10) == pytest.approx(exact, rel=1e-9, abs=0.0), fov
+
+    # the near walls carry the integral however long the room, and no cut-off may drop them
+    @pytest.mark.parametrize("size", [1e13, 1e100, 1e300])
+    @pytest.mark.parametrize("key", ["room_x_m", "room_y_m"])
+    def test_a_long_room_to_1e_9(self, key, size):
+        room = build_setup(Scenario.named("lamp-center", {key: size}), 20.0, 1e-5).room
+        assert total_reflected_gain(room, 10) == pytest.approx(floor_cone_closed_form(room), rel=1e-9, abs=0.0)
+
+
+def test_a_tall_room_against_the_monte_carlo_oracle():
+    # the walls are in view at 60 deg, where no closed form holds
+    room = build_setup(Scenario.named("lamp-center", {"room_z_m": 1e13}), 60.0, 1e-5).room
+    estimate = estimate_reflected_gain(room, samples=2_000_000, seed=1)
+    assert abs(total_reflected_gain(room, 10) - estimate.value) <= 5.0 * estimate.std_error
 
 
 def pinned_room(kind, fov):

@@ -58,7 +58,33 @@ class TestDefaultsRoundTrip:
 
     def test_missing_file_is_diagnosed(self, tmp_path):
         config, diagnostics = load_config(tmp_path / "absent.ini")
-        assert diagnostics
+        assert diagnostics == [f"config file unreadable: {tmp_path / 'absent.ini'}: No such file or directory"]
+
+
+class TestFileFailures:
+    """A config file or an output directory that cannot be used ends in exit 2
+    and a line naming it, not in a traceback."""
+
+    def test_config_that_is_not_utf8_named(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[geometry]\nroom_x_m = 4\n# \xff\n")
+        assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert f"config error: config file is not UTF-8 text: {path}: invalid start byte at byte 26" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_a_directory_named(self, tmp_path, capsys):
+        assert main([str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert f"config error: config file unreadable: {tmp_path}: Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["output_dir is a file", "output_dir below a file"])
+    def test_output_dir_blocked_by_a_file_named(self, tmp_path, capsys, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out_dir = blocker if where == "output_dir is a file" else blocker / "out"
+        body = f"[experiments]\nfov_steps = 2\nsource_steps = 2\n[cli]\noutput_dir = {out_dir}\n"
+        assert main([str(write_config(tmp_path, body))]) == EXIT_CONFIG_ERROR
+        assert f"config error: output_dir = {out_dir}: cannot create a directory there" in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
 
 class TestValidationDiagnostics:
@@ -220,6 +246,17 @@ class TestValidationDiagnostics:
         out_dir = tmp_path / "out"
         assert main([str(write_config(tmp_path, body)), "--out", str(out_dir)]) == EXIT_OK
         assert "converged" in (out_dir / "summary.txt").read_text()
+
+    # each room side the property test above draws as tiny, and huge ones up to the top of the float range
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["5e-324", "1e-310", "1e-200", "1e13", "1e300", "1e308"])
+    @pytest.mark.parametrize("key", ["room_x_m", "room_y_m", "room_z_m"])
+    def test_a_room_side_at_the_float_range_ends_in_a_result_or_diagnostic(self, tmp_path, key, value):
+        body = (
+            f"[geometry]\n{key} = {value}\n[experiments]\nscenario = lamp-center\n"
+            "fov_steps = 2\nsource_steps = 2\n[cli]\nresolution_patches_per_meter = 2\n"
+        )
+        assert main([str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_CONFIG_ERROR)
 
     @pytest.mark.parametrize(
         "key, value, message",
