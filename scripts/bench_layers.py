@@ -7,7 +7,10 @@ process's plus that of the child processes it waited for, divided by the
 host's slowdown: perfbench's fixed reference work (``hostspeed.Reference``)
 runs before and after each round, and the mean of its two slowdown factors
 scales the round to the reference box at full speed, as perfbench does for
-its op times.  The layers:
+its op times.  Next to each time the row records the minor page faults
+per call (``ru_minflt``, counted the same way: this process's plus the
+waited-for children's), the pages the allocator handed back to the system
+and faulted in again, among others.  The layers:
 
 * total_reflected_gain, lamp-center at FOV 20 deg, at patches_per_meter
   10/20/40/80 (a rule order since the quadrature replaced the patch sum),
@@ -100,23 +103,30 @@ def cpu_s() -> float:
     return time.process_time() + children.ru_utime + children.ru_stime
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process and of the children it has waited for."""
+    return sum(resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
 def timed(run, before=lambda: None, calls: int = 1) -> dict:
     before()
     value = run()  # warm-up, and the value recorded for the layer
-    times, slowdowns = [], []
+    times, slowdowns, faults = [], [], []
     for _ in range(ROUNDS):
         before()
         slow_before = REFERENCE.slowdown()
-        start = cpu_s()
+        start, faults_before = cpu_s(), minor_faults()
         for _ in range(calls):
             run()
-        spent = cpu_s() - start
+        spent, faults_spent = cpu_s() - start, minor_faults() - faults_before
         slowdowns.append(0.5 * (slow_before + REFERENCE.slowdown()))
         times.append(spent / calls / slowdowns[-1])
+        faults.append(faults_spent / calls)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return {
         "median_s": median, "iqr_s": q3 - q1, "rounds": ROUNDS, "calls_per_round": calls,
-        "times_s": times, "host_slowdowns": slowdowns, "value": value,
+        "times_s": times, "host_slowdowns": slowdowns,
+        "minor_faults_per_call": statistics.median(faults), "minor_faults_per_round": faults, "value": value,
     }
 
 
@@ -172,9 +182,10 @@ def main() -> int:
             cache.cache_clear()
         views.clear()
 
-    def without_integrals() -> None:  # keep the views, drop the integrals a view holds
+    def without_integrals() -> None:  # keep the views, drop the integrals and whole-piece sums a view holds
         for view in views.values():
             getattr(view, "integrals", {}).clear()
+            getattr(view, "whole_pieces", {}).clear()
 
     fovs = tuple(0.9 * (k + 1) for k in range(100))
     levels = tuple(10.0 ** (-7.0 + 3.0 * k / 99) for k in range(100))
@@ -249,7 +260,10 @@ def main() -> int:
     results[args.label] = run
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     for name, layer in layers.items():
-        print(f"{args.label:>8} {name:38s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms")
+        print(
+            f"{args.label:>8} {name:38s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms"
+            f"  faults/call {layer['minor_faults_per_call']:10.1f}"
+        )
     return 0
 
 

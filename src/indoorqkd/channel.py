@@ -27,7 +27,11 @@ A ray leaves through the nearest of three planes, each picked on its axis
 by the sign of the ray's component there (the oracle's slab rule); ties go
 to the floor, the x walls, the y walls, the ceiling last.  A room's view is
 built once and kept for the 64 rooms used last, and holds the integrals
-computed for the room so far, by rule order and FOV.
+computed for the room so far, by rule order and FOV, and the sums of the
+whole psi pieces below them, so a wider FOV sums only the pieces beyond.
+A pass traces its psi nodes in blocks that all work in one array, made for
+the pass and sized for its largest block, so that no block's temporaries go
+back to the system to be faulted in again by the next.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ _PANEL_DEG = 15.0
 # _THETA_ORDER points: a narrow lamp's spot is a sharp peak along the ring.
 _THETA_ARCS = 12
 _THETA_ORDER = 12
-# Most psi nodes traced in one pass, which holds tens of kB per node.
-_PSI_BLOCK = 64
+# Most psi nodes traced at once; a pass's work array holds about 28 kB per node of a block.
+_PSI_BLOCK = 32
 # Most psi nodes laid out at once (a FOV axis brings one piece per FOV).
 _PIECE_BLOCK = 4096
 
@@ -249,16 +253,22 @@ class _ReceiverView:
         panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
         self.bounds = np.unique(np.concatenate([panels, psi[(psi > 0.0) & (psi < 0.5 * math.pi)], [0.5 * math.pi]]))
         self.integrals: dict[int, dict[float, float]] = {}
+        self.whole_pieces: dict[int, np.ndarray] = {}
 
     def piece_sums(self, lo: np.ndarray, hi: np.ndarray, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """int_lo^hi sin(psi) cos(psi) (ring integral) d psi on each piece, by the mapped rule."""
+        """int_lo^hi sin(psi) cos(psi) (ring integral) d psi on each piece, by the mapped rule;
+        every block of ring integrals works in one array, sized for the largest block."""
         psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
         weight = ((hi - lo)[:, None] * weights).ravel() * np.sin(psi) * np.cos(psi)
-        ring = np.concatenate([self.ring_integrals(psi[k : k + _PSI_BLOCK]) for k in range(0, len(psi), _PSI_BLOCK)])
+        work = np.empty(8 * _THETA_ORDER * (_THETA_ARCS + 2 * self.edge_length.size) * min(len(psi), _PSI_BLOCK))
+        ring = np.concatenate([self.ring_integrals(psi[k : k + _PSI_BLOCK], work) for k in range(0, len(psi), _PSI_BLOCK)])
         return np.bincount(np.repeat(np.arange(len(lo)), len(positions)), weight * ring)
 
-    def ring_integrals(self, psi: np.ndarray) -> np.ndarray:
-        """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi."""
+    def ring_integrals(self, psi: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi.
+
+        The theta nodes' intermediates go to ``work``, 8 floats a node (allocated if not given).
+        """
         cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
         # The ring crosses the plane through the receiver and an edge line where
         # a cos(theta) + b sin(theta) = c: two crossings per line, if any.
@@ -273,41 +283,65 @@ class _ReceiverView:
         width = np.diff(bounds, axis=1)
         ring, arc = np.nonzero(width > 0.0)
         positions, weights = _mapped_rule(_THETA_ORDER)
-        theta = bounds[ring, arc][:, None] + width[ring, arc][:, None] * positions
-        weight = width[ring, arc][:, None] * weights
-        axis, e1, e2 = (v[:, None, None] for v in self.frame)
-        omega = axis * cos_psi[ring] + e1 * (sin_psi[ring] * np.cos(theta)) + e2 * (sin_psi[ring] * np.sin(theta))
-        return np.bincount(np.repeat(ring, _THETA_ORDER), (weight * self._radiance(omega)).ravel(), minlength=len(psi))
+        start, span = bounds[ring, arc][:, None], width[ring, arc][:, None]
+        n = len(ring) * _THETA_ORDER
+        work = np.empty(8 * n) if work is None else work
+        omega = work[: 3 * n].reshape(3, len(ring), _THETA_ORDER)
+        theta, cos_theta, sin_theta, term = work[3 * n : 7 * n].reshape(4, len(ring), _THETA_ORDER)
+        np.add(np.multiply(span, positions, out=theta), start, out=theta)
+        np.multiply(np.cos(theta, out=cos_theta), sin_psi[ring], out=cos_theta)
+        np.multiply(np.sin(theta, out=sin_theta), sin_psi[ring], out=sin_theta)
+        ring_cos_psi = cos_psi[ring]
+        for k, (on_axis, on_e1, on_e2) in enumerate(self.frame.T):  # axis cos(psi) + e1 sin(psi) cos(theta) + e2 sin(psi) sin(theta)
+            np.add(np.multiply(on_e1, cos_theta, out=omega[k]), on_axis * ring_cos_psi, out=omega[k])
+            omega[k] += np.multiply(on_e2, sin_theta, out=term)
+        radiance = self._radiance(omega, work[3 * n :])
+        weight = np.multiply(span, weights, out=omega[0])
+        return np.bincount(np.repeat(ring, _THETA_ORDER), np.multiply(weight, radiance, out=weight).ravel(), minlength=len(psi))
 
-    def _radiance(self, omega: np.ndarray) -> np.ndarray:
+    def _radiance(self, omega: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver
         along ``omega`` (x, y, z on the first axis) leave the room: the nearest
         of the planes ahead on each axis, whose height / facing is exact, for
         the normals are axis-aligned.  Ties go as ``np.argmin`` over all six.
+        The intermediates go to ``work``, 5 floats a ray (allocated if not given),
+        and so does the result.
         """
         shape = (3,) + (1,) * (omega.ndim - 1)
+        n = omega[0].size
+        work = np.empty(5 * n) if work is None else work
+        reach = work[: 3 * n].reshape(omega.shape)
+        t, spare = work[3 * n : 5 * n].reshape((2,) + omega.shape[1:])
         # Planes 1, 3, 0 (x = 0, y = 0, floor) lie ahead of a negative component, 2, 4, 5 of a positive one.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the plane behind gives a value <= 0
-            reach = np.maximum(self.height[[1, 3, 0]].reshape(shape) / omega, -self.height[[2, 4, 5]].reshape(shape) / omega)
+            np.divide(self.height[[1, 3, 0]].reshape(shape), omega, out=reach)
+            for k, height in enumerate(-self.height[[2, 4, 5]]):
+                np.maximum(reach[k], np.divide(height, omega[k], out=spare), out=reach[k])
         if not omega.all():  # parallel to both planes of an axis
             reach[omega == 0.0] = np.inf
         (t_x, t_y, t_z), (up_x, up_y, up_z) = reach, (omega > 0.0).view(np.int8)
-        t = np.minimum(t_x, t_y)
+        np.minimum(t_x, t_y, out=t)
         plane = 3 + up_y - (2 + up_y - up_x) * (t_x <= t_y).view(np.int8)  # x walls 1, 2 win a tie with y walls 3, 4
         z_first = (t_z < t) | ((t_z == t) & (up_z == 0))  # the floor 0 wins a tie, the ceiling 5 loses it
         plane += (5 * up_z - plane) * z_first.view(np.int8)
-        t = np.minimum(t, t_z)
-        plane_gain = self.lamp_gain.take(plane)
-        v1 = t * omega - self.lamp.reshape(shape)
+        np.minimum(t, t_z, out=t)
+        v1 = np.subtract(np.multiply(t, omega, out=reach), self.lamp.reshape(shape), out=reach)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d1_sq = v1[0] * v1[0] + v1[1] * v1[1] + v1[2] * v1[2]
-            d1 = np.sqrt(d1_sq)
-            along = v1[0] * self.lamp_axis[0] + v1[1] * self.lamp_axis[1] + v1[2] * self.lamp_axis[2]
-            cos_phi = np.clip(along / d1, 0.0, None)
+            d1_sq = np.multiply(v1[0], v1[0], out=t)
+            d1_sq += np.multiply(v1[1], v1[1], out=spare)
+            d1_sq += np.multiply(v1[2], v1[2], out=spare)
+            d1 = np.sqrt(d1_sq, out=spare)
+            along = np.multiply(v1[0], self.lamp_axis[0], out=v1[0])
+            along += np.multiply(v1[1], self.lamp_axis[1], out=v1[1])
+            along += np.multiply(v1[2], self.lamp_axis[2], out=v1[2])
+            cos_phi = np.clip(np.divide(along, d1, out=along), 0.0, None, out=along)
+            cos_phi **= self.m1
             # cos(alpha) d1 is the lamp's height over the plane hit
-            radiance = plane_gain * cos_phi**self.m1 / (d1_sq * d1)
+            radiance = np.multiply(self.lamp_gain.take(plane), cos_phi, out=cos_phi)
+            radiance /= np.multiply(d1_sq, d1, out=spare)
         # nan only at the lamp itself (d1 = 0, on a plane it lies in) or past the float range; neither reflects
-        return np.where(np.isnan(radiance), 0.0, radiance)
+        np.copyto(radiance, 0.0, where=np.isnan(radiance))
+        return radiance
 
 
 def _room_key(room: RoomScenario) -> tuple:
@@ -360,18 +394,23 @@ def total_reflected_gain(
     missing = [f for f in dict.fromkeys(fov_list) if f not in known]
     if missing:
         gains = [concentrator_gain(room.concentrator_index, f) for f in missing]
-        ends = [math.radians(f) for f in missing]
+        ends = np.array([math.radians(f) for f in missing])
         first = np.searchsorted(view.bounds, ends, side="right") - 1  # the partial piece starts here
-        whole = int(first.max())
-        lo = np.concatenate([view.bounds[:whole], view.bounds[first]])
-        hi = np.concatenate([view.bounds[1 : whole + 1], ends])
+        partial = view.bounds[first] < ends  # a FOV on a cut has none
+        whole = view.whole_pieces.get(order, np.zeros(0))
+        have, added = len(whole), max(0, int(first.max()) - len(whole))  # the whole pieces summed and still to sum
+        lo = np.concatenate([view.bounds[have : have + added], view.bounds[first[partial]]])
+        hi = np.concatenate([view.bounds[have + 1 : have + added + 1], ends[partial]])
         positions, weights = _mapped_rule(order)
         step = max(1, _PIECE_BLOCK // len(positions))
-        pieces = np.concatenate([view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights) for k in range(0, len(lo), step)])
-        below = np.concatenate([[0.0], np.cumsum(pieces[:whole])])
+        pieces = np.concatenate([np.zeros(0), *(view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights) for k in range(0, len(lo), step))])
+        whole = view.whole_pieces[order] = np.concatenate([whole, pieces[:added]])
+        below = np.concatenate([[0.0], np.cumsum(whole)])
+        parts = np.zeros(len(missing))
+        parts[partial] = pieces[added:]
         scale = room.detector_area_m2 * (view.m1 + 1.0) / (2.0 * math.pi**2) * room.filter_transmission
         with np.errstate(over="ignore"):  # a side under about 1e-155 m collects an unbounded gain
-            computed = [float((below[k] + part) / view.scale / view.scale * (scale * g)) for k, part, g in zip(first.tolist(), pieces[whole:].tolist(), gains)]
+            computed = [float((below[k] + part) / view.scale / view.scale * (scale * g)) for k, part, g in zip(first.tolist(), parts.tolist(), gains)]
         known.update(zip(missing, computed))
     values = [known[f] for f in fov_list]
     return values[0] if fovs.ndim == 0 else np.reshape(values, fovs.shape)
@@ -390,10 +429,10 @@ def reflected_gain_convergence(
     """
     value = total_reflected_gain(room, patches_per_meter)
     refined = total_reflected_gain(room, 2 * patches_per_meter)
-    if refined != 0.0:
-        rel = abs(refined - value) / abs(refined)
+    if refined == value:  # 0, or an inf that no order changes (a side under about 1e-155 m)
+        rel = 0.0
     else:
-        rel = 0.0 if value == 0.0 else math.inf
+        rel = abs(refined - value) / abs(refined) if refined != 0.0 else math.inf
     converged = rel <= rtol
     if not converged:
         warnings.warn(

@@ -51,6 +51,9 @@ class Point3:
 
     def normalized(self) -> "Point3":
         n = self.norm()
+        big = max(abs(self.x), abs(self.y), abs(self.z))
+        if n == math.inf and big < math.inf:  # the squares overflow: divide by the largest component first
+            return Point3(self.x / big, self.y / big, self.z / big).normalized()
         if n < _COINCIDENT_EPS:
             raise DegenerateGeometryError("cannot normalize a zero-length vector")
         return Point3(self.x / n, self.y / n, self.z / n)

@@ -430,6 +430,50 @@ class TestExitPlaneAgainstSixPlanes:
         assert_same_bits(room, omega)
 
 
+class TestOnePassBitInvariants:
+    """A pass's ring values and a room's memo of whole psi pieces change no bit."""
+
+    @pytest.mark.parametrize("block", [1, 7, 32, 64])
+    def test_ring_values_do_not_depend_on_the_block(self, monkeypatch, block):
+        # every block of a pass works in the same array; each node's ring value
+        # equals the one computed for that node alone, in an array of its own
+        view = _ReceiverView(pinned_room("steered-corner", 30.0))
+        ring_integrals, seen = _ReceiverView.ring_integrals, []
+
+        def recording(self, psi, work=None):
+            seen.append((psi.copy(), ring_integrals(self, psi, work)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(channel, "_PSI_BLOCK", block)
+        monkeypatch.setattr(_ReceiverView, "ring_integrals", recording)
+        positions, weights = channel._mapped_rule(10)
+        view.piece_sums(view.bounds[:-1], view.bounds[1:], positions, weights)
+        monkeypatch.undo()
+        psi = np.concatenate([p for p, _ in seen])
+        assert max(len(p) for p, _ in seen) == block and len(psi) == 10 * (len(view.bounds) - 1)
+        alone = np.concatenate([view.ring_integrals(psi[k : k + 1]) for k in range(len(psi))])
+        assert alone.view(np.uint64).tolist() == np.concatenate([r for _, r in seen]).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("kind", ["nominal", "offset-lamp", "steered-corner"])
+    def test_warm_memo_equals_cold_one_fov_calls(self, kind):
+        room = pinned_room(kind, 30.0)
+        channel._VIEWS.clear()
+        sweep = np.linspace(2.0, 28.0, 14)
+        warm = list(total_reflected_gain(room, 10, fov_deg=sweep))
+        [view] = channel._VIEWS.values()
+        swept = len(view.whole_pieces[10])
+        # probes below the first cut and above it, inside the sweep and beyond it
+        probes = [3.3, 14.2, 19.5, 27.1, 33.7, 61.0]
+        warm += [total_reflected_gain(room, 10, fov_deg=fov) for fov in probes]
+        assert len(view.whole_pieces[10]) > swept  # 33.7 and 61 add whole pieces
+        cuts = [15.0, 30.0, 90.0]  # panel knots: no partial piece
+        warm += [total_reflected_gain(room, 10, fov_deg=fov) for fov in cuts]
+        assert len(view.whole_pieces[10]) == len(view.bounds) - 1
+        for fov, value in zip([*sweep.tolist(), *probes, *cuts], warm):
+            channel._VIEWS.clear()
+            assert np.float64(value).view(np.uint64) == np.float64(total_reflected_gain(replace(room, fov_deg=fov), 10)).view(np.uint64), fov
+
+
 class TestAgainstFinePatchSums:
     @pytest.mark.parametrize("index", range(len(PATCH_SUMS)))
     def test_within_the_patch_sums_own_error(self, index):

@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -258,6 +259,18 @@ class TestValidationDiagnostics:
         )
         assert main([str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_CONFIG_ERROR)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["1e160", "1e300"])
+    def test_a_huge_room_runs_with_the_steered_corner(self, tmp_path, capsys, value):
+        # the transmitter is aimed across the room along an offset whose squared norm overflows
+        body = (
+            f"[geometry]\nroom_x_m = {value}\n[experiments]\nscenario = lamp-corner-steered\n"
+            "fov_steps = 2\nsource_steps = 2\n"
+        )
+        assert main([str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "converged" in (tmp_path / "out" / "summary.txt").read_text()
+        assert "error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -423,12 +436,22 @@ class TestQuadratureWork:
         )
         assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
         assert len(channel._VIEWS) == 1
-        assert passes[0] == (8, [6.0, 12.0, 18.0, 24.0, 30.0])  # the sweep, one pass
-        assert [p for p in passes if p[0] == 16] == [(16, [30.0])]  # the convergence check
-        assert [p for p in passes if 30.0 in p[1]] == [passes[0], (16, [30.0])]
-        assert {order for order, _ in passes} == {8, 16}
-        fovs = [fov for order, computed in passes if order == 8 for fov in computed]
+        computed = [(order, fovs) for order, fovs, _ in passes]
+        assert computed[0] == (8, [6.0, 12.0, 18.0, 24.0, 30.0])  # the sweep, one pass
+        assert [p for p in computed if p[0] == 16] == [(16, [30.0])]  # the convergence check
+        assert [p for p in computed if 30.0 in p[1]] == [computed[0], (16, [30.0])]
+        assert {order for order, _ in computed} == {8, 16}
+        fovs = [fov for order, swept in computed if order == 8 for fov in swept]
         assert len(fovs) == len(set(fovs))  # no FOV computed twice
+        # the sweep sums the whole pieces below 30 degrees, and the boundary
+        # probes, all below it, find them in the view: no whole piece twice per order
+        [view] = channel._VIEWS.values()
+        first_cut_above = int(np.searchsorted(view.bounds, np.radians(30.0), side="right")) - 1
+        assert passes[0][2] == list(range(first_cut_above))
+        assert len(passes) > 2 and all(not whole for order, _, whole in passes[1:] if order == 8)
+        for order in (8, 16):
+            whole = [index for o, _, added in passes if o == order for index in added]
+            assert len(whole) == len(set(whole)) == len(view.whole_pieces[order])
 
 
 class TestMainEntry:
@@ -461,6 +484,15 @@ class TestMainEntry:
         assert (tmp_path / "strict_out" / "sweep.csv").exists()
         code = main([str(path), "--resolution", "1", "--out", out_dir])
         assert code == EXIT_OK
+
+    def test_strict_accepts_an_inf_no_order_changes(self, tmp_path):
+        # a side of 1e-200 m collects an unbounded gain at every rule order: no change, converged
+        path = write_config(
+            tmp_path,
+            "[geometry]\nroom_x_m = 1e-200\n[experiments]\nscenario = lamp-center\nfov_steps = 2\nsource_steps = 2\n",
+        )
+        assert main([str(path), "--strict", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "relative change 0.000e+00; converged" in (tmp_path / "out" / "summary.txt").read_text()
 
     def test_scenario_flag_overrides_config(self, tmp_path, capsys):
         path = write_config(

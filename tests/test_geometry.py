@@ -43,6 +43,12 @@ class TestPoint3:
         n = Point3(1.0, 1.0, 1.0).normalized()
         assert n.norm() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("size", [1e155, 1e160, 1e300, 1.7e308])
+    def test_a_vector_whose_squares_overflow_normalizes(self, size):
+        n = Point3(-0.5 * size, 2.0, 0.25 * size).normalized()
+        assert n.as_tuple() == pytest.approx((-2.0 / math.sqrt(5.0), 0.0, 1.0 / math.sqrt(5.0)), abs=1e-15)
+        assert n.norm() == pytest.approx(1.0, abs=1e-15)
+
     def test_zero_vector_cannot_normalize(self):
         with pytest.raises(DegenerateGeometryError):
             Point3(0.0, 0.0, 0.0).normalized()
