@@ -16,9 +16,10 @@ and faulted in again, among others.  The layers:
   10/20/40/80 (a rule order since the quadrature replaced the patch sum),
   each call with the room's receiver view already built and the integral
   not yet in it;
-* one block of 64 psi nodes (0.01-1.5 rad) of the quadrature's ring
-  integrals, lamp-center with the lamp at (1.3, 2.0): the row divided by 64
-  is the cost of one psi node;
+* one block of ``_PSI_BLOCK`` psi nodes (0.01-1.5 rad) of the quadrature's
+  ring integrals, lamp-center with the lamp at (1.3, 2.0), in a work array
+  made beforehand and sized as a quadrature pass sizes the one its blocks
+  share: the row divided by the block size is the cost of one psi node;
 * one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
   lamp-center at 10 patches_per_meter;
 * one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches_per_meter;
@@ -35,7 +36,9 @@ and faulted in again, among others.  The layers:
   ambient-only-center map above (the shape of a perfbench ambient-map op:
   sweep, ambient tolerance, sweep.csv and summary.txt), and
   scripts/run_all_scenarios.py, each in a fresh Python process so that
-  imports count; their value is the sha256 of the files they write.
+  imports count; their value is the sha256 of the files they write;
+* the same 90 x 90 ambient CLI run through ``cli.main`` in this process,
+  cold, so the map's own cost shows without process start-up and imports.
 
 Rows that take microseconds time CALLS calls per round and report the time
 per call.
@@ -55,7 +58,9 @@ under other labels are kept, so one file can hold a before/after pair:
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -130,16 +135,21 @@ def timed(run, before=lambda: None, calls: int = 1) -> dict:
     }
 
 
-def outputs_digest(command: list[str], src: Path) -> str:
-    """Run ``command --out DIR`` against ``src`` and hash the files it writes."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+def outputs_digest(write) -> str:
+    """Call ``write(DIR)`` on an empty directory and hash the files it writes there."""
     with tempfile.TemporaryDirectory() as out:
-        subprocess.run([*command, "--out", out], check=True, capture_output=True, env=env)
+        write(out)
         digest = hashlib.sha256()
         for path in sorted(Path(out).rglob("*")):
             if path.is_file():
                 digest.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def subprocess_digest(command: list[str], src: Path) -> str:
+    """Run ``command --out DIR`` against ``src`` and hash the files it writes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return outputs_digest(lambda out: subprocess.run([*command, "--out", out], check=True, capture_output=True, env=env))
 
 
 def secure_count(point) -> int:
@@ -161,7 +171,7 @@ def main() -> int:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from indoorqkd import channel, experiments
+    from indoorqkd import channel, cli, experiments
     from indoorqkd.channel import total_reflected_gain
     from indoorqkd.experiments import (
         Scenario, ambient_tolerance, build_setup, evaluate_point, secure_fov_boundary, sweep,
@@ -201,8 +211,11 @@ def main() -> int:
     for res in RESOLUTIONS:
         layers[f"total_reflected_gain_{res}_per_m"] = timed(lambda: total_reflected_gain(room, res), without_integrals)
     offset = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room
-    view, psi = channel._ReceiverView(offset), np.linspace(0.01, 1.5, 64)
-    layers["ring_integrals_64_psi_nodes"] = timed(lambda: float(view.ring_integrals(psi).sum()), calls=20)
+    view, block = channel._ReceiverView(offset), channel._PSI_BLOCK
+    psi = np.linspace(0.01, 1.5, block)
+    # the work array a quadrature pass makes once for all its blocks, sized as piece_sums sizes it
+    work = np.empty(8 * channel._THETA_ORDER * (channel._THETA_ARCS + 2 * view.edge_length.size) * block)
+    layers[f"ring_integrals_{block}_psi_block"] = timed(lambda: float(view.ring_integrals(psi, work).sum()), calls=20)
     layers["sweep_100x100_cold_10_per_m"] = timed(
         lambda: secure_count(sweep(scenario, fovs, levels, patches_per_meter=10)), cold
     )
@@ -227,7 +240,7 @@ def main() -> int:
             lambda: estimate_reflected_gain(room, samples=rays, seed=7).value
         )
     layers["cli_default_run_subprocess"] = timed(
-        lambda: outputs_digest([sys.executable, "-m", "indoorqkd.cli"], src)
+        lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli"], src)
     )
     with tempfile.TemporaryDirectory() as config_dir:
         ambient_ini = Path(config_dir) / "ambient_90x90.ini"
@@ -237,10 +250,16 @@ def main() -> int:
             "source_min = 1e-9\nsource_max = 1e-5\nsource_steps = 90\nsource_scale = log\n"
         )
         layers["cli_ambient_90x90_subprocess"] = timed(
-            lambda: outputs_digest([sys.executable, "-m", "indoorqkd.cli", str(ambient_ini)], src)
+            lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli", str(ambient_ini)], src)
         )
+
+        def ambient_in_process(out: str) -> None:
+            with contextlib.redirect_stdout(io.StringIO()):  # the summary the CLI prints
+                cli.main([str(ambient_ini), "--out", out])
+
+        layers["cli_ambient_90x90_in_process"] = timed(lambda: outputs_digest(ambient_in_process), cold)
     layers["run_all_scenarios_subprocess"] = timed(
-        lambda: outputs_digest([sys.executable, str(src.parent / "scripts" / "run_all_scenarios.py")], src)
+        lambda: subprocess_digest([sys.executable, str(src.parent / "scripts" / "run_all_scenarios.py")], src)
     )
 
     sha, dirty = git_sha(src)

@@ -45,8 +45,9 @@ EXIT_STRICT_CONVERGENCE = 3
 # 5.3 s and 193 MB at 1,000, on a 2-core x86 VM.
 MAX_RESOLUTION = 500
 # Most (FOV, source) points a run may sweep, and so the longest axis.  Peak
-# memory grows by 200 B a point on a square map and 330 B on one row; under a
-# 1 GiB address-space cap 2.5e6 points run (0.5, 0.8 GB) and 3e6 on a row fail.
+# RSS is about 200 B a point on a square map and 300 B on one row; under a
+# 1 GiB address-space cap 2.5e6 points run (0.49, 0.76 GB) and 3e6 on a row
+# fail.  The sweep.csv writer adds nothing that grows with the map.
 GRID_BUDGET = 2_500_000
 
 _CSV_COLUMNS = (
@@ -54,6 +55,26 @@ _CSV_COLUMNS = (
     "y1", "q1", "e1", "q_mu", "e_mu",
     "rate_bits_per_pulse", "secure_flag",
 )
+
+# sweep.csv cells as bytes.  '%.9e' text takes at most 17 (a sign, ten
+# digits, the point and e-XXX); a cell is built in three little-endian
+# 8-byte words, NUL-padded.
+_E9_BYTES = 24
+_POW10 = 10.0 ** np.arange(-300, 301)  # 10**k at k + 300, each within an ulp
+_DIGITS3 = 48 + np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10  # "000" .. "999"
+_EXPONENTS = np.zeros((601, 8), np.uint8)  # e+XX or e-XXX of the exponents -300 .. 300 at exponent + 300
+_EXPONENTS[:, 0] = ord("e")
+_EXPONENTS[:, 1] = ord("+")
+_EXPONENTS[:300, 1] = ord("-")
+_EXPONENTS[:, 2:5] = _DIGITS3[np.abs(np.arange(-300, 301))]
+_EXPONENTS[201:400, 2:4] = _EXPONENTS[201:400, 3:5]  # two digits below 100
+_EXPONENTS[201:400, 4] = 0
+# The same tables as the integers whose little-endian bytes they are.
+_DIGITS3_WORD = (_DIGITS3[:, 0] | _DIGITS3[:, 1] << 8 | _DIGITS3[:, 2] << 16).astype(np.uint64)
+_EXPONENT_WORD = _EXPONENTS.view("<u8").ravel().astype(np.uint64)
+_ZERO = np.frombuffer(b"0.000000000e+00".ljust(_E9_BYTES, b"\0"), np.uint8)
+_FLAGS = np.frombuffer(b"false" b"true\0", np.uint8).reshape(2, 5)
+
 
 # Section layout of the config file.  Parameter keys match the nominal table
 # in experiments; the rest is run plumbing.
@@ -153,9 +174,17 @@ def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
         raise ValueError(f"log scale needs a positive minimum, got {lo!r}")
     if steps == 1:
         return (lo,)
-    if scale == "linear":
-        return tuple(np.linspace(lo, hi, steps).tolist())
-    return tuple(np.logspace(math.log10(lo), math.log10(hi), steps).tolist())
+    with np.errstate(all="ignore"):
+        if scale == "linear":
+            values = np.linspace(lo, hi, steps)
+        else:
+            values = np.logspace(math.log10(lo), math.log10(hi), steps)
+    if not np.isfinite(values).all():
+        if scale == "linear":  # the step, (max - min) / (steps - 1), overflows
+            raise ValueError(f"max {hi!r} - min {lo!r} overflows to inf on a linear axis")
+        end, value = ("min", lo) if not math.isfinite(values[0]) else ("max", hi)
+        raise ValueError(f"{end} {value!r} overflows to inf on a log axis")
+    return tuple(values.tolist())
 
 
 def _format_value(key: str, value: object) -> str:
@@ -312,32 +341,109 @@ def _resolve(
     return None, out or whole_run
 
 
-def _csv_lines(
-    grid: OperatingPoint, fov_values: tuple[float, ...], source_values: tuple[float, ...], block: int = 4096
-) -> Iterator[str]:
-    """The ``sweep.csv`` data rows of a ``sweep`` map over these axes, FOV-major,
-    at most ``block`` lines at a time.
+def _e9(values: np.ndarray) -> np.ndarray:
+    """``'%.9e' % v`` of each value, byte for byte, as rows of ``_E9_BYTES`` NUL-padded ASCII bytes.
 
-    The FOV and gains are formatted once per row; the levels, and the columns
-    that repeat in every FOV row (``n_b1``, say), once per map.
+    A value in [1e-290, 1e290] is scaled by a power of ten to ten digits before
+    the point and rounded; the scaling errs by under 4e-16 of the scaled value,
+    so a fraction farther than 4e-15 of it from one half rounds as the exact
+    binary value does, and only then is the fast result kept (the guard-band
+    test of Loitsch's Grisu3, PLDI 2010).  Every other value (negative, -0.0,
+    inf, nan, outside that range, or too near a tie) goes through ``'%.9e'``
+    one at a time.
+    """
+    v = np.ravel(np.asarray(values, dtype=np.float64))
+    with np.errstate(all="ignore"):
+        fast = (v >= 1e-290) & (v <= 1e290)
+        s = np.where(fast, v, 1.0)
+        e = np.floor(np.log10(s)).astype(np.intp)
+        s *= _POW10[9 - e + 300]  # ten digits before the point
+        r = np.floor(s)
+        s -= r
+        fast &= (np.abs(s - 0.5) > 4e-15 * r) & (r >= 1e9) & (r < 1e10)
+        r += s > 0.5  # within [1e8, 1e11] when not fast, so every index below stays valid
+    del s
+    carry = r == 1e10  # 9.9999999995 rounds to 1.000000000e+01
+    r[carry] = 1e9
+    e += carry
+    # "D.DDDDDD" and "DDDe+XX" or "DDDe-XXX".  Digits by true division of
+    # integers below 2**53: a quotient just under an integer stays under it,
+    # so each floor is exact.
+    words = np.zeros((v.size, _E9_BYTES // 8), np.uint64)
+    digits = np.floor(r / 1e9)
+    r -= digits * 1e9
+    words[:, 0] = digits.astype(np.uint64) + (48 + 46 * 256)
+    for scale, shift in ((1e6, 16), (1e3, 40)):
+        digits = np.floor(r / scale)
+        r -= digits * scale
+        words[:, 0] |= _DIGITS3_WORD[digits.astype(np.intp)] << shift
+    words[:, 1] = _DIGITS3_WORD[r.astype(np.intp)] | _EXPONENT_WORD[e + 300] << 24
+    text = words.astype("<u8", copy=False).view(np.uint8)
+    zero = (v == 0.0) & ~np.signbit(v)
+    text[zero] = _ZERO
+    for i in np.flatnonzero(~(fast | zero)).tolist():
+        cell = ("%.9e" % v[i]).encode("ascii")
+        text[i] = 0
+        text[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+    return text
+
+
+def _csv_lines(
+    grid: OperatingPoint, fov_values: tuple[float, ...], source_values: tuple[float, ...], block: int = 1024
+) -> Iterator[bytes]:
+    """The ``sweep.csv`` data rows of a ``sweep`` map over these axes, FOV-major,
+    as bytes, at most ``block`` cells at a time.
+
+    Each cell is ``'%.9e'`` text (``_e9``), and each value is formatted once:
+    the FOV and gains with their FOV rows, the levels and the columns that
+    repeat in every FOV row (``n_b1``, say) once per map (once per block of
+    levels when one FOV row spans several blocks), the other columns of a
+    block in one stacked call.  A block is a byte matrix, one row per cell and
+    one slot per column as wide as the column's longest text there; dropping
+    the NULs that pad the shorter texts leaves the rows.
     """
     r, b, gains = grid.report, grid.budget, grid.gains
-    columns = np.broadcast_arrays(b.ambient, b.lamp_bounce, b.total, r.y1, r.q1, r.e1, r.q_mu, r.e_mu, r.rate)
-    levels = ["%.9e" % level for level in source_values]
+    shape = (len(fov_values), len(source_values))
+    columns = [np.broadcast_to(c, shape) for c in (b.ambient, b.lamp_bounce, b.total, r.y1, r.q1, r.e1, r.q_mu, r.e_mu, r.rate)]
     # Same bits in every row, same text in every row.
-    repeats = [len(c) > 1 and (c.view(np.uint64) == c[:1].view(np.uint64)).all() for c in columns]
-    fixed = [["%.9e" % v for v in c[0].tolist()] if same else None for c, same in zip(columns, repeats)]
-    tail = ",".join("%.9e" if f is None else "%s" for f in fixed) + ",%s\n"
-    secure = r.secure
-    h_dc, eta = gains.line_of_sight.ravel().tolist(), gains.transmittance.ravel().tolist()
-    for i, fov in enumerate(fov_values):
-        head = "%.9e" % fov
-        gain_cells = "%.9e,%.9e" % (h_dc[i], eta[i])
-        for lo in range(0, len(levels), block):
-            part = slice(lo, lo + block)
-            flags = np.where(secure[i, part], "true", "false").tolist()
-            cells = zip(*(c[i, part].tolist() if f is None else f[part] for f, c in zip(fixed, columns)), flags)
-            yield "".join(f"{head},{level},{gain_cells}," + tail % values for level, values in zip(levels[part], cells))
+    repeats = [shape[0] > 1 and bool((c.view(np.uint64) == c[:1].view(np.uint64)).all()) for c in columns]
+    fixed = [c[0] for c, same in zip(columns, repeats) if same]
+    varying = [c for c, same in zip(columns, repeats) if not same]
+    h_dc, eta = gains.line_of_sight.ravel(), gains.transmittance.ravel()
+    secure = np.broadcast_to(r.secure, shape)
+
+    def level_text(lo: int, hi: int) -> np.ndarray:
+        text = _e9(np.concatenate([source_values[lo:hi], *(c[lo:hi] for c in fixed)]))
+        return text.reshape(1 + len(fixed), 1, hi - lo, _E9_BYTES)
+
+    fov_rows = max(1, block // shape[1])  # whole FOV rows in a block, or one row split into blocks of levels
+    span = min(shape[1], block)  # levels in a block
+    whole_axis = level_text(0, shape[1]) if span == shape[1] else None
+    for i in range(0, shape[0], fov_rows):
+        rows = slice(i, min(i + fov_rows, shape[0]))
+        n_rows = rows.stop - i
+        for j in range(0, shape[1], span):
+            part = slice(j, min(j + span, shape[1]))
+            n_levels = part.stop - j
+            by_level = level_text(j, part.stop) if whole_axis is None else whole_axis
+            text = _e9(np.concatenate([fov_values[rows], h_dc[rows], eta[rows], *(c[rows, part].ravel() for c in varying)]))
+            by_fov = text[: 3 * n_rows].reshape(3, n_rows, 1, _E9_BYTES)
+            by_cell = text[3 * n_rows :].reshape(len(varying), n_rows, n_levels, _E9_BYTES)
+            # 15 bytes hold most texts; a slot widens to 16 or 17 where one of its texts does
+            fov_w, level_w, cell_w = (15 + t[..., 15:17].any(axis=(1, 2)).sum(axis=1) for t in (by_fov, by_level, by_cell))
+            fixed_text, varying_text = zip(by_level[1:], level_w[1:]), zip(by_cell, cell_w)
+            fields = [(by_fov[0], fov_w[0]), (by_level[0], level_w[0]), (by_fov[1], fov_w[1]), (by_fov[2], fov_w[2])]
+            fields += [next(fixed_text) if same else next(varying_text) for same in repeats]
+            ends = np.cumsum([w + 1 for _, w in fields]).tolist()
+            out = np.empty((n_rows, n_levels, ends[-1] + 6), np.uint8)
+            for (f, w), end in zip(fields, ends):
+                out[..., end - w - 1 : end - 1] = f[..., :w]
+                out[..., end - 1] = ord(",")
+            out[..., -6:-1] = _FLAGS[secure[rows, part].view(np.uint8)]
+            out[..., -1] = ord("\n")
+            rows_text = out.tobytes().replace(b"\0", b"")
+            del text, out  # before the next block's are made
+            yield rows_text
 
 
 def run(config: RunConfig) -> int:
@@ -363,8 +469,8 @@ def run(config: RunConfig) -> int:
 
     ambient_run = config.scenario in AMBIENT_SCENARIOS
     source_column = "pn_w_per_nm_m2" if ambient_run else "psd_w_per_nm"
-    with (out_dir / "sweep.csv").open("w", encoding="ascii") as csv:
-        csv.write(",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n")
+    with (out_dir / "sweep.csv").open("wb") as csv:
+        csv.write((",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n").encode("ascii"))
         csv.writelines(_csv_lines(grid, fov_values, source_values))
 
     reflects = config.scenario not in AMBIENT_SCENARIOS and max(source_values) > 0.0

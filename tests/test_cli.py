@@ -1,9 +1,11 @@
 """Config parsing, validation diagnostics, CSV output, and exit codes."""
 
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from indoorqkd.cli import (
     EXIT_STRICT_CONVERGENCE,
     MAX_RESOLUTION,
     RunConfig,
+    _csv_lines,
+    _e9,
     dump_defaults,
     load_config,
     main,
@@ -27,6 +31,8 @@ from indoorqkd.cli import (
 from indoorqkd.experiments import NOMINAL
 from indoorqkd.spectra import bundled_spectrum_path
 
+# up to the top of the float range, where squares and powers overflow
+HUGE_FLOATS = ("1e13", "1e300", "1e308", repr(sys.float_info.max))
 SCI_NOTATION = re.compile(r"^-?\d\.\d{9}e[+-]\d{2,3}$")
 
 _TEXT_KEYS = {
@@ -189,7 +195,7 @@ class TestValidationDiagnostics:
             "negative": str(-1 - round(600 * magnitude)) if integer else repr(-(10.0 ** (600.0 * magnitude - 300.0))),
             "nan": "nan",
             "inf": "inf" if magnitude < 0.5 else "-inf",
-            "huge": str(10 ** round(7 + 23 * magnitude)) if integer else repr(10.0 ** (6.0 + 302.0 * magnitude)),
+            "huge": str(10 ** round(7 + 23 * magnitude)) if integer else HUGE_FLOATS[min(3, int(4 * magnitude))],
             "tiny": ("5e-324", "1e-310", "1e-200")[min(2, int(3 * magnitude))],
             "valid": _SENTINELS[name] if default is None else str(default),
         }[kind]
@@ -314,6 +320,123 @@ class TestValidationDiagnostics:
         assert any("exceeds max" in m for m in validate(config))
         config = RunConfig(source_scale="log", source_min=0.0)
         assert any("positive minimum" in m for m in validate(config))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ("source_max = 1.7976931348623157e308\n", "source axis: max 1.7976931348623157e+308 overflows to inf on a log axis"),
+            ("source_min = 1e308\nsource_max = 1.7976931348623157e308\n", "source axis: max 1.7976931348623157e+308 overflows"),
+            ("source_min = 1.7976931348623157e308\nsource_max = 1.7976931348623157e308\n", "source axis: min 1.7976931348623157e+308 overflows"),
+            (
+                "source_min = -1e308\nsource_max = 1e308\nsource_scale = linear\n",
+                "source axis: max 1e+308 - min -1e+308 overflows to inf on a linear axis",
+            ),
+            ("fov_min_deg = -1e308\nfov_max_deg = 1e308\n", "fov axis: max 1e+308 - min -1e+308 overflows"),
+        ],
+    )
+    def test_overflowing_axis_end_named(self, tmp_path, capsys, axis, message):
+        body = f"[experiments]\n{axis}fov_steps = 2\nsource_steps = 2\n"
+        out_dir = tmp_path / "out"
+        assert main([str(write_config(tmp_path, body)), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def plain_csv(grid, fov_values, source_values) -> bytes:
+    """sweep.csv data rows as one '%.9e' per cell, the reference for the block writer."""
+    r, b, gains = grid.report, grid.budget, grid.gains
+    shape = (len(fov_values), len(source_values))
+    columns = [np.broadcast_to(c, shape) for c in (b.ambient, b.lamp_bounce, b.total, r.y1, r.q1, r.e1, r.q_mu, r.e_mu, r.rate)]
+    h_dc, eta = gains.line_of_sight.ravel(), gains.transmittance.ravel()
+    lines = []
+    for i, fov in enumerate(fov_values):
+        for j, level in enumerate(source_values):
+            cells = [fov, level, h_dc[i], eta[i], *(c[i, j] for c in columns)]
+            flag = "true" if np.broadcast_to(r.secure, shape)[i, j] else "false"
+            lines.append(",".join("%.9e" % float(v) for v in cells) + f",{flag}\n")
+    return "".join(lines).encode("ascii")
+
+
+def synthetic_map(n_fov, n_src, seed=0):
+    """A map with the fields the writer reads: values of all magnitudes, zeros,
+    a few negatives, a three-digit exponent, a column the same in every FOV row,
+    and a scalar column."""
+    rng = np.random.default_rng(seed)
+    shape = (n_fov, n_src)
+    values = lambda: 10.0 ** rng.uniform(-12.0, 1.0, shape)  # noqa: E731
+    rate = np.where(rng.random(shape) < 0.4, 0.0, values())
+    rate.flat[::7] = 3.25e-123
+    e_mu = values()
+    e_mu.flat[::97] *= -1.0  # negatives take the exact fallback
+    report = SimpleNamespace(
+        y1=values(), q1=values(), e1=np.full(shape, 0.5), q_mu=values(), e_mu=e_mu,
+        rate=rate, secure=rate > 0.0,
+    )
+    budget = SimpleNamespace(
+        ambient=np.broadcast_to(values()[:1], shape),  # repeats in every FOV row
+        lamp_bounce=0.0, total=values(),
+    )
+    gains = SimpleNamespace(line_of_sight=values()[:, :1], transmittance=values()[:, :1])
+    grid = SimpleNamespace(report=report, budget=budget, gains=gains)
+    return grid, tuple(np.linspace(2.0, 30.0, n_fov).tolist()), tuple(np.logspace(-9.0, -5.0, n_src).tolist())
+
+
+def e9_text(values) -> list[str]:
+    return [bytes(row).rstrip(b"\0").decode("ascii") for row in _e9(np.asarray(values, dtype=np.float64))]
+
+
+# Near-ties, rounding carries, the ends of the fast path and of the float range.
+_POWERS = [10.0**k for k in range(-323, 309)]
+E9_CASES = [
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+    9.9999999995, 9.99999999949999, 0.99999999995, 0.5, 0.25, 1.5, 2.5, 1.0000000005, 1.0000000015,
+    # exact ties at the tenth digit, which round to even
+    1234567890.5, 1234567891.5, 12345678905.0, 12345678915.0, 99999999995.0,
+    1e290, 1e-290, float("inf"), float("-inf"), float("nan"),
+    *_POWERS, *np.nextafter(_POWERS, 0.0).tolist(), *np.nextafter(_POWERS, np.inf).tolist(),
+    *np.nextafter([1e290, 1e-290], 0.0).tolist(), *np.nextafter([1e290, 1e-290], np.inf).tolist(),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSweepCsvText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
+    def test_cells_are_python_percent_e(self, values):
+        assert e9_text(values) == ["%.9e" % v for v in values]
+
+    def test_fixed_cases(self):
+        assert e9_text(E9_CASES) == ["%.9e" % v for v in E9_CASES]
+
+    def test_ties_and_decimal_neighbours(self):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([np.round(rng.random(20_000), 9), np.round(10.0 * rng.random(20_000), 10), rng.random(20_000)])
+        values = np.concatenate([values, values * 1e-200, values * 1e200])
+        assert e9_text(values) == ["%.9e" % v for v in values.tolist()]
+
+    @pytest.mark.parametrize("shape, block", [((1, 50), 7), ((50, 1), 7), ((13, 11), 30), ((13, 11), 11), ((3, 40), 16), ((4, 5), 4096)])
+    def test_writer_equals_a_percent_per_cell(self, shape, block):
+        grid, fovs, levels = synthetic_map(*shape)
+        blocks = list(_csv_lines(grid, fovs, levels, block=block))
+        assert b"".join(blocks) == plain_csv(grid, fovs, levels)
+        assert len(blocks) > 1 or block > shape[0] * shape[1]
+
+    def test_one_row_map_writes_in_bounded_memory(self, tmp_path):
+        # a 1 x N map is one FOV row: the writer's peak must not grow with it
+        grid, fovs, levels = synthetic_map(1, 200_000)
+        path = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with path.open("wb") as csv:
+                csv.writelines(_csv_lines(grid, fovs, levels))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 30 * 2**20
+        assert peak < size / 10, (peak, size)
 
 
 class TestAxes:
