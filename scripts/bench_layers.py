@@ -31,7 +31,9 @@ and faulted in again, among others.  The layers:
   ambient-only-center;
 * one cold ambient_tolerance of ambient-only-center at a FOV floor of 2 deg;
 * estimate_reflected_gain with 1e6 and 1e7 rays (seed 7), lamp-center at
-  FOV 20 deg;
+  FOV 20 deg; these rows also record the peak bytes that ``tracemalloc``
+  sees in one more call, made after the timed rounds because tracing slows
+  every allocation;
 * a CLI run with the default config, a CLI run of the 90 x 90
   ambient-only-center map above (the shape of a perfbench ambient-map op:
   sweep, ambient tolerance, sweep.csv and summary.txt), and
@@ -70,6 +72,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +136,16 @@ def timed(run, before=lambda: None, calls: int = 1) -> dict:
         "times_s": times, "host_slowdowns": slowdowns,
         "minor_faults_per_call": statistics.median(faults), "minor_faults_per_round": faults, "value": value,
     }
+
+
+def traced_peak_bytes(run) -> int:
+    """Peak of the memory ``tracemalloc`` sees allocated during one call of ``run``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def outputs_digest(write) -> str:
@@ -236,9 +249,11 @@ def main() -> int:
         lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold
     )
     for label, rays in (("1e6", 1_000_000), ("1e7", 10_000_000)):
-        layers[f"estimate_reflected_gain_{label}_rays"] = timed(
-            lambda: estimate_reflected_gain(room, samples=rays, seed=7).value
-        )
+        def estimate() -> float:
+            return estimate_reflected_gain(room, samples=rays, seed=7).value
+
+        layers[f"estimate_reflected_gain_{label}_rays"] = timed(estimate)
+        layers[f"estimate_reflected_gain_{label}_rays"]["tracemalloc_peak_bytes"] = traced_peak_bytes(estimate)
     layers["cli_default_run_subprocess"] = timed(
         lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli"], src)
     )
@@ -282,6 +297,7 @@ def main() -> int:
         print(
             f"{args.label:>8} {name:38s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms"
             f"  faults/call {layer['minor_faults_per_call']:10.1f}"
+            + (f"  traced peak {layer['tracemalloc_peak_bytes'] / 1e6:7.2f} MB" if "tracemalloc_peak_bytes" in layer else "")
         )
     return 0
 

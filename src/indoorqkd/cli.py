@@ -518,11 +518,11 @@ def _summarize(
         f"secure points: {np.count_nonzero(secure)} of {secure.size}",
     ]
     lines.append("largest secure FOV per source level (grid resolution):")
-    fovs = np.array(fov_values)
-    for j, level in enumerate(source_values):
-        secure_fovs = fovs[secure[:, j]]
-        frontier = f"{secure_fovs.max():.1f} deg" if secure_fovs.size else "none"
-        lines.append(f"  {level:.9e} {unit}: {frontier}")
+    # Every level's largest secure FOV at once; -inf where no FOV is secure.
+    fovs = np.broadcast_to(np.array(fov_values)[:, None], secure.shape)
+    frontiers = np.max(fovs, axis=0, initial=-np.inf, where=secure).tolist()
+    for level, frontier in zip(source_values, frontiers):
+        lines.append(f"  {level:.9e} {unit}: " + (f"{frontier:.1f} deg" if frontier > -math.inf else "none"))
 
     if ambient_run:
         tolerance = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg)

@@ -201,12 +201,15 @@ def lambert_mode(semi_angle_deg: float) -> float:
 
 def concentrator_gain(index: float, fov_deg: float) -> float:
     """Ideal non-imaging concentrator gain n^2 / sin^2(fov), after the receiver's
-    rule: a FOV in (0, 90] degrees, an index >= 1 and a finite gain (a huge
-    index, or a cone so narrow that sin^2 underflows, would overflow it)."""
+    rule: a FOV in (0, 90] degrees wide enough that 1 / sin^2(fov) is finite
+    (in a narrower cone sin^2 underflows), an index >= 1 and a finite gain (a
+    huge index would overflow it)."""
     if not 0.0 < fov_deg <= 90.0:
         raise ValueError(f"fov_deg must lie in (0, 90] degrees, got {fov_deg!r}")
     s = math.sin(math.radians(fov_deg))
-    if not (1.0 <= index and s * s > 0.0 and index * index / (s * s) < math.inf):
+    if not (s * s > 0.0 and 1.0 / (s * s) < math.inf):
+        raise ValueError(f"fov_deg must be wide enough for a finite concentrator gain n^2 / sin^2(fov) at n = 1, got {fov_deg!r}")
+    if not (1.0 <= index and index * index / (s * s) < math.inf):
         raise ValueError(f"concentrator_index must be >= 1 with a finite gain n^2 / sin^2(fov) at fov_deg = {fov_deg!r}, got {index!r}")
     return index * index / (s * s)
 

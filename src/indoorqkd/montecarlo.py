@@ -8,6 +8,13 @@ analytically (next-event estimation); the expectation of the per-ray
 contribution equals the same double integral the quadrature approximates.
 The floor-cone closed form is that integral done exactly, for the one
 geometry where it has an antiderivative.
+
+The sampler streams its draws: rays are drawn and traced in blocks whose
+temporaries stay in cache, and no array grows with the sample count or the
+chunk.  The azimuth is reduced to a quarter turn plus an angle in
+[-pi/4, pi/4] before its one sin call, and terms whose coefficient is
+exactly zero (most of them for a lamp or receiver facing straight down) are
+skipped.  A seed fixes the same rays as drawing each chunk's arrays whole.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,13 +30,17 @@ from .geometry import RoomScenario, lambert_mode
 
 __all__ = ["McEstimate", "estimate_reflected_gain", "floor_cone_closed_form"]
 
-# Rays traced per vectorised pass.  Each temporary then holds 256 kB, so the
-# passes run in cache and peak memory does not grow with the draw chunk
-# (1e6 rays on a Xeon with 2 MB of L2 per core: 0.10-0.14 s CPU at 2^15,
-# 0.18-0.26 s at 2^17 and 2^18).
-_BLOCK = 1 << 15
+# Rays traced per block.  Each block temporary then holds 64 kB, under glibc's
+# 128 kB mmap threshold, so the heap hands the same memory back to the next
+# block instead of the system faulting it in again.  Median minor faults per
+# 1e6-ray call on 8 perfbench mc-oracle rooms: 0-7 at 2^13, 30-4,000 at 2^14
+# and 4,600-10,500 at 2^15 (2-core x86 Xeon, numpy 2.4).
+_BLOCK = 1 << 13
 # A plane closer to the lamp than this along the ray is the one it sits on.
 _T_MIN = 1e-12
+# cos and sin of q quarter turns, for the quadrant q = rint(4u) in 0..4 of an azimuth 2 pi u.
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
+_QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +63,8 @@ def estimate_reflected_gain(
     factor and the first cosine of the bounce integrand are absorbed into
     the sampling measure and each ray only carries the reflect-and-collect
     term of its hit point.  Each chunk of ``chunk_size`` rays draws cos(phi)
-    and then the azimuth; the rays are traced in blocks of ``_BLOCK``.
+    and then the azimuth; the rays are traced in blocks of ``_BLOCK`` as the
+    draws are read (see ``_uniform_blocks``).
     """
     for name, value in (("samples", samples), ("chunk_size", chunk_size)):
         if not isinstance(value, numbers.Integral) or value < 1:
@@ -67,69 +80,136 @@ def estimate_reflected_gain(
 
     px, py, pz = room.lamp.position.as_tuple()
     rx, ry, rz = room.receiver.position.as_tuple()
+    floor_weight = floor_gain * rz
+    # The wall a ray hits on an axis is the far one when its component there
+    # is positive; the weights are the gain times the receiver's distance.
+    x_weights = np.array([wall_gain * rx, wall_gain * (room.room_x_m - rx)])
+    y_weights = np.array([wall_gain * ry, wall_gain * (room.room_y_m - ry)])
     ax, ay, az = room.receiver.axis.as_tuple()
     lamp_axis = np.array(room.lamp.axis.as_tuple())
     e1, e2 = _frame(lamp_axis)
 
-    def trace(cos_phi: np.ndarray, azim: np.ndarray, out: np.ndarray) -> None:
-        sin_phi = np.sqrt(np.clip(1.0 - cos_phi * cos_phi, 0.0, None))
-        s_cos = sin_phi * np.cos(azim)
-        s_sin = sin_phi * np.sin(azim)
-        dx, dy, dz = (cos_phi * lamp_axis[i] + s_cos * e1[i] + s_sin * e2[i] for i in range(3))
+    def trace(cos_phi: np.ndarray, azim: np.ndarray) -> np.ndarray:
+        """Contributions of the rays that land in the receiver's cone (the others give 0)."""
+        cos_phi **= 1.0 / (m1 + 1.0)
+        sin_phi = np.sqrt(1.0 - cos_phi * cos_phi)
+        cos_az, sin_az = _unit_circle(azim)
+        s_cos = sin_phi * cos_az
+        s_sin = sin_phi * sin_az
+        dx, dy, dz = (_combine((cos_phi, lamp_axis[i]), (s_cos, e1[i]), (s_sin, e2[i])) for i in range(3))
 
         # Distance to the first floor or wall hit, one pass per axis (slab
-        # test for the axis-aligned room).  A plane behind the ray, parallel
-        # to it or holding the lamp gets inf.  The lamp lies inside the room,
-        # so -pz / dz is not positive for dz >= 0: the floor counts for
-        # dz < 0 only.  The ceiling carries the lamp and reflects nothing.
+        # test for the axis-aligned room).  The ceiling carries the lamp and
+        # reflects nothing, so it sits at z = inf.
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_floor = -pz / dz
-            t_x = np.maximum(-px / dx, (room.room_x_m - px) / dx)
-            t_y = np.maximum(-py / dy, (room.room_y_m - py) / dy)
-            for t_axis in (t_floor, t_x, t_y):
-                t_axis[~(t_axis > _T_MIN)] = np.inf
+            t_floor = _plane_distance(dz, pz, math.inf)
+            t_x = _plane_distance(dx, px, room.room_x_m)
+            t_y = _plane_distance(dy, py, room.room_y_m)
             t = np.minimum(np.minimum(t_floor, t_x), t_y)
 
             vx = rx - (px + t * dx)
             vy = ry - (py + t * dy)
             vz = rz - (pz + t * dz)
             d2 = np.sqrt(vx * vx + vy * vy + vz * vz)
-            d2 = np.where(d2 > 1e-12, d2, 1.0)
-            cos_psi = -(vx * ax + vy * ay + vz * az) / d2
+            cos_psi = _combine((vx, -ax), (vy, -ay), (vz, -az))
+            cos_psi /= d2
 
-        # The collect term for the rays that hit and land in the receiver's cone.
-        k = np.flatnonzero((cos_psi >= cos_fov) & (t < np.inf))
-        t, vx, vy, vz, d2, cos_psi = t[k], vx[k], vy[k], vz[k], d2[k], cos_psi[k]
-        on_floor = t_floor[k] == t  # ties go to the floor, then to an x wall
-        on_x = ~on_floor & (t_x[k] == t)
-        # (receiver - hit) along the surface's inward normal: +z on the floor,
-        # against the ray's travel along the axis of the wall it hit.
-        v_normal = np.where(on_floor, vz, np.where(on_x, -np.sign(dx[k]) * vx, -np.sign(dy[k]) * vy))
-        cos_beta = np.clip(v_normal / d2, 0.0, None)
-        gain = np.where(on_floor, floor_gain, wall_gain)
-        out[k] = gain * cos_beta * cos_psi / (math.pi * d2 * d2)
+        # The collect term for the rays that hit and land in the receiver's
+        # cone, not within 1e-12 m of it.  Its cos(beta) is h / d2, with h the
+        # receiver's distance from the plane hit, so each plane has one
+        # weight: its gain times h.
+        k = np.flatnonzero((cos_psi >= cos_fov) & (d2 > 1e-12) & (t < np.inf))
+        t = t[k]
+        weight = np.where(
+            t_floor[k] == t,  # ties go to the floor, then to an x wall
+            floor_weight,
+            np.where(t_x[k] == t, x_weights.take(dx[k] > 0.0), y_weights.take(dy[k] > 0.0)),
+        )
+        d2 = d2[k]
+        return weight * cos_psi[k] / (math.pi * d2 * d2 * d2)
 
-    rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < samples:
-        n = min(chunk_size, samples - done)
-        cos_phi = rng.random(n)
-        cos_phi **= 1.0 / (m1 + 1.0)
-        azim = rng.random(n)
-        azim *= 2.0 * math.pi
-        contrib = np.zeros(n)
-        for start in range(0, n, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            trace(cos_phi[block], azim[block], contrib[block])
+    for cos_draws, azim_draws in _uniform_blocks(seed, samples, chunk_size):
+        contrib = trace(cos_draws, azim_draws)
         total += float(np.sum(contrib))
         total_sq += float(np.sum(contrib * contrib))
-        done += n
 
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return McEstimate(value=mean, std_error=math.sqrt(var / samples), samples=samples)
+
+
+def _uniform_blocks(seed: int, samples: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The draws of ``np.random.default_rng(seed)`` as (cos(phi), azimuth) uniforms, block by block.
+
+    Each chunk of n rays takes n uniforms for cos(phi) and then n for the
+    azimuth, as ``rng.random(n); rng.random(n)`` would, and leaves the stream
+    where those calls leave it.  A copy of the bit generator advanced by n
+    reads the azimuths alongside the cos(phi) draws, so no chunk-sized array
+    is made.
+    """
+    bits = np.random.default_rng(seed).bit_generator
+    done = 0
+    while done < samples:
+        n = min(chunk_size, samples - done)
+        azim_bits = type(bits)()
+        azim_bits.state = bits.state
+        azim_bits.advance(n)
+        cos_rng, azim_rng = np.random.Generator(bits), np.random.Generator(azim_bits)
+        for start in range(0, n, _BLOCK):
+            size = min(_BLOCK, n - start)
+            yield cos_rng.random(size), azim_rng.random(size)
+        bits = azim_bits
+        done += n
+
+
+def _unit_circle(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi u for u in [0, 1), from one sin call on [-pi/4, pi/4].
+
+    With q = rint(4u), 4u - q in [-1/2, 1/2] is exact, and 2 pi u is q
+    quarter turns plus a = (4u - q) pi/2.  cos(a) = sqrt(1 - sin(a)^2) is at
+    least 0.707, so the root loses nothing; the quarter turns swap and negate
+    the pair exactly.
+    """
+    quarters = u * 4.0
+    q = np.rint(quarters)
+    sin_a = np.sin((quarters - q) * (math.pi / 2.0))
+    cos_a = np.sqrt(1.0 - sin_a * sin_a)
+    q = q.astype(np.intp)
+    turn_cos, turn_sin = _QUARTER_COS.take(q), _QUARTER_SIN.take(q)
+    return turn_cos * cos_a - turn_sin * sin_a, turn_sin * cos_a + turn_cos * sin_a
+
+
+def _combine(*terms: tuple[np.ndarray, float]) -> np.ndarray:
+    """The sum of ``array * coefficient`` over the terms, in order.
+
+    Terms whose coefficient is exactly zero are skipped: they would add only a
+    signed zero.  Axis-aligned lamps and receivers have mostly zero components.
+    At least one coefficient is not zero.
+    """
+    total = None
+    for array, coefficient in terms:
+        if coefficient != 0.0:
+            term = array * coefficient
+            total = term if total is None else np.add(total, term, out=total)
+    return total
+
+
+def _plane_distance(d: np.ndarray, p: float, length: float) -> np.ndarray:
+    """Distance along each ray from the lamp at ``p`` to the plane at 0 or at ``length`` it heads for.
+
+    The sign bit of the ray's component ``d`` picks the plane, so a ray
+    parallel to both (d = +-0) gets inf.  A plane the lamp sits on does not
+    count (inf).  That takes a test only for a lamp within 2 ``_T_MIN`` of a
+    plane: from farther away every distance exceeds ``_T_MIN``, since
+    |d| <= 1.
+    """
+    t = np.array([length - p, -p]).take(np.signbit(d))
+    t /= d
+    if min(p, length - p) <= 2.0 * _T_MIN:
+        t[~(t > _T_MIN)] = np.inf  # nan too: 0 / 0 for a lamp on the plane
+    return t
 
 
 def floor_cone_closed_form(room: RoomScenario) -> float | None:

@@ -22,13 +22,14 @@ from indoorqkd.cli import (
     RunConfig,
     _csv_lines,
     _e9,
+    _summarize,
     dump_defaults,
     load_config,
     main,
     run,
     validate,
 )
-from indoorqkd.experiments import NOMINAL
+from indoorqkd.experiments import NOMINAL, Scenario
 from indoorqkd.spectra import bundled_spectrum_path
 
 # up to the top of the float range, where squares and powers overflow
@@ -342,6 +343,15 @@ class TestValidationDiagnostics:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fov_too_narrow_for_a_finite_concentrator_gain_named(self, tmp_path, capsys):
+        # sin^2(1e-300 deg) underflows to 0: the FOV alone makes n^2 / sin^2(fov) infinite
+        body = "[experiments]\nfov_min_deg = 1e-300\nfov_steps = 2\nsource_steps = 2\n"
+        assert main([str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == "config error: fov_deg must be wide enough for a finite concentrator gain n^2 / sin^2(fov) at n = 1, got 1e-300\n"
+        assert "concentrator_index" not in err
+
 
 def plain_csv(grid, fov_values, source_values) -> bytes:
     """sweep.csv data rows as one '%.9e' per cell, the reference for the block writer."""
@@ -437,6 +447,28 @@ class TestSweepCsvText:
         size = path.stat().st_size
         assert size > 30 * 2**20
         assert peak < size / 10, (peak, size)
+
+
+class TestSummaryText:
+    def test_frontiers_equal_a_per_level_max(self):
+        # random secure masks with empty, full and sparse columns, over an unsorted FOV axis
+        rng = np.random.default_rng(17)
+        config = RunConfig(scenario="ambient-only-center")
+        scenario = Scenario.named("ambient-only-center")
+        fovs = tuple(rng.permutation(np.linspace(2.0, 30.0, 9)).tolist())
+        levels = tuple(np.logspace(-9.0, -5.0, 40).tolist())
+        for density in (0.0, 0.05, 0.5, 1.0):
+            secure = rng.random((len(fovs), len(levels))) < density
+            secure[:, ::7] = False
+            text = _summarize(config, scenario, secure, fovs, levels, "")
+            reference = []
+            for j, level in enumerate(levels):
+                secure_fovs = np.array(fovs)[secure[:, j]]
+                frontier = f"{secure_fovs.max():.1f} deg" if secure_fovs.size else "none"
+                reference.append(f"  {level:.9e} W/nm/m^2: {frontier}")
+            lines = text.splitlines()
+            start = lines.index("largest secure FOV per source level (grid resolution):") + 1
+            assert lines[start : start + len(levels)] == reference
 
 
 class TestAxes:

@@ -2,9 +2,11 @@
 
 import ast
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from indoorqkd import montecarlo
@@ -96,10 +98,20 @@ class TestArguments:
             estimate_reflected_gain(room_at(20.0), **kwargs)
 
 
+# The lamp tilted 25 degrees towards +x, and 40 degrees towards -y.
+TILTED_LAMP_AXES = {
+    "lamp-tilted-xz": Point3(math.sin(math.radians(25.0)), 0.0, -math.cos(math.radians(25.0))),
+    "lamp-tilted-yz": Point3(0.0, -math.sin(math.radians(40.0)), -math.cos(math.radians(40.0))),
+}
+
+
 def pinned_room(kind, fov):
     if kind == "steered-tilted":
         room = build_setup(Scenario.named("lamp-corner-steered"), fov, 1e-5).room
         return replace(room, receiver=Pose.aimed_at(room.receiver.position, room.transmitter.position))
+    if kind in TILTED_LAMP_AXES:  # a lamp frame with some zero components
+        room = build_setup(Scenario.named("lamp-center"), fov, 1e-5).room
+        return replace(room, lamp=Pose(room.lamp.position, TILTED_LAMP_AXES[kind]))
     overrides = {
         "center": {},
         "offset-lamp": {"lamp_x_m": 1.0, "lamp_y_m": 2.5},
@@ -110,9 +122,11 @@ def pinned_room(kind, fov):
 
 
 # (value, std_error) of estimate_reflected_gain(pinned_room(kind, fov),
-# samples, seed, chunk_size) as computed by the five-plane-pass sampler that
-# preceded the slab pass.  A ray whose hit surface or cone test flips moves
-# an estimate by far more than 1e-12.
+# samples, seed, chunk_size).  The first eleven were computed by the
+# five-plane-pass sampler that preceded the slab pass; the tilted lamps and
+# the chunk of 3,001 rays (below the block size, not dividing the samples)
+# by the chunk-array sampler that preceded the streaming one.  A ray whose
+# hit surface or cone test flips moves an estimate by far more than 1e-12.
 PINNED_ESTIMATES = {
     ('center', 5.0, 500000, 7, 2000000): (6.520139143669395e-07, 1.1606646681620362e-08),
     ('center', 11.0, 500000, 7, 2000000): (6.258864941820381e-07, 5.059912857220041e-09),
@@ -125,6 +139,9 @@ PINNED_ESTIMATES = {
     ('reflectivities', 60.0, 500000, 7, 2000000): (1.5631851797576052e-06, 2.27979294548171e-09),
     ('center', 15.0, 400000, 11, 2000000): (6.19426115926662e-07, 4.031500506266768e-09),
     ('center', 20.0, 700001, 11, 300007): (5.88976906948722e-07, 2.146890118360975e-09),
+    ('lamp-tilted-xz', 30.0, 500000, 7, 2000000): (4.843803067488717e-07, 1.4023399134694008e-09),
+    ('lamp-tilted-yz', 60.0, 500000, 7, 2000000): (1.182214788757559e-06, 2.2147539290048934e-09),
+    ('center', 20.0, 200000, 5, 3001): (5.959148663927163e-07, 4.036465437184083e-09),
 }
 
 
@@ -135,3 +152,50 @@ class TestPinnedEstimates:
         value, std_error = PINNED_ESTIMATES[(kind, fov, samples, seed, chunk_size)]
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
+
+
+class TestStreamingKernel:
+    @pytest.mark.parametrize("samples, chunk_size", [
+        (20_000, 2_000_000), (3 * montecarlo._BLOCK, 2_000_000), (50_001, 20_000), (10_007, 3_001), (5, 2),
+    ])
+    def test_blocks_read_the_chunked_draws(self, samples, chunk_size):
+        # each chunk of n rays draws n cos(phi) uniforms, then n azimuth
+        # uniforms; a later chunk starts where the one before left the stream
+        rng = np.random.default_rng(29)
+        expected = []
+        for start in range(0, samples, chunk_size):
+            n = min(chunk_size, samples - start)
+            expected.append((rng.random(n), rng.random(n)))
+        blocks = [(c.copy(), a.copy()) for c, a in montecarlo._uniform_blocks(29, samples, chunk_size)]
+        assert all(c.size == a.size <= montecarlo._BLOCK for c, a in blocks)
+        for read, drawn in zip(zip(*blocks), zip(*expected)):
+            assert np.array_equal(np.concatenate(read), np.concatenate(drawn))
+
+    def test_azimuth_agrees_with_cos_and_sin_of_two_pi_u(self):
+        eighths = np.arange(8) / 8.0
+        u = np.concatenate([
+            np.random.default_rng(8).random(1_000_000),
+            eighths, np.nextafter(eighths, 1.0), np.nextafter(eighths[1:], 0.0), [np.nextafter(1.0, 0.0)],
+        ])
+        cos_az, sin_az = montecarlo._unit_circle(u)
+        # the components are at most 1, so an ulp of 1 bounds the error of both
+        ulp = np.spacing(1.0)
+        assert np.max(np.abs(cos_az - np.cos(2.0 * np.pi * u))) <= 4.0 * ulp
+        assert np.max(np.abs(sin_az - np.sin(2.0 * np.pi * u))) <= 4.0 * ulp
+        cos_zero, sin_zero = montecarlo._unit_circle(np.zeros(1))
+        assert (cos_zero[0], sin_zero[0]) == (1.0, 0.0)
+
+    def test_peak_memory_does_not_grow_with_samples_or_chunk(self):
+        room = room_at(30.0)
+        estimate_reflected_gain(room, samples=1_000, seed=1)  # one-off allocations of a first call
+        peaks = {}
+        for samples, chunk_size in ((1_000_000, 2_000_000), (1_000_000, 1_000_000), (100_000, 2_000_000), (2_000_000, 700_001)):
+            tracemalloc.start()
+            try:
+                estimate_reflected_gain(room, samples=samples, seed=1, chunk_size=chunk_size)
+                peaks[samples, chunk_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a few dozen block temporaries, the same for every call; one array of 1e6 rays is 8 MB
+        assert max(peaks.values()) < 4e6, peaks
+        assert max(peaks.values()) < 1.5 * min(peaks.values()), peaks
