@@ -20,6 +20,11 @@ and faulted in again, among others.  The layers:
   ring integrals, lamp-center with the lamp at (1.3, 2.0), in a work array
   made beforehand and sized as a quadrature pass sizes the one its blocks
   share: the row divided by the block size is the cost of one psi node;
+  and the same for a probe-sized block, the 10 nodes of the order-10 rule
+  on 15-20 deg, where the kernel's fixed cost per call shows;
+* one evaluate_point of lamp-center at order 10 and 1e-5 W/nm, each call at
+  a FOV the room's view does not hold yet (20 deg plus 1e-5 deg per call,
+  all in one psi panel): the cost of one boundary probe;
 * one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
   lamp-center at 10 patches_per_meter;
 * one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches_per_meter;
@@ -43,7 +48,10 @@ and faulted in again, among others.  The layers:
   cold, so the map's own cost shows without process start-up and imports.
 
 Rows that take microseconds time CALLS calls per round and report the time
-per call.
+per call.  Each row runs in a fresh child process of this script
+(``--row NAME``), so that no row inherits the heap an earlier one left:
+glibc raises its mmap threshold after freeing a large block, and a row's
+page faults would otherwise depend on the rows before it.
 
 "Cold" clears every per-room memo (the receiver views, which hold the
 integrals, and the reflected-integral tables of trees that keep them apart)
@@ -63,6 +71,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -175,14 +184,8 @@ def line_count(package: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
-    parser.add_argument("--label", required=True, help="name of this run in the output file")
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to write (runs with other labels stay)")
-    args = parser.parse_args()
-
-    src = args.src.resolve()
+def layer_rows(src: Path) -> dict:
+    """Each row's name and the function that measures it, in the order the rows run."""
     sys.path.insert(0, str(src))
     from indoorqkd import channel, cli, experiments
     from indoorqkd.channel import total_reflected_gain
@@ -220,62 +223,86 @@ def main() -> int:
     def batch_rates() -> float:
         return sum(secret_key_rate(setup.protocol, 1e-3, noises).rate.tolist())
 
-    layers = {}
-    for res in RESOLUTIONS:
-        layers[f"total_reflected_gain_{res}_per_m"] = timed(lambda: total_reflected_gain(room, res), without_integrals)
-    offset = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room
-    view, block = channel._ReceiverView(offset), channel._PSI_BLOCK
-    psi = np.linspace(0.01, 1.5, block)
-    # the work array a quadrature pass makes once for all its blocks, sized as piece_sums sizes it
-    work = np.empty(8 * channel._THETA_ORDER * (channel._THETA_ARCS + 2 * view.edge_length.size) * block)
-    layers[f"ring_integrals_{block}_psi_block"] = timed(lambda: float(view.ring_integrals(psi, work).sum()), calls=20)
-    layers["sweep_100x100_cold_10_per_m"] = timed(
-        lambda: secure_count(sweep(scenario, fovs, levels, patches_per_meter=10)), cold
-    )
-    layers["secure_fov_boundary_cold_10_per_m"] = timed(
-        lambda: secure_fov_boundary(scenario, 1e-5, patches_per_meter=10), cold
-    )
-    layers["secret_key_rate_scalar"] = timed(
-        lambda: float(secret_key_rate(setup.protocol, 1e-3, 1e-6).rate), calls=CALLS
-    )
-    layers["secret_key_rate_batch_90"] = timed(batch_rates, calls=CALLS)
-    layers["evaluate_point_warm_10_per_m"] = timed(
-        lambda: float(evaluate_point(scenario, 20.0, 1e-5, patches_per_meter=10).report.rate), calls=CALLS
-    )
-    layers["sweep_90x90_ambient_only_center_cold"] = timed(
-        lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold
-    )
-    layers["ambient_tolerance_cold"] = timed(
-        lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold
-    )
-    for label, rays in (("1e6", 1_000_000), ("1e7", 10_000_000)):
+    def ring_block(psi: np.ndarray) -> dict:
+        view = channel._ReceiverView(build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room)
+        # the work array a quadrature pass makes once for all its blocks, sized as piece_sums sizes it
+        work = np.empty(8 * channel._THETA_ORDER * (channel._THETA_ARCS + 2 * view.edge_length.size) * len(psi))
+        return timed(lambda: float(view.ring_integrals(psi, work).sum()), calls=20)
+
+    def new_fov_probe() -> dict:
+        # every call at a FOV not yet in the room's view, inside the 15-30 deg psi panel, whose
+        # lower pieces the first call sums: one partial piece, as a boundary probe computes it;
+        # the value is the bounce integral (the rate is 0 there)
+        probes = (20.0 + 1e-5 * k for k in itertools.count())
+        return timed(lambda: float(evaluate_point(scenario, next(probes), 1e-5, patches_per_meter=10).gains.reflected_integral), calls=20)
+
+    def ambient_cli(kind: str) -> dict:
+        with tempfile.TemporaryDirectory() as config_dir:
+            ambient_ini = Path(config_dir) / "ambient_90x90.ini"
+            ambient_ini.write_text(
+                "[experiments]\nscenario = ambient-only-center\n"
+                "fov_min_deg = 2\nfov_max_deg = 30\nfov_steps = 90\n"
+                "source_min = 1e-9\nsource_max = 1e-5\nsource_steps = 90\nsource_scale = log\n"
+            )
+            if kind == "subprocess":
+                return timed(lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli", str(ambient_ini)], src))
+
+            def ambient_in_process(out: str) -> None:
+                with contextlib.redirect_stdout(io.StringIO()):  # the summary the CLI prints
+                    cli.main([str(ambient_ini), "--out", out])
+
+            return timed(lambda: outputs_digest(ambient_in_process), cold)
+
+    def monte_carlo(rays: int) -> dict:
         def estimate() -> float:
             return estimate_reflected_gain(room, samples=rays, seed=7).value
 
-        layers[f"estimate_reflected_gain_{label}_rays"] = timed(estimate)
-        layers[f"estimate_reflected_gain_{label}_rays"]["tracemalloc_peak_bytes"] = traced_peak_bytes(estimate)
-    layers["cli_default_run_subprocess"] = timed(
-        lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli"], src)
+        layer = timed(estimate)
+        layer["tracemalloc_peak_bytes"] = traced_peak_bytes(estimate)
+        return layer
+
+    rows = {f"total_reflected_gain_{res}_per_m": (lambda res=res: timed(lambda: total_reflected_gain(room, res), without_integrals)) for res in RESOLUTIONS}
+    block = channel._PSI_BLOCK
+    rows[f"ring_integrals_{block}_psi_block"] = lambda: ring_block(np.linspace(0.01, 1.5, block))
+    # a partial piece of an order-10 probe: the rule's nodes on 15-20 deg
+    rows["ring_integrals_10_psi_block"] = lambda: ring_block(np.radians(15.0) + np.radians(5.0) * channel._mapped_rule(10)[0])
+    rows["boundary_probe_new_fov_10"] = new_fov_probe
+    rows["sweep_100x100_cold_10_per_m"] = lambda: timed(lambda: secure_count(sweep(scenario, fovs, levels, patches_per_meter=10)), cold)
+    rows["secure_fov_boundary_cold_10_per_m"] = lambda: timed(lambda: secure_fov_boundary(scenario, 1e-5, patches_per_meter=10), cold)
+    rows["secret_key_rate_scalar"] = lambda: timed(lambda: float(secret_key_rate(setup.protocol, 1e-3, 1e-6).rate), calls=CALLS)
+    rows["secret_key_rate_batch_90"] = lambda: timed(batch_rates, calls=CALLS)
+    rows["evaluate_point_warm_10_per_m"] = lambda: timed(
+        lambda: float(evaluate_point(scenario, 20.0, 1e-5, patches_per_meter=10).report.rate), calls=CALLS
     )
-    with tempfile.TemporaryDirectory() as config_dir:
-        ambient_ini = Path(config_dir) / "ambient_90x90.ini"
-        ambient_ini.write_text(
-            "[experiments]\nscenario = ambient-only-center\n"
-            "fov_min_deg = 2\nfov_max_deg = 30\nfov_steps = 90\n"
-            "source_min = 1e-9\nsource_max = 1e-5\nsource_steps = 90\nsource_scale = log\n"
-        )
-        layers["cli_ambient_90x90_subprocess"] = timed(
-            lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli", str(ambient_ini)], src)
-        )
-
-        def ambient_in_process(out: str) -> None:
-            with contextlib.redirect_stdout(io.StringIO()):  # the summary the CLI prints
-                cli.main([str(ambient_ini), "--out", out])
-
-        layers["cli_ambient_90x90_in_process"] = timed(lambda: outputs_digest(ambient_in_process), cold)
-    layers["run_all_scenarios_subprocess"] = timed(
+    rows["sweep_90x90_ambient_only_center_cold"] = lambda: timed(lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold)
+    rows["ambient_tolerance_cold"] = lambda: timed(lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold)
+    rows["estimate_reflected_gain_1e6_rays"] = lambda: monte_carlo(1_000_000)
+    rows["estimate_reflected_gain_1e7_rays"] = lambda: monte_carlo(10_000_000)
+    rows["cli_default_run_subprocess"] = lambda: timed(lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli"], src))
+    rows["cli_ambient_90x90_subprocess"] = lambda: ambient_cli("subprocess")
+    rows["cli_ambient_90x90_in_process"] = lambda: ambient_cli("in_process")
+    rows["run_all_scenarios_subprocess"] = lambda: timed(
         lambda: subprocess_digest([sys.executable, str(src.parent / "scripts" / "run_all_scenarios.py")], src)
     )
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--label", required=True, help="name of this run in the output file")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write (runs with other labels stay)")
+    parser.add_argument("--row", help="measure this one row in this process and print it as JSON (how each row's child runs)")
+    args = parser.parse_args()
+
+    src = args.src.resolve()
+    if args.row:
+        print(json.dumps(layer_rows(src)[args.row]()))
+        return 0
+    layers = {}
+    for name in layer_rows(src):
+        child = [sys.executable, __file__, "--src", str(src), "--label", args.label, "--out", str(args.out), "--row", name]
+        layers[name] = json.loads(subprocess.run(child, stdout=subprocess.PIPE, text=True, check=True).stdout)
 
     sha, dirty = git_sha(src)
     run = {

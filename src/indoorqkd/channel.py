@@ -31,7 +31,14 @@ computed for the room so far, by rule order and FOV, and the sums of the
 whole psi pieces below them, so a wider FOV sums only the pieces beyond.
 A pass traces its psi nodes in blocks that all work in one array, made for
 the pass and sized for its largest block, so that no block's temporaries go
-back to the system to be faulted in again by the next.
+back to the system to be faulted in again by the next.  A block writes its
+rings' arc knots and both crossings of each edge plane into one bounds
+matrix and sorts it in place.  The crossings are reduced to [0, 2 pi] with
+np.fmod plus a turn where negative, and the nan of a ring that misses a
+plane set to 0; np.mod would give the same bits through a full divmod with
+a slow path on nan, and most rings miss most planes.  The ray directions
+skip the frame coefficients that are exactly 0: six of the nine for a
+receiver facing straight down.
 """
 
 from __future__ import annotations
@@ -69,6 +76,10 @@ _PANEL_DEG = 15.0
 # _THETA_ORDER points: a narrow lamp's spot is a sharp peak along the ring.
 _THETA_ARCS = 12
 _THETA_ORDER = 12
+_TURN = 2.0 * math.pi
+# The arc knots of every ring, the first _THETA_ARCS + 1 columns of its bounds.
+_ARC_KNOTS = np.linspace(0.0, _TURN, _THETA_ARCS + 1)
+_ARC_KNOTS.flags.writeable = False
 # Most psi nodes traced at once; a pass's work array holds about 28 kB per node of a block.
 _PSI_BLOCK = 32
 # Most psi nodes laid out at once (a FOV axis brings one piece per FOV).
@@ -188,6 +199,14 @@ def _mapped_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return positions, weights
 
 
+def _reduce_turns(x: np.ndarray) -> np.ndarray:
+    """x into [0, 2 pi] in place, nan (a ring that misses a plane) to 0: bit for bit
+    ``np.nan_to_num(np.mod(x, 2 pi))`` without np.mod's divmod and its slow path on nan."""
+    np.fmod(x, _TURN, out=x)
+    x += (x < 0.0) * _TURN  # as np.mod adds the turn; adding 0.0 turns -0 into its +0
+    return np.fmax(x, 0.0, out=x)
+
+
 class _ReceiverView:
     """The room as the receiver sees it: its frame, the planes that close the
     room (the five surfaces of ``wall_and_floor_grids`` and a ceiling that
@@ -213,6 +232,12 @@ class _ReceiverView:
         e1 = np.cross(axis, helper)
         e1 /= np.linalg.norm(e1)
         self.frame = np.array([axis, e1, np.cross(axis, e1)])
+        # Each of omega's x, y, z as e1 sin(psi) cos(theta) + axis cos(psi) + e2 sin(psi) sin(theta),
+        # summed in that order, less the terms whose frame coefficient is 0 (they add 0 * x):
+        # (coefficient, 0 for cos(psi), 1 for the cos(theta) term, 2 for the sin(theta) one).
+        self.omega_terms = [
+            [(c, j) for c, j in ((on_e1, 1), (on_axis, 0), (on_e2, 2)) if c != 0.0] for on_axis, on_e1, on_e2 in self.frame.T.tolist()
+        ]
         self.lamp = local(room.lamp.position.as_tuple())
         self.lamp_axis = np.array(room.lamp.axis.as_tuple())
         self.m1 = lambert_mode(room.lamp_semi_angle_deg)
@@ -235,6 +260,8 @@ class _ReceiverView:
         self.normal = np.vstack([normal, -normal[0]])  # the ceiling faces the floor
         # Each plane's signed offset from the receiver, <= 0 inside the room.
         self.height = np.append(np.einsum("ij,ij->i", corner, normal), -np.max(ends @ normal[0]))
+        # Planes 1, 3, 0 (x = 0, y = 0, floor) lie ahead of a negative component, 2, 4, 5 of a positive one.
+        self.near_height, self.far_height = self.height[[1, 3, 0]], (-self.height[[2, 4, 5]]).tolist()
         # rho times the lamp's height over each plane (cos(alpha) d1 at any point of it)
         over = np.clip(self.normal @ self.lamp - self.height, 0.0, None)
         self.lamp_gain = np.append([g.reflectivity for g in grids], 0.0) * over
@@ -270,17 +297,23 @@ class _ReceiverView:
         The theta nodes' intermediates go to ``work``, 8 floats a node (allocated if not given).
         """
         cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
-        # The ring crosses the plane through the receiver and an edge line where
-        # a cos(theta) + b sin(theta) = c: two crossings per line, if any.
+        # Each ring's bounds: the arc knots, then where the ring crosses the plane through
+        # the receiver and each edge line, a cos(theta) + b sin(theta) = c, at mid -+ half.
         n_axis, n_e1, n_e2 = self.edge_normal
-        a, b, c = sin_psi * n_e1, sin_psi * n_e2, -cos_psi * n_axis
+        edges = len(n_axis)
+        bounds = np.empty((len(psi), _THETA_ARCS + 1 + 2 * edges))
+        bounds[:, : _THETA_ARCS + 1] = _ARC_KNOTS
+        cuts = bounds[:, _THETA_ARCS + 1 :]
+        a, b = sin_psi * n_e1, sin_psi * n_e2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            half = np.arccos(c / np.hypot(a, b))  # nan where the ring misses the plane
-            mid = np.arctan2(b, a)
-            cuts = np.nan_to_num(np.mod(np.hstack([mid - half, mid + half]), 2.0 * math.pi))
-        arcs = np.linspace(0.0, 2.0 * math.pi, _THETA_ARCS + 1)
-        bounds = np.sort(np.hstack([np.broadcast_to(arcs, (len(psi), len(arcs))), cuts]), axis=1)
-        width = np.diff(bounds, axis=1)
+            half = np.hypot(a, b)
+            np.arccos(np.divide(-cos_psi * n_axis, half, out=half), out=half)  # nan where the ring misses the plane
+            mid = np.arctan2(b, a, out=b)
+            np.subtract(mid, half, out=cuts[:, :edges])
+            np.add(mid, half, out=cuts[:, edges:])
+            _reduce_turns(cuts)
+        bounds.sort(axis=1)
+        width = bounds[:, 1:] - bounds[:, :-1]
         ring, arc = np.nonzero(width > 0.0)
         positions, weights = _mapped_rule(_THETA_ORDER)
         start, span = bounds[ring, arc][:, None], width[ring, arc][:, None]
@@ -289,12 +322,14 @@ class _ReceiverView:
         omega = work[: 3 * n].reshape(3, len(ring), _THETA_ORDER)
         theta, cos_theta, sin_theta, term = work[3 * n : 7 * n].reshape(4, len(ring), _THETA_ORDER)
         np.add(np.multiply(span, positions, out=theta), start, out=theta)
-        np.multiply(np.cos(theta, out=cos_theta), sin_psi[ring], out=cos_theta)
-        np.multiply(np.sin(theta, out=sin_theta), sin_psi[ring], out=sin_theta)
-        ring_cos_psi = cos_psi[ring]
-        for k, (on_axis, on_e1, on_e2) in enumerate(self.frame.T):  # axis cos(psi) + e1 sin(psi) cos(theta) + e2 sin(psi) sin(theta)
-            np.add(np.multiply(on_e1, cos_theta, out=omega[k]), on_axis * ring_cos_psi, out=omega[k])
-            omega[k] += np.multiply(on_e2, sin_theta, out=term)
+        ring_sin_psi = sin_psi[ring]
+        np.multiply(np.cos(theta, out=cos_theta), ring_sin_psi, out=cos_theta)
+        np.multiply(np.sin(theta, out=sin_theta), ring_sin_psi, out=sin_theta)
+        sources = (cos_psi[ring], cos_theta, sin_theta)
+        for k, ((c, j), *rest) in enumerate(self.omega_terms):
+            np.multiply(c, sources[j], out=omega[k])
+            for c, j in rest:
+                omega[k] += np.multiply(c, sources[j], out=term)
         radiance = self._radiance(omega, work[3 * n :])
         weight = np.multiply(span, weights, out=omega[0])
         return np.bincount(np.repeat(ring, _THETA_ORDER), np.multiply(weight, radiance, out=weight).ravel(), minlength=len(psi))
@@ -312,21 +347,19 @@ class _ReceiverView:
         work = np.empty(5 * n) if work is None else work
         reach = work[: 3 * n].reshape(omega.shape)
         t, spare = work[3 * n : 5 * n].reshape((2,) + omega.shape[1:])
-        # Planes 1, 3, 0 (x = 0, y = 0, floor) lie ahead of a negative component, 2, 4, 5 of a positive one.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the plane behind gives a value <= 0
-            np.divide(self.height[[1, 3, 0]].reshape(shape), omega, out=reach)
-            for k, height in enumerate(-self.height[[2, 4, 5]]):
+            np.divide(self.near_height.reshape(shape), omega, out=reach)
+            for k, height in enumerate(self.far_height):
                 np.maximum(reach[k], np.divide(height, omega[k], out=spare), out=reach[k])
-        if not omega.all():  # parallel to both planes of an axis
-            reach[omega == 0.0] = np.inf
-        (t_x, t_y, t_z), (up_x, up_y, up_z) = reach, (omega > 0.0).view(np.int8)
-        np.minimum(t_x, t_y, out=t)
-        plane = 3 + up_y - (2 + up_y - up_x) * (t_x <= t_y).view(np.int8)  # x walls 1, 2 win a tie with y walls 3, 4
-        z_first = (t_z < t) | ((t_z == t) & (up_z == 0))  # the floor 0 wins a tie, the ceiling 5 loses it
-        plane += (5 * up_z - plane) * z_first.view(np.int8)
-        np.minimum(t, t_z, out=t)
-        v1 = np.subtract(np.multiply(t, omega, out=reach), self.lamp.reshape(shape), out=reach)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if not omega.all():  # parallel to both planes of an axis
+                reach[omega == 0.0] = np.inf
+            (t_x, t_y, t_z), (up_x, up_y, up_z) = reach, (omega > 0.0).view(np.int8)
+            np.minimum(t_x, t_y, out=t)
+            plane = 3 + up_y - (2 + up_y - up_x) * (t_x <= t_y).view(np.int8)  # x walls 1, 2 win a tie with y walls 3, 4
+            z_first = (t_z < t) | ((t_z == t) & (up_z == 0))  # the floor 0 wins a tie, the ceiling 5 loses it
+            plane += (5 * up_z - plane) * z_first.view(np.int8)
+            np.minimum(t, t_z, out=t)
+            v1 = np.subtract(np.multiply(t, omega, out=reach), self.lamp.reshape(shape), out=reach)
             d1_sq = np.multiply(v1[0], v1[0], out=t)
             d1_sq += np.multiply(v1[1], v1[1], out=spare)
             d1_sq += np.multiply(v1[2], v1[2], out=spare)
@@ -334,7 +367,7 @@ class _ReceiverView:
             along = np.multiply(v1[0], self.lamp_axis[0], out=v1[0])
             along += np.multiply(v1[1], self.lamp_axis[1], out=v1[1])
             along += np.multiply(v1[2], self.lamp_axis[2], out=v1[2])
-            cos_phi = np.clip(np.divide(along, d1, out=along), 0.0, None, out=along)
+            cos_phi = np.maximum(np.divide(along, d1, out=along), 0.0, out=along)  # np.clip's lower bound alone
             cos_phi **= self.m1
             # cos(alpha) d1 is the lamp's height over the plane hit
             radiance = np.multiply(self.lamp_gain.take(plane), cos_phi, out=cos_phi)

