@@ -36,9 +36,11 @@ and faulted in again, among others.  The layers:
   ambient-only-center;
 * one cold ambient_tolerance of ambient-only-center at a FOV floor of 2 deg;
 * estimate_reflected_gain with 1e6 and 1e7 rays (seed 7), lamp-center at
-  FOV 20 deg; these rows also record the peak bytes that ``tracemalloc``
-  sees in one more call, made after the timed rounds because tracing slows
-  every allocation;
+  FOV 20 deg, where the cone bound skips most rays, and with 1e6 rays with
+  the lamp at (1.3, 2.0) and a 55 deg cone, where it can skip few; these
+  rows also record the peak bytes that ``tracemalloc`` sees in one more
+  call, made after the timed rounds because tracing slows every
+  allocation;
 * a CLI run with the default config, a CLI run of the 90 x 90
   ambient-only-center map above (the shape of a perfbench ambient-map op:
   sweep, ambient tolerance, sweep.csv and summary.txt), and
@@ -253,7 +255,7 @@ def layer_rows(src: Path) -> dict:
 
             return timed(lambda: outputs_digest(ambient_in_process), cold)
 
-    def monte_carlo(rays: int) -> dict:
+    def monte_carlo(rays: int, room=room) -> dict:
         def estimate() -> float:
             return estimate_reflected_gain(room, samples=rays, seed=7).value
 
@@ -277,6 +279,9 @@ def layer_rows(src: Path) -> dict:
     rows["sweep_90x90_ambient_only_center_cold"] = lambda: timed(lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold)
     rows["ambient_tolerance_cold"] = lambda: timed(lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold)
     rows["estimate_reflected_gain_1e6_rays"] = lambda: monte_carlo(1_000_000)
+    rows["estimate_reflected_gain_1e6_rays_offset_55deg"] = lambda: monte_carlo(
+        1_000_000, build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 55.0, 1e-5).room
+    )
     rows["estimate_reflected_gain_1e7_rays"] = lambda: monte_carlo(10_000_000)
     rows["cli_default_run_subprocess"] = lambda: timed(lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli"], src))
     rows["cli_ambient_90x90_subprocess"] = lambda: ambient_cli("subprocess")
@@ -322,7 +327,7 @@ def main() -> int:
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     for name, layer in layers.items():
         print(
-            f"{args.label:>8} {name:38s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms"
+            f"{args.label:>8} {name:46s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms"
             f"  faults/call {layer['minor_faults_per_call']:10.1f}"
             + (f"  traced peak {layer['tracemalloc_peak_bytes'] / 1e6:7.2f} MB" if "tracemalloc_peak_bytes" in layer else "")
         )

@@ -3,7 +3,8 @@
 
 The closed form only covers acceptance cones that see nothing but floor
 (about 33 degrees for the nominal room); wider cones print the two numeric
-estimates and '-' for the exact value.
+estimates and '-' for the exact value.  A cone so narrow that no sampled ray
+lands in it prints a Monte-Carlo value of 0 and '-' for the gap.
 """
 
 import argparse
@@ -13,27 +14,38 @@ from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.montecarlo import estimate_reflected_gain, floor_cone_closed_form
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=2_000_000)
+    parser.add_argument("--samples", type=positive_int, default=2_000_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--resolution", type=int, default=10, help="quadrature rule order")
+    parser.add_argument("--resolution", type=positive_int, default=10, help="quadrature rule order")
     parser.add_argument(
         "--fov", type=float, nargs="+", default=[5.0, 11.0, 20.0, 30.0, 45.0, 60.0]
     )
     args = parser.parse_args()
+    try:  # the room's own rules name a bad FOV, before any row prints
+        rooms = [build_setup(Scenario.named("lamp-center"), fov, 1e-5).room for fov in args.fov]
+    except ValueError as error:
+        parser.error(f"argument --fov: {error}")
 
     print(f"{'fov':>5} {'quadrature':>13} {'monte carlo':>13} {'mc stderr':>10} "
           f"{'closed form':>13} {'mc gap':>8}")
-    for fov in args.fov:
-        room = build_setup(Scenario.named("lamp-center"), fov, 1e-5).room
+    for fov, room in zip(args.fov, rooms):
         quadrature = total_reflected_gain(room, args.resolution)
         mc = estimate_reflected_gain(room, samples=args.samples, seed=args.seed)
         exact = floor_cone_closed_form(room)
-        gap = abs(quadrature - mc.value) / mc.value
         exact_text = f"{exact:13.5e}" if exact is not None else f"{'-':>13}"
+        # no ray landed in the cone: there is no estimate to measure a gap against
+        gap_text = f"{abs(quadrature - mc.value) / mc.value:8.2%}" if mc.value > 0.0 else f"{'-':>8}"
         print(f"{fov:5.1f} {quadrature:13.5e} {mc.value:13.5e} {mc.std_error:10.1e} "
-              f"{exact_text} {gap:8.2%}")
+              f"{exact_text} {gap_text}")
     return 0
 
 

@@ -15,6 +15,17 @@ chunk.  The azimuth is reduced to a quarter turn plus an angle in
 [-pi/4, pi/4] before its one sin call, and terms whose coefficient is
 exactly zero (most of them for a lamp or receiver facing straight down) are
 skipped.  A seed fixes the same rays as drawing each chunk's arrays whole.
+
+Most rays miss the receiver's cone.  A geometric bound on the polar angle
+of a ray that can land in it, found once per call (``_cone_threshold``),
+drops the rays whose cos(phi) draw lies below the matching threshold from
+their block before any trig.  They are still drawn, so the stream is
+unchanged, and every ray that lands in the cone is traced as before, in
+ray order, so each estimate keeps every bit.  In lamp-center at a 20
+degree cone about a tenth of the rays reach the threshold, and a 1e6-ray
+call took 22-25 ms against 59-65 ms with every ray traced; with the lamp
+0.7 m off and a 55 degree cone nine tenths reach it, and the call took
+63-74 ms against 61-70 ms (BENCH_19.json, 2-core x86 Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -41,6 +52,16 @@ _T_MIN = 1e-12
 # cos and sin of q quarter turns, for the quadrant q = rint(4u) in 0..4 of an azimuth 2 pi u.
 _QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
 _QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
+# Slacks of the cone bound (see _cone_threshold), each far above the rounding
+# it covers: an angle in rad, for the ray direction and the cone test (a few
+# 1e-8 rad at worst, near the axis, where an ulp of a cosine is an angle of
+# sqrt(2 ulp)); a length per meter of the lamp's and receiver's positions,
+# for the hit point (a few ulps of the coordinates); and a drop in log u per
+# unit of m1 + 2, for the power that turns the draw into cos(phi) (a few
+# (m1 + 1) ulps, plus ulps of log u <= 745).
+_BOUND_ANGLE_SLACK = 1e-6
+_BOUND_LENGTH_SLACK = 1e-12
+_BOUND_LOG_SLACK = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +109,13 @@ def estimate_reflected_gain(
     ax, ay, az = room.receiver.axis.as_tuple()
     lamp_axis = np.array(room.lamp.axis.as_tuple())
     e1, e2 = _frame(lamp_axis)
+    u_min = _cone_threshold(room, m1)
 
     def trace(cos_phi: np.ndarray, azim: np.ndarray) -> np.ndarray:
         """Contributions of the rays that land in the receiver's cone (the others give 0)."""
+        if u_min > 0.0:  # no ray with a lower draw lands in the cone
+            keep = np.flatnonzero(cos_phi >= u_min)
+            cos_phi, azim = cos_phi.take(keep), azim.take(keep)
         cos_phi **= 1.0 / (m1 + 1.0)
         sin_phi = np.sqrt(1.0 - cos_phi * cos_phi)
         cos_az, sin_az = _unit_circle(azim)
@@ -138,6 +163,45 @@ def estimate_reflected_gain(
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return McEstimate(value=mean, std_error=math.sqrt(var / samples), samples=samples)
+
+
+def _cone_threshold(room: RoomScenario, m1: float) -> float:
+    """The cos(phi) draw below which no ray lands in the receiver's cone, or 0 where no bound holds.
+
+    Every hit H lies on the floor or a wall, so at least s_min from the
+    receiver R: its distance to the nearest of those planes.  A hit in the
+    cone lies within the cone's half-angle of the receiver axis, seen from
+    R.  Seen from the lamp P, delta = |R - P| away, the hit is at most
+    asin(delta / s_min) further off that axis, and the lamp axis is the angle
+    between the two axes further still.  So a ray lands in the cone only if
+    its polar angle is at most
+
+        phi_max = cone + angle(receiver axis, lamp axis) + asin(delta / s_min),
+
+    that is, only if its draw u = cos(phi)^(m1+1) is at least
+    cos(phi_max)^(m1+1).  The bound holds for the rays as computed: the
+    slacks cover the rounding of the hit point (s_min shrinks by it and
+    phi_max grows by the angle it spans at R), of the ray direction and the
+    cone test, and of the power that turns u into cos(phi).  The bound is 0,
+    and every ray is traced, once phi_max reaches 90 degrees or delta s_min.
+    """
+    p = room.lamp.position.as_tuple()
+    r = room.receiver.position.as_tuple()
+    rx, ry, rz = r
+    delta = math.dist(p, r)
+    slack = _BOUND_LENGTH_SLACK * (math.hypot(*p) + math.hypot(*r) + delta)
+    reach = min(rz, rx, room.room_x_m - rx, ry, room.room_y_m - ry) - slack
+    if not delta < reach:
+        return 0.0
+    # The cone test reads cos(psi) >= cos(fov) against the axis as stored, whose norm is 1 within 1e-9.
+    receiver_axis = np.array(room.receiver.axis.as_tuple())
+    lamp_axis = np.array(room.lamp.axis.as_tuple())
+    cone = math.acos(min(math.cos(math.radians(room.fov_deg)) / float(np.linalg.norm(receiver_axis)), 1.0))
+    axes = math.atan2(float(np.linalg.norm(np.cross(receiver_axis, lamp_axis))), float(receiver_axis @ lamp_axis))
+    phi_max = cone + axes + math.asin(delta / reach) + slack / reach + _BOUND_ANGLE_SLACK
+    if not phi_max < math.pi / 2.0:
+        return 0.0
+    return math.exp((m1 + 1.0) * math.log(math.cos(phi_max)) - _BOUND_LOG_SLACK * (m1 + 2.0))
 
 
 def _uniform_blocks(seed: int, samples: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -112,11 +112,18 @@ def pinned_room(kind, fov):
     if kind in TILTED_LAMP_AXES:  # a lamp frame with some zero components
         room = build_setup(Scenario.named("lamp-center"), fov, 1e-5).room
         return replace(room, lamp=Pose(room.lamp.position, TILTED_LAMP_AXES[kind]))
+    if kind == "wall-receiver":  # on the x = 0 plane, so no reflecting plane is any distance from it
+        room = build_setup(Scenario.named("lamp-center"), fov, 1e-5).room
+        return replace(room, receiver=Pose(Point3(0.0, 2.0, 3.0), room.receiver.axis))
     overrides = {
         "center": {},
         "offset-lamp": {"lamp_x_m": 1.0, "lamp_y_m": 2.5},
+        "lamp-1.3": {"lamp_x_m": 1.3},  # 0.7 m from the receiver, 2 m from the nearest wall
         "wall-lamp": {"lamp_x_m": 0.0},  # on the x = 0 plane
         "reflectivities": {"wall_reflectivity": 0.7, "floor_reflectivity": 0.13},
+        "narrow-lamp": {"lamp_semi_angle_deg": 2.0},
+        "mm-room": {"room_x_m": 1e-3, "room_y_m": 1e-3, "room_z_m": 1e-3},
+        "wide-room": {"room_x_m": 1e6, "room_y_m": 1e6},
     }
     return build_setup(Scenario.named("lamp-center", overrides[kind]), fov, 1e-5).room
 
@@ -152,6 +159,129 @@ class TestPinnedEstimates:
         value, std_error = PINNED_ESTIMATES[(kind, fov, samples, seed, chunk_size)]
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
+
+
+# (value, std_error) of estimate_reflected_gain(pinned_room(kind, fov),
+# samples, seed) as the uint64 bits of the two floats, recorded by the
+# sampler that traced every ray before the cone bound skipped any.  The
+# rooms span the bound's cases: floor-only cones, a lamp 0.7 m from the
+# receiver (the asin term) and axes that differ (the axis angle), where it
+# skips rays; a receiver on a wall, a 2 degree lamp whose threshold
+# underflows and a 90 degree cone, where it skips none; and rooms 1e-3 m
+# and 1e6 m wide.
+EXACT_BITS = {
+    ('center', 5.0, 300000, 19): (0x3ea5ccfd1af1ba15, 0x3e500f879bf0fcc3),
+    ('center', 10.0, 300000, 19): (0x3ea5b10bf0c4eb3d, 0x3e3f7f33ba51109a),
+    ('center', 30.0, 300000, 19): (0x3ea144c345cb6020, 0x3e1fd2f984eea46a),
+    ('lamp-1.3', 10.0, 300000, 19): (0x3ea366e80b09af9d, 0x3e3dd57b353a6dc3),
+    ('lamp-1.3', 55.0, 300000, 19): (0x3eb4e2166371a658, 0x3e2976ac199af160),
+    ('wall-receiver', 30.0, 300000, 19): (0x3e8c76a54694963c, 0x3e1581d5de1bb4a5),
+    ('narrow-lamp', 60.0, 300000, 19): (0x3eb1bd1ee6ddf247, 0x3d9dc5d8d7a953b0),
+    ('center', 90.0, 300000, 19): (0x3ebf5d3f777e5107, 0x3e221ef31795f60d),
+    ('mm-room', 20.0, 300000, 19): (0x40152466fb00bfe6, 0x3f9e2f1fdb82beea),
+    ('wide-room', 20.0, 300000, 19): (0x3ea3b4b97c2f3141, 0x3e2c2233b5b30f5d),
+    ('steered-tilted', 10.0, 300000, 19): (0x3eb296d3aea7f540, 0x3e514bc034808ea5),
+    ('lamp-tilted-xz', 15.0, 300000, 19): (0x3ea3289fc97d21e0, 0x3e333d4b57b3f4fd),
+}
+
+
+def float_bits(x):
+    return int(np.float64(x).view(np.uint64))
+
+
+def threshold(room):
+    return montecarlo._cone_threshold(room, montecarlo.lambert_mode(room.lamp_semi_angle_deg))
+
+
+def estimate_bits(room, samples, seed, chunk_size=2_000_000):
+    est = estimate_reflected_gain(room, samples=samples, seed=seed, chunk_size=chunk_size)
+    return float_bits(est.value), float_bits(est.std_error)
+
+
+class TestExactBits:
+    @pytest.mark.parametrize("kind, fov, samples, seed", sorted(EXACT_BITS, key=str))
+    def test_estimate_bits_unchanged(self, kind, fov, samples, seed):
+        assert estimate_bits(pinned_room(kind, fov), samples, seed) == EXACT_BITS[kind, fov, samples, seed]
+
+    @pytest.mark.parametrize("kind, fov, bounded", [
+        ("center", 5.0, True), ("lamp-1.3", 55.0, True), ("steered-tilted", 10.0, True),
+        ("mm-room", 20.0, True), ("wide-room", 20.0, True),
+        ("wall-receiver", 30.0, False), ("narrow-lamp", 60.0, False), ("center", 90.0, False),
+    ])
+    def test_pinned_rooms_cover_both_sides_of_the_bound(self, kind, fov, bounded):
+        room = pinned_room(kind, fov)
+        assert (threshold(room) > 0.0) == bounded
+
+
+def random_rooms(count, seed):
+    """Rooms from 1e-2 to 1e2 m with the lamp near the receiver and both axes tilted, so most bound their rays."""
+    rng = np.random.default_rng(seed)
+    base = room_at(20.0)
+    rooms = []
+    for _ in range(count):
+        x, y, z = 10.0 ** rng.uniform(-2.0, 2.0, 3)
+        receiver = Point3(x * rng.uniform(0.2, 0.8), y * rng.uniform(0.2, 0.8), z * rng.uniform(0.5, 1.0))
+        reach = min(receiver.x, x - receiver.x, receiver.y, y - receiver.y, receiver.z)
+        offset = reach * rng.uniform(0.0, 0.6) * rng.standard_normal(3) / math.sqrt(3.0)
+        lamp = Point3(*np.clip(np.array(receiver.as_tuple()) + offset, 0.0, (x, y, z)))
+        lamp_axis, receiver_axis = (Point3(*rng.uniform(-0.3, 0.3, 2), -1.0).normalized() for _ in range(2))
+        rooms.append(replace(
+            base, room_x_m=x, room_y_m=y, room_z_m=z,
+            lamp=Pose(lamp, lamp_axis), receiver=Pose(receiver, receiver_axis),
+            transmitter=Pose(Point3(x / 2.0, y / 2.0, 0.0), base.transmitter.axis),
+            fov_deg=float(rng.uniform(1.0, 45.0)), lamp_semi_angle_deg=float(rng.uniform(5.0, 85.0)),
+        ))
+    return rooms
+
+
+RANDOM_ROOMS = random_rooms(12, seed=2024)
+
+
+class TestConeBound:
+    @pytest.mark.parametrize("room, samples, seed, chunk_size", [
+        *(pytest.param(pinned_room(kind, fov), samples, seed, 2_000_000, id=f"{kind}-{fov}-{samples}-{seed}")
+          for kind, fov, samples, seed in sorted(EXACT_BITS, key=str)),
+        *(pytest.param(pinned_room(kind, fov), samples, seed, chunk, id=f"{kind}-{fov}-{samples}-{seed}-{chunk}")
+          for kind, fov, samples, seed, chunk in sorted(PINNED_ESTIMATES, key=str)),
+        *(pytest.param(room, 200_000, 3, 70_001, id=f"random-{i}") for i, room in enumerate(RANDOM_ROOMS)),
+    ])
+    def test_no_bound_gives_the_same_bits(self, monkeypatch, room, samples, seed, chunk_size):
+        bounded = estimate_bits(room, samples, seed, chunk_size)
+        monkeypatch.setattr(montecarlo, "_cone_threshold", lambda room, m1: 0.0)
+        assert estimate_bits(room, samples, seed, chunk_size) == bounded
+
+    def test_random_rooms_mostly_bound_their_rays(self):
+        thresholds = [threshold(room) for room in RANDOM_ROOMS]
+        assert sum(u > 0.0 for u in thresholds) >= 8, thresholds
+
+    @pytest.mark.parametrize("room", [
+        *(pytest.param(pinned_room(kind, fov), id=f"{kind}-{fov}") for kind, fov in (
+            ("center", 5.0), ("center", 30.0), ("lamp-1.3", 10.0), ("lamp-1.3", 55.0), ("steered-tilted", 10.0),
+            ("steered-tilted", 40.0), ("lamp-tilted-xz", 15.0), ("lamp-tilted-yz", 30.0), ("mm-room", 20.0), ("wide-room", 20.0),
+        )),
+        *(pytest.param(room, id=f"random-{i}") for i, room in enumerate(RANDOM_ROOMS[:6])),
+    ])
+    def test_no_ray_below_the_threshold_lands_in_the_cone(self, monkeypatch, room):
+        # Trace 1e6 rays unfiltered, passing on only those whose draw lies
+        # below the threshold: each gives a positive contribution if it lands
+        # in the cone, so the estimate over them is exactly 0 if none does.
+        u_min = threshold(room)
+        assert u_min > 0.0
+        samples = 1_000_000
+        assert estimate_reflected_gain(room, samples=samples, seed=5).value > 0.0
+        drawn = montecarlo._uniform_blocks
+        below = []
+
+        def blocks_below(seed, samples, chunk_size):
+            for cos_draws, azim_draws in drawn(seed, samples, chunk_size):
+                keep = cos_draws < u_min
+                below.append(np.count_nonzero(keep))
+                yield cos_draws[keep], azim_draws[keep]
+
+        monkeypatch.setattr(montecarlo, "_uniform_blocks", blocks_below)
+        monkeypatch.setattr(montecarlo, "_cone_threshold", lambda room, m1: 0.0)
+        assert estimate_reflected_gain(room, samples=samples, seed=5).value == 0.0
+        assert sum(below) > 0
 
 
 class TestStreamingKernel:
