@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -55,7 +54,6 @@ import numpy as np
 from .geometry import RoomScenario, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
 
 __all__ = [
-    "ReflectionConvergenceWarning",
     "DetectorParams",
     "ChannelGains",
     "ConvergenceReport",
@@ -69,6 +67,8 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 
 # The psi rule order per piece, under the config key's name (it once set a tessellation).
 DEFAULT_PATCHES_PER_METER = 10
+# Largest relative change between the rule order and twice it that counts as converged.
+CONVERGENCE_RTOL = 0.005
 # Widest psi panel, so that one rule order serves a narrow cone and a wide one.
 _PANEL_DEG = 15.0
 # Each ring of directions is cut into this many equal arcs before the edge
@@ -84,10 +84,6 @@ _ARC_KNOTS.flags.writeable = False
 _PSI_BLOCK = 32
 # Most psi nodes laid out at once (a FOV axis brings one piece per FOV).
 _PIECE_BLOCK = 4096
-
-
-class ReflectionConvergenceWarning(UserWarning):
-    """The bounce integral moved more than the tolerance when the rule order was doubled."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -452,13 +448,13 @@ def total_reflected_gain(
 def reflected_gain_convergence(
     room: RoomScenario,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
-    rtol: float = 0.005,
 ) -> ConvergenceReport:
     """The bounce integral at the requested rule order and at twice that order.
 
     Both come from ``total_reflected_gain``, so the first is the one a sweep
-    of the room already computed.  Emits ReflectionConvergenceWarning
-    (carrying both estimates) when the relative change exceeds ``rtol``.
+    of the room already computed.  The report is the only signal: it counts
+    as converged when the relative change is at most ``CONVERGENCE_RTOL``,
+    and the CLI's --strict reads that flag.
     """
     value = total_reflected_gain(room, patches_per_meter)
     refined = total_reflected_gain(room, 2 * patches_per_meter)
@@ -466,18 +462,10 @@ def reflected_gain_convergence(
         rel = 0.0
     else:
         rel = abs(refined - value) / abs(refined) if refined != 0.0 else math.inf
-    converged = rel <= rtol
-    if not converged:
-        warnings.warn(
-            f"reflected-gain quadrature moved {rel:.3%} between orders {patches_per_meter} and "
-            f"{2 * patches_per_meter} ({value:.6e} -> {refined:.6e})",
-            ReflectionConvergenceWarning,
-            stacklevel=2,
-        )
     return ConvergenceReport(
         value=value,
         refined_value=refined,
         rel_change=rel,
-        converged=converged,
+        converged=rel <= CONVERGENCE_RTOL,
         patches_per_meter=patches_per_meter,
     )

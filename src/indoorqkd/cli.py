@@ -3,7 +3,7 @@
 The config is a flat key = value file grouped into sections named after the
 library modules.  ``indoorqkd --dump-defaults`` prints the nominal
 configuration; edit and pass it back.  Exit codes: 0 success, 2 config
-error, 3 when --strict escalates a bounce-quadrature convergence warning.
+error, 3 when --strict reads a not-converged bounce-quadrature report.
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ import argparse
 import configparser
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .channel import reflected_gain_convergence
+from .channel import DEFAULT_PATCHES_PER_METER, reflected_gain_convergence
 from .experiments import (
     AMBIENT_SCENARIOS,
     NOMINAL,
@@ -129,7 +128,7 @@ class RunConfig:
     lamp_spectrum_kind: str = "source-psd"
     lamp_spectrum_distance_m: float = 1.0
     output_dir: str = "out"
-    resolution_patches_per_meter: int = 10
+    resolution_patches_per_meter: int = DEFAULT_PATCHES_PER_METER
     strict: bool = False
 
     def effective_parameters(self) -> dict[str, object]:
@@ -480,7 +479,7 @@ def run(config: RunConfig) -> int:
     print(summary, end="")
 
     if strict_trip:
-        print("convergence warning escalated by --strict", file=sys.stderr)
+        print("bounce quadrature not converged; exit 3 under --strict", file=sys.stderr)
         return EXIT_STRICT_CONVERGENCE
     return EXIT_OK
 
@@ -492,16 +491,14 @@ def _convergence_check(config: RunConfig, scenario: Scenario, fov_deg: float, re
     if not reflects:
         return "convergence: no reflected-light integral in this run\n", False
     room = build_setup(scenario, fov_deg, 0.0).room
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = reflected_gain_convergence(room, config.resolution_patches_per_meter)
+    report = reflected_gain_convergence(room, config.resolution_patches_per_meter)
     note = (
         f"convergence: reflected integral {report.value:.9e} at order "
         f"{report.patches_per_meter} vs {report.refined_value:.9e} at order {2 * report.patches_per_meter}; "
         f"relative change {report.rel_change:.3e}; "
         f"{'converged' if report.converged else 'NOT converged'}\n"
     )
-    return note, bool(caught) and config.strict
+    return note, config.strict and not report.converged
 
 
 def _summarize(
@@ -548,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("config", nargs="?", default=None, help="INI config file (defaults if omitted)")
     parser.add_argument("--scenario", choices=SCENARIOS, help="override the configured scenario")
     parser.add_argument("--resolution", type=int, metavar="N", help="bounce-quadrature rule order (resolution_patches_per_meter)")
-    parser.add_argument("--strict", action="store_true", help="escalate convergence warnings to exit 3")
+    parser.add_argument("--strict", action="store_true", help="exit 3 when the bounce quadrature is not converged")
     parser.add_argument("--dump-defaults", action="store_true", help="print the default config and exit")
     parser.add_argument("--out", metavar="DIR", help="output directory (default from config)")
     args = parser.parse_args(argv)

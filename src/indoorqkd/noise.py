@@ -16,11 +16,12 @@ float is inf, without a warning; the key rate saturates counts at one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PLANCK_J_S, SPEED_OF_LIGHT_M_S, DetectorParams
+from .channel import PLANCK_J_S, SPEED_OF_LIGHT_M_S, DetectorParams, _within
 from .geometry import RoomScenario
 
 __all__ = [
@@ -54,7 +55,7 @@ class NoiseBudget:
     dark: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not _non_negative(self.ambient, self.lamp_bounce, self.dark):
+        if not all(_within(v, 0.0, math.inf) for v in (self.ambient, self.lamp_bounce, self.dark)):
             raise ValueError("noise counts must be non-negative")
 
     @property
@@ -81,7 +82,7 @@ def isotropic_noise_power(
     The concentrator contributes a constant n^2: opening the field of view
     admits more sky while diluting the gain by exactly the same factor.
     """
-    if not _non_negative(ambient_irradiance_w_nm_m2):
+    if not _within(ambient_irradiance_w_nm_m2, 0.0, math.inf):
         raise ValueError("ambient power inputs must be non-negative")
     with np.errstate(over="ignore"):
         return (
@@ -95,7 +96,7 @@ def isotropic_noise_power(
 
 def photons_per_pulse(power_w: float | np.ndarray, detector: DetectorParams) -> float | np.ndarray:
     """Detected photons per pulse window from a steady optical power."""
-    if not _non_negative(power_w):
+    if not _within(power_w, 0.0, math.inf):
         raise ValueError("power_w must be non-negative")
     with np.errstate(over="ignore"):
         return power_w * detector.pulse_width_s * (detector.efficiency / 2.0) / detector.photon_energy_j
@@ -113,17 +114,10 @@ def lamp_noise_photons(
     one value or one per field of view; multiplying by the lamp's in-band
     energy per pulse (in the room's filter band) turns it into counts.
     """
-    if not _non_negative(lamp_psd_w_per_nm, reflected_integral):
+    if not (_within(lamp_psd_w_per_nm, 0.0, math.inf) and _within(reflected_integral, 0.0, math.inf)):
         raise ValueError("lamp noise inputs must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
-        in_band_power = lamp_psd_w_per_nm * room.filter_bandwidth_nm
-        counts = (
-            in_band_power
-            * detector.pulse_width_s
-            * (detector.efficiency / 2.0)
-            / detector.photon_energy_j
-            * reflected_integral
-        )
+        counts = photons_per_pulse(lamp_psd_w_per_nm * room.filter_bandwidth_nm, detector) * reflected_integral
     # An energy beyond the float range times a zero integral is nan: no bounce, no counts.
     return np.where(np.isnan(counts), 0.0, counts)[()]
 
@@ -132,8 +126,3 @@ def dark_counts_per_pulse(detector: DetectorParams) -> float:
     """Dark counts expected inside one pulse-width gate."""
     return detector.dark_count_rate_hz * detector.pulse_width_s
 
-
-def _non_negative(*values: float | np.ndarray) -> bool:
-    # nan fails, so a nan count is stopped where it enters; floats (numpy's
-    # included) skip the array reduction, which costs microseconds
-    return all(v >= 0.0 if isinstance(v, float) else (np.asarray(v) >= 0.0).all() for v in values)

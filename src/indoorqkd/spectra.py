@@ -60,8 +60,8 @@ class SpectralCurve:
         for a, b in zip(self.wavelengths_nm, self.wavelengths_nm[1:]):
             if not b > a:
                 raise ValueError("wavelengths must be strictly increasing")
-        if any(v < 0.0 for v in self.values):
-            raise ValueError("spectral densities must be non-negative")
+        if not all(0.0 <= v < math.inf for v in self.values):  # nan fails
+            raise ValueError("spectral densities must be non-negative and finite")
 
     def band(self) -> tuple[float, float]:
         return (self.wavelengths_nm[0], self.wavelengths_nm[-1])
@@ -99,8 +99,8 @@ def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:
     """
     if curve.kind != "irradiance":
         raise SpectrumKindError(f"expected an irradiance curve, got kind {curve.kind!r}")
-    if distance_m <= 0.0:
-        raise ValueError("distance_m must be positive")
+    if not 0.0 < distance_m < math.inf:
+        raise ValueError(f"distance_m must be positive and finite, got {distance_m!r}")
     scale = 4.0 * math.pi * distance_m * distance_m
     return SpectralCurve(
         wavelengths_nm=curve.wavelengths_nm,

@@ -23,7 +23,6 @@ from indoorqkd import channel
 from indoorqkd.channel import (
     ChannelGains,
     DetectorParams,
-    ReflectionConvergenceWarning,
     los_gain_for,
     reflected_gain_convergence,
     total_reflected_gain,
@@ -588,12 +587,14 @@ class TestConvergenceReporting:
         assert report.converged
         assert report.rel_change < 5e-3
 
-    def test_low_order_warns_with_both_estimates(self):
-        # a one-point rule per piece is far from the two-point one
+    def test_low_order_reports_not_converged_without_a_warning(self):
+        # a one-point rule per piece is far from the two-point one; the report says so
         room = nominal_room(fov_deg=30.0)
-        with pytest.warns(ReflectionConvergenceWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = reflected_gain_convergence(room, 1)
-        assert not report.converged
+        assert report.converged is False
+        assert report.rel_change > channel.CONVERGENCE_RTOL
         assert report.value != report.refined_value
 
 

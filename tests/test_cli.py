@@ -1,5 +1,6 @@
 """Config parsing, validation diagnostics, CSV output, and exit codes."""
 
+import math
 import re
 import sys
 import tempfile
@@ -643,6 +644,33 @@ class TestMainEntry:
         )
         assert main([str(path), "--strict", "--out", str(tmp_path / "out")]) == EXIT_OK
         assert "relative change 0.000e+00; converged" in (tmp_path / "out" / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("wavelength, density", [("800", "nan"), ("850", "nan"), ("850", "inf")])
+    def test_nan_or_inf_spectrum_density_is_a_config_error(self, tmp_path, capsys, wavelength, density):
+        # 880 nm falls between 850 and 900: a bad row there, or away from it, stops the run alike
+        spectrum = tmp_path / "lamp.csv"
+        rows = {"800": "1e-6", "850": "2e-6", "900": "3e-6", wavelength: density}
+        spectrum.write_text("wavelength_nm,psd\n" + "".join(f"{w},{v}\n" for w, v in rows.items()))
+        path = write_config(tmp_path, f"[noise]\nlamp_spectrum_file = {spectrum}\n[experiments]\nfov_steps = 2\n")
+        out_dir = tmp_path / "out"
+        assert main([str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"config error: lamp_spectrum_file: {spectrum}: " in err and "non-negative and finite" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("distance", [math.nan, math.inf])
+    def test_nan_or_inf_spectrum_distance_is_a_config_error(self, tmp_path, capsys, distance):
+        # an INI file cannot spell one (its floats must be finite); a RunConfig can
+        config = RunConfig(
+            lamp_spectrum_file=str(bundled_spectrum_path("cool_white_led_irradiance_50cm.csv")),
+            lamp_spectrum_kind="irradiance",
+            lamp_spectrum_distance_m=distance,
+            output_dir=str(tmp_path / "out"),
+        )
+        assert validate(config) == [f"lamp_spectrum_file: distance_m must be positive and finite, got {distance!r}"]
+        assert run(config) == EXIT_CONFIG_ERROR
+        assert "distance_m must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_scenario_flag_overrides_config(self, tmp_path, capsys):
         path = write_config(

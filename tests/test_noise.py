@@ -105,6 +105,17 @@ class TestPhotonConversion:
         energy = PLANCK_J_S * SPEED_OF_LIGHT_M_S / 880e-9
         assert counts == pytest.approx(1e-5 * BW * TAU * 0.3 / energy * integral, rel=1e-12)
 
+    @pytest.mark.parametrize("integral", [0.0, 1e-7, math.inf])
+    @pytest.mark.parametrize("level", [0.0, 5e-324, 1e308])
+    def test_lamp_counts_bit_for_bit_the_written_out_product(self, level, integral):
+        # the in-band power through photons_per_pulse, then the integral, in one chain of operations
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain = level * ROOM.filter_bandwidth_nm * DET.pulse_width_s * (DET.efficiency / 2.0) / DET.photon_energy_j * integral
+        expected = 0.0 if math.isnan(chain) else chain  # an inf energy times a zero integral: no counts
+        assert lamp_noise_photons(level, ROOM, DET, integral) == expected
+        as_array = lamp_noise_photons(np.array([level, level]), ROOM, DET, np.array([integral, integral]))
+        assert as_array.tolist() == [expected, expected]
+
     def test_dark_counts(self):
         assert dark_counts_per_pulse(DET) == pytest.approx(1e-7, rel=1e-12)
         assert dark_counts_per_pulse(replace(DET, dark_count_rate_hz=0.0)) == 0.0

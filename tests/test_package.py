@@ -1,5 +1,7 @@
-"""The package namespace, and the library names the benchmark's tracer wraps."""
+"""The package namespace, the library names the benchmark's tracer wraps,
+and a library that leaves printing to the CLI."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -18,7 +20,7 @@ EARLIER_EXPORTS = [
     "link_geometry", "wall_and_floor_grids",
     "SpectralCurve", "OutOfBandError", "SpectrumFormatError", "SpectrumKindError",
     "density_at", "irradiance_to_psd", "load_spectrum_csv", "bundled_spectrum_path",
-    "DetectorParams", "ChannelGains", "ConvergenceReport", "ReflectionConvergenceWarning",
+    "DetectorParams", "ChannelGains", "ConvergenceReport",
     "los_gain_for", "total_reflected_gain", "reflected_gain_convergence",
     "NoiseBudget", "BLACKBODY_AMBIENT_W_NM_M2", "matched_filter_bandwidth_nm", "isotropic_noise_power",
     "photons_per_pulse", "lamp_noise_photons", "dark_counts_per_pulse",
@@ -44,7 +46,7 @@ class TestPackageNamespace:
         assert set(indoorqkd.__all__) <= namespace.keys()
 
     def test_earlier_exports_still_exported(self):
-        assert len(EARLIER_EXPORTS) == 48
+        assert len(EARLIER_EXPORTS) == 47
         assert set(EARLIER_EXPORTS) <= set(indoorqkd.__all__)
 
     def test_oracle_and_cli_names_stay_in_their_modules(self):
@@ -72,3 +74,23 @@ class TestBenchmarkHooks:
         room = build_setup(Scenario.named("lamp-center"), 30.0, 1e-5).room
         count = tracing.COUNTERS["geometry.grids"]((room, 1), {}, wall_and_floor_grids(room, 1))
         assert count == 4 * 4 + 4 * (4 * 3)  # the floor and four walls of the 4 x 4 x 3 m room at 1/m
+
+
+class TestOnlyTheCliPrints:
+    """Results and diagnostics leave the library as values; only cli.py writes to the console."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(p for p in Path(indoorqkd.__file__).parent.glob("*.py") if p.name != "cli.py"), ids=lambda p: p.name
+    )
+    def test_no_print_or_warnings_warn(self, path):
+        calls = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id in ("print", "warn"))
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "warn"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "warnings")
+            )
+        ]
+        assert calls == [], f"{path.name}: print or warnings.warn at lines {calls}"

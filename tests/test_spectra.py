@@ -33,9 +33,10 @@ class TestSpectralCurve:
         with pytest.raises(ValueError):
             SpectralCurve((500.0,), (1.0,), "source-psd")
 
-    def test_values_non_negative(self):
-        with pytest.raises(ValueError):
-            SpectralCurve((400.0, 500.0), (1.0, -0.5), "source-psd")
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_values_non_negative(self, bad):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            SpectralCurve((400.0, 500.0), (1.0, bad), "source-psd")
 
     def test_unknown_kind(self):
         with pytest.raises(SpectrumKindError):
@@ -77,9 +78,10 @@ class TestIrradianceToPsd:
         with pytest.raises(SpectrumKindError):
             irradiance_to_psd(simple_curve(kind="source-psd"), 1.0)
 
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            irradiance_to_psd(simple_curve(kind="irradiance"), 0.0)
+    @pytest.mark.parametrize("distance", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_distance(self, distance):
+        with pytest.raises(ValueError, match="distance_m must be positive and finite"):
+            irradiance_to_psd(simple_curve(kind="irradiance"), distance)
 
 
 class TestCsvLoading:

@@ -20,10 +20,12 @@ def run_script(*args):
 
 def test_cone_no_ray_lands_in_prints_a_dash_for_the_gap():
     # 1,000 rays put none in a 0.05 degree cone; the 20 degree cone gets some
-    result = run_script("--fov", "0.05", "20", "--samples", "1000")
+    result = run_script("--fov", "0.05", "0.07", "20", "--samples", "1000")
     assert result.returncode == 0, result.stderr
-    header, narrow, wide = result.stdout.splitlines()
+    header, narrow, _, wide = result.stdout.splitlines()
     assert header.split()[-2:] == ["mc", "gap"]
+    # each FOV as it was given, so 0.05 and 0.07 read apart
+    assert [line.split()[0] for line in result.stdout.splitlines()[1:]] == ["0.05", "0.07", "20"]
     assert float(narrow.split()[2]) == 0.0
     assert narrow.split()[-1] == "-"
     assert wide.split()[-1].endswith("%")
