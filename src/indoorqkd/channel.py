@@ -137,6 +137,16 @@ def _within(value: float | np.ndarray, lo: float, hi: float) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class ConvergenceReport:
+    """The bounce integral of one room at a rule order and at twice it.
+
+    ``value`` is ``total_reflected_gain`` at the room's FOV and rule order
+    ``patches_per_meter``; ``refined_value`` is the same at twice that order.
+    ``rel_change`` is ``|refined_value - value|`` relative to
+    ``|refined_value|``: 0 when the two are equal (both 0, or an inf no
+    order changes) and inf when only ``refined_value`` is 0.  ``converged``
+    is ``rel_change <= CONVERGENCE_RTOL``.
+    """
+
     value: float
     refined_value: float
     rel_change: float

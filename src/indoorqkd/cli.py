@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .channel import DEFAULT_PATCHES_PER_METER, reflected_gain_convergence
+from .channel import DEFAULT_PATCHES_PER_METER, ConvergenceReport, reflected_gain_convergence
 from .experiments import (
     AMBIENT_SCENARIOS,
     NOMINAL,
@@ -30,7 +30,7 @@ from .experiments import (
     secure_fov_boundary,
     sweep,
 )
-from .spectra import KINDS, density_at, irradiance_to_psd, load_spectrum_csv
+from .spectra import KINDS, OutOfBandError, SpectrumFormatError, density_at, irradiance_to_psd, load_spectrum_csv
 
 __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main"]
 
@@ -310,12 +310,15 @@ def _resolve(
     elif spectrum and not Path(spectrum).exists():
         out.append(f"lamp_spectrum_file = {spectrum!r}: file not found")
     elif spectrum and config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
-        out.append("ambient scenarios take an 'irradiance' spectrum, not a source PSD")
+        out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: ambient scenarios take an 'irradiance' spectrum, not a source PSD")
     elif not spectrum or config.scenario in SCENARIOS:  # a spectrum is read at the scenario's wavelength
         try:
             source_values = config.source_values()
-        except (ValueError, OSError) as exc:
-            out.append(f"{'lamp_spectrum_file' if spectrum else 'source axis'}: {exc}")
+        except (SpectrumFormatError, OutOfBandError, OSError) as exc:  # the file, or the band it samples
+            out.append(f"lamp_spectrum_file: {exc}")
+        except ValueError as exc:  # the axis, or with a spectrum its distance (irradiance_to_psd)
+            key = f"lamp_spectrum_distance_m = {config.lamp_spectrum_distance_m!r}" if spectrum else "source axis"
+            out.append(f"{key}: {exc}")
     if len(fov_values) * len(source_values) > GRID_BUDGET:
         grid = f"{len(fov_values)} x {len(source_values)}"
         out.append(f"fov_steps x source_steps = {grid}: more than the grid budget of {GRID_BUDGET:,} points")
@@ -446,7 +449,7 @@ def _csv_lines(
 
 
 def run(config: RunConfig) -> int:
-    """Execute one configured sweep; write sweep.csv and summary.txt."""
+    """Execute one configured sweep; write sweep.csv, then summary.txt from the results."""
     resolved, problems = _resolve(config)
     if resolved is None:
         for line in problems:
@@ -472,41 +475,36 @@ def run(config: RunConfig) -> int:
         csv.write((",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n").encode("ascii"))
         csv.writelines(_csv_lines(grid, fov_values, source_values))
 
-    reflects = config.scenario not in AMBIENT_SCENARIOS and max(source_values) > 0.0
-    convergence_note, strict_trip = _convergence_check(config, scenario, max(fov_values), reflects)
-    summary = _summarize(config, scenario, grid.report.secure, fov_values, source_values, convergence_note)
+    report = None  # of the bounce quadrature, in a run with reflected light
+    if ambient_run:
+        found = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg)
+    else:
+        if max(source_values) > 0.0:
+            room = build_setup(scenario, max(fov_values), 0.0).room
+            report = reflected_gain_convergence(room, config.resolution_patches_per_meter)
+        found = secure_fov_boundary(
+            scenario, source_values[len(source_values) // 2],
+            patches_per_meter=config.resolution_patches_per_meter,
+            fov_max_deg=config.fov_max_deg,
+        )
+
+    summary = _summarize(config, ambient_run, grid.report.secure, fov_values, source_values, found, report)
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     print(summary, end="")
 
-    if strict_trip:
+    if config.strict and report is not None and not report.converged:
         print("bounce quadrature not converged; exit 3 under --strict", file=sys.stderr)
         return EXIT_STRICT_CONVERGENCE
     return EXIT_OK
 
 
-def _convergence_check(config: RunConfig, scenario: Scenario, fov_deg: float, reflects: bool) -> tuple[str, bool]:
-    """Compare the bounce integral at the run's rule order and at twice it, at the widest
-    FOV of a run that ``reflects`` (a lamp scenario, a level above 0).  The sweep already
-    computed the first for this room, so only the doubled order is computed here."""
-    if not reflects:
-        return "convergence: no reflected-light integral in this run\n", False
-    room = build_setup(scenario, fov_deg, 0.0).room
-    report = reflected_gain_convergence(room, config.resolution_patches_per_meter)
-    note = (
-        f"convergence: reflected integral {report.value:.9e} at order "
-        f"{report.patches_per_meter} vs {report.refined_value:.9e} at order {2 * report.patches_per_meter}; "
-        f"relative change {report.rel_change:.3e}; "
-        f"{'converged' if report.converged else 'NOT converged'}\n"
-    )
-    return note, config.strict and not report.converged
-
-
 def _summarize(
-    config: RunConfig, scenario: Scenario, secure: np.ndarray,
-    fov_values: tuple[float, ...], source_values: tuple[float, ...], convergence_note: str,
+    config: RunConfig, ambient_run: bool, secure: np.ndarray, fov_values: tuple[float, ...],
+    source_values: tuple[float, ...], found: float | None, report: ConvergenceReport | None,
 ) -> str:
-    """The summary of a run whose map has the ``secure`` flags [fov, source]."""
-    ambient_run = config.scenario in AMBIENT_SCENARIOS
+    """The summary of a run whose map has the ``secure`` flags [fov, source], whose search
+    ``found`` the ambient tolerance or the boundary at the middle level (None: none secure),
+    and whose bounce quadrature gave ``report`` (None: no reflected light)."""
     unit = "W/nm/m^2" if ambient_run else "W/nm"
     lines = [
         f"scenario: {config.scenario}",
@@ -522,19 +520,21 @@ def _summarize(
         lines.append(f"  {level:.9e} {unit}: " + (f"{frontier:.1f} deg" if frontier > -math.inf else "none"))
 
     if ambient_run:
-        tolerance = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg)
-        text = "none secure" if tolerance is None else f"{tolerance:.9e} {unit}"
+        text = "none secure" if found is None else f"{found:.9e} {unit}"
         lines.append(f"ambient tolerance (largest secure level): {text}")
     else:
-        mid = source_values[len(source_values) // 2]
-        boundary = secure_fov_boundary(
-            scenario, mid,
-            patches_per_meter=config.resolution_patches_per_meter,
-            fov_max_deg=config.fov_max_deg,
+        text = "none secure" if found is None else f"{found:.1f} deg"
+        lines.append(f"refined secure-FOV boundary at {source_values[len(source_values) // 2]:.9e} {unit}: {text}")
+    if report is None:
+        lines.append("convergence: no reflected-light integral in this run")
+    else:
+        lines.append(
+            f"convergence: reflected integral {report.value:.9e} at order "
+            f"{report.patches_per_meter} vs {report.refined_value:.9e} at order {2 * report.patches_per_meter}; "
+            f"relative change {report.rel_change:.3e}; "
+            f"{'converged' if report.converged else 'NOT converged'}"
         )
-        text = "none secure" if boundary is None else f"{boundary:.1f} deg"
-        lines.append(f"refined secure-FOV boundary at {mid:.9e} {unit}: {text}")
-    return "\n".join(lines) + "\n" + convergence_note
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,6 +33,9 @@ class DegenerateGeometryError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Point3:
+    """A position in meters in the room frame (origin in a floor corner, z up),
+    or a direction in that frame; ``x``, ``y`` and ``z`` are its components."""
+
     x: float
     y: float
     z: float

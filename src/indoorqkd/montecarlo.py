@@ -47,6 +47,8 @@ __all__ = ["McEstimate", "estimate_reflected_gain", "floor_cone_closed_form"]
 # 1e6-ray call on 8 perfbench mc-oracle rooms: 0-7 at 2^13, 30-4,000 at 2^14
 # and 4,600-10,500 at 2^15 (2-core x86 Xeon, numpy 2.4).
 _BLOCK = 1 << 13
+# Rays per chunk of draws (see _uniform_blocks); a seed's estimate depends on it.
+_CHUNK = 2_000_000
 # A plane closer to the lamp than this along the ray is the one it sits on.
 _T_MIN = 1e-12
 # cos and sin of q quarter turns, for the quadrant q = rint(4u) in 0..4 of an azimuth 2 pi u.
@@ -66,6 +68,10 @@ _BOUND_LOG_SLACK = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class McEstimate:
+    """A Monte-Carlo bounce gain: ``value`` is the mean contribution over
+    ``samples`` rays drawn from the lamp (rays that miss the receiver's cone
+    count as 0), and ``std_error`` the standard error of that mean."""
+
     value: float
     std_error: float
     samples: int
@@ -75,7 +81,6 @@ def estimate_reflected_gain(
     room: RoomScenario,
     samples: int = 10_000_000,
     seed: int = 0,
-    chunk_size: int = 2_000_000,
 ) -> McEstimate:
     """Seeded Monte-Carlo value of the summed bounce gain.
 
@@ -83,13 +88,12 @@ def estimate_reflected_gain(
     cos(phi)^m1 (sampled by inverting 1 - cos(phi)^(m1+1)), so the lobe
     factor and the first cosine of the bounce integrand are absorbed into
     the sampling measure and each ray only carries the reflect-and-collect
-    term of its hit point.  Each chunk of ``chunk_size`` rays draws cos(phi)
+    term of its hit point.  Each chunk of ``_CHUNK`` rays draws cos(phi)
     and then the azimuth; the rays are traced in blocks of ``_BLOCK`` as the
     draws are read (see ``_uniform_blocks``).
     """
-    for name, value in (("samples", samples), ("chunk_size", chunk_size)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     m1 = lambert_mode(room.lamp_semi_angle_deg)
     fov_rad = math.radians(room.fov_deg)
     sin_fov = math.sin(fov_rad)
@@ -155,7 +159,7 @@ def estimate_reflected_gain(
 
     total = 0.0
     total_sq = 0.0
-    for cos_draws, azim_draws in _uniform_blocks(seed, samples, chunk_size):
+    for cos_draws, azim_draws in _uniform_blocks(seed, samples):
         contrib = trace(cos_draws, azim_draws)
         total += float(np.sum(contrib))
         total_sq += float(np.sum(contrib * contrib))
@@ -204,19 +208,19 @@ def _cone_threshold(room: RoomScenario, m1: float) -> float:
     return math.exp((m1 + 1.0) * math.log(math.cos(phi_max)) - _BOUND_LOG_SLACK * (m1 + 2.0))
 
 
-def _uniform_blocks(seed: int, samples: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _uniform_blocks(seed: int, samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The draws of ``np.random.default_rng(seed)`` as (cos(phi), azimuth) uniforms, block by block.
 
-    Each chunk of n rays takes n uniforms for cos(phi) and then n for the
-    azimuth, as ``rng.random(n); rng.random(n)`` would, and leaves the stream
-    where those calls leave it.  A copy of the bit generator advanced by n
-    reads the azimuths alongside the cos(phi) draws, so no chunk-sized array
-    is made.
+    Each chunk of n rays (``_CHUNK``, the last one fewer) takes n uniforms
+    for cos(phi) and then n for the azimuth, as ``rng.random(n);
+    rng.random(n)`` would, and leaves the stream where those calls leave it.
+    A copy of the bit generator advanced by n reads the azimuths alongside
+    the cos(phi) draws, so no chunk-sized array is made.
     """
     bits = np.random.default_rng(seed).bit_generator
     done = 0
     while done < samples:
-        n = min(chunk_size, samples - done)
+        n = min(_CHUNK, samples - done)
         azim_bits = type(bits)()
         azim_bits.state = bits.state
         azim_bits.advance(n)

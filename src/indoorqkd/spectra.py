@@ -95,18 +95,19 @@ def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:
 
     Treats the bulb as an isotropic point source at the probe distance, so
     S(lambda) = 4 pi d^2 E(lambda).  Real bulbs are not isotropic; this keeps
-    the order of magnitude and is the documented approximation here.
+    the order of magnitude and is the documented approximation here.  A
+    distance that is not positive and finite, or whose S overflows, is a
+    ValueError.
     """
     if curve.kind != "irradiance":
         raise SpectrumKindError(f"expected an irradiance curve, got kind {curve.kind!r}")
     if not 0.0 < distance_m < math.inf:
         raise ValueError(f"distance_m must be positive and finite, got {distance_m!r}")
     scale = 4.0 * math.pi * distance_m * distance_m
-    return SpectralCurve(
-        wavelengths_nm=curve.wavelengths_nm,
-        values=tuple(scale * v for v in curve.values),
-        kind="source-psd",
-    )
+    values = tuple(scale * v for v in curve.values)
+    if not all(v < math.inf for v in values):  # inf, or nan where an inf scale meets a 0 density
+        raise ValueError(f"4 pi d^2 E overflows at distance_m = {distance_m!r}")
+    return SpectralCurve(wavelengths_nm=curve.wavelengths_nm, values=values, kind="source-psd")
 
 
 def load_spectrum_csv(path, kind: str) -> SpectralCurve:

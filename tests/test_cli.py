@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import indoorqkd.cli as cli
+from indoorqkd.channel import ConvergenceReport
 from indoorqkd.cli import (
     _RUN_KEY_TYPES,
     _SECTION_KEYS,
@@ -30,12 +32,13 @@ from indoorqkd.cli import (
     run,
     validate,
 )
-from indoorqkd.experiments import NOMINAL, Scenario
+from indoorqkd.experiments import NOMINAL
 from indoorqkd.spectra import bundled_spectrum_path
 
 # up to the top of the float range, where squares and powers overflow
 HUGE_FLOATS = ("1e13", "1e300", "1e308", repr(sys.float_info.max))
 SCI_NOTATION = re.compile(r"^-?\d\.\d{9}e[+-]\d{2,3}$")
+IRRADIANCE_FILE = str(bundled_spectrum_path("cool_white_led_irradiance_50cm.csv"))
 
 _TEXT_KEYS = {
     "scenario", "fov_scale", "source_scale", "output_dir",
@@ -166,6 +169,27 @@ class TestValidationDiagnostics:
         code = main([str(write_config(tmp_path, body)), "--out", str(out_dir)])
         assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
         if code == EXIT_CONFIG_ERROR:
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize("scenario", ["lamp-center", "ambient-only-center"])
+    @pytest.mark.parametrize("key, value", [
+        *(("lamp_spectrum_distance_m", d) for d in (0.0, -1.0, 1e-300, 1e200, math.nan, math.inf)),
+        *(("lamp_spectrum_kind", kind) for kind in ("source-psd", "irradiance", "radiance")),
+        *(("lamp_spectrum_file", name) for name in ("missing", "a directory", "cool_white_led.csv")),
+    ])
+    def test_every_spectrum_value_ends_in_result_or_a_diagnostic_naming_its_key(self, tmp_path, capsys, scenario, key, value):
+        # the bundled irradiance file set, and one spectrum key changed; a
+        # RunConfig, since an INI file cannot spell a nan or inf distance
+        paths = {"missing": tmp_path / "missing.csv", "a directory": tmp_path, "cool_white_led.csv": bundled_spectrum_path("cool_white_led.csv")}
+        fields = {"lamp_spectrum_file": IRRADIANCE_FILE, "lamp_spectrum_kind": "irradiance"}
+        fields[key] = str(paths[value]) if key == "lamp_spectrum_file" else value
+        out_dir = tmp_path / "out"
+        config = RunConfig(scenario=scenario, fov_steps=2, resolution_patches_per_meter=2, output_dir=str(out_dir), **fields)
+        code = run(config)
+        assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
+        if code == EXIT_CONFIG_ERROR:
+            err = capsys.readouterr().err.splitlines()
+            assert err and all(line.startswith(f"config error: {key}") for line in err), err
             assert not out_dir.exists()
 
     @settings(max_examples=60, deadline=None)
@@ -450,13 +474,12 @@ class TestSummaryText:
         # random secure masks with empty, full and sparse columns, over an unsorted FOV axis
         rng = np.random.default_rng(17)
         config = RunConfig(scenario="ambient-only-center")
-        scenario = Scenario.named("ambient-only-center")
         fovs = tuple(rng.permutation(np.linspace(2.0, 30.0, 9)).tolist())
         levels = tuple(np.logspace(-9.0, -5.0, 40).tolist())
         for density in (0.0, 0.05, 0.5, 1.0):
             secure = rng.random((len(fovs), len(levels))) < density
             secure[:, ::7] = False
-            text = _summarize(config, scenario, secure, fovs, levels, "")
+            text = _summarize(config, True, secure, fovs, levels, 1e-6, None)
             reference = []
             for j, level in enumerate(levels):
                 secure_fovs = np.array(fovs)[secure[:, j]]
@@ -465,6 +488,115 @@ class TestSummaryText:
             lines = text.splitlines()
             start = lines.index("largest secure FOV per source level (grid resolution):") + 1
             assert lines[start : start + len(levels)] == reference
+
+    @pytest.mark.parametrize("scenario, found, report, last_lines", [
+        ("ambient-only-center", 3.5e-7, None, [
+            "ambient tolerance (largest secure level): 3.500000000e-07 W/nm/m^2",
+            "convergence: no reflected-light integral in this run",
+        ]),
+        ("ambient-only-corner", None, None, [
+            "ambient tolerance (largest secure level): none secure",
+            "convergence: no reflected-light integral in this run",
+        ]),
+        ("lamp-center", 12.34, ConvergenceReport(2e-7, 2.5e-7, 0.2, False, 3), [
+            "refined secure-FOV boundary at 2.000000000e-06 W/nm: 12.3 deg",
+            "convergence: reflected integral 2.000000000e-07 at order 3 vs 2.500000000e-07 at order 6; "
+            "relative change 2.000e-01; NOT converged",
+        ]),
+        ("lamp-corner", None, ConvergenceReport(1e-6, 1e-6, 0.0, True, 10), [
+            "refined secure-FOV boundary at 2.000000000e-06 W/nm: none secure",
+            "convergence: reflected integral 1.000000000e-06 at order 10 vs 1.000000000e-06 at order 20; "
+            "relative change 0.000e+00; converged",
+        ]),
+    ])
+    def test_search_and_convergence_lines(self, scenario, found, report, last_lines):
+        config = RunConfig(scenario=scenario, resolution_patches_per_meter=3)
+        levels = (1e-6, 2e-6, 3e-6)
+        secure = np.array([[True, False, False], [True, True, False]])
+        text = _summarize(config, scenario.startswith("ambient"), secure, (5.0, 10.0), levels, found, report)
+        assert text.endswith("\n") and text.splitlines()[-2:] == last_lines
+        assert "secure points: 3 of 6" in text.splitlines()
+
+
+# The cli globals through which run makes its library calls, as perfbench's tracer sees them.
+LIBRARY_CALLS = ("build_setup", "sweep", "reflected_gain_convergence", "secure_fov_boundary", "ambient_tolerance")
+SPECTRUM_CALLS = ("load_spectrum_csv", "irradiance_to_psd", "density_at")
+
+
+def spy_on_cli(monkeypatch, names):
+    """Wrap each named cli global; the list returned collects [name, result] per call, in call order."""
+    calls = []
+
+    def spy(name, call):
+        def wrapper(*args, **kwargs):
+            entry = [name, None]
+            calls.append(entry)
+            entry[1] = call(*args, **kwargs)
+            return entry[1]
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    return calls
+
+
+def small_run(tmp_path, case, **fields):
+    """A 3 x 3 map of a lamp run, a lamp run with the lamp off (one level, 0), an ambient run, or
+    a lamp run whose one level comes from the bundled irradiance file."""
+    axes = {
+        "lamp": dict(scenario="lamp-center"),
+        "lamp-off": dict(scenario="lamp-corner", source_min=0.0, source_max=0.0, source_steps=1, source_scale="linear"),
+        "ambient": dict(scenario="ambient-only-center", source_min=1e-8, source_max=1e-6),
+        "lamp-spectrum": dict(scenario="lamp-center", lamp_spectrum_file=IRRADIANCE_FILE, lamp_spectrum_kind="irradiance"),
+    }[case]
+    defaults = dict(fov_min_deg=6.0, fov_max_deg=12.0, fov_steps=3, source_min=1e-6, source_max=1e-5, source_steps=3)
+    return RunConfig(**{**defaults, **axes, **fields}, resolution_patches_per_meter=4, output_dir=str(tmp_path / "out"))
+
+
+class TestComputeThenRender:
+    @pytest.mark.parametrize("case, expected", [
+        ("lamp-spectrum", [*SPECTRUM_CALLS, "build_setup", "build_setup", "sweep", "_csv_lines",
+                           "build_setup", "reflected_gain_convergence", "secure_fov_boundary"]),
+        ("lamp", ["build_setup", "build_setup", "sweep", "_csv_lines", "build_setup", "reflected_gain_convergence", "secure_fov_boundary"]),
+        ("lamp-off", ["build_setup", "build_setup", "sweep", "_csv_lines", "secure_fov_boundary"]),
+        ("ambient", ["build_setup", "build_setup", "sweep", "_csv_lines", "ambient_tolerance"]),
+    ])
+    def test_run_makes_its_library_calls_in_order(self, tmp_path, monkeypatch, case, expected):
+        # the corners of the grid in _resolve, the map and its CSV, the report
+        # of a lit lamp run's room, then the boundary or the tolerance
+        calls = spy_on_cli(monkeypatch, (*LIBRARY_CALLS, *SPECTRUM_CALLS, "_csv_lines"))
+        assert run(small_run(tmp_path, case)) == EXIT_OK
+        assert [name for name, _ in calls] == expected
+
+    @pytest.mark.parametrize("case", ["lamp", "lamp-off", "ambient"])
+    def test_summary_renders_from_the_results_alone(self, tmp_path, monkeypatch, case):
+        config = small_run(tmp_path, case)
+        calls = spy_on_cli(monkeypatch, LIBRARY_CALLS)
+        assert run(config) == EXIT_OK
+        results = dict(calls)
+        ambient_run = case == "ambient"
+        found = results["ambient_tolerance" if ambient_run else "secure_fov_boundary"]
+        report = results.get("reflected_gain_convergence")
+        assert (report is not None) == (case == "lamp")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the summary called the library")
+
+        for name in LIBRARY_CALLS:
+            monkeypatch.setattr(cli, name, refuse)
+        secure = results["sweep"].report.secure
+        text = _summarize(config, ambient_run, secure, config.fov_values(), config.source_values(), found, report)
+        assert text.splitlines() == (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("converged", [False, True])
+    def test_strict_reads_the_report_the_summary_prints(self, tmp_path, monkeypatch, capsys, converged):
+        # a report whose flag disagrees with its change: --strict follows the flag the summary prints
+        report = ConvergenceReport(1.0, 2.0, 0.5, converged, 4)
+        monkeypatch.setattr(cli, "reflected_gain_convergence", lambda room, order: report)
+        assert run(small_run(tmp_path, "lamp", strict=True)) == (EXIT_OK if converged else EXIT_STRICT_CONVERGENCE)
+        summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
+        assert summary.endswith(f"relative change 5.000e-01; {'converged' if converged else 'NOT converged'}\n")
+        assert ("exit 3 under --strict" in capsys.readouterr().err) is not converged
 
 
 class TestAxes:
@@ -667,10 +799,26 @@ class TestMainEntry:
             lamp_spectrum_distance_m=distance,
             output_dir=str(tmp_path / "out"),
         )
-        assert validate(config) == [f"lamp_spectrum_file: distance_m must be positive and finite, got {distance!r}"]
+        assert validate(config) == [f"lamp_spectrum_distance_m = {distance!r}: distance_m must be positive and finite, got {distance!r}"]
         assert run(config) == EXIT_CONFIG_ERROR
         assert "distance_m must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("distance, message", [
+        (0.0, "distance_m must be positive and finite, got 0.0"),
+        (-1.0, "distance_m must be positive and finite, got -1.0"),
+        (1e200, "4 pi d^2 E overflows at distance_m = 1e+200"),
+    ], ids=["zero", "negative", "overflowing"])
+    def test_zero_negative_or_overflowing_spectrum_distance_named(self, tmp_path, capsys, distance, message):
+        path = write_config(
+            tmp_path,
+            f"[noise]\nlamp_spectrum_file = {IRRADIANCE_FILE}\nlamp_spectrum_kind = irradiance\n"
+            f"lamp_spectrum_distance_m = {distance!r}\n[experiments]\nfov_steps = 2\n",
+        )
+        out_dir = tmp_path / "out"
+        assert main([str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: lamp_spectrum_distance_m = {distance!r}: {message}\n"
+        assert not out_dir.exists()
 
     def test_scenario_flag_overrides_config(self, tmp_path, capsys):
         path = write_config(

@@ -88,14 +88,10 @@ class TestFloorConeClosedForm:
 
 
 class TestArguments:
-    @pytest.mark.parametrize("name, value", [
-        ("chunk_size", 0), ("chunk_size", -1), ("chunk_size", 2.5),
-        ("samples", 0), ("samples", -3), ("samples", 1e6),
-    ])
+    @pytest.mark.parametrize("name, value", [("samples", 0), ("samples", -3), ("samples", 1e6)])
     def test_non_positive_or_non_integer_counts_rejected(self, name, value):
-        kwargs = {"samples": 10, "chunk_size": 4, name: value}
         with pytest.raises(ValueError, match=name):
-            estimate_reflected_gain(room_at(20.0), **kwargs)
+            estimate_reflected_gain(room_at(20.0), **{name: value})
 
 
 # The lamp tilted 25 degrees towards +x, and 40 degrees towards -y.
@@ -129,11 +125,12 @@ def pinned_room(kind, fov):
 
 
 # (value, std_error) of estimate_reflected_gain(pinned_room(kind, fov),
-# samples, seed, chunk_size).  The first eleven were computed by the
-# five-plane-pass sampler that preceded the slab pass; the tilted lamps and
-# the chunk of 3,001 rays (below the block size, not dividing the samples)
-# by the chunk-array sampler that preceded the streaming one.  A ray whose
-# hit surface or cone test flips moves an estimate by far more than 1e-12.
+# samples, seed) with montecarlo._CHUNK set to chunk_size.  The first
+# eleven were computed by the five-plane-pass sampler that preceded the slab
+# pass; the tilted lamps and the chunk of 3,001 rays (below the block size,
+# not dividing the samples) by the chunk-array sampler that preceded the
+# streaming one.  A ray whose hit surface or cone test flips moves an
+# estimate by far more than 1e-12.
 PINNED_ESTIMATES = {
     ('center', 5.0, 500000, 7, 2000000): (6.520139143669395e-07, 1.1606646681620362e-08),
     ('center', 11.0, 500000, 7, 2000000): (6.258864941820381e-07, 5.059912857220041e-09),
@@ -154,8 +151,9 @@ PINNED_ESTIMATES = {
 
 class TestPinnedEstimates:
     @pytest.mark.parametrize("kind, fov, samples, seed, chunk_size", sorted(PINNED_ESTIMATES, key=str))
-    def test_estimate_unchanged(self, kind, fov, samples, seed, chunk_size):
-        est = estimate_reflected_gain(pinned_room(kind, fov), samples=samples, seed=seed, chunk_size=chunk_size)
+    def test_estimate_unchanged(self, monkeypatch, kind, fov, samples, seed, chunk_size):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
+        est = estimate_reflected_gain(pinned_room(kind, fov), samples=samples, seed=seed)
         value, std_error = PINNED_ESTIMATES[(kind, fov, samples, seed, chunk_size)]
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
@@ -193,8 +191,8 @@ def threshold(room):
     return montecarlo._cone_threshold(room, montecarlo.lambert_mode(room.lamp_semi_angle_deg))
 
 
-def estimate_bits(room, samples, seed, chunk_size=2_000_000):
-    est = estimate_reflected_gain(room, samples=samples, seed=seed, chunk_size=chunk_size)
+def estimate_bits(room, samples, seed):
+    est = estimate_reflected_gain(room, samples=samples, seed=seed)
     return float_bits(est.value), float_bits(est.std_error)
 
 
@@ -246,9 +244,10 @@ class TestConeBound:
         *(pytest.param(room, 200_000, 3, 70_001, id=f"random-{i}") for i, room in enumerate(RANDOM_ROOMS)),
     ])
     def test_no_bound_gives_the_same_bits(self, monkeypatch, room, samples, seed, chunk_size):
-        bounded = estimate_bits(room, samples, seed, chunk_size)
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
+        bounded = estimate_bits(room, samples, seed)
         monkeypatch.setattr(montecarlo, "_cone_threshold", lambda room, m1: 0.0)
-        assert estimate_bits(room, samples, seed, chunk_size) == bounded
+        assert estimate_bits(room, samples, seed) == bounded
 
     def test_random_rooms_mostly_bound_their_rays(self):
         thresholds = [threshold(room) for room in RANDOM_ROOMS]
@@ -272,8 +271,8 @@ class TestConeBound:
         drawn = montecarlo._uniform_blocks
         below = []
 
-        def blocks_below(seed, samples, chunk_size):
-            for cos_draws, azim_draws in drawn(seed, samples, chunk_size):
+        def blocks_below(seed, samples):
+            for cos_draws, azim_draws in drawn(seed, samples):
                 keep = cos_draws < u_min
                 below.append(np.count_nonzero(keep))
                 yield cos_draws[keep], azim_draws[keep]
@@ -288,15 +287,16 @@ class TestStreamingKernel:
     @pytest.mark.parametrize("samples, chunk_size", [
         (20_000, 2_000_000), (3 * montecarlo._BLOCK, 2_000_000), (50_001, 20_000), (10_007, 3_001), (5, 2),
     ])
-    def test_blocks_read_the_chunked_draws(self, samples, chunk_size):
+    def test_blocks_read_the_chunked_draws(self, monkeypatch, samples, chunk_size):
         # each chunk of n rays draws n cos(phi) uniforms, then n azimuth
         # uniforms; a later chunk starts where the one before left the stream
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
         rng = np.random.default_rng(29)
         expected = []
         for start in range(0, samples, chunk_size):
             n = min(chunk_size, samples - start)
             expected.append((rng.random(n), rng.random(n)))
-        blocks = [(c.copy(), a.copy()) for c, a in montecarlo._uniform_blocks(29, samples, chunk_size)]
+        blocks = [(c.copy(), a.copy()) for c, a in montecarlo._uniform_blocks(29, samples)]
         assert all(c.size == a.size <= montecarlo._BLOCK for c, a in blocks)
         for read, drawn in zip(zip(*blocks), zip(*expected)):
             assert np.array_equal(np.concatenate(read), np.concatenate(drawn))
@@ -315,14 +315,15 @@ class TestStreamingKernel:
         cos_zero, sin_zero = montecarlo._unit_circle(np.zeros(1))
         assert (cos_zero[0], sin_zero[0]) == (1.0, 0.0)
 
-    def test_peak_memory_does_not_grow_with_samples_or_chunk(self):
+    def test_peak_memory_does_not_grow_with_samples_or_chunk(self, monkeypatch):
         room = room_at(30.0)
         estimate_reflected_gain(room, samples=1_000, seed=1)  # one-off allocations of a first call
         peaks = {}
         for samples, chunk_size in ((1_000_000, 2_000_000), (1_000_000, 1_000_000), (100_000, 2_000_000), (2_000_000, 700_001)):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
             tracemalloc.start()
             try:
-                estimate_reflected_gain(room, samples=samples, seed=1, chunk_size=chunk_size)
+                estimate_reflected_gain(room, samples=samples, seed=1)
                 peaks[samples, chunk_size] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

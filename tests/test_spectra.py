@@ -1,6 +1,7 @@
 """Spectral curve container, interpolation, unit conversion, CSV ingest."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -82,6 +83,22 @@ class TestIrradianceToPsd:
     def test_rejects_nonpositive_distance(self, distance):
         with pytest.raises(ValueError, match="distance_m must be positive and finite"):
             irradiance_to_psd(simple_curve(kind="irradiance"), distance)
+
+    @pytest.mark.parametrize("values, distance", [
+        ((1.0, 3.0, 2.0), 1e200),  # 4 pi d^2 overflows
+        ((1.0, 3.0, 2.0), 1e154),  # d^2 does not, 4 pi d^2 does
+        ((0.0, 1e10, 2.0), 1e150),  # 4 pi d^2 does not, one 4 pi d^2 E does
+        ((0.0, 0.0, 0.0), 1e200),  # inf * 0 is nan
+    ])
+    def test_rejects_a_distance_whose_psd_overflows(self, values, distance):
+        curve = SpectralCurve((400.0, 500.0, 600.0), values, "irradiance")
+        with pytest.raises(ValueError, match=re.escape(f"4 pi d^2 E overflows at distance_m = {distance!r}")):
+            irradiance_to_psd(curve, distance)
+
+    def test_huge_finite_and_underflowing_distances_convert(self):
+        # 4 pi d^2 E near 4e307 is still finite; a d^2 that underflows gives zero densities
+        assert irradiance_to_psd(simple_curve(kind="irradiance"), 1e153).values[1] < math.inf
+        assert irradiance_to_psd(simple_curve(kind="irradiance"), 1e-300).values == (0.0, 0.0, 0.0)
 
 
 class TestCsvLoading:
