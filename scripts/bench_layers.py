@@ -15,7 +15,10 @@ and faulted in again, among others.  The layers:
 * total_reflected_gain, lamp-center at FOV 20 deg, at patches_per_meter
   10/20/40/80 (a rule order since the quadrature replaced the patch sum),
   each call with the room's receiver view already built and the integral
-  not yet in it;
+  not yet in it; and the same at order 10 with the lamp 0.7 m off centre,
+  for a 70 deg lamp and for a 10 deg one, whose theta rules differ;
+* one cold reflected_gain_convergence of lamp-center at order 10: the
+  order-10 value, the order-20 one and the theta check, in a new view;
 * one block of ``_PSI_BLOCK`` psi nodes (0.01-1.5 rad) of the quadrature's
   ring integrals, lamp-center with the lamp at (1.3, 2.0), in a work array
   made beforehand and sized as a quadrature pass sizes the one its blocks
@@ -228,7 +231,11 @@ def layer_rows(src: Path) -> dict:
     def ring_block(psi: np.ndarray) -> dict:
         view = channel._ReceiverView(build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room)
         # the work array a quadrature pass makes once for all its blocks, sized as piece_sums sizes it
-        work = np.empty(8 * channel._THETA_ORDER * (channel._THETA_ARCS + 2 * view.edge_length.size) * len(psi))
+        # (under the view's theta rule, in trees that size the rule to the lamp)
+        if hasattr(view, "work_size"):
+            work = np.empty(view.work_size(len(psi), view.theta_rule))
+        else:
+            work = np.empty(8 * channel._THETA_ORDER * (channel._THETA_ARCS + 2 * view.edge_length.size) * len(psi))
         return timed(lambda: float(view.ring_integrals(psi, work).sum()), calls=20)
 
     def new_fov_probe() -> dict:
@@ -264,6 +271,12 @@ def layer_rows(src: Path) -> dict:
         return layer
 
     rows = {f"total_reflected_gain_{res}_per_m": (lambda res=res: timed(lambda: total_reflected_gain(room, res), without_integrals)) for res in RESOLUTIONS}
+    for semi_angle in 70, 10:
+        off = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 2.7, "lamp_semi_angle_deg": float(semi_angle)}), 20.0, 1e-5).room
+        rows[f"total_reflected_gain_10_per_m_lamp_0.7m_off_{semi_angle}deg"] = (
+            lambda off=off: timed(lambda: total_reflected_gain(off, 10), without_integrals)
+        )
+    rows["reflected_gain_convergence_cold_10_per_m"] = lambda: timed(lambda: channel.reflected_gain_convergence(room, 10).refined_value, cold)
     block = channel._PSI_BLOCK
     rows[f"ring_integrals_{block}_psi_block"] = lambda: ring_block(np.linspace(0.01, 1.5, block))
     # a partial piece of an order-10 probe: the rule's nodes on 15-20 deg

@@ -17,18 +17,24 @@ with L taken at the first floor or wall point seen along omega (the ceiling
 reflects nothing).  This is the Monte-Carlo oracle's next-event trace run
 from the receiver side and made deterministic.  psi is cut at the psi
 extremes of every room edge and into panels no wider than ``_PANEL_DEG``;
-each ring of directions at one psi into ``_THETA_ARCS`` arcs and where it
-crosses the plane through the receiver and a room edge.  L is smooth on
-every piece, and Gauss-Legendre rules mapped through
-s -> 3s^2 - 2s^3 absorb the square-root ends at edge tangencies.  The FOV
-enters only as the upper limit and through g, and the room size not at all.
+each ring of directions at one psi into equal arcs and where it crosses
+the plane through the receiver and a room edge.  L is smooth on every
+piece, and Gauss-Legendre rules mapped through s -> 3s^2 - 2s^3 absorb the
+square-root ends at edge tangencies.  The FOV enters only as the upper
+limit and through g, and the room size not at all.  The psi rule's order
+is the caller's; the theta rule (the number of equal arcs and the nodes
+per arc) follows the lamp's mode m1 from ``_THETA_RULES``, for a narrow
+lamp's spot is a sharp peak along the ring and a wide lamp's light is
+smooth.  The convergence report checks both rules: it doubles the psi
+order, and apart from that the theta nodes per arc.
 
 A ray leaves through the nearest of three planes, each picked on its axis
 by the sign of the ray's component there (the oracle's slab rule); ties go
 to the floor, the x walls, the y walls, the ceiling last.  A room's view is
 built once and kept for the 64 rooms used last, and holds the integrals
-computed for the room so far, by rule order and FOV, and the sums of the
-whole psi pieces below them, so a wider FOV sums only the pieces beyond.
+computed for the room so far, by (psi order, theta rule) and FOV, and the
+sums of the whole psi pieces below them, so a wider FOV sums only the
+pieces beyond.
 A pass traces its psi nodes in blocks that all work in one array, made for
 the pass and sized for its largest block, so that no block's temporaries go
 back to the system to be faulted in again by the next.  A block writes its
@@ -71,15 +77,26 @@ DEFAULT_PATCHES_PER_METER = 10
 CONVERGENCE_RTOL = 0.005
 # Widest psi panel, so that one rule order serves a narrow cone and a wide one.
 _PANEL_DEG = 15.0
-# Each ring of directions is cut into this many equal arcs before the edge
-# crossings cut it further, and each arc gets a Gauss-Legendre rule of
-# _THETA_ORDER points: a narrow lamp's spot is a sharp peak along the ring.
-_THETA_ARCS = 12
-_THETA_ORDER = 12
+# Largest relative change the theta check may show under a view's theta rule: 1e-5 of
+# CONVERGENCE_RTOL, the psi order's own change at order 10 for 10-60 degree lamps.
+_THETA_RULE_RTOL = 1e-5 * CONVERGENCE_RTOL
+# The theta rule by lamp mode: (largest m1, equal arcs a ring is cut into before the edge
+# crossings cut it further, Gauss-Legendre nodes per arc), the first row the lamp's m1
+# fits.  Lamps of 60 degrees and wider get the rule of fewest nodes on an uncut ring (of
+# 4-12 arcs, 4-12 nodes) whose theta change at order 10 and FOVs 2-30 degrees stays within
+# _THETA_RULE_RTOL over this room set (tests/test_channel.py::theta_rule_rooms): the five
+# scenarios; lamps 0.5-1 m off a ceiling-centre receiver in 4 x 4 x 3, 5.5 x 3.5 x 2.5 and
+# 3.5 x 5.5 x 3.5 m rooms; a receiver aimed at a floor corner, a low tilted receiver and a
+# tilted lamp.  That is 4 x 10 (worst 2.7e-9; 6 x 8 gives 5.3e-8).  A narrow lamp's spot
+# is a sharp peak along the ring: for narrower lamps the smaller rules that pass fail the
+# patch-sum gate at wide FOVs (4 x 12: 3.1e-4 off at 80 degrees, against 1e-4) or use most
+# of it (8 x 12: 0.64, 12 x 12: 0.23), so they keep 12 x 12, and lamps of 5 degrees or
+# less miss the bound even there (3.3e-7 at 5).
+# Receivers 1-4 m from a wide lamp can see 4 x 10 miss it too (up to 4e-5); the
+# convergence report shows every miss.  A theta order of 28 or more (the check doubles the
+# nodes) would wake the BLAS worker threads in _mapped_rule.
+_THETA_RULES = ((lambert_mode(60.0), 4, 10), (math.inf, 12, 12))
 _TURN = 2.0 * math.pi
-# The arc knots of every ring, the first _THETA_ARCS + 1 columns of its bounds.
-_ARC_KNOTS = np.linspace(0.0, _TURN, _THETA_ARCS + 1)
-_ARC_KNOTS.flags.writeable = False
 # Most psi nodes traced at once; a pass's work array holds about 28 kB per node of a block.
 _PSI_BLOCK = 32
 # Most psi nodes laid out at once (a FOV axis brings one piece per FOV).
@@ -137,21 +154,26 @@ def _within(value: float | np.ndarray, lo: float, hi: float) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class ConvergenceReport:
-    """The bounce integral of one room at a rule order and at twice it.
+    """The bounce integral of one room under its rules and under each refined.
 
-    ``value`` is ``total_reflected_gain`` at the room's FOV and rule order
-    ``patches_per_meter``; ``refined_value`` is the same at twice that order.
-    ``rel_change`` is ``|refined_value - value|`` relative to
-    ``|refined_value|``: 0 when the two are equal (both 0, or an inf no
-    order changes) and inf when only ``refined_value`` is 0.  ``converged``
-    is ``rel_change <= CONVERGENCE_RTOL``.
+    ``value`` is ``total_reflected_gain`` at the room's FOV, psi rule order
+    ``patches_per_meter`` and the room's theta rule ``theta_rule`` (arcs,
+    Gauss-Legendre nodes per arc); ``refined_value`` is the same at twice
+    the psi order, and ``theta_refined_value`` at the same psi order with
+    twice the theta nodes per arc.  ``rel_change`` and ``theta_rel_change``
+    are ``|refined - value|`` relative to ``|refined|`` for each: 0 when the
+    two are equal (both 0, or an inf no rule changes) and inf when only the
+    refined one is 0.  ``converged`` is both changes <= ``CONVERGENCE_RTOL``.
     """
 
     value: float
     refined_value: float
     rel_change: float
+    theta_refined_value: float
+    theta_rel_change: float
     converged: bool
     patches_per_meter: int
+    theta_rule: tuple[int, int]
 
 
 def los_gain_for(
@@ -205,6 +227,14 @@ def _mapped_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return positions, weights
 
 
+@lru_cache(maxsize=None)
+def _arc_knots(arcs: int) -> np.ndarray:
+    """The knots of ``arcs`` equal arcs of a turn: the first columns of every ring's bounds."""
+    knots = np.linspace(0.0, _TURN, arcs + 1)
+    knots.flags.writeable = False
+    return knots
+
+
 def _reduce_turns(x: np.ndarray) -> np.ndarray:
     """x into [0, 2 pi] in place, nan (a ring that misses a plane) to 0: bit for bit
     ``np.nan_to_num(np.mod(x, 2 pi))`` without np.mod's divmod and its slow path on nan."""
@@ -223,8 +253,10 @@ class _ReceiverView:
     if larger, so that every position stays finite): the near surfaces, which
     carry the integral, lie about one unit away in a room of any size, and a
     far one's d1^2 may overflow, sending its radiance to 0.  A radiance in
-    these units is the true one times scale^2.  ``integrals`` holds the
-    room's bounce integrals computed so far, by rule order and then by FOV.
+    these units is the true one times scale^2.  ``theta_rule`` is the (arcs,
+    nodes per arc) of ``_THETA_RULES`` for the lamp's mode.  ``integrals``
+    holds the room's bounce integrals computed so far, by (psi rule order,
+    theta rule) and then by FOV.
     """
 
     def __init__(self, room: RoomScenario) -> None:
@@ -247,6 +279,7 @@ class _ReceiverView:
         self.lamp = local(room.lamp.position.as_tuple())
         self.lamp_axis = np.array(room.lamp.axis.as_tuple())
         self.m1 = lambert_mode(room.lamp_semi_angle_deg)
+        self.theta_rule = next((arcs, nodes) for top, arcs, nodes in _THETA_RULES if self.m1 <= top)
 
         corner, u_dir, v_dir, normal = (np.array([getattr(g, k).as_tuple() for g in grids]) for k in ("origin", "u_dir", "v_dir", "normal"))
         corner = local(corner)
@@ -284,32 +317,42 @@ class _ReceiverView:
         seen = distance > 0.0
         psi = np.arccos(np.clip(points[seen] @ axis / distance[seen], -1.0, 1.0))
         panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
-        self.bounds = np.unique(np.concatenate([panels, psi[(psi > 0.0) & (psi < 0.5 * math.pi)], [0.5 * math.pi]]))
-        self.integrals: dict[int, dict[float, float]] = {}
-        self.whole_pieces: dict[int, np.ndarray] = {}
+        cuts = np.sort(np.concatenate([panels, psi[(psi > 0.0) & (psi < 0.5 * math.pi)], [0.5 * math.pi]]))
+        self.bounds = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique's result, without its numpy.ma import
+        self.integrals: dict[tuple[int, tuple[int, int]], dict[float, float]] = {}
+        self.whole_pieces: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
 
-    def piece_sums(self, lo: np.ndarray, hi: np.ndarray, positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def work_size(self, rings: int, theta_rule: tuple[int, int]) -> int:
+        """Floats of work that ``ring_integrals`` needs for ``rings`` psi nodes under ``theta_rule``."""
+        arcs, nodes = theta_rule
+        return 8 * nodes * (arcs + 2 * self.edge_length.size) * rings
+
+    def piece_sums(
+        self, lo: np.ndarray, hi: np.ndarray, positions: np.ndarray, weights: np.ndarray, theta_rule: tuple[int, int]
+    ) -> np.ndarray:
         """int_lo^hi sin(psi) cos(psi) (ring integral) d psi on each piece, by the mapped rule;
         every block of ring integrals works in one array, sized for the largest block."""
         psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
         weight = ((hi - lo)[:, None] * weights).ravel() * np.sin(psi) * np.cos(psi)
-        work = np.empty(8 * _THETA_ORDER * (_THETA_ARCS + 2 * self.edge_length.size) * min(len(psi), _PSI_BLOCK))
-        ring = np.concatenate([self.ring_integrals(psi[k : k + _PSI_BLOCK], work) for k in range(0, len(psi), _PSI_BLOCK)])
+        work = np.empty(self.work_size(min(len(psi), _PSI_BLOCK), theta_rule))
+        ring = np.concatenate([self.ring_integrals(psi[k : k + _PSI_BLOCK], work, theta_rule) for k in range(0, len(psi), _PSI_BLOCK)])
         return np.bincount(np.repeat(np.arange(len(lo)), len(positions)), weight * ring)
 
-    def ring_integrals(self, psi: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-        """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi.
+    def ring_integrals(self, psi: np.ndarray, work: np.ndarray | None = None, theta_rule: tuple[int, int] | None = None) -> np.ndarray:
+        """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi,
+        by ``theta_rule`` (arcs, nodes per arc; the view's if not given).
 
         The theta nodes' intermediates go to ``work``, 8 floats a node (allocated if not given).
         """
+        arcs, nodes = self.theta_rule if theta_rule is None else theta_rule
         cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
         # Each ring's bounds: the arc knots, then where the ring crosses the plane through
         # the receiver and each edge line, a cos(theta) + b sin(theta) = c, at mid -+ half.
         n_axis, n_e1, n_e2 = self.edge_normal
         edges = len(n_axis)
-        bounds = np.empty((len(psi), _THETA_ARCS + 1 + 2 * edges))
-        bounds[:, : _THETA_ARCS + 1] = _ARC_KNOTS
-        cuts = bounds[:, _THETA_ARCS + 1 :]
+        bounds = np.empty((len(psi), arcs + 1 + 2 * edges))
+        bounds[:, : arcs + 1] = _arc_knots(arcs)
+        cuts = bounds[:, arcs + 1 :]
         a, b = sin_psi * n_e1, sin_psi * n_e2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             half = np.hypot(a, b)
@@ -321,12 +364,12 @@ class _ReceiverView:
         bounds.sort(axis=1)
         width = bounds[:, 1:] - bounds[:, :-1]
         ring, arc = np.nonzero(width > 0.0)
-        positions, weights = _mapped_rule(_THETA_ORDER)
+        positions, weights = _mapped_rule(nodes)
         start, span = bounds[ring, arc][:, None], width[ring, arc][:, None]
-        n = len(ring) * _THETA_ORDER
+        n = len(ring) * nodes
         work = np.empty(8 * n) if work is None else work
-        omega = work[: 3 * n].reshape(3, len(ring), _THETA_ORDER)
-        theta, cos_theta, sin_theta, term = work[3 * n : 7 * n].reshape(4, len(ring), _THETA_ORDER)
+        omega = work[: 3 * n].reshape(3, len(ring), nodes)
+        theta, cos_theta, sin_theta, term = work[3 * n : 7 * n].reshape(4, len(ring), nodes)
         np.add(np.multiply(span, positions, out=theta), start, out=theta)
         ring_sin_psi = sin_psi[ring]
         np.multiply(np.cos(theta, out=cos_theta), ring_sin_psi, out=cos_theta)
@@ -338,7 +381,7 @@ class _ReceiverView:
                 omega[k] += np.multiply(c, sources[j], out=term)
         radiance = self._radiance(omega, work[3 * n :])
         weight = np.multiply(span, weights, out=omega[0])
-        return np.bincount(np.repeat(ring, _THETA_ORDER), np.multiply(weight, radiance, out=weight).ravel(), minlength=len(psi))
+        return np.bincount(np.repeat(ring, nodes), np.multiply(weight, radiance, out=weight).ravel(), minlength=len(psi))
 
     def _radiance(self, omega: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver
@@ -415,35 +458,47 @@ def total_reflected_gain(
 
     ``patches_per_meter`` is the order of the Gauss-Legendre rule in psi on
     each piece, so the cost grows linearly with it and does not depend on
-    the room size.  ``fov_deg`` puts one FOV or an array in place of the
-    room's, as in ``los_gain_for``.  The value at a FOV is the sum over the
-    whole psi pieces below it plus one partial piece ending at it, each
-    piece summed in a fixed order, so element i of an array call equals the
-    call at FOV i, bit for bit.  The values stay on the room's view, so a
-    call computes only the FOVs not yet known for the room at this order,
-    all in one pass.
+    the room size.  The theta rule is the view's, chosen by the lamp's mode.
+    ``fov_deg`` puts one FOV or an array in place of the room's, as in
+    ``los_gain_for``.  The value at a FOV is the sum over the whole psi
+    pieces below it plus one partial piece ending at it, each piece summed
+    in a fixed order, so element i of an array call equals the call at FOV
+    i, bit for bit.  The values stay on the room's view, so a call computes
+    only the FOVs not yet known for the room at this order, all in one pass.
     """
     if not isinstance(patches_per_meter, numbers.Integral) or patches_per_meter < 1:
         raise ValueError(f"patches_per_meter must be an integer >= 1, got {patches_per_meter!r}")
-    order = int(patches_per_meter)
+    return _reflected_gain(room, int(patches_per_meter), fov_deg)
+
+
+def _reflected_gain(
+    room: RoomScenario, order: int, fov_deg: float | Sequence[float] | np.ndarray | None = None, theta_nodes_factor: int = 1
+) -> float | np.ndarray:
+    """``total_reflected_gain`` at psi rule order ``order``, with ``theta_nodes_factor``
+    times the view's theta nodes per arc (the convergence check's theta refinement)."""
     fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg, dtype=float)
     fov_list = fovs.ravel().tolist()
     view = _receiver_view(room)
-    known = view.integrals.setdefault(order, {})
+    arcs, nodes = view.theta_rule
+    theta_rule = (arcs, theta_nodes_factor * nodes)
+    key = (order, theta_rule)
+    known = view.integrals.setdefault(key, {})
     missing = [f for f in dict.fromkeys(fov_list) if f not in known]
     if missing:
         gains = [concentrator_gain(room.concentrator_index, f) for f in missing]
         ends = np.array([math.radians(f) for f in missing])
         first = np.searchsorted(view.bounds, ends, side="right") - 1  # the partial piece starts here
         partial = view.bounds[first] < ends  # a FOV on a cut has none
-        whole = view.whole_pieces.get(order, np.zeros(0))
+        whole = view.whole_pieces.get(key, np.zeros(0))
         have, added = len(whole), max(0, int(first.max()) - len(whole))  # the whole pieces summed and still to sum
         lo = np.concatenate([view.bounds[have : have + added], view.bounds[first[partial]]])
         hi = np.concatenate([view.bounds[have + 1 : have + added + 1], ends[partial]])
         positions, weights = _mapped_rule(order)
         step = max(1, _PIECE_BLOCK // len(positions))
-        pieces = np.concatenate([np.zeros(0), *(view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights) for k in range(0, len(lo), step))])
-        whole = view.whole_pieces[order] = np.concatenate([whole, pieces[:added]])
+        pieces = np.concatenate(
+            [np.zeros(0), *(view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights, theta_rule) for k in range(0, len(lo), step))]
+        )
+        whole = view.whole_pieces[key] = np.concatenate([whole, pieces[:added]])
         below = np.concatenate([[0.0], np.cumsum(whole)])
         parts = np.zeros(len(missing))
         parts[partial] = pieces[added:]
@@ -455,27 +510,37 @@ def total_reflected_gain(
     return values[0] if fovs.ndim == 0 else np.reshape(values, fovs.shape)
 
 
+def _relative_change(value: float, refined: float) -> float:
+    """|refined - value| / |refined|: 0 when equal (both 0, or an inf no rule changes), inf when only refined is 0."""
+    if refined == value:
+        return 0.0
+    return abs(refined - value) / abs(refined) if refined != 0.0 else math.inf
+
+
 def reflected_gain_convergence(
     room: RoomScenario,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
 ) -> ConvergenceReport:
-    """The bounce integral at the requested rule order and at twice that order.
+    """The bounce integral at the requested rule order, at twice that order,
+    and at that order with twice the theta nodes per arc.
 
-    Both come from ``total_reflected_gain``, so the first is the one a sweep
-    of the room already computed.  The report is the only signal: it counts
-    as converged when the relative change is at most ``CONVERGENCE_RTOL``,
+    All three come from the room's view, so the first is the one a sweep of
+    the room already computed.  The report is the only signal: it counts as
+    converged when both relative changes are at most ``CONVERGENCE_RTOL``,
     and the CLI's --strict reads that flag.
     """
     value = total_reflected_gain(room, patches_per_meter)
-    refined = total_reflected_gain(room, 2 * patches_per_meter)
-    if refined == value:  # 0, or an inf that no order changes (a side under about 1e-155 m)
-        rel = 0.0
-    else:
-        rel = abs(refined - value) / abs(refined) if refined != 0.0 else math.inf
+    order = int(patches_per_meter)
+    refined = total_reflected_gain(room, 2 * order)
+    theta_refined = _reflected_gain(room, order, theta_nodes_factor=2)
+    rel, theta_rel = _relative_change(value, refined), _relative_change(value, theta_refined)
     return ConvergenceReport(
         value=value,
         refined_value=refined,
         rel_change=rel,
-        converged=rel <= CONVERGENCE_RTOL,
-        patches_per_meter=patches_per_meter,
+        theta_refined_value=theta_refined,
+        theta_rel_change=theta_rel,
+        converged=rel <= CONVERGENCE_RTOL and theta_rel <= CONVERGENCE_RTOL,
+        patches_per_meter=order,
+        theta_rule=_receiver_view(room).theta_rule,
     )

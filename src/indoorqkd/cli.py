@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .channel import DEFAULT_PATCHES_PER_METER, ConvergenceReport, reflected_gain_convergence
+from .channel import CONVERGENCE_RTOL, DEFAULT_PATCHES_PER_METER, ConvergenceReport, reflected_gain_convergence
 from .experiments import (
     AMBIENT_SCENARIOS,
     NOMINAL,
@@ -528,11 +528,15 @@ def _summarize(
     if report is None:
         lines.append("convergence: no reflected-light integral in this run")
     else:
+        arcs, nodes = report.theta_rule
+        moved = [name for name, change in (("psi order", report.rel_change), ("theta nodes", report.theta_rel_change)) if not change <= CONVERGENCE_RTOL]
         lines.append(
-            f"convergence: reflected integral {report.value:.9e} at order "
-            f"{report.patches_per_meter} vs {report.refined_value:.9e} at order {2 * report.patches_per_meter}; "
-            f"relative change {report.rel_change:.3e}; "
-            f"{'converged' if report.converged else 'NOT converged'}"
+            f"convergence: reflected integral {report.value:.9e} at order {report.patches_per_meter} "
+            f"and theta rule {arcs} arcs x {nodes} nodes; {report.refined_value:.9e} at order "
+            f"{2 * report.patches_per_meter} (relative change {report.rel_change:.3e}); "
+            f"{report.theta_refined_value:.9e} at {2 * nodes} theta nodes per arc "
+            f"(relative change {report.theta_rel_change:.3e}); "
+            + ("converged" if report.converged else "NOT converged" + (f" in the {' and '.join(moved)}" if moved else ""))
         )
     return "\n".join(lines) + "\n"
 

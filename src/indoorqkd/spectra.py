@@ -96,8 +96,8 @@ def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:
     Treats the bulb as an isotropic point source at the probe distance, so
     S(lambda) = 4 pi d^2 E(lambda).  Real bulbs are not isotropic; this keeps
     the order of magnitude and is the documented approximation here.  A
-    distance that is not positive and finite, or whose S overflows, is a
-    ValueError.
+    distance that is not positive and finite, or whose S overflows or
+    underflows to 0 where E is not 0, is a ValueError.
     """
     if curve.kind != "irradiance":
         raise SpectrumKindError(f"expected an irradiance curve, got kind {curve.kind!r}")
@@ -107,6 +107,8 @@ def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:
     values = tuple(scale * v for v in curve.values)
     if not all(v < math.inf for v in values):  # inf, or nan where an inf scale meets a 0 density
         raise ValueError(f"4 pi d^2 E overflows at distance_m = {distance_m!r}")
+    if any(s == 0.0 != e for s, e in zip(values, curve.values)):  # a lamp that would silently be off
+        raise ValueError(f"4 pi d^2 E underflows at distance_m = {distance_m!r}")
     return SpectralCurve(wavelengths_nm=curve.wavelengths_nm, values=values, kind="source-psd")
 
 

@@ -3,38 +3,39 @@
 import numpy as np
 import pytest
 
-from indoorqkd import channel, experiments
+from indoorqkd import channel
 
 
 @pytest.fixture
 def quadrature_passes(monkeypatch):
     """Empties the per-room memo, then records each bounce-quadrature pass, a
-    ``total_reflected_gain`` call that computes some FOV, as (rule order, the
-    FOVs in degrees that it computes, the indices of the whole psi pieces it
-    sums).  A piece is whole when it ends on one of the view's cuts; a partial
-    piece ends at a FOV between two cuts.
+    ``channel._reflected_gain`` call that computes some FOV, as (its memo key:
+    the psi rule order and the theta rule (arcs, nodes per arc), the FOVs in
+    degrees that it computes, the indices of the whole psi pieces it sums).  A
+    piece is whole when it ends on one of the view's cuts; a partial piece
+    ends at a FOV between two cuts.  Every caller reaches the pass through the
+    channel module: ``total_reflected_gain``, the sweeps that import it, and
+    the convergence report's theta check.
     """
     channel._VIEWS.clear()
     passes, summed = [], []
-    piece_sums, total_reflected_gain = channel._ReceiverView.piece_sums, channel.total_reflected_gain
+    piece_sums, reflected_gain = channel._ReceiverView.piece_sums, channel._reflected_gain
 
-    def counting(view, lo, hi, positions, weights):
+    def counting(view, lo, hi, positions, weights, theta_rule):
         summed.extend((np.searchsorted(view.bounds, hi[np.isin(hi, view.bounds)]) - 1).tolist())
-        return piece_sums(view, lo, hi, positions, weights)
+        return piece_sums(view, lo, hi, positions, weights, theta_rule)
 
     def recording(room, *args, **kwargs):
         view = channel._VIEWS.get(channel._room_key(room))
-        before = {order: set(table) for order, table in view.integrals.items()} if view else {}
+        before = {key: set(table) for key, table in view.integrals.items()} if view else {}
         summed.clear()
-        value = total_reflected_gain(room, *args, **kwargs)
-        for order, table in channel._VIEWS[channel._room_key(room)].integrals.items():
-            computed = [fov for fov in table if fov not in before.get(order, ())]
+        value = reflected_gain(room, *args, **kwargs)
+        for key, table in channel._VIEWS[channel._room_key(room)].integrals.items():
+            computed = [fov for fov in table if fov not in before.get(key, ())]
             if computed:
-                passes.append((order, computed, summed.copy()))
+                passes.append((key, computed, summed.copy()))
         return value
 
     monkeypatch.setattr(channel._ReceiverView, "piece_sums", counting)
-    # the CLI reaches the quadrature through the channel module, the sweeps through experiments
-    monkeypatch.setattr(channel, "total_reflected_gain", recording)
-    monkeypatch.setattr(experiments, "total_reflected_gain", recording)
+    monkeypatch.setattr(channel, "_reflected_gain", recording)
     return passes

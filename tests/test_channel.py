@@ -28,7 +28,7 @@ from indoorqkd.channel import (
     total_reflected_gain,
     _ReceiverView,
 )
-from indoorqkd.experiments import Scenario, build_setup
+from indoorqkd.experiments import LAMP_SCENARIOS, Scenario, build_setup
 from indoorqkd.geometry import (
     LinkGeometry,
     Point3,
@@ -281,7 +281,7 @@ class TestTotalReflectedGain:
         [view] = channel._VIEWS.values()
         for order in np.int64(4), np.int32(4), np.uint8(4):
             assert total_reflected_gain(room, order) == value
-        assert [(type(k), list(v)) for k, v in view.integrals.items()] == [(int, [30.0])]
+        assert [(type(order), rule, list(v)) for (order, rule), v in view.integrals.items()] == [(int, view.theta_rule, [30.0])]
 
     @pytest.mark.parametrize("fovs", [[], np.zeros((0, 1))])
     def test_empty_fov_array_gives_an_empty_array(self, fovs):
@@ -439,14 +439,14 @@ class TestOnePassBitInvariants:
         view = _ReceiverView(pinned_room("steered-corner", 30.0))
         ring_integrals, seen = _ReceiverView.ring_integrals, []
 
-        def recording(self, psi, work=None):
-            seen.append((psi.copy(), ring_integrals(self, psi, work)))
+        def recording(self, psi, work=None, theta_rule=None):
+            seen.append((psi.copy(), ring_integrals(self, psi, work, theta_rule)))
             return seen[-1][1]
 
         monkeypatch.setattr(channel, "_PSI_BLOCK", block)
         monkeypatch.setattr(_ReceiverView, "ring_integrals", recording)
         positions, weights = channel._mapped_rule(10)
-        view.piece_sums(view.bounds[:-1], view.bounds[1:], positions, weights)
+        view.piece_sums(view.bounds[:-1], view.bounds[1:], positions, weights, view.theta_rule)
         monkeypatch.undo()
         psi = np.concatenate([p for p, _ in seen])
         assert max(len(p) for p, _ in seen) == block and len(psi) == 10 * (len(view.bounds) - 1)
@@ -460,14 +460,15 @@ class TestOnePassBitInvariants:
         sweep = np.linspace(2.0, 28.0, 14)
         warm = list(total_reflected_gain(room, 10, fov_deg=sweep))
         [view] = channel._VIEWS.values()
-        swept = len(view.whole_pieces[10])
+        key = (10, view.theta_rule)
+        swept = len(view.whole_pieces[key])
         # probes below the first cut and above it, inside the sweep and beyond it
         probes = [3.3, 14.2, 19.5, 27.1, 33.7, 61.0]
         warm += [total_reflected_gain(room, 10, fov_deg=fov) for fov in probes]
-        assert len(view.whole_pieces[10]) > swept  # 33.7 and 61 add whole pieces
+        assert len(view.whole_pieces[key]) > swept  # 33.7 and 61 add whole pieces
         cuts = [15.0, 30.0, 90.0]  # panel knots: no partial piece
         warm += [total_reflected_gain(room, 10, fov_deg=fov) for fov in cuts]
-        assert len(view.whole_pieces[10]) == len(view.bounds) - 1
+        assert len(view.whole_pieces[key]) == len(view.bounds) - 1
         for fov, value in zip([*sweep.tolist(), *probes, *cuts], warm):
             channel._VIEWS.clear()
             assert np.float64(value).view(np.uint64) == np.float64(total_reflected_gain(replace(room, fov_deg=fov), 10)).view(np.uint64), fov
@@ -577,6 +578,87 @@ class TestPinnedReflectedGain:
     def test_value_unchanged(self, kind, fov, order):
         value = total_reflected_gain(pinned_room(kind, fov), order)
         assert value == pytest.approx(QUADRATURE_PINS[(kind, fov, order)], rel=1e-12, abs=0.0)
+
+
+def theta_rule_rooms(semi_angle):
+    """The room set that sizes ``channel._THETA_RULES`` (see its comment): for ``None``
+    the five scenarios (their lamps sit at the receiver, so they share one view); for
+    a lamp semi-angle, lamps of it 0.5 and 1 m off the receiver at the ceiling centre
+    (0.3, 0.7 and 1 m for lamps under 60 degrees) in three directions and three rooms,
+    and three tilted axes in the nominal room with the lamp 0.7 m off."""
+    if semi_angle is None:
+        return {name: build_setup(Scenario.named(name), 30.0, 1e-5).room for name in ("ambient-only-center", "ambient-only-corner", *LAMP_SCENARIOS)}
+    down = Point3(0.0, 0.0, -1.0)
+    rooms = {}
+    for x, y, z in (4.0, 4.0, 3.0), (5.5, 3.5, 2.5), (3.5, 5.5, 3.5):
+        center = Pose(Point3(x / 2.0, y / 2.0, z), down)
+        for off in (0.5, 1.0) if semi_angle >= 60.0 else (0.3, 0.7, 1.0):
+            for turn in 0.0, 45.0, 200.0:
+                at = Point3(x / 2.0 + off * math.cos(math.radians(turn)), y / 2.0 + off * math.sin(math.radians(turn)), z)
+                rooms[f"{x} x {y} x {z} m, lamp {off} m off at {turn} deg"] = nominal_room(
+                    room_x_m=x, room_y_m=y, room_z_m=z, lamp=Pose(at, down), receiver=center, lamp_semi_angle_deg=semi_angle
+                )
+    tilted = Point3(0.3, -0.2, -0.9).normalized()
+    rooms["receiver aimed at the floor corner"] = nominal_room(
+        lamp=Pose(Point3(2.7, 2.0, 3.0), down), receiver=Pose.aimed_at(Point3(2.0, 2.0, 3.0), Point3(0.0, 0.0, 0.0)), lamp_semi_angle_deg=semi_angle
+    )
+    rooms["low tilted receiver"] = nominal_room(
+        lamp=Pose(Point3(1.9, 2.9, 3.0), down), receiver=Pose(Point3(1.2, 2.9, 2.6), tilted), lamp_semi_angle_deg=semi_angle
+    )
+    rooms["tilted lamp"] = nominal_room(lamp=Pose(Point3(2.7, 2.0, 3.0), tilted), lamp_semi_angle_deg=semi_angle)
+    return rooms
+
+
+def theta_change(room, fovs):
+    """The convergence report's theta change at each FOV, at order 10."""
+    value = total_reflected_gain(room, 10, fov_deg=fovs)
+    refined = channel._reflected_gain(room, 10, fovs, theta_nodes_factor=2)
+    return np.abs(refined - value) / np.abs(refined)
+
+
+class TestThetaRule:
+    @pytest.mark.parametrize("semi_angle", [None, 70.0, 60.0, 30.0, 10.0, 7.0, 5.0, 2.0])
+    def test_theta_change_within_the_bound_over_the_room_set(self, semi_angle):
+        # FOVs 2-30 degrees; lamps of 5 degrees or less miss the bound even at the
+        # largest rule, so they keep it, and the report shows the change
+        changes = {}
+        for name, room in theta_rule_rooms(semi_angle).items():
+            channel._VIEWS.clear()
+            changes[name] = theta_change(room, np.arange(2.0, 30.5, 2.0)).max()
+            rule = channel._receiver_view(room).theta_rule
+            assert rule == (4, 10) if semi_angle is None or semi_angle >= 60.0 else rule == (12, 12)
+        if semi_angle is not None and semi_angle <= 5.0:
+            assert max(changes.values()) > channel._THETA_RULE_RTOL
+        else:
+            assert max(changes.values()) <= channel._THETA_RULE_RTOL, max(changes, key=changes.get)
+
+    def test_rules_stay_within_the_largest_and_below_the_blas_threads(self):
+        tops = [top for top, _, _ in channel._THETA_RULES]
+        assert tops == sorted(tops) and tops[-1] == math.inf
+        for _, arcs, nodes in channel._THETA_RULES:
+            assert arcs <= 12 and nodes <= 12 and 2 * nodes < 28  # the check doubles the nodes
+
+    def test_a_coarse_rule_is_reported_in_theta(self, monkeypatch):
+        # a 10 degree lamp 0.7 m off under 2 arcs x 2 nodes: the psi doubling barely moves
+        # the integral, the theta check does
+        monkeypatch.setattr(channel, "_THETA_RULES", ((math.inf, 2, 2),))
+        monkeypatch.setattr(channel, "_VIEWS", {})  # views of the coarse rule leave with the test
+        room = nominal_room(lamp=Pose(Point3(2.7, 2.0, 3.0), Point3(0.0, 0.0, -1.0)), lamp_semi_angle_deg=10.0)
+        report = reflected_gain_convergence(room, 10)
+        assert report.theta_rule == (2, 2)
+        assert report.theta_rel_change > channel.CONVERGENCE_RTOL >= report.rel_change
+        assert report.converged is False
+
+    def test_the_check_never_reuses_a_base_value(self):
+        # the theta check's memo key differs from every base key of the view
+        room = nominal_room()
+        channel._VIEWS.clear()
+        report = reflected_gain_convergence(room, 10)
+        [view] = channel._VIEWS.values()
+        arcs, nodes = view.theta_rule
+        assert set(view.integrals) == {(10, (arcs, nodes)), (20, (arcs, nodes)), (10, (arcs, 2 * nodes))}
+        assert report.theta_refined_value == view.integrals[(10, (arcs, 2 * nodes))][30.0]
+        assert report.value == view.integrals[(10, (arcs, nodes))][30.0]
 
 
 class TestConvergenceReporting:

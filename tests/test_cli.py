@@ -498,15 +498,30 @@ class TestSummaryText:
             "ambient tolerance (largest secure level): none secure",
             "convergence: no reflected-light integral in this run",
         ]),
-        ("lamp-center", 12.34, ConvergenceReport(2e-7, 2.5e-7, 0.2, False, 3), [
+        ("lamp-center", 12.34, ConvergenceReport(2e-7, 2.5e-7, 0.2, 2e-7, 0.0, False, 3, (4, 10)), [
             "refined secure-FOV boundary at 2.000000000e-06 W/nm: 12.3 deg",
-            "convergence: reflected integral 2.000000000e-07 at order 3 vs 2.500000000e-07 at order 6; "
-            "relative change 2.000e-01; NOT converged",
+            "convergence: reflected integral 2.000000000e-07 at order 3 and theta rule 4 arcs x 10 nodes; "
+            "2.500000000e-07 at order 6 (relative change 2.000e-01); "
+            "2.000000000e-07 at 20 theta nodes per arc (relative change 0.000e+00); NOT converged in the psi order",
         ]),
-        ("lamp-corner", None, ConvergenceReport(1e-6, 1e-6, 0.0, True, 10), [
+        ("lamp-corner", None, ConvergenceReport(1e-6, 1e-6, 0.0, 1e-6, 0.0, True, 10, (12, 12)), [
             "refined secure-FOV boundary at 2.000000000e-06 W/nm: none secure",
-            "convergence: reflected integral 1.000000000e-06 at order 10 vs 1.000000000e-06 at order 20; "
-            "relative change 0.000e+00; converged",
+            "convergence: reflected integral 1.000000000e-06 at order 10 and theta rule 12 arcs x 12 nodes; "
+            "1.000000000e-06 at order 20 (relative change 0.000e+00); "
+            "1.000000000e-06 at 24 theta nodes per arc (relative change 0.000e+00); converged",
+        ]),
+        ("lamp-center", 5.0, ConvergenceReport(1e-6, 1e-6, 1e-3, 2e-6, 0.5, False, 10, (2, 2)), [
+            "refined secure-FOV boundary at 2.000000000e-06 W/nm: 5.0 deg",
+            "convergence: reflected integral 1.000000000e-06 at order 10 and theta rule 2 arcs x 2 nodes; "
+            "1.000000000e-06 at order 20 (relative change 1.000e-03); "
+            "2.000000000e-06 at 4 theta nodes per arc (relative change 5.000e-01); NOT converged in the theta nodes",
+        ]),
+        ("lamp-corner", 5.0, ConvergenceReport(1e-6, 2e-6, 0.5, 2e-6, 0.5, False, 1, (4, 10)), [
+            "refined secure-FOV boundary at 2.000000000e-06 W/nm: 5.0 deg",
+            "convergence: reflected integral 1.000000000e-06 at order 1 and theta rule 4 arcs x 10 nodes; "
+            "2.000000000e-06 at order 2 (relative change 5.000e-01); "
+            "2.000000000e-06 at 20 theta nodes per arc (relative change 5.000e-01); "
+            "NOT converged in the psi order and theta nodes",
         ]),
     ])
     def test_search_and_convergence_lines(self, scenario, found, report, last_lines):
@@ -591,11 +606,11 @@ class TestComputeThenRender:
     @pytest.mark.parametrize("converged", [False, True])
     def test_strict_reads_the_report_the_summary_prints(self, tmp_path, monkeypatch, capsys, converged):
         # a report whose flag disagrees with its change: --strict follows the flag the summary prints
-        report = ConvergenceReport(1.0, 2.0, 0.5, converged, 4)
+        report = ConvergenceReport(1.0, 2.0, 0.5, 1.0, 0.0, converged, 4, (4, 10))
         monkeypatch.setattr(cli, "reflected_gain_convergence", lambda room, order: report)
         assert run(small_run(tmp_path, "lamp", strict=True)) == (EXIT_OK if converged else EXIT_STRICT_CONVERGENCE)
         summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
-        assert summary.endswith(f"relative change 5.000e-01; {'converged' if converged else 'NOT converged'}\n")
+        assert summary.endswith(f"relative change 0.000e+00); {'converged' if converged else 'NOT converged in the psi order'}\n")
         assert ("exit 3 under --strict" in capsys.readouterr().err) is not converged
 
 
@@ -707,7 +722,9 @@ class TestQuadratureWork:
     def test_one_view_per_room_and_no_pass_twice(self, tmp_path, quadrature_passes):
         # The sweep, the boundary search and the convergence check of a lamp run
         # share one receiver view; the check finds the order-q value at the
-        # widest FOV in the view's memo and computes only order 2q.
+        # widest FOV in the view's memo and computes only order 2q under the
+        # view's theta rule and, in the one theta-check pass, order q under twice
+        # its theta nodes per arc.
         import indoorqkd.channel as channel
 
         passes = quadrature_passes
@@ -718,23 +735,65 @@ class TestQuadratureWork:
             "[cli]\nresolution_patches_per_meter = 8\n",
         )
         assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
-        assert len(channel._VIEWS) == 1
-        computed = [(order, fovs) for order, fovs, _ in passes]
-        assert computed[0] == (8, [6.0, 12.0, 18.0, 24.0, 30.0])  # the sweep, one pass
-        assert [p for p in computed if p[0] == 16] == [(16, [30.0])]  # the convergence check
-        assert [p for p in computed if 30.0 in p[1]] == [computed[0], (16, [30.0])]
-        assert {order for order, _ in computed} == {8, 16}
-        fovs = [fov for order, swept in computed if order == 8 for fov in swept]
+        [view] = channel._VIEWS.values()
+        arcs, nodes = rule = view.theta_rule
+        base, psi_check, theta_check = (8, rule), (16, rule), (8, (arcs, 2 * nodes))
+        computed = [(key, fovs) for key, fovs, _ in passes]
+        assert computed[0] == (base, [6.0, 12.0, 18.0, 24.0, 30.0])  # the sweep, one pass
+        assert [p for p in computed if p[0] == psi_check] == [(psi_check, [30.0])]  # the convergence check
+        assert [p for p in computed if p[0][1] != rule] == [(theta_check, [30.0])]  # one theta-check pass
+        assert [p for p in computed if 30.0 in p[1]] == [computed[0], (psi_check, [30.0]), (theta_check, [30.0])]
+        assert {key for key, _ in computed} == {base, psi_check, theta_check}
+        fovs = [fov for key, swept in computed if key == base for fov in swept]
         assert len(fovs) == len(set(fovs))  # no FOV computed twice
         # the sweep sums the whole pieces below 30 degrees, and the boundary
-        # probes, all below it, find them in the view: no whole piece twice per order
-        [view] = channel._VIEWS.values()
+        # probes, all below it, find them in the view: no whole piece twice per key
         first_cut_above = int(np.searchsorted(view.bounds, np.radians(30.0), side="right")) - 1
         assert passes[0][2] == list(range(first_cut_above))
-        assert len(passes) > 2 and all(not whole for order, _, whole in passes[1:] if order == 8)
-        for order in (8, 16):
-            whole = [index for o, _, added in passes if o == order for index in added]
-            assert len(whole) == len(set(whole)) == len(view.whole_pieces[order])
+        assert len(passes) > 3 and all(not whole for key, _, whole in passes[1:] if key == base)
+        for key in base, psi_check, theta_check:
+            whole = [index for k, _, added in passes if k == key for index in added]
+            assert len(whole) == len(set(whole)) == len(view.whole_pieces[key])
+
+
+class TestThetaCheck:
+    def test_a_coarse_theta_rule_is_named_and_fails_strict(self, tmp_path, monkeypatch, capsys):
+        # a 10 degree lamp 0.7 m off under 2 arcs x 2 nodes: the theta check moves the
+        # integral, the psi doubling does not, and the summary line says which
+        import indoorqkd.channel as channel
+
+        monkeypatch.setattr(channel, "_THETA_RULES", ((math.inf, 2, 2),))
+        monkeypatch.setattr(channel, "_VIEWS", {})  # views of the coarse rule leave with the test
+        path = write_config(
+            tmp_path,
+            "[geometry]\nlamp_x_m = 2.7\nlamp_semi_angle_deg = 10\n"
+            "[experiments]\nfov_min_deg = 6\nfov_max_deg = 30\nfov_steps = 3\nsource_steps = 2\n",
+        )
+        assert main([str(path), "--strict", "--out", str(tmp_path / "out")]) == EXIT_STRICT_CONVERGENCE
+        line = (tmp_path / "out" / "summary.txt").read_text().splitlines()[-1]
+        assert "theta rule 2 arcs x 2 nodes" in line and line.endswith("; NOT converged in the theta nodes")
+        assert "exit 3 under --strict" in capsys.readouterr().err
+
+
+class TestColdProcess:
+    def test_a_lamp_map_never_imports_numpy_ma(self, tmp_path):
+        # np.unique's first call imports numpy.ma, 17-30 ms of CPU that a run does not need
+        import os
+        import subprocess
+
+        src = Path(cli.__file__).resolve().parent.parent
+        path = write_config(tmp_path, "[experiments]\nscenario = lamp-corner\nfov_steps = 5\nsource_steps = 3\n")
+        script = (
+            "import contextlib, io, sys\n"
+            "from indoorqkd.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main([{str(path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert (tmp_path / "out" / "summary.txt").exists()
+        assert done.stdout == "False\n"
 
 
 class TestMainEntry:
@@ -775,7 +834,8 @@ class TestMainEntry:
             "[geometry]\nroom_x_m = 1e-200\n[experiments]\nscenario = lamp-center\nfov_steps = 2\nsource_steps = 2\n",
         )
         assert main([str(path), "--strict", "--out", str(tmp_path / "out")]) == EXIT_OK
-        assert "relative change 0.000e+00; converged" in (tmp_path / "out" / "summary.txt").read_text()
+        line = (tmp_path / "out" / "summary.txt").read_text().splitlines()[-1]
+        assert line.count("(relative change 0.000e+00)") == 2 and line.endswith("; converged")
 
     @pytest.mark.parametrize("wavelength, density", [("800", "nan"), ("850", "nan"), ("850", "inf")])
     def test_nan_or_inf_spectrum_density_is_a_config_error(self, tmp_path, capsys, wavelength, density):
@@ -808,7 +868,8 @@ class TestMainEntry:
         (0.0, "distance_m must be positive and finite, got 0.0"),
         (-1.0, "distance_m must be positive and finite, got -1.0"),
         (1e200, "4 pi d^2 E overflows at distance_m = 1e+200"),
-    ], ids=["zero", "negative", "overflowing"])
+        (1e-300, "4 pi d^2 E underflows at distance_m = 1e-300"),
+    ], ids=["zero", "negative", "overflowing", "underflowing"])
     def test_zero_negative_or_overflowing_spectrum_distance_named(self, tmp_path, capsys, distance, message):
         path = write_config(
             tmp_path,

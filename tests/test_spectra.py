@@ -96,9 +96,12 @@ class TestIrradianceToPsd:
             irradiance_to_psd(curve, distance)
 
     def test_huge_finite_and_underflowing_distances_convert(self):
-        # 4 pi d^2 E near 4e307 is still finite; a d^2 that underflows gives zero densities
+        # 4 pi d^2 E near 4e307 is still finite; one that underflows to 0 would turn the lamp off
         assert irradiance_to_psd(simple_curve(kind="irradiance"), 1e153).values[1] < math.inf
-        assert irradiance_to_psd(simple_curve(kind="irradiance"), 1e-300).values == (0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape("4 pi d^2 E underflows at distance_m = 1e-300")):
+            irradiance_to_psd(simple_curve(kind="irradiance"), 1e-300)
+        # a subnormal 4 pi d^2 still gives nonzero densities
+        assert 0.0 < irradiance_to_psd(simple_curve(kind="irradiance"), 1e-160).values[0] < 1e-318
 
 
 class TestCsvLoading:
