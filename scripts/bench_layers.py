@@ -40,10 +40,11 @@ and faulted in again, among others.  The layers:
 * one cold ambient_tolerance of ambient-only-center at a FOV floor of 2 deg;
 * estimate_reflected_gain with 1e6 and 1e7 rays (seed 7), lamp-center at
   FOV 20 deg, where the cone bound skips most rays, and with 1e6 rays with
-  the lamp at (1.3, 2.0) and a 55 deg cone, where it can skip few; these
-  rows also record the peak bytes that ``tracemalloc`` sees in one more
-  call, made after the timed rounds because tracing slows every
-  allocation;
+  the lamp at (1.3, 2.0) and a 55 deg cone, where it can skip few, and a
+  10 deg cone, where the azimuth-sector table skips most of what the
+  threshold keeps; these rows also record the peak bytes that
+  ``tracemalloc`` sees in one more call, made after the timed rounds
+  because tracing slows every allocation;
 * a CLI run with the default config, a CLI run of the 90 x 90
   ambient-only-center map above (the shape of a perfbench ambient-map op:
   sweep, ambient tolerance, sweep.csv and summary.txt), and
@@ -294,6 +295,9 @@ def layer_rows(src: Path) -> dict:
     rows["estimate_reflected_gain_1e6_rays"] = lambda: monte_carlo(1_000_000)
     rows["estimate_reflected_gain_1e6_rays_offset_55deg"] = lambda: monte_carlo(
         1_000_000, build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 55.0, 1e-5).room
+    )
+    rows["estimate_reflected_gain_1e6_rays_offset_10deg"] = lambda: monte_carlo(
+        1_000_000, build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 10.0, 1e-5).room
     )
     rows["estimate_reflected_gain_1e7_rays"] = lambda: monte_carlo(10_000_000)
     rows["cli_default_run_subprocess"] = lambda: timed(lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli"], src))

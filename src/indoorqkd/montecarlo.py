@@ -9,23 +9,30 @@ contribution equals the same double integral the quadrature approximates.
 The floor-cone closed form is that integral done exactly, for the one
 geometry where it has an antiderivative.
 
-The sampler streams its draws: rays are drawn and traced in blocks whose
-temporaries stay in cache, and no array grows with the sample count or the
-chunk.  The azimuth is reduced to a quarter turn plus an angle in
-[-pi/4, pi/4] before its one sin call, and terms whose coefficient is
-exactly zero (most of them for a lamp or receiver facing straight down) are
-skipped.  A seed fixes the same rays as drawing each chunk's arrays whole.
-
-Most rays miss the receiver's cone.  A geometric bound on the polar angle
-of a ray that can land in it, found once per call (``_cone_threshold``),
-drops the rays whose cos(phi) draw lies below the matching threshold from
-their block before any trig.  They are still drawn, so the stream is
-unchanged, and every ray that lands in the cone is traced as before, in
-ray order, so each estimate keeps every bit.  In lamp-center at a 20
-degree cone about a tenth of the rays reach the threshold, and a 1e6-ray
-call took 22-25 ms against 59-65 ms with every ray traced; with the lamp
-0.7 m off and a 55 degree cone nine tenths reach it, and the call took
-63-74 ms against 61-70 ms (BENCH_19.json, 2-core x86 Xeon, numpy 2.4).
+The sampler streams its draws in blocks of ``_BLOCK`` rays, and no array
+grows with the sample count or the chunk.  Most rays miss the receiver's
+cone, and two bounds, found once per call, drop a block's rays that cannot
+land before any trig.  ``_cone_threshold`` is a cos(phi) draw below which
+no ray lands: a cap about the lamp axis, as wide as the nearest plane of
+the faces the cone meets allows.  ``_sector_bands`` is a table over 64
+azimuth sectors, for cones whose footprints are ellipses: the azimuth draw
+picks a sector, and the sector gives the band of cos(phi) draws that the
+caps about the lamp's directions to the circles about those ellipses
+allow.  The rays that are left are copied, in ray order, into one batch of
+up to ``_BLOCK`` rays from as many blocks as fit, and the batch is traced
+with every temporary in one work array made per call, so no block's
+temporaries go back to the system to be faulted in again.  Every uniform
+is still drawn, every ray that lands is traced as before, and each block's
+contributions are summed on their own, so the stream, each sum and every
+estimate keep every bit.  The azimuth is reduced to a quarter turn plus an
+angle in [-pi/4, pi/4] before its one sin call, and terms whose
+coefficient is exactly zero (most of them for a lamp or receiver facing
+straight down) are skipped.  A 1e6-ray call took 16.4-16.7 ms at
+lamp-center and FOV 20 degrees, and 12.9-13.0 ms with the lamp 0.7 m off
+and a 10 degree cone, against 23.0-26.1 and 28.5-28.9 ms with the
+threshold alone and a block traced at a time; with a 55 degree cone, which
+reaches the walls, 65.7-69.8 ms against 69.3-73.3 ms (BENCH_23.json, 2-core
+x86 Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -41,11 +48,8 @@ from .geometry import RoomScenario, lambert_mode
 
 __all__ = ["McEstimate", "estimate_reflected_gain", "floor_cone_closed_form"]
 
-# Rays traced per block.  Each block temporary then holds 64 kB, under glibc's
-# 128 kB mmap threshold, so the heap hands the same memory back to the next
-# block instead of the system faulting it in again.  Median minor faults per
-# 1e6-ray call on 8 perfbench mc-oracle rooms: 0-7 at 2^13, 30-4,000 at 2^14
-# and 4,600-10,500 at 2^15 (2-core x86 Xeon, numpy 2.4).
+# Rays drawn per block, and the most rays traced in one batch.  A seed's
+# estimate depends on it: each block's contributions are summed on their own.
 _BLOCK = 1 << 13
 # Rays per chunk of draws (see _uniform_blocks); a seed's estimate depends on it.
 _CHUNK = 2_000_000
@@ -54,7 +58,7 @@ _T_MIN = 1e-12
 # cos and sin of q quarter turns, for the quadrant q = rint(4u) in 0..4 of an azimuth 2 pi u.
 _QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
 _QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
-# Slacks of the cone bound (see _cone_threshold), each far above the rounding
+# Slacks of the cone bounds (see _cone_threshold), each far above the rounding
 # it covers: an angle in rad, for the ray direction and the cone test (a few
 # 1e-8 rad at worst, near the axis, where an ulp of a cosine is an angle of
 # sqrt(2 ulp)); a length per meter of the lamp's and receiver's positions,
@@ -64,6 +68,11 @@ _QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
 _BOUND_ANGLE_SLACK = 1e-6
 _BOUND_LENGTH_SLACK = 1e-12
 _BOUND_LOG_SLACK = 1e-9
+# Azimuth sectors of the band table.  A power of two, so the sector
+# floor(v * _SECTORS) of an azimuth draw v is exact.
+_SECTORS = 64
+# Rows of the per-call work array: the batch's cos(phi) draws and azimuths, then the trace's temporaries.
+_WORK_ROWS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,96 +98,170 @@ def estimate_reflected_gain(
     factor and the first cosine of the bounce integrand are absorbed into
     the sampling measure and each ray only carries the reflect-and-collect
     term of its hit point.  Each chunk of ``_CHUNK`` rays draws cos(phi)
-    and then the azimuth; the rays are traced in blocks of ``_BLOCK`` as the
-    draws are read (see ``_uniform_blocks``).
+    and then the azimuth, read in blocks of ``_BLOCK`` (see
+    ``_uniform_blocks``); the rays of a block that can land are traced in
+    packed batches (see ``_packed_batches``).
     """
     if not isinstance(samples, numbers.Integral) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     m1 = lambert_mode(room.lamp_semi_angle_deg)
-    fov_rad = math.radians(room.fov_deg)
-    sin_fov = math.sin(fov_rad)
-    g_in = room.concentrator_index**2 / (sin_fov * sin_fov)
-    cos_fov = math.cos(fov_rad)
-    t_s, area = room.filter_transmission, room.detector_area_m2
-    floor_gain = room.floor_reflectivity * t_s * area * g_in
-    wall_gain = room.wall_reflectivity * t_s * area * g_in
-
-    px, py, pz = room.lamp.position.as_tuple()
-    rx, ry, rz = room.receiver.position.as_tuple()
-    floor_weight = floor_gain * rz
-    # The wall a ray hits on an axis is the far one when its component there
-    # is positive; the weights are the gain times the receiver's distance.
-    x_weights = np.array([wall_gain * rx, wall_gain * (room.room_x_m - rx)])
-    y_weights = np.array([wall_gain * ry, wall_gain * (room.room_y_m - ry)])
-    ax, ay, az = room.receiver.axis.as_tuple()
-    lamp_axis = np.array(room.lamp.axis.as_tuple())
-    e1, e2 = _frame(lamp_axis)
     u_min = _cone_threshold(room, m1)
-
-    def trace(cos_phi: np.ndarray, azim: np.ndarray) -> np.ndarray:
-        """Contributions of the rays that land in the receiver's cone (the others give 0)."""
-        if u_min > 0.0:  # no ray with a lower draw lands in the cone
-            keep = np.flatnonzero(cos_phi >= u_min)
-            cos_phi, azim = cos_phi.take(keep), azim.take(keep)
-        cos_phi **= 1.0 / (m1 + 1.0)
-        sin_phi = np.sqrt(1.0 - cos_phi * cos_phi)
-        cos_az, sin_az = _unit_circle(azim)
-        s_cos = sin_phi * cos_az
-        s_sin = sin_phi * sin_az
-        dx, dy, dz = (_combine((cos_phi, lamp_axis[i]), (s_cos, e1[i]), (s_sin, e2[i])) for i in range(3))
-
-        # Distance to the first floor or wall hit, one pass per axis (slab
-        # test for the axis-aligned room).  The ceiling carries the lamp and
-        # reflects nothing, so it sits at z = inf.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_floor = _plane_distance(dz, pz, math.inf)
-            t_x = _plane_distance(dx, px, room.room_x_m)
-            t_y = _plane_distance(dy, py, room.room_y_m)
-            t = np.minimum(np.minimum(t_floor, t_x), t_y)
-
-            vx = rx - (px + t * dx)
-            vy = ry - (py + t * dy)
-            vz = rz - (pz + t * dz)
-            d2 = np.sqrt(vx * vx + vy * vy + vz * vz)
-            cos_psi = _combine((vx, -ax), (vy, -ay), (vz, -az))
-            cos_psi /= d2
-
-        # The collect term for the rays that hit and land in the receiver's
-        # cone, not within 1e-12 m of it.  Its cos(beta) is h / d2, with h the
-        # receiver's distance from the plane hit, so each plane has one
-        # weight: its gain times h.
-        k = np.flatnonzero((cos_psi >= cos_fov) & (d2 > 1e-12) & (t < np.inf))
-        t = t[k]
-        weight = np.where(
-            t_floor[k] == t,  # ties go to the floor, then to an x wall
-            floor_weight,
-            np.where(t_x[k] == t, x_weights.take(dx[k] > 0.0), y_weights.take(dy[k] > 0.0)),
-        )
-        d2 = d2[k]
-        return weight * cos_psi[k] / (math.pi * d2 * d2 * d2)
+    bands = _sector_bands(room, m1, u_min) if u_min > 0.0 else None
+    scene = _Scene(room, m1)
+    work = np.empty((_WORK_ROWS, _BLOCK))
 
     total = 0.0
     total_sq = 0.0
-    for cos_draws, azim_draws in _uniform_blocks(seed, samples):
-        contrib = trace(cos_draws, azim_draws)
-        total += float(np.sum(contrib))
-        total_sq += float(np.sum(contrib * contrib))
+    for n, ends in _packed_batches(seed, samples, u_min, bands, work[0], work[1]):
+        landed, contrib = _trace(scene, work[:, :n])
+        squares = contrib * contrib
+        # Each block's landed rays sit together in ray order, so their sums
+        # are the ones a block traced alone gives; a block with none adds 0.
+        start = 0
+        for end in np.searchsorted(landed, ends).tolist():
+            if end > start:
+                total += float(np.sum(contrib[start:end]))
+                total_sq += float(np.sum(squares[start:end]))
+            start = end
 
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return McEstimate(value=mean, std_error=math.sqrt(var / samples), samples=samples)
 
 
+def _packed_batches(
+    seed: int, samples: int, u_min: float, bands: tuple[np.ndarray, np.ndarray] | None,
+    cos_batch: np.ndarray, azim_batch: np.ndarray,
+) -> Iterator[tuple[int, list[int]]]:
+    """Pack the rays that can land into ``cos_batch`` and ``azim_batch``, batch after batch.
+
+    Each block's rays with a draw at least ``u_min`` (all of them at 0), and
+    within its sector's band where ``bands`` is given, are copied after the
+    previous block's, in ray order.  A block that would overflow the batch
+    starts the next one.  Yields the batch's ray count and the count after
+    each of its blocks.
+    """
+    fill, ends = 0, []
+    for cos_draws, azim_draws in _uniform_blocks(seed, samples):
+        keep = np.flatnonzero(cos_draws >= u_min)
+        if bands is not None:
+            lo, hi = bands
+            sector = azim_draws.take(keep)
+            sector *= _SECTORS
+            sector = sector.astype(np.intp)
+            kept = cos_draws.take(keep)
+            keep = keep.compress((kept >= lo.take(sector)) & (kept <= hi.take(sector)))
+        if fill + keep.size > _BLOCK:
+            yield fill, ends
+            fill, ends = 0, []
+        cos_draws.take(keep, out=cos_batch[fill:fill + keep.size], mode="clip")
+        azim_draws.take(keep, out=azim_batch[fill:fill + keep.size], mode="clip")
+        fill += keep.size
+        ends.append(fill)
+    if fill:
+        yield fill, ends
+
+
+class _Scene:
+    """The constants of one call's trace."""
+
+    def __init__(self, room: RoomScenario, m1: float) -> None:
+        fov_rad = math.radians(room.fov_deg)
+        sin_fov = math.sin(fov_rad)
+        g_in = room.concentrator_index**2 / (sin_fov * sin_fov)
+        self.cos_fov = math.cos(fov_rad)
+        t_s, area = room.filter_transmission, room.detector_area_m2
+        floor_gain = room.floor_reflectivity * t_s * area * g_in
+        wall_gain = room.wall_reflectivity * t_s * area * g_in
+        self.power = 1.0 / (m1 + 1.0)
+        self.room = room
+        self.lamp = room.lamp.position.as_tuple()
+        self.receiver = room.receiver.position.as_tuple()
+        rx, ry, rz = self.receiver
+        self.floor_weight = floor_gain * rz
+        # The wall a ray hits on an axis is the far one when its component there
+        # is positive; the weights are the gain times the receiver's distance.
+        self.x_weights = np.array([wall_gain * rx, wall_gain * (room.room_x_m - rx)])
+        self.y_weights = np.array([wall_gain * ry, wall_gain * (room.room_y_m - ry)])
+        self.receiver_axis = room.receiver.axis.as_tuple()
+        self.lamp_axis = np.array(room.lamp.axis.as_tuple())
+        self.e1, self.e2 = _frame(self.lamp_axis)
+
+
+def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's rays that land in the receiver's cone: their indices, ascending, and contributions.
+
+    ``work[0]`` holds the batch's cos(phi) draws and ``work[1]`` its azimuth
+    draws; the other rows hold the temporaries, and all are overwritten.
+    The rays that miss give 0.
+    """
+    room = scene.room
+    px, py, pz = scene.lamp
+    rx, ry, rz = scene.receiver
+    ax, ay, az = scene.receiver_axis
+    lamp_axis, e1, e2 = scene.lamp_axis, scene.e1, scene.e2
+    cos_phi, azim, sin_phi, dx, dy, dz, term, t_floor, t_x, t_y, t, vx, vy, vz, d2, cos_psi = work
+    cos_phi **= scene.power
+    np.multiply(cos_phi, cos_phi, out=sin_phi)
+    np.subtract(1.0, sin_phi, out=sin_phi)
+    np.sqrt(sin_phi, out=sin_phi)
+    # The azimuth's temporaries take the rows of the hit's, which come after them.
+    s_cos, s_sin = _unit_circle(azim, work[7:14])
+    s_cos *= sin_phi
+    s_sin *= sin_phi
+    for i, d in enumerate((dx, dy, dz)):
+        _combine(d, term, (cos_phi, lamp_axis[i]), (s_cos, e1[i]), (s_sin, e2[i]))
+
+    # Distance to the first floor or wall hit, one pass per axis (slab
+    # test for the axis-aligned room).  The ceiling carries the lamp and
+    # reflects nothing, so it sits at z = inf.
+    sign, test = (row.view(np.bool_)[: row.size] for row in (azim, term))  # the azimuths are read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _plane_distance(dz, pz, math.inf, t_floor, sign)
+        _plane_distance(dx, px, room.room_x_m, t_x, sign)
+        _plane_distance(dy, py, room.room_y_m, t_y, sign)
+        np.minimum(np.minimum(t_floor, t_x, out=t), t_y, out=t)
+
+        for v, p, r, d in ((vx, px, rx, dx), (vy, py, ry, dy), (vz, pz, rz, dz)):
+            np.multiply(t, d, out=v)
+            v += p
+            np.subtract(r, v, out=v)
+        np.multiply(vx, vx, out=d2)
+        d2 += np.multiply(vy, vy, out=term)
+        d2 += np.multiply(vz, vz, out=term)
+        np.sqrt(d2, out=d2)
+        _combine(cos_psi, term, (vx, -ax), (vy, -ay), (vz, -az))
+        cos_psi /= d2
+
+    # The collect term for the rays that hit and land in the receiver's
+    # cone, not within 1e-12 m of it.  Its cos(beta) is h / d2, with h the
+    # receiver's distance from the plane hit, so each plane has one
+    # weight: its gain times h.
+    landing = np.greater_equal(cos_psi, scene.cos_fov, out=sign)
+    landing &= np.greater(d2, 1e-12, out=test)
+    landing &= np.less(t, np.inf, out=test)
+    k = np.flatnonzero(landing)
+    t = t.take(k)
+    weight = np.where(
+        t_floor.take(k) == t,  # ties go to the floor, then to an x wall
+        scene.floor_weight,
+        np.where(t_x.take(k) == t, scene.x_weights.take(dx.take(k) > 0.0), scene.y_weights.take(dy.take(k) > 0.0)),
+    )
+    d2 = d2.take(k)
+    return k, weight * cos_psi.take(k) / (math.pi * d2 * d2 * d2)
+
+
 def _cone_threshold(room: RoomScenario, m1: float) -> float:
     """The cos(phi) draw below which no ray lands in the receiver's cone, or 0 where no bound holds.
 
-    Every hit H lies on the floor or a wall, so at least s_min from the
-    receiver R: its distance to the nearest of those planes.  A hit in the
-    cone lies within the cone's half-angle of the receiver axis, seen from
-    R.  Seen from the lamp P, delta = |R - P| away, the hit is at most
-    asin(delta / s_min) further off that axis, and the lamp axis is the angle
-    between the two axes further still.  So a ray lands in the cone only if
-    its polar angle is at most
+    A ray that lands hits a face the cone meets (see ``_footprints``; any
+    of floor and walls where those are not bounded), so the hit H lies at
+    least s_min from the receiver R: its distance to the nearest plane of
+    those faces.  A hit in the cone lies within the cone's half-angle of
+    the receiver axis, seen from R.  Seen from the lamp P, delta = |R - P|
+    away, the hit is at most asin(delta / s_min) further off that axis, and
+    the lamp axis is the angle between the two axes further still.  So a
+    ray lands in the cone only if its polar angle is at most
 
         phi_max = cone + angle(receiver axis, lamp axis) + asin(delta / s_min),
 
@@ -189,23 +272,156 @@ def _cone_threshold(room: RoomScenario, m1: float) -> float:
     cone test, and of the power that turns u into cos(phi).  The bound is 0,
     and every ray is traced, once phi_max reaches 90 degrees or delta s_min.
     """
-    p = room.lamp.position.as_tuple()
-    r = room.receiver.position.as_tuple()
-    rx, ry, rz = r
-    delta = math.dist(p, r)
-    slack = _BOUND_LENGTH_SLACK * (math.hypot(*p) + math.hypot(*r) + delta)
-    reach = min(rz, rx, room.room_x_m - rx, ry, room.room_y_m - ry) - slack
-    if not delta < reach:
+    bound = _BoundGeometry(room)
+    faces = _footprints(bound)
+    heights = bound.heights if faces is None else [h for h, _ in faces]
+    reach = min(heights, default=math.inf) - bound.slack
+    if not bound.delta < reach:
         return 0.0
-    # The cone test reads cos(psi) >= cos(fov) against the axis as stored, whose norm is 1 within 1e-9.
-    receiver_axis = np.array(room.receiver.axis.as_tuple())
+    receiver_axis = np.array(bound.receiver_axis)
     lamp_axis = np.array(room.lamp.axis.as_tuple())
-    cone = math.acos(min(math.cos(math.radians(room.fov_deg)) / float(np.linalg.norm(receiver_axis)), 1.0))
     axes = math.atan2(float(np.linalg.norm(np.cross(receiver_axis, lamp_axis))), float(receiver_axis @ lamp_axis))
-    phi_max = cone + axes + math.asin(delta / reach) + slack / reach + _BOUND_ANGLE_SLACK
+    phi_max = bound.cone + axes + math.asin(bound.delta / reach) + bound.slack / reach + _BOUND_ANGLE_SLACK
     if not phi_max < math.pi / 2.0:
         return 0.0
     return math.exp((m1 + 1.0) * math.log(math.cos(phi_max)) - _BOUND_LOG_SLACK * (m1 + 2.0))
+
+
+# Floor and walls, each as (normal axis, inward sign of the normal, u axis, v axis).
+_FACES = ((2, 1.0, 0, 1), (0, 1.0, 1, 2), (0, -1.0, 1, 2), (1, 1.0, 0, 2), (1, -1.0, 0, 2))
+
+
+class _BoundGeometry:
+    """What both cone bounds read of the room."""
+
+    def __init__(self, room: RoomScenario) -> None:
+        self.lamp = room.lamp.position.as_tuple()
+        self.receiver = rx, ry, rz = room.receiver.position.as_tuple()
+        self.sides = (room.room_x_m, room.room_y_m)
+        self.delta = math.dist(self.lamp, self.receiver)
+        self.slack = _BOUND_LENGTH_SLACK * (math.hypot(*self.lamp) + math.hypot(*self.receiver) + self.delta)
+        # The receiver's distance to each face of _FACES.
+        self.heights = [rz, rx, room.room_x_m - rx, ry, room.room_y_m - ry]
+        # The cone test reads cos(psi) >= cos(fov) against the axis as stored, whose norm is 1 within 1e-9.
+        axis = room.receiver.axis.as_tuple()
+        norm = math.hypot(*axis)
+        self.cone = math.acos(min(math.cos(math.radians(room.fov_deg)) / norm, 1.0))
+        self.receiver_axis = tuple(c / norm for c in axis)
+
+
+def _footprints(bound: _BoundGeometry) -> list[tuple[float, tuple[list[float], float] | None]] | None:
+    """The faces the receiver's cone meets, each as (h, circle), or None where they are not bounded.
+
+    A ray that lands hits the floor, or a wall below the receiver, inside
+    the cone widened by the slacks (``cone`` below: by the angle the hit
+    point's rounding spans at the receiver, and by that of the cone test).
+    In a face's plane, a distance h from the receiver R, such a point lies
+    h tan(tau -+ cone) from the foot of R along the receiver axis'
+    projection, where tau is the angle between the axis and the plane's
+    normal; a face whose extent along that line misses that range is not
+    met.  Where tau + cone is under 90 degrees the footprint is an ellipse,
+    whose major axis is that range, and ``circle`` (center, radius) is the
+    circle about it, which holds the ellipse; else it is None.  None where
+    the lamp lies within 2 ``_T_MIN`` of a plane (its rays may leave the
+    faces), the receiver on a plane, or the cone reaches the horizontal (it
+    would meet the walls above the receiver).
+    """
+    p, r, slack, heights, sides = bound.lamp, bound.receiver, bound.slack, bound.heights, bound.sides
+    if min(p[0], sides[0] - p[0], p[1], sides[1] - p[1], p[2]) <= 2.0 * _T_MIN + slack or min(heights) <= 2.0 * slack:
+        return None
+    axis = bound.receiver_axis
+    cone = bound.cone + _BOUND_ANGLE_SLACK + slack / (min(heights) - slack)
+    if not math.atan2(math.hypot(axis[0], axis[1]), -axis[2]) + cone < math.pi / 2.0:
+        return None
+    lengths = (sides[0], sides[1], r[2])  # along each axis; a wall is cut at the receiver's height
+    faces = []
+    for (k, sign, i, j), h in zip(_FACES, heights):
+        sin_tau = math.hypot(axis[i], axis[j])
+        tau = math.atan2(sin_tau, -sign * axis[k])
+        if not tau - cone < math.pi / 2.0:
+            continue
+        pu, pv = (axis[i] / sin_tau, axis[j] / sin_tau) if sin_tau > 0.0 else (1.0, 0.0)
+        x_lo = h * math.tan(tau - cone)
+        x_hi = h * math.tan(tau + cone) if tau + cone < math.pi / 2.0 else math.inf
+        along = [(u - r[i]) * pu + (v - r[j]) * pv for u in (0.0, lengths[i]) for v in (0.0, lengths[j])]
+        if not (x_lo <= max(along) and min(along) <= x_hi):
+            continue
+        circle = None
+        if x_hi < math.inf:
+            middle = 0.5 * (x_lo + x_hi)
+            center = [0.0, 0.0, 0.0]
+            center[k], center[i], center[j] = (0.0 if sign > 0.0 else sides[k]), r[i] + middle * pu, r[j] + middle * pv
+            circle = (center, 0.5 * (x_hi - x_lo))
+        faces.append((h, circle))
+    return faces
+
+
+def _sector_bands(room: RoomScenario, m1: float, u_min: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per azimuth sector, the band of cos(phi) draws outside which no ray lands in the receiver's cone.
+
+    The azimuth draw v picks the sector floor(v * ``_SECTORS``).  Where the
+    cone's footprint on each face it meets is an ellipse, a ray that lands
+    hits one of the circles of ``_footprints``, so it leaves the lamp in
+    the cap about the lamp's direction to that circle's center, of
+    half-angle asin(radius / distance), and its polar angle lies in that
+    cap's arc in the sector (see ``_cap_arcs``).  The sector edges, the
+    caps and the radii are widened by the slacks, and the band by the slack
+    of the power.  None where a footprint is not an ellipse, or no sector's
+    band is narrower than [``u_min``, 1].
+    """
+    bound = _BoundGeometry(room)
+    faces = _footprints(bound)
+    if not faces or any(circle is None for _, circle in faces):
+        return None
+    arc_lo, arc_hi = _cap_arcs(
+        room, bound, np.array([center for _, (center, _) in faces]), np.array([radius for _, (_, radius) in faces]),
+    )
+    lo, hi = arc_lo.min(axis=0), arc_hi.max(axis=0)
+    log_slack = _BOUND_LOG_SLACK * (m1 + 2.0)
+    # cos(phi) falls as phi grows, so the widest angle gives the lowest draw.
+    u_lo = np.exp((m1 + 1.0) * np.log(np.cos(np.clip(hi, 0.0, math.pi / 2.0))) - log_slack)
+    u_lo[hi >= math.pi / 2.0] = 0.0
+    u_lo[lo > hi] = np.inf  # no ray in the sector lands
+    u_hi = np.exp((m1 + 1.0) * np.log(np.cos(np.clip(lo, 0.0, math.pi / 2.0))) + log_slack)
+    u_hi[lo <= 0.0] = np.inf
+    if np.all(u_lo <= u_min) and np.all(u_hi >= 1.0):
+        return None
+    return u_lo, u_hi
+
+
+def _cap_arcs(room: RoomScenario, bound: _BoundGeometry, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sphere and sector, the polar angles (lo, hi) in [0, pi/2] of the sphere's cap from the lamp in the sector.
+
+    A sector the cap misses gets (inf, -inf).  A cap of half-angle beta
+    about polar angle phi_c meets the meridian Delta off its center's
+    azimuth where cos(phi) cos(phi_c) + sin(phi) sin(phi_c) cos(Delta) =
+    R cos(phi - gamma) is at least cos(beta): phi within
+    acos(cos(beta) / R) of gamma.  That arc shrinks as |Delta| grows, so in
+    a sector it is the one at the edge nearest the center's azimuth, or the
+    center's own where the sector holds it.  A cap that reaches a
+    hemisphere, or a sphere that holds the lamp, gets [0, pi/2] everywhere.
+    """
+    lamp_axis = np.array(room.lamp.axis.as_tuple())
+    e1, e2 = _frame(lamp_axis)  # the trace's frame, orthonormal within 1e-9
+    offsets = centers - np.array(bound.lamp)
+    along, x1, x2 = offsets @ lamp_axis / float(np.linalg.norm(lamp_axis)), offsets @ e1, offsets @ e2
+    across = np.hypot(x1, x2)
+    dist = np.hypot(along, across)
+    radii = radii + bound.slack + _BOUND_LENGTH_SLACK * (dist + radii)
+    beta = np.minimum(np.arcsin(np.minimum(radii / dist, 1.0)) + _BOUND_ANGLE_SLACK, math.pi / 2.0)
+    everywhere = (beta == math.pi / 2.0)[:, None]
+    phi_c = np.arctan2(across, along)[:, None]
+    theta_c = np.arctan2(x2, x1)[:, None]
+    width = 2.0 * math.pi / _SECTORS + 2.0 * _BOUND_ANGLE_SLACK
+    past = np.mod(theta_c - (np.arange(_SECTORS) * (2.0 * math.pi / _SECTORS) - _BOUND_ANGLE_SLACK), 2.0 * math.pi)
+    cos_delta = np.cos(np.where(past <= width, 0.0, np.minimum(past - width, 2.0 * math.pi - past)))
+    x, y = np.cos(phi_c), np.sin(phi_c) * cos_delta
+    gain, gamma = np.hypot(x, y), np.arctan2(y, x)
+    cos_beta = np.cos(beta)[:, None]
+    half = np.arccos(cos_beta / np.maximum(gain, cos_beta))
+    lo, hi = np.maximum(gamma - half, 0.0), np.minimum(gamma + half, math.pi / 2.0)
+    meets = (gain >= cos_beta) & (lo <= hi)
+    return np.where(everywhere, 0.0, np.where(meets, lo, np.inf)), np.where(everywhere, math.pi / 2.0, np.where(meets, hi, -np.inf))
 
 
 def _uniform_blocks(seed: int, samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -215,9 +431,11 @@ def _uniform_blocks(seed: int, samples: int) -> Iterator[tuple[np.ndarray, np.nd
     for cos(phi) and then n for the azimuth, as ``rng.random(n);
     rng.random(n)`` would, and leaves the stream where those calls leave it.
     A copy of the bit generator advanced by n reads the azimuths alongside
-    the cos(phi) draws, so no chunk-sized array is made.
+    the cos(phi) draws, so no chunk-sized array is made.  The next block
+    overwrites a block's arrays.
     """
     bits = np.random.default_rng(seed).bit_generator
+    cos_block, azim_block = np.empty((2, _BLOCK))
     done = 0
     while done < samples:
         n = min(_CHUNK, samples - done)
@@ -227,57 +445,73 @@ def _uniform_blocks(seed: int, samples: int) -> Iterator[tuple[np.ndarray, np.nd
         cos_rng, azim_rng = np.random.Generator(bits), np.random.Generator(azim_bits)
         for start in range(0, n, _BLOCK):
             size = min(_BLOCK, n - start)
-            yield cos_rng.random(size), azim_rng.random(size)
+            yield cos_rng.random(out=cos_block[:size]), azim_rng.random(out=azim_block[:size])
         bits = azim_bits
         done += n
 
 
-def _unit_circle(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_circle(u: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi u for u in [0, 1), from one sin call on [-pi/4, pi/4].
 
     With q = rint(4u), 4u - q in [-1/2, 1/2] is exact, and 2 pi u is q
     quarter turns plus a = (4u - q) pi/2.  cos(a) = sqrt(1 - sin(a)^2) is at
     least 0.707, so the root loses nothing; the quarter turns swap and negate
-    the pair exactly.
+    the pair exactly.  The temporaries and the two results are rows of
+    ``work``, 7 rows of at least u.size.
     """
-    quarters = u * 4.0
-    q = np.rint(quarters)
-    sin_a = np.sin((quarters - q) * (math.pi / 2.0))
-    cos_a = np.sqrt(1.0 - sin_a * sin_a)
-    q = q.astype(np.intp)
-    turn_cos, turn_sin = _QUARTER_COS.take(q), _QUARTER_SIN.take(q)
-    return turn_cos * cos_a - turn_sin * sin_a, turn_sin * cos_a + turn_cos * sin_a
+    quarters, q, sin_a, cos_a, turn_sin, cos_u, sin_u = work[:7, : u.size]
+    np.multiply(u, 4.0, out=quarters)
+    np.rint(quarters, out=q)
+    quarters -= q
+    quarters *= math.pi / 2.0
+    np.sin(quarters, out=sin_a)
+    np.multiply(sin_a, sin_a, out=cos_a)
+    np.subtract(1.0, cos_a, out=cos_a)
+    np.sqrt(cos_a, out=cos_a)
+    quadrant = quarters.view(np.intp)
+    np.copyto(quadrant, q, casting="unsafe")
+    turn_cos = _QUARTER_COS.take(quadrant, out=q, mode="clip")
+    _QUARTER_SIN.take(quadrant, out=turn_sin, mode="clip")
+    product = quarters  # the quadrant is read
+    np.multiply(turn_cos, cos_a, out=cos_u)
+    cos_u -= np.multiply(turn_sin, sin_a, out=product)
+    np.multiply(turn_sin, cos_a, out=sin_u)
+    sin_u += np.multiply(turn_cos, sin_a, out=product)
+    return cos_u, sin_u
 
 
-def _combine(*terms: tuple[np.ndarray, float]) -> np.ndarray:
-    """The sum of ``array * coefficient`` over the terms, in order.
+def _combine(out: np.ndarray, term: np.ndarray, *terms: tuple[np.ndarray, float]) -> np.ndarray:
+    """The sum of ``array * coefficient`` over the terms, in order, in ``out`` (``term`` is scratch).
 
     Terms whose coefficient is exactly zero are skipped: they would add only a
     signed zero.  Axis-aligned lamps and receivers have mostly zero components.
     At least one coefficient is not zero.
     """
-    total = None
+    first = True
     for array, coefficient in terms:
         if coefficient != 0.0:
-            term = array * coefficient
-            total = term if total is None else np.add(total, term, out=total)
-    return total
+            if first:
+                np.multiply(array, coefficient, out=out)
+                first = False
+            else:
+                out += np.multiply(array, coefficient, out=term)
+    return out
 
 
-def _plane_distance(d: np.ndarray, p: float, length: float) -> np.ndarray:
-    """Distance along each ray from the lamp at ``p`` to the plane at 0 or at ``length`` it heads for.
+def _plane_distance(d: np.ndarray, p: float, length: float, out: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Distance along each ray from the lamp at ``p`` to the plane at 0 or at ``length`` it heads for, in ``out``.
 
-    The sign bit of the ray's component ``d`` picks the plane, so a ray
-    parallel to both (d = +-0) gets inf.  A plane the lamp sits on does not
-    count (inf).  That takes a test only for a lamp within 2 ``_T_MIN`` of a
-    plane: from farther away every distance exceeds ``_T_MIN``, since
-    |d| <= 1.
+    The sign bit of the ray's component ``d`` (in ``sign``, scratch) picks
+    the plane, so a ray parallel to both (d = +-0) gets inf.  A plane the
+    lamp sits on does not count (inf).  That takes a test only for a lamp
+    within 2 ``_T_MIN`` of a plane: from farther away every distance exceeds
+    ``_T_MIN``, since |d| <= 1.
     """
-    t = np.array([length - p, -p]).take(np.signbit(d))
-    t /= d
+    np.array([length - p, -p]).take(np.signbit(d, out=sign), out=out, mode="clip")
+    out /= d
     if min(p, length - p) <= 2.0 * _T_MIN:
-        t[~(t > _T_MIN)] = np.inf  # nan too: 0 / 0 for a lamp on the plane
-    return t
+        out[~(out > _T_MIN)] = np.inf  # nan too: 0 / 0 for a lamp on the plane
+    return out
 
 
 def floor_cone_closed_form(room: RoomScenario) -> float | None:

@@ -1,7 +1,11 @@
 """Ray-sampling and closed-form cross-checks of the deterministic bounce integral."""
 
 import ast
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -111,6 +115,12 @@ def pinned_room(kind, fov):
     if kind == "wall-receiver":  # on the x = 0 plane, so no reflecting plane is any distance from it
         room = build_setup(Scenario.named("lamp-center"), fov, 1e-5).room
         return replace(room, receiver=Pose(Point3(0.0, 2.0, 3.0), room.receiver.axis))
+    if kind == "tilted-receiver":  # the lamp 0.7 m off, the receiver tilted 20 degrees towards it and 10 across
+        room = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), fov, 1e-5).room
+        return replace(room, receiver=Pose(room.receiver.position, Point3(-0.34, 0.17, -1.0).normalized()))
+    if kind == "near-wall-receiver":  # 0.4 m from the x = 0 wall, the lamp 0.2 m off along it
+        room = build_setup(Scenario.named("lamp-center"), fov, 1e-5).room
+        return replace(room, receiver=Pose(Point3(0.4, 2.0, 3.0), room.receiver.axis), lamp=Pose(Point3(0.4, 2.2, 3.0), room.lamp.axis))
     overrides = {
         "center": {},
         "offset-lamp": {"lamp_x_m": 1.0, "lamp_y_m": 2.5},
@@ -166,7 +176,11 @@ class TestPinnedEstimates:
 # receiver (the asin term) and axes that differ (the axis angle), where it
 # skips rays; a receiver on a wall, a 2 degree lamp whose threshold
 # underflows and a 90 degree cone, where it skips none; and rooms 1e-3 m
-# and 1e6 m wide.
+# and 1e6 m wide.  The last six were recorded by the sampler that bounded
+# with the threshold alone, before the sector table and the packed batches:
+# five rooms where the table drops rays the threshold keeps, and a cone
+# that meets a wall 0.4 m from the receiver, whose threshold takes s_min
+# from that wall.
 EXACT_BITS = {
     ('center', 5.0, 300000, 19): (0x3ea5ccfd1af1ba15, 0x3e500f879bf0fcc3),
     ('center', 10.0, 300000, 19): (0x3ea5b10bf0c4eb3d, 0x3e3f7f33ba51109a),
@@ -180,6 +194,12 @@ EXACT_BITS = {
     ('wide-room', 20.0, 300000, 19): (0x3ea3b4b97c2f3141, 0x3e2c2233b5b30f5d),
     ('steered-tilted', 10.0, 300000, 19): (0x3eb296d3aea7f540, 0x3e514bc034808ea5),
     ('lamp-tilted-xz', 15.0, 300000, 19): (0x3ea3289fc97d21e0, 0x3e333d4b57b3f4fd),
+    ('lamp-1.3', 7.0, 300000, 19): (0x3ea3b239ebf877a1, 0x3e45b43220233543),
+    ('lamp-1.3', 15.0, 300000, 19): (0x3ea2ccb934a38d07, 0x3e3311b33b735a10),
+    ('steered-tilted', 20.0, 300000, 19): (0x3eb8d730b882b471, 0x3e47ec6c10169cf6),
+    ('tilted-receiver', 10.0, 300000, 19): (0x3ea3ce05688397a3, 0x3e3b4f0facb3b740),
+    ('near-wall-receiver', 5.0, 300000, 19): (0x3ea5eb291d8c6de0, 0x3e501ab4d3c91799),
+    ('near-wall-receiver', 20.0, 300000, 19): (0x3eb4b974ac9b175b, 0x3e48dd9275e14c27),
 }
 
 
@@ -253,34 +273,68 @@ class TestConeBound:
         thresholds = [threshold(room) for room in RANDOM_ROOMS]
         assert sum(u > 0.0 for u in thresholds) >= 8, thresholds
 
-    @pytest.mark.parametrize("room", [
-        *(pytest.param(pinned_room(kind, fov), id=f"{kind}-{fov}") for kind, fov in (
-            ("center", 5.0), ("center", 30.0), ("lamp-1.3", 10.0), ("lamp-1.3", 55.0), ("steered-tilted", 10.0),
-            ("steered-tilted", 40.0), ("lamp-tilted-xz", 15.0), ("lamp-tilted-yz", 30.0), ("mm-room", 20.0), ("wide-room", 20.0),
+    @pytest.mark.parametrize("room, banded", [
+        *(pytest.param(pinned_room(kind, fov), banded, id=f"{kind}-{fov}") for kind, fov, banded in (
+            ("center", 5.0, False), ("center", 30.0, False), ("lamp-1.3", 10.0, True), ("lamp-1.3", 55.0, False),
+            ("steered-tilted", 10.0, True), ("steered-tilted", 40.0, False), ("lamp-tilted-xz", 15.0, True),
+            ("lamp-tilted-yz", 30.0, True), ("mm-room", 20.0, False), ("wide-room", 20.0, False),
+            ("tilted-receiver", 10.0, True), ("near-wall-receiver", 5.0, True), ("near-wall-receiver", 20.0, False),
         )),
-        *(pytest.param(room, id=f"random-{i}") for i, room in enumerate(RANDOM_ROOMS[:6])),
+        *(pytest.param(room, banded, id=f"random-{i}")
+          for i, (room, banded) in enumerate(zip(RANDOM_ROOMS[:6], (True, False, False, True, True, False)))),
     ])
-    def test_no_ray_below_the_threshold_lands_in_the_cone(self, monkeypatch, room):
-        # Trace 1e6 rays unfiltered, passing on only those whose draw lies
-        # below the threshold: each gives a positive contribution if it lands
-        # in the cone, so the estimate over them is exactly 0 if none does.
+    def test_no_ray_below_the_threshold_lands_in_the_cone(self, monkeypatch, room, banded):
+        # Trace 1e6 rays unfiltered, passing on only those the bounds drop:
+        # those whose draw lies below the threshold, and those above it but
+        # outside their azimuth sector's band.  Each gives a positive
+        # contribution if it lands in the cone, so the estimate over them is
+        # exactly 0 if none does.
         u_min = threshold(room)
         assert u_min > 0.0
+        bands = montecarlo._sector_bands(room, montecarlo.lambert_mode(room.lamp_semi_angle_deg), u_min)
+        assert (bands is not None) == banded
         samples = 1_000_000
         assert estimate_reflected_gain(room, samples=samples, seed=5).value > 0.0
         drawn = montecarlo._uniform_blocks
-        below = []
+        below, outside = [], []
 
-        def blocks_below(seed, samples):
+        def blocks_dropped(seed, samples):
             for cos_draws, azim_draws in drawn(seed, samples):
-                keep = cos_draws < u_min
-                below.append(np.count_nonzero(keep))
-                yield cos_draws[keep], azim_draws[keep]
+                dropped = cos_draws < u_min
+                below.append(np.count_nonzero(dropped))
+                if bands is not None:
+                    sector = (azim_draws * montecarlo._SECTORS).astype(np.intp)
+                    out_of_band = ~dropped & ((cos_draws < bands[0][sector]) | (cos_draws > bands[1][sector]))
+                    outside.append(np.count_nonzero(out_of_band))
+                    dropped |= out_of_band
+                yield cos_draws[dropped], azim_draws[dropped]
 
-        monkeypatch.setattr(montecarlo, "_uniform_blocks", blocks_below)
+        monkeypatch.setattr(montecarlo, "_uniform_blocks", blocks_dropped)
         monkeypatch.setattr(montecarlo, "_cone_threshold", lambda room, m1: 0.0)
         assert estimate_reflected_gain(room, samples=samples, seed=5).value == 0.0
         assert sum(below) > 0
+        assert sum(outside) > 0 or not banded
+
+    @pytest.mark.parametrize("fov", [5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("offset", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("direction", [(-1.0, 0.0), (0.6, 0.8)])
+    def test_traced_rays_at_most_twice_the_landed(self, monkeypatch, fov, offset, direction):
+        # a down-facing receiver at the ceiling centre, the lamp beside it
+        overrides = {"lamp_x_m": 2.0 + offset * direction[0], "lamp_y_m": 2.0 + offset * direction[1]}
+        room = build_setup(Scenario.named("lamp-center", overrides), fov, 1e-5).room
+        counts = {"traced": 0, "landed": 0}
+        trace = montecarlo._trace
+
+        def counting(scene, work):
+            landed, contrib = trace(scene, work)
+            counts["traced"] += work.shape[1]
+            counts["landed"] += landed.size
+            return landed, contrib
+
+        monkeypatch.setattr(montecarlo, "_trace", counting)
+        estimate_reflected_gain(room, samples=200_000, seed=13)
+        assert counts["landed"] > 0
+        assert counts["traced"] <= 2 * counts["landed"], counts
 
 
 class TestStreamingKernel:
@@ -307,13 +361,45 @@ class TestStreamingKernel:
             np.random.default_rng(8).random(1_000_000),
             eighths, np.nextafter(eighths, 1.0), np.nextafter(eighths[1:], 0.0), [np.nextafter(1.0, 0.0)],
         ])
-        cos_az, sin_az = montecarlo._unit_circle(u)
+        cos_az, sin_az = montecarlo._unit_circle(u, np.empty((7, u.size)))
         # the components are at most 1, so an ulp of 1 bounds the error of both
         ulp = np.spacing(1.0)
         assert np.max(np.abs(cos_az - np.cos(2.0 * np.pi * u))) <= 4.0 * ulp
         assert np.max(np.abs(sin_az - np.sin(2.0 * np.pi * u))) <= 4.0 * ulp
-        cos_zero, sin_zero = montecarlo._unit_circle(np.zeros(1))
+        cos_zero, sin_zero = montecarlo._unit_circle(np.zeros(1), np.empty((7, 1)))
         assert (cos_zero[0], sin_zero[0]) == (1.0, 0.0)
+
+    def test_a_second_call_faults_in_no_block_memory_after_a_lamp_map(self, tmp_path):
+        # The trace's temporaries live in one array per call: none goes back
+        # to the system after a batch, to be faulted in again by the next,
+        # whatever heap a lamp map leaves behind.  A fresh process, so the
+        # heap is the one the map leaves.
+        script = (
+            "import contextlib, io, json, resource, sys\n"
+            "from indoorqkd.cli import main\n"
+            "from indoorqkd.experiments import Scenario, build_setup\n"
+            "from indoorqkd.montecarlo import estimate_reflected_gain\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main([sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "faults = {}\n"
+            "for name, overrides, fov in (('offset-55', {'lamp_x_m': 1.3}, 55.0), ('floor-7', {}, 7.0), ('floor-20', {}, 20.0)):\n"
+            "    room = build_setup(Scenario.named('lamp-center', overrides), fov, 1e-5).room\n"
+            "    for call in range(2):\n"
+            "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "        estimate_reflected_gain(room, samples=1_000_000, seed=7)\n"
+            "        faults[name, call] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "print(json.dumps({f'{name} call {call}': count for (name, call), count in faults.items()}))\n"
+        )
+        config = tmp_path / "map.ini"
+        config.write_text("[experiments]\nscenario = lamp-center\nfov_steps = 5\nsource_steps = 3\n")
+        src = Path(montecarlo.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "out")], capture_output=True, text=True, env=env, check=True,
+        )
+        faults = json.loads(done.stdout)
+        # a trace with a numpy temporary per step took about 615 on the 20 degree cone
+        assert all(faults[f"{name} call 1"] <= 500 for name in ("offset-55", "floor-7", "floor-20")), faults
 
     def test_peak_memory_does_not_grow_with_samples_or_chunk(self, monkeypatch):
         room = room_at(30.0)
