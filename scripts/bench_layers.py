@@ -38,6 +38,13 @@ and faulted in again, among others.  The layers:
 * one cold 90 x 90 sweep (FOV 2-30 deg x ambient 1e-9-1e-5 W/nm/m^2) of
   ambient-only-center;
 * one cold ambient_tolerance of ambient-only-center at a FOV floor of 2 deg;
+* the two searches as a CLI run makes them, after their map: a
+  secure_fov_boundary of lamp-center at 10 patches_per_meter after a
+  29 x 13 map (FOV 2-30 deg x lamp PSD 1e-7-1e-4 W/nm, the shape of a
+  perfbench lamp-map op) at the map's middle level, and an ambient_tolerance
+  at 2 deg after the 90 x 90 ambient map above; each round builds the map
+  cold, untimed, and the search starts from the map's flags at its level or
+  FOV, in trees whose searches take them;
 * estimate_reflected_gain with 1e6 and 1e7 rays (seed 7), lamp-center at
   FOV 20 deg, where the cone bound skips most rays, and with 1e6 rays with
   the lamp at (1.3, 2.0) and a 55 deg cone, where it can skip few, and a
@@ -76,6 +83,7 @@ under other labels are kept, so one file can hold a before/after pair:
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -225,6 +233,9 @@ def layer_rows(src: Path) -> dict:
     ambient_fovs = tuple(np.linspace(2.0, 30.0, 90).tolist())
     ambient_levels = tuple(np.logspace(-9.0, -5.0, 90).tolist())
     noises = np.logspace(-9.0, -2.0, 90)
+    map_fovs = tuple(np.linspace(2.0, 30.0, 29).tolist())
+    map_levels = tuple(np.logspace(-7.0, -4.0, 13).tolist())
+    seeded = "known" in inspect.signature(secure_fov_boundary).parameters  # trees whose searches take a map's flags
 
     def batch_rates() -> float:
         return sum(secret_key_rate(setup.protocol, 1e-3, noises).rate.tolist())
@@ -263,6 +274,18 @@ def layer_rows(src: Path) -> dict:
 
             return timed(lambda: outputs_digest(ambient_in_process), cold)
 
+    def after_map(search, grid, known) -> dict:
+        """Time ``search(**seed)`` after its map, built cold before each round, seeded from it as cli.run seeds it."""
+        seed = {}
+
+        def build() -> None:
+            cold()
+            flags = known(grid())
+            if seeded:
+                seed["known"] = flags
+
+        return timed(lambda: search(**seed), build)
+
     def monte_carlo(rays: int, room=room) -> dict:
         def estimate() -> float:
             return estimate_reflected_gain(room, samples=rays, seed=7).value
@@ -292,6 +315,16 @@ def layer_rows(src: Path) -> dict:
     )
     rows["sweep_90x90_ambient_only_center_cold"] = lambda: timed(lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold)
     rows["ambient_tolerance_cold"] = lambda: timed(lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold)
+    rows["secure_fov_boundary_after_map_10_per_m"] = lambda: after_map(
+        lambda **seed: secure_fov_boundary(scenario, map_levels[6], patches_per_meter=10, **seed),
+        lambda: sweep(scenario, map_fovs, map_levels, patches_per_meter=10),
+        lambda grid: (map_fovs, grid.report.secure[:, 6]),
+    )
+    rows["ambient_tolerance_after_map"] = lambda: after_map(
+        lambda **seed: ambient_tolerance(ambient, fov_floor_deg=2.0, **seed),
+        lambda: sweep(ambient, ambient_fovs, ambient_levels),
+        lambda grid: (ambient_levels, grid.report.secure[0]),
+    )
     rows["estimate_reflected_gain_1e6_rays"] = lambda: monte_carlo(1_000_000)
     rows["estimate_reflected_gain_1e6_rays_offset_55deg"] = lambda: monte_carlo(
         1_000_000, build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 55.0, 1e-5).room

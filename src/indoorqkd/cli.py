@@ -475,17 +475,21 @@ def run(config: RunConfig) -> int:
         csv.write((",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n").encode("ascii"))
         csv.writelines(_csv_lines(grid, fov_values, source_values))
 
+    # The searches start from the map's flags; a log FOV axis need not start on fov_min_deg's bits.
     report = None  # of the bounce quadrature, in a run with reflected light
     if ambient_run:
-        found = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg)
+        row = (source_values, grid.report.secure[0]) if fov_values[0] == config.fov_min_deg else None
+        found = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg, known=row)
     else:
         if max(source_values) > 0.0:
             room = build_setup(scenario, max(fov_values), 0.0).room
             report = reflected_gain_convergence(room, config.resolution_patches_per_meter)
+        mid = len(source_values) // 2
         found = secure_fov_boundary(
-            scenario, source_values[len(source_values) // 2],
+            scenario, source_values[mid],
             patches_per_meter=config.resolution_patches_per_meter,
             fov_max_deg=config.fov_max_deg,
+            known=(fov_values, grid.report.secure[:, mid]),
         )
 
     summary = _summarize(config, ambient_run, grid.report.secure, fov_values, source_values, found, report)

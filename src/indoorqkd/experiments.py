@@ -111,6 +111,8 @@ _BOUNDARY_PRECISION_DEG = 0.1
 # 100 W/nm/m^2 (brighter than anything indoors), bisected to 0.01 decades.
 _AMBIENT_LADDER_DECADES = tuple(float(k) for k in range(-9, 3))
 _TOLERANCE_PRECISION_DECADES = 0.01
+# A map's values along a search axis and their secure flags (see _largest_secure).
+MapFlags = tuple[Sequence[float], Sequence[bool]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,16 +319,33 @@ def sweep(
     return evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, **options)
 
 
-def _largest_secure(secure: Callable[[float | np.ndarray], bool | np.ndarray], ladder: Sequence[float], precision: float) -> float | None:
+def _largest_secure(
+    secure: Callable[[float | np.ndarray], bool | np.ndarray], ladder: Sequence[float], precision: float,
+    known: MapFlags | None = None, level: Callable[[float], float] = float,
+) -> float | None:
     """Largest value found secure: None if the first rung of the increasing
     ``ladder`` is not, its last rung if every rung is.
 
     ``secure`` flags one value or each of an array, holding below a crossing
-    and failing above it.  The ladder is flagged in one call, then the bracket
-    below its first insecure rung is bisected one value per call until
-    narrower than ``precision``; the value returned was found secure.
+    and failing above it.  ``known``, a map's values along the search axis
+    and their flags, answers each probe it decides under that premise: one
+    whose ``level`` is at or below the map's largest secure value is secure,
+    one at or above its smallest insecure value is not.  Flags that break the
+    premise (a secure value above an insecure one) decide nothing, and the
+    search probes as without them.  The ladder's undecided rungs are flagged
+    in one call, then the bracket below its first insecure rung is bisected
+    one value per call until narrower than ``precision``; the value returned
+    was found secure.
     """
-    insecure = np.flatnonzero(~np.asarray(secure(np.array(ladder, dtype=float)), dtype=bool))
+    values, flags = np.array(known or ((), ()), dtype=float)  # the flags as 1 and 0
+    top, bottom = values[flags == 1.0].max(initial=-math.inf), values[flags == 0.0].min(initial=math.inf)
+    if not top < bottom:
+        top, bottom = -math.inf, math.inf
+    at = np.array([level(v) for v in ladder])
+    flags, ask = at <= top, (top < at) & (at < bottom)
+    if ask.any():
+        flags[ask] = secure(np.array(ladder, dtype=float)[ask])
+    insecure = np.flatnonzero(~flags)
     if not insecure.size:
         return ladder[-1]
     if insecure[0] == 0:
@@ -334,7 +353,8 @@ def _largest_secure(secure: Callable[[float | np.ndarray], bool | np.ndarray], l
     lo, hi = ladder[insecure[0] - 1], ladder[insecure[0]]
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
-        if secure(mid):
+        at = level(mid)
+        if at <= top or (at < bottom and secure(mid)):
             lo = mid
         else:
             hi = mid
@@ -347,6 +367,7 @@ def secure_fov_boundary(
     *,
     patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
     fov_max_deg: float = 90.0,
+    known: MapFlags | None = None,
 ) -> float | None:
     """Largest field of view with a positive key rate, or None if none is.
 
@@ -354,16 +375,18 @@ def secure_fov_boundary(
     falls and the admitted background only widens as the cone opens),
     evaluates a coarse ladder as one FOV array for a bracket, then bisects
     to 0.1 deg.  The returned value is on the secure side of the crossing.
+    ``known`` (FOVs, secure flags), a map's column at ``source_level`` and
+    ``patches_per_meter``, only saves probes (see ``_largest_secure``).
     """
 
     def secure(fov: float | np.ndarray) -> bool | np.ndarray:
         return evaluate_point(scenario, fov, source_level, patches_per_meter=patches_per_meter).report.secure
 
     ladder = [f for f in _FOV_LADDER_DEG if f < fov_max_deg] + [fov_max_deg]
-    return _largest_secure(secure, ladder, _BOUNDARY_PRECISION_DEG)
+    return _largest_secure(secure, ladder, _BOUNDARY_PRECISION_DEG, known)
 
 
-def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0) -> float | None:
+def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0, known: MapFlags | None = None) -> float | None:
     """Largest secure ambient spectral irradiance (W/nm/m^2), 0 if only the dark room is, None if not even it is.
 
     Taken at ``fov_floor_deg``, the smallest studied FOV: the isotropic
@@ -371,6 +394,9 @@ def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0) -> flo
     gain, and with it the transmittance, only falls as the cone opens.  The
     decades from 1e-9 to 100 W/nm/m^2 are one level array, then the level
     log-bisects to 0.01 decades; the returned level is verified secure.
+    ``known`` (levels, secure flags), a map's row at ``fov_floor_deg``, only
+    saves probes: each probe's level 10^d is compared with its levels (see
+    ``_largest_secure``).
     """
     if scenario.name not in AMBIENT_SCENARIOS:
         raise ValueError("ambient_tolerance applies to the ambient-only scenarios")
@@ -379,10 +405,13 @@ def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0) -> flo
         levels = np.reshape([10.0**d for d in np.ravel(decades).tolist()], np.shape(decades))
         return evaluate_point(scenario, fov_floor_deg, levels).report.secure
 
-    decades = _largest_secure(secure, _AMBIENT_LADDER_DECADES, _TOLERANCE_PRECISION_DECADES)
+    def search(ladder: Sequence[float]) -> float | None:
+        return _largest_secure(secure, ladder, _TOLERANCE_PRECISION_DECADES, known, lambda d: 10.0**d)
+
+    decades = search(_AMBIENT_LADDER_DECADES)
     if decades is not None:
         return 10.0**decades
-    return 0.0 if secure(-math.inf) else None
+    return 0.0 if search((-math.inf,)) is not None else None  # the dark room, a one-rung ladder
 
 
 def path_loss_profile(

@@ -105,9 +105,9 @@ def estimate_reflected_gain(
     if not isinstance(samples, numbers.Integral) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     m1 = lambert_mode(room.lamp_semi_angle_deg)
-    u_min = _cone_threshold(room, m1)
-    bands = _sector_bands(room, m1, u_min) if u_min > 0.0 else None
     scene = _Scene(room, m1)
+    u_min = _cone_threshold(scene, m1)
+    bands = _sector_bands(scene, m1, u_min) if u_min > 0.0 else None
     work = np.empty((_WORK_ROWS, _BLOCK))
 
     total = 0.0
@@ -163,7 +163,7 @@ def _packed_batches(
 
 
 class _Scene:
-    """The constants of one call's trace."""
+    """The constants of one call: what the trace and both cone bounds read of the room."""
 
     def __init__(self, room: RoomScenario, m1: float) -> None:
         fov_rad = math.radians(room.fov_deg)
@@ -186,6 +186,16 @@ class _Scene:
         self.receiver_axis = room.receiver.axis.as_tuple()
         self.lamp_axis = np.array(room.lamp.axis.as_tuple())
         self.e1, self.e2 = _frame(self.lamp_axis)
+        self.sides = (room.room_x_m, room.room_y_m)
+        self.delta = math.dist(self.lamp, self.receiver)
+        self.slack = _BOUND_LENGTH_SLACK * (math.hypot(*self.lamp) + math.hypot(*self.receiver) + self.delta)
+        # The receiver's distance to each face of _FACES.
+        self.heights = [rz, rx, room.room_x_m - rx, ry, room.room_y_m - ry]
+        # The cone test reads cos(psi) >= cos(fov) against the axis as stored, whose norm is 1 within 1e-9.
+        norm = math.hypot(*self.receiver_axis)
+        self.cone = math.acos(min(self.cos_fov / norm, 1.0))
+        self.unit_axis = tuple(c / norm for c in self.receiver_axis)
+        self.faces = _footprints(self)
 
 
 def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +261,7 @@ def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k, weight * cos_psi.take(k) / (math.pi * d2 * d2 * d2)
 
 
-def _cone_threshold(room: RoomScenario, m1: float) -> float:
+def _cone_threshold(scene: _Scene, m1: float) -> float:
     """The cos(phi) draw below which no ray lands in the receiver's cone, or 0 where no bound holds.
 
     A ray that lands hits a face the cone meets (see ``_footprints``; any
@@ -272,16 +282,13 @@ def _cone_threshold(room: RoomScenario, m1: float) -> float:
     cone test, and of the power that turns u into cos(phi).  The bound is 0,
     and every ray is traced, once phi_max reaches 90 degrees or delta s_min.
     """
-    bound = _BoundGeometry(room)
-    faces = _footprints(bound)
-    heights = bound.heights if faces is None else [h for h, _ in faces]
-    reach = min(heights, default=math.inf) - bound.slack
-    if not bound.delta < reach:
+    heights = scene.heights if scene.faces is None else [h for h, _ in scene.faces]
+    reach = min(heights, default=math.inf) - scene.slack
+    if not scene.delta < reach:
         return 0.0
-    receiver_axis = np.array(bound.receiver_axis)
-    lamp_axis = np.array(room.lamp.axis.as_tuple())
+    receiver_axis, lamp_axis = np.array(scene.unit_axis), scene.lamp_axis
     axes = math.atan2(float(np.linalg.norm(np.cross(receiver_axis, lamp_axis))), float(receiver_axis @ lamp_axis))
-    phi_max = bound.cone + axes + math.asin(bound.delta / reach) + bound.slack / reach + _BOUND_ANGLE_SLACK
+    phi_max = scene.cone + axes + math.asin(scene.delta / reach) + scene.slack / reach + _BOUND_ANGLE_SLACK
     if not phi_max < math.pi / 2.0:
         return 0.0
     return math.exp((m1 + 1.0) * math.log(math.cos(phi_max)) - _BOUND_LOG_SLACK * (m1 + 2.0))
@@ -291,25 +298,7 @@ def _cone_threshold(room: RoomScenario, m1: float) -> float:
 _FACES = ((2, 1.0, 0, 1), (0, 1.0, 1, 2), (0, -1.0, 1, 2), (1, 1.0, 0, 2), (1, -1.0, 0, 2))
 
 
-class _BoundGeometry:
-    """What both cone bounds read of the room."""
-
-    def __init__(self, room: RoomScenario) -> None:
-        self.lamp = room.lamp.position.as_tuple()
-        self.receiver = rx, ry, rz = room.receiver.position.as_tuple()
-        self.sides = (room.room_x_m, room.room_y_m)
-        self.delta = math.dist(self.lamp, self.receiver)
-        self.slack = _BOUND_LENGTH_SLACK * (math.hypot(*self.lamp) + math.hypot(*self.receiver) + self.delta)
-        # The receiver's distance to each face of _FACES.
-        self.heights = [rz, rx, room.room_x_m - rx, ry, room.room_y_m - ry]
-        # The cone test reads cos(psi) >= cos(fov) against the axis as stored, whose norm is 1 within 1e-9.
-        axis = room.receiver.axis.as_tuple()
-        norm = math.hypot(*axis)
-        self.cone = math.acos(min(math.cos(math.radians(room.fov_deg)) / norm, 1.0))
-        self.receiver_axis = tuple(c / norm for c in axis)
-
-
-def _footprints(bound: _BoundGeometry) -> list[tuple[float, tuple[list[float], float] | None]] | None:
+def _footprints(scene: _Scene) -> list[tuple[float, tuple[list[float], float] | None]] | None:
     """The faces the receiver's cone meets, each as (h, circle), or None where they are not bounded.
 
     A ray that lands hits the floor, or a wall below the receiver, inside
@@ -326,11 +315,11 @@ def _footprints(bound: _BoundGeometry) -> list[tuple[float, tuple[list[float], f
     faces), the receiver on a plane, or the cone reaches the horizontal (it
     would meet the walls above the receiver).
     """
-    p, r, slack, heights, sides = bound.lamp, bound.receiver, bound.slack, bound.heights, bound.sides
+    p, r, slack, heights, sides = scene.lamp, scene.receiver, scene.slack, scene.heights, scene.sides
     if min(p[0], sides[0] - p[0], p[1], sides[1] - p[1], p[2]) <= 2.0 * _T_MIN + slack or min(heights) <= 2.0 * slack:
         return None
-    axis = bound.receiver_axis
-    cone = bound.cone + _BOUND_ANGLE_SLACK + slack / (min(heights) - slack)
+    axis = scene.unit_axis
+    cone = scene.cone + _BOUND_ANGLE_SLACK + slack / (min(heights) - slack)
     if not math.atan2(math.hypot(axis[0], axis[1]), -axis[2]) + cone < math.pi / 2.0:
         return None
     lengths = (sides[0], sides[1], r[2])  # along each axis; a wall is cut at the receiver's height
@@ -356,7 +345,7 @@ def _footprints(bound: _BoundGeometry) -> list[tuple[float, tuple[list[float], f
     return faces
 
 
-def _sector_bands(room: RoomScenario, m1: float, u_min: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _sector_bands(scene: _Scene, m1: float, u_min: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Per azimuth sector, the band of cos(phi) draws outside which no ray lands in the receiver's cone.
 
     The azimuth draw v picks the sector floor(v * ``_SECTORS``).  Where the
@@ -369,12 +358,11 @@ def _sector_bands(room: RoomScenario, m1: float, u_min: float) -> tuple[np.ndarr
     of the power.  None where a footprint is not an ellipse, or no sector's
     band is narrower than [``u_min``, 1].
     """
-    bound = _BoundGeometry(room)
-    faces = _footprints(bound)
+    faces = scene.faces
     if not faces or any(circle is None for _, circle in faces):
         return None
     arc_lo, arc_hi = _cap_arcs(
-        room, bound, np.array([center for _, (center, _) in faces]), np.array([radius for _, (_, radius) in faces]),
+        scene, np.array([center for _, (center, _) in faces]), np.array([radius for _, (_, radius) in faces]),
     )
     lo, hi = arc_lo.min(axis=0), arc_hi.max(axis=0)
     log_slack = _BOUND_LOG_SLACK * (m1 + 2.0)
@@ -389,7 +377,7 @@ def _sector_bands(room: RoomScenario, m1: float, u_min: float) -> tuple[np.ndarr
     return u_lo, u_hi
 
 
-def _cap_arcs(room: RoomScenario, bound: _BoundGeometry, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cap_arcs(scene: _Scene, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per sphere and sector, the polar angles (lo, hi) in [0, pi/2] of the sphere's cap from the lamp in the sector.
 
     A sector the cap misses gets (inf, -inf).  A cap of half-angle beta
@@ -401,13 +389,12 @@ def _cap_arcs(room: RoomScenario, bound: _BoundGeometry, centers: np.ndarray, ra
     center's own where the sector holds it.  A cap that reaches a
     hemisphere, or a sphere that holds the lamp, gets [0, pi/2] everywhere.
     """
-    lamp_axis = np.array(room.lamp.axis.as_tuple())
-    e1, e2 = _frame(lamp_axis)  # the trace's frame, orthonormal within 1e-9
-    offsets = centers - np.array(bound.lamp)
+    lamp_axis, e1, e2 = scene.lamp_axis, scene.e1, scene.e2  # the trace's frame, orthonormal within 1e-9
+    offsets = centers - np.array(scene.lamp)
     along, x1, x2 = offsets @ lamp_axis / float(np.linalg.norm(lamp_axis)), offsets @ e1, offsets @ e2
     across = np.hypot(x1, x2)
     dist = np.hypot(along, across)
-    radii = radii + bound.slack + _BOUND_LENGTH_SLACK * (dist + radii)
+    radii = radii + scene.slack + _BOUND_LENGTH_SLACK * (dist + radii)
     beta = np.minimum(np.arcsin(np.minimum(radii / dist, 1.0)) + _BOUND_ANGLE_SLACK, math.pi / 2.0)
     everywhere = (beta == math.pi / 2.0)[:, None]
     phi_c = np.arctan2(across, along)[:, None]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import indoorqkd.cli as cli
+import indoorqkd.experiments as experiments
 from indoorqkd.channel import ConvergenceReport
 from indoorqkd.cli import (
     _RUN_KEY_TYPES,
@@ -612,6 +613,66 @@ class TestComputeThenRender:
         summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
         assert summary.endswith(f"relative change 0.000e+00); {'converged' if converged else 'NOT converged in the psi order'}\n")
         assert ("exit 3 under --strict" in capsys.readouterr().err) is not converged
+
+
+class TestSearchesSeededFromTheMap:
+    def test_lamp_run_probes_no_rung_the_map_decides(self, tmp_path, monkeypatch):
+        # a 7-FOV map from 2 to 30 deg whose middle column, at 1e-5 W/nm, turns insecure between 6.7 and 11.3 deg
+        config = small_run(tmp_path, "lamp", fov_min_deg=2.0, fov_max_deg=30.0, fov_steps=7, source_max=1e-4)
+        calls = spy_on_cli(monkeypatch, ("sweep",))
+        probed = []
+        evaluate = experiments.evaluate_point
+
+        def spy(scenario, fov_deg, source_level, **options):
+            probed.extend(np.ravel(fov_deg).tolist())
+            return evaluate(scenario, fov_deg, source_level, **options)
+
+        search = cli.secure_fov_boundary
+
+        def boundary(*args, **kwargs):
+            monkeypatch.setattr(experiments, "evaluate_point", spy)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "secure_fov_boundary", boundary)
+        assert run(config) == EXIT_OK
+        fovs = np.array(config.fov_values())
+        flags = calls[0][1].report.secure[:, len(config.source_values()) // 2]
+        assert flags.any() and not flags.all()
+        top, bottom = fovs[flags].max(), fovs[~flags].min()
+        assert probed and all(top < fov < bottom for fov in probed), (top, bottom, probed)
+        rungs = [f for f in experiments._FOV_LADDER_DEG if f < config.fov_max_deg] + [config.fov_max_deg]
+        decided = [rung for rung in rungs if not top < rung < bottom]
+        assert len(decided) == len(rungs) - 1  # all but 8 deg
+        assert not set(decided) & set(probed)
+
+    @pytest.mark.parametrize("scale, fov_min, seeded", [("log", 5.0, False), ("log", 6.0, True), ("linear", 5.0, True)])
+    def test_ambient_run_seeds_only_from_a_row_at_fov_min(self, tmp_path, monkeypatch, scale, fov_min, seeded):
+        config = small_run(tmp_path, "ambient", fov_min_deg=fov_min, fov_max_deg=30.0, fov_steps=4, fov_scale=scale)
+        assert (config.fov_values()[0] == fov_min) is seeded  # a log axis of 5 deg starts at 5.000000000000001
+        known = []
+        search = cli.ambient_tolerance
+
+        def tolerance(*args, **kwargs):
+            known.append(kwargs.get("known"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ambient_tolerance", tolerance)
+        assert run(config) == EXIT_OK
+        assert len(known) == 1 and (known[0] is not None) is seeded
+        if seeded:
+            assert known[0][0] == config.source_values()
+
+    @pytest.mark.parametrize("case", ["lamp", "lamp-off", "ambient", "lamp-spectrum"])
+    def test_outputs_equal_those_of_unseeded_searches(self, tmp_path, monkeypatch, case):
+        seeded = small_run(tmp_path / "seeded", case, fov_min_deg=2.0, fov_max_deg=30.0, fov_steps=7)
+        assert run(seeded) == EXIT_OK
+        for name in ("secure_fov_boundary", "ambient_tolerance"):
+            search = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, search=search, **kwargs: search(*args, **{**kwargs, "known": None}))
+        unseeded = small_run(tmp_path / "unseeded", case, fov_min_deg=2.0, fov_max_deg=30.0, fov_steps=7)
+        assert run(unseeded) == EXIT_OK
+        for name in ("summary.txt", "sweep.csv"):
+            assert (tmp_path / "seeded" / "out" / name).read_bytes() == (tmp_path / "unseeded" / "out" / name).read_bytes()
 
 
 class TestAxes:

@@ -25,7 +25,7 @@ from indoorqkd.experiments import (
     secure_fov_boundary,
     sweep,
 )
-from indoorqkd import channel
+from indoorqkd import channel, experiments
 from indoorqkd.geometry import Point3
 
 # Sweep values recorded when every grid point was its own evaluate_point call
@@ -547,6 +547,102 @@ class TestSearchesAgainstScalarWalk:
         assert ambient_tolerance(Scenario.named("ambient-only-center", {"filter_bandwidth_nm": 1e-12}), fov_floor_deg=2.0) == 100.0
         assert ambient_tolerance(Scenario.named("ambient-only-center", {"misalignment_error": 0.5}), fov_floor_deg=2.0) is None
         assert ambient_tolerance(Scenario.named("ambient-only-corner", {"dark_count_rate_hz": 392968.75}), fov_floor_deg=2.0) == 0.0
+
+
+def probe_spy(monkeypatch):
+    """Wrap evaluate_point; the list returned collects each probe's (FOVs, levels) as flat arrays."""
+    probes = []
+    evaluate = experiments.evaluate_point
+
+    def spy(scenario, fov_deg, source_level, **options):
+        fovs, levels = np.broadcast_arrays(np.asarray(fov_deg, dtype=float), np.asarray(source_level, dtype=float))
+        probes.append((fovs.ravel().copy(), levels.ravel().copy()))
+        return evaluate(scenario, fov_deg, source_level, **options)
+
+    monkeypatch.setattr(experiments, "evaluate_point", spy)
+    return probes
+
+
+def map_axis(lo, hi, steps, scale):
+    return np.linspace(lo, hi, steps) if scale == "linear" else np.logspace(math.log10(lo), math.log10(hi), steps)
+
+
+def known_bracket(values, flags):
+    """The map's largest secure and smallest insecure value."""
+    values, flags = np.asarray(values), np.asarray(flags, dtype=bool)
+    return values[flags].max(initial=-np.inf), values[~flags].min(initial=np.inf)
+
+
+class TestSeededSearches:
+    """Searches seeded with a map's flags find, to the bit, what they find unseeded, and probe only inside the
+    bracket the map leaves."""
+
+    @pytest.mark.parametrize("name", LAMP_SCENARIOS)
+    @pytest.mark.parametrize("room", [{}] + seeded_rooms(21, 2))
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    @pytest.mark.parametrize("steps", [5, 29])
+    def test_boundary(self, monkeypatch, name, room, scale, steps):
+        scenario = Scenario.named(name, room)
+        probes = probe_spy(monkeypatch)
+        for level in (0.0, 1e-6, 1e-5, 1e-3, 10.0):
+            for fov_max in (30.0, 90.0):
+                fovs = map_axis(2.0, fov_max, steps, scale)
+                flags = sweep(scenario, fovs, [level]).report.secure[:, 0]
+                del probes[:]
+                expected = secure_fov_boundary(scenario, level, fov_max_deg=fov_max)
+                unseeded = sum(fov.size for fov, _ in probes)
+                del probes[:]
+                boundary = secure_fov_boundary(scenario, level, fov_max_deg=fov_max, known=(fovs, flags))
+                assert bits(np.nan if boundary is None else boundary) == bits(np.nan if expected is None else expected)
+                assert sum(fov.size for fov, _ in probes) < unseeded
+                top, bottom = known_bracket(fovs, flags)
+                assert all(((top < fov) & (fov < bottom)).all() for fov, _ in probes), (top, bottom, probes)
+
+    @pytest.mark.parametrize("name", AMBIENT_SCENARIOS)
+    @pytest.mark.parametrize(
+        "overrides",
+        seeded_rooms(22, 2) + [{"filter_bandwidth_nm": 1e-12}, {"misalignment_error": 0.5}, {"dark_count_rate_hz": 392968.75}],
+    )
+    @pytest.mark.parametrize("axis", [(0.0, 1e-5, "linear"), (1e-10, 1e-4, "log"), (1e-9, 1e3, "log")])
+    @pytest.mark.parametrize("steps", [5, 90])
+    def test_ambient_tolerance(self, monkeypatch, name, overrides, axis, steps):
+        scenario = Scenario.named(name, overrides)
+        probes = probe_spy(monkeypatch)
+        levels = map_axis(*axis[:2], steps, axis[2])
+        for floor in (2.0, 10.0, 33.3):
+            flags = sweep(scenario, [floor], levels).report.secure[0]
+            del probes[:]
+            expected = ambient_tolerance(scenario, fov_floor_deg=floor)
+            unseeded = sum(level.size for _, level in probes)
+            del probes[:]
+            tolerance = ambient_tolerance(scenario, fov_floor_deg=floor, known=(levels, flags))
+            assert bits(np.nan if tolerance is None else tolerance) == bits(np.nan if expected is None else expected)
+            assert sum(level.size for _, level in probes) < unseeded
+            top, bottom = known_bracket(levels, flags)
+            assert all(((top < level) & (level < bottom)).all() for _, level in probes), (top, bottom, probes)
+
+    @pytest.mark.parametrize("flags", [
+        [True, False, True, False, False],  # secure above an insecure value
+        [False, True, True, True, True],
+    ])
+    def test_flags_that_are_not_monotone_decide_nothing(self, monkeypatch, flags):
+        fovs = [2.0, 9.0, 16.0, 23.0, 30.0]
+        lamp, ambient = Scenario.named("lamp-corner"), Scenario.named("ambient-only-corner")
+        probes = probe_spy(monkeypatch)
+        runs = []
+        for known in (None, (fovs, flags), (fovs + [16.0], flags + [not flags[2]])):
+            del probes[:]
+            found = secure_fov_boundary(lamp, 1e-5, known=known)
+            runs.append((found, [(fov.tolist(), level.tolist()) for fov, level in probes]))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert len(runs[0][1]) > 1
+        levels = [0.0, 1e-9, 1e-8, 1e-7, 1e-6]
+        runs = []
+        for known in (None, (levels, flags)):
+            del probes[:]
+            found = ambient_tolerance(ambient, fov_floor_deg=2.0, known=known)
+            runs.append((found, [(fov.tolist(), level.tolist()) for fov, level in probes]))
+        assert runs[1] == runs[0]
 
 
 class TestPathLossProfile:

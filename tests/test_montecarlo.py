@@ -208,7 +208,8 @@ def float_bits(x):
 
 
 def threshold(room):
-    return montecarlo._cone_threshold(room, montecarlo.lambert_mode(room.lamp_semi_angle_deg))
+    m1 = montecarlo.lambert_mode(room.lamp_semi_angle_deg)
+    return montecarlo._cone_threshold(montecarlo._Scene(room, m1), m1)
 
 
 def estimate_bits(room, samples, seed):
@@ -266,7 +267,7 @@ class TestConeBound:
     def test_no_bound_gives_the_same_bits(self, monkeypatch, room, samples, seed, chunk_size):
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
         bounded = estimate_bits(room, samples, seed)
-        monkeypatch.setattr(montecarlo, "_cone_threshold", lambda room, m1: 0.0)
+        monkeypatch.setattr(montecarlo, "_cone_threshold", lambda scene, m1: 0.0)
         assert estimate_bits(room, samples, seed) == bounded
 
     def test_random_rooms_mostly_bound_their_rays(self):
@@ -291,7 +292,8 @@ class TestConeBound:
         # exactly 0 if none does.
         u_min = threshold(room)
         assert u_min > 0.0
-        bands = montecarlo._sector_bands(room, montecarlo.lambert_mode(room.lamp_semi_angle_deg), u_min)
+        m1 = montecarlo.lambert_mode(room.lamp_semi_angle_deg)
+        bands = montecarlo._sector_bands(montecarlo._Scene(room, m1), m1, u_min)
         assert (bands is not None) == banded
         samples = 1_000_000
         assert estimate_reflected_gain(room, samples=samples, seed=5).value > 0.0
@@ -310,7 +312,7 @@ class TestConeBound:
                 yield cos_draws[dropped], azim_draws[dropped]
 
         monkeypatch.setattr(montecarlo, "_uniform_blocks", blocks_dropped)
-        monkeypatch.setattr(montecarlo, "_cone_threshold", lambda room, m1: 0.0)
+        monkeypatch.setattr(montecarlo, "_cone_threshold", lambda scene, m1: 0.0)
         assert estimate_reflected_gain(room, samples=samples, seed=5).value == 0.0
         assert sum(below) > 0
         assert sum(outside) > 0 or not banded
