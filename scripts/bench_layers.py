@@ -44,7 +44,7 @@ and faulted in again, among others.  The layers:
   perfbench lamp-map op) at the map's middle level, and an ambient_tolerance
   at 2 deg after the 90 x 90 ambient map above; each round builds the map
   cold, untimed, and the search starts from the map's flags at its level or
-  FOV, in trees whose searches take them;
+  FOV;
 * estimate_reflected_gain with 1e6 and 1e7 rays (seed 7), lamp-center at
   FOV 20 deg, where the cone bound skips most rays, and with 1e6 rays with
   the lamp at (1.3, 2.0) and a 55 deg cone, where it can skip few, and a
@@ -67,14 +67,13 @@ glibc raises its mmap threshold after freeing a large block, and a row's
 page faults would otherwise depend on the rows before it.
 
 "Cold" clears every per-room memo (the receiver views, which hold the
-integrals, and the reflected-integral tables of trees that keep them apart)
-before every run.  Each layer
-also records a value it computed, so runs of two source trees can be
-checked for identical results, and the run records the line count of
-``src/indoorqkd/*.py``.  --src picks the source tree to import
-(default: src/ of this checkout), so one copy of the script times any
-checkout.  --label names the run inside the output file; runs stored there
-under other labels are kept, so one file can hold a before/after pair:
+integrals) before every run.  Each layer also records a value it computed,
+so runs of two source trees can be checked for identical results, and the
+run records the line count of ``src/indoorqkd/*.py``.  --src picks the
+source tree to import (default: src/ of this checkout), so one copy of the
+script times this checkout and its parent.  --label names the run inside
+the output file; runs stored there under other labels are kept, so one
+file can hold a before/after pair:
 
     python3 scripts/bench_layers.py --src ../parent/src --label parent --out BENCH.json
     python3 scripts/bench_layers.py --label change --out BENCH.json
@@ -83,7 +82,6 @@ under other labels are kept, so one file can hold a before/after pair:
 import argparse
 import contextlib
 import hashlib
-import inspect
 import io
 import itertools
 import json
@@ -201,7 +199,7 @@ def line_count(package: Path) -> int:
 def layer_rows(src: Path) -> dict:
     """Each row's name and the function that measures it, in the order the rows run."""
     sys.path.insert(0, str(src))
-    from indoorqkd import channel, cli, experiments
+    from indoorqkd import channel, cli
     from indoorqkd.channel import total_reflected_gain
     from indoorqkd.experiments import (
         Scenario, ambient_tolerance, build_setup, evaluate_point, secure_fov_boundary, sweep,
@@ -212,20 +210,14 @@ def layer_rows(src: Path) -> dict:
     scenario = Scenario.named("lamp-center")
     setup = build_setup(scenario, 20.0, 1e-5)
     room = setup.room
-    # Bounce-integral memos that older trees keep outside the receiver views:
-    # per room and FOV before the quadrature, per room and order after it.
-    caches = [getattr(experiments, name) for name in ("_integral_table", "_cached_reflected_integral") if hasattr(experiments, name)]
-    views = getattr(channel, "_VIEWS", {})  # the per-room receiver views, where the tree memoizes them
 
-    def cold() -> None:
-        for cache in caches:
-            cache.cache_clear()
-        views.clear()
+    def cold() -> None:  # drop the per-room receiver views, where the bounce integrals are memoized
+        channel._VIEWS.clear()
 
     def without_integrals() -> None:  # keep the views, drop the integrals and whole-piece sums a view holds
-        for view in views.values():
-            getattr(view, "integrals", {}).clear()
-            getattr(view, "whole_pieces", {}).clear()
+        for view in channel._VIEWS.values():
+            view.integrals.clear()
+            view.whole_pieces.clear()
 
     fovs = tuple(0.9 * (k + 1) for k in range(100))
     levels = tuple(10.0 ** (-7.0 + 3.0 * k / 99) for k in range(100))
@@ -235,7 +227,6 @@ def layer_rows(src: Path) -> dict:
     noises = np.logspace(-9.0, -2.0, 90)
     map_fovs = tuple(np.linspace(2.0, 30.0, 29).tolist())
     map_levels = tuple(np.logspace(-7.0, -4.0, 13).tolist())
-    seeded = "known" in inspect.signature(secure_fov_boundary).parameters  # trees whose searches take a map's flags
 
     def batch_rates() -> float:
         return sum(secret_key_rate(setup.protocol, 1e-3, noises).rate.tolist())
@@ -243,11 +234,7 @@ def layer_rows(src: Path) -> dict:
     def ring_block(psi: np.ndarray) -> dict:
         view = channel._ReceiverView(build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room)
         # the work array a quadrature pass makes once for all its blocks, sized as piece_sums sizes it
-        # (under the view's theta rule, in trees that size the rule to the lamp)
-        if hasattr(view, "work_size"):
-            work = np.empty(view.work_size(len(psi), view.theta_rule))
-        else:
-            work = np.empty(8 * channel._THETA_ORDER * (channel._THETA_ARCS + 2 * view.edge_length.size) * len(psi))
+        work = np.empty(view.work_size(len(psi), view.theta_rule))
         return timed(lambda: float(view.ring_integrals(psi, work).sum()), calls=20)
 
     def new_fov_probe() -> dict:
@@ -280,9 +267,7 @@ def layer_rows(src: Path) -> dict:
 
         def build() -> None:
             cold()
-            flags = known(grid())
-            if seeded:
-                seed["known"] = flags
+            seed["known"] = known(grid())
 
         return timed(lambda: search(**seed), build)
 

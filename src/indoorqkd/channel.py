@@ -77,14 +77,12 @@ DEFAULT_PATCHES_PER_METER = 10
 CONVERGENCE_RTOL = 0.005
 # Widest psi panel, so that one rule order serves a narrow cone and a wide one.
 _PANEL_DEG = 15.0
-# Largest relative change the theta check may show under a view's theta rule: 1e-5 of
-# CONVERGENCE_RTOL, the psi order's own change at order 10 for 10-60 degree lamps.
-_THETA_RULE_RTOL = 1e-5 * CONVERGENCE_RTOL
 # The theta rule by lamp mode: (largest m1, equal arcs a ring is cut into before the edge
 # crossings cut it further, Gauss-Legendre nodes per arc), the first row the lamp's m1
 # fits.  Lamps of 60 degrees and wider get the rule of fewest nodes on an uncut ring (of
 # 4-12 arcs, 4-12 nodes) whose theta change at order 10 and FOVs 2-30 degrees stays within
-# _THETA_RULE_RTOL over this room set (tests/test_channel.py::theta_rule_rooms): the five
+# 5e-8 (1e-5 of CONVERGENCE_RTOL, the psi order's own change at order 10 for 10-60 degree
+# lamps) over this room set (tests/test_channel.py::theta_rule_rooms): the five
 # scenarios; lamps 0.5-1 m off a ceiling-centre receiver in 4 x 4 x 3, 5.5 x 3.5 x 2.5 and
 # 3.5 x 5.5 x 3.5 m rooms; a receiver aimed at a floor corner, a low tilted receiver and a
 # tilted lamp.  That is 4 x 10 (worst 2.7e-9; 6 x 8 gives 5.3e-8).  A narrow lamp's spot

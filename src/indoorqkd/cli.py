@@ -60,17 +60,10 @@ _CSV_COLUMNS = (
 # 8-byte words, NUL-padded.
 _E9_BYTES = 24
 _POW10 = 10.0 ** np.arange(-300, 301)  # 10**k at k + 300, each within an ulp
-_DIGITS3 = 48 + np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10  # "000" .. "999"
-_EXPONENTS = np.zeros((601, 8), np.uint8)  # e+XX or e-XXX of the exponents -300 .. 300 at exponent + 300
-_EXPONENTS[:, 0] = ord("e")
-_EXPONENTS[:, 1] = ord("+")
-_EXPONENTS[:300, 1] = ord("-")
-_EXPONENTS[:, 2:5] = _DIGITS3[np.abs(np.arange(-300, 301))]
-_EXPONENTS[201:400, 2:4] = _EXPONENTS[201:400, 3:5]  # two digits below 100
-_EXPONENTS[201:400, 4] = 0
-# The same tables as the integers whose little-endian bytes they are.
-_DIGITS3_WORD = (_DIGITS3[:, 0] | _DIGITS3[:, 1] << 8 | _DIGITS3[:, 2] << 16).astype(np.uint64)
-_EXPONENT_WORD = _EXPONENTS.view("<u8").ravel().astype(np.uint64)
+# '%03d' text of 0 .. 999, and 'e%+03d' text of the exponents -300 .. 300 at exponent + 300,
+# NUL-padded, as the integers whose little-endian bytes they are.
+_DIGITS3_WORD = np.array([b"%03d" % k for k in range(1000)], "S8").view("<u8")
+_EXPONENT_WORD = np.array([b"e%+03d" % k for k in range(-300, 301)], "S8").view("<u8")
 _ZERO = np.frombuffer(b"0.000000000e+00".ljust(_E9_BYTES, b"\0"), np.uint8)
 _FLAGS = np.frombuffer(b"false" b"true\0", np.uint8).reshape(2, 5)
 
@@ -183,6 +176,7 @@ def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
             raise ValueError(f"max {hi!r} - min {lo!r} overflows to inf on a linear axis")
         end, value = ("min", lo) if not math.isfinite(values[0]) else ("max", hi)
         raise ValueError(f"{end} {value!r} overflows to inf on a log axis")
+    values[0], values[-1] = lo, hi  # logspace's ends may miss them by an ulp
     return tuple(values.tolist())
 
 
@@ -191,8 +185,6 @@ def _format_value(key: str, value: object) -> str:
         return _SENTINELS[key]
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -213,12 +205,10 @@ def dump_defaults() -> str:
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
 def load_config(path: str | Path | None) -> tuple[RunConfig, list[str]]:
@@ -307,8 +297,6 @@ def _resolve(
     spectrum = config.lamp_spectrum_file
     if spectrum and config.lamp_spectrum_kind not in KINDS:
         out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: must be one of {', '.join(KINDS)}")
-    elif spectrum and not Path(spectrum).exists():
-        out.append(f"lamp_spectrum_file = {spectrum!r}: file not found")
     elif spectrum and config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
         out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: ambient scenarios take an 'irradiance' spectrum, not a source PSD")
     elif not spectrum or config.scenario in SCENARIOS:  # a spectrum is read at the scenario's wavelength
@@ -327,9 +315,8 @@ def _resolve(
     if not out:
         try:
             scenario = Scenario.named(config.scenario, config.overrides)
-            # The boundary search goes up to fov_max_deg.
-            widest = max(fov_values[-1], config.fov_max_deg)
-            for fov, level in ((fov_values[0], source_values[0]), (widest, source_values[-1])):
+            # fov_max_deg ends the boundary search, and the FOV axis unless it has one step.
+            for fov, level in ((fov_values[0], source_values[0]), (config.fov_max_deg, source_values[-1])):
                 build_setup(scenario, fov, level)
             return (scenario, fov_values, source_values), []
         except ValueError as exc:
@@ -475,11 +462,9 @@ def run(config: RunConfig) -> int:
         csv.write((",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n").encode("ascii"))
         csv.writelines(_csv_lines(grid, fov_values, source_values))
 
-    # The searches start from the map's flags; a log FOV axis need not start on fov_min_deg's bits.
     report = None  # of the bounce quadrature, in a run with reflected light
     if ambient_run:
-        row = (source_values, grid.report.secure[0]) if fov_values[0] == config.fov_min_deg else None
-        found = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg, known=row)
+        found = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg, known=(source_values, grid.report.secure[0]))
     else:
         if max(source_values) > 0.0:
             room = build_setup(scenario, max(fov_values), 0.0).room

@@ -27,12 +27,7 @@ contributions are summed on their own, so the stream, each sum and every
 estimate keep every bit.  The azimuth is reduced to a quarter turn plus an
 angle in [-pi/4, pi/4] before its one sin call, and terms whose
 coefficient is exactly zero (most of them for a lamp or receiver facing
-straight down) are skipped.  A 1e6-ray call took 16.4-16.7 ms at
-lamp-center and FOV 20 degrees, and 12.9-13.0 ms with the lamp 0.7 m off
-and a 10 degree cone, against 23.0-26.1 and 28.5-28.9 ms with the
-threshold alone and a block traced at a time; with a 55 degree cone, which
-reaches the walls, 65.7-69.8 ms against 69.3-73.3 ms (BENCH_23.json, 2-core
-x86 Xeon, numpy 2.4).
+straight down) are skipped.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from .geometry import RoomScenario
 __all__ = [
     "PLANCK_J_S",
     "SPEED_OF_LIGHT_M_S",
-    "BLACKBODY_AMBIENT_W_NM_M2",
     "NoiseBudget",
     "matched_filter_bandwidth_nm",
     "isotropic_noise_power",
@@ -35,10 +34,6 @@ __all__ = [
     "lamp_noise_photons",
     "dark_counts_per_pulse",
 ]
-
-# Thermal (blackbody) room background is orders of magnitude below lamp
-# light in the near infrared; use this preset to include it anyway.
-BLACKBODY_AMBIENT_W_NM_M2 = 1e-18
 
 
 # eq=False: fields may be arrays, whose == has no truth value; compare fields.

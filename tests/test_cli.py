@@ -66,6 +66,10 @@ class TestDefaultsRoundTrip:
         assert diagnostics == []
         assert config.effective_parameters() == RunConfig().effective_parameters()
 
+    def test_dump_is_byte_identical_to_the_recorded_one(self):
+        recorded = Path(__file__).parent / "data" / "dump_defaults.ini"
+        assert dump_defaults().encode("utf-8") == recorded.read_bytes()
+
     def test_defaults_validate_clean(self):
         assert validate(RunConfig()) == []
 
@@ -114,6 +118,17 @@ class TestValidationDiagnostics:
         messages = validate(config)
         assert any("lamp_semi_angle_deg" in m and "undefined" in m for m in messages)
 
+    @pytest.mark.parametrize("raw, value", [
+        ("TrUe", True), ("YeS", True), ("oN", True), ("1", True), ("FaLsE", False), ("nO", False), ("OfF", False), ("0", False),
+    ])
+    def test_each_boolean_word_sets_strict(self, tmp_path, raw, value):
+        config, diagnostics = load_config(write_config(tmp_path, f"[cli]\nstrict = {raw}\n"))
+        assert diagnostics == [] and config.strict is value
+
+    def test_a_word_that_is_no_boolean_is_diagnosed(self, tmp_path):
+        _, diagnostics = load_config(write_config(tmp_path, "[cli]\nstrict = maybe\n"))
+        assert diagnostics == ["[cli] strict: expected a boolean, got 'maybe'"]
+
     def test_unknown_key_reported_with_section(self, tmp_path):
         path = write_config(tmp_path, "[geometry]\nwall_reflectivty = 0.7\n")
         _, diagnostics = load_config(path)
@@ -137,7 +152,7 @@ class TestValidationDiagnostics:
 
     def test_dangling_spectrum_file(self):
         config = RunConfig(lamp_spectrum_file="/nowhere/led.csv")
-        assert any("not found" in m for m in validate(config))
+        assert validate(config) == ["lamp_spectrum_file: [Errno 2] No such file or directory: '/nowhere/led.csv'"]
 
     def test_out_of_band_wavelength(self):
         config = RunConfig(
@@ -440,6 +455,12 @@ class TestSweepCsvText:
     def test_fixed_cases(self):
         assert e9_text(E9_CASES) == ["%.9e" % v for v in E9_CASES]
 
+    def test_word_tables_are_percent_text(self):
+        for table, form, first in ((cli._DIGITS3_WORD, "%03d", 0), (cli._EXPONENT_WORD, "e%+03d", -300)):
+            words = [int(w).to_bytes(8, "little") for w in table.tolist()]
+            assert words == [(form % k).encode("ascii").ljust(8, b"\0") for k in range(first, first + len(table))]
+        assert (len(cli._DIGITS3_WORD), len(cli._EXPONENT_WORD)) == (1000, 601)
+
     def test_ties_and_decimal_neighbours(self):
         rng = np.random.default_rng(3)
         values = np.concatenate([np.round(rng.random(20_000), 9), np.round(10.0 * rng.random(20_000), 10), rng.random(20_000)])
@@ -645,10 +666,10 @@ class TestSearchesSeededFromTheMap:
         assert len(decided) == len(rungs) - 1  # all but 8 deg
         assert not set(decided) & set(probed)
 
-    @pytest.mark.parametrize("scale, fov_min, seeded", [("log", 5.0, False), ("log", 6.0, True), ("linear", 5.0, True)])
-    def test_ambient_run_seeds_only_from_a_row_at_fov_min(self, tmp_path, monkeypatch, scale, fov_min, seeded):
+    @pytest.mark.parametrize("scale, fov_min", [("log", 5.0), ("log", 6.0), ("linear", 5.0)])
+    def test_ambient_run_seeds_only_from_a_row_at_fov_min(self, tmp_path, monkeypatch, scale, fov_min):
         config = small_run(tmp_path, "ambient", fov_min_deg=fov_min, fov_max_deg=30.0, fov_steps=4, fov_scale=scale)
-        assert (config.fov_values()[0] == fov_min) is seeded  # a log axis of 5 deg starts at 5.000000000000001
+        assert config.fov_values()[0] == fov_min  # logspace alone starts a 5-30 deg log axis at 5.000000000000001
         known = []
         search = cli.ambient_tolerance
 
@@ -658,9 +679,7 @@ class TestSearchesSeededFromTheMap:
 
         monkeypatch.setattr(cli, "ambient_tolerance", tolerance)
         assert run(config) == EXIT_OK
-        assert len(known) == 1 and (known[0] is not None) is seeded
-        if seeded:
-            assert known[0][0] == config.source_values()
+        assert len(known) == 1 and known[0][0] == config.source_values()
 
     @pytest.mark.parametrize("case", ["lamp", "lamp-off", "ambient", "lamp-spectrum"])
     def test_outputs_equal_those_of_unseeded_searches(self, tmp_path, monkeypatch, case):
@@ -686,6 +705,14 @@ class TestAxes:
         assert values[0] == pytest.approx(1e-7)
         assert values[1] == pytest.approx(1e-6)
         assert values[2] == pytest.approx(1e-5)
+
+    @pytest.mark.parametrize("lo, hi, steps, scale", [
+        (1e-7, 1e-4, 13, "log"), (1e-10, 1e-6, 13, "log"), (2.0, 30.0, 29, "linear"),  # the golden runs' axes
+        (5.0, 30.0, 4, "log"), (2.0, 30.0, 29, "log"), (1e-9, 1e-5, 90, "log"),  # whose logspace ends miss by an ulp
+    ])
+    def test_axis_ends_on_its_configured_values(self, lo, hi, steps, scale):
+        values = RunConfig(source_min=lo, source_max=hi, source_steps=steps, source_scale=scale).source_values()
+        assert (len(values), values[0], values[-1]) == (steps, lo, hi)
 
     def test_single_point_axis(self):
         config = RunConfig(fov_min_deg=9.0, fov_steps=1)

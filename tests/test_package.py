@@ -22,7 +22,7 @@ EARLIER_EXPORTS = [
     "density_at", "irradiance_to_psd", "load_spectrum_csv", "bundled_spectrum_path",
     "DetectorParams", "ChannelGains", "ConvergenceReport",
     "los_gain_for", "total_reflected_gain", "reflected_gain_convergence",
-    "NoiseBudget", "BLACKBODY_AMBIENT_W_NM_M2", "matched_filter_bandwidth_nm", "isotropic_noise_power",
+    "NoiseBudget", "matched_filter_bandwidth_nm", "isotropic_noise_power",
     "photons_per_pulse", "lamp_noise_photons", "dark_counts_per_pulse",
     "ProtocolParams", "KeyRateReport", "binary_entropy", "secret_key_rate",
     "SCENARIOS", "AMBIENT_SCENARIOS", "LAMP_SCENARIOS", "NOMINAL", "Scenario", "Setup", "OperatingPoint",
@@ -46,7 +46,7 @@ class TestPackageNamespace:
         assert set(indoorqkd.__all__) <= namespace.keys()
 
     def test_earlier_exports_still_exported(self):
-        assert len(EARLIER_EXPORTS) == 47
+        assert len(EARLIER_EXPORTS) == 46
         assert set(EARLIER_EXPORTS) <= set(indoorqkd.__all__)
 
     def test_oracle_and_cli_names_stay_in_their_modules(self):
@@ -94,3 +94,34 @@ class TestOnlyTheCliPrints:
             )
         ]
         assert calls == [], f"{path.name}: print or warnings.warn at lines {calls}"
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The module's underscore names that are not dunders: module-level functions, classes and
+    constants, and the methods of its classes."""
+    nodes = [*tree.body, *(n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body if isinstance(n, ast.FunctionDef))]
+    names = []
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:  # a name or a tuple of names; a subscript defines nothing
+                names += [t.id for t in getattr(target, "elts", [target]) if isinstance(t, ast.Name)]
+    return [name for name in dict.fromkeys(names) if name.startswith("_") and not name.endswith("__")]
+
+
+class TestEveryPrivateNameIsRead:
+    """Code that nothing in the library reads is gone, not kept alive by a test."""
+
+    def test_each_private_name_in_src_is_read_in_src(self):
+        trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in Path(indoorqkd.__file__).parent.glob("*.py")}
+        read = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        defined = [(module, name) for module, tree in sorted(trees.items()) for name in private_definitions(tree)]
+        assert len(defined) > 50  # the walk finds the library's private names
+        assert [f"{module}.{name}" for module, name in defined if name not in read] == []
