@@ -31,8 +31,10 @@ and faulted in again, among others.  The layers:
 * one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
   lamp-center at 10 patches_per_meter;
 * one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches_per_meter;
-* one scalar secret_key_rate call, and one call over a batch of 90 noise
-  counts (eta 1e-3, noise 1e-9-1e-2);
+* one scalar secret_key_rate call, one call over a batch of 90 noise
+  counts (eta 1e-3, noise 1e-9-1e-2), and one call over a 90 x 90 grid in
+  the layout sweep passes: a column of 90 transmittances (1e-4-1e-2)
+  against those 90 counts broadcast (stride 0) to the whole grid;
 * one evaluate_point, lamp-center at FOV 20 deg and 1e-5 W/nm, with the
   bounce integral already cached;
 * one cold 90 x 90 sweep (FOV 2-30 deg x ambient 1e-9-1e-5 W/nm/m^2) of
@@ -231,6 +233,12 @@ def layer_rows(src: Path) -> dict:
     def batch_rates() -> float:
         return sum(secret_key_rate(setup.protocol, 1e-3, noises).rate.tolist())
 
+    grid_etas = np.logspace(-4.0, -2.0, 90)[:, None]
+    grid_noises = np.broadcast_to(noises, (len(grid_etas), len(noises)))
+
+    def grid_rates() -> float:
+        return float(secret_key_rate(setup.protocol, grid_etas, grid_noises).rate.sum())
+
     def ring_block(psi: np.ndarray) -> dict:
         view = channel._ReceiverView(build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room)
         # the work array a quadrature pass makes once for all its blocks, sized as piece_sums sizes it
@@ -295,6 +303,7 @@ def layer_rows(src: Path) -> dict:
     rows["secure_fov_boundary_cold_10_per_m"] = lambda: timed(lambda: secure_fov_boundary(scenario, 1e-5, patches_per_meter=10), cold)
     rows["secret_key_rate_scalar"] = lambda: timed(lambda: float(secret_key_rate(setup.protocol, 1e-3, 1e-6).rate), calls=CALLS)
     rows["secret_key_rate_batch_90"] = lambda: timed(batch_rates, calls=CALLS)
+    rows["secret_key_rate_grid_90x90"] = lambda: timed(grid_rates, calls=20)
     rows["evaluate_point_warm_10_per_m"] = lambda: timed(
         lambda: float(evaluate_point(scenario, 20.0, 1e-5, patches_per_meter=10).report.rate), calls=CALLS
     )

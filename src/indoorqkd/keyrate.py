@@ -15,14 +15,15 @@ Every function here is elementwise: it takes floats or numpy arrays that
 broadcast together, and returns numpy scalars for scalar inputs and arrays
 otherwise.  Each element goes through the floating-point operations of a
 scalar call, so one call over a vector of noise counts gives, bit for bit,
-the results of one call per count.
+the results of one call per count.  That rests on numpy's ufuncs, whose
+exp and log2 give the same bits for a scalar as for any element of an
+array, not on the C library's libm, whose last bit they may not match.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -116,10 +117,11 @@ def secret_key_rate(params: ProtocolParams, transmittance: Values, noise: Values
     mu = params.mean_photons_per_pulse
     m = params.misalignment_error
 
-    y1 = _yield_single(eta, n)
+    quiet = (1.0 - n) * (1.0 - n)  # P(neither detector's background clicks)
+    y1 = 1.0 - (1.0 - eta) * quiet
     q1 = _gain_single(y1, mu)
-    decay = _libm(math.exp, -eta * mu)  # P(a signal pulse delivers no photon)
-    q_mu = 1.0 - decay * _square(1.0 - n)
+    decay = np.exp(-eta * mu)  # P(a signal pulse delivers no photon)
+    q_mu = 1.0 - decay * quiet
     degenerate = (y1 == 0.0) | (q_mu == 0.0)
     # Degenerate points take a gain of one in the error rates, which are
     # then defined everywhere; their results are replaced by zeros.
@@ -150,16 +152,12 @@ def secret_key_rate(params: ProtocolParams, transmittance: Values, noise: Values
 def _entropy(x: np.ndarray) -> np.ndarray:
     inner = (x > 0.0) & (x < 1.0)
     p = _where(inner, x, 0.5)
-    h = -p * _libm(math.log2, p) - (1.0 - p) * _libm(math.log2, 1.0 - p)
+    h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
     return _where(inner, h, 0.0)
 
 
-def _yield_single(eta: np.ndarray, n: np.ndarray) -> np.ndarray:
-    return 1.0 - (1.0 - eta) * _square(1.0 - n)
-
-
 def _gain_single(y1: np.ndarray, mu: Values) -> np.ndarray:
-    return y1 * mu * _libm(math.exp, -mu)
+    return y1 * mu * np.exp(-mu)
 
 
 def _error_rate(gain: np.ndarray, signal: np.ndarray, n: np.ndarray, misalignment: float) -> np.ndarray:
@@ -175,26 +173,13 @@ def _unit_interval(**kwargs: Values) -> list[np.ndarray]:
     arrays = []
     for name, value in kwargs.items():
         array = np.asarray(value, dtype=float)[()]
-        if not (0.0 <= value <= 1.0 if isinstance(value, float) else ((array >= 0.0) & (array <= 1.0)).all()):
+        # min and max carry a nan through, so a nan element fails too
+        if not (0.0 <= value <= 1.0 if isinstance(value, float) else not array.size or (array.min() >= 0.0 and array.max() <= 1.0)):
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         arrays.append(array)
     return arrays
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    # The C library's pow(x, 2), as Python's float ** 2 computes it; numpy's
-    # x ** 2 is x * x, which rounds differently for about one x in a thousand.
-    return np.float_power(x, 2.0)
-
-
 def _where(condition, x, y) -> np.ndarray:
     return np.where(condition, x, y)[()]
 
-
-def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    # A math-module function per element: numpy's exp and log2 differ from
-    # the C library's in the last bit for some inputs.  A map has one
-    # transmittance per FOV, so its exp is one call per FOV.
-    if not isinstance(x, np.ndarray):
-        return np.float64(fn(x))
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)

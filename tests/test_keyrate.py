@@ -226,11 +226,25 @@ class TestArrayEvaluation:
         vector = secret_key_rate(p, eta, noise)
         assert_bitwise_equal_to_scalar_calls(vector, [secret_key_rate(p, e, n) for e, n in pairs])
 
+    @given(protocol, st.lists(probability, min_size=1, max_size=6), st.lists(probability, min_size=1, max_size=6))
+    @example(params(), [0.0, 1e-3, 2.0], [0.0, 1e-6, math.inf])
+    def test_sweep_layout_equals_scalar_calls(self, p, etas, noises):
+        # sweep's layout: a transmittance column against a stride-0 broadcast noise grid
+        eta, noise = np.array(etas), np.array(noises)
+        grid = secret_key_rate(p, eta[:, None], np.broadcast_to(noise, (len(eta), len(noise))))
+        assert np.shape(grid.rate) == (len(etas), len(noises))
+        assert_bitwise_equal_to_scalar_calls(grid, [secret_key_rate(p, e, n) for e in etas for n in noises])
+
     def test_degenerate_flag_is_per_element(self):
         report = secret_key_rate(params(), 0.0, np.array([0.0, 1e-6]))
         assert report.degenerate.tolist() == [True, False]
         assert report.rate.tolist() == [0.0, 0.0]
         assert report.e1[1] == pytest.approx(0.5, rel=1e-9)
+
+    def test_empty_arrays_give_empty_reports(self):
+        report = secret_key_rate(params(), np.ones((3, 1)), np.empty((3, 0)))
+        assert all(np.shape(getattr(report, name)) == (3, 0) for name in REPORT_FIELDS)
+        assert binary_entropy(np.array([])).shape == (0,)
 
     def test_scalar_call_gives_scalars(self):
         report = secret_key_rate(params(), 0.01, 1e-5)
