@@ -12,11 +12,10 @@ per call (``ru_minflt``, counted the same way: this process's plus the
 waited-for children's), the pages the allocator handed back to the system
 and faulted in again, among others.  The layers:
 
-* total_reflected_gain, lamp-center at FOV 20 deg, at patches_per_meter
-  10/20/40/80 (a rule order since the quadrature replaced the patch sum),
-  each call with the room's receiver view already built and the integral
-  not yet in it; and the same at order 10 with the lamp 0.7 m off centre,
-  for a 70 deg lamp and for a 10 deg one, whose theta rules differ;
+* total_reflected_gain, lamp-center at FOV 20 deg, at rule order
+  10/20/40/80, each call with the room's receiver view already built and
+  the integral not yet in it; and the same at order 10 with the lamp 0.7 m
+  off centre, for a 70 deg lamp and for a 10 deg one, whose theta rules differ;
 * one cold reflected_gain_convergence of lamp-center at order 10: the
   order-10 value, the order-20 one and the theta check, in a new view;
 * one block of ``_PSI_BLOCK`` psi nodes (0.01-1.5 rad) of the quadrature's
@@ -29,8 +28,8 @@ and faulted in again, among others.  The layers:
   a FOV the room's view does not hold yet (20 deg plus 1e-5 deg per call,
   all in one psi panel): the cost of one boundary probe;
 * one cold 100 x 100 sweep (FOV 0.9-90 deg x lamp PSD 1e-7-1e-4 W/nm) of
-  lamp-center at 10 patches_per_meter;
-* one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, 10 patches_per_meter;
+  lamp-center at order 10;
+* one cold secure_fov_boundary of lamp-center at 1e-5 W/nm, order 10;
 * one scalar secret_key_rate call, one call over a batch of 90 noise
   counts (eta 1e-3, noise 1e-9-1e-2), and one call over a 90 x 90 grid in
   the layout sweep passes: a column of 90 transmittances (1e-4-1e-2)
@@ -41,7 +40,7 @@ and faulted in again, among others.  The layers:
   ambient-only-center;
 * one cold ambient_tolerance of ambient-only-center at a FOV floor of 2 deg;
 * the two searches as a CLI run makes them, after their map: a
-  secure_fov_boundary of lamp-center at 10 patches_per_meter after a
+  secure_fov_boundary of lamp-center at order 10 after a
   29 x 13 map (FOV 2-30 deg x lamp PSD 1e-7-1e-4 W/nm, the shape of a
   perfbench lamp-map op) at the map's middle level, and an ambient_tolerance
   at 2 deg after the 90 x 90 ambient map above; each round builds the map
@@ -250,7 +249,7 @@ def layer_rows(src: Path) -> dict:
         # lower pieces the first call sums: one partial piece, as a boundary probe computes it;
         # the value is the bounce integral (the rate is 0 there)
         probes = (20.0 + 1e-5 * k for k in itertools.count())
-        return timed(lambda: float(evaluate_point(scenario, next(probes), 1e-5, patches_per_meter=10).gains.reflected_integral), calls=20)
+        return timed(lambda: float(evaluate_point(scenario, next(probes), 1e-5).gains.reflected_integral), calls=20)
 
     def ambient_cli(kind: str) -> dict:
         with tempfile.TemporaryDirectory() as config_dir:
@@ -299,19 +298,19 @@ def layer_rows(src: Path) -> dict:
     # a partial piece of an order-10 probe: the rule's nodes on 15-20 deg
     rows["ring_integrals_10_psi_block"] = lambda: ring_block(np.radians(15.0) + np.radians(5.0) * channel._mapped_rule(10)[0])
     rows["boundary_probe_new_fov_10"] = new_fov_probe
-    rows["sweep_100x100_cold_10_per_m"] = lambda: timed(lambda: secure_count(sweep(scenario, fovs, levels, patches_per_meter=10)), cold)
-    rows["secure_fov_boundary_cold_10_per_m"] = lambda: timed(lambda: secure_fov_boundary(scenario, 1e-5, patches_per_meter=10), cold)
+    rows["sweep_100x100_cold_10_per_m"] = lambda: timed(lambda: secure_count(sweep(scenario, fovs, levels)), cold)
+    rows["secure_fov_boundary_cold_10_per_m"] = lambda: timed(lambda: secure_fov_boundary(scenario, 1e-5), cold)
     rows["secret_key_rate_scalar"] = lambda: timed(lambda: float(secret_key_rate(setup.protocol, 1e-3, 1e-6).rate), calls=CALLS)
     rows["secret_key_rate_batch_90"] = lambda: timed(batch_rates, calls=CALLS)
     rows["secret_key_rate_grid_90x90"] = lambda: timed(grid_rates, calls=20)
     rows["evaluate_point_warm_10_per_m"] = lambda: timed(
-        lambda: float(evaluate_point(scenario, 20.0, 1e-5, patches_per_meter=10).report.rate), calls=CALLS
+        lambda: float(evaluate_point(scenario, 20.0, 1e-5).report.rate), calls=CALLS
     )
     rows["sweep_90x90_ambient_only_center_cold"] = lambda: timed(lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold)
     rows["ambient_tolerance_cold"] = lambda: timed(lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold)
     rows["secure_fov_boundary_after_map_10_per_m"] = lambda: after_map(
-        lambda **seed: secure_fov_boundary(scenario, map_levels[6], patches_per_meter=10, **seed),
-        lambda: sweep(scenario, map_fovs, map_levels, patches_per_meter=10),
+        lambda **seed: secure_fov_boundary(scenario, map_levels[6], **seed),
+        lambda: sweep(scenario, map_fovs, map_levels),
         lambda grid: (map_fovs, grid.report.secure[:, 6]),
     )
     rows["ambient_tolerance_after_map"] = lambda: after_map(

@@ -9,7 +9,7 @@ are chosen to straddle each scenario's secure/insecure frontier.
 import argparse
 from pathlib import Path
 
-from indoorqkd.channel import DEFAULT_PATCHES_PER_METER
+from indoorqkd.channel import DEFAULT_ORDER
 from indoorqkd.cli import RunConfig, run
 from indoorqkd.experiments import AMBIENT_SCENARIOS, SCENARIOS
 
@@ -20,7 +20,7 @@ AMBIENT_AXIS = dict(source_min=1e-10, source_max=1e-6, source_steps=13, source_s
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output root directory")
-    parser.add_argument("--resolution", type=int, default=DEFAULT_PATCHES_PER_METER, help="bounce-quadrature rule order (resolution_patches_per_meter)")
+    parser.add_argument("--resolution", type=int, default=DEFAULT_ORDER, help="bounce-quadrature rule order (resolution_patches_per_meter)")
     parser.add_argument("--fov-steps", type=int, default=29)
     args = parser.parse_args()
 

@@ -9,7 +9,7 @@ lands in it prints a Monte-Carlo value of 0 and '-' for the gap.
 
 import argparse
 
-from indoorqkd.channel import DEFAULT_PATCHES_PER_METER, total_reflected_gain
+from indoorqkd.channel import DEFAULT_ORDER, total_reflected_gain
 from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.montecarlo import estimate_reflected_gain, floor_cone_closed_form
 
@@ -25,7 +25,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=positive_int, default=2_000_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--resolution", type=positive_int, default=DEFAULT_PATCHES_PER_METER, help="quadrature rule order")
+    parser.add_argument("--resolution", type=positive_int, default=DEFAULT_ORDER, help="quadrature rule order")
     parser.add_argument(
         "--fov", type=float, nargs="+", default=[5.0, 11.0, 20.0, 30.0, 45.0, 60.0]
     )

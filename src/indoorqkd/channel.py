@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import RoomScenario, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
+from .geometry import RoomScenario, _in_range, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
 
 __all__ = [
     "DetectorParams",
@@ -71,8 +71,8 @@ __all__ = [
 PLANCK_J_S = 6.62607015e-34
 SPEED_OF_LIGHT_M_S = 299792458.0
 
-# The psi rule order per piece, under the config key's name (it once set a tessellation).
-DEFAULT_PATCHES_PER_METER = 10
+# The psi rule order per piece (config key resolution_patches_per_meter, from the old patch sum).
+DEFAULT_ORDER = 10
 # Largest relative change between the rule order and twice it that counts as converged.
 CONVERGENCE_RTOL = 0.005
 # Widest psi panel, so that one rule order serves a narrow cone and a wide one.
@@ -137,17 +137,9 @@ class ChannelGains:
     reflected_integral: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not _within(self.line_of_sight, 0.0, 1.0):
-            raise ValueError("line_of_sight gain must lie in [0, 1]")
-        if not _within(self.transmittance, 0.0, 1.0):
-            raise ValueError("transmittance must lie in [0, 1]")
-        if not _within(self.reflected_integral, 0.0, math.inf):
-            raise ValueError("reflected_integral must be non-negative")
-
-
-def _within(value: float | np.ndarray, lo: float, hi: float) -> bool:
-    """lo <= value <= hi, for a number or for every element of an array (nan fails)."""
-    return bool(((value >= lo) & (value <= hi)).all()) if isinstance(value, np.ndarray) else lo <= value <= hi
+        _in_range("line_of_sight", self.line_of_sight, 0.0, 1.0)
+        _in_range("transmittance", self.transmittance, 0.0, 1.0)
+        _in_range("reflected_integral", self.reflected_integral, 0.0, math.inf)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +147,7 @@ class ConvergenceReport:
     """The bounce integral of one room under its rules and under each refined.
 
     ``value`` is ``total_reflected_gain`` at the room's FOV, psi rule order
-    ``patches_per_meter`` and the room's theta rule ``theta_rule`` (arcs,
+    ``order`` and the room's theta rule ``theta_rule`` (arcs,
     Gauss-Legendre nodes per arc); ``refined_value`` is the same at twice
     the psi order, and ``theta_refined_value`` at the same psi order with
     twice the theta nodes per arc.  ``rel_change`` and ``theta_rel_change``
@@ -170,7 +162,7 @@ class ConvergenceReport:
     theta_refined_value: float
     theta_rel_change: float
     converged: bool
-    patches_per_meter: int
+    order: int
     theta_rule: tuple[int, int]
 
 
@@ -448,13 +440,13 @@ def _receiver_view(room: RoomScenario) -> _ReceiverView:
 
 def total_reflected_gain(
     room: RoomScenario,
-    patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
+    order: int = DEFAULT_ORDER,
     *,
     fov_deg: float | Sequence[float] | np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Single-bounce gain from the lamp via the walls and floor into the receiver.
 
-    ``patches_per_meter`` is the order of the Gauss-Legendre rule in psi on
+    ``order`` is the order of the Gauss-Legendre rule in psi on
     each piece, so the cost grows linearly with it and does not depend on
     the room size.  The theta rule is the view's, chosen by the lamp's mode.
     ``fov_deg`` puts one FOV or an array in place of the room's, as in
@@ -464,9 +456,9 @@ def total_reflected_gain(
     i, bit for bit.  The values stay on the room's view, so a call computes
     only the FOVs not yet known for the room at this order, all in one pass.
     """
-    if not isinstance(patches_per_meter, numbers.Integral) or patches_per_meter < 1:
-        raise ValueError(f"patches_per_meter must be an integer >= 1, got {patches_per_meter!r}")
-    return _reflected_gain(room, int(patches_per_meter), fov_deg)
+    if not isinstance(order, numbers.Integral) or order < 1:
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    return _reflected_gain(room, int(order), fov_deg)
 
 
 def _reflected_gain(
@@ -517,7 +509,7 @@ def _relative_change(value: float, refined: float) -> float:
 
 def reflected_gain_convergence(
     room: RoomScenario,
-    patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
+    order: int = DEFAULT_ORDER,
 ) -> ConvergenceReport:
     """The bounce integral at the requested rule order, at twice that order,
     and at that order with twice the theta nodes per arc.
@@ -527,8 +519,8 @@ def reflected_gain_convergence(
     converged when both relative changes are at most ``CONVERGENCE_RTOL``,
     and the CLI's --strict reads that flag.
     """
-    value = total_reflected_gain(room, patches_per_meter)
-    order = int(patches_per_meter)
+    value = total_reflected_gain(room, order)
+    order = int(order)
     refined = total_reflected_gain(room, 2 * order)
     theta_refined = _reflected_gain(room, order, theta_nodes_factor=2)
     rel, theta_rel = _relative_change(value, refined), _relative_change(value, theta_refined)
@@ -539,6 +531,6 @@ def reflected_gain_convergence(
         theta_refined_value=theta_refined,
         theta_rel_change=theta_rel,
         converged=rel <= CONVERGENCE_RTOL and theta_rel <= CONVERGENCE_RTOL,
-        patches_per_meter=order,
+        order=order,
         theta_rule=_receiver_view(room).theta_rule,
     )

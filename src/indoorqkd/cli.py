@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .channel import CONVERGENCE_RTOL, DEFAULT_PATCHES_PER_METER, ConvergenceReport, reflected_gain_convergence
+from .channel import CONVERGENCE_RTOL, DEFAULT_ORDER, ConvergenceReport, reflected_gain_convergence
 from .experiments import (
     AMBIENT_SCENARIOS,
     NOMINAL,
@@ -121,7 +121,7 @@ class RunConfig:
     lamp_spectrum_kind: str = "source-psd"
     lamp_spectrum_distance_m: float = 1.0
     output_dir: str = "out"
-    resolution_patches_per_meter: int = DEFAULT_PATCHES_PER_METER
+    resolution_patches_per_meter: int = DEFAULT_ORDER
     strict: bool = False
 
     def effective_parameters(self) -> dict[str, object]:
@@ -453,7 +453,7 @@ def run(config: RunConfig) -> int:
 
     grid = sweep(
         scenario, fov_values, source_values,
-        patches_per_meter=config.resolution_patches_per_meter,
+        order=config.resolution_patches_per_meter,
     )
 
     ambient_run = config.scenario in AMBIENT_SCENARIOS
@@ -472,7 +472,7 @@ def run(config: RunConfig) -> int:
         mid = len(source_values) // 2
         found = secure_fov_boundary(
             scenario, source_values[mid],
-            patches_per_meter=config.resolution_patches_per_meter,
+            order=config.resolution_patches_per_meter,
             fov_max_deg=config.fov_max_deg,
             known=(fov_values, grid.report.secure[:, mid]),
         )
@@ -520,9 +520,9 @@ def _summarize(
         arcs, nodes = report.theta_rule
         moved = [name for name, change in (("psi order", report.rel_change), ("theta nodes", report.theta_rel_change)) if not change <= CONVERGENCE_RTOL]
         lines.append(
-            f"convergence: reflected integral {report.value:.9e} at order {report.patches_per_meter} "
+            f"convergence: reflected integral {report.value:.9e} at order {report.order} "
             f"and theta rule {arcs} arcs x {nodes} nodes; {report.refined_value:.9e} at order "
-            f"{2 * report.patches_per_meter} (relative change {report.rel_change:.3e}); "
+            f"{2 * report.order} (relative change {report.rel_change:.3e}); "
             f"{report.theta_refined_value:.9e} at {2 * nodes} theta nodes per arc "
             f"(relative change {report.theta_rel_change:.3e}); "
             + ("converged" if report.converged else "NOT converged" + (f" in the {' and '.join(moved)}" if moved else ""))

@@ -35,8 +35,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channel import DEFAULT_PATCHES_PER_METER, ChannelGains, DetectorParams, los_gain_for, total_reflected_gain
-from .geometry import Point3, Pose, RoomScenario
+from .channel import DEFAULT_ORDER, ChannelGains, DetectorParams, los_gain_for, total_reflected_gain
+from .geometry import _LARGEST_FLOAT, Point3, Pose, RoomScenario, _in_range
 from .keyrate import KeyRateReport, ProtocolParams, secret_key_rate
 from .noise import (
     NoiseBudget,
@@ -178,14 +178,14 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
     scenarios and the ambient spectral irradiance in W/nm/m^2 for ambient-only
     scenarios, whose lamp is off.
     """
-    levels = _source_levels(source_level)
+    levels = _in_range("source_level", source_level, 0.0, _LARGEST_FLOAT).copy()  # Setup's own, writable
     p = scenario.params()
     # x + 0.0 == x for every x >= 0: adding zeros spreads a fixed level over the swept ones
     zeros = levels * 0.0
     if scenario.name in AMBIENT_SCENARIOS:
         lamp_psd, ambient = zeros + 0.0, levels
     else:  # only lamp scenarios read the ambient override, so only they check it
-        ambient = _source_levels(p["ambient_irradiance_w_nm_m2"], "ambient_irradiance_w_nm_m2")
+        ambient = _in_range("ambient_irradiance_w_nm_m2", p["ambient_irradiance_w_nm_m2"], 0.0, _LARGEST_FLOAT)
         lamp_psd, ambient = levels, zeros + ambient
     x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
 
@@ -238,21 +238,12 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
     return Setup(room, detector, protocol, lamp_psd_w_per_nm=lamp_psd, ambient_irradiance_w_nm_m2=ambient)
 
 
-def _source_levels(level: float | np.ndarray, name: str = "source_level") -> float | np.ndarray:
-    """Spectral levels as a numpy float or a float array, each non-negative
-    and finite (nan fails)."""
-    levels = np.array(level, dtype=float)
-    if not ((levels >= 0.0) & (levels < math.inf)).all():
-        raise ValueError(f"{name} must be non-negative and finite, got {level!r}")
-    return levels[()]
-
-
 def evaluate_point(
     scenario: Scenario,
     fov_deg: float | Sequence[float] | np.ndarray,
     source_level: float | Sequence[float] | np.ndarray,
     *,
-    patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
+    order: int = DEFAULT_ORDER,
     signal_fov_cutoff: bool = False,
 ) -> OperatingPoint:
     """Channel gains, noise budget, and key rate at one or more FOVs and levels.
@@ -263,7 +254,7 @@ def evaluate_point(
     one LOS gain and, when a lamp level is positive, one bounce integral
     (else 0), which ``total_reflected_gain`` computes once per room, rule
     order and FOV.  Each element is, bit for bit, the call at its FOV and
-    level.  ``patches_per_meter`` is the bounce quadrature's rule order.
+    level.  ``order`` is the bounce quadrature's rule order.
     """
     fovs = np.asarray(fov_deg, dtype=float)
     if fovs.size == 0:
@@ -279,7 +270,7 @@ def evaluate_point(
     h_sig = los_gain_for(room, enforce_fov=signal_fov_cutoff, fov_deg=fovs)
     eta = det.efficiency * h_sig
 
-    integral = total_reflected_gain(room, patches_per_meter, fov_deg=fovs) if (lamp_psd > 0.0).any() else 0.0
+    integral = total_reflected_gain(room, order, fov_deg=fovs) if (lamp_psd > 0.0).any() else 0.0
 
     budget = NoiseBudget(
         ambient=photons_per_pulse(isotropic_noise_power(ambient, room), det),
@@ -302,7 +293,7 @@ def sweep(
     fov_values_deg: Sequence[float] | np.ndarray,
     source_values: Sequence[float] | np.ndarray,
     *,
-    patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
+    order: int = DEFAULT_ORDER,
     signal_fov_cutoff: bool = False,
 ) -> OperatingPoint:
     """The full (FOV, source level) map of one scenario, as one ``evaluate_point`` call.
@@ -315,7 +306,7 @@ def sweep(
     if not (len(fov_values_deg) and len(source_values)):
         raise ValueError("sweep axes must be non-empty")
     levels = np.broadcast_to(source_values, (len(fov_values_deg), len(source_values)))
-    options = dict(patches_per_meter=patches_per_meter, signal_fov_cutoff=signal_fov_cutoff)
+    options = dict(order=order, signal_fov_cutoff=signal_fov_cutoff)
     return evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, **options)
 
 
@@ -365,7 +356,7 @@ def secure_fov_boundary(
     scenario: Scenario,
     source_level: float,
     *,
-    patches_per_meter: int = DEFAULT_PATCHES_PER_METER,
+    order: int = DEFAULT_ORDER,
     fov_max_deg: float = 90.0,
     known: MapFlags | None = None,
 ) -> float | None:
@@ -376,11 +367,11 @@ def secure_fov_boundary(
     evaluates a coarse ladder as one FOV array for a bracket, then bisects
     to 0.1 deg.  The returned value is on the secure side of the crossing.
     ``known`` (FOVs, secure flags), a map's column at ``source_level`` and
-    ``patches_per_meter``, only saves probes (see ``_largest_secure``).
+    ``order``, only saves probes (see ``_largest_secure``).
     """
 
     def secure(fov: float | np.ndarray) -> bool | np.ndarray:
-        return evaluate_point(scenario, fov, source_level, patches_per_meter=patches_per_meter).report.secure
+        return evaluate_point(scenario, fov, source_level, order=order).report.secure
 
     ladder = [f for f in _FOV_LADDER_DEG if f < fov_max_deg] + [fov_max_deg]
     return _largest_secure(secure, ladder, _BOUNDARY_PRECISION_DEG, known)

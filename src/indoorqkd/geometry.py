@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "DegenerateGeometryError",
     "Point3",
@@ -25,6 +27,8 @@ __all__ = [
 
 # Positions closer than this are treated as coincident (no defined link).
 _COINCIDENT_EPS = 1e-12
+# The upper end of a range that admits every finite non-negative value and not inf.
+_LARGEST_FLOAT = float(np.finfo(float).max)
 
 
 class DegenerateGeometryError(ValueError):
@@ -115,6 +119,22 @@ class SurfaceGrid:
 
     def area(self) -> float:
         return self.n_u * self.cell_u * self.n_v * self.cell_v
+
+
+def _in_range(name: str, value: float | np.ndarray, lo: float, hi: float) -> float | np.ndarray:
+    """``value`` as a numpy float or a float array, once it (each element) lies in
+    [lo, hi]: a nan fails, an empty array passes.  The rule of every value that may be
+    an array; "non-negative" is [0, inf], "non-negative and finite" [0, _LARGEST_FLOAT]."""
+    if isinstance(value, float):  # a Python float or np.float64, compared without an array
+        ok, checked = lo <= value <= hi, np.float64(value)
+    else:
+        checked = np.asarray(value, dtype=float)[()]
+        # min and max carry a nan through, so a nan element fails too
+        ok = not checked.size or (checked.min() >= lo and checked.max() <= hi)
+    if not ok:
+        rules = {(0.0, math.inf): "be non-negative", (0.0, _LARGEST_FLOAT): "be non-negative and finite"}
+        raise ValueError(f"{name} must {rules.get((lo, hi), f'lie in [{lo:g}, {hi:g}]')}, got {value!r}")
+    return checked
 
 
 def _clamped_acos(x: float) -> float:

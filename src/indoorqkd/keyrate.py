@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _in_range
+
 __all__ = [
     "BACKGROUND_CLICK_ERROR",
     "ProtocolParams",
@@ -83,9 +85,9 @@ class KeyRateReport:
     degenerate: bool | np.ndarray = False
 
     def __post_init__(self) -> None:
-        _unit_interval(y1=self.y1, q1=self.q1, e1=self.e1, q_mu=self.q_mu, e_mu=self.e_mu)
-        if not (np.asarray(self.rate) >= 0.0).all():
-            raise ValueError("rate must be non-negative")
+        for name in ("y1", "q1", "e1", "q_mu", "e_mu"):
+            _in_range(name, getattr(self, name), 0.0, 1.0)
+        _in_range("rate", self.rate, 0.0, math.inf)
 
     @property
     def secure(self) -> bool | np.ndarray:
@@ -94,8 +96,7 @@ class KeyRateReport:
 
 def binary_entropy(x: Values) -> Values:
     """Binary Shannon entropy h(x) in bits; h(0) = h(1) = 0."""
-    (x,) = _unit_interval(x=x)
-    return _entropy(x)
+    return _entropy(_in_range("x", x, 0.0, 1.0))
 
 
 def secret_key_rate(params: ProtocolParams, transmittance: Values, noise: Values) -> KeyRateReport:
@@ -108,12 +109,8 @@ def secret_key_rate(params: ProtocolParams, transmittance: Values, noise: Values
     rejected.  Where nothing ever clicks the error rates are undefined and
     the report carries rate 0 with the ``degenerate`` flag set.
     """
-    eta = np.asarray(transmittance, dtype=float)[()]
-    n = np.asarray(noise, dtype=float)[()]
-    if not ((eta >= 0.0).all() and (n >= 0.0).all()):
-        raise ValueError(f"transmittance and noise must be non-negative, got {transmittance!r} and {noise!r}")
-    eta = np.minimum(eta, 1.0)
-    n = np.minimum(n, 1.0)
+    eta = np.minimum(_in_range("transmittance", transmittance, 0.0, math.inf), 1.0)
+    n = np.minimum(_in_range("noise", noise, 0.0, math.inf), 1.0)
     mu = params.mean_photons_per_pulse
     m = params.misalignment_error
 
@@ -165,19 +162,6 @@ def _error_rate(gain: np.ndarray, signal: np.ndarray, n: np.ndarray, misalignmen
     e0 = BACKGROUND_CLICK_ERROR
     value = (e0 * gain - (e0 - misalignment) * signal * (1.0 - n)) / gain
     return np.minimum(np.maximum(value, 0.0), 1.0)
-
-
-def _unit_interval(**kwargs: Values) -> list[np.ndarray]:
-    """The arguments as numpy floats or float arrays, each checked to lie in
-    [0, 1] (nan fails)."""
-    arrays = []
-    for name, value in kwargs.items():
-        array = np.asarray(value, dtype=float)[()]
-        # min and max carry a nan through, so a nan element fails too
-        if not (0.0 <= value <= 1.0 if isinstance(value, float) else not array.size or (array.min() >= 0.0 and array.max() <= 1.0)):
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        arrays.append(array)
-    return arrays
 
 
 def _where(condition, x, y) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PLANCK_J_S, SPEED_OF_LIGHT_M_S, DetectorParams, _within
-from .geometry import RoomScenario
+from .channel import PLANCK_J_S, SPEED_OF_LIGHT_M_S, DetectorParams
+from .geometry import RoomScenario, _in_range
 
 __all__ = [
     "PLANCK_J_S",
@@ -50,8 +50,8 @@ class NoiseBudget:
     dark: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not all(_within(v, 0.0, math.inf) for v in (self.ambient, self.lamp_bounce, self.dark)):
-            raise ValueError("noise counts must be non-negative")
+        for name in ("ambient", "lamp_bounce", "dark"):
+            _in_range(name, getattr(self, name), 0.0, math.inf)
 
     @property
     def total(self) -> float | np.ndarray:
@@ -77,8 +77,7 @@ def isotropic_noise_power(
     The concentrator contributes a constant n^2: opening the field of view
     admits more sky while diluting the gain by exactly the same factor.
     """
-    if not _within(ambient_irradiance_w_nm_m2, 0.0, math.inf):
-        raise ValueError("ambient power inputs must be non-negative")
+    _in_range("ambient_irradiance_w_nm_m2", ambient_irradiance_w_nm_m2, 0.0, math.inf)
     with np.errstate(over="ignore"):
         return (
             ambient_irradiance_w_nm_m2
@@ -91,8 +90,7 @@ def isotropic_noise_power(
 
 def photons_per_pulse(power_w: float | np.ndarray, detector: DetectorParams) -> float | np.ndarray:
     """Detected photons per pulse window from a steady optical power."""
-    if not _within(power_w, 0.0, math.inf):
-        raise ValueError("power_w must be non-negative")
+    _in_range("power_w", power_w, 0.0, math.inf)
     with np.errstate(over="ignore"):
         return power_w * detector.pulse_width_s * (detector.efficiency / 2.0) / detector.photon_energy_j
 
@@ -109,8 +107,8 @@ def lamp_noise_photons(
     one value or one per field of view; multiplying by the lamp's in-band
     energy per pulse (in the room's filter band) turns it into counts.
     """
-    if not (_within(lamp_psd_w_per_nm, 0.0, math.inf) and _within(reflected_integral, 0.0, math.inf)):
-        raise ValueError("lamp noise inputs must be non-negative")
+    _in_range("lamp_psd_w_per_nm", lamp_psd_w_per_nm, 0.0, math.inf)
+    _in_range("reflected_integral", reflected_integral, 0.0, math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         counts = photons_per_pulse(lamp_psd_w_per_nm * room.filter_bandwidth_nm, detector) * reflected_integral
     # An energy beyond the float range times a zero integral is nan: no bounce, no counts.

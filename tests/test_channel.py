@@ -270,7 +270,7 @@ class TestTotalReflectedGain:
         room = nominal_room()
         channel._VIEWS.clear()
         for call in total_reflected_gain, reflected_gain_convergence:
-            with pytest.raises(ValueError, match="patches_per_meter must be an integer >= 1"):
+            with pytest.raises(ValueError, match="order must be an integer >= 1"):
                 call(room, order)
         assert not channel._VIEWS  # refused before the memo is touched
 
@@ -295,13 +295,13 @@ class TestFloorConeClosedForm:
     """The quadrature against the exact floor-cone integral on a fine FOV ladder."""
 
     @pytest.mark.parametrize(
-        "patches_per_meter, rtol",
+        "order, rtol",
         [(10, 1e-3), (40, 3e-4)],  # the bounds the patch sum was held to
     )
-    def test_lamp_center_two_to_thirty_degrees(self, patches_per_meter, rtol):
+    def test_lamp_center_two_to_thirty_degrees(self, order, rtol):
         for fov in np.arange(2.0, 30.25, 0.5):
             room = build_setup(Scenario.named("lamp-center"), float(fov), 1e-5).room
-            numeric = total_reflected_gain(room, patches_per_meter)
+            numeric = total_reflected_gain(room, order)
             assert numeric == pytest.approx(floor_cone_closed_form(room), rel=rtol), fov
 
     @pytest.mark.parametrize("overrides", [{}, {"room_x_m": 7.0, "room_y_m": 3.0, "room_z_m": 2.5, "lamp_semi_angle_deg": 30.0}])

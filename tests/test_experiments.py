@@ -219,7 +219,7 @@ class TestFovArray:
     def test_grid_equals_scalar_points_bit_for_bit(self, name, cutoff, fovs, exponents):
         scenario = Scenario.named(name)
         levels = [0.0] + [10.0**e for e in exponents]
-        options = dict(patches_per_meter=3, signal_fov_cutoff=cutoff)
+        options = dict(order=3, signal_fov_cutoff=cutoff)
         grids = (
             evaluate_point(scenario, np.array(fovs)[:, None], np.array(levels), **options),
             sweep(scenario, tuple(fovs), tuple(levels), **options),
@@ -292,7 +292,7 @@ class TestIntegralCache:
         for fov in fovs:
             evaluate_point(lit, fov, 2e-5)
         evaluate_point(lit, np.array([12.0, 7.0, 12.0, 7.0]), 2e-5)
-        evaluate_point(lit, 24.0, 2e-5, patches_per_meter=20)
+        evaluate_point(lit, 24.0, 2e-5, order=20)
         # one pass per array, the new FOV once, and another order on its own
         [view] = channel._VIEWS.values()
         rule = view.theta_rule
@@ -368,7 +368,7 @@ class TestPinnedSweep:
         pinned = PINNED_SWEEPS[name]
         grid = sweep(
             Scenario.named(name), tuple(pinned["fov_deg"]), tuple(pinned["source_level"]),
-            patches_per_meter=10,
+            order=10,
         )
         shape = grid.report.rate.shape
         got = {

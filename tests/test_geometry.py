@@ -1,18 +1,25 @@
-"""Room layout, poses, link angles, and surface tessellation."""
+"""Room layout, poses, link angles, surface tessellation, and the shared range rule."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from indoorqkd.channel import ChannelGains
+from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.geometry import (
+    _LARGEST_FLOAT,
     DegenerateGeometryError,
     Point3,
     Pose,
     RoomScenario,
+    _in_range,
     link_geometry,
     wall_and_floor_grids,
 )
+from indoorqkd.keyrate import secret_key_rate
+from indoorqkd.noise import NoiseBudget, isotropic_noise_power, lamp_noise_photons, photons_per_pulse
 
 
 def nominal_room(**overrides):
@@ -143,6 +150,74 @@ class TestRoomScenario:
 
     def test_hashable_for_caching(self):
         assert hash(nominal_room()) == hash(nominal_room())
+
+
+_SETUP = build_setup(Scenario.named("lamp-center"), 20.0, 1e-5)
+_GAINS = dict(line_of_sight=1e-5, transmittance=5e-6, reflected_integral=1e-7)
+_COUNTS = dict(ambient=1e-6, lamp_bounce=1e-6, dark=1e-7)
+# Each library check of a value that may be an array: (the argument it names, a call
+# with that argument set to the given value and every other input valid).
+_LIBRARY_CHECKS = {
+    **{f"ChannelGains.{f}": (f, lambda v, f=f: ChannelGains(**{**_GAINS, f: v})) for f in _GAINS},
+    **{f"NoiseBudget.{f}": (f, lambda v, f=f: NoiseBudget(**{**_COUNTS, f: v})) for f in _COUNTS},
+    "isotropic_noise_power": ("ambient_irradiance_w_nm_m2", lambda v: isotropic_noise_power(v, _SETUP.room)),
+    "photons_per_pulse": ("power_w", lambda v: photons_per_pulse(v, _SETUP.detector)),
+    "lamp_noise_photons.psd": ("lamp_psd_w_per_nm", lambda v: lamp_noise_photons(v, _SETUP.room, _SETUP.detector, 1e-7)),
+    "lamp_noise_photons.integral": ("reflected_integral", lambda v: lamp_noise_photons(1e-5, _SETUP.room, _SETUP.detector, v)),
+    "secret_key_rate.transmittance": ("transmittance", lambda v: secret_key_rate(_SETUP.protocol, v, 1e-6)),
+    "secret_key_rate.noise": ("noise", lambda v: secret_key_rate(_SETUP.protocol, 5e-6, v)),
+}
+
+
+class TestInRange:
+    """The one range rule of the values that may be arrays (levels, counts, gains, key-rate fields)."""
+
+    @pytest.mark.parametrize("value", [
+        np.array([math.nan, 0.5, 0.5]), np.array([0.5, math.nan, 0.5]), np.array([0.5, 0.5, math.nan]),
+        np.array(math.nan), math.nan,
+    ])
+    def test_nan_anywhere_fails(self, value):
+        for hi in (1.0, math.inf, _LARGEST_FLOAT):
+            with pytest.raises(ValueError, match="^v must "):
+                _in_range("v", value, 0.0, hi)
+
+    def test_negative_zero_passes_at_zero(self):
+        assert _in_range("v", -0.0, 0.0, 1.0) == 0.0
+        assert _in_range("v", np.array([-0.0, 1.0]), 0.0, 1.0).tolist() == [0.0, 1.0]
+
+    def test_inf_passes_non_negative_and_fails_finite(self):
+        assert _in_range("v", math.inf, 0.0, math.inf) == math.inf
+        assert _in_range("v", np.array([1.0, math.inf]), 0.0, math.inf).tolist() == [1.0, math.inf]
+        for value in (math.inf, np.array([1.0, math.inf])):
+            with pytest.raises(ValueError, match="^v must be non-negative and finite, got "):
+                _in_range("v", value, 0.0, _LARGEST_FLOAT)
+        assert _in_range("v", _LARGEST_FLOAT, 0.0, _LARGEST_FLOAT) == _LARGEST_FLOAT
+
+    def test_empty_array_passes(self):
+        checked = _in_range("v", np.zeros(0), 0.0, 1.0)
+        assert checked.dtype == np.float64 and checked.shape == (0,)
+
+    @pytest.mark.parametrize("value", [3, [1, 2], np.array([0.5, 0.25], dtype=np.float32), np.float32(0.5), 0.5, np.float64(0.5)])
+    def test_comes_back_as_float64(self, value):
+        checked = _in_range("v", value, 0.0, math.inf)
+        assert checked.dtype == np.float64
+        assert np.array_equal(checked, np.asarray(value, dtype=float))
+        if np.ndim(value) == 0:
+            assert type(checked) is np.float64
+
+    def test_messages_name_the_rule(self):
+        with pytest.raises(ValueError, match=r"^v must lie in \[0, 1\], got 1.5$"):
+            _in_range("v", 1.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"^v must be non-negative, got array\(\[ 1., -1.\]\)$"):
+            _in_range("v", np.array([1.0, -1.0]), 0.0, math.inf)
+
+    @pytest.mark.parametrize("check", list(_LIBRARY_CHECKS))
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, np.array([0.0, -1.0])], ids=["negative", "nan", "negative-element"])
+    def test_every_library_check_names_its_argument(self, check, bad):
+        argument, call = _LIBRARY_CHECKS[check]
+        call(0.0)
+        with pytest.raises(ValueError, match=f"^{argument} must "):
+            call(bad)
 
 
 class TestTessellation:
