@@ -136,13 +136,15 @@ class RunConfig:
         return _axis(self.fov_min_deg, self.fov_max_deg, self.fov_steps, self.fov_scale)
 
     def source_values(self) -> tuple[float, ...]:
-        if self.lamp_spectrum_file:
-            return (self._spectrum_level(),)
+        axis = self._source_axis()  # checked even when a spectrum file pins the one level
+        return (self._spectrum_level(),) if self.lamp_spectrum_file else axis
+
+    def _source_axis(self) -> tuple[float, ...]:
         return _axis(self.source_min, self.source_max, self.source_steps, self.source_scale)
 
     def _spectrum_level(self) -> float:
         curve = load_spectrum_csv(self.lamp_spectrum_file, self.lamp_spectrum_kind)
-        wavelength = float(Scenario.named(self.scenario, self.overrides).params()["wavelength_nm"])
+        wavelength = float(self.effective_parameters()["wavelength_nm"])
         if curve.kind == "irradiance" and self.scenario not in AMBIENT_SCENARIOS:
             curve = irradiance_to_psd(curve, self.lamp_spectrum_distance_m)
         return density_at(curve, wavelength)
@@ -295,19 +297,22 @@ def _resolve(
     except ValueError as exc:
         out.append(f"fov axis: {exc}")
     spectrum = config.lamp_spectrum_file
-    if spectrum and config.lamp_spectrum_kind not in KINDS:
+    try:  # checked even when a spectrum pins the source level
+        source_values = config._source_axis()
+    except ValueError as exc:
+        out.append(f"source axis: {exc}")
+    if config.lamp_spectrum_kind not in KINDS:
         out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: must be one of {', '.join(KINDS)}")
     elif spectrum and config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
         out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: ambient scenarios take an 'irradiance' spectrum, not a source PSD")
-    elif not spectrum or config.scenario in SCENARIOS:  # a spectrum is read at the scenario's wavelength
+    elif spectrum and config.scenario in SCENARIOS:  # a spectrum is read at the scenario's wavelength
         try:
-            source_values = config.source_values()
+            source_values = (config._spectrum_level(),)
         except (SpectrumFormatError, OutOfBandError, OSError) as exc:  # the file, or the band it samples
             out.append(f"lamp_spectrum_file: {exc}")
-        except ValueError as exc:  # the axis, or with a spectrum its distance (irradiance_to_psd)
-            key = f"lamp_spectrum_distance_m = {config.lamp_spectrum_distance_m!r}" if spectrum else "source axis"
-            out.append(f"{key}: {exc}")
-    if len(fov_values) * len(source_values) > GRID_BUDGET:
+        except ValueError as exc:  # its distance (irradiance_to_psd)
+            out.append(f"lamp_spectrum_distance_m = {config.lamp_spectrum_distance_m!r}: {exc}")
+    if not spectrum and len(fov_values) * len(source_values) > GRID_BUDGET:  # a spectrum's one level cannot overflow it
         grid = f"{len(fov_values)} x {len(source_values)}"
         out.append(f"fov_steps x source_steps = {grid}: more than the grid budget of {GRID_BUDGET:,} points")
 
@@ -323,7 +328,7 @@ def _resolve(
             whole_run.append(str(exc))
 
     for key, value in config.overrides.items():
-        try:  # a lamp scenario, so that the ambient key is checked too
+        try:  # on any one scenario: each key's rule applies in all of them
             build_setup(Scenario.named("lamp-center", {key: value}), 10.0, 0.0)
         except ValueError as exc:
             out.append(f"{key} = {value!r}: {exc}")

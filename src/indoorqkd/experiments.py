@@ -158,14 +158,11 @@ class Setup:
 class OperatingPoint:
     """Channel, noise, and key-rate stages at one or more FOVs and source levels.
 
-    ``gains`` have the shape of ``fov_deg`` (``(n_fov, 1)`` in a sweep), the
+    ``gains`` have the shape of the FOVs (``(n_fov, 1)`` in a sweep), the
     ambient count that of the levels, and the lamp and total counts (with a
     lamp lit) and the report that of the grid, ``(n_fov, n_src)`` in a sweep.
     """
 
-    scenario: str
-    fov_deg: float | np.ndarray
-    source_level: float | np.ndarray
     gains: ChannelGains
     budget: NoiseBudget
     report: KeyRateReport
@@ -182,10 +179,11 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
     p = scenario.params()
     # x + 0.0 == x for every x >= 0: adding zeros spreads a fixed level over the swept ones
     zeros = levels * 0.0
+    # Checked in every scenario, though only lamp scenarios read it.
+    ambient = _in_range("ambient_irradiance_w_nm_m2", p["ambient_irradiance_w_nm_m2"], 0.0, _LARGEST_FLOAT)
     if scenario.name in AMBIENT_SCENARIOS:
         lamp_psd, ambient = zeros + 0.0, levels
-    else:  # only lamp scenarios read the ambient override, so only they check it
-        ambient = _in_range("ambient_irradiance_w_nm_m2", p["ambient_irradiance_w_nm_m2"], 0.0, _LARGEST_FLOAT)
+    else:
         lamp_psd, ambient = levels, zeros + ambient
     x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
 
@@ -263,9 +261,8 @@ def evaluate_point(
     setup = build_setup(scenario, float(fovs.flat[0]), source_level)
     room, det = setup.room, setup.detector
     lamp_psd, ambient = setup.lamp_psd_w_per_nm, setup.ambient_irradiance_w_nm_m2
-    levels = ambient if scenario.name in AMBIENT_SCENARIOS else lamp_psd
-    if fovs.ndim and levels.ndim:
-        np.broadcast_shapes(fovs.shape, levels.shape)  # a ValueError before any work
+    if fovs.ndim and lamp_psd.ndim:  # both levels have the source levels' shape
+        np.broadcast_shapes(fovs.shape, lamp_psd.shape)  # a ValueError before any work
 
     h_sig = los_gain_for(room, enforce_fov=signal_fov_cutoff, fov_deg=fovs)
     eta = det.efficiency * h_sig
@@ -278,14 +275,8 @@ def evaluate_point(
         dark=dark_counts_per_pulse(det),
     )
     report = secret_key_rate(setup.protocol, eta, budget.total)
-    return OperatingPoint(
-        scenario=scenario.name,
-        fov_deg=fovs[()],
-        source_level=levels,
-        gains=ChannelGains(line_of_sight=h_sig, transmittance=eta, reflected_integral=integral),
-        budget=budget,
-        report=report,
-    )
+    gains = ChannelGains(line_of_sight=h_sig, transmittance=eta, reflected_integral=integral)
+    return OperatingPoint(gains=gains, budget=budget, report=report)
 
 
 def sweep(

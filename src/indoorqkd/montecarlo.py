@@ -169,7 +169,6 @@ class _Scene:
         floor_gain = room.floor_reflectivity * t_s * area * g_in
         wall_gain = room.wall_reflectivity * t_s * area * g_in
         self.power = 1.0 / (m1 + 1.0)
-        self.room = room
         self.lamp = room.lamp.position.as_tuple()
         self.receiver = room.receiver.position.as_tuple()
         rx, ry, rz = self.receiver
@@ -200,7 +199,6 @@ def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     draws; the other rows hold the temporaries, and all are overwritten.
     The rays that miss give 0.
     """
-    room = scene.room
     px, py, pz = scene.lamp
     rx, ry, rz = scene.receiver
     ax, ay, az = scene.receiver_axis
@@ -223,8 +221,8 @@ def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sign, test = (row.view(np.bool_)[: row.size] for row in (azim, term))  # the azimuths are read
     with np.errstate(divide="ignore", invalid="ignore"):
         _plane_distance(dz, pz, math.inf, t_floor, sign)
-        _plane_distance(dx, px, room.room_x_m, t_x, sign)
-        _plane_distance(dy, py, room.room_y_m, t_y, sign)
+        _plane_distance(dx, px, scene.sides[0], t_x, sign)
+        _plane_distance(dy, py, scene.sides[1], t_y, sign)
         np.minimum(np.minimum(t_floor, t_x, out=t), t_y, out=t)
 
         for v, p, r, d in ((vx, px, rx, dx), (vy, py, ry, dy), (vz, pz, rz, dz)):

@@ -82,8 +82,6 @@ def density_at(curve: SpectralCurve, wavelength_nm: float) -> float:
     i = bisect_right(grid, wavelength_nm)
     if i == len(grid):
         return curve.values[-1]
-    if grid[i - 1] == wavelength_nm:
-        return curve.values[i - 1]
     x0, x1 = grid[i - 1], grid[i]
     y0, y1 = curve.values[i - 1], curve.values[i]
     t = (wavelength_nm - x0) / (x1 - x0)
@@ -120,6 +118,12 @@ def load_spectrum_csv(path, kind: str) -> SpectralCurve:
         header = next(reader, None)
         if header is None or len(header) < 2:
             raise SpectrumFormatError(f"{path}: missing two-column header row")
+        try:
+            float(header[0])
+        except ValueError:
+            pass  # text, as a header's is
+        else:
+            raise SpectrumFormatError(f"{path}: missing header row: row 1 is data, starting with the number {header[0]!r}")
         for number, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # ignore blank lines

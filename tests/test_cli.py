@@ -93,6 +93,13 @@ class TestFileFailures:
         assert main([str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
         assert f"config error: config file unreadable: {tmp_path}: Is a directory" in capsys.readouterr().err
 
+    def test_config_that_configparser_rejects_named(self, tmp_path, capsys):
+        path = write_config(tmp_path, "room_x_m = 4\n[geometry]\n")  # a key before any section header
+        assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config parse error: File contains no section headers.\nfile: '{path}', line: 1\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("where", ["output_dir is a file", "output_dir below a file"])
     def test_output_dir_blocked_by_a_file_named(self, tmp_path, capsys, where):
         blocker = tmp_path / "taken"
@@ -160,6 +167,23 @@ class TestValidationDiagnostics:
             overrides={"wavelength_nm": 2000.0},
         )
         assert any("band" in m for m in validate(config))
+
+    @pytest.mark.parametrize("scenario, body, message", [
+        (
+            "ambient-only-center", "[noise]\nambient_irradiance_w_nm_m2 = -1e-9\n",
+            "ambient_irradiance_w_nm_m2 = -1e-09: ambient_irradiance_w_nm_m2 must be non-negative and finite, got -1e-09",
+        ),
+        ("lamp-center", "[noise]\nlamp_spectrum_kind = bogus\n", "lamp_spectrum_kind = 'bogus': must be one of source-psd, irradiance"),
+        (
+            "lamp-center", f"[noise]\nlamp_spectrum_file = {bundled_spectrum_path('cool_white_led.csv')}\n[experiments]\nsource_scale = bogus\n",
+            "source axis: scale = 'bogus': must be 'linear' or 'log'",
+        ),
+    ], ids=["ambient-override-in-an-ambient-run", "spectrum-kind-without-a-file", "source-axis-with-a-file"])
+    def test_a_key_the_run_does_not_read_is_checked_all_the_same(self, tmp_path, capsys, scenario, body, message):
+        out_dir = tmp_path / "out"
+        assert main([str(write_config(tmp_path, body)), "--scenario", scenario, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out_dir.exists()
 
     def test_ambient_scenario_needs_irradiance_kind(self):
         config = RunConfig(
@@ -713,6 +737,16 @@ class TestAxes:
     def test_axis_ends_on_its_configured_values(self, lo, hi, steps, scale):
         values = RunConfig(source_min=lo, source_max=hi, source_steps=steps, source_scale=scale).source_values()
         assert (len(values), values[0], values[-1]) == (steps, lo, hi)
+
+    @pytest.mark.parametrize("axis", ["fov", "source"])
+    def test_unknown_scale_named(self, axis):
+        config = RunConfig(**{f"{axis}_scale": "bogus"})
+        assert validate(config) == [f"{axis} axis: scale = 'bogus': must be 'linear' or 'log'"]
+
+    def test_a_spectrum_file_still_checks_the_source_axis(self):
+        config = RunConfig(source_scale="bogus", lamp_spectrum_file=str(bundled_spectrum_path("cool_white_led.csv")))
+        with pytest.raises(ValueError, match="scale = 'bogus': must be 'linear' or 'log'"):
+            config.source_values()
 
     def test_single_point_axis(self):
         config = RunConfig(fov_min_deg=9.0, fov_steps=1)

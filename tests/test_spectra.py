@@ -39,6 +39,10 @@ class TestSpectralCurve:
         with pytest.raises(ValueError, match="non-negative and finite"):
             SpectralCurve((400.0, 500.0), (1.0, bad), "source-psd")
 
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="wavelength and value arrays differ in length"):
+            SpectralCurve((400.0, 500.0, 600.0), (1.0, 1.0), "source-psd")
+
     def test_unknown_kind(self):
         with pytest.raises(SpectrumKindError):
             SpectralCurve((400.0, 500.0), (1.0, 1.0), "radiance")
@@ -50,6 +54,12 @@ class TestDensityAt:
         assert density_at(curve, 400.0) == 1.0
         assert density_at(curve, 500.0) == 3.0
         assert density_at(curve, 600.0) == 2.0
+
+    def test_every_sample_read_back_bit_for_bit(self):
+        # at a sample the interpolation weight is 0 and y0 + 0 * (y1 - y0) is y0
+        curve = load_spectrum_csv(bundled_spectrum_path("warm_white_led.csv"), "source-psd")
+        read = [density_at(curve, w) for w in curve.wavelengths_nm]
+        assert [v.hex() for v in read] == [v.hex() for v in curve.values]
 
     def test_midpoint_interpolates_linearly(self):
         assert density_at(simple_curve(), 450.0) == pytest.approx(2.0)
@@ -131,7 +141,14 @@ class TestCsvLoading:
     def test_header_required(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("400.0,1.0\n500.0,2.0\n")
-        with pytest.raises(SpectrumFormatError):
+        with pytest.raises(SpectrumFormatError, match="missing header row: row 1 is data"):
+            load_spectrum_csv(path, "source-psd")
+
+    def test_a_headerless_file_keeps_no_sample_silently(self, tmp_path):
+        # three samples and no header: not the band 880-900 nm with 850 nm dropped
+        path = tmp_path / "s.csv"
+        path.write_text("850.0,1.0\n880.0,2.0\n900.0,3.0\n")
+        with pytest.raises(SpectrumFormatError, match=re.escape(f"{path}: missing header row: row 1 is data, starting with the number '850.0'")):
             load_spectrum_csv(path, "source-psd")
 
     def test_bad_float_reports_row(self, tmp_path):
