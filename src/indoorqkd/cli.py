@@ -30,7 +30,7 @@ from .experiments import (
     secure_fov_boundary,
     sweep,
 )
-from .spectra import KINDS, OutOfBandError, SpectrumFormatError, density_at, irradiance_to_psd, load_spectrum_csv
+from .spectra import KINDS, OutOfBandError, SpectrumFormatError, _check_distance, density_at, irradiance_to_psd, load_spectrum_csv
 
 __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main"]
 
@@ -258,7 +258,7 @@ def _apply_key(config: RunConfig, key: str, raw: str) -> None:
     if kind != "float":
         setattr(config, key, {"int": int, "bool": _parse_bool, "str": str}[kind](raw))
         return
-    value = float(raw)
+    value = float(raw) + 0.0  # "-0" is 0.0, which prints without a sign
     if not math.isfinite(value):
         raise ValueError("must be a finite number")
     if key in NOMINAL:
@@ -301,6 +301,12 @@ def _resolve(
         source_values = config._source_axis()
     except ValueError as exc:
         out.append(f"source axis: {exc}")
+    distance_ok = True
+    try:  # checked in every run, though only an irradiance file in a lamp run reads it
+        _check_distance(config.lamp_spectrum_distance_m)
+    except ValueError as exc:
+        distance_ok = False
+        out.append(f"lamp_spectrum_distance_m = {config.lamp_spectrum_distance_m!r}: {exc}")
     if config.lamp_spectrum_kind not in KINDS:
         out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: must be one of {', '.join(KINDS)}")
     elif spectrum and config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
@@ -310,8 +316,9 @@ def _resolve(
             source_values = (config._spectrum_level(),)
         except (SpectrumFormatError, OutOfBandError, OSError) as exc:  # the file, or the band it samples
             out.append(f"lamp_spectrum_file: {exc}")
-        except ValueError as exc:  # its distance (irradiance_to_psd)
-            out.append(f"lamp_spectrum_distance_m = {config.lamp_spectrum_distance_m!r}: {exc}")
+        except ValueError as exc:  # its distance (irradiance_to_psd): named above unless S over- or underflows
+            if distance_ok:
+                out.append(f"lamp_spectrum_distance_m = {config.lamp_spectrum_distance_m!r}: {exc}")
     if not spectrum and len(fov_values) * len(source_values) > GRID_BUDGET:  # a spectrum's one level cannot overflow it
         grid = f"{len(fov_values)} x {len(source_values)}"
         out.append(f"fov_steps x source_steps = {grid}: more than the grid budget of {GRID_BUDGET:,} points")

@@ -63,9 +63,19 @@ __all__ = [
     "path_loss_profile",
 ]
 
-AMBIENT_SCENARIOS = ("ambient-only-center", "ambient-only-corner")
-LAMP_SCENARIOS = ("lamp-center", "lamp-corner", "lamp-corner-steered")
-SCENARIOS = AMBIENT_SCENARIOS + LAMP_SCENARIOS
+# All that sets a scenario apart, in this order and not overridable: the lamp lit (else
+# the ambient level is swept), the transmitter in the floor corner (else mid-floor), its
+# beam's semi-angle in degrees, and the beam aimed at the receiver (else straight up).
+_SCENARIO_ROWS = {
+    "ambient-only-center": (False, False, 30.0, False),
+    "ambient-only-corner": (False, True, 30.0, False),
+    "lamp-center": (True, False, 30.0, False),
+    "lamp-corner": (True, True, 30.0, False),
+    "lamp-corner-steered": (True, True, 5.0, True),
+}
+SCENARIOS = tuple(_SCENARIO_ROWS)
+AMBIENT_SCENARIOS = tuple(name for name, row in _SCENARIO_ROWS.items() if not row[0])
+LAMP_SCENARIOS = tuple(name for name, row in _SCENARIO_ROWS.items() if row[0])
 
 # Nominal parameter set; every value can be overridden per scenario.
 # lamp position entries of None mean "ceiling center".
@@ -91,16 +101,6 @@ NOMINAL: dict[str, float | None] = {
     "sift_factor": 1.0,
     "error_correction_inefficiency": 1.16,
     "misalignment_error": 0.0,
-}
-
-# The transmitter pose and beam width are part of each scenario's identity
-# and are not overridable.
-_TX_SEMI_ANGLE_DEG = {
-    "ambient-only-center": 30.0,
-    "ambient-only-corner": 30.0,
-    "lamp-center": 30.0,
-    "lamp-corner": 30.0,
-    "lamp-corner-steered": 5.0,
 }
 
 # Probe ladder for bracketing the secure-FOV boundary, bisected to 0.1 deg;
@@ -176,15 +176,13 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
     scenarios, whose lamp is off.
     """
     levels = _in_range("source_level", source_level, 0.0, _LARGEST_FLOAT).copy()  # Setup's own, writable
+    lamp_lit, corner, tx_semi_angle_deg, aimed = _SCENARIO_ROWS[scenario.name]
     p = scenario.params()
     # x + 0.0 == x for every x >= 0: adding zeros spreads a fixed level over the swept ones
     zeros = levels * 0.0
     # Checked in every scenario, though only lamp scenarios read it.
     ambient = _in_range("ambient_irradiance_w_nm_m2", p["ambient_irradiance_w_nm_m2"], 0.0, _LARGEST_FLOAT)
-    if scenario.name in AMBIENT_SCENARIOS:
-        lamp_psd, ambient = zeros + 0.0, levels
-    else:
-        lamp_psd, ambient = levels, zeros + ambient
+    lamp_psd, ambient = (levels, zeros + ambient) if lamp_lit else (zeros + 0.0, levels)
     x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
 
     detector = DetectorParams(
@@ -203,10 +201,7 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
     receiver = Pose(Point3(x / 2.0, y / 2.0, z), down)
     lamp = Pose(Point3(lamp_x, lamp_y, z), down)
 
-    if "corner" in scenario.name:
-        tx_position = Point3(0.0, 0.0, 0.0)
-    else:
-        tx_position = Point3(x / 2.0, y / 2.0, 0.0)
+    tx_position = Point3(0.0, 0.0, 0.0) if corner else Point3(x / 2.0, y / 2.0, 0.0)
     room = RoomScenario(
         room_x_m=x,
         room_y_m=y,
@@ -216,7 +211,7 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
         lamp=lamp,
         lamp_semi_angle_deg=float(p["lamp_semi_angle_deg"]),
         transmitter=Pose(tx_position, Point3(0.0, 0.0, 1.0)),
-        tx_semi_angle_deg=_TX_SEMI_ANGLE_DEG[scenario.name],
+        tx_semi_angle_deg=tx_semi_angle_deg,
         receiver=receiver,
         fov_deg=fov_deg,
         detector_area_m2=float(p["detector_area_m2"]),
@@ -224,8 +219,7 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
         filter_transmission=float(p["filter_transmission"]),
         filter_bandwidth_nm=float(bandwidth),
     )
-    if scenario.name == "lamp-corner-steered":
-        # Aimed only now, so that a bad room size is named by the room's rules.
+    if aimed:  # only now, so that a bad room size is named by the room's rules
         room = replace(room, transmitter=Pose.aimed_at(tx_position, receiver.position))
     protocol = ProtocolParams(
         mean_photons_per_pulse=float(p["mean_photons_per_pulse"]),
@@ -297,8 +291,7 @@ def sweep(
     if not (len(fov_values_deg) and len(source_values)):
         raise ValueError("sweep axes must be non-empty")
     levels = np.broadcast_to(source_values, (len(fov_values_deg), len(source_values)))
-    options = dict(order=order, signal_fov_cutoff=signal_fov_cutoff)
-    return evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, **options)
+    return evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, order=order, signal_fov_cutoff=signal_fov_cutoff)
 
 
 def _largest_secure(

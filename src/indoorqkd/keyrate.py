@@ -116,7 +116,7 @@ def secret_key_rate(params: ProtocolParams, transmittance: Values, noise: Values
 
     quiet = (1.0 - n) * (1.0 - n)  # P(neither detector's background clicks)
     y1 = 1.0 - (1.0 - eta) * quiet
-    q1 = _gain_single(y1, mu)
+    q1 = y1 * mu * np.exp(-mu)  # Q1, the single-photon gain
     decay = np.exp(-eta * mu)  # P(a signal pulse delivers no photon)
     q_mu = 1.0 - decay * quiet
     degenerate = (y1 == 0.0) | (q_mu == 0.0)
@@ -151,10 +151,6 @@ def _entropy(x: np.ndarray) -> np.ndarray:
     p = _where(inner, x, 0.5)
     h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
     return _where(inner, h, 0.0)
-
-
-def _gain_single(y1: np.ndarray, mu: Values) -> np.ndarray:
-    return y1 * mu * np.exp(-mu)
 
 
 def _error_rate(gain: np.ndarray, signal: np.ndarray, n: np.ndarray, misalignment: float) -> np.ndarray:

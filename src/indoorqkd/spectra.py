@@ -81,11 +81,16 @@ def density_at(curve: SpectralCurve, wavelength_nm: float) -> float:
     grid = curve.wavelengths_nm
     i = bisect_right(grid, wavelength_nm)
     if i == len(grid):
-        return curve.values[-1]
+        return curve.values[-1] + 0.0  # a stored -0.0 as 0.0, as the interpolation gives it
     x0, x1 = grid[i - 1], grid[i]
     y0, y1 = curve.values[i - 1], curve.values[i]
     t = (wavelength_nm - x0) / (x1 - x0)
     return y0 + t * (y1 - y0)
+
+
+def _check_distance(distance_m: float) -> None:  # a probe's distance from the bulb
+    if not 0.0 < distance_m < math.inf:
+        raise ValueError(f"distance_m must be positive and finite, got {distance_m!r}")
 
 
 def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:
@@ -99,8 +104,7 @@ def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:
     """
     if curve.kind != "irradiance":
         raise SpectrumKindError(f"expected an irradiance curve, got kind {curve.kind!r}")
-    if not 0.0 < distance_m < math.inf:
-        raise ValueError(f"distance_m must be positive and finite, got {distance_m!r}")
+    _check_distance(distance_m)
     scale = 4.0 * math.pi * distance_m * distance_m
     values = tuple(scale * v for v in curve.values)
     if not all(v < math.inf for v in values):  # inf, or nan where an inf scale meets a 0 density

@@ -169,16 +169,36 @@ class TestValidationDiagnostics:
         assert any("band" in m for m in validate(config))
 
     @pytest.mark.parametrize("scenario, body, message", [
-        (
+        pytest.param(
             "ambient-only-center", "[noise]\nambient_irradiance_w_nm_m2 = -1e-9\n",
             "ambient_irradiance_w_nm_m2 = -1e-09: ambient_irradiance_w_nm_m2 must be non-negative and finite, got -1e-09",
+            id="ambient-override-in-an-ambient-run",
         ),
-        ("lamp-center", "[noise]\nlamp_spectrum_kind = bogus\n", "lamp_spectrum_kind = 'bogus': must be one of source-psd, irradiance"),
-        (
+        pytest.param(
+            "lamp-center", "[noise]\nlamp_spectrum_kind = bogus\n", "lamp_spectrum_kind = 'bogus': must be one of source-psd, irradiance",
+            id="spectrum-kind-without-a-file",
+        ),
+        pytest.param(
             "lamp-center", f"[noise]\nlamp_spectrum_file = {bundled_spectrum_path('cool_white_led.csv')}\n[experiments]\nsource_scale = bogus\n",
             "source axis: scale = 'bogus': must be 'linear' or 'log'",
+            id="source-axis-with-a-file",
         ),
-    ], ids=["ambient-override-in-an-ambient-run", "spectrum-kind-without-a-file", "source-axis-with-a-file"])
+        # a spectrum distance that no file converts (an irradiance file in a lamp run is tested below)
+        *(
+            pytest.param(
+                scenario, f"[noise]\n{spectrum}lamp_spectrum_distance_m = {distance}\n",
+                f"lamp_spectrum_distance_m = {float(distance)!r}: distance_m must be positive and finite, got {float(distance)!r}",
+                id=f"spectrum-distance-{distance}-{case}",
+            )
+            for case, scenario, spectrum in (
+                ("lamp-without-a-file", "lamp-center", ""),
+                ("ambient-without-a-file", "ambient-only-center", ""),
+                ("lamp-with-a-psd-file", "lamp-center", f"lamp_spectrum_file = {bundled_spectrum_path('cool_white_led.csv')}\n"),
+                ("ambient-with-an-irradiance-file", "ambient-only-center", f"lamp_spectrum_file = {IRRADIANCE_FILE}\nlamp_spectrum_kind = irradiance\n"),
+            )
+            for distance in ("-1", "0", "-1e-9")
+        ),
+    ])
     def test_a_key_the_run_does_not_read_is_checked_all_the_same(self, tmp_path, capsys, scenario, body, message):
         out_dir = tmp_path / "out"
         assert main([str(write_config(tmp_path, body)), "--scenario", scenario, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
@@ -897,6 +917,41 @@ class TestThetaCheck:
         assert "exit 3 under --strict" in capsys.readouterr().err
 
 
+class TestMinusZeroPrintsUnsigned:
+    """A value written -0 is 0.0 from the parser on, so no output cell reads -0.000000000e+00."""
+
+    def run_map(self, tmp_path, body, scenario="lamp-center", axis=""):
+        path = write_config(tmp_path, body + "[experiments]\nfov_steps = 2\nsource_steps = 3\n" + axis)
+        assert main([str(path), "--scenario", scenario, "--out", str(tmp_path / "out")]) == EXIT_OK
+        csv, summary = ((tmp_path / "out" / name).read_text() for name in ("sweep.csv", "summary.txt"))
+        assert "-0." not in csv + summary
+        header, *rows = csv.splitlines()
+        return header.split(","), [row.split(",") for row in rows]
+
+    @pytest.mark.parametrize("section,key", [(s, k) for s, k in NUMERIC_KEYS if _RUN_KEY_TYPES.get(k, "float") == "float"])
+    def test_every_float_key_parses_minus_zero_as_plus_zero(self, tmp_path, section, key):
+        config, problems = load_config(write_config(tmp_path, f"[{section}]\n{key} = -0\n"))
+        assert problems == []
+        value = config.overrides[key] if key in NOMINAL else getattr(config, key)
+        assert math.copysign(1.0, value) == 1.0
+
+    def test_mean_photon_number(self, tmp_path):
+        header, rows = self.run_map(tmp_path, "[keyrate]\nmean_photons_per_pulse = -0\n")
+        assert {row[header.index("q1")] for row in rows} == {"0.000000000e+00"}
+
+    @pytest.mark.parametrize("scenario, column", [("lamp-center", "n_b2"), ("ambient-only-center", "n_b1")])
+    def test_source_min_on_a_linear_axis(self, tmp_path, scenario, column):
+        header, rows = self.run_map(tmp_path, "", scenario, axis="source_min = -0\nsource_scale = linear\n")
+        assert rows[0][1] == rows[0][header.index(column)] == "0.000000000e+00"
+
+    def test_a_spectrum_sample(self, tmp_path):
+        # the signal's 880 nm is the band's last sample, read without interpolating
+        spectrum = tmp_path / "lamp.csv"
+        spectrum.write_text("wavelength_nm,psd\n850,1e-6\n880,-0\n")
+        header, rows = self.run_map(tmp_path, f"[noise]\nlamp_spectrum_file = {spectrum}\n")
+        assert {row[1] for row in rows} == {"0.000000000e+00"}
+
+
 class TestColdProcess:
     def test_a_lamp_map_never_imports_numpy_ma(self, tmp_path):
         # np.unique's first call imports numpy.ma, 17-30 ms of CPU that a run does not need
@@ -1002,6 +1057,18 @@ class TestMainEntry:
         assert main([str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == f"config error: lamp_spectrum_distance_m = {distance!r}: {message}\n"
         assert not out_dir.exists()
+
+    def test_a_bad_spectrum_distance_and_a_bad_file_are_each_named_once(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            f"[noise]\nlamp_spectrum_file = {tmp_path / 'missing.csv'}\nlamp_spectrum_kind = irradiance\n"
+            "lamp_spectrum_distance_m = -1\n[experiments]\nfov_steps = 2\n",
+        )
+        assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: lamp_spectrum_distance_m = -1.0: distance_m must be positive and finite, got -1.0",
+            f"config error: lamp_spectrum_file: [Errno 2] No such file or directory: '{tmp_path / 'missing.csv'}'",
+        ]
 
     def test_scenario_flag_overrides_config(self, tmp_path, capsys):
         path = write_config(

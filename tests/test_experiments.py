@@ -47,7 +47,9 @@ def bits(value) -> bytes:
 
 class TestScenarioTable:
     def test_five_scenarios(self):
-        assert len(SCENARIOS) == 5
+        assert AMBIENT_SCENARIOS == ("ambient-only-center", "ambient-only-corner")
+        assert LAMP_SCENARIOS == ("lamp-center", "lamp-corner", "lamp-corner-steered")
+        assert SCENARIOS == AMBIENT_SCENARIOS + LAMP_SCENARIOS
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -57,23 +59,34 @@ class TestScenarioTable:
         with pytest.raises(ValueError):
             Scenario.named("lamp-center", {"room_width": 4.0})
 
-    def test_center_transmitter_under_receiver(self):
-        setup = build_setup(Scenario.named("lamp-center"), 30.0, 1e-5)
-        assert setup.room.transmitter.position.as_tuple() == (2.0, 2.0, 0.0)
-        assert setup.room.transmitter.axis.as_tuple() == (0.0, 0.0, 1.0)
-        assert setup.room.tx_semi_angle_deg == 30.0
+    @pytest.mark.parametrize("name, position, axis, axis_tolerance, semi_angle, lamp_lit", [
+        ("ambient-only-center", (2.0, 2.0, 0.0), Point3(0.0, 0.0, 1.0), 0.0, 30.0, False),
+        ("ambient-only-corner", (0.0, 0.0, 0.0), Point3(0.0, 0.0, 1.0), 0.0, 30.0, False),
+        ("lamp-center", (2.0, 2.0, 0.0), Point3(0.0, 0.0, 1.0), 0.0, 30.0, True),
+        ("lamp-corner", (0.0, 0.0, 0.0), Point3(0.0, 0.0, 1.0), 0.0, 30.0, True),
+        # aimed at the receiver, at the ceiling center: a normalized vector, equal up to rounding
+        ("lamp-corner-steered", (0.0, 0.0, 0.0), Point3(2.0, 2.0, 3.0).normalized(), 1e-12, 5.0, True),
+    ])
+    def test_each_scenario_places_aims_and_lights_as_described(self, name, position, axis, axis_tolerance, semi_angle, lamp_lit):
+        setup = build_setup(Scenario.named(name, {"ambient_irradiance_w_nm_m2": 2e-9}), 30.0, 3e-6)
+        transmitter = setup.room.transmitter
+        assert transmitter.position.as_tuple() == position
+        if axis_tolerance:
+            assert transmitter.axis.minus(axis).norm() < axis_tolerance
+        else:  # straight up, exactly
+            assert transmitter.axis.as_tuple() == axis.as_tuple()
+        assert setup.room.tx_semi_angle_deg == semi_angle
+        # a lit lamp sweeps its PSD under the ambient override; else the ambient level is swept
+        levels = (setup.lamp_psd_w_per_nm, setup.ambient_irradiance_w_nm_m2)
+        assert levels == ((3e-6, 2e-9) if lamp_lit else (0.0, 3e-6))
+        assert (name in LAMP_SCENARIOS, name in AMBIENT_SCENARIOS) == (lamp_lit, not lamp_lit)
 
-    def test_corner_transmitter_at_origin(self):
-        setup = build_setup(Scenario.named("lamp-corner"), 30.0, 1e-5)
-        assert setup.room.transmitter.position.as_tuple() == (0.0, 0.0, 0.0)
-        assert setup.room.transmitter.axis.as_tuple() == (0.0, 0.0, 1.0)
-
-    def test_steered_corner_aims_at_receiver_with_narrow_beam(self):
-        setup = build_setup(Scenario.named("lamp-corner-steered"), 30.0, 1e-5)
-        axis = setup.room.transmitter.axis
-        expected = Point3(2.0, 2.0, 3.0).normalized()
-        assert axis.minus(expected).norm() < 1e-12
-        assert setup.room.tx_semi_angle_deg == 5.0
+    def test_the_scenario_table_not_the_name_sets_a_scenario_apart(self, monkeypatch):
+        steered = build_setup(Scenario.named("lamp-corner-steered"), 30.0, 3e-6)
+        monkeypatch.setitem(experiments._SCENARIO_ROWS, "ambient-only-center", experiments._SCENARIO_ROWS["lamp-corner-steered"])
+        renamed = build_setup(Scenario.named("ambient-only-center"), 30.0, 3e-6)
+        assert renamed.room == steered.room
+        assert (renamed.lamp_psd_w_per_nm, renamed.ambient_irradiance_w_nm_m2) == (3e-6, 0.0)
 
     def test_receiver_and_lamp_colocated_at_ceiling_center(self):
         setup = build_setup(Scenario.named("lamp-center"), 30.0, 1e-5)

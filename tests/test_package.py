@@ -125,3 +125,28 @@ class TestEveryPrivateNameIsRead:
         defined = [(module, name) for module, tree in sorted(trees.items()) for name in private_definitions(tree)]
         assert len(defined) > 50  # the walk finds the library's private names
         assert [f"{module}.{name}" for module, name in defined if name not in read] == []
+
+    def test_each_name_a_src_module_imports_is_read_in_it(self):
+        # A name the module's __all__ lists is a re-export; __future__ imports set compiler flags.
+        unread, imported_count = [], 0
+        for path in sorted(Path(indoorqkd.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = [
+                (alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+                if alias.name != "*"
+            ]
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            exported = {
+                item.value
+                for node in tree.body
+                if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant)
+            }
+            unread += [f"{path.stem}.{name}" for name in imported if name not in read | exported]
+            imported_count += len(imported)
+        assert imported_count > 50  # the walk finds the library's imports
+        assert unread == []

@@ -61,6 +61,12 @@ class TestDensityAt:
         read = [density_at(curve, w) for w in curve.wavelengths_nm]
         assert [v.hex() for v in read] == [v.hex() for v in curve.values]
 
+    @pytest.mark.parametrize("values", [(1.0, -0.0, -0.0), (-0.0, -0.0, -0.0), (-0.0, 1.0, -0.0)])
+    def test_a_stored_minus_zero_reads_as_plus_zero(self, values):
+        # at the band's last point too, which is read without interpolating
+        value = density_at(SpectralCurve((850.0, 880.0, 900.0), values, "source-psd"), 900.0)
+        assert math.copysign(1.0, value) == 1.0
+
     def test_midpoint_interpolates_linearly(self):
         assert density_at(simple_curve(), 450.0) == pytest.approx(2.0)
         assert density_at(simple_curve(), 550.0) == pytest.approx(2.5)
