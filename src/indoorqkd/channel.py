@@ -35,20 +35,21 @@ built once and kept for the 64 rooms used last, and holds the integrals
 computed for the room so far, by (psi order, theta rule) and FOV, and the
 sums of the whole psi pieces below them, so a wider FOV sums only the
 pieces beyond.
-A pass traces its psi nodes in blocks that all work in one array, made for
-the pass and sized for its largest block, so that no block's temporaries go
-back to the system to be faulted in again by the next.  A block writes its
-rings' arc knots and both crossings of each edge plane into one bounds
-matrix and sorts it in place.  The crossings are reduced to [0, 2 pi] with
+A pass sorts the arc knots and both crossings of each edge plane of all its
+rings in one bounds matrix.  The crossings are reduced to [0, 2 pi] with
 np.fmod plus a turn where negative, and the nan of a ring that misses a
 plane set to 0; np.mod would give the same bits through a full divmod with
-a slow path on nan, and most rings miss most planes.  The ray directions
-skip the frame coefficients that are exactly 0: six of the nine for a
-receiver facing straight down.
+a slow path on nan, and most rings miss most planes.  The rays then go in
+blocks of whole rings, at most ``_RAY_BLOCK`` rays or one ring, through one
+work array made for the pass, and np.bincount sums each ring in ray order,
+so a ring has the same bits in any block.  The ray directions skip the
+frame coefficients that are exactly 0: six of the nine for a receiver
+facing straight down.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -60,6 +61,8 @@ import numpy as np
 from .geometry import RoomScenario, _in_range, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
 
 __all__ = [
+    "PLANCK_J_S",
+    "SPEED_OF_LIGHT_M_S",
     "DetectorParams",
     "ChannelGains",
     "ConvergenceReport",
@@ -95,8 +98,8 @@ _PANEL_DEG = 15.0
 # nodes) would wake the BLAS worker threads in _mapped_rule.
 _THETA_RULES = ((lambert_mode(60.0), 4, 10), (math.inf, 12, 12))
 _TURN = 2.0 * math.pi
-# Most psi nodes traced at once; a pass's work array holds about 28 kB per node of a block.
-_PSI_BLOCK = 32
+# Most rays traced at once (a block holds whole rings, at least one); its work array holds 8 floats a ray, 512 kB.
+_RAY_BLOCK = 8192
 # Most psi nodes laid out at once (a FOV axis brings one piece per FOV).
 _PIECE_BLOCK = 4096
 
@@ -268,6 +271,7 @@ class _ReceiverView:
         ]
         self.lamp = local(room.lamp.position.as_tuple())
         self.lamp_axis = np.array(room.lamp.axis.as_tuple())
+        self.along_terms = [(k, c) for k, c in enumerate(self.lamp_axis.tolist()) if c != 0.0]  # the others add 0 * v1
         self.m1 = lambert_mode(room.lamp_semi_angle_deg)
         self.theta_rule = next((arcs, nodes) for top, arcs, nodes in _THETA_RULES if self.m1 <= top)
 
@@ -289,8 +293,8 @@ class _ReceiverView:
         self.normal = np.vstack([normal, -normal[0]])  # the ceiling faces the floor
         # Each plane's signed offset from the receiver, <= 0 inside the room.
         self.height = np.append(np.einsum("ij,ij->i", corner, normal), -np.max(ends @ normal[0]))
-        # Planes 1, 3, 0 (x = 0, y = 0, floor) lie ahead of a negative component, 2, 4, 5 of a positive one.
-        self.near_height, self.far_height = self.height[[1, 3, 0]], (-self.height[[2, 4, 5]]).tolist()
+        # Columns for _radiance; planes 1, 3, 0 (x = 0, y = 0, floor) lie ahead of a negative component, 2, 4, 5 of a positive one.
+        self.near_height, self.far_height, self.lamp_column = self.height[[1, 3, 0], None], -self.height[[2, 4, 5], None], self.lamp[:, None]
         # rho times the lamp's height over each plane (cos(alpha) d1 at any point of it)
         over = np.clip(self.normal @ self.lamp - self.height, 0.0, None)
         self.lamp_gain = np.append([g.reflectivity for g in grids], 0.0) * over
@@ -312,38 +316,47 @@ class _ReceiverView:
         self.integrals: dict[tuple[int, tuple[int, int]], dict[float, float]] = {}
         self.whole_pieces: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
 
-    def work_size(self, rings: int, theta_rule: tuple[int, int]) -> int:
-        """Floats of work that ``ring_integrals`` needs for ``rings`` psi nodes under ``theta_rule``."""
-        arcs, nodes = theta_rule
-        return 8 * nodes * (arcs + 2 * self.edge_length.size) * rings
-
-    def piece_sums(
-        self, lo: np.ndarray, hi: np.ndarray, positions: np.ndarray, weights: np.ndarray, theta_rule: tuple[int, int]
-    ) -> np.ndarray:
-        """int_lo^hi sin(psi) cos(psi) (ring integral) d psi on each piece, by the mapped rule;
-        every block of ring integrals works in one array, sized for the largest block."""
+    def piece_sums(self, lo: np.ndarray, hi: np.ndarray, positions: np.ndarray, weights: np.ndarray, theta_rule: tuple[int, int]) -> np.ndarray:
+        """int_lo^hi sin(psi) cos(psi) (ring integral) d psi on each piece, by the mapped rule."""
         psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
         weight = ((hi - lo)[:, None] * weights).ravel() * np.sin(psi) * np.cos(psi)
-        work = np.empty(self.work_size(min(len(psi), _PSI_BLOCK), theta_rule))
-        ring = np.concatenate([self.ring_integrals(psi[k : k + _PSI_BLOCK], work, theta_rule) for k in range(0, len(psi), _PSI_BLOCK)])
-        return np.bincount(np.repeat(np.arange(len(lo)), len(positions)), weight * ring)
+        return np.bincount(np.repeat(np.arange(len(lo)), len(positions)), weight * self.ring_integrals(psi, theta_rule))
 
-    def ring_integrals(self, psi: np.ndarray, work: np.ndarray | None = None, theta_rule: tuple[int, int] | None = None) -> np.ndarray:
+    def ring_integrals(self, psi: np.ndarray, theta_rule: tuple[int, int] | None = None) -> np.ndarray:
         """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi,
-        by ``theta_rule`` (arcs, nodes per arc; the view's if not given).
-
-        The theta nodes' intermediates go to ``work``, 8 floats a node (allocated if not given).
-        """
+        by ``theta_rule`` (arcs, nodes per arc; the view's if not given), traced in blocks of whole rings."""
         arcs, nodes = self.theta_rule if theta_rule is None else theta_rule
         cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
-        # Each ring's bounds: the arc knots, then where the ring crosses the plane through
-        # the receiver and each edge line, a cos(theta) + b sin(theta) = c, at mid -+ half.
-        n_axis, n_e1, n_e2 = self.edge_normal
-        edges = len(n_axis)
-        bounds = np.empty((len(psi), arcs + 1 + 2 * edges))
-        bounds[:, : arcs + 1] = _arc_knots(arcs)
-        cuts = bounds[:, arcs + 1 :]
-        a, b = sin_psi * n_e1, sin_psi * n_e2
+        start, span, count = self._sub_arcs(cos_psi, sin_psi, arcs)
+        first, ends = [0, *count.cumsum().tolist()], [0]  # ring r's sub-arcs are first[r]:first[r + 1]
+        while ends[-1] < len(psi):  # a block ends at the last ring end within _RAY_BLOCK rays of its start, or one ring on
+            ends.append(max(ends[-1] + 1, bisect.bisect_right(first, first[ends[-1]] + _RAY_BLOCK // nodes) - 1))
+        work = np.empty(8 * nodes * max((first[b] - first[a] for a, b in zip(ends, ends[1:])), default=0))
+        (positions, weights), out = _mapped_rule(nodes), np.empty(len(psi))
+        for a, b in zip(ends, ends[1:]):
+            k, n = slice(first[a], first[b]), (first[b] - first[a]) * nodes
+            ring = np.repeat(np.arange(b - a), count[a:b])  # each sub-arc's ring in the block
+            omega = work[: 3 * n].reshape(3, -1, nodes)
+            theta, cos_theta, sin_theta, term = work[3 * n : 7 * n].reshape(4, -1, nodes)
+            np.add(np.multiply(span[k], positions, out=theta), start[k], out=theta)
+            ring_sin_psi = sin_psi[a:b][ring]
+            np.multiply(np.cos(theta, out=cos_theta), ring_sin_psi, out=cos_theta)
+            np.multiply(np.sin(theta, out=sin_theta), ring_sin_psi, out=sin_theta)
+            sources = (cos_psi[a:b][ring], cos_theta, sin_theta)
+            for j, ((c, i), *rest) in enumerate(self.omega_terms):
+                np.multiply(c, sources[i], out=omega[j])
+                for c, i in rest:
+                    omega[j] += np.multiply(c, sources[i], out=term)
+            radiance = self._radiance(omega, work[3 * n :])
+            weight = np.multiply(span[k], weights, out=omega[0])
+            out[a:b] = np.bincount(np.repeat(ring, nodes), np.multiply(weight, radiance, out=weight).ravel(), minlength=b - a)
+        return out
+
+    def _sub_arcs(self, cos_psi: np.ndarray, sin_psi: np.ndarray, arcs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ring's sub-arcs, between its arc knots and where it crosses the plane through the receiver
+        and each edge line, a cos(theta) + b sin(theta) = c, at mid -+ half: starts and spans, and the count per ring."""
+        (n_axis, n_e1, n_e2), edges = self.edge_normal, self.edge_normal.shape[1]
+        cuts, a, b = np.empty((len(cos_psi), 2 * edges)), sin_psi * n_e1, sin_psi * n_e2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             half = np.hypot(a, b)
             np.arccos(np.divide(-cos_psi * n_axis, half, out=half), out=half)  # nan where the ring misses the plane
@@ -351,27 +364,12 @@ class _ReceiverView:
             np.subtract(mid, half, out=cuts[:, :edges])
             np.add(mid, half, out=cuts[:, edges:])
             _reduce_turns(cuts)
+        bounds = np.empty((len(cuts), arcs + 1 + 2 * edges))
+        bounds[:, : arcs + 1], bounds[:, arcs + 1 :] = _arc_knots(arcs), cuts
         bounds.sort(axis=1)
         width = bounds[:, 1:] - bounds[:, :-1]
-        ring, arc = np.nonzero(width > 0.0)
-        positions, weights = _mapped_rule(nodes)
-        start, span = bounds[ring, arc][:, None], width[ring, arc][:, None]
-        n = len(ring) * nodes
-        work = np.empty(8 * n) if work is None else work
-        omega = work[: 3 * n].reshape(3, len(ring), nodes)
-        theta, cos_theta, sin_theta, term = work[3 * n : 7 * n].reshape(4, len(ring), nodes)
-        np.add(np.multiply(span, positions, out=theta), start, out=theta)
-        ring_sin_psi = sin_psi[ring]
-        np.multiply(np.cos(theta, out=cos_theta), ring_sin_psi, out=cos_theta)
-        np.multiply(np.sin(theta, out=sin_theta), ring_sin_psi, out=sin_theta)
-        sources = (cos_psi[ring], cos_theta, sin_theta)
-        for k, ((c, j), *rest) in enumerate(self.omega_terms):
-            np.multiply(c, sources[j], out=omega[k])
-            for c, j in rest:
-                omega[k] += np.multiply(c, sources[j], out=term)
-        radiance = self._radiance(omega, work[3 * n :])
-        weight = np.multiply(span, weights, out=omega[0])
-        return np.bincount(np.repeat(ring, nodes), np.multiply(weight, radiance, out=weight).ravel(), minlength=len(psi))
+        arc = width > 0.0
+        return bounds[:, :-1][arc][:, None], width[arc][:, None], arc.sum(axis=1)
 
     def _radiance(self, omega: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver
@@ -381,31 +379,33 @@ class _ReceiverView:
         The intermediates go to ``work``, 5 floats a ray (allocated if not given),
         and so does the result.
         """
-        shape = (3,) + (1,) * (omega.ndim - 1)
-        n = omega[0].size
+        shape, n = omega.shape[1:], omega[0].size
+        omega = omega.reshape(3, n)
         work = np.empty(5 * n) if work is None else work
-        reach = work[: 3 * n].reshape(omega.shape)
-        t, spare = work[3 * n : 5 * n].reshape((2,) + omega.shape[1:])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the plane behind gives a value <= 0
-            np.divide(self.near_height.reshape(shape), omega, out=reach)
-            for k, height in enumerate(self.far_height):
-                np.maximum(reach[k], np.divide(height, omega[k], out=spare), out=reach[k])
+        reach = work[: 3 * n].reshape(3, n)
+        t, spare = work[3 * n : 5 * n].reshape(2, n)
+        up = omega > 0.0
+        np.copyto(reach, self.near_height)
+        np.copyto(reach, self.far_height, where=up)  # the plane ahead on each axis
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(reach, omega, out=reach)
             if not omega.all():  # parallel to both planes of an axis
                 reach[omega == 0.0] = np.inf
-            (t_x, t_y, t_z), (up_x, up_y, up_z) = reach, (omega > 0.0).view(np.int8)
+            (t_x, t_y, t_z), (up_x, up_y, up_z) = reach, up.view(np.int8)
             np.minimum(t_x, t_y, out=t)
             plane = 3 + up_y - (2 + up_y - up_x) * (t_x <= t_y).view(np.int8)  # x walls 1, 2 win a tie with y walls 3, 4
             z_first = (t_z < t) | ((t_z == t) & (up_z == 0))  # the floor 0 wins a tie, the ceiling 5 loses it
             plane += (5 * up_z - plane) * z_first.view(np.int8)
             np.minimum(t, t_z, out=t)
-            v1 = np.subtract(np.multiply(t, omega, out=reach), self.lamp.reshape(shape), out=reach)
+            v1 = np.subtract(np.multiply(t, omega, out=reach), self.lamp_column, out=reach)
             d1_sq = np.multiply(v1[0], v1[0], out=t)
             d1_sq += np.multiply(v1[1], v1[1], out=spare)
             d1_sq += np.multiply(v1[2], v1[2], out=spare)
             d1 = np.sqrt(d1_sq, out=spare)
-            along = np.multiply(v1[0], self.lamp_axis[0], out=v1[0])
-            along += np.multiply(v1[1], self.lamp_axis[1], out=v1[1])
-            along += np.multiply(v1[2], self.lamp_axis[2], out=v1[2])
+            (k, c), *rest = self.along_terms
+            along = np.multiply(v1[k], c, out=v1[k])
+            for k, c in rest:
+                along += np.multiply(v1[k], c, out=v1[k])
             cos_phi = np.maximum(np.divide(along, d1, out=along), 0.0, out=along)  # np.clip's lower bound alone
             cos_phi **= self.m1
             # cos(alpha) d1 is the lamp's height over the plane hit
@@ -413,7 +413,7 @@ class _ReceiverView:
             radiance /= np.multiply(d1_sq, d1, out=spare)
         # nan only at the lamp itself (d1 = 0, on a plane it lies in) or past the float range; neither reflects
         np.copyto(radiance, 0.0, where=np.isnan(radiance))
-        return radiance
+        return radiance.reshape(shape)
 
 
 def _room_key(room: RoomScenario) -> tuple:

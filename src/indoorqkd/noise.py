@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PLANCK_J_S, SPEED_OF_LIGHT_M_S, DetectorParams
+from .channel import SPEED_OF_LIGHT_M_S, DetectorParams
 from .geometry import RoomScenario, _in_range
 
 __all__ = [
-    "PLANCK_J_S",
-    "SPEED_OF_LIGHT_M_S",
     "NoiseBudget",
     "matched_filter_bandwidth_nm",
     "isotropic_noise_power",

@@ -396,12 +396,21 @@ class TestExitPlaneAgainstSixPlanes:
         assert_same_bits(pinned_room(kind, 30.0), omega)
 
     def test_axis_parallel_rays(self):
-        # Components exactly 0 leave a ray parallel to both planes of an axis; the second
-        # receiver sits on the wall x = 0, whose distance along such a ray is 0 / 0.
+        # Components exactly 0 leave a ray parallel to both planes of an axis; the receivers
+        # on the walls x = 0 and x = 4 and on the ceiling sit on a plane whose distance
+        # along such a ray is 0 / 0, and whose height is +-0 for a ray that faces it: the
+        # one division by the component must give the six-plane rule's bits there.
         rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0), (0, -1, -1), (-1, 0, 1)]
         omega = np.array(rays, dtype=float).T.copy()
-        for room in (nominal_room(), nominal_room(receiver=Pose(Point3(0.0, 1.0, 1.5), Point3(1.0, 0.0, 0.0)))):
+        receivers = [
+            Pose(Point3(0.0, 1.0, 1.5), Point3(1.0, 0.0, 0.0)),
+            Pose(Point3(4.0, 1.0, 1.5), Point3(-1.0, 0.0, 0.0)),  # the far wall
+            Pose(Point3(1.0, 3.0, 3.0), Point3(0.0, 0.0, -1.0)),  # the ceiling, off the lamp
+        ]
+        for room in (nominal_room(), *(nominal_room(receiver=pose) for pose in receivers)):
             assert_same_bits(room, omega)
+        far_wall, ceiling = (_ReceiverView(nominal_room(receiver=pose)) for pose in receivers[1:])
+        assert far_wall.far_height[0, 0] == 0.0 and ceiling.far_height[2, 0] == 0.0
 
     def test_ties_at_corners_and_edges(self):
         # Unnormalized rays from the receiver at (2, 2, 3) toward floor corners, floor-wall
@@ -432,26 +441,72 @@ class TestExitPlaneAgainstSixPlanes:
 class TestOnePassBitInvariants:
     """A pass's ring values and a room's memo of whole psi pieces change no bit."""
 
-    @pytest.mark.parametrize("block", [1, 7, 32, 64])
+    @staticmethod
+    def traced_blocks(monkeypatch, view, psi, theta_rule=None):
+        """The ring values of one call, and the rays of each block it traced with the work array it used."""
+        radiance, blocks = _ReceiverView._radiance, []
+
+        def recording(self, omega, work=None):
+            blocks.append((omega[0].size, work.base))
+            return radiance(self, omega, work)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_ReceiverView, "_radiance", recording)
+            return view.ring_integrals(psi, theta_rule), blocks
+
+    @pytest.mark.parametrize("block", [1, 7, channel._RAY_BLOCK, 10**9])
     def test_ring_values_do_not_depend_on_the_block(self, monkeypatch, block):
-        # every block of a pass works in the same array; each node's ring value
-        # equals the one computed for that node alone, in an array of its own
+        # the psi nodes of a whole order-10 pass, which a pass traces in one call, in blocks
+        # of whole rings that work in one array; each ring's value equals the one computed
+        # for that ring alone, in an array of its own, and each block takes the rings that
+        # follow it as long as they fit
         view = _ReceiverView(pinned_room("steered-corner", 30.0))
-        ring_integrals, seen = _ReceiverView.ring_integrals, []
-
-        def recording(self, psi, work=None, theta_rule=None):
-            seen.append((psi.copy(), ring_integrals(self, psi, work, theta_rule)))
-            return seen[-1][1]
-
-        monkeypatch.setattr(channel, "_PSI_BLOCK", block)
-        monkeypatch.setattr(_ReceiverView, "ring_integrals", recording)
         positions, weights = channel._mapped_rule(10)
-        view.piece_sums(view.bounds[:-1], view.bounds[1:], positions, weights, view.theta_rule)
-        monkeypatch.undo()
-        psi = np.concatenate([p for p, _ in seen])
-        assert max(len(p) for p, _ in seen) == block and len(psi) == 10 * (len(view.bounds) - 1)
-        alone = np.concatenate([view.ring_integrals(psi[k : k + 1]) for k in range(len(psi))])
-        assert alone.view(np.uint64).tolist() == np.concatenate([r for _, r in seen]).view(np.uint64).tolist()
+        lo, hi = view.bounds[:-1], view.bounds[1:]
+        psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
+        alone = [self.traced_blocks(monkeypatch, view, psi[k : k + 1]) for k in range(len(psi))]
+        ring_rays = [blocks[0][0] for _, blocks in alone]
+        monkeypatch.setattr(channel, "_RAY_BLOCK", block)
+        calls, ring_integrals = [], _ReceiverView.ring_integrals
+
+        def recording(self, psi, theta_rule=None):
+            calls.append(psi)
+            return ring_integrals(self, psi, theta_rule)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_ReceiverView, "ring_integrals", recording)
+            view.piece_sums(lo, hi, positions, weights, view.theta_rule)
+        assert [p.view(np.uint64).tolist() for p in calls] == [psi.view(np.uint64).tolist()]
+        values, blocks = self.traced_blocks(monkeypatch, view, psi)
+        assert values.view(np.uint64).tolist() == np.concatenate([v for v, _ in alone]).view(np.uint64).tolist()
+        ring_ends, block_ends = np.cumsum(ring_rays).tolist(), np.cumsum([rays for rays, _ in blocks]).tolist()
+        assert set(block_ends) <= set(ring_ends) and block_ends[-1] == ring_ends[-1]  # whole rings, every one
+        last_rings = [ring_ends.index(end) for end in block_ends]
+        for (rays, _), first_ring, last_ring in zip(blocks, [0] + [k + 1 for k in last_rings], last_rings):
+            assert rays <= block or first_ring == last_ring
+            assert last_ring + 1 == len(ring_rays) or rays + ring_rays[last_ring + 1] > block
+        if block < min(ring_rays):
+            assert len(blocks) == len(psi)
+        else:
+            assert (len(blocks) == 1) == (block >= sum(ring_rays)) and len(blocks) < len(psi)
+
+    @pytest.mark.parametrize("semi_angle, theta_nodes_factor", [(70.0, 1), (70.0, 2), (30.0, 1), (30.0, 2)])
+    def test_work_array_holds_one_ray_block(self, monkeypatch, semi_angle, theta_nodes_factor):
+        # under the 4 x 10 rule (wide lamp), the 12 x 12 one (narrow lamp) and each with the
+        # theta nodes doubled, a pass's one work array holds 8 floats a ray of one block:
+        # never more than 8 x max(_RAY_BLOCK, the largest ring's rays)
+        room = replace(pinned_room("steered-corner", 30.0), lamp_semi_angle_deg=semi_angle)
+        view = _ReceiverView(room)
+        arcs, nodes = view.theta_rule
+        assert view.theta_rule == ((4, 10) if semi_angle > 60.0 else (12, 12))
+        theta_rule = (arcs, theta_nodes_factor * nodes)
+        positions = channel._mapped_rule(20)[0]
+        lo, hi = view.bounds[:-1], view.bounds[1:]
+        psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
+        largest = int(view._sub_arcs(np.cos(psi)[:, None], np.sin(psi)[:, None], arcs)[2].max()) * theta_rule[1]
+        _, blocks = self.traced_blocks(monkeypatch, view, psi, theta_rule)
+        assert len(blocks) > 1 and all(work is blocks[0][1] for _, work in blocks)  # one array for the call
+        assert blocks[0][1].size == 8 * max(rays for rays, _ in blocks) <= 8 * max(channel._RAY_BLOCK, largest)
 
     @pytest.mark.parametrize("kind", ["nominal", "offset-lamp", "steered-corner"])
     def test_warm_memo_equals_cold_one_fov_calls(self, kind):
@@ -497,7 +552,7 @@ class TestTurnReduction:
         x = np.random.default_rng(18).uniform(-2.0 * math.pi, 2.0 * math.pi, 100_000)
         x[::7] = math.nan  # most rings miss most edge planes
         self.assert_same_bits(x)
-        # in the strided layout the kernel reduces: the crossing columns of its bounds matrix
+        # and in place on a strided view, the crossing columns of a bounds matrix
         bounds = np.random.default_rng(19).uniform(-2.0 * math.pi, 2.0 * math.pi, (32, 37))
         bounds[:, 20:30] = math.nan
         want = np.nan_to_num(np.mod(bounds[:, 13:], 2.0 * math.pi))

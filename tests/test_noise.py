@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from indoorqkd.channel import DetectorParams
+from indoorqkd.channel import PLANCK_J_S, SPEED_OF_LIGHT_M_S, DetectorParams
 from indoorqkd.geometry import Point3, Pose, RoomScenario
 from indoorqkd.noise import (
-    PLANCK_J_S,
-    SPEED_OF_LIGHT_M_S,
     NoiseBudget,
     dark_counts_per_pulse,
     isotropic_noise_power,
