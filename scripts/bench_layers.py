@@ -56,7 +56,9 @@ and faulted in again, among others.  The layers:
   ambient-only-center map above (the shape of a perfbench ambient-map op:
   sweep, ambient tolerance, sweep.csv and summary.txt), and
   scripts/run_all_scenarios.py, each in a fresh Python process so that
-  imports count; their value is the sha256 of the files they write;
+  imports count; their value is the sha256 of the files they write (the
+  last row is recorded as skipped, with the reason, when --src has no
+  scripts/ beside it);
 * the same 90 x 90 ambient CLI run through ``cli.main`` in this process,
   cold, so the map's own cost shows without process start-up and imports.
 
@@ -325,8 +327,10 @@ def layer_rows(src: Path) -> dict:
     rows["cli_default_run_subprocess"] = lambda: timed(lambda: subprocess_digest([sys.executable, "-m", "indoorqkd.cli"], src))
     rows["cli_ambient_90x90_subprocess"] = lambda: ambient_cli("subprocess")
     rows["cli_ambient_90x90_in_process"] = lambda: ambient_cli("in_process")
-    rows["run_all_scenarios_subprocess"] = lambda: timed(
-        lambda: subprocess_digest([sys.executable, str(src.parent / "scripts" / "run_all_scenarios.py")], src)
+    script = src.parent / "scripts" / "run_all_scenarios.py"
+    rows["run_all_scenarios_subprocess"] = (
+        (lambda: timed(lambda: subprocess_digest([sys.executable, str(script)], src))) if script.exists()
+        else (lambda: {"skipped": f"no {script} beside --src"})
     )
     return rows
 
@@ -365,6 +369,9 @@ def main() -> int:
     results[args.label] = run
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     for name, layer in layers.items():
+        if "skipped" in layer:
+            print(f"{args.label:>8} {name:46s} skipped: {layer['skipped']}")
+            continue
         print(
             f"{args.label:>8} {name:46s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms"
             f"  faults/call {layer['minor_faults_per_call']:10.1f}"

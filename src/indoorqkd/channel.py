@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import RoomScenario, _in_range, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, RoomScenario, _in_range, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
 
 __all__ = [
     "PLANCK_J_S",
@@ -115,12 +115,9 @@ class DetectorParams:
     wavelength_nm: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"detector efficiency must lie in (0, 1], got {self.efficiency!r}")
-        if not 0.0 <= self.dark_count_rate_hz < math.inf:
-            raise ValueError(f"dark_count_rate_hz must be non-negative and finite, got {self.dark_count_rate_hz!r}")
-        if not 0.0 < self.pulse_width_s < math.inf:
-            raise ValueError(f"pulse_width_s must be positive and finite, got {self.pulse_width_s!r}")
+        _in_range("detector efficiency", self.efficiency, _SMALLEST_POSITIVE, 1.0)
+        _in_range("dark_count_rate_hz", self.dark_count_rate_hz, 0.0, _LARGEST_FLOAT)
+        _in_range("pulse_width_s", self.pulse_width_s, _SMALLEST_POSITIVE, _LARGEST_FLOAT)
         if not (0.0 < self.wavelength_nm < math.inf and self.wavelength_nm * 1e-9 > 0.0 and self.photon_energy_j < math.inf):
             raise ValueError(f"wavelength_nm must be positive and finite, with a finite photon energy h c / wavelength, got {self.wavelength_nm!r}")
 

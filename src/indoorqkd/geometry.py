@@ -27,8 +27,10 @@ __all__ = [
 
 # Positions closer than this are treated as coincident (no defined link).
 _COINCIDENT_EPS = 1e-12
-# The upper end of a range that admits every finite non-negative value and not inf.
+# The upper end of a range that admits every finite value and not inf.
 _LARGEST_FLOAT = float(np.finfo(float).max)
+# The lower end of a range that excludes 0: a float is >= it exactly when it is > 0.
+_SMALLEST_POSITIVE = math.ulp(0.0)
 
 
 class DegenerateGeometryError(ValueError):
@@ -123,18 +125,24 @@ class SurfaceGrid:
 
 def _in_range(name: str, value: float | np.ndarray, lo: float, hi: float) -> float | np.ndarray:
     """``value`` as a numpy float or a float array, once it (each element) lies in
-    [lo, hi]: a nan fails, an empty array passes.  The rule of every value that may be
-    an array; "non-negative" is [0, inf], "non-negative and finite" [0, _LARGEST_FLOAT]."""
-    if isinstance(value, float):  # a Python float or np.float64, compared without an array
-        ok, checked = lo <= value <= hi, np.float64(value)
+    [lo, hi]: a nan fails, text fails (numpy would parse it), an empty array passes.  The
+    rule of every checked number that is an interval, scalar or array: "non-negative" is
+    [0, inf], "finite" ends at _LARGEST_FLOAT and "positive" starts at _SMALLEST_POSITIVE."""
+    if isinstance(value, (float, int)):  # a Python number or np.float64, compared without an array
+        if lo <= value <= hi:
+            return np.float64(value)
     else:
-        checked = np.asarray(value, dtype=float)[()]
+        checked = np.asarray(value)
+        if checked.dtype.kind in "SU":
+            raise ValueError(f"{name} must be a number, not text, got {value!r}")
+        checked = checked.astype(float, copy=False)[()]
         # min and max carry a nan through, so a nan element fails too
-        ok = not checked.size or (checked.min() >= lo and checked.max() <= hi)
-    if not ok:
-        rules = {(0.0, math.inf): "be non-negative", (0.0, _LARGEST_FLOAT): "be non-negative and finite"}
-        raise ValueError(f"{name} must {rules.get((lo, hi), f'lie in [{lo:g}, {hi:g}]')}, got {value!r}")
-    return checked
+        if not checked.size or (checked.min() >= lo and checked.max() <= hi):
+            return checked
+    rules = {(0.0, math.inf): "be non-negative", (0.0, _LARGEST_FLOAT): "be non-negative and finite",
+             (_SMALLEST_POSITIVE, _LARGEST_FLOAT): "be positive and finite", (1.0, _LARGEST_FLOAT): "be >= 1 and finite"}
+    interval = f"{'(0' if lo == _SMALLEST_POSITIVE else f'[{lo:g}'}, {hi:g}]"
+    raise ValueError(f"{name} must {rules.get((lo, hi), f'lie in {interval}')}, got {value!r}")
 
 
 def _clamped_acos(x: float) -> float:
@@ -186,12 +194,9 @@ class RoomScenario:
         # Every rule is written so that nan fails it and every bound excludes
         # +-inf: a non-finite value names its field here, not deep in a sum.
         for name in ("room_x_m", "room_y_m", "room_z_m", "detector_area_m2", "filter_bandwidth_nm"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+            _in_range(name, getattr(self, name), _SMALLEST_POSITIVE, _LARGEST_FLOAT)
         for name in ("wall_reflectivity", "floor_reflectivity"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            _in_range(name, getattr(self, name), 0.0, 1.0)
         for name in ("lamp_semi_angle_deg", "tx_semi_angle_deg"):
             value = getattr(self, name)
             if not (0.0 < value < 90.0 and math.isfinite(lambert_mode(value))):
@@ -200,8 +205,7 @@ class RoomScenario:
                     f"with a finite mode -ln 2 / ln cos(semi-angle), got {value!r}"
                 )
         concentrator_gain(self.concentrator_index, self.fov_deg)
-        if not 0.0 < self.filter_transmission <= 1.0:
-            raise ValueError(f"filter_transmission must lie in (0, 1], got {self.filter_transmission!r}")
+        _in_range("filter_transmission", self.filter_transmission, _SMALLEST_POSITIVE, 1.0)
         for name in ("lamp", "transmitter", "receiver"):
             pos = getattr(self, name).position
             if not (
@@ -227,8 +231,7 @@ def concentrator_gain(index: float, fov_deg: float) -> float:
     rule: a FOV in (0, 90] degrees wide enough that 1 / sin^2(fov) is finite
     (in a narrower cone sin^2 underflows), an index >= 1 and a finite gain (a
     huge index would overflow it)."""
-    if not 0.0 < fov_deg <= 90.0:
-        raise ValueError(f"fov_deg must lie in (0, 90] degrees, got {fov_deg!r}")
+    _in_range("fov_deg", fov_deg, _SMALLEST_POSITIVE, 90.0)
     s = math.sin(math.radians(fov_deg))
     if not (s * s > 0.0 and 1.0 / (s * s) < math.inf):
         raise ValueError(f"fov_deg must be wide enough for a finite concentrator gain n^2 / sin^2(fov) at n = 1, got {fov_deg!r}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _in_range
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range
 
 __all__ = [
     "BACKGROUND_CLICK_ERROR",
@@ -53,14 +53,10 @@ class ProtocolParams:
     misalignment_error: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.mean_photons_per_pulse < math.inf:
-            raise ValueError(f"mean_photons_per_pulse must be non-negative and finite, got {self.mean_photons_per_pulse!r}")
-        if not 0.0 < self.sift_factor <= 1.0:
-            raise ValueError(f"sift_factor must lie in (0, 1], got {self.sift_factor!r}")
-        if not 1.0 <= self.error_correction_inefficiency < math.inf:
-            raise ValueError(f"error_correction_inefficiency must be >= 1 and finite, got {self.error_correction_inefficiency!r}")
-        if not 0.0 <= self.misalignment_error <= 0.5:
-            raise ValueError(f"misalignment_error must lie in [0, 0.5], got {self.misalignment_error!r}")
+        _in_range("mean_photons_per_pulse", self.mean_photons_per_pulse, 0.0, _LARGEST_FLOAT)
+        _in_range("sift_factor", self.sift_factor, _SMALLEST_POSITIVE, 1.0)
+        _in_range("error_correction_inefficiency", self.error_correction_inefficiency, 1.0, _LARGEST_FLOAT)
+        _in_range("misalignment_error", self.misalignment_error, 0.0, 0.5)
 
 
 # eq=False: fields may be arrays, whose == has no truth value; compare fields.
@@ -68,8 +64,8 @@ class ProtocolParams:
 class KeyRateReport:
     """All intermediate quantities of one key-rate evaluation.
 
-    ``rate`` is clamped at zero; ``unclamped_rate`` keeps the sign so callers
-    can bisect on the crossing.  ``degenerate`` marks evaluations where the
+    ``rate`` is clamped at zero; ``unclamped_rate`` is the bound before that
+    clamp, which may be negative.  ``degenerate`` marks evaluations where the
     error rates were undefined (no clicks at all) and the rate defaulted to 0.
     Fields are scalars for a scalar evaluation and arrays, one element per
     operating point, for an array one.

@@ -16,6 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range
+
 __all__ = [
     "OutOfBandError",
     "SpectrumFormatError",
@@ -89,8 +91,7 @@ def density_at(curve: SpectralCurve, wavelength_nm: float) -> float:
 
 
 def _check_distance(distance_m: float) -> None:  # a probe's distance from the bulb
-    if not 0.0 < distance_m < math.inf:
-        raise ValueError(f"distance_m must be positive and finite, got {distance_m!r}")
+    _in_range("distance_m", distance_m, _SMALLEST_POSITIVE, _LARGEST_FLOAT)
 
 
 def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:

@@ -283,6 +283,18 @@ class TestTotalReflectedGain:
             assert total_reflected_gain(room, order) == value
         assert [(type(order), rule, list(v)) for (order, rule), v in view.integrals.items()] == [(int, view.theta_rule, [30.0])]
 
+    def test_view_memo_keeps_the_64_rooms_used_last(self, monkeypatch):
+        monkeypatch.setattr(channel, "_VIEWS", {})
+        rooms = [nominal_room(wall_reflectivity=0.5 + i / 1000) for i in range(66)]
+        views = [channel._receiver_view(room) for room in rooms[:64]]
+        assert channel._receiver_view(rooms[0]) is views[0]  # used again: it moves to the back
+        for room in rooms[64:]:  # each new room evicts the least recently used one: rooms[1], then rooms[2]
+            channel._receiver_view(room)
+            assert len(channel._VIEWS) == 64
+        assert list(channel._VIEWS) == [channel._room_key(room) for room in [*rooms[3:64], rooms[0], *rooms[64:]]]
+        assert channel._receiver_view(rooms[0]) is views[0]
+        assert channel._receiver_view(rooms[1]) is not views[1]  # built again
+
     @pytest.mark.parametrize("fovs", [[], np.zeros((0, 1))])
     def test_empty_fov_array_gives_an_empty_array(self, fovs):
         room = nominal_room()

@@ -1027,6 +1027,19 @@ class TestMainEntry:
         assert f"config error: lamp_spectrum_file: {spectrum}: " in err and "non-negative and finite" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing two-column header row"),
+        ("wavelength_nm,psd\n880,1e-6\n", "fewer than two data rows"),
+    ], ids=["empty", "one-data-row"])
+    def test_too_short_spectrum_file_is_a_config_error(self, tmp_path, capsys, text, message):
+        spectrum = tmp_path / "lamp.csv"
+        spectrum.write_text(text)
+        path = write_config(tmp_path, f"[noise]\nlamp_spectrum_file = {spectrum}\n[experiments]\nfov_steps = 2\n")
+        out_dir = tmp_path / "out"
+        assert main([str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: lamp_spectrum_file: {spectrum}: {message}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("distance", [math.nan, math.inf])
     def test_nan_or_inf_spectrum_distance_is_a_config_error(self, tmp_path, capsys, distance):
         # an INI file cannot spell one (its floats must be finite); a RunConfig can

@@ -1,12 +1,13 @@
 """Room layout, poses, link angles, surface tessellation, and the shared range rule."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from indoorqkd.channel import ChannelGains
+from indoorqkd.channel import ChannelGains, DetectorParams
 from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.geometry import (
     _LARGEST_FLOAT,
@@ -15,11 +16,13 @@ from indoorqkd.geometry import (
     Pose,
     RoomScenario,
     _in_range,
+    concentrator_gain,
     link_geometry,
     wall_and_floor_grids,
 )
-from indoorqkd.keyrate import secret_key_rate
+from indoorqkd.keyrate import ProtocolParams, secret_key_rate
 from indoorqkd.noise import NoiseBudget, isotropic_noise_power, lamp_noise_photons, photons_per_pulse
+from indoorqkd.spectra import _check_distance
 
 
 def nominal_room(**overrides):
@@ -218,6 +221,94 @@ class TestInRange:
         call(0.0)
         with pytest.raises(ValueError, match=f"^{argument} must "):
             call(bad)
+
+
+    def test_text_fails_with_its_name(self):
+        # numpy would parse "1e-5" as a number; None fails as a nan does
+        for call, argument in [
+            (lambda v: ProtocolParams(v), "mean_photons_per_pulse"),  # a scalar field
+            (lambda v: secret_key_rate(_SETUP.protocol, v, 1e-6), "transmittance"),  # a value that may be an array
+            (lambda v: build_setup(Scenario.named("lamp-center"), 10.0, v), "source_level"),
+        ]:
+            for text in ("1e-5", b"4", np.array(["1e-5", "1e-4"]), ["1e-5", 1e-4]):
+                with pytest.raises(ValueError, match=f"^{argument} must be a number, not text, got "):
+                    call(text)
+            with pytest.raises(ValueError, match=f"^{argument} must "):
+                call(None)
+
+
+_DETECTOR = dict(efficiency=0.6, dark_count_rate_hz=1000.0, pulse_width_s=1e-10, wavelength_nm=880.0)
+_ORIGIN = Point3(0.0, 0.0, 0.0)
+
+
+def corner_room(**overrides):
+    """The nominal room with every position on the floor edges through the origin,
+    so that a room of any positive size holds them."""
+    receiver = Point3(0.0, 1.0, 0.0) if "room_x_m" in overrides else Point3(1.0, 0.0, 0.0)
+    return nominal_room(
+        lamp=Pose(_ORIGIN, Point3(0.0, 0.0, 1.0)), transmitter=Pose(_ORIGIN, Point3(0.0, 0.0, 1.0)),
+        receiver=Pose(receiver, Point3(0.0, 0.0, 1.0)), **overrides,
+    )
+
+
+# Each field whose rule is an interval: (the name its message gives, the interval as
+# (lo, lo excluded, hi, hi excluded), a call with the field set to the given value and
+# every other input valid).  An excluded inf bound reads "finite".
+_FIELD_RULES = {
+    **{f"RoomScenario.{f}": (f, (0.0, True, math.inf, True), lambda v, f=f: corner_room(**{f: v}))
+       for f in ("room_x_m", "room_y_m", "room_z_m", "detector_area_m2", "filter_bandwidth_nm")},
+    **{f"RoomScenario.{f}": (f, (0.0, False, 1.0, False), lambda v, f=f: nominal_room(**{f: v}))
+       for f in ("wall_reflectivity", "floor_reflectivity")},
+    "RoomScenario.filter_transmission": ("filter_transmission", (0.0, True, 1.0, False), lambda v: nominal_room(filter_transmission=v)),
+    "RoomScenario.fov_deg": ("fov_deg", (0.0, True, 90.0, False), lambda v: nominal_room(fov_deg=v)),
+    "concentrator_gain.fov_deg": ("fov_deg", (0.0, True, 90.0, False), lambda v: concentrator_gain(1.0, v)),
+    "DetectorParams.efficiency": ("detector efficiency", (0.0, True, 1.0, False), lambda v: DetectorParams(**{**_DETECTOR, "efficiency": v})),
+    "DetectorParams.dark_count_rate_hz": (
+        "dark_count_rate_hz", (0.0, False, math.inf, True), lambda v: DetectorParams(**{**_DETECTOR, "dark_count_rate_hz": v})),
+    "DetectorParams.pulse_width_s": ("pulse_width_s", (0.0, True, math.inf, True), lambda v: DetectorParams(**{**_DETECTOR, "pulse_width_s": v})),
+    "ProtocolParams.mean_photons_per_pulse": ("mean_photons_per_pulse", (0.0, False, math.inf, True), lambda v: ProtocolParams(v)),
+    "ProtocolParams.sift_factor": ("sift_factor", (0.0, True, 1.0, False), lambda v: ProtocolParams(0.5, sift_factor=v)),
+    "ProtocolParams.error_correction_inefficiency": (
+        "error_correction_inefficiency", (1.0, False, math.inf, True), lambda v: ProtocolParams(0.5, error_correction_inefficiency=v)),
+    "ProtocolParams.misalignment_error": ("misalignment_error", (0.0, False, 0.5, False), lambda v: ProtocolParams(0.5, misalignment_error=v)),
+    "spectra.distance_m": ("distance_m", (0.0, True, math.inf, True), _check_distance),
+}
+
+
+def rule_text(lo, lo_excluded, hi, hi_excluded) -> str:
+    if hi == math.inf:
+        return {(0.0, False): "be non-negative and finite", (0.0, True): "be positive and finite", (1.0, False): "be >= 1 and finite"}[lo, lo_excluded]
+    return f"lie in {'(' if lo_excluded else '['}{lo:g}, {hi:g}]"
+
+
+class TestFieldRules:
+    """Each setup field whose rule is an interval, checked by the one range rule."""
+
+    @pytest.mark.parametrize("field", list(_FIELD_RULES))
+    def test_each_value_passes_or_fails_as_its_interval_says(self, field):
+        name, (lo, lo_excluded, hi, hi_excluded), call = _FIELD_RULES[field]
+        bounds = (lo, hi if hi < math.inf else _LARGEST_FLOAT)
+        values = [b for bound in bounds for b in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))]
+        values += [0.0, -0.0, math.nan, math.inf, -math.inf, 0, 1, 3]
+        for value in values:
+            above = lo < value if lo_excluded else lo <= value
+            below = value < hi if hi_excluded else value <= hi
+            if above and below:
+                try:
+                    call(value)
+                except ValueError as exc:  # a later rule alone may refuse it: the FOV's finite concentrator gain
+                    assert name == "fov_deg" and str(exc).startswith("fov_deg must be wide enough"), (value, exc)
+            else:
+                expected = f"{name} must {rule_text(lo, lo_excluded, hi, hi_excluded)}, got {value!r}"
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    call(value)
+
+    @pytest.mark.parametrize("field", list(_FIELD_RULES))
+    def test_text_and_none_fail(self, field):
+        _, _, call = _FIELD_RULES[field]
+        for value in ("4", None):
+            with pytest.raises((TypeError, ValueError)):
+                call(value)
 
 
 class TestTessellation:

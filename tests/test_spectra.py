@@ -157,6 +157,16 @@ class TestCsvLoading:
         with pytest.raises(SpectrumFormatError, match=re.escape(f"{path}: missing header row: row 1 is data, starting with the number '850.0'")):
             load_spectrum_csv(path, "source-psd")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing two-column header row"),
+        ("wavelength_nm,v\n400.0,1.0\n", "fewer than two data rows"),
+    ], ids=["empty", "one-data-row"])
+    def test_too_short_file_named(self, tmp_path, text, message):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(SpectrumFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_spectrum_csv(path, "source-psd")
+
     def test_bad_float_reports_row(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("wavelength_nm,v\n400.0,1.0\n500.0,oops\n")
