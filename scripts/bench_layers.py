@@ -18,11 +18,14 @@ and faulted in again, among others.  The layers:
   off centre, for a 70 deg lamp and for a 10 deg one, whose theta rules differ;
 * one cold reflected_gain_convergence of lamp-center at order 10: the
   order-10 value, the order-20 one and the theta check, in a new view;
-* one ring_integrals call of the quadrature, lamp-center with the lamp at
-  (1.3, 2.0), over the 63 psi rings of 0.01-1.5 rad, whose 8,080 rays fill
-  one ray block (``channel._RAY_BLOCK``, 8,192): the row divided by 63 is
-  the cost of one ring; and one probe-sized call, the 10 rings of the
-  order-10 rule on 15-20 deg, where the kernel's fixed cost per call shows;
+* building the receiver view of lamp-center with the lamp at (1.3, 2.0),
+  what a call for a new room costs before its quadrature (the value is the
+  sum of the view's psi cuts);
+* one ring_integrals call of the quadrature, in that room's view, over the
+  63 psi rings of 0.01-1.5 rad, whose 8,080 rays fill one ray block
+  (``channel._RAY_BLOCK``, 8,192): the row divided by 63 is the cost of
+  one ring; and one probe-sized call, the 10 rings of the order-10 rule on
+  15-20 deg, where the kernel's fixed cost per call shows;
 * one evaluate_point of lamp-center at order 10 and 1e-5 W/nm, each call at
   a FOV the room's view does not hold yet (20 deg plus 1e-5 deg per call,
   all in one psi panel): the cost of one boundary probe;
@@ -239,9 +242,11 @@ def layer_rows(src: Path) -> dict:
     def grid_rates() -> float:
         return float(secret_key_rate(setup.protocol, grid_etas, grid_noises).rate.sum())
 
+    offset_room = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room
+
     def ring_call(psi: np.ndarray) -> dict:
-        view = channel._ReceiverView(build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room)
-        return timed(lambda: float(view.ring_integrals(psi).sum()), calls=20)
+        view = channel._ReceiverView(offset_room)
+        return timed(lambda: float(view.ring_integrals(psi, view.theta_rule).sum()), calls=20)
 
     def new_fov_probe() -> dict:
         # every call at a FOV not yet in the room's view, inside the 15-30 deg psi panel, whose
@@ -292,6 +297,7 @@ def layer_rows(src: Path) -> dict:
             lambda off=off: timed(lambda: total_reflected_gain(off, 10), without_integrals)
         )
     rows["reflected_gain_convergence_cold_10_per_m"] = lambda: timed(lambda: channel.reflected_gain_convergence(room, 10).refined_value, cold)
+    rows["receiver_view_new_room"] = lambda: timed(lambda: float(channel._ReceiverView(offset_room).bounds.sum()), calls=CALLS)
     rows["ring_integrals_full_ray_block"] = lambda: ring_call(np.linspace(0.01, 1.5, 63))
     # a partial piece of an order-10 probe: the rule's nodes on 15-20 deg
     rows["ring_integrals_probe_10_rings"] = lambda: ring_call(np.radians(15.0) + np.radians(5.0) * channel._mapped_rule(10)[0])

@@ -30,11 +30,11 @@ order, and apart from that the theta nodes per arc.
 
 A ray leaves through the nearest of three planes, each picked on its axis
 by the sign of the ray's component there (the oracle's slab rule); ties go
-to the floor, the x walls, the y walls, the ceiling last.  A room's view is
-built once and kept for the 64 rooms used last, and holds the integrals
-computed for the room so far, by (psi order, theta rule) and FOV, and the
-sums of the whole psi pieces below them, so a wider FOV sums only the
-pieces beyond.
+to the floor, the x walls, the y walls, the ceiling last.  One view is kept,
+the room in use's, until a call for another room replaces it.  It holds the
+integrals computed for the room so far, by (psi order, theta rule) and FOV,
+and the sums of the whole psi pieces below them, so a wider FOV sums only
+the pieces beyond.
 A pass sorts the arc knots and both crossings of each edge plane of all its
 rings in one bounds matrix.  The crossings are reduced to [0, 2 pi] with
 np.fmod plus a turn where negative, and the nan of a ring that misses a
@@ -52,7 +52,8 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -319,10 +320,10 @@ class _ReceiverView:
         weight = ((hi - lo)[:, None] * weights).ravel() * np.sin(psi) * np.cos(psi)
         return np.bincount(np.repeat(np.arange(len(lo)), len(positions)), weight * self.ring_integrals(psi, theta_rule))
 
-    def ring_integrals(self, psi: np.ndarray, theta_rule: tuple[int, int] | None = None) -> np.ndarray:
+    def ring_integrals(self, psi: np.ndarray, theta_rule: tuple[int, int]) -> np.ndarray:
         """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi,
-        by ``theta_rule`` (arcs, nodes per arc; the view's if not given), traced in blocks of whole rings."""
-        arcs, nodes = self.theta_rule if theta_rule is None else theta_rule
+        by ``theta_rule`` (arcs, nodes per arc), traced in blocks of whole rings."""
+        arcs, nodes = theta_rule
         cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
         start, span, count = self._sub_arcs(cos_psi, sin_psi, arcs)
         first, ends = [0, *count.cumsum().tolist()], [0]  # ring r's sub-arcs are first[r]:first[r + 1]
@@ -368,17 +369,15 @@ class _ReceiverView:
         arc = width > 0.0
         return bounds[:, :-1][arc][:, None], width[arc][:, None], arc.sum(axis=1)
 
-    def _radiance(self, omega: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    def _radiance(self, omega: np.ndarray, work: np.ndarray) -> np.ndarray:
         """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver
         along ``omega`` (x, y, z on the first axis) leave the room: the nearest
         of the planes ahead on each axis, whose height / facing is exact, for
         the normals are axis-aligned.  Ties go as ``np.argmin`` over all six.
-        The intermediates go to ``work``, 5 floats a ray (allocated if not given),
-        and so does the result.
+        The intermediates go to ``work``, 5 floats a ray, and so does the result.
         """
         shape, n = omega.shape[1:], omega[0].size
         omega = omega.reshape(3, n)
-        work = np.empty(5 * n) if work is None else work
         reach = work[: 3 * n].reshape(3, n)
         t, spare = work[3 * n : 5 * n].reshape(2, n)
         up = omega > 0.0
@@ -413,26 +412,20 @@ class _ReceiverView:
         return radiance.reshape(shape)
 
 
-def _room_key(room: RoomScenario) -> tuple:
-    """What a room's bounce integral depends on: the surfaces, the lamp, and the
-    receiver with its optics; not the transmitter, and not the FOV."""
-    return (
-        room.room_x_m, room.room_y_m, room.room_z_m, room.wall_reflectivity, room.floor_reflectivity,
-        room.lamp, room.lamp_semi_angle_deg,
-        room.receiver, room.detector_area_m2, room.concentrator_index, room.filter_transmission,
-    )
-
-
-_VIEWS: dict[tuple, _ReceiverView] = {}  # by _room_key, least recently used first
+# The RoomScenario fields the bounce integral does not read: the transmitter and its beam, the FOV (each call's own) and the filter's width.
+_UNREAD_FIELDS = ("transmitter", "tx_semi_angle_deg", "fov_deg", "filter_bandwidth_nm")
+# What a room's bounce integral depends on, every other field in declared order: a field added later is keyed, not shared.
+_room_key = operator.attrgetter(*(f.name for f in fields(RoomScenario) if f.name not in _UNREAD_FIELDS))
+_VIEWS: dict[tuple, _ReceiverView] = {}  # the view of the room in use, by _room_key
 
 
 def _receiver_view(room: RoomScenario) -> _ReceiverView:
-    """The room's view, built once while it stays among the 64 rooms used last."""
+    """The room's view, built once while it is the room in use: a call for another room replaces it."""
     key = _room_key(room)
-    _VIEWS[key] = view = _VIEWS.pop(key, None) or _ReceiverView(room)
-    if len(_VIEWS) > 64:
-        del _VIEWS[next(iter(_VIEWS))]
-    return view
+    if key not in _VIEWS:
+        _VIEWS.clear()
+        _VIEWS[key] = _ReceiverView(room)
+    return _VIEWS[key]
 
 
 def total_reflected_gain(

@@ -30,6 +30,7 @@ report arrays have shape ``(n_fov, n_src)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -125,9 +126,11 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.name not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.name!r}; choose one of {SCENARIOS}")
-        for key, _ in self.overrides:
+        for key, value in self.overrides:
             if key not in NOMINAL:
                 raise ValueError(f"unknown override key {key!r}")
+            if not (isinstance(value, numbers.Real) or (value is None and NOMINAL[key] is None)):  # not text, an array or a stray None
+                raise ValueError(f"override {key} must be a number{' or None' if NOMINAL[key] is None else ''}, got {value!r}")
 
     @classmethod
     def named(cls, name: str, overrides: Mapping[str, float] | None = None) -> "Scenario":

@@ -125,12 +125,15 @@ class SurfaceGrid:
 
 def _in_range(name: str, value: float | np.ndarray, lo: float, hi: float) -> float | np.ndarray:
     """``value`` as a numpy float or a float array, once it (each element) lies in
-    [lo, hi]: a nan fails, text fails (numpy would parse it), an empty array passes.  The
-    rule of every checked number that is an interval, scalar or array: "non-negative" is
-    [0, inf], "finite" ends at _LARGEST_FLOAT and "positive" starts at _SMALLEST_POSITIVE."""
+    [lo, hi]: a nan fails, text fails (numpy would parse it), an int past the float range
+    fails, an empty array passes.  The rule of every checked number that is an interval,
+    scalar or array: "non-negative" is [0, inf], "finite" ends at _LARGEST_FLOAT and
+    "positive" starts at _SMALLEST_POSITIVE."""
     if isinstance(value, (float, int)):  # a Python number or np.float64, compared without an array
         if lo <= value <= hi:
-            return np.float64(value)
+            if isinstance(value, float) or abs(value) <= _LARGEST_FLOAT:
+                return np.float64(value)
+            raise ValueError(f"{name} must lie in the float range, got an int of {value.bit_length()} bits")
     else:
         checked = np.asarray(value)
         if checked.dtype.kind in "SU":

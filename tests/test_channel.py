@@ -13,7 +13,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +160,7 @@ class TestRadiance:
     def _radiance(self, room, direction):
         omega = np.array(direction.normalized().as_tuple())[:, None, None]
         view = _ReceiverView(room)
-        return float(view._radiance(omega)[0, 0]) / view.scale**2  # its units are the scale's
+        return float(view._radiance(omega, np.empty(5))[0, 0]) / view.scale**2  # its units are the scale's
 
     def test_floor_point_matches_hand_formula(self):
         room = nominal_room(fov_deg=30.0)
@@ -283,17 +283,23 @@ class TestTotalReflectedGain:
             assert total_reflected_gain(room, order) == value
         assert [(type(order), rule, list(v)) for (order, rule), v in view.integrals.items()] == [(int, view.theta_rule, [30.0])]
 
-    def test_view_memo_keeps_the_64_rooms_used_last(self, monkeypatch):
+    def test_view_memo_keeps_the_room_in_use(self, monkeypatch):
         monkeypatch.setattr(channel, "_VIEWS", {})
-        rooms = [nominal_room(wall_reflectivity=0.5 + i / 1000) for i in range(66)]
-        views = [channel._receiver_view(room) for room in rooms[:64]]
-        assert channel._receiver_view(rooms[0]) is views[0]  # used again: it moves to the back
-        for room in rooms[64:]:  # each new room evicts the least recently used one: rooms[1], then rooms[2]
-            channel._receiver_view(room)
-            assert len(channel._VIEWS) == 64
-        assert list(channel._VIEWS) == [channel._room_key(room) for room in [*rooms[3:64], rooms[0], *rooms[64:]]]
-        assert channel._receiver_view(rooms[0]) is views[0]
-        assert channel._receiver_view(rooms[1]) is not views[1]  # built again
+        rooms = [nominal_room(wall_reflectivity=0.5 + i / 1000) for i in range(3)]
+        total_reflected_gain(rooms[0], 10)
+        [view] = channel._VIEWS.values()
+        # the same room at another FOV, transmitter, beam or filter width: the same view, with its integrals
+        for same in (
+            replace(rooms[0], fov_deg=12.0), replace(rooms[0], tx_semi_angle_deg=5.0), replace(rooms[0], filter_bandwidth_nm=1.0),
+            replace(rooms[0], transmitter=Pose.aimed_at(Point3(0.0, 0.0, 0.0), rooms[0].receiver.position)),
+        ):
+            reflected_gain_convergence(same, 10)
+            assert list(channel._VIEWS.values()) == [view] and 30.0 in view.integrals[(10, view.theta_rule)]
+        for room in rooms[1:]:  # another room replaces it
+            total_reflected_gain(room, 10)
+            assert len(channel._VIEWS) == 1 and channel._receiver_view(room) is not view
+        assert list(channel._VIEWS) == [channel._room_key(rooms[2])]
+        assert channel._receiver_view(rooms[0]) is not view  # built again
 
     @pytest.mark.parametrize("fovs", [[], np.zeros((0, 1))])
     def test_empty_fov_array_gives_an_empty_array(self, fovs):
@@ -301,6 +307,39 @@ class TestTotalReflectedGain:
         values = total_reflected_gain(room, 10, fov_deg=fovs)
         assert isinstance(values, np.ndarray) and values.dtype == float
         assert values.shape == np.shape(fovs) == los_gain_for(room, fov_deg=fovs).shape
+
+
+# Each RoomScenario field set to another value that keeps the nominal room valid.
+OTHER_FIELD_VALUES = dict(
+    room_x_m=5.0, room_y_m=4.5, room_z_m=3.5, wall_reflectivity=0.5, floor_reflectivity=0.2,
+    lamp=Pose(Point3(1.0, 2.0, 3.0), Point3(0.0, 0.0, -1.0)), lamp_semi_angle_deg=30.0,
+    transmitter=Pose(Point3(1.0, 1.0, 0.0), Point3(0.0, 0.0, 1.0)), tx_semi_angle_deg=10.0,
+    receiver=Pose(Point3(2.0, 2.5, 3.0), Point3(0.0, 0.0, -1.0)), fov_deg=12.0,
+    detector_area_m2=2e-4, concentrator_index=1.2, filter_transmission=0.9, filter_bandwidth_nm=1.0,
+)
+
+
+class TestRoomKey:
+    """The view memo's key: every RoomScenario field the bounce integral reads, none it does not."""
+
+    def test_the_unread_names_are_room_fields(self):
+        assert set(channel._UNREAD_FIELDS) <= {f.name for f in fields(RoomScenario)}
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(RoomScenario)])
+    def test_a_room_differing_in_one_field(self, monkeypatch, field):
+        monkeypatch.setattr(channel, "_VIEWS", {})
+        room = nominal_room()
+        other = replace(room, **{field: OTHER_FIELD_VALUES[field]})
+        assert getattr(other, field) != getattr(room, field)
+        total_reflected_gain(room, 4)
+        view = channel._receiver_view(room)
+        if field in channel._UNREAD_FIELDS:  # the same view, with the integrals already computed
+            assert channel._room_key(other) == channel._room_key(room)
+            assert channel._receiver_view(other) is view and view.integrals
+        else:
+            assert channel._room_key(other) != channel._room_key(room)
+            assert channel._receiver_view(other) is not view
+            assert list(channel._VIEWS) == [channel._room_key(other)]
 
 
 class TestFloorConeClosedForm:
@@ -392,7 +431,7 @@ def six_plane_radiance(view, omega):
 
 def assert_same_bits(room, omega):
     view = _ReceiverView(room)
-    got, want = view._radiance(omega), six_plane_radiance(view, omega)
+    got, want = view._radiance(omega, np.empty(5 * omega[0].size)), six_plane_radiance(view, omega)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     return got
@@ -454,11 +493,11 @@ class TestOnePassBitInvariants:
     """A pass's ring values and a room's memo of whole psi pieces change no bit."""
 
     @staticmethod
-    def traced_blocks(monkeypatch, view, psi, theta_rule=None):
+    def traced_blocks(monkeypatch, view, psi, theta_rule):
         """The ring values of one call, and the rays of each block it traced with the work array it used."""
         radiance, blocks = _ReceiverView._radiance, []
 
-        def recording(self, omega, work=None):
+        def recording(self, omega, work):
             blocks.append((omega[0].size, work.base))
             return radiance(self, omega, work)
 
@@ -476,12 +515,12 @@ class TestOnePassBitInvariants:
         positions, weights = channel._mapped_rule(10)
         lo, hi = view.bounds[:-1], view.bounds[1:]
         psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
-        alone = [self.traced_blocks(monkeypatch, view, psi[k : k + 1]) for k in range(len(psi))]
+        alone = [self.traced_blocks(monkeypatch, view, psi[k : k + 1], view.theta_rule) for k in range(len(psi))]
         ring_rays = [blocks[0][0] for _, blocks in alone]
         monkeypatch.setattr(channel, "_RAY_BLOCK", block)
         calls, ring_integrals = [], _ReceiverView.ring_integrals
 
-        def recording(self, psi, theta_rule=None):
+        def recording(self, psi, theta_rule):
             calls.append(psi)
             return ring_integrals(self, psi, theta_rule)
 
@@ -489,7 +528,7 @@ class TestOnePassBitInvariants:
             patch.setattr(_ReceiverView, "ring_integrals", recording)
             view.piece_sums(lo, hi, positions, weights, view.theta_rule)
         assert [p.view(np.uint64).tolist() for p in calls] == [psi.view(np.uint64).tolist()]
-        values, blocks = self.traced_blocks(monkeypatch, view, psi)
+        values, blocks = self.traced_blocks(monkeypatch, view, psi, view.theta_rule)
         assert values.view(np.uint64).tolist() == np.concatenate([v for v, _ in alone]).view(np.uint64).tolist()
         ring_ends, block_ends = np.cumsum(ring_rays).tolist(), np.cumsum([rays for rays, _ in blocks]).tolist()
         assert set(block_ends) <= set(ring_ends) and block_ends[-1] == ring_ends[-1]  # whole rings, every one
@@ -610,7 +649,7 @@ class TestRingPins:
         view = _ReceiverView(ring_pin_room(kind))
         psi = np.array(pin["psi_bits"], dtype=np.uint64).view(np.float64)
         assert psi.view(np.uint64).tolist() == ring_pin_nodes(view).view(np.uint64).tolist()
-        assert view.ring_integrals(psi).view(np.uint64).tolist() == pin["value_bits"]
+        assert view.ring_integrals(psi, view.theta_rule).view(np.uint64).tolist() == pin["value_bits"]
 
     def test_pinned_rooms_cover_the_kernel_cases(self):
         views = {kind: _ReceiverView(ring_pin_room(kind)) for kind in RING_PINS}

@@ -712,3 +712,16 @@ class TestScenarioHygiene:
         b = Scenario.named("lamp-center", {"wall_reflectivity": 0.5})
         assert hash(a) == hash(b)
         assert a == b
+
+    @pytest.mark.parametrize("key", list(NOMINAL))
+    def test_each_override_value_is_a_number(self, key):
+        # text, an array of several values and None for a key whose nominal value is a number
+        # fail where the key is checked, naming it; a number of any type passes
+        bad = ["5", "center", b"1", np.array([1.0, 2.0])] + ([] if NOMINAL[key] is None else [None])
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^override {key} must be a number"):
+                Scenario.named("lamp-center", {key: value})
+            with pytest.raises(ValueError, match=f"^override {key} must be a number"):
+                Scenario("lamp-center", ((key, value),))
+        for value in (NOMINAL[key], 1, 1.0, np.float64(1.0)):
+            assert Scenario.named("lamp-center", {key: value}).params()[key] is value

@@ -196,6 +196,15 @@ class TestInRange:
                 _in_range("v", value, 0.0, _LARGEST_FLOAT)
         assert _in_range("v", _LARGEST_FLOAT, 0.0, _LARGEST_FLOAT) == _LARGEST_FLOAT
 
+    def test_an_int_past_the_float_range_fails_with_its_name(self):
+        # under an upper end of inf the int compares in range, but no float holds it
+        with pytest.raises(ValueError, match="^ambient must lie in the float range, got an int of 1329 bits$"):
+            NoiseBudget(ambient=10**400, lamp_bounce=0.0, dark=0.0)
+        for value in (10**400, -(10**400)):
+            with pytest.raises(ValueError, match="^v must lie in the float range"):
+                _in_range("v", value, -math.inf, math.inf)
+        assert _in_range("v", 2**1023, 0.0, math.inf) == 2.0**1023
+
     def test_empty_array_passes(self):
         checked = _in_range("v", np.zeros(0), 0.0, 1.0)
         assert checked.dtype == np.float64 and checked.shape == (0,)
