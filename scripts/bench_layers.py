@@ -74,11 +74,11 @@ page faults would otherwise depend on the rows before it.
 "Cold" clears every per-room memo (the receiver views, which hold the
 integrals) before every run.  Each layer also records a value it computed,
 so runs of two source trees can be checked for identical results, and the
-run records the line count of ``src/indoorqkd/*.py``.  --src picks the
-source tree to import (default: src/ of this checkout), so one copy of the
-script times this checkout and its parent.  --label names the run inside
-the output file; runs stored there under other labels are kept, so one
-file can hold a before/after pair:
+run records the line count of ``src/indoorqkd/*.py``, in all and per
+module.  --src picks the source tree to import (default: src/ of this
+checkout), so one copy of the script times this checkout and its parent.
+--label names the run inside the output file; runs stored there under
+other labels are kept, so one file can hold a before/after pair:
 
     python3 scripts/bench_layers.py --src ../parent/src --label parent --out BENCH.json
     python3 scripts/bench_layers.py --label change --out BENCH.json
@@ -196,9 +196,9 @@ def secure_count(point) -> int:
     return int(np.count_nonzero(point.report.secure))
 
 
-def line_count(package: Path) -> int:
-    """Lines of the package's modules, as ``wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+def line_counts(package: Path) -> dict[str, int]:
+    """Lines of each of the package's modules, as ``wc -l`` counts them, by file name."""
+    return {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
 
 
 def layer_rows(src: Path) -> dict:
@@ -359,11 +359,13 @@ def main() -> int:
         layers[name] = json.loads(subprocess.run(child, stdout=subprocess.PIPE, text=True, check=True).stdout)
 
     sha, dirty = git_sha(src)
+    lines = line_counts(src / "indoorqkd")
     run = {
         "git_sha": sha,
         "src_has_uncommitted_edits": dirty,
         "source_sha256": source_digest(src / "indoorqkd"),
-        "src_lines": line_count(src / "indoorqkd"),
+        "src_lines": sum(lines.values()),
+        "src_lines_by_module": lines,
         "clock": "CPU s (children included) / host slowdown of perfbench hostspeed.Reference",
         "nproc": os.cpu_count(),
         "python": platform.python_version(),

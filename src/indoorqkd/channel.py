@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, RoomScenario, _in_range, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, RoomScenario, _in_range, _one_number, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
 
 __all__ = [
     "PLANCK_J_S",
@@ -119,6 +119,7 @@ class DetectorParams:
         _in_range("detector efficiency", self.efficiency, _SMALLEST_POSITIVE, 1.0)
         _in_range("dark_count_rate_hz", self.dark_count_rate_hz, 0.0, _LARGEST_FLOAT)
         _in_range("pulse_width_s", self.pulse_width_s, _SMALLEST_POSITIVE, _LARGEST_FLOAT)
+        _one_number(**{f.name: getattr(self, f.name) for f in fields(self)})
         if not (0.0 < self.wavelength_nm < math.inf and self.wavelength_nm * 1e-9 > 0.0 and self.photon_energy_j < math.inf):
             raise ValueError(f"wavelength_nm must be positive and finite, with a finite photon energy h c / wavelength, got {self.wavelength_nm!r}")
 

@@ -106,7 +106,7 @@ _SENTINELS = {"lamp_x_m": "center", "lamp_y_m": "center", "filter_bandwidth_nm":
 
 @dataclass(slots=True)
 class RunConfig:
-    """Everything a batch run needs, resolved from defaults plus one file."""
+    """What the config file says, over the defaults; ``_resolve`` derives the run from it."""
 
     scenario: str = "lamp-center"
     overrides: dict[str, float | None] = field(default_factory=dict)
@@ -132,23 +132,6 @@ class RunConfig:
         for name in _RUN_KEY_TYPES:
             merged[name] = getattr(self, name)
         return merged
-
-    def fov_values(self) -> tuple[float, ...]:
-        return _axis(self.fov_min_deg, self.fov_max_deg, self.fov_steps, self.fov_scale)
-
-    def source_values(self) -> tuple[float, ...]:
-        axis = self._source_axis()  # checked even when a spectrum file pins the one level
-        return (self._spectrum_level(),) if self.lamp_spectrum_file else axis
-
-    def _source_axis(self) -> tuple[float, ...]:
-        return _axis(self.source_min, self.source_max, self.source_steps, self.source_scale)
-
-    def _spectrum_level(self) -> float:
-        curve = load_spectrum_csv(self.lamp_spectrum_file, self.lamp_spectrum_kind)
-        wavelength = float(self.effective_parameters()["wavelength_nm"])
-        if curve.kind == "irradiance" and self.scenario not in AMBIENT_SCENARIOS:
-            curve = irradiance_to_psd(curve, self.lamp_spectrum_distance_m)
-        return density_at(curve, wavelength)
 
 
 # The run keys (every RunConfig field but the overrides) and their types,
@@ -193,17 +176,10 @@ def _format_value(key: str, value: object) -> str:
 
 def dump_defaults() -> str:
     """Render the built-in defaults as a parseable config file."""
-    config = RunConfig()
+    values = RunConfig().effective_parameters()
     lines = ["# indoorqkd run configuration (defaults)", ""]
     for section, keys in _SECTION_KEYS.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            if key in NOMINAL:
-                value = _format_value(key, NOMINAL[key])
-            else:
-                value = _format_value(key, getattr(config, key))
-            lines.append(f"{key} = {value}")
-        lines.append("")
+        lines += [f"[{section}]", *(f"{key} = {_format_value(key, values[key])}" for key in keys), ""]
     return "\n".join(lines)
 
 
@@ -294,12 +270,12 @@ def _resolve(
     if not 1 <= resolution <= MAX_RESOLUTION:
         out.append(f"resolution_patches_per_meter = {resolution}: must be a positive integer no larger than {MAX_RESOLUTION:,}")
     try:
-        fov_values = config.fov_values()
+        fov_values = _axis(config.fov_min_deg, config.fov_max_deg, config.fov_steps, config.fov_scale)
     except ValueError as exc:
         out.append(f"fov axis: {exc}")
     spectrum = config.lamp_spectrum_file
     try:  # checked even when a spectrum pins the source level
-        source_values = config._source_axis()
+        source_values = _axis(config.source_min, config.source_max, config.source_steps, config.source_scale)
     except ValueError as exc:
         out.append(f"source axis: {exc}")
     distance_ok = True
@@ -314,7 +290,10 @@ def _resolve(
         out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: ambient scenarios take an 'irradiance' spectrum, not a source PSD")
     elif spectrum and config.scenario in SCENARIOS:  # a spectrum is read at the scenario's wavelength
         try:
-            source_values = (config._spectrum_level(),)
+            curve = load_spectrum_csv(spectrum, config.lamp_spectrum_kind)
+            if curve.kind == "irradiance" and config.scenario not in AMBIENT_SCENARIOS:
+                curve = irradiance_to_psd(curve, config.lamp_spectrum_distance_m)
+            source_values = (density_at(curve, float(config.effective_parameters()["wavelength_nm"])),)
         except (SpectrumFormatError, OutOfBandError, OSError) as exc:  # the file, or the band it samples
             out.append(f"lamp_spectrum_file: {exc}")
         except ValueError as exc:  # its distance (irradiance_to_psd): named above unless S over- or underflows

@@ -320,7 +320,7 @@ def _largest_secure(
     if not top < bottom:
         top, bottom = -math.inf, math.inf
     at = np.array([level(v) for v in ladder])
-    flags, ask = at <= top, (top < at) & (at < bottom)
+    flags, ask = at <= top, ~(at <= top) & ~(at >= bottom)  # ask every rung the map leaves undecided, a nan one too
     if ask.any():
         flags[ask] = secure(np.array(ladder, dtype=float)[ask])
     insecure = np.flatnonzero(~flags)

@@ -8,7 +8,7 @@ receiver both hang there facing down in the nominal layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -148,6 +148,13 @@ def _in_range(name: str, value: float | np.ndarray, lo: float, hi: float) -> flo
     raise ValueError(f"{name} must {rules.get((lo, hi), f'lie in {interval}')}, got {value!r}")
 
 
+def _one_number(**values: object) -> None:
+    """Refuse an array as any of these one-number fields, naming it; a Python number costs no numpy call."""
+    for name, value in values.items():
+        if not isinstance(value, (float, int)) and np.ndim(value) > 0:
+            raise ValueError(f"{name} must be one number, not an array of shape {np.shape(value)}")
+
+
 def _clamped_acos(x: float) -> float:
     # Dot products drift a few ulp outside [-1, 1]; clamp before acos.
     return math.acos(min(1.0, max(-1.0, x)))
@@ -200,6 +207,7 @@ class RoomScenario:
             _in_range(name, getattr(self, name), _SMALLEST_POSITIVE, _LARGEST_FLOAT)
         for name in ("wall_reflectivity", "floor_reflectivity"):
             _in_range(name, getattr(self, name), 0.0, 1.0)
+        _one_number(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
         for name in ("lamp_semi_angle_deg", "tx_semi_angle_deg"):
             value = getattr(self, name)
             if not (0.0 < value < 90.0 and math.isfinite(lambert_mode(value))):

@@ -23,11 +23,11 @@ array, not on the C library's libm, whose last bit they may not match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range, _one_number
 
 __all__ = [
     "BACKGROUND_CLICK_ERROR",
@@ -57,6 +57,7 @@ class ProtocolParams:
         _in_range("sift_factor", self.sift_factor, _SMALLEST_POSITIVE, 1.0)
         _in_range("error_correction_inefficiency", self.error_correction_inefficiency, 1.0, _LARGEST_FLOAT)
         _in_range("misalignment_error", self.misalignment_error, 0.0, 0.5)
+        _one_number(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 # eq=False: fields may be arrays, whose == has no truth value; compare fields.

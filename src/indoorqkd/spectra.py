@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 
-from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range, _one_number
 
 __all__ = [
     "OutOfBandError",
@@ -92,6 +92,7 @@ def density_at(curve: SpectralCurve, wavelength_nm: float) -> float:
 
 def _check_distance(distance_m: float) -> None:  # a probe's distance from the bulb
     _in_range("distance_m", distance_m, _SMALLEST_POSITIVE, _LARGEST_FLOAT)
+    _one_number(distance_m=distance_m)
 
 
 def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:

@@ -70,6 +70,11 @@ class TestDefaultsRoundTrip:
         recorded = Path(__file__).parent / "data" / "dump_defaults.ini"
         assert dump_defaults().encode("utf-8") == recorded.read_bytes()
 
+    def test_sections_hold_every_key_of_the_effective_parameters(self):
+        # dump_defaults prints effective_parameters() section by section
+        sectioned = [key for keys in _SECTION_KEYS.values() for key in keys]
+        assert sorted(sectioned) == sorted(RunConfig().effective_parameters())
+
     def test_defaults_validate_clean(self):
         assert validate(RunConfig()) == []
 
@@ -663,10 +668,11 @@ class TestComputeThenRender:
         def refuse(*args, **kwargs):
             raise AssertionError("the summary called the library")
 
+        _, fov_values, source_values = cli._resolve(config)[0]
         for name in LIBRARY_CALLS:
             monkeypatch.setattr(cli, name, refuse)
         secure = results["sweep"].report.secure
-        text = _summarize(config, ambient_run, secure, config.fov_values(), config.source_values(), found, report)
+        text = _summarize(config, ambient_run, secure, fov_values, source_values, found, report)
         assert text.splitlines() == (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8").splitlines()
 
     @pytest.mark.parametrize("converged", [False, True])
@@ -700,8 +706,9 @@ class TestSearchesSeededFromTheMap:
 
         monkeypatch.setattr(cli, "secure_fov_boundary", boundary)
         assert run(config) == EXIT_OK
-        fovs = np.array(config.fov_values())
-        flags = calls[0][1].report.secure[:, len(config.source_values()) // 2]
+        _, fov_values, source_values = cli._resolve(config)[0]
+        fovs = np.array(fov_values)
+        flags = calls[0][1].report.secure[:, len(source_values) // 2]
         assert flags.any() and not flags.all()
         top, bottom = fovs[flags].max(), fovs[~flags].min()
         assert probed and all(top < fov < bottom for fov in probed), (top, bottom, probed)
@@ -713,7 +720,8 @@ class TestSearchesSeededFromTheMap:
     @pytest.mark.parametrize("scale, fov_min", [("log", 5.0), ("log", 6.0), ("linear", 5.0)])
     def test_ambient_run_seeds_only_from_a_row_at_fov_min(self, tmp_path, monkeypatch, scale, fov_min):
         config = small_run(tmp_path, "ambient", fov_min_deg=fov_min, fov_max_deg=30.0, fov_steps=4, fov_scale=scale)
-        assert config.fov_values()[0] == fov_min  # logspace alone starts a 5-30 deg log axis at 5.000000000000001
+        _, fov_values, source_values = cli._resolve(config)[0]
+        assert fov_values[0] == fov_min  # logspace alone starts a 5-30 deg log axis at 5.000000000000001
         known = []
         search = cli.ambient_tolerance
 
@@ -723,7 +731,7 @@ class TestSearchesSeededFromTheMap:
 
         monkeypatch.setattr(cli, "ambient_tolerance", tolerance)
         assert run(config) == EXIT_OK
-        assert len(known) == 1 and known[0][0] == config.source_values()
+        assert len(known) == 1 and known[0][0] == source_values
 
     @pytest.mark.parametrize("case", ["lamp", "lamp-off", "ambient", "lamp-spectrum"])
     def test_outputs_equal_those_of_unseeded_searches(self, tmp_path, monkeypatch, case):
@@ -740,12 +748,10 @@ class TestSearchesSeededFromTheMap:
 
 class TestAxes:
     def test_linear_axis(self):
-        config = RunConfig(fov_min_deg=5.0, fov_max_deg=15.0, fov_steps=3, fov_scale="linear")
-        assert config.fov_values() == (5.0, 10.0, 15.0)
+        assert cli._axis(5.0, 15.0, 3, "linear") == (5.0, 10.0, 15.0)
 
     def test_log_axis(self):
-        config = RunConfig(source_min=1e-7, source_max=1e-5, source_steps=3, source_scale="log")
-        values = config.source_values()
+        values = cli._axis(1e-7, 1e-5, 3, "log")
         assert values[0] == pytest.approx(1e-7)
         assert values[1] == pytest.approx(1e-6)
         assert values[2] == pytest.approx(1e-5)
@@ -755,7 +761,7 @@ class TestAxes:
         (5.0, 30.0, 4, "log"), (2.0, 30.0, 29, "log"), (1e-9, 1e-5, 90, "log"),  # whose logspace ends miss by an ulp
     ])
     def test_axis_ends_on_its_configured_values(self, lo, hi, steps, scale):
-        values = RunConfig(source_min=lo, source_max=hi, source_steps=steps, source_scale=scale).source_values()
+        values = cli._axis(lo, hi, steps, scale)
         assert (len(values), values[0], values[-1]) == (steps, lo, hi)
 
     @pytest.mark.parametrize("axis", ["fov", "source"])
@@ -765,18 +771,16 @@ class TestAxes:
 
     def test_a_spectrum_file_still_checks_the_source_axis(self):
         config = RunConfig(source_scale="bogus", lamp_spectrum_file=str(bundled_spectrum_path("cool_white_led.csv")))
-        with pytest.raises(ValueError, match="scale = 'bogus': must be 'linear' or 'log'"):
-            config.source_values()
+        assert validate(config) == ["source axis: scale = 'bogus': must be 'linear' or 'log'"]
 
     def test_single_point_axis(self):
-        config = RunConfig(fov_min_deg=9.0, fov_steps=1)
-        assert config.fov_values() == (9.0,)
+        assert cli._axis(9.0, 30.0, 1, "linear") == (9.0,)
 
     def test_spectrum_file_sets_source_level(self):
         config = RunConfig(
             lamp_spectrum_file=str(bundled_spectrum_path("cool_white_led.csv")),
         )
-        (level,) = config.source_values()
+        (level,) = cli._resolve(config)[0][2]
         assert level == pytest.approx(1.0567e-5, rel=1e-3)
 
 

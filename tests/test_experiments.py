@@ -417,6 +417,11 @@ class TestSecureFovBoundary:
         past = evaluate_point(Scenario.named("lamp-center"), boundary + 0.2, 1e-5)
         assert not past.report.secure
 
+    @pytest.mark.parametrize("known", [None, ((2.0, 30.0), (True, False))])
+    def test_nan_fov_max_is_refused_not_reported_insecure(self, known):
+        with pytest.raises(ValueError, match="fov_deg must lie in"):
+            secure_fov_boundary(Scenario.named("lamp-center"), 1e-5, fov_max_deg=math.nan, known=known)
+
 
 class TestAmbientTolerance:
     def test_only_ambient_scenarios_accepted(self):

@@ -283,6 +283,18 @@ _FIELD_RULES = {
     "spectra.distance_m": ("distance_m", (0.0, True, math.inf, True), _check_distance),
 }
 
+_ROOM = nominal_room()
+_PROTOCOL = dict(mean_photons_per_pulse=0.5, sift_factor=1.0, error_correction_inefficiency=1.16, misalignment_error=0.0)
+# Every field that holds one number: (a valid value, a call with the field set to the given value).
+_SCALAR_FIELDS = {
+    **{f"RoomScenario.{f}": (getattr(_ROOM, f), lambda v, f=f: nominal_room(**{f: v})) for f in (
+        "room_x_m", "room_y_m", "room_z_m", "wall_reflectivity", "floor_reflectivity", "lamp_semi_angle_deg", "tx_semi_angle_deg",
+        "fov_deg", "detector_area_m2", "concentrator_index", "filter_transmission", "filter_bandwidth_nm")},
+    **{f"DetectorParams.{f}": (v, lambda v, f=f: DetectorParams(**{**_DETECTOR, f: v})) for f, v in _DETECTOR.items()},
+    **{f"ProtocolParams.{f}": (v, lambda v, f=f: ProtocolParams(**{**_PROTOCOL, f: v})) for f, v in _PROTOCOL.items()},
+    "spectra.distance_m": (1.0, _check_distance),
+}
+
 
 def rule_text(lo, lo_excluded, hi, hi_excluded) -> str:
     if hi == math.inf:
@@ -318,6 +330,15 @@ class TestFieldRules:
         for value in ("4", None):
             with pytest.raises((TypeError, ValueError)):
                 call(value)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (2, 2)])
+    @pytest.mark.parametrize("field", list(_SCALAR_FIELDS))
+    def test_an_array_fails_naming_the_field(self, field, shape):
+        value, call = _SCALAR_FIELDS[field]
+        call(value)  # every element is valid on its own
+        expected = f"{field.rpartition('.')[2]} must be one number, not an array of shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            call(np.full(shape, value))
 
 
 class TestTessellation:
