@@ -48,6 +48,12 @@ and faulted in again, among others.  The layers:
   at 2 deg after the 90 x 90 ambient map above; each round builds the map
   cold, untimed, and the search starts from the map's flags at its level or
   FOV;
+* the sweep.csv writer alone, ``b"".join(cli._csv_lines(...))`` over a map
+  built before the timed rounds: the 90 x 90 ambient-only-center map above,
+  a 1 x 5,000 one (FOV 2 deg, ambient 1e-9-1e-5 W/nm/m^2), a 300 x 7 one
+  (FOV 2-30 deg, the same ambient range) and the 29 x 13 lamp-center map
+  above; the value is the sha256 of the rows, and each row also records the
+  peak bytes that ``tracemalloc`` sees in one more call;
 * estimate_reflected_gain with 1e6 and 1e7 rays (seed 7), lamp-center at
   FOV 20 deg, where the cone bound skips most rays, and with 1e6 rays with
   the lamp at (1.3, 2.0) and a 55 deg cone, where it can skip few, and a
@@ -282,6 +288,17 @@ def layer_rows(src: Path) -> dict:
 
         return timed(lambda: search(**seed), build)
 
+    def csv_writer(scenario: Scenario, fov_values: tuple, levels: tuple) -> dict:
+        grid = sweep(scenario, fov_values, levels)
+
+        def write() -> bytes:
+            return b"".join(cli._csv_lines(grid, fov_values, levels))
+
+        layer = timed(lambda: len(write()), calls=10)
+        layer["value"] = hashlib.sha256(write()).hexdigest()
+        layer["tracemalloc_peak_bytes"] = traced_peak_bytes(write)
+        return layer
+
     def monte_carlo(rays: int, room=room) -> dict:
         def estimate() -> float:
             return estimate_reflected_gain(room, samples=rays, seed=7).value
@@ -322,6 +339,12 @@ def layer_rows(src: Path) -> dict:
         lambda: sweep(ambient, ambient_fovs, ambient_levels),
         lambda grid: (ambient_levels, grid.report.secure[0]),
     )
+    rows["csv_lines_90x90_ambient_only_center"] = lambda: csv_writer(ambient, ambient_fovs, ambient_levels)
+    rows["csv_lines_1x5000_ambient_only_center"] = lambda: csv_writer(ambient, (2.0,), tuple(np.logspace(-9.0, -5.0, 5000).tolist()))
+    rows["csv_lines_300x7_ambient_only_center"] = lambda: csv_writer(
+        ambient, tuple(np.linspace(2.0, 30.0, 300).tolist()), tuple(np.logspace(-9.0, -5.0, 7).tolist())
+    )
+    rows["csv_lines_29x13_lamp_center"] = lambda: csv_writer(scenario, map_fovs, map_levels)
     rows["estimate_reflected_gain_1e6_rays"] = lambda: monte_carlo(1_000_000)
     rows["estimate_reflected_gain_1e6_rays_offset_55deg"] = lambda: monte_carlo(
         1_000_000, build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 55.0, 1e-5).room

@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, RoomScenario, _in_range, _one_number, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, RoomScenario, _cross, _frame, _in_range, _one_number, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
 
 __all__ = [
     "PLANCK_J_S",
@@ -258,10 +258,7 @@ class _ReceiverView:
         receiver = np.array(room.receiver.position.as_tuple())
         local = lambda points: (np.asarray(points) - receiver) / self.scale  # noqa: E731
         axis = np.array(room.receiver.axis.as_tuple())
-        helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        e1 = np.cross(axis, helper)
-        e1 /= np.linalg.norm(e1)
-        self.frame = np.array([axis, e1, np.cross(axis, e1)])
+        self.frame = np.array([axis, *_frame(axis)])
         # Each of omega's x, y, z as e1 sin(psi) cos(theta) + axis cos(psi) + e2 sin(psi) sin(theta),
         # summed in that order, less the terms whose frame coefficient is 0 (they add 0 * x):
         # (coefficient, 0 for cos(psi), 1 for the cos(theta) term, 2 for the sin(theta) one).
@@ -287,7 +284,7 @@ class _ReceiverView:
         self.edge_start, self.edge_length = starts[kept], length[kept]
         self.edge_dir = (ends - starts)[kept] / self.edge_length[:, None]
         # The normal, in the receiver's frame, of the plane through the receiver and each edge line.
-        self.edge_normal = self.frame @ np.cross(self.edge_start, self.edge_dir).T
+        self.edge_normal = self.frame @ _cross(self.edge_start, self.edge_dir).T
 
         self.normal = np.vstack([normal, -normal[0]])  # the ceiling faces the floor
         # Each plane's signed offset from the receiver, <= 0 inside the room.

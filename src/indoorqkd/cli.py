@@ -56,17 +56,20 @@ _CSV_COLUMNS = (
     "rate_bits_per_pulse", "secure_flag",
 )
 
-# sweep.csv cells as bytes.  '%.9e' text takes at most 17 (a sign, ten
-# digits, the point and e-XXX); a cell is built in three little-endian
-# 8-byte words, NUL-padded.
+# sweep.csv cells as bytes.  '%.9e' text takes at most 17 (a sign, ten digits, the point and
+# e-XXX); a cell is built in three little-endian 8-byte words, NUL-padded.  A column's slot in a
+# row is two of them when its texts take at most 15 bytes (the comma in the second word's top
+# byte) and all three otherwise (the comma in byte 23); the flag is one word.
 _E9_BYTES = 24
 _POW10 = 10.0 ** np.arange(-300, 301)  # 10**k at k + 300, each within an ulp
 # '%03d' text of 0 .. 999, and 'e%+03d' text of the exponents -300 .. 300 at exponent + 300,
-# NUL-padded, as the integers whose little-endian bytes they are.
+# NUL-padded, as the integers whose little-endian bytes they are; and a fast text's length by
+# exponent + 300 (looked up: numpy's int64 abs and compare loops, run nowhere else in an op, add RSS).
 _DIGITS3_WORD = np.array([b"%03d" % k for k in range(1000)], "S8").view("<u8")
 _EXPONENT_WORD = np.array([b"e%+03d" % k for k in range(-300, 301)], "S8").view("<u8")
-_ZERO = np.frombuffer(b"0.000000000e+00".ljust(_E9_BYTES, b"\0"), np.uint8)
-_FLAGS = np.frombuffer(b"false" b"true\0", np.uint8).reshape(2, 5)
+_E9_WIDTH = np.array([11 + len(b"e%+03d" % k) for k in range(-300, 301)])
+_FLAG_WORD = np.array([b"false\n", b"true\n"], "S8").view("<u8")
+_COMMA_TOP = np.uint64(ord(",") << 56)
 
 
 # Section layout of the config file.  Parameter keys match the nominal table
@@ -322,51 +325,55 @@ def _resolve(
     return None, out or whole_run
 
 
-def _e9(values: np.ndarray) -> np.ndarray:
-    """``'%.9e' % v`` of each value, byte for byte, as rows of ``_E9_BYTES`` NUL-padded ASCII bytes.
+def _e9(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``'%.9e' % v`` of each value, byte for byte, and its length in bytes.  The text is
+    NUL-padded to ``_E9_BYTES`` and held as three planes of little-endian 8-byte words,
+    shape (3, n): plane k holds bytes 8k to 8k + 7 of every text.
 
     A value in [1e-290, 1e290] is scaled by a power of ten to ten digits before
     the point and rounded; the scaling errs by under 4e-16 of the scaled value,
     so a fraction farther than 4e-15 of it from one half rounds as the exact
     binary value does, and only then is the fast result kept (the guard-band
-    test of Loitsch's Grisu3, PLDI 2010).  Every other value (negative, -0.0,
-    inf, nan, outside that range, or too near a tie) goes through ``'%.9e'``
-    one at a time.
+    test of Loitsch's Grisu3, PLDI 2010).  Its text takes 15 bytes, 16 with an
+    exponent of three digits.  Every other value (negative, -0.0, inf, nan,
+    outside that range, or too near a tie) goes through ``'%.9e'``.
     """
     v = np.ravel(np.asarray(values, dtype=np.float64))
     with np.errstate(all="ignore"):
         fast = (v >= 1e-290) & (v <= 1e290)
         s = np.where(fast, v, 1.0)
         e = np.floor(np.log10(s)).astype(np.intp)
-        s *= _POW10[9 - e + 300]  # ten digits before the point
+        s *= _POW10[309 - e]  # 10**(9 - e): ten digits before the point
         r = np.floor(s)
         s -= r
         fast &= (np.abs(s - 0.5) > 4e-15 * r) & (r >= 1e9) & (r < 1e10)
-        r += s > 0.5  # within [1e8, 1e11] when not fast, so every index below stays valid
+        r += s > 0.5
     del s
     carry = r == 1e10  # 9.9999999995 rounds to 1.000000000e+01
     r[carry] = 1e9
     e += carry
+    # +0.0 takes every digit 0 and the exponent 0 (from 1.0); so do the slow values, till '%.9e' replaces them
+    r *= fast
+    fast |= v.view(np.uint64) == 0
     # "D.DDDDDD" and "DDDe+XX" or "DDDe-XXX".  Digits by true division of
     # integers below 2**53: a quotient just under an integer stays under it,
     # so each floor is exact.
-    words = np.zeros((v.size, _E9_BYTES // 8), np.uint64)
+    words = np.zeros((_E9_BYTES // 8, v.size), "<u8")
     digits = np.floor(r / 1e9)
     r -= digits * 1e9
-    words[:, 0] = digits.astype(np.uint64) + (48 + 46 * 256)
+    words[0] = digits.astype(np.uint64) + (48 + 46 * 256)
     for scale, shift in ((1e6, 16), (1e3, 40)):
         digits = np.floor(r / scale)
         r -= digits * scale
-        words[:, 0] |= _DIGITS3_WORD[digits.astype(np.intp)] << shift
-    words[:, 1] = _DIGITS3_WORD[r.astype(np.intp)] | _EXPONENT_WORD[e + 300] << 24
-    text = words.astype("<u8", copy=False).view(np.uint8)
-    zero = (v == 0.0) & ~np.signbit(v)
-    text[zero] = _ZERO
-    for i in np.flatnonzero(~(fast | zero)).tolist():
-        cell = ("%.9e" % v[i]).encode("ascii")
-        text[i] = 0
-        text[i, : len(cell)] = np.frombuffer(cell, np.uint8)
-    return text
+        words[0] |= _DIGITS3_WORD[digits.astype(np.intp)] << shift
+    words[1] = _DIGITS3_WORD[r.astype(np.intp)] | _EXPONENT_WORD[e + 300] << 24
+    widths = _E9_WIDTH[e + 300]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = [b"%.9e" % x for x in v[slow].tolist()]
+        words[:, slow] = np.frombuffer(b"".join(c.ljust(_E9_BYTES, b"\0") for c in cells), "<u8").reshape(-1, 3).T
+        widths[slow] = [len(c) for c in cells]
+    return words, widths
 
 
 def _csv_lines(
@@ -379,9 +386,11 @@ def _csv_lines(
     the FOV and gains with their FOV rows, the levels and the columns that
     repeat in every FOV row (``n_b1``, say) once per map (once per block of
     levels when one FOV row spans several blocks), the other columns of a
-    block in one stacked call.  A block is a byte matrix, one row per cell and
-    one slot per column as wide as the column's longest text there; dropping
-    the NULs that pad the shorter texts leaves the rows.
+    block in one stacked call.  A block is a matrix of 8-byte words, one row
+    per cell, written one whole word plane at a time.  A column takes a slot
+    of two words where all its texts in the block have at most 15 bytes, else
+    three, the comma in the slot's last byte; the flag is one word.  Dropping
+    the NULs that pad the texts leaves the rows.
     """
     r, b, gains = grid.report, grid.budget, grid.gains
     shape = (len(fov_values), len(source_values))
@@ -393,9 +402,13 @@ def _csv_lines(
     h_dc, eta = gains.line_of_sight.ravel(), gains.transmittance.ravel()
     secure = np.broadcast_to(r.secure, shape)
 
-    def level_text(lo: int, hi: int) -> np.ndarray:
-        text = _e9(np.concatenate([source_values[lo:hi], *(c[lo:hi] for c in fixed)]))
-        return text.reshape(1 + len(fixed), 1, hi - lo, _E9_BYTES)
+    def split(words: np.ndarray, widths: np.ndarray, n_fields: int, n_rows: int, n_levels: int) -> list[tuple[np.ndarray, bool]]:
+        """Each field's words, shape (3, rows, levels), and whether its slot takes three, from ``_e9`` of the fields in turn."""
+        longs = [w > 15 for w in widths.reshape(n_fields, n_rows * n_levels).max(axis=1).tolist()]  # compared in Python: see _E9_WIDTH
+        return list(zip(words.reshape(3, n_fields, n_rows, n_levels).swapaxes(0, 1), longs))
+
+    def level_text(lo: int, hi: int) -> list[tuple[np.ndarray, bool]]:
+        return split(*_e9(np.concatenate([source_values[lo:hi], *(c[lo:hi] for c in fixed)])), 1 + len(fixed), 1, hi - lo)
 
     fov_rows = max(1, block // shape[1])  # whole FOV rows in a block, or one row split into blocks of levels
     span = min(shape[1], block)  # levels in a block
@@ -407,23 +420,20 @@ def _csv_lines(
             part = slice(j, min(j + span, shape[1]))
             n_levels = part.stop - j
             by_level = level_text(j, part.stop) if whole_axis is None else whole_axis
-            text = _e9(np.concatenate([fov_values[rows], h_dc[rows], eta[rows], *(c[rows, part].ravel() for c in varying)]))
-            by_fov = text[: 3 * n_rows].reshape(3, n_rows, 1, _E9_BYTES)
-            by_cell = text[3 * n_rows :].reshape(len(varying), n_rows, n_levels, _E9_BYTES)
-            # 15 bytes hold most texts; a slot widens to 16 or 17 where one of its texts does
-            fov_w, level_w, cell_w = (15 + t[..., 15:17].any(axis=(1, 2)).sum(axis=1) for t in (by_fov, by_level, by_cell))
-            fixed_text, varying_text = zip(by_level[1:], level_w[1:]), zip(by_cell, cell_w)
-            fields = [(by_fov[0], fov_w[0]), (by_level[0], level_w[0]), (by_fov[1], fov_w[1]), (by_fov[2], fov_w[2])]
-            fields += [next(fixed_text) if same else next(varying_text) for same in repeats]
-            ends = np.cumsum([w + 1 for _, w in fields]).tolist()
-            out = np.empty((n_rows, n_levels, ends[-1] + 6), np.uint8)
-            for (f, w), end in zip(fields, ends):
-                out[..., end - w - 1 : end - 1] = f[..., :w]
-                out[..., end - 1] = ord(",")
-            out[..., -6:-1] = _FLAGS[secure[rows, part].view(np.uint8)]
-            out[..., -1] = ord("\n")
-            rows_text = out.tobytes().replace(b"\0", b"")
-            del text, out  # before the next block's are made
+            words, widths = _e9(np.concatenate([fov_values[rows], h_dc[rows], eta[rows], *(c[rows, part].ravel() for c in varying)]))
+            by_fov = split(words[:, : 3 * n_rows], widths[: 3 * n_rows], 3, n_rows, 1)
+            by_cell = split(words[:, 3 * n_rows :], widths[3 * n_rows :], len(varying), n_rows, n_levels)
+            fixed_text, varying_text = iter(by_level[1:]), iter(by_cell)
+            fields = [by_fov[0], by_level[0], by_fov[1], by_fov[2], *(next(fixed_text) if same else next(varying_text) for same in repeats)]
+            out = np.empty((2 * len(fields) + sum(long for _, long in fields) + 1, n_rows, n_levels), "<u8")
+            k = 0
+            for planes, long in fields:
+                out[k : k + 2 + long] = planes[: 2 + long]
+                out[k + 1 + long] |= _COMMA_TOP
+                k += 2 + long
+            out[-1] = _FLAG_WORD[secure[rows, part].view(np.uint8)]
+            rows_text = out.transpose(1, 2, 0).tobytes().replace(b"\0", b"")
+            del words, by_cell, fields, out  # before the next block's are made
             yield rows_text
 
 

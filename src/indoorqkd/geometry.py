@@ -155,6 +155,22 @@ def _one_number(**values: object) -> None:
             raise ValueError(f"{name} must be one number, not an array of shape {np.shape(value)}")
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of 3-vectors along the last axis, bit for bit: the same products,
+    each difference taken in its order, without its axis handling (20-30 us a call
+    under numpy 2.4 on a 2-core x86 VM)."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Any orthonormal pair completing ``axis`` to a right-handed frame."""
+    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = _cross(axis, helper)
+    e1 /= np.linalg.norm(e1)
+    return e1, _cross(axis, e1)
+
+
 def _clamped_acos(x: float) -> float:
     # Dot products drift a few ulp outside [-1, 1]; clamp before acos.
     return math.acos(min(1.0, max(-1.0, x)))
@@ -233,6 +249,7 @@ class RoomScenario:
 def lambert_mode(semi_angle_deg: float) -> float:
     """Lambert mode number m = -ln 2 / ln cos(semi-angle at half power), for a
     semi-angle in (0, 90) degrees; inf where the cosine rounds to 1."""
+    _one_number(semi_angle_deg=semi_angle_deg)
     log_cos = math.log(math.cos(math.radians(semi_angle_deg)))
     return -math.log(2.0) / log_cos if log_cos < 0.0 else math.inf
 
@@ -242,6 +259,8 @@ def concentrator_gain(index: float, fov_deg: float) -> float:
     rule: a FOV in (0, 90] degrees wide enough that 1 / sin^2(fov) is finite
     (in a narrower cone sin^2 underflows), an index >= 1 and a finite gain (a
     huge index would overflow it)."""
+    if not (isinstance(index, float) and isinstance(fov_deg, float)):  # a float is one number; spares a sweep a call per FOV
+        _one_number(index=index, fov_deg=fov_deg)
     _in_range("fov_deg", fov_deg, _SMALLEST_POSITIVE, 90.0)
     s = math.sin(math.radians(fov_deg))
     if not (s * s > 0.0 and 1.0 / (s * s) < math.inf):

@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geometry import RoomScenario, lambert_mode
+from .geometry import RoomScenario, _cross, _frame, lambert_mode
 
 __all__ = ["McEstimate", "estimate_reflected_gain", "floor_cone_closed_form"]
 
@@ -280,7 +280,7 @@ def _cone_threshold(scene: _Scene, m1: float) -> float:
     if not scene.delta < reach:
         return 0.0
     receiver_axis, lamp_axis = np.array(scene.unit_axis), scene.lamp_axis
-    axes = math.atan2(float(np.linalg.norm(np.cross(receiver_axis, lamp_axis))), float(receiver_axis @ lamp_axis))
+    axes = math.atan2(float(np.linalg.norm(_cross(receiver_axis, lamp_axis))), float(receiver_axis @ lamp_axis))
     phi_max = scene.cone + axes + math.asin(scene.delta / reach) + scene.slack / reach + _BOUND_ANGLE_SLACK
     if not phi_max < math.pi / 2.0:
         return 0.0
@@ -522,12 +522,3 @@ def floor_cone_closed_form(room: RoomScenario) -> float | None:
         * room.concentrator_index**2 * room.filter_transmission
         * (1.0 - math.cos(fov) ** k) / (math.pi * z * z * k * math.sin(fov) ** 2)
     )
-
-
-def _frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Any orthonormal pair completing ``axis`` to a right-handed frame."""
-    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(axis, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    return e1, e2

@@ -479,7 +479,10 @@ def synthetic_map(n_fov, n_src, seed=0):
 
 
 def e9_text(values) -> list[str]:
-    return [bytes(row).rstrip(b"\0").decode("ascii") for row in _e9(np.asarray(values, dtype=np.float64))]
+    """_e9's texts, each cut at the width _e9 gives it; None where a byte past that width is not NUL."""
+    words, widths = _e9(np.asarray(values, dtype=np.float64))
+    rows = np.ascontiguousarray(words.T).view(np.uint8)
+    return [None if row[w:].any() else bytes(row[:w]).decode("ascii") for row, w in zip(rows, widths.tolist())]
 
 
 # Near-ties, rounding carries, the ends of the fast path and of the float range.
@@ -493,6 +496,37 @@ E9_CASES = [
     *_POWERS, *np.nextafter(_POWERS, 0.0).tolist(), *np.nextafter(_POWERS, np.inf).tolist(),
     *np.nextafter([1e290, 1e-290], 0.0).tolist(), *np.nextafter([1e290, 1e-290], np.inf).tolist(),
 ]
+
+
+# Any float, with the values that leave the writer's fast path or widen a slot drawn often.
+CELL_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 3.25e-123, -2.5e-7, 1e200, -1e290, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def drawn_maps(draw):
+    """A 1-6 x 1-6 map in the shape synthetic_map builds, every value drawn from CELL_FLOATS.
+    A column repeats in every FOV row when drawn so; in half the maps every column does."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    every_column_repeats = draw(st.booleans())
+
+    def cells(n_rows, n_cols):
+        return np.array(draw(st.lists(CELL_FLOATS, min_size=n_rows * n_cols, max_size=n_rows * n_cols)), dtype=float).reshape(n_rows, n_cols)
+
+    def column():
+        return np.broadcast_to(cells(1, shape[1]), shape) if every_column_repeats or draw(st.booleans()) else cells(*shape)
+
+    names = ("ambient", "lamp_bounce", "total", "y1", "q1", "e1", "q_mu", "e_mu", "rate")
+    values = {name: column() for name in names}
+    secure = np.array(draw(st.lists(st.booleans(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))).reshape(shape)
+    report = SimpleNamespace(secure=secure, **{name: values[name] for name in names[3:]})
+    budget = SimpleNamespace(**{name: values[name] for name in names[:3]})
+    fovs, levels = cells(1, shape[0])[0], cells(1, shape[1])[0]
+    gains = SimpleNamespace(line_of_sight=cells(shape[0], 1), transmittance=cells(shape[0], 1))
+    grid = SimpleNamespace(report=report, budget=budget, gains=gains)
+    return grid, tuple(fovs.tolist()), tuple(levels.tolist())
 
 
 class TestSweepCsvText:
@@ -522,6 +556,15 @@ class TestSweepCsvText:
         blocks = list(_csv_lines(grid, fovs, levels, block=block))
         assert b"".join(blocks) == plain_csv(grid, fovs, levels)
         assert len(blocks) > 1 or block > shape[0] * shape[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_maps())
+    def test_writer_equals_a_percent_per_cell_at_every_block_size(self, drawn):
+        # nan, +-inf, -0.0, subnormals, negatives and three-digit exponents, in any column
+        grid, fovs, levels = drawn
+        expected = plain_csv(grid, fovs, levels)
+        for block in range(1, len(fovs) * len(levels) + 1):
+            assert b"".join(_csv_lines(grid, fovs, levels, block=block)) == expected, block
 
     def test_one_row_map_writes_in_bounded_memory(self, tmp_path):
         # a 1 x N map is one FOV row: the writer's peak must not grow with it

@@ -17,6 +17,7 @@ from indoorqkd.geometry import (
     RoomScenario,
     _in_range,
     concentrator_gain,
+    lambert_mode,
     link_geometry,
     wall_and_floor_grids,
 )
@@ -285,7 +286,7 @@ _FIELD_RULES = {
 
 _ROOM = nominal_room()
 _PROTOCOL = dict(mean_photons_per_pulse=0.5, sift_factor=1.0, error_correction_inefficiency=1.16, misalignment_error=0.0)
-# Every field that holds one number: (a valid value, a call with the field set to the given value).
+# Every field or argument that holds one number: (a valid value, a call with it set to the given value).
 _SCALAR_FIELDS = {
     **{f"RoomScenario.{f}": (getattr(_ROOM, f), lambda v, f=f: nominal_room(**{f: v})) for f in (
         "room_x_m", "room_y_m", "room_z_m", "wall_reflectivity", "floor_reflectivity", "lamp_semi_angle_deg", "tx_semi_angle_deg",
@@ -293,6 +294,9 @@ _SCALAR_FIELDS = {
     **{f"DetectorParams.{f}": (v, lambda v, f=f: DetectorParams(**{**_DETECTOR, f: v})) for f, v in _DETECTOR.items()},
     **{f"ProtocolParams.{f}": (v, lambda v, f=f: ProtocolParams(**{**_PROTOCOL, f: v})) for f, v in _PROTOCOL.items()},
     "spectra.distance_m": (1.0, _check_distance),
+    "concentrator_gain.index": (1.5, lambda v: concentrator_gain(v, 30.0)),
+    "concentrator_gain.fov_deg": (30.0, lambda v: concentrator_gain(1.5, v)),
+    "lambert_mode.semi_angle_deg": (70.0, lambert_mode),
 }
 
 
@@ -331,7 +335,7 @@ class TestFieldRules:
             with pytest.raises((TypeError, ValueError)):
                 call(value)
 
-    @pytest.mark.parametrize("shape", [(1,), (2,), (2, 2)])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (2, 2), (3,)])
     @pytest.mark.parametrize("field", list(_SCALAR_FIELDS))
     def test_an_array_fails_naming_the_field(self, field, shape):
         value, call = _SCALAR_FIELDS[field]
