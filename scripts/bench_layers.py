@@ -22,10 +22,12 @@ and faulted in again, among others.  The layers:
   what a call for a new room costs before its quadrature (the value is the
   sum of the view's psi cuts);
 * one ring_integrals call of the quadrature, in that room's view, over the
-  63 psi rings of 0.01-1.5 rad, whose 8,080 rays fill one ray block
-  (``channel._RAY_BLOCK``, 8,192): the row divided by 63 is the cost of
+  63 psi rings of 0.01-1.5 rad, whose 4,320 rays fit in one ray block
+  (``channel._RAY_BLOCK``, 8,192; they were 8,080 while every ring was cut
+  at every edge plane it crosses): the row divided by 63 is the cost of
   one ring; and one probe-sized call, the 10 rings of the order-10 rule on
-  15-20 deg, where the kernel's fixed cost per call shows;
+  15-20 deg (400 rays, 800 before), where the kernel's fixed cost per call
+  shows;
 * one evaluate_point of lamp-center at order 10 and 1e-5 W/nm, each call at
   a FOV the room's view does not hold yet (20 deg plus 1e-5 deg per call,
   all in one psi panel): the cost of one boundary probe;

@@ -18,10 +18,12 @@ reflects nothing).  This is the Monte-Carlo oracle's next-event trace run
 from the receiver side and made deterministic.  psi is cut at the psi
 extremes of every room edge and into panels no wider than ``_PANEL_DEG``;
 each ring of directions at one psi into equal arcs and where it crosses
-the plane through the receiver and a room edge.  L is smooth on every
-piece, and Gauss-Legendre rules mapped through s -> 3s^2 - 2s^3 absorb the
-square-root ends at edge tangencies.  The FOV enters only as the upper
-limit and through g, and the room size not at all.  The psi rule's order
+the plane through the receiver and a room edge it meets (whose psi
+interval holds the ring's psi), the only places its exit plane can
+switch.  L is smooth on every piece, and Gauss-Legendre rules mapped
+through s -> 3s^2 - 2s^3 absorb the square-root ends at edge
+tangencies.  The FOV enters only as the upper limit and through g, and
+the room size not at all.  The psi rule's order
 is the caller's; the theta rule (the number of equal arcs and the nodes
 per arc) follows the lamp's mode m1 from ``_THETA_RULES``, for a narrow
 lamp's spot is a sharp peak along the ring and a wide lamp's light is
@@ -89,11 +91,11 @@ _PANEL_DEG = 15.0
 # lamps) over this room set (tests/test_channel.py::theta_rule_rooms): the five
 # scenarios; lamps 0.5-1 m off a ceiling-centre receiver in 4 x 4 x 3, 5.5 x 3.5 x 2.5 and
 # 3.5 x 5.5 x 3.5 m rooms; a receiver aimed at a floor corner, a low tilted receiver and a
-# tilted lamp.  That is 4 x 10 (worst 2.7e-9; 6 x 8 gives 5.3e-8).  A narrow lamp's spot
-# is a sharp peak along the ring: for narrower lamps the smaller rules that pass fail the
-# patch-sum gate at wide FOVs (4 x 12: 3.1e-4 off at 80 degrees, against 1e-4) or use most
-# of it (8 x 12: 0.64, 12 x 12: 0.23), so they keep 12 x 12, and lamps of 5 degrees or
-# less miss the bound even there (3.3e-7 at 5).
+# tilted lamp.  That is 4 x 10 (worst 5.3e-9 at 70 degrees, 6.8e-9 at 60; 6 x 8 gives 5.1e-8,
+# and 4 x 9, of fewer nodes, passes at 4.8e-8).  A narrow lamp's spot is a sharp peak along
+# the ring: for narrower lamps the smaller rules that pass fail the patch-sum gate at wide
+# FOVs (4 x 12: 1.9e-4 off at 80 degrees, against 1e-4) or use most of it (8 x 12: 0.73,
+# 12 x 12: 0.13), so they keep 12 x 12, and lamps of 5 degrees or less miss the bound even there (3.6e-7 at 5).
 # Receivers 1-4 m from a wide lamp can see 4 x 10 miss it too (up to 4e-5); the
 # convergence report shows every miss.  A theta order of 28 or more (the check doubles the
 # nodes) would wake the BLAS worker threads in _mapped_rule.
@@ -306,6 +308,13 @@ class _ReceiverView:
             distance = np.linalg.norm(points, axis=1)
         seen = distance > 0.0
         psi = np.arccos(np.clip(points[seen] @ axis / distance[seen], -1.0, 1.0))
+        # Each edge's psi interval over its ends and interior extreme, a few ulps wider; nan (met by every ring) past a 0 or overflowing distance.
+        at = np.full(len(points), math.nan)
+        at[seen] = np.where(distance[seen] < math.inf, psi, math.nan)
+        extremes = np.vstack([at[: 2 * len(u)].reshape(2, -1), at[: len(u)]])
+        extremes[2, inner] = at[2 * len(u) :]
+        lo, hi = extremes.min(axis=0), extremes.max(axis=0)
+        self.edge_psi = lo - 4.0 * np.spacing(lo), hi + 4.0 * np.spacing(hi)
         panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
         cuts = np.sort(np.concatenate([panels, psi[(psi > 0.0) & (psi < 0.5 * math.pi)], [0.5 * math.pi]]))
         self.bounds = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique's result, without its numpy.ma import
@@ -323,7 +332,7 @@ class _ReceiverView:
         by ``theta_rule`` (arcs, nodes per arc), traced in blocks of whole rings."""
         arcs, nodes = theta_rule
         cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
-        start, span, count = self._sub_arcs(cos_psi, sin_psi, arcs)
+        start, span, count = self._sub_arcs(psi[:, None], cos_psi, sin_psi, arcs)
         first, ends = [0, *count.cumsum().tolist()], [0]  # ring r's sub-arcs are first[r]:first[r + 1]
         while ends[-1] < len(psi):  # a block ends at the last ring end within _RAY_BLOCK rays of its start, or one ring on
             ends.append(max(ends[-1] + 1, bisect.bisect_right(first, first[ends[-1]] + _RAY_BLOCK // nodes) - 1))
@@ -348,9 +357,10 @@ class _ReceiverView:
             out[a:b] = np.bincount(np.repeat(ring, nodes), np.multiply(weight, radiance, out=weight).ravel(), minlength=b - a)
         return out
 
-    def _sub_arcs(self, cos_psi: np.ndarray, sin_psi: np.ndarray, arcs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _sub_arcs(self, psi: np.ndarray, cos_psi: np.ndarray, sin_psi: np.ndarray, arcs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every ring's sub-arcs, between its arc knots and where it crosses the plane through the receiver
-        and each edge line, a cos(theta) + b sin(theta) = c, at mid -+ half: starts and spans, and the count per ring."""
+        and each edge line, a cos(theta) + b sin(theta) = c, at mid -+ half: starts and spans, and the count per ring.
+        A ring outside an edge's psi interval never meets the edge: both its crossings go to 0, as a missed plane's."""
         (n_axis, n_e1, n_e2), edges = self.edge_normal, self.edge_normal.shape[1]
         cuts, a, b = np.empty((len(cos_psi), 2 * edges)), sin_psi * n_e1, sin_psi * n_e2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -360,6 +370,8 @@ class _ReceiverView:
             np.subtract(mid, half, out=cuts[:, :edges])
             np.add(mid, half, out=cuts[:, edges:])
             _reduce_turns(cuts)
+        lo, hi = self.edge_psi
+        np.copyto(cuts.reshape(len(cuts), 2, edges), 0.0, where=((psi < lo) | (psi > hi))[:, None])
         bounds = np.empty((len(cuts), arcs + 1 + 2 * edges))
         bounds[:, : arcs + 1], bounds[:, arcs + 1 :] = _arc_knots(arcs), cuts
         bounds.sort(axis=1)

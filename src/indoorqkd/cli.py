@@ -40,9 +40,9 @@ EXIT_STRICT_CONVERGENCE = 3
 
 # Largest resolution_patches_per_meter, the bounce quadrature's rule order.
 # The convergence check doubles it, and the rule's nodes come from a dense
-# eigensolve: a default lamp-center run, as a CLI subprocess on a 2-core x86 VM, took 0.93 s
-# of CPU (getrusage user + system, BLAS threads included; 0.47 s wall) and 75 MB peak RSS
-# at 500, and 3.1 s (1.7 s wall) and 193 MB at 1,000.
+# eigensolve: a default lamp-center run, as a CLI subprocess on a 2-core x86 VM, took 0.53 s
+# of CPU (getrusage user + system, BLAS threads included; 0.29 s wall) and 75 MB peak RSS
+# at 500, and 1.85 s (0.95 s wall) and 193 MB at 1,000.
 MAX_RESOLUTION = 500
 # Most (FOV, source) points a run may sweep, and so the longest axis.  Peak
 # RSS is about 200 B a point on a square map and 300 B on one row; under a

@@ -1,7 +1,8 @@
 """Independent oracles for the single-bounce lamp-to-receiver gain.
 
 Both are validation paths for the deterministic quadrature in the channel
-module and share none of its machinery but the Lambert mode.  The Monte-Carlo
+module and share none of its machinery but the Lambert mode and the frame
+helpers ``geometry._frame`` and ``geometry._cross``.  The Monte-Carlo
 estimate samples rays from the lamp's Lambertian lobe, traces them to their
 first wall or floor hit, and folds the last bounce into the receiver in
 analytically (next-event estimation); the expectation of the per-ray

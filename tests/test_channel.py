@@ -554,7 +554,7 @@ class TestOnePassBitInvariants:
         positions = channel._mapped_rule(20)[0]
         lo, hi = view.bounds[:-1], view.bounds[1:]
         psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
-        largest = int(view._sub_arcs(np.cos(psi)[:, None], np.sin(psi)[:, None], arcs)[2].max()) * theta_rule[1]
+        largest = int(view._sub_arcs(psi[:, None], np.cos(psi)[:, None], np.sin(psi)[:, None], arcs)[2].max()) * theta_rule[1]
         _, blocks = self.traced_blocks(monkeypatch, view, psi, theta_rule)
         assert len(blocks) > 1 and all(work is blocks[0][1] for _, work in blocks)  # one array for the call
         assert blocks[0][1].size == 8 * max(rays for rays, _ in blocks) <= 8 * max(channel._RAY_BLOCK, largest)
@@ -660,6 +660,93 @@ class TestRingPins:
         assert np.count_nonzero(views["nominal"].frame == 0.0) == 6
         for kind in "tilted-a", "tilted-b":
             assert np.argwhere(views[kind].frame == 0.0).tolist() == [[1, 0]]
+
+
+class TestSubArcCuts:
+    """A ring is cut at the crossings of the edges whose psi interval holds it, which is
+    everywhere its exit plane can switch, and nowhere else but its equal arcs' knots."""
+
+    @staticmethod
+    def sub_arcs(view, psi):
+        start, span, count = view._sub_arcs(psi[:, None], np.cos(psi)[:, None], np.sin(psi)[:, None], view.theta_rule[0])
+        first = np.concatenate([[0], np.cumsum(count)])
+        return [np.sort(np.concatenate([start[a:b, 0], start[a:b, 0] + span[a:b, 0]])) for a, b in zip(first, first[1:])]
+
+    @pytest.mark.parametrize("kind", list(RING_PINS))
+    def test_every_exit_plane_switch_lies_on_a_sub_arc_bound(self, kind):
+        # the exit plane by the six-plane argmin at 20,000 directions along each pinned ring
+        # (rings just inside and just past every tangency among them): between two directions
+        # that leave through different planes lies a sub-arc bound
+        view = _ReceiverView(ring_pin_room(kind))
+        psi = ring_pin_nodes(view)
+        theta = np.linspace(0.0, 2.0 * math.pi, 20_001)
+        axis, e1, e2 = (v[:, None] for v in view.frame)
+        switches = 0
+        for ring, bounds in zip(psi.tolist(), self.sub_arcs(view, psi)):
+            omega = axis * math.cos(ring) + e1 * (math.sin(ring) * np.cos(theta)) + e2 * (math.sin(ring) * np.sin(theta))
+            facing = view.normal @ omega
+            with np.errstate(divide="ignore", invalid="ignore"):
+                plane = np.argmin(np.where(facing < 0.0, view.height[:, None] / facing, np.inf), axis=0)
+            switch = np.flatnonzero(plane[1:] != plane[:-1])
+            # the first bound at or past each switch's first direction comes before its second one
+            after = np.searchsorted(bounds, theta[switch] - 1e-9)
+            assert (bounds[np.minimum(after, len(bounds) - 1)] <= theta[switch + 1] + 1e-9).all(), (ring, theta[switch])
+            switches += len(switch)
+        assert switches > 0
+
+    def test_a_ring_below_every_edge_keeps_its_equal_arcs(self):
+        # a ceiling-centre receiver's rings that see only floor meet no edge: the floor
+        # edges' planes are past them and the vertical edges' planes, which every ring
+        # crosses, hold the edges only past the floor corners
+        view = _ReceiverView(nominal_room())
+        lo, hi = view.edge_psi
+        psi = np.linspace(0.01, 0.99, 7) * lo.min()
+        arcs = view.theta_rule[0]
+        assert lo.min() == pytest.approx(math.atan2(2.0, 3.0), rel=1e-15)  # the floor edges' nearest points
+        for bounds in self.sub_arcs(view, psi):
+            assert bounds.tolist() == np.repeat(channel._arc_knots(arcs), [1, *[2] * (arcs - 1), 1]).tolist()
+        view.edge_psi = (np.full(len(lo), -math.inf), np.full(len(hi), math.inf))  # every edge met
+        assert {len(bounds) // 2 for bounds in self.sub_arcs(view, psi)} == {2 * arcs}
+
+    def test_an_edge_without_a_psi_interval_is_met_by_every_ring(self):
+        # a nan interval compares false both ways: it cuts as an interval of every psi
+        view = _ReceiverView(pinned_room("steered-corner", 30.0))
+        psi = ring_pin_nodes(view)
+        lo, hi = view.edge_psi
+        assert not np.isnan(lo).any() and (lo <= hi).all()
+        masked = self.sub_arcs(view, psi)
+        view.edge_psi = (np.full(len(lo), math.nan), np.full(len(hi), math.nan))
+        unknown = self.sub_arcs(view, psi)
+        view.edge_psi = (np.full(len(lo), -math.inf), np.full(len(hi), math.inf))
+        every = self.sub_arcs(view, psi)
+        assert all(np.array_equal(a, b) for a, b in zip(unknown, every))
+        assert sum(map(len, masked)) < sum(map(len, every))
+
+    @pytest.mark.parametrize(
+        "overrides, unknown",
+        [
+            # a receiver in the ceiling corner (0, 0, 3) is at one end of three edges
+            ({"receiver": Pose(Point3(0.0, 0.0, 3.0), Point3(0.0, 0.0, -1.0))}, 3),
+            # in units of the 3 m height the ends at x = 1e300 lie past 1e154, where a distance
+            # overflows: the four edges along x reach them, and the four at that end lie there
+            ({"room_x_m": 1e300, "lamp": Pose(Point3(2.0, 2.0, 3.0), Point3(0.0, 0.0, -1.0))}, 8),
+        ],
+    )
+    def test_an_edge_with_a_point_at_zero_or_overflowing_distance_has_no_interval(self, overrides, unknown):
+        lo, hi = _ReceiverView(nominal_room(**overrides)).edge_psi
+        assert np.isnan(lo).sum() == np.isnan(hi).sum() == unknown
+
+    def test_intervals_reach_a_few_ulps_past_the_edge_points_psi(self):
+        # so that a ring at an edge's tangency counts as meeting it: each interval end near
+        # an interior cut (an edge's psi extreme) lies past it, by at most 4 of its ulps
+        view = _ReceiverView(pinned_room("offset-lamp", 30.0))
+        ends = np.concatenate(view.edge_psi)
+        near = 0
+        for cut in view.bounds[1:-1].tolist():
+            gap = np.abs(ends - cut)[np.isclose(ends, cut, rtol=1e-14, atol=0.0)]
+            assert (gap > 0.0).all() and (gap <= 4.0 * np.spacing(cut)).all(), cut
+            near += len(gap)
+        assert near > 0
 
 
 class TestAgainstFinePatchSums:

@@ -70,6 +70,21 @@ class TestFloorConeClosedForm:
         assert "geometry" in imported
         assert not any("channel" in name for name in imported)
 
+    def test_the_names_it_takes_from_the_package_are_named_in_its_texts(self):
+        # the oracle's claim to check the quadrature rests on what the two share: the room
+        # type, the Lambert mode and the two frame helpers the receiver view uses too
+        tree = ast.parse(Path(montecarlo.__file__).read_text())
+        taken = {
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("indoorqkd"))
+            for alias in node.names
+        }
+        assert taken == {("geometry", "RoomScenario"), ("geometry", "lambert_mode"), ("geometry", "_frame"), ("geometry", "_cross")}
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        for name in "_frame", "_cross":
+            assert f"``geometry.{name}``" in montecarlo.__doc__ and f"`geometry.{name}`" in readme
+
     def test_hand_value_at_twenty_degrees(self):
         # m1 for a 70 degree semi-angle, Z = 3 m, the nominal receiver
         m1 = -math.log(2.0) / math.log(math.cos(math.radians(70.0)))
