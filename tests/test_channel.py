@@ -688,9 +688,10 @@ class TestSubArcCuts:
             with np.errstate(divide="ignore", invalid="ignore"):
                 plane = np.argmin(np.where(facing < 0.0, view.height[:, None] / facing, np.inf), axis=0)
             switch = np.flatnonzero(plane[1:] != plane[:-1])
-            # the first bound at or past each switch's first direction comes before its second one
+            # the first bound at or past each switch's first direction (2 pi at the latest)
+            # comes before its second one
             after = np.searchsorted(bounds, theta[switch] - 1e-9)
-            assert (bounds[np.minimum(after, len(bounds) - 1)] <= theta[switch + 1] + 1e-9).all(), (ring, theta[switch])
+            assert (bounds[after] <= theta[switch + 1] + 1e-9).all(), (ring, theta[switch])
             switches += len(switch)
         assert switches > 0
 
@@ -703,7 +704,7 @@ class TestSubArcCuts:
         psi = np.linspace(0.01, 0.99, 7) * lo.min()
         arcs = view.theta_rule[0]
         assert lo.min() == pytest.approx(math.atan2(2.0, 3.0), rel=1e-15)  # the floor edges' nearest points
-        for bounds in self.sub_arcs(view, psi):
+        for bounds in self.sub_arcs(view, psi):  # each inner knot ends one arc and starts the next
             assert bounds.tolist() == np.repeat(channel._arc_knots(arcs), [1, *[2] * (arcs - 1), 1]).tolist()
         view.edge_psi = (np.full(len(lo), -math.inf), np.full(len(hi), math.inf))  # every edge met
         assert {len(bounds) // 2 for bounds in self.sub_arcs(view, psi)} == {2 * arcs}
