@@ -49,7 +49,8 @@ and faulted in again, among others.  The layers:
   perfbench lamp-map op) at the map's middle level, and an ambient_tolerance
   at 2 deg after the 90 x 90 ambient map above; each round builds the map
   cold, untimed, and the search starts from the map's flags at its level or
-  FOV;
+  FOV; these four search rows also record the evaluate_point calls one
+  search makes (``evaluate_point_calls``), the ladder's included;
 * the sweep.csv writer alone, ``b"".join(cli._csv_lines(...))`` over a map
   built before the timed rounds: the 90 x 90 ambient-only-center map above,
   a 1 x 5,000 one (FOV 2 deg, ambient 1e-9-1e-5 W/nm/m^2), a 300 x 7 one
@@ -212,7 +213,7 @@ def line_counts(package: Path) -> dict[str, int]:
 def layer_rows(src: Path) -> dict:
     """Each row's name and the function that measures it, in the order the rows run."""
     sys.path.insert(0, str(src))
-    from indoorqkd import channel, cli
+    from indoorqkd import channel, cli, experiments
     from indoorqkd.channel import total_reflected_gain
     from indoorqkd.experiments import (
         Scenario, ambient_tolerance, build_setup, evaluate_point, secure_fov_boundary, sweep,
@@ -280,6 +281,18 @@ def layer_rows(src: Path) -> dict:
 
             return timed(lambda: outputs_digest(ambient_in_process), cold)
 
+    def searched(search, before) -> dict:
+        """Time ``search()`` after ``before()``, and count the evaluate_point calls of one more search."""
+        layer, calls, evaluate = timed(search, before), [], experiments.evaluate_point
+        before()
+        experiments.evaluate_point = lambda *args, **kwargs: calls.append(args[1]) or evaluate(*args, **kwargs)
+        try:
+            search()
+        finally:
+            experiments.evaluate_point = evaluate
+        layer["evaluate_point_calls"] = len(calls)
+        return layer
+
     def after_map(search, grid, known) -> dict:
         """Time ``search(**seed)`` after its map, built cold before each round, seeded from it as cli.run seeds it."""
         seed = {}
@@ -288,7 +301,7 @@ def layer_rows(src: Path) -> dict:
             cold()
             seed["known"] = known(grid())
 
-        return timed(lambda: search(**seed), build)
+        return searched(lambda: search(**seed), build)
 
     def csv_writer(scenario: Scenario, fov_values: tuple, levels: tuple) -> dict:
         grid = sweep(scenario, fov_values, levels)
@@ -322,7 +335,7 @@ def layer_rows(src: Path) -> dict:
     rows["ring_integrals_probe_10_rings"] = lambda: ring_call(np.radians(15.0) + np.radians(5.0) * channel._mapped_rule(10)[0])
     rows["boundary_probe_new_fov_10"] = new_fov_probe
     rows["sweep_100x100_cold_10_per_m"] = lambda: timed(lambda: secure_count(sweep(scenario, fovs, levels)), cold)
-    rows["secure_fov_boundary_cold_10_per_m"] = lambda: timed(lambda: secure_fov_boundary(scenario, 1e-5), cold)
+    rows["secure_fov_boundary_cold_10_per_m"] = lambda: searched(lambda: secure_fov_boundary(scenario, 1e-5), cold)
     rows["secret_key_rate_scalar"] = lambda: timed(lambda: float(secret_key_rate(setup.protocol, 1e-3, 1e-6).rate), calls=CALLS)
     rows["secret_key_rate_batch_90"] = lambda: timed(batch_rates, calls=CALLS)
     rows["secret_key_rate_grid_90x90"] = lambda: timed(grid_rates, calls=20)
@@ -330,7 +343,7 @@ def layer_rows(src: Path) -> dict:
         lambda: float(evaluate_point(scenario, 20.0, 1e-5).report.rate), calls=CALLS
     )
     rows["sweep_90x90_ambient_only_center_cold"] = lambda: timed(lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold)
-    rows["ambient_tolerance_cold"] = lambda: timed(lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold)
+    rows["ambient_tolerance_cold"] = lambda: searched(lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold)
     rows["secure_fov_boundary_after_map_10_per_m"] = lambda: after_map(
         lambda **seed: secure_fov_boundary(scenario, map_levels[6], **seed),
         lambda: sweep(scenario, map_fovs, map_levels),
@@ -409,6 +422,7 @@ def main() -> int:
             f"{args.label:>8} {name:46s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms"
             f"  faults/call {layer['minor_faults_per_call']:10.1f}"
             + (f"  traced peak {layer['tracemalloc_peak_bytes'] / 1e6:7.2f} MB" if "tracemalloc_peak_bytes" in layer else "")
+            + (f"  calls/search {layer['evaluate_point_calls']}" if "evaluate_point_calls" in layer else "")
         )
     return 0
 

@@ -37,16 +37,17 @@ the room in use's, until a call for another room replaces it.  It holds the
 integrals computed for the room so far, by (psi order, theta rule) and FOV,
 and the sums of the whole psi pieces below them, so a wider FOV sums only
 the pieces beyond.
-A pass sorts the arc knots and both crossings of each edge plane of all its
-rings in one bounds matrix.  The crossings are reduced to [0, 2 pi] with
-np.fmod plus a turn where negative, and the nan of a ring that misses a
-plane set to 0; np.mod would give the same bits through a full divmod with
-a slow path on nan, and most rings miss most planes.  The rays then go in
-blocks of whole rings, at most ``_RAY_BLOCK`` rays or one ring, through one
-work array made for the pass, and np.bincount sums each ring in ray order,
-so a ring has the same bits in any block.  The ray directions skip the
-frame coefficients that are exactly 0: six of the nine for a receiver
-facing straight down.
+A pass sorts the arc knots and both crossings of each edge plane of the
+rings that meet an edge in one bounds matrix; a ring that meets none keeps
+its equal arcs, and reads cos theta and sin theta at their nodes from one
+table per theta rule, the bits a pass computes elsewhere.  The crossings are
+reduced to [0, 2 pi] with np.fmod plus a turn where negative, and the nan of
+a ring that misses a plane set to 0; np.mod would give the same bits through
+a full divmod with a slow path on nan.  The rays then go in blocks of whole
+rings, at most ``_RAY_BLOCK`` rays or one ring, through one work array made
+for the pass, and np.bincount sums each ring in ray order, so a ring has the
+same bits in any block.  The ray directions skip the frame coefficients that
+are exactly 0: six of the nine for a receiver facing straight down.
 """
 
 from __future__ import annotations
@@ -229,6 +230,15 @@ def _arc_knots(arcs: int) -> np.ndarray:
     return knots
 
 
+@lru_cache(maxsize=None)
+def _knot_trig(arcs: int, nodes: int) -> np.ndarray:
+    """cos(theta) and sin(theta) at the ``nodes`` nodes of each of ``arcs`` equal arcs, as ``ring_integrals`` computes them."""
+    theta = np.add(np.multiply(np.diff(_arc_knots(arcs))[:, None], _mapped_rule(nodes)[0]), _arc_knots(arcs)[:-1, None])
+    table = np.array([np.cos(theta), np.sin(theta)])
+    table.flags.writeable = False
+    return table
+
+
 def _reduce_turns(x: np.ndarray) -> np.ndarray:
     """x into [0, 2 pi] in place, nan (a ring that misses a plane) to 0: bit for bit
     ``np.nan_to_num(np.mod(x, 2 pi))`` without np.mod's divmod and its slow path on nan."""
@@ -337,16 +347,19 @@ class _ReceiverView:
         while ends[-1] < len(psi):  # a block ends at the last ring end within _RAY_BLOCK rays of its start, or one ring on
             ends.append(max(ends[-1] + 1, bisect.bisect_right(first, first[ends[-1]] + _RAY_BLOCK // nodes) - 1))
         work = np.empty(8 * nodes * max((first[b] - first[a] for a, b in zip(ends, ends[1:])), default=0))
-        (positions, weights), out = _mapped_rule(nodes), np.empty(len(psi))
+        (positions, weights), out, table, knots = _mapped_rule(nodes), np.empty(len(psi)), _knot_trig(arcs, nodes), _arc_knots(arcs)
         for a, b in zip(ends, ends[1:]):
             k, n = slice(first[a], first[b]), (first[b] - first[a]) * nodes
             ring = np.repeat(np.arange(b - a), count[a:b])  # each sub-arc's ring in the block
             omega = work[: 3 * n].reshape(3, -1, nodes)
-            theta, cos_theta, sin_theta, term = work[3 * n : 7 * n].reshape(4, -1, nodes)
+            theta, cos_theta, sin_theta, term = trig = work[3 * n : 7 * n].reshape(4, -1, nodes)
             np.add(np.multiply(span[k], positions, out=theta), start[k], out=theta)
-            ring_sin_psi = sin_psi[a:b][ring]
-            np.multiply(np.cos(theta, out=cos_theta), ring_sin_psi, out=cos_theta)
-            np.multiply(np.sin(theta, out=sin_theta), ring_sin_psi, out=sin_theta)
+            # A ring of as many sub-arcs as equal arcs has the equal arcs, whose trig the table holds ("clip": no buffer); others compute theirs.
+            table.take(knots.searchsorted(start[k, 0]), axis=1, out=trig[1:3], mode="clip")
+            computed = (count[a:b] != arcs).repeat(count[a:b])[:, None]
+            np.cos(theta, out=cos_theta, where=computed)
+            np.sin(theta, out=sin_theta, where=computed)
+            np.multiply(trig[1:3], sin_psi[a:b][ring], out=trig[1:3])
             sources = (cos_psi[a:b][ring], cos_theta, sin_theta)
             for j, ((c, i), *rest) in enumerate(self.omega_terms):
                 np.multiply(c, sources[i], out=omega[j])
@@ -361,20 +374,22 @@ class _ReceiverView:
         """Every ring's sub-arcs, between its arc knots and where it crosses the plane through the receiver
         and each edge line, a cos(theta) + b sin(theta) = c, at mid -+ half: starts and spans, and the count per ring.
         A ring outside an edge's psi interval never meets the edge: both its crossings go to 0, as a missed plane's."""
+        missed = (psi < self.edge_psi[0]) | (psi > self.edge_psi[1])
+        met = ~missed.all(axis=1)  # a ring that meets no edge keeps its row of zero crossings, then the knots: no trig, no sort
         (n_axis, n_e1, n_e2), edges = self.edge_normal, self.edge_normal.shape[1]
-        cuts, a, b = np.empty((len(cos_psi), 2 * edges)), sin_psi * n_e1, sin_psi * n_e2
+        bounds = np.zeros((len(psi), 2 * edges + arcs + 1))
+        bounds[:, 2 * edges :] = _arc_knots(arcs)
+        rows, a, b = bounds[met], sin_psi[met] * n_e1, sin_psi[met] * n_e2  # the met rings' rows: crossings, then the knots
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             half = np.hypot(a, b)
-            np.arccos(np.divide(-cos_psi * n_axis, half, out=half), out=half)  # nan where the ring misses the plane
+            np.arccos(np.divide(-cos_psi[met] * n_axis, half, out=half), out=half)  # nan where the ring misses the plane
+            half[missed[met]] = math.nan  # an edge outside the ring's reach: both crossings reduce to 0, as a missed plane's
             mid = np.arctan2(b, a, out=b)
-            np.subtract(mid, half, out=cuts[:, :edges])
-            np.add(mid, half, out=cuts[:, edges:])
-            _reduce_turns(cuts)
-        lo, hi = self.edge_psi
-        np.copyto(cuts.reshape(len(cuts), 2, edges), 0.0, where=((psi < lo) | (psi > hi))[:, None])
-        bounds = np.empty((len(cuts), arcs + 1 + 2 * edges))
-        bounds[:, : arcs + 1], bounds[:, arcs + 1 :] = _arc_knots(arcs), cuts
-        bounds.sort(axis=1)
+            np.subtract(mid, half, out=rows[:, :edges])
+            np.add(mid, half, out=rows[:, edges : 2 * edges])
+            _reduce_turns(rows[:, : 2 * edges])
+        rows.sort(axis=1)
+        bounds[met] = rows
         width = bounds[:, 1:] - bounds[:, :-1]
         arc = width > 0.0
         return bounds[:, :-1][arc][:, None], width[arc][:, None], arc.sum(axis=1)

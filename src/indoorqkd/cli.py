@@ -469,7 +469,7 @@ def run(config: RunConfig) -> int:
         found = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg, known=(source_values, grid.report.secure[0]))
     else:
         if max(source_values) > 0.0:
-            room = build_setup(scenario, max(fov_values), 0.0).room
+            room = build_setup(scenario, config.fov_max_deg, 0.0).room  # where the boundary search's ladder ends
             report = reflected_gain_convergence(room, config.resolution_patches_per_meter)
         mid = len(source_values) // 2
         found = secure_fov_boundary(

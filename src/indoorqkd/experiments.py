@@ -112,6 +112,7 @@ _BOUNDARY_PRECISION_DEG = 0.1
 # 100 W/nm/m^2 (brighter than anything indoors), bisected to 0.01 decades.
 _AMBIENT_LADDER_DECADES = tuple(float(k) for k in range(-9, 3))
 _TOLERANCE_PRECISION_DECADES = 0.01
+_BISECTION_LEVELS = 4  # undecided bisection levels flagged in one call: a map's 1 deg bracket takes 4 to reach 0.1 deg
 # A map's values along a search axis and their secure flags (see _largest_secure).
 MapFlags = tuple[Sequence[float], Sequence[bool]]
 
@@ -312,8 +313,9 @@ def _largest_secure(
     premise (a secure value above an insecure one) decide nothing, and the
     search probes as without them.  The ladder's undecided rungs are flagged
     in one call, then the bracket below its first insecure rung is bisected
-    one value per call until narrower than ``precision``; the value returned
-    was found secure.
+    to ``precision`` through the midpoints and branches of one probe per
+    call, each call flagging every undecided midpoint of the next
+    ``_BISECTION_LEVELS`` levels; the value returned was found secure.
     """
     values, flags = np.array(known or ((), ()), dtype=float)  # the flags as 1 and 0
     top, bottom = values[flags == 1.0].max(initial=-math.inf), values[flags == 0.0].min(initial=math.inf)
@@ -329,14 +331,27 @@ def _largest_secure(
     if insecure[0] == 0:
         return None
     lo, hi = ladder[insecure[0] - 1], ladder[insecure[0]]
+    flagged, decide = {}, lambda v: True if level(v) <= top else (None if level(v) < bottom else False)  # None: the map leaves it open
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
-        at = level(mid)
-        if at <= top or (at < bottom and secure(mid)):
+        if mid not in flagged and decide(mid) is None:
+            ask = _midpoints(lo, hi, precision, _BISECTION_LEVELS, decide)
+            flagged = dict(zip(ask, secure(np.array(ask)).tolist()))
+        if flagged.get(mid, decide(mid)):
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _midpoints(lo: float, hi: float, precision: float, levels: int, decide: Callable[[float], bool | None]) -> list[float]:
+    """The open midpoints (``decide`` gives None) that bisecting [lo, hi] to ``precision`` reaches through ``levels`` of them, taking ``decide``'s branch at the others."""
+    mid = 0.5 * (lo + hi)
+    if not (levels and hi - lo > precision):
+        return []
+    if (flag := decide(mid)) is not None:
+        return _midpoints(*((mid, hi) if flag else (lo, mid)), precision, levels, decide)
+    return [mid, *_midpoints(lo, mid, precision, levels - 1, decide), *_midpoints(mid, hi, precision, levels - 1, decide)]
 
 
 def secure_fov_boundary(
@@ -351,8 +366,8 @@ def secure_fov_boundary(
 
     Relies on the rate being monotone in the FOV (the concentrator gain only
     falls and the admitted background only widens as the cone opens),
-    evaluates a coarse ladder as one FOV array for a bracket, then bisects
-    to 0.1 deg.  The returned value is on the secure side of the crossing.
+    evaluates a coarse ladder as one FOV array for a bracket, then bisects to
+    0.1 deg, four levels an array.  The returned value is on the secure side.
     ``known`` (FOVs, secure flags), a map's column at ``source_level`` and
     ``order``, only saves probes (see ``_largest_secure``).
     """
@@ -371,7 +386,7 @@ def ambient_tolerance(scenario: Scenario, *, fov_floor_deg: float = 10.0, known:
     background admitted does not depend on the FOV, and the concentrator
     gain, and with it the transmittance, only falls as the cone opens.  The
     decades from 1e-9 to 100 W/nm/m^2 are one level array, then the level
-    log-bisects to 0.01 decades; the returned level is verified secure.
+    log-bisects to 0.01 decades, four levels an array; it is verified secure.
     ``known`` (levels, secure flags), a map's row at ``fov_floor_deg``, only
     saves probes: each probe's level 10^d is compared with its levels (see
     ``_largest_secure``).

@@ -12,6 +12,7 @@ several rule orders, are pinned in ``tests/data/quadrature_pins.json``.
 import json
 import math
 import time
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -394,6 +395,7 @@ def pinned_room(kind, fov):
 
 
 PATCH_SUMS = json.loads((Path(__file__).parent / "data" / "reflected_gain_pins.json").read_text())["rooms"]
+RING_PINS = json.loads((Path(__file__).parent / "data" / "ring_pins.json").read_text())["rooms"]
 
 
 def patch_sum_room(pin):
@@ -505,16 +507,20 @@ class TestOnePassBitInvariants:
             patch.setattr(_ReceiverView, "_radiance", recording)
             return view.ring_integrals(psi, theta_rule), blocks
 
+    @pytest.mark.parametrize("kind", list(RING_PINS))
     @pytest.mark.parametrize("block", [1, 7, channel._RAY_BLOCK, 10**9])
-    def test_ring_values_do_not_depend_on_the_block(self, monkeypatch, block):
+    def test_ring_values_do_not_depend_on_the_block(self, monkeypatch, block, kind):
         # the psi nodes of a whole order-10 pass, which a pass traces in one call, in blocks
         # of whole rings that work in one array; each ring's value equals the one computed
         # for that ring alone, in an array of its own, and each block takes the rings that
-        # follow it as long as they fit
-        view = _ReceiverView(pinned_room("steered-corner", 30.0))
+        # follow it as long as they fit.  A ring that meets no room edge reads its trig from
+        # the equal arcs' table, the others compute it: every room but steered-corner has both
+        view = _ReceiverView(ring_pin_room(kind))
         positions, weights = channel._mapped_rule(10)
         lo, hi = view.bounds[:-1], view.bounds[1:]
         psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
+        count = view._sub_arcs(psi[:, None], np.cos(psi)[:, None], np.sin(psi)[:, None], view.theta_rule[0])[2]
+        assert (count != view.theta_rule[0]).any() and (count == view.theta_rule[0]).any() == (kind != "steered-corner")
         alone = [self.traced_blocks(monkeypatch, view, psi[k : k + 1], view.theta_rule) for k in range(len(psi))]
         ring_rays = [blocks[0][0] for _, blocks in alone]
         monkeypatch.setattr(channel, "_RAY_BLOCK", block)
@@ -558,6 +564,24 @@ class TestOnePassBitInvariants:
         _, blocks = self.traced_blocks(monkeypatch, view, psi, theta_rule)
         assert len(blocks) > 1 and all(work is blocks[0][1] for _, work in blocks)  # one array for the call
         assert blocks[0][1].size == 8 * max(rays for rays, _ in blocks) <= 8 * max(channel._RAY_BLOCK, largest)
+
+    def test_a_pass_peaks_no_higher_than_with_every_trig_computed(self):
+        # one order-40 pass to 60 deg in the offset-lamp room, its rules already built: the
+        # knot table is the only array added, and per ray everything stays in the work array.
+        # 768,086 B is the peak when every sub-arc's trig was computed (numpy 2.4, x86-64).
+        room = pinned_room("offset-lamp", 60.0)
+        channel._VIEWS.clear()
+        total_reflected_gain(room, 40)
+        [view] = channel._VIEWS.values()
+        view.integrals.clear()
+        view.whole_pieces.clear()
+        tracemalloc.start()
+        try:
+            total_reflected_gain(room, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 768_086
 
     @pytest.mark.parametrize("kind", ["nominal", "offset-lamp", "steered-corner"])
     def test_warm_memo_equals_cold_one_fov_calls(self, kind):
@@ -635,9 +659,6 @@ def ring_pin_nodes(view):
     cuts = view.bounds[1:-1]
     near = [cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, math.pi), cuts * (1.0 - 1e-9), cuts * (1.0 + 1e-9)]
     return np.concatenate([np.linspace(0.004, 0.5 * math.pi - 0.004, 24), *near])
-
-
-RING_PINS = json.loads((Path(__file__).parent / "data" / "ring_pins.json").read_text())["rooms"]
 
 
 class TestRingPins:

@@ -718,6 +718,22 @@ class TestComputeThenRender:
         text = _summarize(config, ambient_run, secure, fov_values, source_values, found, report)
         assert text.splitlines() == (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8").splitlines()
 
+    def test_convergence_is_checked_at_fov_max_where_the_search_ends(self, tmp_path, monkeypatch):
+        # one FOV step leaves only fov_min_deg on the axis, but the boundary search climbs to
+        # fov_max_deg: the report is of the room at 30 deg, the widest FOV the run evaluates
+        config = RunConfig(scenario="lamp-center", fov_min_deg=5.0, fov_max_deg=30.0, fov_steps=1, output_dir=str(tmp_path / "out"))
+        checked, convergence = [], cli.reflected_gain_convergence
+        monkeypatch.setattr(cli, "reflected_gain_convergence", lambda room, order: checked.append((room.fov_deg, convergence(room, order))) or checked[-1][1])
+        calls = spy_on_cli(monkeypatch, ("secure_fov_boundary",))
+        assert run(config) == EXIT_OK
+        [(fov, report)] = checked
+        assert fov == 30.0 and 5.0 < calls[0][1] < 30.0
+        room = experiments.build_setup(experiments.Scenario.named("lamp-center"), 30.0, 0.0).room
+        value = experiments.total_reflected_gain(room, config.resolution_patches_per_meter)
+        assert report.value == value != experiments.total_reflected_gain(room, config.resolution_patches_per_meter, fov_deg=5.0)
+        summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
+        assert f"convergence: reflected integral {value:.9e} at order 10" in summary
+
     @pytest.mark.parametrize("converged", [False, True])
     def test_strict_reads_the_report_the_summary_prints(self, tmp_path, monkeypatch, capsys, converged):
         # a report whose flag disagrees with its change: --strict follows the flag the summary prints

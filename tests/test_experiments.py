@@ -668,6 +668,148 @@ class TestSeededSearches:
         assert runs[1] == runs[0]
 
 
+def one_probe_walk(secure, ladder, precision, known=None, level=float):
+    """``_largest_secure`` as it ran while the bisection asked one midpoint per call: the map's
+    flags decide what they can, the ladder's undecided rungs go in one call, and then each
+    undecided midpoint in a call of its own."""
+    values, flags = np.array(known or ((), ()), dtype=float)
+    top, bottom = values[flags == 1.0].max(initial=-math.inf), values[flags == 0.0].min(initial=math.inf)
+    if not top < bottom:
+        top, bottom = -math.inf, math.inf
+    at = np.array([level(v) for v in ladder])
+    flags, ask = at <= top, ~(at <= top) & ~(at >= bottom)
+    if ask.any():
+        flags[ask] = secure(np.array(ladder, dtype=float)[ask])
+    insecure = np.flatnonzero(~flags)
+    if not insecure.size:
+        return ladder[-1]
+    if insecure[0] == 0:
+        return None
+    lo, hi = ladder[insecure[0] - 1], ladder[insecure[0]]
+    while hi - lo > precision:
+        mid = 0.5 * (lo + hi)
+        at = level(mid)
+        if at <= top or (at < bottom and secure(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def recorded(secure):
+    """``secure``, and the list it fills with the values of each call (a scalar call as a 0-d array)."""
+    calls = []
+
+    def wrapper(values):
+        calls.append(np.array(values, dtype=float))
+        return secure(values)
+
+    return wrapper, calls
+
+
+def bisection_midpoints(lo, hi, precision):
+    """Every midpoint the one-probe bisection of [lo, hi] can visit, whatever it finds."""
+    if not hi - lo > precision:
+        return set()
+    mid = 0.5 * (lo + hi)
+    return {mid} | bisection_midpoints(lo, mid, precision) | bisection_midpoints(mid, hi, precision)
+
+
+def assert_batched_like_one_probe(secure, ladder, precision, known=None, level=float):
+    """The search finds, to the bit, what the one-probe walk finds; after the ladder's call it makes one
+    call per 4 midpoints the walk asks, or part of 4, and asks only midpoints the walk could visit inside
+    the bracket that the ladder and the map leave.  Returns the calls after the ladder's."""
+    walk, walk_calls = recorded(secure)
+    expected = one_probe_walk(walk, ladder, precision, known, level)
+    search, calls = recorded(secure)
+    found = experiments._largest_secure(search, ladder, precision, known, level)
+    assert bits(np.nan if found is None else found) == bits(np.nan if expected is None else expected)
+    ladder_calls = [c for c in walk_calls if c.ndim]
+    assert [c.tolist() for c in calls[: len(ladder_calls)]] == [c.tolist() for c in ladder_calls]
+    probes, batches = len(walk_calls) - len(ladder_calls), calls[len(ladder_calls) :]
+    assert len(batches) == -(-probes // experiments._BISECTION_LEVELS)
+    asked = np.concatenate([np.zeros(0), *batches]).tolist()
+    if asked:
+        flags = np.array([v <= expected for v in ladder]) if expected is not None else np.zeros(len(ladder), bool)
+        first = int(np.flatnonzero(~flags)[0])
+        values, map_flags = np.array(known or ((), ()), dtype=float)
+        top, bottom = values[map_flags == 1.0].max(initial=-math.inf), values[map_flags == 0.0].min(initial=math.inf)
+        if not top < bottom:
+            top, bottom = -math.inf, math.inf
+        assert len(set(asked)) == len(asked) and set(asked) <= bisection_midpoints(ladder[first - 1], ladder[first], precision)
+        assert all(top < level(v) < bottom for v in asked)
+    return batches
+
+
+class TestBatchedBisection:
+    """The bisection asks up to 4 levels of its undecided midpoints in one call and walks them as one probe per call would."""
+
+    @pytest.mark.parametrize("name", LAMP_SCENARIOS)
+    def test_one_call_after_a_29_step_map(self, monkeypatch, name):
+        # the rungs from 2 to 32 deg are powers of two, so every midpoint down to 1 deg wide
+        # lands on one of the map's 1 deg FOVs, which decides it; the map's 1 deg bracket then
+        # takes exactly 4 levels to 0.1 deg, all in one call
+        scenario, fovs, levels = Scenario.named(name), np.linspace(2.0, 30.0, 29), np.logspace(-8.0, -3.0, 11)
+        probes, crossings = probe_spy(monkeypatch), 0
+        for level, flags in zip(levels, sweep(scenario, fovs, levels).report.secure.T):
+            if flags.any() and not flags.all():
+                del probes[:]
+                boundary = secure_fov_boundary(scenario, level, known=(fovs, flags))
+                assert len(probes) == 1 and 2.0 < boundary < 30.0, (level, probes)
+                crossings += 1
+        assert crossings >= 3
+
+    def test_a_cold_search_bisects_an_8_degree_bracket_in_two_calls(self, monkeypatch):
+        # lamp-center at 1e-5 W/nm crosses between the 8 and 16 deg rungs: 7 levels to 0.1 deg
+        probes = probe_spy(monkeypatch)
+        boundary = secure_fov_boundary(Scenario.named("lamp-center"), 1e-5)
+        ladder, bisection = probes[0][0], probes[1:]
+        assert ladder.tolist() == list(_FOV_LADDER_DEG) and 8.0 < boundary < 16.0
+        assert len(bisection) <= 2 and sum(fov.size for fov, _ in bisection) <= 15 + 7
+
+    @pytest.mark.parametrize("name", LAMP_SCENARIOS)
+    @pytest.mark.parametrize("room", [{}] + seeded_rooms(23, 2))
+    def test_boundaries_equal_the_one_probe_walk(self, name, room):
+        scenario = Scenario.named(name, room)
+        for level in (1e-6, 1e-5, 1e-4):
+            for fovs in (None, np.linspace(2.0, 30.0, 29), np.logspace(math.log10(2.0), math.log10(90.0), 7)):
+                ladder = [f for f in _FOV_LADDER_DEG if f < 90.0] + [90.0]
+                known = None if fovs is None else (fovs, sweep(scenario, fovs, [level]).report.secure[:, 0])
+                secure = lambda fov: evaluate_point(scenario, fov, level).report.secure  # noqa: E731
+                assert_batched_like_one_probe(secure, ladder, _BOUNDARY_PRECISION_DEG, known)
+
+    @pytest.mark.parametrize("name", AMBIENT_SCENARIOS)
+    @pytest.mark.parametrize("overrides", seeded_rooms(24, 2) + [{"filter_bandwidth_nm": 1e-12}])
+    def test_tolerances_equal_the_one_probe_walk(self, name, overrides):
+        scenario = Scenario.named(name, overrides)
+        for levels in (None, np.logspace(-9.0, -5.0, 90), np.linspace(0.0, 1e-5, 5)):
+            known = None if levels is None else (levels, sweep(scenario, [2.0], levels).report.secure[0])
+
+            def secure(decades):
+                return evaluate_point(scenario, 2.0, np.reshape([10.0**d for d in np.ravel(decades).tolist()], np.shape(decades))).report.secure
+
+            assert_batched_like_one_probe(secure, _AMBIENT_LADDER_DECADES, _TOLERANCE_PRECISION_DECADES, known, lambda d: 10.0**d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        crossing=st.floats(-1.0, 95.0),
+        fov_max=st.sampled_from([30.0, 45.5, 90.0]),
+        steps=st.integers(0, 40),
+        scale=st.sampled_from(["linear", "log"]),
+        broken=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_threshold_crossings(self, crossing, fov_max, steps, scale, broken, seed):
+        # a secure flag that holds up to a crossing, against maps of any grid, consistent or not
+        ladder = [f for f in _FOV_LADDER_DEG if f < fov_max] + [fov_max]
+        fovs = map_axis(2.0, fov_max, steps, scale)
+        flags = fovs <= crossing
+        if broken:
+            flags = np.random.default_rng(seed).random(steps) < 0.5
+        batches = assert_batched_like_one_probe(lambda fov: np.asarray(fov) <= crossing, ladder, _BOUNDARY_PRECISION_DEG, (fovs, flags))
+        assert all(0 < batch.size <= 2**experiments._BISECTION_LEVELS - 1 for batch in batches)
+
+
 class TestPathLossProfile:
     def test_loss_grows_with_fov(self):
         fovs = tuple(float(f) for f in range(10, 26))
