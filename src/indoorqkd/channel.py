@@ -14,40 +14,41 @@ omega the receiver looks along, at polar angle psi from its axis:
     L = A (m1 + 1) / (2 pi^2) * T_s * rho * cos(phi)^m1 * cos(alpha) / d1^2,
 
 with L taken at the first floor or wall point seen along omega (the ceiling
-reflects nothing).  This is the Monte-Carlo oracle's next-event trace run
-from the receiver side and made deterministic.  psi is cut at the psi
-extremes of every room edge and into panels no wider than ``_PANEL_DEG``;
-each ring of directions at one psi into equal arcs and where it crosses
-the plane through the receiver and a room edge it meets (whose psi
-interval holds the ring's psi), the only places its exit plane can
-switch.  L is smooth on every piece, and Gauss-Legendre rules mapped
-through s -> 3s^2 - 2s^3 absorb the square-root ends at edge
-tangencies.  The FOV enters only as the upper limit and through g, and
-the room size not at all.  The psi rule's order
-is the caller's; the theta rule (the number of equal arcs and the nodes
-per arc) follows the lamp's mode m1 from ``_THETA_RULES``, for a narrow
-lamp's spot is a sharp peak along the ring and a wide lamp's light is
-smooth.  The convergence report checks both rules: it doubles the psi
+reflects nothing, nor does a plane that holds the receiver, which sees it
+edge-on).  This is the Monte-Carlo oracle's next-event trace run from the
+receiver side and made deterministic.  psi is cut at the psi extremes of
+every room edge and into panels no wider than ``_PANEL_DEG``; each ring of
+directions at one psi into equal arcs and where it crosses the plane
+through the receiver and a room edge it meets (whose psi interval holds the
+ring's psi), the only places its exit plane can switch.  L is smooth on
+every piece, and Gauss-Legendre rules mapped through s -> 3s^2 - 2s^3
+absorb the square-root ends at edge tangencies.  The FOV enters only as the
+upper limit and through g, and the room size not at all.  The psi rule's
+order is the caller's; the theta rule (the number of equal arcs and the
+nodes per arc) follows the lamp's mode m1 from ``_THETA_RULES``, for a
+narrow lamp's spot is a sharp peak along the ring and a wide lamp's light
+is smooth.  The convergence report checks both rules: it doubles the psi
 order, and apart from that the theta nodes per arc.
 
-A ray leaves through the nearest of three planes, each picked on its axis
-by the sign of the ray's component there (the oracle's slab rule); ties go
-to the floor, the x walls, the y walls, the ceiling last.  One view is kept,
-the room in use's, until a call for another room replaces it.  It holds the
-integrals computed for the room so far, by (psi order, theta rule) and FOV,
-and the sums of the whole psi pieces below them, so a wider FOV sums only
-the pieces beyond.
-A pass sorts the arc knots and both crossings of each edge plane of the
-rings that meet an edge in one bounds matrix; a ring that meets none keeps
-its equal arcs, and reads cos theta and sin theta at their nodes from one
-table per theta rule, the bits a pass computes elsewhere.  The crossings are
-reduced to [0, 2 pi] with np.fmod plus a turn where negative, and the nan of
-a ring that misses a plane set to 0; np.mod would give the same bits through
-a full divmod with a slow path on nan.  The rays then go in blocks of whole
-rings, at most ``_RAY_BLOCK`` rays or one ring, through one work array made
-for the pass, and np.bincount sums each ring in ray order, so a ring has the
-same bits in any block.  The ray directions skip the frame coefficients that
-are exactly 0: six of the nine for a receiver facing straight down.
+The room is the box of its sides about the receiver, whose 12 edges cut psi
+and theta.  A ray leaves through the nearest of three of its planes, each
+picked on its axis by the sign of the ray's component there (the oracle's
+slab rule); ties go to the floor, the x walls, the y walls, the ceiling
+last.  One view is kept, the room in use's, until a call for another room
+replaces it.  It holds the integrals computed for the room so far, by (psi
+order, theta rule) and FOV, and the sums of the whole psi pieces below
+them, so a wider FOV sums only the pieces beyond.  A pass sorts the arc
+knots and both crossings of each edge plane of the rings that meet an edge
+in one bounds matrix; a ring that meets none keeps its equal arcs, and
+reads cos theta and sin theta at their nodes from one table per theta rule,
+the bits a pass computes elsewhere.  The crossings are reduced to [0, 2 pi]
+with np.fmod plus a turn where negative, and the nan of a ring that misses
+a plane set to 0; np.mod would give the same bits through a full divmod
+with a slow path on nan.  The rays then go in blocks of whole rings, at
+most ``_RAY_BLOCK`` rays or one ring, through one work array made for the
+pass, and np.bincount sums each ring in ray order, so a ring has the same
+bits in any block.  The ray directions skip the frame coefficients that are
+exactly 0: six of the nine for a receiver facing straight down.
 """
 
 from __future__ import annotations
@@ -248,9 +249,12 @@ def _reduce_turns(x: np.ndarray) -> np.ndarray:
 
 
 class _ReceiverView:
-    """The room as the receiver sees it: its frame, the planes that close the
-    room (the five surfaces of ``wall_and_floor_grids`` and a ceiling that
-    reflects nothing) and the room edges.
+    """The room as the receiver sees it: its frame and the room as the box
+    [near, far] on each axis, from the sides of the ``RoomScenario``.  The
+    box gives the planes (in the order of ``normal``), their heights and the
+    12 edges.  Of ``wall_and_floor_grids`` only the reflectivities are read:
+    the call stays while perfbench's tracer counts its cells.  A plane that
+    holds the receiver is seen edge-on and sends it nothing.
 
     Positions are taken from the receiver and divided by ``scale``, the power
     of two just above the shortest room side (or 2^-1022 times the longest,
@@ -263,12 +267,15 @@ class _ReceiverView:
     theta rule) and then by FOV.
     """
 
+    # The inward normals of the floor, the walls x = 0, x = X, y = 0, y = Y and the ceiling.
+    normal = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+
     def __init__(self, room: RoomScenario) -> None:
-        grids = wall_and_floor_grids(room, 1)
-        extent = np.array([[g.n_u * g.cell_u, g.n_v * g.cell_v] for g in grids])
-        self.scale = math.ldexp(1.0, max(math.frexp(float(extent.min()))[1], math.frexp(float(extent.max()))[1] - 1022))
+        sides = np.array([room.room_x_m, room.room_y_m, room.room_z_m])
+        self.scale = math.ldexp(1.0, max(math.frexp(float(sides.min()))[1], math.frexp(float(sides.max()))[1] - 1022))
         receiver = np.array(room.receiver.position.as_tuple())
-        local = lambda points: (np.asarray(points) - receiver) / self.scale  # noqa: E731
+        near = -receiver / self.scale
+        far = near + sides / self.scale  # the room is the box [near, far] on each axis
         axis = np.array(room.receiver.axis.as_tuple())
         self.frame = np.array([axis, *_frame(axis)])
         # Each of omega's x, y, z as e1 sin(psi) cos(theta) + axis cos(psi) + e2 sin(psi) sin(theta),
@@ -277,53 +284,40 @@ class _ReceiverView:
         self.omega_terms = [
             [(c, j) for c, j in ((on_e1, 1), (on_axis, 0), (on_e2, 2)) if c != 0.0] for on_axis, on_e1, on_e2 in self.frame.T.tolist()
         ]
-        self.lamp = local(room.lamp.position.as_tuple())
+        self.lamp = (np.array(room.lamp.position.as_tuple()) - receiver) / self.scale
         self.lamp_axis = np.array(room.lamp.axis.as_tuple())
         self.along_terms = [(k, c) for k, c in enumerate(self.lamp_axis.tolist()) if c != 0.0]  # the others add 0 * v1
         self.m1 = lambert_mode(room.lamp_semi_angle_deg)
         self.theta_rule = next((arcs, nodes) for top, arcs, nodes in _THETA_RULES if self.m1 <= top)
 
-        corner, u_dir, v_dir, normal = (np.array([getattr(g, k).as_tuple() for g in grids]) for k in ("origin", "u_dir", "v_dir", "normal"))
-        corner = local(corner)
-        u_side, v_side = extent[:, :1] / self.scale * u_dir, extent[:, 1:] / self.scale * v_dir
-        sides = {}
-        for start, end in ((corner, corner + u_side), (corner, corner + v_side), (corner + u_side, corner + u_side + v_side), (corner + v_side, corner + u_side + v_side)):
-            for a, b in zip(start, end):  # a room edge bounds two surfaces, or one and the ceiling
-                sides.setdefault(frozenset((tuple(a), tuple(b))), (a, b))
-        starts, ends = (np.array(e) for e in zip(*sides.values()))
-        length = np.abs(ends - starts).max(axis=1)  # the edges are axis-aligned
-        kept = length > 0.0  # a side that underflows in these units bounds nothing
-        self.edge_start, self.edge_length = starts[kept], length[kept]
-        self.edge_dir = (ends - starts)[kept] / self.edge_length[:, None]
-        # The normal, in the receiver's frame, of the plane through the receiver and each edge line.
-        self.edge_normal = self.frame @ _cross(self.edge_start, self.edge_dir).T
+        # Columns for _radiance: on each axis the plane ahead of a negative component, and of a positive one.
+        self.near_height, self.far_height, self.lamp_column = near[:, None], far[:, None], self.lamp[:, None]
+        self.height = np.array([near[2], near[0], -far[0], near[1], -far[1], -far[2]])  # each plane's signed offset, <= 0 inside
+        # Only the reflectivities are read: the call stays while perfbench counts its 1/m cells (ROADMAP item 6, step A).
+        rho = np.append([g.reflectivity for g in wall_and_floor_grids(room, 1)], 0.0)
+        # rho times the lamp's height over each plane (cos(alpha) d1 on it); 0 on a plane that holds the receiver, seen edge-on
+        self.lamp_gain = rho * np.clip(self.normal @ self.lamp - self.height, 0.0, None) * (self.height < 0.0)
 
-        self.normal = np.vstack([normal, -normal[0]])  # the ceiling faces the floor
-        # Each plane's signed offset from the receiver, <= 0 inside the room.
-        self.height = np.append(np.einsum("ij,ij->i", corner, normal), -np.max(ends @ normal[0]))
-        # Columns for _radiance; planes 1, 3, 0 (x = 0, y = 0, floor) lie ahead of a negative component, 2, 4, 5 of a positive one.
-        self.near_height, self.far_height, self.lamp_column = self.height[[1, 3, 0], None], -self.height[[2, 4, 5], None], self.lamp[:, None]
-        # rho times the lamp's height over each plane (cos(alpha) d1 at any point of it)
-        over = np.clip(self.normal @ self.lamp - self.height, 0.0, None)
-        self.lamp_gain = np.append([g.reflectivity for g in grids], 0.0) * over
+        side = np.indices((2, 2, 2)).reshape(3, 8).T  # each room corner: 0 (near) or 1 (far) on each axis
+        # The 12 edges, from each corner along each axis it is near on, less those that underflow in these units (they bound nothing).
+        corner, along = np.nonzero((side == 0) & (far > near))
+        u, direction, length = np.array([near, far])[side[corner], [0, 1, 2]], np.eye(3)[along], (far - near)[along]
+        self.edge_start, self.edge_end = u, np.where(direction == 1.0, far, u)  # an edge ends on the far plane of its axis
+        # The normal, in the receiver's frame, of the plane through the receiver and each edge line.
+        self.edge_normal = self.frame @ _cross(u, direction).T
         # The psi cuts: 15-degree panels, every room corner and every interior psi extreme of an edge.
-        u = self.edge_start
-        w = np.einsum("ij,ij->i", u, self.edge_dir)
-        foot = u - w[:, None] * self.edge_dir  # the edge line's point nearest the receiver, at s = -w
-        p, q, r = foot @ axis, self.edge_dir @ axis, np.einsum("ij,ij->i", foot, foot)
+        w = np.einsum("ij,ij->i", u, direction)
+        foot = u - w[:, None] * direction  # the edge line's point nearest the receiver, at s = -w
+        p, q, r = foot @ axis, direction @ axis, np.einsum("ij,ij->i", foot, foot)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a far edge's cut is lost
             s = q * r / p - w  # d psi / ds = 0 along the edge line
-            inner = (s > 0.0) & (s < self.edge_length)
-            points = np.vstack([u, u + self.edge_length[:, None] * self.edge_dir, u[inner] + s[inner, None] * self.edge_dir[inner]])
-            distance = np.linalg.norm(points, axis=1)
-        seen = distance > 0.0
-        psi = np.arccos(np.clip(points[seen] @ axis / distance[seen], -1.0, 1.0))
-        # Each edge's psi interval over its ends and interior extreme, a few ulps wider; nan (met by every ring) past a 0 or overflowing distance.
-        at = np.full(len(points), math.nan)
-        at[seen] = np.where(distance[seen] < math.inf, psi, math.nan)
-        extremes = np.vstack([at[: 2 * len(u)].reshape(2, -1), at[: len(u)]])
-        extremes[2, inner] = at[2 * len(u) :]
-        lo, hi = extremes.min(axis=0), extremes.max(axis=0)
+            inner = (s > 0.0) & (s < length)
+            # Each edge's start, end and interior extreme (its start again where it has none), and their psi.
+            points = np.array([u, self.edge_end, np.where(inner[:, None], u + s[:, None] * direction, u)])
+            distance = np.linalg.norm(points, axis=2)
+            psi = np.where((distance > 0.0) & (distance < math.inf), np.arccos(np.clip(points @ axis / distance, -1.0, 1.0)), math.nan)
+        # Each edge's psi interval, a few ulps wider; nan, met by every ring, where a point lies at the receiver or past the float range.
+        lo, hi = psi.min(axis=0), psi.max(axis=0)
         self.edge_psi = lo - 4.0 * np.spacing(lo), hi + 4.0 * np.spacing(hi)
         panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
         cuts = np.sort(np.concatenate([panels, psi[(psi > 0.0) & (psi < 0.5 * math.pi)], [0.5 * math.pi]]))

@@ -382,6 +382,28 @@ def test_a_tall_room_against_the_monte_carlo_oracle():
     assert abs(total_reflected_gain(room, 10) - estimate.value) <= 5.0 * estimate.std_error
 
 
+@pytest.mark.parametrize(
+    "position, axis, fov",
+    [((1.0, 2.5, 0.0), (1.0, 0.0, 1.0), 70.0), ((0.0, 2.0, 1.5), (1.0, 0.0, -1.0), 70.0), ((0.0, 0.0, 1.5), (1.0, 1.0, 0.0), 60.0)],
+    ids=["floor", "wall", "edge"],
+)
+def test_a_receiver_on_a_plane_against_the_monte_carlo_oracle(position, axis, fov):
+    # the cone reaches behind the planes that hold the receiver, whose rays leave the room at
+    # t = 0: such a plane is seen edge-on and sends nothing, as the oracle weights a hit by the
+    # receiver's height over its plane (4 to 38 % over the oracle when it sent its own radiance)
+    room = nominal_room(fov, receiver=Pose(Point3(*position), Point3(*axis).normalized()))
+    estimate = estimate_reflected_gain(room, samples=2_000_000, seed=3)
+    assert abs(total_reflected_gain(room, 10) - estimate.value) <= max(5e-3 * estimate.value, 5.0 * estimate.std_error)
+
+
+def test_the_view_box_is_closed():
+    # 5.3 m is not 5 cells of 1.06 m (5 * (5.3 / 5) is one ulp more): every edge ends on the planes
+    view = _ReceiverView(build_setup(Scenario.named("lamp-center", {"room_x_m": 5.3}), 30.0, 1e-5).room)
+    planes = [{near, far} for near, far in zip(view.near_height[:, 0].tolist(), view.far_height[:, 0].tolist())]
+    on_planes = lambda ends: len(ends) == 12 and all(c in planes[k] for point in ends.tolist() for k, c in enumerate(point))  # noqa: E731
+    assert on_planes(view.edge_start) and on_planes(view.edge_end)
+
+
 def pinned_room(kind, fov):
     if kind == "nominal":
         return build_setup(Scenario.named("lamp-center"), fov, 1e-5).room
