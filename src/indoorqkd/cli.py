@@ -206,7 +206,7 @@ def load_config(path: str | Path | None) -> tuple[RunConfig, list[str]]:
 
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+        parser.read_string(Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff"), source=str(path))  # as utf-8-sig, offsets in the file
     except OSError as exc:  # missing, a directory, no read permission
         return config, [f"config file unreadable: {path}: {exc.strerror}"]
     except UnicodeDecodeError as exc:
@@ -446,12 +446,15 @@ def run(config: RunConfig) -> int:
         return EXIT_CONFIG_ERROR
     scenario, fov_values, source_values = resolved
 
+    def unusable(what: str, exc: OSError) -> int:
+        print(f"config error: output_dir = {config.output_dir}: cannot {what} there ({exc.strerror})", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file there or on the way, no permission
-        print(f"config error: output_dir = {config.output_dir}: cannot create a directory there ({exc.strerror})", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return unusable("create a directory", exc)
 
     grid = sweep(
         scenario, fov_values, source_values,
@@ -460,9 +463,12 @@ def run(config: RunConfig) -> int:
 
     ambient_run = config.scenario in AMBIENT_SCENARIOS
     source_column = "pn_w_per_nm_m2" if ambient_run else "psd_w_per_nm"
-    with (out_dir / "sweep.csv").open("wb") as csv:
-        csv.write((",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n").encode("ascii"))
-        csv.writelines(_csv_lines(grid, fov_values, source_values))
+    try:
+        with (out_dir / "sweep.csv").open("wb") as csv:
+            csv.write((",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n").encode("ascii"))
+            csv.writelines(_csv_lines(grid, fov_values, source_values))
+    except OSError as exc:  # a directory of that name, no permission, a full disk
+        return unusable("write sweep.csv", exc)
 
     report = None  # of the bounce quadrature, in a run with reflected light
     if ambient_run:
@@ -480,7 +486,10 @@ def run(config: RunConfig) -> int:
         )
 
     summary = _summarize(config, ambient_run, grid.report.secure, fov_values, source_values, found, report)
-    (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
+    try:
+        (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
+    except OSError as exc:  # as for sweep.csv
+        return unusable("write summary.txt", exc)
     print(summary, end="")
 
     if config.strict and report is not None and not report.converged:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -104,6 +104,8 @@ NOMINAL: dict[str, float | None] = {
     "misalignment_error": 0.0,
 }
 
+# ProtocolParams' fields, each set from the NOMINAL key of its name.
+_PROTOCOL_KEYS = tuple(f.name for f in fields(ProtocolParams))
 # Probe ladder for bracketing the secure-FOV boundary, bisected to 0.1 deg;
 # boundaries below the smallest rung are reported as not secure.
 _FOV_LADDER_DEG = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 90.0)
@@ -225,12 +227,7 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
     )
     if aimed:  # only now, so that a bad room size is named by the room's rules
         room = replace(room, transmitter=Pose.aimed_at(tx_position, receiver.position))
-    protocol = ProtocolParams(
-        mean_photons_per_pulse=float(p["mean_photons_per_pulse"]),
-        sift_factor=float(p["sift_factor"]),
-        error_correction_inefficiency=float(p["error_correction_inefficiency"]),
-        misalignment_error=float(p["misalignment_error"]),
-    )
+    protocol = ProtocolParams(**{name: float(p[name]) for name in _PROTOCOL_KEYS})
     return Setup(room, detector, protocol, lamp_psd_w_per_nm=lamp_psd, ambient_irradiance_w_nm_m2=ambient)
 
 
@@ -321,17 +318,15 @@ def _largest_secure(
     top, bottom = values[flags == 1.0].max(initial=-math.inf), values[flags == 0.0].min(initial=math.inf)
     if not top < bottom:
         top, bottom = -math.inf, math.inf
-    at = np.array([level(v) for v in ladder])
-    flags, ask = at <= top, ~(at <= top) & ~(at >= bottom)  # ask every rung the map leaves undecided, a nan one too
-    if ask.any():
-        flags[ask] = secure(np.array(ladder, dtype=float)[ask])
-    insecure = np.flatnonzero(~flags)
-    if not insecure.size:
+    decide = lambda v: True if level(v) <= top else (False if level(v) >= bottom else None)  # None: the map leaves it open, or a nan level
+    ask = [v for v in ladder if decide(v) is None]  # every rung the map leaves open, in one call
+    flagged = dict(zip(ask, secure(np.array(ask, dtype=float)).tolist())) if ask else {}  # the last call's answers
+    first = next((i for i, v in enumerate(ladder) if not flagged.get(v, decide(v))), len(ladder))
+    if first == len(ladder):
         return ladder[-1]
-    if insecure[0] == 0:
+    if first == 0:
         return None
-    lo, hi = ladder[insecure[0] - 1], ladder[insecure[0]]
-    flagged, decide = {}, lambda v: True if level(v) <= top else (None if level(v) < bottom else False)  # None: the map leaves it open
+    lo, hi = ladder[first - 1], ladder[first]
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
         if mid not in flagged and decide(mid) is None:

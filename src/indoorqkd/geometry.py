@@ -281,33 +281,29 @@ def wall_and_floor_grids(room: RoomScenario, patches_per_meter: int) -> tuple[Su
         raise ValueError("patches_per_meter must be a positive integer")
     x, y, z = room.room_x_m, room.room_y_m, room.room_z_m
     r_wall, r_floor = room.wall_reflectivity, room.floor_reflectivity
-
-    def cells(length: float) -> int:
-        return max(1, round(length * patches_per_meter))
-
     ex = Point3(1.0, 0.0, 0.0)
     ey = Point3(0.0, 1.0, 0.0)
     ez = Point3(0.0, 0.0, 1.0)
     o = Point3(0.0, 0.0, 0.0)
-
-    def grid(origin, u_dir, v_dir, normal, len_u, len_v, refl) -> SurfaceGrid:
-        n_u, n_v = cells(len_u), cells(len_v)
-        return SurfaceGrid(
+    faces = (  # origin, u and v directions, inward normal, u and v lengths, reflectivity
+        (o, ex, ey, ez, x, y, r_floor),                                      # floor, faces up
+        (o, ey, ez, ex, y, z, r_wall),                                       # wall x = 0
+        (Point3(x, 0.0, 0.0), ey, ez, Point3(-1.0, 0.0, 0.0), y, z, r_wall),  # wall x = X
+        (o, ex, ez, ey, x, z, r_wall),                                       # wall y = 0
+        (Point3(0.0, y, 0.0), ex, ez, Point3(0.0, -1.0, 0.0), x, z, r_wall),  # wall y = Y
+    )
+    counts = {length: max(1, round(length * patches_per_meter)) for length in (x, y, z)}  # cells along a side of this length
+    return tuple(
+        SurfaceGrid(
             origin=origin,
             u_dir=u_dir,
             v_dir=v_dir,
             normal=normal,
-            n_u=n_u,
-            n_v=n_v,
-            cell_u=len_u / n_u,
-            cell_v=len_v / n_v,
+            n_u=counts[len_u],
+            n_v=counts[len_v],
+            cell_u=len_u / counts[len_u],
+            cell_v=len_v / counts[len_v],
             reflectivity=refl,
         )
-
-    return (
-        grid(o, ex, ey, ez, x, y, r_floor),                                  # floor, faces up
-        grid(o, ey, ez, ex, y, z, r_wall),                                   # wall x = 0
-        grid(Point3(x, 0.0, 0.0), ey, ez, Point3(-1.0, 0.0, 0.0), y, z, r_wall),  # wall x = X
-        grid(o, ex, ez, ey, x, z, r_wall),                                   # wall y = 0
-        grid(Point3(0.0, y, 0.0), ex, ez, Point3(0.0, -1.0, 0.0), x, z, r_wall),  # wall y = Y
+        for origin, u_dir, v_dir, normal, len_u, len_v, refl in faces
     )

@@ -167,25 +167,20 @@ class _Scene:
         g_in = room.concentrator_index**2 / (sin_fov * sin_fov)
         self.cos_fov = math.cos(fov_rad)
         t_s, area = room.filter_transmission, room.detector_area_m2
-        floor_gain = room.floor_reflectivity * t_s * area * g_in
-        wall_gain = room.wall_reflectivity * t_s * area * g_in
         self.power = 1.0 / (m1 + 1.0)
         self.lamp = room.lamp.position.as_tuple()
         self.receiver = room.receiver.position.as_tuple()
         rx, ry, rz = self.receiver
-        self.floor_weight = floor_gain * rz
-        # The wall a ray hits on an axis is the far one when its component there
-        # is positive; the weights are the gain times the receiver's distance.
-        self.x_weights = np.array([wall_gain * rx, wall_gain * (room.room_x_m - rx)])
-        self.y_weights = np.array([wall_gain * ry, wall_gain * (room.room_y_m - ry)])
         self.receiver_axis = room.receiver.axis.as_tuple()
         self.lamp_axis = np.array(room.lamp.axis.as_tuple())
         self.e1, self.e2 = _frame(self.lamp_axis)
         self.sides = (room.room_x_m, room.room_y_m)
         self.delta = math.dist(self.lamp, self.receiver)
         self.slack = _BOUND_LENGTH_SLACK * (math.hypot(*self.lamp) + math.hypot(*self.receiver) + self.delta)
-        # The receiver's distance to each face of _FACES.
+        # The receiver's distance to each face of _FACES, and the face's weight in the trace: its gain rho T_s A g_in times that distance.
         self.heights = [rz, rx, room.room_x_m - rx, ry, room.room_y_m - ry]
+        reflectivities = [room.floor_reflectivity] + [room.wall_reflectivity] * 4
+        self.weights = np.array([rho * t_s * area * g_in * h for rho, h in zip(reflectivities, self.heights)])
         # The cone test reads cos(psi) >= cos(fov) against the axis as stored, whose norm is 1 within 1e-9.
         norm = math.hypot(*self.receiver_axis)
         self.cone = math.acos(min(self.cos_fov / norm, 1.0))
@@ -239,20 +234,19 @@ def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     # The collect term for the rays that hit and land in the receiver's
     # cone, not within 1e-12 m of it.  Its cos(beta) is h / d2, with h the
-    # receiver's distance from the plane hit, so each plane has one
-    # weight: its gain times h.
+    # receiver's distance from the face hit, so each face has one weight
+    # (``scene.weights``): its gain times h.  The face is indexed in
+    # ``_FACES`` order: ties go to the floor, then to an x wall, and on
+    # each axis the far wall is the one hit where the ray's component is
+    # positive.
     landing = np.greater_equal(cos_psi, scene.cos_fov, out=sign)
     landing &= np.greater(d2, 1e-12, out=test)
     landing &= np.less(t, np.inf, out=test)
     k = np.flatnonzero(landing)
     t = t.take(k)
-    weight = np.where(
-        t_floor.take(k) == t,  # ties go to the floor, then to an x wall
-        scene.floor_weight,
-        np.where(t_x.take(k) == t, scene.x_weights.take(dx.take(k) > 0.0), scene.y_weights.take(dy.take(k) > 0.0)),
-    )
+    face = np.where(t_floor.take(k) == t, 0, np.where(t_x.take(k) == t, 1 + (dx.take(k) > 0.0), 3 + (dy.take(k) > 0.0)))
     d2 = d2.take(k)
-    return k, weight * cos_psi.take(k) / (math.pi * d2 * d2 * d2)
+    return k, scene.weights.take(face) * cos_psi.take(k) / (math.pi * d2 * d2 * d2)
 
 
 def _cone_threshold(scene: _Scene, m1: float) -> float:

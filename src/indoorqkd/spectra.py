@@ -11,6 +11,7 @@ smoothed or extrapolated.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -117,28 +118,32 @@ def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:
 
 
 def load_spectrum_csv(path, kind: str) -> SpectralCurve:
-    """Load a two-column (wavelength_nm, density) CSV with a header row."""
+    """Load a two-column (wavelength_nm, density) UTF-8 CSV, with or without a byte-order mark, with a header row."""
     rows: list[tuple[float, float]] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise SpectrumFormatError(f"{path}: missing two-column header row")
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:  # the whole file, as utf-8-sig decodes it (a leading byte-order mark dropped), with a bad byte's offset in the file
+        reader = csv.reader(io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=""))
+    except UnicodeDecodeError as exc:
+        raise SpectrumFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    header = next(reader, None)
+    if header is None or len(header) < 2:
+        raise SpectrumFormatError(f"{path}: missing two-column header row")
+    try:
+        float(header[0])
+    except ValueError:
+        pass  # text, as a header's is
+    else:
+        raise SpectrumFormatError(f"{path}: missing header row: row 1 is data, starting with the number {header[0]!r}")
+    for number, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # ignore blank lines
+        if len(row) != 2:
+            raise SpectrumFormatError(f"{path}: row {number}: expected two columns, got {row!r}")
         try:
-            float(header[0])
-        except ValueError:
-            pass  # text, as a header's is
-        else:
-            raise SpectrumFormatError(f"{path}: missing header row: row 1 is data, starting with the number {header[0]!r}")
-        for number, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore blank lines
-            if len(row) != 2:
-                raise SpectrumFormatError(f"{path}: row {number}: expected two columns, got {row!r}")
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise SpectrumFormatError(f"{path}: row {number}: {exc}") from None
+            rows.append((float(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise SpectrumFormatError(f"{path}: row {number}: {exc}") from None
     if len(rows) < 2:
         raise SpectrumFormatError(f"{path}: fewer than two data rows")
     try:

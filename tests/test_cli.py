@@ -84,8 +84,8 @@ class TestDefaultsRoundTrip:
 
 
 class TestFileFailures:
-    """A config file or an output directory that cannot be used ends in exit 2
-    and a line naming it, not in a traceback."""
+    """A config file, an output directory or an output file that cannot be used
+    ends in exit 2 and a line naming it, not in a traceback."""
 
     def test_config_that_is_not_utf8_named(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -114,6 +114,43 @@ class TestFileFailures:
         assert main([str(write_config(tmp_path, body))]) == EXIT_CONFIG_ERROR
         assert f"config error: output_dir = {out_dir}: cannot create a directory there" in capsys.readouterr().err
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("name", ["sweep.csv", "summary.txt"])
+    def test_output_file_that_cannot_be_written_named(self, tmp_path, capsys, name):
+        out_dir = tmp_path / "out"
+        (out_dir / name).mkdir(parents=True)
+        body = "[experiments]\nfov_steps = 2\nsource_steps = 2\n"
+        assert main([str(write_config(tmp_path, body)), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: output_dir = {out_dir}: cannot write {name} there (Is a directory)\n"
+        assert captured.out == ""  # no summary for a run that failed
+        assert (out_dir / "sweep.csv").is_file() == (name == "summary.txt")
+
+    def test_config_with_a_byte_order_mark_runs_as_without(self, tmp_path):
+        body = b"[experiments]\nfov_steps = 3\nsource_steps = 2\n[geometry]\nroom_x_m = 5\n"
+        written = []
+        for name, data in (("plain", body), ("marked", b"\xef\xbb\xbf" + body)):
+            path = tmp_path / f"{name}.ini"
+            path.write_bytes(data)
+            assert main([str(path), "--out", str(tmp_path / name)]) == EXIT_OK
+            written.append((tmp_path / name / "sweep.csv").read_bytes())
+        assert written[1] == written[0]
+
+    def test_config_with_a_byte_order_mark_names_a_bad_byte_by_its_offset_in_the_file(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xef\xbb\xbf[geometry]\n# \xff\n")
+        assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert f"config error: config file is not UTF-8 text: {path}: invalid start byte at byte 16" in capsys.readouterr().err
+
+    def test_spectrum_file_that_is_not_utf8_named(self, tmp_path, capsys):
+        spectrum = tmp_path / "lamp.csv"
+        data = b"wavelength_nm,psd\n850,1e-6\n900,2e-6 \xff\n"
+        spectrum.write_bytes(data)
+        offset = data.index(b"\xff")
+        path = write_config(tmp_path, f"[noise]\nlamp_spectrum_file = {spectrum}\n[experiments]\nfov_steps = 2\n")
+        assert main([str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: lamp_spectrum_file: {spectrum}: not UTF-8 text: invalid start byte at byte {offset}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidationDiagnostics:

@@ -157,6 +157,30 @@ class TestCsvLoading:
         with pytest.raises(SpectrumFormatError, match=re.escape(f"{path}: missing header row: row 1 is data, starting with the number '850.0'")):
             load_spectrum_csv(path, "source-psd")
 
+    def test_a_headerless_file_with_a_byte_order_mark_is_refused_as_without(self, tmp_path):
+        # the mark is not part of the first number: 850 nm is not taken for a header and dropped
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xef\xbb\xbf850.0,1.0\n880.0,2.0\n900.0,3.0\n")
+        with pytest.raises(SpectrumFormatError, match=re.escape(f"{path}: missing header row: row 1 is data, starting with the number '850.0'")):
+            load_spectrum_csv(path, "source-psd")
+
+    def test_a_file_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        text = b"wavelength_nm,v\n400.0,1.0\n500.0,2.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_spectrum_csv(marked, "source-psd") == load_spectrum_csv(plain, "source-psd")
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "marked"])
+    def test_a_byte_that_is_not_utf8_named_by_its_offset_in_the_file(self, tmp_path, mark):
+        path = tmp_path / "s.csv"
+        data = mark + b"wavelength_nm,v\n400.0,1.0\n500.0,2.0\xff\n"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        message = f"{path}: not UTF-8 text: invalid start byte at byte {offset}"
+        with pytest.raises(SpectrumFormatError, match=f"^{re.escape(message)}$"):
+            load_spectrum_csv(path, "source-psd")
+
     @pytest.mark.parametrize("text, message", [
         ("", "missing two-column header row"),
         ("wavelength_nm,v\n400.0,1.0\n", "fewer than two data rows"),
