@@ -2,15 +2,14 @@
 """Per-layer timings of the feasibility-map pipeline, written to a JSON file.
 
 Each layer is timed as the median and interquartile range over ROUNDS
-runs, after one untimed warm-up run.  A round's time is CPU time, this
-process's plus that of the child processes it waited for, divided by the
-host's slowdown: perfbench's fixed reference work (``hostspeed.Reference``)
-runs before and after each round, and the mean of its two slowdown factors
-scales the round to the reference box at full speed, as perfbench does for
-its op times.  Next to each time the row records the minor page faults
-per call (``ru_minflt``, counted the same way: this process's plus the
-waited-for children's), the pages the allocator handed back to the system
-and faulted in again, among others.  The layers:
+runs, after one untimed warm-up run.  A round's time is the CPU seconds
+per call of this process plus the child processes it waited for, as
+measured: no reference work scales it, since a host-speed factor taken
+between rounds swings more than the rows it would correct.  Next to each
+time the row records the minor page faults per call (``ru_minflt``,
+counted the same way: this process's plus the waited-for children's), the
+pages the allocator handed back to the system and faulted in again, among
+others.  The layers:
 
 * total_reflected_gain, lamp-center at FOV 20 deg, at rule order
   10/20/40/80, each call with the room's receiver view already built and
@@ -112,9 +111,6 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from hostspeed import Reference  # noqa: E402
-
 RESOLUTIONS = (10, 20, 40, 80)
 ROUNDS = 7
 CALLS = 200
@@ -137,9 +133,6 @@ def source_digest(package: Path) -> str:
     return digest.hexdigest()
 
 
-REFERENCE = Reference(("interpreter", "array"))
-
-
 def cpu_s() -> float:
     """CPU seconds of this process and of the children it has waited for."""
     children = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -154,21 +147,18 @@ def minor_faults() -> int:
 def timed(run, before=lambda: None, calls: int = 1) -> dict:
     before()
     value = run()  # warm-up, and the value recorded for the layer
-    times, slowdowns, faults = [], [], []
+    times, faults = [], []
     for _ in range(ROUNDS):
         before()
-        slow_before = REFERENCE.slowdown()
         start, faults_before = cpu_s(), minor_faults()
         for _ in range(calls):
             run()
-        spent, faults_spent = cpu_s() - start, minor_faults() - faults_before
-        slowdowns.append(0.5 * (slow_before + REFERENCE.slowdown()))
-        times.append(spent / calls / slowdowns[-1])
-        faults.append(faults_spent / calls)
+        times.append((cpu_s() - start) / calls)
+        faults.append((minor_faults() - faults_before) / calls)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return {
         "median_s": median, "iqr_s": q3 - q1, "rounds": ROUNDS, "calls_per_round": calls,
-        "times_s": times, "host_slowdowns": slowdowns,
+        "times_s": times,
         "minor_faults_per_call": statistics.median(faults), "minor_faults_per_round": faults, "value": value,
     }
 
@@ -404,7 +394,7 @@ def main() -> int:
         "source_sha256": source_digest(src / "indoorqkd"),
         "src_lines": sum(lines.values()),
         "src_lines_by_module": lines,
-        "clock": "CPU s (children included) / host slowdown of perfbench hostspeed.Reference",
+        "clock": "CPU s per call, this process and its waited-for children, not scaled",
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -50,10 +52,12 @@ MAX_RESOLUTION = 500
 # fail.  The sweep.csv writer adds nothing that grows with the map.
 GRID_BUDGET = 2_500_000
 
+# sweep.csv's columns after fov_deg and the source level: (header name, OperatingPoint field), the flag last.
 _CSV_COLUMNS = (
-    "h_dc", "eta", "n_b1", "n_b2", "n_n",
-    "y1", "q1", "e1", "q_mu", "e_mu",
-    "rate_bits_per_pulse", "secure_flag",
+    ("h_dc", "gains.line_of_sight"), ("eta", "gains.transmittance"),
+    ("n_b1", "budget.ambient"), ("n_b2", "budget.lamp_bounce"), ("n_n", "budget.total"),
+    ("y1", "report.y1"), ("q1", "report.q1"), ("e1", "report.e1"), ("q_mu", "report.q_mu"), ("e_mu", "report.e_mu"),
+    ("rate_bits_per_pulse", "report.rate"), ("secure_flag", "report.secure"),
 )
 
 # sweep.csv cells as bytes.  '%.9e' text takes at most 17 (a sign, ten digits, the point and
@@ -382,59 +386,36 @@ def _csv_lines(
     """The ``sweep.csv`` data rows of a ``sweep`` map over these axes, FOV-major,
     as bytes, at most ``block`` cells at a time.
 
-    Each cell is ``'%.9e'`` text (``_e9``), and each value is formatted once:
-    the FOV and gains with their FOV rows, the levels and the columns that
-    repeat in every FOV row (``n_b1``, say) once per map (once per block of
-    levels when one FOV row spans several blocks), the other columns of a
-    block in one stacked call.  A block is a matrix of 8-byte words, one row
-    per cell, written one whole word plane at a time.  A column takes a slot
-    of two words where all its texts in the block have at most 15 bytes, else
-    three, the comma in the slot's last byte; the flag is one word.  Dropping
-    the NULs that pad the texts leaves the rows.
+    Each column (the two axes, then ``_CSV_COLUMNS``) keeps its own shape:
+    (n_fov, 1) for the FOVs and gains, (1, n_src) for the levels and for a column
+    whose bits repeat in every FOV row (``n_b1``, say), else the whole map.  A
+    block slices every column and formats the slices in one ``_e9`` call, so each
+    column is formatted at its own shape, once per block.  Their texts fill a
+    matrix of 8-byte words, one row per cell, one whole word plane at a time, in
+    the slots set out above ``_E9_BYTES``; dropping the NULs leaves the rows.
     """
-    r, b, gains = grid.report, grid.budget, grid.gains
     shape = (len(fov_values), len(source_values))
-    columns = [np.broadcast_to(c, shape) for c in (b.ambient, b.lamp_bounce, b.total, r.y1, r.q1, r.e1, r.q_mu, r.e_mu, r.rate)]
-    # Same bits in every row, same text in every row.
-    repeats = [shape[0] > 1 and bool((c.view(np.uint64) == c[:1].view(np.uint64)).all()) for c in columns]
-    fixed = [c[0] for c, same in zip(columns, repeats) if same]
-    varying = [c for c, same in zip(columns, repeats) if not same]
-    h_dc, eta = gains.line_of_sight.ravel(), gains.transmittance.ravel()
-    secure = np.broadcast_to(r.secure, shape)
-
-    def split(words: np.ndarray, widths: np.ndarray, n_fields: int, n_rows: int, n_levels: int) -> list[tuple[np.ndarray, bool]]:
-        """Each field's words, shape (3, rows, levels), and whether its slot takes three, from ``_e9`` of the fields in turn."""
-        longs = [w > 15 for w in widths.reshape(n_fields, n_rows * n_levels).max(axis=1).tolist()]  # compared in Python: see _E9_WIDTH
-        return list(zip(words.reshape(3, n_fields, n_rows, n_levels).swapaxes(0, 1), longs))
-
-    def level_text(lo: int, hi: int) -> list[tuple[np.ndarray, bool]]:
-        return split(*_e9(np.concatenate([source_values[lo:hi], *(c[lo:hi] for c in fixed)])), 1 + len(fixed), 1, hi - lo)
-
+    *fields, flags = (attrgetter(field)(grid) for _, field in _CSV_COLUMNS)
+    columns = [np.atleast_2d(c) for c in (np.array(fov_values)[:, None], source_values, *fields)]
+    columns = [c[:1] if len(c) > 1 and bool((c.view(np.uint64) == c[:1].view(np.uint64)).all()) else c for c in columns]
+    secure = np.broadcast_to(flags, shape)
     fov_rows = max(1, block // shape[1])  # whole FOV rows in a block, or one row split into blocks of levels
     span = min(shape[1], block)  # levels in a block
-    whole_axis = level_text(0, shape[1]) if span == shape[1] else None
-    for i in range(0, shape[0], fov_rows):
-        rows = slice(i, min(i + fov_rows, shape[0]))
-        n_rows = rows.stop - i
-        for j in range(0, shape[1], span):
-            part = slice(j, min(j + span, shape[1]))
-            n_levels = part.stop - j
-            by_level = level_text(j, part.stop) if whole_axis is None else whole_axis
-            words, widths = _e9(np.concatenate([fov_values[rows], h_dc[rows], eta[rows], *(c[rows, part].ravel() for c in varying)]))
-            by_fov = split(words[:, : 3 * n_rows], widths[: 3 * n_rows], 3, n_rows, 1)
-            by_cell = split(words[:, 3 * n_rows :], widths[3 * n_rows :], len(varying), n_rows, n_levels)
-            fixed_text, varying_text = iter(by_level[1:]), iter(by_cell)
-            fields = [by_fov[0], by_level[0], by_fov[1], by_fov[2], *(next(fixed_text) if same else next(varying_text) for same in repeats)]
-            out = np.empty((2 * len(fields) + sum(long for _, long in fields) + 1, n_rows, n_levels), "<u8")
-            k = 0
-            for planes, long in fields:
-                out[k : k + 2 + long] = planes[: 2 + long]
-                out[k + 1 + long] |= _COMMA_TOP
-                k += 2 + long
-            out[-1] = _FLAG_WORD[secure[rows, part].view(np.uint8)]
-            rows_text = out.transpose(1, 2, 0).tobytes().replace(b"\0", b"")
-            del words, by_cell, fields, out  # before the next block's are made
-            yield rows_text
+    for i, j in itertools.product(range(0, shape[0], fov_rows), range(0, shape[1], span)):
+        rows, part = slice(i, i + fov_rows), slice(j, j + span)
+        pieces = [c[rows if len(c) > 1 else slice(None), part if c.shape[1] > 1 else slice(None)] for c in columns]
+        words, widths = _e9(np.concatenate(pieces, axis=None))
+        starts = [0, *itertools.accumulate(piece.size for piece in pieces)]
+        longs = [w > 15 for w in np.maximum.reduceat(widths, starts[:-1]).tolist()]  # compared in Python: see _E9_WIDTH
+        slots = [0, *itertools.accumulate(2 + long for long in longs)]  # each column's first word plane
+        out = np.empty((slots[-1] + 1, *secure[rows, part].shape), "<u8")
+        for piece, start, long, slot in zip(pieces, starts, longs, slots):
+            out[slot : slot + 2 + long] = words[: 2 + long, start : start + piece.size].reshape(2 + long, *piece.shape)
+            out[slot + 1 + long] |= _COMMA_TOP
+        out[-1] = _FLAG_WORD[secure[rows, part].view(np.uint8)]
+        rows_text = out.transpose(1, 2, 0).tobytes().replace(b"\0", b"")
+        del words, out  # before the next block's are made
+        yield rows_text
 
 
 def run(config: RunConfig) -> int:
@@ -451,10 +432,19 @@ def run(config: RunConfig) -> int:
         return EXIT_CONFIG_ERROR
 
     out_dir = Path(config.output_dir)
+    fresh = not out_dir.is_dir()  # a directory this run makes holds no output yet, and takes new files
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file there or on the way, no permission
         return unusable("create a directory", exc)
+    new = [path for path in (out_dir / "sweep.csv", out_dir / "summary.txt") if not fresh and not path.exists()]
+    for name in () if fresh else ("sweep.csv", "summary.txt"):  # before the sweep: a run that cannot write its outputs computes nothing
+        try:
+            (out_dir / name).open("ab").close()  # adds no byte to an earlier run's file
+        except OSError as exc:  # a directory of that name, no permission
+            for path in new:
+                path.unlink(missing_ok=True)
+            return unusable(f"write {name}", exc)
 
     grid = sweep(
         scenario, fov_values, source_values,
@@ -465,7 +455,7 @@ def run(config: RunConfig) -> int:
     source_column = "pn_w_per_nm_m2" if ambient_run else "psd_w_per_nm"
     try:
         with (out_dir / "sweep.csv").open("wb") as csv:
-            csv.write((",".join(("fov_deg", source_column) + _CSV_COLUMNS) + "\n").encode("ascii"))
+            csv.write((",".join(("fov_deg", source_column, *(name for name, _ in _CSV_COLUMNS))) + "\n").encode("ascii"))
             csv.writelines(_csv_lines(grid, fov_values, source_values))
     except OSError as exc:  # a directory of that name, no permission, a full disk
         return unusable("write sweep.csv", exc)

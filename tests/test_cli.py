@@ -1,5 +1,8 @@
 """Config parsing, validation diagnostics, CSV output, and exit codes."""
 
+import contextlib
+import importlib
+import io
 import math
 import re
 import sys
@@ -116,15 +119,26 @@ class TestFileFailures:
         assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("name", ["sweep.csv", "summary.txt"])
-    def test_output_file_that_cannot_be_written_named(self, tmp_path, capsys, name):
+    def test_output_file_that_cannot_be_written_named(self, tmp_path, capsys, monkeypatch, name):
         out_dir = tmp_path / "out"
         (out_dir / name).mkdir(parents=True)
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("the map was computed"))
         body = "[experiments]\nfov_steps = 2\nsource_steps = 2\n"
         assert main([str(write_config(tmp_path, body)), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
         assert captured.err == f"config error: output_dir = {out_dir}: cannot write {name} there (Is a directory)\n"
         assert captured.out == ""  # no summary for a run that failed
-        assert (out_dir / "sweep.csv").is_file() == (name == "summary.txt")
+        assert not (out_dir / "sweep.csv").is_file()  # checked before the map, and no file left behind
+        assert sorted(path.name for path in out_dir.iterdir()) == [name]
+
+    def test_an_earlier_runs_outputs_keep_their_bytes_when_one_cannot_be_written(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "sweep.csv").write_bytes(b"earlier\n")
+        (out_dir / "summary.txt").mkdir()
+        assert main(["--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert "cannot write summary.txt there" in capsys.readouterr().err
+        assert (out_dir / "sweep.csv").read_bytes() == b"earlier\n"
 
     def test_config_with_a_byte_order_mark_runs_as_without(self, tmp_path):
         body = b"[experiments]\nfov_steps = 3\nsource_steps = 2\n[geometry]\nroom_x_m = 5\n"
@@ -878,6 +892,50 @@ class TestAxes:
         )
         (level,) = cli._resolve(config)[0][2]
         assert level == pytest.approx(1.0567e-5, rel=1e-3)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SMALL_MAPS = {  # scenario: the [experiments] lines of a 5 x 3 map with secure and insecure points
+    "lamp-center": "fov_steps = 5\nsource_steps = 3\n",
+    "ambient-only-center": "fov_steps = 5\nsource_steps = 3\nsource_min = 1e-9\nsource_max = 1e-5\n",
+}
+
+
+@pytest.fixture(scope="module")
+def small_maps(tmp_path_factory):
+    """The output directory of one small CLI map of each SMALL_MAPS scenario, by scenario."""
+    outputs = {}
+    for scenario, axes in SMALL_MAPS.items():
+        root = tmp_path_factory.mktemp(scenario)
+        config = write_config(root, f"[experiments]\nscenario = {scenario}\n{axes}")
+        with contextlib.redirect_stdout(io.StringIO()):  # the summary the CLI prints
+            assert main([str(config), "--out", str(root / "out")]) == EXIT_OK
+        outputs[scenario] = root / "out"
+    return outputs
+
+
+@pytest.fixture
+def perfbench_checks(monkeypatch):
+    """perfbench's output checks, imported as perfbench's own tests import them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("checks")
+
+
+class TestOutputsOthersRead:
+    """perfbench's checks and README read sweep.csv's header; a renamed column fails here first."""
+
+    @pytest.mark.parametrize("scenario", sorted(SMALL_MAPS))
+    def test_map_passes_perfbench_output_checks(self, small_maps, perfbench_checks, scenario):
+        ambient = scenario.startswith("ambient")
+        assert perfbench_checks.check_map_output(small_maps[scenario], ambient, 5, 3) == (15, [])
+
+    def test_readme_column_list_is_the_header(self, small_maps):
+        section = README.read_text(encoding="utf-8").split("### sweep.csv\n", 1)[1].split("\n## ", 1)[0]
+        listed = re.search(r"^```\n(.*?)^```", section, re.S | re.M).group(1)
+        lamp, ambient = ((small_maps[s] / "sweep.csv").read_text().split("\n", 1)[0].split(",") for s in SMALL_MAPS)
+        assert [name.strip() for name in listed.split(",")] == lamp
+        assert ambient == [lamp[0], "pn_w_per_nm_m2", *lamp[2:]]
+        assert "Ambient scenarios name the source column `pn_w_per_nm_m2`." in " ".join(section.split())
 
 
 class TestRunOutputs:
