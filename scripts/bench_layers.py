@@ -26,7 +26,8 @@ others.  The layers:
   at every edge plane it crosses): the row divided by 63 is the cost of
   one ring; and one probe-sized call, the 10 rings of the order-10 rule on
   15-20 deg (400 rays, 800 before), where the kernel's fixed cost per call
-  shows;
+  shows; and the 63 rings of 0.01-0.55 rad, which meet no room edge and
+  keep their equal arcs (2,520 rays, one block of the equal-arc route);
 * one evaluate_point of lamp-center at order 10 and 1e-5 W/nm, each call at
   a FOV the room's view does not hold yet (20 deg plus 1e-5 deg per call,
   all in one psi panel): the cost of one boundary probe;
@@ -321,6 +322,8 @@ def layer_rows(src: Path) -> dict:
     rows["reflected_gain_convergence_cold_10_per_m"] = lambda: timed(lambda: channel.reflected_gain_convergence(room, 10).refined_value, cold)
     rows["receiver_view_new_room"] = lambda: timed(lambda: float(channel._ReceiverView(offset_room).bounds.sum()), calls=CALLS)
     rows["ring_integrals_full_ray_block"] = lambda: ring_call(np.linspace(0.01, 1.5, 63))
+    # rings below every room edge, which keep their equal arcs: one block of the equal-arc route
+    rows["ring_integrals_equal_arc_block"] = lambda: ring_call(np.linspace(0.01, 0.55, 63))
     # a partial piece of an order-10 probe: the rule's nodes on 15-20 deg
     rows["ring_integrals_probe_10_rings"] = lambda: ring_call(np.radians(15.0) + np.radians(5.0) * channel._mapped_rule(10)[0])
     rows["boundary_probe_new_fov_10"] = new_fov_probe

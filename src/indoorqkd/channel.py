@@ -39,16 +39,18 @@ replaces it.  It holds the integrals computed for the room so far, by (psi
 order, theta rule) and FOV, and the sums of the whole psi pieces below
 them, so a wider FOV sums only the pieces beyond.  A pass sorts the arc
 knots and both crossings of each edge plane of the rings that meet an edge
-in one bounds matrix; a ring that meets none keeps its equal arcs, and
-reads cos theta and sin theta at their nodes from one table per theta rule,
-the bits a pass computes elsewhere.  The crossings are reduced to [0, 2 pi]
-with np.fmod plus a turn where negative, and the nan of a ring that misses
-a plane set to 0; np.mod would give the same bits through a full divmod
-with a slow path on nan.  The rays then go in blocks of whole rings, at
-most ``_RAY_BLOCK`` rays or one ring, through one work array made for the
-pass, and np.bincount sums each ring in ray order, so a ring has the same
-bits in any block.  The ray directions skip the frame coefficients that are
-exactly 0: six of the nine for a receiver facing straight down.
+in one bounds matrix; a ring that meets none keeps its equal arcs.  The
+crossings are reduced to [0, 2 pi] with np.fmod plus a turn where negative,
+and the nan of a ring that misses a plane set to 0; np.mod would give the
+same bits through a full divmod with a slow path on nan.  The rays then go
+in blocks of whole rings, at most ``_RAY_BLOCK`` rays or one ring, through
+one work array made for the pass.  A block of equal-arc rings (most rays)
+multiplies one table per theta rule, of cos theta, sin theta and span times
+weight, by its rings' sin psi; any other computes theta's trig, the table's
+bits.  np.bincount sums each ring in ray order, so a ring has the same bits
+in any block and by either route.  The ray directions skip the frame
+coefficients that are exactly 0: six of the nine for a receiver facing
+straight down.
 """
 
 from __future__ import annotations
@@ -233,9 +235,9 @@ def _arc_knots(arcs: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _knot_trig(arcs: int, nodes: int) -> np.ndarray:
-    """cos(theta) and sin(theta) at the ``nodes`` nodes of each of ``arcs`` equal arcs, as ``ring_integrals`` computes them."""
+    """cos(theta), sin(theta) and span times weight at the ``nodes`` nodes of each of ``arcs`` equal arcs, as ``ring_integrals`` computes them."""
     theta = np.add(np.multiply(np.diff(_arc_knots(arcs))[:, None], _mapped_rule(nodes)[0]), _arc_knots(arcs)[:-1, None])
-    table = np.array([np.cos(theta), np.sin(theta)])
+    table = np.array([np.cos(theta), np.sin(theta), np.multiply(np.diff(_arc_knots(arcs))[:, None], _mapped_rule(nodes)[1])])
     table.flags.writeable = False
     return table
 
@@ -333,7 +335,8 @@ class _ReceiverView:
 
     def ring_integrals(self, psi: np.ndarray, theta_rule: tuple[int, int]) -> np.ndarray:
         """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi,
-        by ``theta_rule`` (arcs, nodes per arc), traced in blocks of whole rings."""
+        by ``theta_rule`` (arcs, nodes per arc), traced in blocks of whole rings: by (arc, node, ring) from ``_knot_trig``
+        where every ring keeps its equal arcs, else by (sub-arc, node) computing theta's trig; each ring in (arc, node) order."""
         arcs, nodes = theta_rule
         cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
         start, span, count = self._sub_arcs(psi[:, None], cos_psi, sin_psi, arcs)
@@ -341,52 +344,67 @@ class _ReceiverView:
         while ends[-1] < len(psi):  # a block ends at the last ring end within _RAY_BLOCK rays of its start, or one ring on
             ends.append(max(ends[-1] + 1, bisect.bisect_right(first, first[ends[-1]] + _RAY_BLOCK // nodes) - 1))
         work = np.empty(8 * nodes * max((first[b] - first[a] for a, b in zip(ends, ends[1:])), default=0))
-        (positions, weights), out, table, knots = _mapped_rule(nodes), np.empty(len(psi)), _knot_trig(arcs, nodes), _arc_knots(arcs)
+        (positions, weights), out, table = _mapped_rule(nodes), np.empty(len(psi)), _knot_trig(arcs, nodes)
         for a, b in zip(ends, ends[1:]):
             k, n = slice(first[a], first[b]), (first[b] - first[a]) * nodes
-            ring = np.repeat(np.arange(b - a), count[a:b])  # each sub-arc's ring in the block
-            omega = work[: 3 * n].reshape(3, -1, nodes)
-            theta, cos_theta, sin_theta, term = trig = work[3 * n : 7 * n].reshape(4, -1, nodes)
-            np.add(np.multiply(span[k], positions, out=theta), start[k], out=theta)
-            # A ring of as many sub-arcs as equal arcs has the equal arcs, whose trig the table holds ("clip": no buffer); others compute theirs.
-            table.take(knots.searchsorted(start[k, 0]), axis=1, out=trig[1:3], mode="clip")
-            computed = (count[a:b] != arcs).repeat(count[a:b])[:, None]
-            np.cos(theta, out=cos_theta, where=computed)
-            np.sin(theta, out=sin_theta, where=computed)
-            np.multiply(trig[1:3], sin_psi[a:b][ring], out=trig[1:3])
-            sources = (cos_psi[a:b][ring], cos_theta, sin_theta)
+            equal = (count[a:b] == arcs).all()
+            shape = (arcs, nodes, b - a) if equal else (first[b] - first[a], nodes)
+            omega = work[: 3 * n].reshape(3, *shape)
+            theta, cos_theta, sin_theta, term = trig = work[3 * n : 7 * n].reshape(4, *shape)
+            if equal:  # the table's trig times each ring's sin(psi), laid out in theta's place (faster than broadcast)
+                ray_cos_psi = cos_psi[a:b, 0]
+                np.copyto(theta, sin_psi[a:b, 0])
+                np.copyto(trig[1:3], table[:2, :, :, None])
+                np.multiply(trig[1:3], theta, out=trig[1:3])
+            else:  # theta and its trig at every sub-arc's nodes
+                ray_cos_psi = np.repeat(cos_psi[a:b], count[a:b], axis=0)
+                np.add(np.multiply(span[k], positions, out=theta), start[k], out=theta)
+                np.cos(theta, out=cos_theta)
+                np.sin(theta, out=sin_theta)
+                np.multiply(trig[1:3], np.repeat(sin_psi[a:b], count[a:b], axis=0), out=trig[1:3])
+            sources = (ray_cos_psi, cos_theta, sin_theta)
             for j, ((c, i), *rest) in enumerate(self.omega_terms):
                 np.multiply(c, sources[i], out=omega[j])
                 for c, i in rest:
                     omega[j] += np.multiply(c, sources[i], out=term)
             radiance = self._radiance(omega, work[3 * n :])
-            weight = np.multiply(span[k], weights, out=omega[0])
-            out[a:b] = np.bincount(np.repeat(ring, nodes), np.multiply(weight, radiance, out=weight).ravel(), minlength=b - a)
+            weight = table[2, :, :, None] if equal else np.multiply(span[k], weights, out=omega[0])
+            weighted = np.multiply(weight, radiance, out=omega[0]).ravel()
+            rings = work[n : 2 * n].view(np.int64).reshape(shape)  # each ray's ring, where omega's y was
+            rings[:] = np.arange(b - a) if equal else np.arange(b - a).repeat(count[a:b])[:, None]
+            out[a:b] = np.bincount(rings.ravel(), weighted, minlength=b - a)
         return out
 
     def _sub_arcs(self, psi: np.ndarray, cos_psi: np.ndarray, sin_psi: np.ndarray, arcs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every ring's sub-arcs, between its arc knots and where it crosses the plane through the receiver
         and each edge line, a cos(theta) + b sin(theta) = c, at mid -+ half: starts and spans, and the count per ring.
-        A ring outside an edge's psi interval never meets the edge: both its crossings go to 0, as a missed plane's."""
+        A ring outside an edge's psi interval never meets the edge (both crossings 0, as a missed plane's); one that meets none gets no row."""
         missed = (psi < self.edge_psi[0]) | (psi > self.edge_psi[1])
-        met = ~missed.all(axis=1)  # a ring that meets no edge keeps its row of zero crossings, then the knots: no trig, no sort
-        (n_axis, n_e1, n_e2), edges = self.edge_normal, self.edge_normal.shape[1]
-        bounds = np.zeros((len(psi), 2 * edges + arcs + 1))
-        bounds[:, 2 * edges :] = _arc_knots(arcs)
-        rows, a, b = bounds[met], sin_psi[met] * n_e1, sin_psi[met] * n_e2  # the met rings' rows: crossings, then the knots
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            half = np.hypot(a, b)
-            np.arccos(np.divide(-cos_psi[met] * n_axis, half, out=half), out=half)  # nan where the ring misses the plane
-            half[missed[met]] = math.nan  # an edge outside the ring's reach: both crossings reduce to 0, as a missed plane's
-            mid = np.arctan2(b, a, out=b)
-            np.subtract(mid, half, out=rows[:, :edges])
-            np.add(mid, half, out=rows[:, edges : 2 * edges])
-            _reduce_turns(rows[:, : 2 * edges])
-        rows.sort(axis=1)
-        bounds[met] = rows
-        width = bounds[:, 1:] - bounds[:, :-1]
-        arc = width > 0.0
-        return bounds[:, :-1][arc][:, None], width[arc][:, None], arc.sum(axis=1)
+        met, count = ~missed.all(axis=1), np.full(len(psi), arcs)
+        starts = spans = np.zeros(0)  # the met rings' sub-arcs
+        if met.any():
+            (n_axis, n_e1, n_e2), edges = self.edge_normal, self.edge_normal.shape[1]
+            a, b = sin_psi[met] * n_e1, sin_psi[met] * n_e2
+            bounds = np.empty((len(a), 2 * edges + arcs + 1))  # a met ring's row: its crossings, then the knots
+            bounds[:, 2 * edges :] = _arc_knots(arcs)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                half = np.hypot(a, b)
+                np.arccos(np.divide(-cos_psi[met] * n_axis, half, out=half), out=half)  # nan where the ring misses the plane
+                half[missed[met]] = math.nan  # an edge outside the ring's reach: both crossings reduce to 0, as a missed plane's
+                mid = np.arctan2(b, a, out=b)
+                np.subtract(mid, half, out=bounds[:, :edges])
+                np.add(mid, half, out=bounds[:, edges : 2 * edges])
+                _reduce_turns(bounds[:, : 2 * edges])
+            bounds.sort(axis=1)
+            width = bounds[:, 1:] - bounds[:, :-1]
+            arc = width > 0.0
+            count[met], starts, spans = arc.sum(axis=1), bounds[:, :-1][arc], width[arc]
+        cut = np.repeat(met, count)
+        start, span = np.empty((2, len(cut)))
+        start[cut], span[cut] = starts, spans
+        np.place(start, ~cut, _arc_knots(arcs)[:-1])  # the knots' pattern again for each ring that meets no edge
+        np.place(span, ~cut, _arc_knots(arcs)[1:] - _arc_knots(arcs)[:-1])
+        return start[:, None], span[:, None], count
 
     def _radiance(self, omega: np.ndarray, work: np.ndarray) -> np.ndarray:
         """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver

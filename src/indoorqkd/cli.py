@@ -347,13 +347,14 @@ def _e9(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         fast = (v >= 1e-290) & (v <= 1e290)
         s = np.where(fast, v, 1.0)
         e = np.floor(np.log10(s)).astype(np.intp)
+        e -= s * _POW10[309 - e] < 1e9  # log10 rounds a value just under a power of ten up to it
         s *= _POW10[309 - e]  # 10**(9 - e): ten digits before the point
         r = np.floor(s)
         s -= r
-        fast &= (np.abs(s - 0.5) > 4e-15 * r) & (r >= 1e9) & (r < 1e10)
+        fast &= (np.abs(s - 0.5) > 4e-15 * r) & (r >= 1e9) & (r <= 1e10)  # 1e10: such a value, scaled a decade lower
         r += s > 0.5
     del s
-    carry = r == 1e10  # 9.9999999995 rounds to 1.000000000e+01
+    carry = r >= 1e10  # 9.9999999995 rounds to 1.000000000e+01, as does anything from 1e10 to 1e10 + 1
     r[carry] = 1e9
     e += carry
     # +0.0 takes every digit 0 and the exponent 0 (from 1.0); so do the slow values, till '%.9e' replaces them

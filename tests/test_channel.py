@@ -587,6 +587,74 @@ class TestOnePassBitInvariants:
         assert len(blocks) > 1 and all(work is blocks[0][1] for _, work in blocks)  # one array for the call
         assert blocks[0][1].size == 8 * max(rays for rays, _ in blocks) <= 8 * max(channel._RAY_BLOCK, largest)
 
+    def test_rings_that_meet_no_edge_take_the_equal_arc_route(self, monkeypatch):
+        # a ceiling-centre receiver's rings below every edge's psi: one block, no crossing
+        # reduced; beside a ring that meets an edge, in one block, each is traced by the
+        # general route (theta and its trig computed) to the same bits
+        view = _ReceiverView(nominal_room())
+        psi = np.linspace(0.01, 0.99, 40) * view.edge_psi[0].min()
+        beside = np.append(psi, 0.5 * math.pi)  # a horizontal ring meets the wall edges
+        count = view._sub_arcs(beside[:, None], np.cos(beside)[:, None], np.sin(beside)[:, None], view.theta_rule[0])[2]
+        assert count[-1] > view.theta_rule[0] and (count[:-1] == view.theta_rule[0]).all()
+        reduced, reduce_turns = [], channel._reduce_turns
+        monkeypatch.setattr(channel, "_reduce_turns", lambda x: reduced.append(x.size) or reduce_turns(x))
+        alone, blocks = self.traced_blocks(monkeypatch, view, psi, view.theta_rule)
+        assert reduced == [] and len(blocks) == 1
+        mixed, blocks = self.traced_blocks(monkeypatch, view, beside, view.theta_rule)
+        assert len(reduced) == 1 and len(blocks) == 1
+        assert mixed[:-1].view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("semi_angle", [70.0, 30.0])
+    @pytest.mark.parametrize("theta_nodes_factor", [1, 2])
+    def test_knot_table_holds_the_general_routes_trig(self, monkeypatch, semi_angle, theta_nodes_factor):
+        # a receiver facing straight down takes omega's x and y as -sin(theta) sin(psi) and
+        # -cos(theta) sin(psi), and sin(pi / 2) is 1: the horizontal ring's rays carry its
+        # trig unchanged.  With every edge moved to psi 0.3-0.4, the ring at 0.35 meets them
+        # all and the horizontal one none, so one block traces both by the general route
+        view = _ReceiverView(nominal_room(lamp_semi_angle_deg=semi_angle))
+        assert view.omega_terms[:2] == [[(-1.0, 2)], [(-1.0, 1)]] and np.sin(0.5 * math.pi) == 1.0
+        arcs, nodes = view.theta_rule
+        assert (view.m1 <= channel._THETA_RULES[0][0]) == (semi_angle > 60.0)
+        nodes *= theta_nodes_factor
+        view.edge_psi = (np.full(len(view.edge_psi[0]), 0.3), np.full(len(view.edge_psi[1]), 0.4))
+        psi = np.array([0.35, 0.5 * math.pi])
+        count = view._sub_arcs(psi[:, None], np.cos(psi)[:, None], np.sin(psi)[:, None], arcs)[2]
+        assert count[0] > arcs and count[1] == arcs
+        radiance, rays = _ReceiverView._radiance, []
+
+        def recording(self, omega, work):
+            rays.append(omega.copy())
+            return radiance(self, omega, work)
+
+        monkeypatch.setattr(_ReceiverView, "_radiance", recording)
+        view.ring_integrals(psi, (arcs, nodes))
+        [omega] = rays
+        assert omega.shape == (3, count.sum(), nodes)  # laid out by (sub-arc, node): the general route
+        trig = -omega[1::-1, count[0] :]  # cos(theta), sin(theta) at the horizontal ring's nodes
+        assert trig.view(np.uint64).tolist() == channel._knot_trig(arcs, nodes)[:2].view(np.uint64).tolist()
+
+    def test_a_default_lamp_map_sweep_traces_most_rays_in_equal_arc_blocks(self, monkeypatch):
+        # the order-10 pass of the default CLI map's sweep: an equal-arc block lays its rays
+        # out by (ring, arc, node), any other by (sub-arc, node)
+        from indoorqkd.cli import RunConfig, _axis
+        from indoorqkd.experiments import sweep
+
+        config = RunConfig()
+        fovs = _axis(config.fov_min_deg, config.fov_max_deg, config.fov_steps, config.fov_scale)
+        levels = _axis(config.source_min, config.source_max, config.source_steps, config.source_scale)
+        radiance, blocks = _ReceiverView._radiance, []
+
+        def recording(self, omega, work):
+            blocks.append(omega.shape)
+            return radiance(self, omega, work)
+
+        monkeypatch.setattr(_ReceiverView, "_radiance", recording)
+        channel._VIEWS.clear()
+        sweep(Scenario.named(config.scenario), fovs, levels, order=config.resolution_patches_per_meter)
+        rays = [math.prod(shape[1:]) for shape in blocks]
+        equal = sum(n for n, shape in zip(rays, blocks) if len(shape) == 4)
+        assert blocks and equal >= 0.9 * sum(rays)
+
     def test_a_pass_peaks_no_higher_than_with_every_trig_computed(self):
         # one order-40 pass to 60 deg in the offset-lamp room, its rules already built: the
         # knot table is the only array added, and per ray everything stays in the work array.

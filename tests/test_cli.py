@@ -589,6 +589,16 @@ class TestSweepCsvText:
     def test_fixed_cases(self):
         assert e9_text(E9_CASES) == ["%.9e" % v for v in E9_CASES]
 
+    def test_powers_of_ten_and_the_floats_below_them_take_the_fast_path(self, monkeypatch):
+        # log10 gives the decade above for a value just under a power of ten, such as
+        # 9.999999999999999e-06; _e9 steps it down, and no value here reaches '%.9e'
+        powers = [10.0**k for k in range(-289, 290)]
+        values = [*powers, *np.nextafter(powers, 0.0).tolist()]
+        slow, flatnonzero = [], np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda x: slow.append(flatnonzero(x)) or slow[-1])
+        assert e9_text(values) == ["%.9e" % v for v in values]
+        assert [indices.tolist() for indices in slow] == [[]]  # the fallback's indices
+
     def test_word_tables_are_percent_text(self):
         for table, form, first in ((cli._DIGITS3_WORD, "%03d", 0), (cli._EXPONENT_WORD, "e%+03d", -300)):
             words = [int(w).to_bytes(8, "little") for w in table.tolist()]
