@@ -40,6 +40,9 @@ others.  The layers:
   against those 90 counts broadcast (stride 0) to the whole grid;
 * one evaluate_point, lamp-center at FOV 20 deg and 1e-5 W/nm, with the
   bounce integral already cached;
+* one build_setup of lamp-corner-steered at FOV 20 deg and 1e-5 W/nm, the
+  scenario that builds its room twice, the second time with the transmitter
+  aimed at the receiver (the value is that aim's z component);
 * one cold 90 x 90 sweep (FOV 2-30 deg x ambient 1e-9-1e-5 W/nm/m^2) of
   ambient-only-center;
 * one cold ambient_tolerance of ambient-only-center at a FOV floor of 2 deg;
@@ -335,6 +338,8 @@ def layer_rows(src: Path) -> dict:
     rows["evaluate_point_warm_10_per_m"] = lambda: timed(
         lambda: float(evaluate_point(scenario, 20.0, 1e-5).report.rate), calls=CALLS
     )
+    steered = Scenario.named("lamp-corner-steered")
+    rows["build_setup_lamp_corner_steered"] = lambda: timed(lambda: build_setup(steered, 20.0, 1e-5).room.transmitter.axis.z, calls=CALLS)
     rows["sweep_90x90_ambient_only_center_cold"] = lambda: timed(lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold)
     rows["ambient_tolerance_cold"] = lambda: searched(lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold)
     rows["secure_fov_boundary_after_map_10_per_m"] = lambda: after_map(

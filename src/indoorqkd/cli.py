@@ -32,6 +32,7 @@ from .experiments import (
     secure_fov_boundary,
     sweep,
 )
+from .geometry import RoomScenario
 from .spectra import KINDS, OutOfBandError, SpectrumFormatError, _check_distance, density_at, irradiance_to_psd, load_spectrum_csv
 
 __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main"]
@@ -258,14 +259,16 @@ def validate(config: RunConfig) -> list[str]:
 
 def _resolve(
     config: RunConfig,
-) -> tuple[tuple[Scenario, tuple[float, ...], tuple[float, ...]] | None, list[str]]:
-    """Scenario and both sweep axes of a run, or None plus every diagnostic.
+) -> tuple[tuple[Scenario, tuple[float, ...], tuple[float, ...], RoomScenario] | None, list[str]]:
+    """Scenario, both sweep axes and room at ``fov_max_deg`` of a run, or None plus every diagnostic.
 
     The range rules live in the setup dataclasses.  No axis or grid over
     ``GRID_BUDGET`` points is built, and the run is built at both corners of
-    its grid.  When that fails, each overridden key is built alone on the
-    nominal table so that its diagnostic names it; a failure no single key
-    explains is reported as it is (a lamp outside a shrunk room, say).
+    its grid, the second at ``fov_max_deg``, whose checked room a lit lamp
+    run's convergence report reuses.  When that fails, each overridden key is
+    built alone on the nominal table so that its diagnostic names it; a
+    failure no single key explains is reported as it is (a lamp outside a
+    shrunk room, say).
     """
     out: list[str] = []
     fov_values = source_values = ()
@@ -285,7 +288,7 @@ def _resolve(
         source_values = _axis(config.source_min, config.source_max, config.source_steps, config.source_scale)
     except ValueError as exc:
         out.append(f"source axis: {exc}")
-    distance_ok = True
+    distance_ok, band = True, None
     try:  # checked in every run, though only an irradiance file in a lamp run reads it
         _check_distance(config.lamp_spectrum_distance_m)
     except ValueError as exc:
@@ -303,6 +306,7 @@ def _resolve(
             source_values = (density_at(curve, float(config.effective_parameters()["wavelength_nm"])),)
         except (SpectrumFormatError, OutOfBandError, OSError) as exc:  # the file, or the band it samples
             out.append(f"lamp_spectrum_file: {exc}")
+            band = out[-1] if isinstance(exc, OutOfBandError) else None  # dropped below if wavelength_nm breaks its own rule
         except ValueError as exc:  # its distance (irradiance_to_psd): named above unless S over- or underflows
             if distance_ok:
                 out.append(f"lamp_spectrum_distance_m = {config.lamp_spectrum_distance_m!r}: {exc}")
@@ -314,10 +318,10 @@ def _resolve(
     if not out:
         try:
             scenario = Scenario.named(config.scenario, config.overrides)
+            build_setup(scenario, fov_values[0], source_values[0])
             # fov_max_deg ends the boundary search, and the FOV axis unless it has one step.
-            for fov, level in ((fov_values[0], source_values[0]), (config.fov_max_deg, source_values[-1])):
-                build_setup(scenario, fov, level)
-            return (scenario, fov_values, source_values), []
+            room = build_setup(scenario, config.fov_max_deg, source_values[-1]).room
+            return (scenario, fov_values, source_values, room), []
         except ValueError as exc:
             whole_run.append(str(exc))
 
@@ -326,6 +330,8 @@ def _resolve(
             build_setup(Scenario.named("lamp-center", {key: value}), 10.0, 0.0)
         except ValueError as exc:
             out.append(f"{key} = {value!r}: {exc}")
+            if key == "wavelength_nm" and band in out:
+                out.remove(band)
     return None, out or whole_run
 
 
@@ -426,7 +432,7 @@ def run(config: RunConfig) -> int:
         for line in problems:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    scenario, fov_values, source_values = resolved
+    scenario, fov_values, source_values, room = resolved
 
     def unusable(what: str, exc: OSError) -> int:
         print(f"config error: output_dir = {config.output_dir}: cannot {what} there ({exc.strerror})", file=sys.stderr)
@@ -465,8 +471,7 @@ def run(config: RunConfig) -> int:
     if ambient_run:
         found = ambient_tolerance(scenario, fov_floor_deg=config.fov_min_deg, known=(source_values, grid.report.secure[0]))
     else:
-        if max(source_values) > 0.0:
-            room = build_setup(scenario, config.fov_max_deg, 0.0).room  # where the boundary search's ladder ends
+        if max(source_values) > 0.0:  # on the room _resolve checked at fov_max_deg, where the boundary search's ladder ends
             report = reflected_gain_convergence(room, config.resolution_patches_per_meter)
         mid = len(source_values) // 2
         found = secure_fov_boundary(

@@ -78,8 +78,10 @@ SCENARIOS = tuple(_SCENARIO_ROWS)
 AMBIENT_SCENARIOS = tuple(name for name, row in _SCENARIO_ROWS.items() if not row[0])
 LAMP_SCENARIOS = tuple(name for name, row in _SCENARIO_ROWS.items() if row[0])
 
-# Nominal parameter set; every value can be overridden per scenario.
-# lamp position entries of None mean "ceiling center".
+# Nominal parameter set; every value can be overridden per scenario.  build_setup sets
+# the RoomScenario, DetectorParams or ProtocolParams field of each key's name from it,
+# but for the four keys with no such field: detector_efficiency (the efficiency), the lamp
+# position (entries of None mean "ceiling center") and the lamp scenarios' fixed ambient level.
 NOMINAL: dict[str, float | None] = {
     "room_x_m": 4.0,
     "room_y_m": 4.0,
@@ -104,8 +106,10 @@ NOMINAL: dict[str, float | None] = {
     "misalignment_error": 0.0,
 }
 
-# ProtocolParams' fields, each set from the NOMINAL key of its name.
+# The setup dataclasses' fields that the NOMINAL key of their name sets.
 _PROTOCOL_KEYS = tuple(f.name for f in fields(ProtocolParams))
+_ROOM_KEYS = tuple(f.name for f in fields(RoomScenario) if f.name in NOMINAL)
+_DETECTOR_KEYS = tuple(f.name for f in fields(DetectorParams) if f.name in NOMINAL)
 # Probe ladder for bracketing the secure-FOV boundary, bisected to 0.1 deg;
 # boundaries below the smallest rung are reported as not secure.
 _FOV_LADDER_DEG = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 90.0)
@@ -191,15 +195,9 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
     lamp_psd, ambient = (levels, zeros + ambient) if lamp_lit else (zeros + 0.0, levels)
     x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
 
-    detector = DetectorParams(
-        efficiency=float(p["detector_efficiency"]),
-        dark_count_rate_hz=float(p["dark_count_rate_hz"]),
-        pulse_width_s=float(p["pulse_width_s"]),
-        wavelength_nm=float(p["wavelength_nm"]),
-    )
-    bandwidth = p["filter_bandwidth_nm"]
-    if bandwidth is None:
-        bandwidth = matched_filter_bandwidth_nm(detector)
+    detector = DetectorParams(efficiency=float(p["detector_efficiency"]), **{name: float(p[name]) for name in _DETECTOR_KEYS})
+    if p["filter_bandwidth_nm"] is None:
+        p["filter_bandwidth_nm"] = matched_filter_bandwidth_nm(detector)
 
     lamp_x = x / 2.0 if p["lamp_x_m"] is None else float(p["lamp_x_m"])
     lamp_y = y / 2.0 if p["lamp_y_m"] is None else float(p["lamp_y_m"])
@@ -209,21 +207,8 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
 
     tx_position = Point3(0.0, 0.0, 0.0) if corner else Point3(x / 2.0, y / 2.0, 0.0)
     room = RoomScenario(
-        room_x_m=x,
-        room_y_m=y,
-        room_z_m=z,
-        wall_reflectivity=float(p["wall_reflectivity"]),
-        floor_reflectivity=float(p["floor_reflectivity"]),
-        lamp=lamp,
-        lamp_semi_angle_deg=float(p["lamp_semi_angle_deg"]),
-        transmitter=Pose(tx_position, Point3(0.0, 0.0, 1.0)),
-        tx_semi_angle_deg=tx_semi_angle_deg,
-        receiver=receiver,
-        fov_deg=fov_deg,
-        detector_area_m2=float(p["detector_area_m2"]),
-        concentrator_index=float(p["concentrator_index"]),
-        filter_transmission=float(p["filter_transmission"]),
-        filter_bandwidth_nm=float(bandwidth),
+        **{name: float(p[name]) for name in _ROOM_KEYS}, lamp=lamp, receiver=receiver, fov_deg=fov_deg,
+        transmitter=Pose(tx_position, Point3(0.0, 0.0, 1.0)), tx_semi_angle_deg=tx_semi_angle_deg,
     )
     if aimed:  # only now, so that a bad room size is named by the room's rules
         room = replace(room, transmitter=Pose.aimed_at(tx_position, receiver.position))

@@ -224,6 +224,26 @@ class TestValidationDiagnostics:
         )
         assert any("band" in m for m in validate(config))
 
+    @pytest.mark.parametrize("raw", ["0", "-5", "1e-320"])
+    @pytest.mark.parametrize("scenario, spectrum", [
+        pytest.param("lamp-center", f"lamp_spectrum_file = {bundled_spectrum_path('cool_white_led.csv')}\n", id="lamp-with-a-psd-file"),
+        pytest.param(
+            "ambient-only-center", f"lamp_spectrum_file = {IRRADIANCE_FILE}\nlamp_spectrum_kind = irradiance\n",
+            id="ambient-with-an-irradiance-file",
+        ),
+    ])
+    def test_an_invalid_wavelength_beside_a_spectrum_is_named_once(self, tmp_path, capsys, scenario, spectrum, raw):
+        # the wavelength's own rule names it; the spectrum's band line would name it a second time
+        out_dir = tmp_path / "out"
+        body = f"[channel]\nwavelength_nm = {raw}\n[noise]\n{spectrum}"
+        assert main([str(write_config(tmp_path, body)), "--scenario", scenario, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        value = float(raw)
+        assert capsys.readouterr().err == (
+            f"config error: wavelength_nm = {value!r}: wavelength_nm must be positive and finite, "
+            f"with a finite photon energy h c / wavelength, got {value!r}\n"
+        )
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("scenario, body, message", [
         pytest.param(
             "ambient-only-center", "[noise]\nambient_irradiance_w_nm_m2 = -1e-9\n",
@@ -746,14 +766,15 @@ def small_run(tmp_path, case, **fields):
 class TestComputeThenRender:
     @pytest.mark.parametrize("case, expected", [
         ("lamp-spectrum", [*SPECTRUM_CALLS, "build_setup", "build_setup", "sweep", "_csv_lines",
-                           "build_setup", "reflected_gain_convergence", "secure_fov_boundary"]),
-        ("lamp", ["build_setup", "build_setup", "sweep", "_csv_lines", "build_setup", "reflected_gain_convergence", "secure_fov_boundary"]),
+                           "reflected_gain_convergence", "secure_fov_boundary"]),
+        ("lamp", ["build_setup", "build_setup", "sweep", "_csv_lines", "reflected_gain_convergence", "secure_fov_boundary"]),
         ("lamp-off", ["build_setup", "build_setup", "sweep", "_csv_lines", "secure_fov_boundary"]),
         ("ambient", ["build_setup", "build_setup", "sweep", "_csv_lines", "ambient_tolerance"]),
     ])
     def test_run_makes_its_library_calls_in_order(self, tmp_path, monkeypatch, case, expected):
-        # the corners of the grid in _resolve, the map and its CSV, the report
-        # of a lit lamp run's room, then the boundary or the tolerance
+        # the corners of the grid in _resolve, which returns the room it checked at
+        # fov_max_deg, the map and its CSV, the report of a lit lamp run on that room
+        # (the widest the boundary search evaluates), then the boundary or the tolerance
         calls = spy_on_cli(monkeypatch, (*LIBRARY_CALLS, *SPECTRUM_CALLS, "_csv_lines"))
         assert run(small_run(tmp_path, case)) == EXIT_OK
         assert [name for name, _ in calls] == expected
@@ -772,7 +793,7 @@ class TestComputeThenRender:
         def refuse(*args, **kwargs):
             raise AssertionError("the summary called the library")
 
-        _, fov_values, source_values = cli._resolve(config)[0]
+        _, fov_values, source_values, _ = cli._resolve(config)[0]
         for name in LIBRARY_CALLS:
             monkeypatch.setattr(cli, name, refuse)
         secure = results["sweep"].report.secure
@@ -784,11 +805,14 @@ class TestComputeThenRender:
         # fov_max_deg: the report is of the room at 30 deg, the widest FOV the run evaluates
         config = RunConfig(scenario="lamp-center", fov_min_deg=5.0, fov_max_deg=30.0, fov_steps=1, output_dir=str(tmp_path / "out"))
         checked, convergence = [], cli.reflected_gain_convergence
-        monkeypatch.setattr(cli, "reflected_gain_convergence", lambda room, order: checked.append((room.fov_deg, convergence(room, order))) or checked[-1][1])
+        monkeypatch.setattr(cli, "reflected_gain_convergence", lambda room, order: checked.append((room, convergence(room, order))) or checked[-1][1])
+        resolved, resolve = [], cli._resolve
+        monkeypatch.setattr(cli, "_resolve", lambda config: resolved.append(resolve(config)) or resolved[-1])
         calls = spy_on_cli(monkeypatch, ("secure_fov_boundary",))
         assert run(config) == EXIT_OK
-        [(fov, report)] = checked
-        assert fov == 30.0 and 5.0 < calls[0][1] < 30.0
+        [(checked_room, report)] = checked
+        assert checked_room.fov_deg == 30.0 and 5.0 < calls[0][1] < 30.0
+        assert checked_room is resolved[0][0][3]  # the room _resolve checked, not a second build
         room = experiments.build_setup(experiments.Scenario.named("lamp-center"), 30.0, 0.0).room
         value = experiments.total_reflected_gain(room, config.resolution_patches_per_meter)
         assert report.value == value != experiments.total_reflected_gain(room, config.resolution_patches_per_meter, fov_deg=5.0)
@@ -826,7 +850,7 @@ class TestSearchesSeededFromTheMap:
 
         monkeypatch.setattr(cli, "secure_fov_boundary", boundary)
         assert run(config) == EXIT_OK
-        _, fov_values, source_values = cli._resolve(config)[0]
+        _, fov_values, source_values, _ = cli._resolve(config)[0]
         fovs = np.array(fov_values)
         flags = calls[0][1].report.secure[:, len(source_values) // 2]
         assert flags.any() and not flags.all()
@@ -840,7 +864,7 @@ class TestSearchesSeededFromTheMap:
     @pytest.mark.parametrize("scale, fov_min", [("log", 5.0), ("log", 6.0), ("linear", 5.0)])
     def test_ambient_run_seeds_only_from_a_row_at_fov_min(self, tmp_path, monkeypatch, scale, fov_min):
         config = small_run(tmp_path, "ambient", fov_min_deg=fov_min, fov_max_deg=30.0, fov_steps=4, fov_scale=scale)
-        _, fov_values, source_values = cli._resolve(config)[0]
+        _, fov_values, source_values, _ = cli._resolve(config)[0]
         assert fov_values[0] == fov_min  # logspace alone starts a 5-30 deg log axis at 5.000000000000001
         known = []
         search = cli.ambient_tolerance

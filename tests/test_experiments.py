@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +124,33 @@ class TestScenarioTable:
             build_setup(scenario, 30.0, 1e-8)
 
     def test_overrides_reach_the_room(self):
-        scenario = Scenario.named("lamp-center", {"wall_reflectivity": 0.4})
-        setup = build_setup(scenario, 30.0, 1e-5)
-        assert setup.room.wall_reflectivity == 0.4
+        # every NOMINAL key, each overridden alone to a valid value off the nominal one,
+        # lands in the setup field of its name, or else in its one named exception
+        values = {
+            "room_x_m": 5.0, "room_y_m": 4.5, "room_z_m": 2.5, "wall_reflectivity": 0.4, "floor_reflectivity": 0.2,
+            "lamp_x_m": 1.5, "lamp_y_m": 2.5, "lamp_semi_angle_deg": 60.0, "detector_area_m2": 2e-4,
+            "concentrator_index": 1.2, "filter_transmission": 0.9, "wavelength_nm": 850.0, "pulse_width_s": 2e-10,
+            "detector_efficiency": 0.5, "dark_count_rate_hz": 500.0, "filter_bandwidth_nm": 0.05,
+            "ambient_irradiance_w_nm_m2": 2e-9, "mean_photons_per_pulse": 0.4, "sift_factor": 0.5,
+            "error_correction_inefficiency": 1.2, "misalignment_error": 0.01,
+        }
+        exceptions = {
+            "detector_efficiency": lambda setup: setup.detector.efficiency,
+            "lamp_x_m": lambda setup: setup.room.lamp.position.x,
+            "lamp_y_m": lambda setup: setup.room.lamp.position.y,
+            "ambient_irradiance_w_nm_m2": lambda setup: setup.ambient_irradiance_w_nm_m2,
+        }
+        assert values.keys() == NOMINAL.keys() and all(values[key] != NOMINAL[key] for key in NOMINAL)
+        by_name = (*experiments._ROOM_KEYS, *experiments._DETECTOR_KEYS, *experiments._PROTOCOL_KEYS, *exceptions)
+        assert sorted(by_name) == sorted(NOMINAL)  # each key once
+        for key, value in values.items():
+            for name in LAMP_SCENARIOS if key == "ambient_irradiance_w_nm_m2" else ("lamp-center",):
+                setup = build_setup(Scenario.named(name, {key: value}), 30.0, 1e-5)
+                if key in exceptions:
+                    assert exceptions[key](setup) == value, (name, key)
+                    continue
+                [part] = [part for part in (setup.room, setup.detector, setup.protocol) if key in {f.name for f in fields(part)}]
+                assert getattr(part, key) == value, key
 
     def test_matched_filter_bandwidth_default(self):
         setup = build_setup(Scenario.named("lamp-center"), 30.0, 1e-5)
