@@ -12,8 +12,9 @@ pages the allocator handed back to the system and faulted in again, among
 others.  The layers:
 
 * total_reflected_gain, lamp-center at FOV 20 deg, at rule order
-  10/20/40/80, each call with the room's receiver view already built and
-  the integral not yet in it; and the same at order 10 with the lamp 0.7 m
+  10/20/40/80, CALLS calls a round, each with the room's receiver view
+  already built and the integral not yet in it (one call of 0.3-0.5 ms a
+  round swung past its IQR); and the same at order 10 with the lamp 0.7 m
   off centre, for a 70 deg lamp and for a 10 deg one, whose theta rules differ;
 * one cold reflected_gain_convergence of lamp-center at order 10: the
   order-10 value, the order-20 one and the theta check, in a new view;
@@ -27,7 +28,9 @@ others.  The layers:
   one ring; and one probe-sized call, the 10 rings of the order-10 rule on
   15-20 deg (400 rays, 800 before), where the kernel's fixed cost per call
   shows; and the 63 rings of 0.01-0.55 rad, which meet no room edge and
-  keep their equal arcs (2,520 rays, one block of the equal-arc route);
+  keep their equal arcs (2,520 rays, one block of the equal-arc route); and
+  the 204 rings of 0.01-0.55 rad, all in the floor cap (8,160 rays, one
+  full block of the cap's route: every ray leaves through the floor);
 * one evaluate_point of lamp-center at order 10 and 1e-5 W/nm, each call at
   a FOV the room's view does not hold yet (20 deg plus 1e-5 deg per call,
   all in one psi panel): the cost of one boundary probe;
@@ -42,7 +45,11 @@ others.  The layers:
   bounce integral already cached;
 * one build_setup of lamp-corner-steered at FOV 20 deg and 1e-5 W/nm, the
   scenario that builds its room twice, the second time with the transmitter
-  aimed at the receiver (the value is that aim's z component);
+  aimed at the receiver (the value is that aim's z component), each a
+  whole build (a scenario kept by build_setup is dropped first), and one of
+  lamp-center at a FOV not yet asked for (20 deg plus 1e-5 deg per call)
+  with the same Scenario object, a boundary probe's setup: where
+  build_setup keeps the scenario in use, only the room is made anew;
 * one cold 90 x 90 sweep (FOV 2-30 deg x ambient 1e-9-1e-5 W/nm/m^2) of
   ambient-only-center;
 * one cold ambient_tolerance of ambient-only-center at a FOV floor of 2 deg;
@@ -90,10 +97,14 @@ run records the line count of ``src/indoorqkd/*.py``, in all and per
 module.  --src picks the source tree to import (default: src/ of this
 checkout), so one copy of the script times this checkout and its parent.
 --label names the run inside the output file; runs stored there under
-other labels are kept, so one file can hold a before/after pair:
+other labels are kept, so one file can hold a before/after pair.  With
+--pair PARENT_SRC the script times both trees itself, row by row: each
+row's two children run back to back, and which tree goes first alternates
+from row to row, so a host that drifts over the minutes of a run moves
+both trees' rows alike.  The parent's run is stored as "parent":
 
-    python3 scripts/bench_layers.py --src ../parent/src --label parent --out BENCH.json
-    python3 scripts/bench_layers.py --label change --out BENCH.json
+    python3 scripts/bench_layers.py --pair ../parent/src --label change --out BENCH.json
+    python3 scripts/bench_layers.py --src ../parent/src --label parent --out BENCH.json  # one tree alone
 """
 
 import argparse
@@ -316,17 +327,20 @@ def layer_rows(src: Path) -> dict:
         layer["tracemalloc_peak_bytes"] = traced_peak_bytes(estimate)
         return layer
 
-    rows = {f"total_reflected_gain_{res}_per_m": (lambda res=res: timed(lambda: total_reflected_gain(room, res), without_integrals)) for res in RESOLUTIONS}
+    def fresh_integral(room, order: int) -> dict:  # CALLS calls a round, each in the built view without the integral
+        return timed(lambda: (without_integrals(), total_reflected_gain(room, order))[1], calls=CALLS)
+
+    rows = {f"total_reflected_gain_{res}_per_m": (lambda res=res: fresh_integral(room, res)) for res in RESOLUTIONS}
     for semi_angle in 70, 10:
         off = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 2.7, "lamp_semi_angle_deg": float(semi_angle)}), 20.0, 1e-5).room
-        rows[f"total_reflected_gain_10_per_m_lamp_0.7m_off_{semi_angle}deg"] = (
-            lambda off=off: timed(lambda: total_reflected_gain(off, 10), without_integrals)
-        )
+        rows[f"total_reflected_gain_10_per_m_lamp_0.7m_off_{semi_angle}deg"] = lambda off=off: fresh_integral(off, 10)
     rows["reflected_gain_convergence_cold_10_per_m"] = lambda: timed(lambda: channel.reflected_gain_convergence(room, 10).refined_value, cold)
     rows["receiver_view_new_room"] = lambda: timed(lambda: float(channel._ReceiverView(offset_room).bounds.sum()), calls=CALLS)
     rows["ring_integrals_full_ray_block"] = lambda: ring_call(np.linspace(0.01, 1.5, 63))
     # rings below every room edge, which keep their equal arcs: one block of the equal-arc route
     rows["ring_integrals_equal_arc_block"] = lambda: ring_call(np.linspace(0.01, 0.55, 63))
+    # rings in the floor cap (below 0.588 rad there) filling one ray block: the cap's route
+    rows["ring_integrals_cap_block"] = lambda: ring_call(np.linspace(0.01, 0.55, channel._RAY_BLOCK // 40))
     # a partial piece of an order-10 probe: the rule's nodes on 15-20 deg
     rows["ring_integrals_probe_10_rings"] = lambda: ring_call(np.radians(15.0) + np.radians(5.0) * channel._mapped_rule(10)[0])
     rows["boundary_probe_new_fov_10"] = new_fov_probe
@@ -339,7 +353,12 @@ def layer_rows(src: Path) -> dict:
         lambda: float(evaluate_point(scenario, 20.0, 1e-5).report.rate), calls=CALLS
     )
     steered = Scenario.named("lamp-corner-steered")
-    rows["build_setup_lamp_corner_steered"] = lambda: timed(lambda: build_setup(steered, 20.0, 1e-5).room.transmitter.axis.z, calls=CALLS)
+    kept = getattr(experiments, "_SETUPS", {})  # build_setup's scenario in use, where it keeps one: cleared for a whole build
+    rows["build_setup_lamp_corner_steered"] = lambda: timed(
+        lambda: (kept.clear(), build_setup(steered, 20.0, 1e-5))[1].room.transmitter.axis.z, calls=CALLS
+    )
+    setup_fovs = (20.0 + 1e-5 * k for k in itertools.count())
+    rows["build_setup_hit_new_fov"] = lambda: timed(lambda: build_setup(scenario, next(setup_fovs), 1e-5).room.fov_deg, calls=CALLS)
     rows["sweep_90x90_ambient_only_center_cold"] = lambda: timed(lambda: secure_count(sweep(ambient, ambient_fovs, ambient_levels)), cold)
     rows["ambient_tolerance_cold"] = lambda: searched(lambda: ambient_tolerance(ambient, fov_floor_deg=2.0), cold)
     rows["secure_fov_boundary_after_map_10_per_m"] = lambda: after_map(
@@ -382,6 +401,7 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     parser.add_argument("--label", required=True, help="name of this run in the output file")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write (runs with other labels stay)")
+    parser.add_argument("--pair", type=Path, metavar="PARENT_SRC", help="also time this source tree, stored as 'parent', alternating row by row")
     parser.add_argument("--row", help="measure this one row in this process and print it as JSON (how each row's child runs)")
     args = parser.parse_args()
 
@@ -389,40 +409,53 @@ def main() -> int:
     if args.row:
         print(json.dumps(layer_rows(src)[args.row]()))
         return 0
-    layers = {}
-    for name in layer_rows(src):
-        child = [sys.executable, __file__, "--src", str(src), "--label", args.label, "--out", str(args.out), "--row", name]
-        layers[name] = json.loads(subprocess.run(child, stdout=subprocess.PIPE, text=True, check=True).stdout)
+    trees = {args.label: src, **({"parent": args.pair.resolve()} if args.pair else {})}
+    layers = {label: {} for label in trees}
+    for k, name in enumerate(layer_rows(src)):
+        for label in sorted(trees, reverse=k % 2 == 1):  # with --pair, the first of each row's pair alternates
+            child = [sys.executable, __file__, "--src", str(trees[label]), "--label", label, "--out", str(args.out), "--row", name]
+            layers[label][name] = json.loads(subprocess.run(child, stdout=subprocess.PIPE, text=True, check=True).stdout)
+    results = json.loads(args.out.read_text()) if args.out.exists() else {}
+    for label, tree in trees.items():
+        results[label] = run_record(tree, layers[label], args.pair is not None)
+    args.out.write_text(json.dumps(results, indent=2) + "\n")
+    for label in trees:
+        print_layers(label, layers[label])
+    return 0
 
+
+def run_record(src: Path, layers: dict, paired: bool) -> dict:
+    """One tree's run as the output file stores it."""
     sha, dirty = git_sha(src)
     lines = line_counts(src / "indoorqkd")
-    run = {
+    return {
         "git_sha": sha,
         "src_has_uncommitted_edits": dirty,
         "source_sha256": source_digest(src / "indoorqkd"),
         "src_lines": sum(lines.values()),
         "src_lines_by_module": lines,
         "clock": "CPU s per call, this process and its waited-for children, not scaled",
+        "order": "rows alternate between the two trees, each row's pair run back to back, the first of each pair alternating"
+        if paired else "one tree, row after row",
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
         "layers": layers,
     }
-    results = json.loads(args.out.read_text()) if args.out.exists() else {}
-    results[args.label] = run
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
+
+
+def print_layers(label: str, layers: dict) -> None:
     for name, layer in layers.items():
         if "skipped" in layer:
-            print(f"{args.label:>8} {name:46s} skipped: {layer['skipped']}")
+            print(f"{label:>8} {name:46s} skipped: {layer['skipped']}")
             continue
         print(
-            f"{args.label:>8} {name:46s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms"
+            f"{label:>8} {name:46s} median {layer['median_s'] * 1e3:10.3f} ms  IQR {layer['iqr_s'] * 1e3:8.3f} ms"
             f"  faults/call {layer['minor_faults_per_call']:10.1f}"
             + (f"  traced peak {layer['tracemalloc_peak_bytes'] / 1e6:7.2f} MB" if "tracemalloc_peak_bytes" in layer else "")
             + (f"  calls/search {layer['evaluate_point_calls']}" if "evaluate_point_calls" in layer else "")
         )
-    return 0
 
 
 if __name__ == "__main__":

@@ -48,9 +48,13 @@ one work array made for the pass.  A block of equal-arc rings (most rays)
 multiplies one table per theta rule, of cos theta, sin theta and span times
 weight, by its rings' sin psi; any other computes theta's trig, the table's
 bits.  np.bincount sums each ring in ray order, so a ring has the same bits
-in any block and by either route.  The ray directions skip the frame
-coefficients that are exactly 0: six of the nine for a receiver facing
-straight down.
+in any block and by either route.  The rays of a block in the floor cap, which
+ends 1e-6 rad below every edge's psi, all leave through the axis ray's plane:
+t is one division.  A ray that far from every edge direction lies a relative
+sin(1e-6) nearer its face than any other plane ahead, far past a division's
+1e-16 rounding, so the per-ray rule picks that plane too.  The ray directions
+skip the frame coefficients that are exactly 0: six of the nine for a receiver
+facing straight down.
 """
 
 from __future__ import annotations
@@ -295,7 +299,7 @@ class _ReceiverView:
         # Columns for _radiance: on each axis the plane ahead of a negative component, and of a positive one.
         self.near_height, self.far_height, self.lamp_column = near[:, None], far[:, None], self.lamp[:, None]
         self.height = np.array([near[2], near[0], -far[0], near[1], -far[1], -far[2]])  # each plane's signed offset, <= 0 inside
-        # Only the reflectivities are read: the call stays while perfbench counts its 1/m cells (ROADMAP item 6, step A).
+        self.plane_at = [(2, near[2]), (0, near[0]), (0, far[0]), (1, near[1]), (1, far[1]), (2, far[2])]  # each plane's axis and place on it
         rho = np.append([g.reflectivity for g in wall_and_floor_grids(room, 1)], 0.0)
         # rho times the lamp's height over each plane (cos(alpha) d1 on it); 0 on a plane that holds the receiver, seen edge-on
         self.lamp_gain = rho * np.clip(self.normal @ self.lamp - self.height, 0.0, None) * (self.height < 0.0)
@@ -318,9 +322,11 @@ class _ReceiverView:
             points = np.array([u, self.edge_end, np.where(inner[:, None], u + s[:, None] * direction, u)])
             distance = np.linalg.norm(points, axis=2)
             psi = np.where((distance > 0.0) & (distance < math.inf), np.arccos(np.clip(points @ axis / distance, -1.0, 1.0)), math.nan)
-        # Each edge's psi interval, a few ulps wider; nan, met by every ring, where a point lies at the receiver or past the float range.
-        lo, hi = psi.min(axis=0), psi.max(axis=0)
-        self.edge_psi = lo - 4.0 * np.spacing(lo), hi + 4.0 * np.spacing(hi)
+            # Each edge's psi interval, a few ulps wider; nan, met by every ring, where a point lies at the receiver or past the float range.
+            lo, hi = psi.min(axis=0), psi.max(axis=0)
+            self.edge_psi = lo - 4.0 * np.spacing(lo), hi + 4.0 * np.spacing(hi)
+            # The floor cap: 1e-6 rad (edge psi errs by 1.5e-8 at most) below every edge, none if nan or <= 0; its rays leave as the axis ray.
+            self.cap_psi, self.cap_plane = self.edge_psi[0].min() - 1e-6, int(self._exit_planes(axis[:, None], np.empty((3, 1)), np.empty(1))[0])
         panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
         cuts = np.sort(np.concatenate([panels, psi[(psi > 0.0) & (psi < 0.5 * math.pi)], [0.5 * math.pi]]))
         self.bounds = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique's result, without its numpy.ma import
@@ -367,7 +373,7 @@ class _ReceiverView:
                 np.multiply(c, sources[i], out=omega[j])
                 for c, i in rest:
                     omega[j] += np.multiply(c, sources[i], out=term)
-            radiance = self._radiance(omega, work[3 * n :])
+            radiance = self._radiance(omega, work[3 * n :], self.cap_plane if equal and (psi[a:b] < self.cap_psi).all() else None)
             weight = table[2, :, :, None] if equal else np.multiply(span[k], weights, out=omega[0])
             weighted = np.multiply(weight, radiance, out=omega[0]).ravel()
             rings = work[n : 2 * n].view(np.int64).reshape(shape)  # each ray's ring, where omega's y was
@@ -406,30 +412,41 @@ class _ReceiverView:
         np.place(span, ~cut, _arc_knots(arcs)[1:] - _arc_knots(arcs)[:-1])
         return start[:, None], span[:, None], count
 
-    def _radiance(self, omega: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver
-        along ``omega`` (x, y, z on the first axis) leave the room: the nearest
-        of the planes ahead on each axis, whose height / facing is exact, for
-        the normals are axis-aligned.  Ties go as ``np.argmin`` over all six.
-        The intermediates go to ``work``, 5 floats a ray, and so does the result.
-        """
+    def _exit_planes(self, omega: np.ndarray, reach: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The per-ray rule: the plane each ray along ``omega`` (3, n) leaves through, the nearest of those ahead on each axis
+        (height / facing is exact: the normals are axis-aligned), ties as ``np.argmin`` over all six; its distance goes to ``t``."""
+        up = omega > 0.0
+        np.copyto(reach, self.near_height)
+        np.copyto(reach, self.far_height, where=up)  # the plane ahead on each axis
+        np.divide(reach, omega, out=reach)
+        if not omega.all():  # parallel to both planes of an axis
+            reach[omega == 0.0] = np.inf
+        (t_x, t_y, t_z), (up_x, up_y, up_z) = reach, up.view(np.int8)
+        np.minimum(t_x, t_y, out=t)
+        plane = 3 + up_y - (2 + up_y - up_x) * (t_x <= t_y).view(np.int8)  # x walls 1, 2 win a tie with y walls 3, 4
+        z_first = (t_z < t) | ((t_z == t) & (up_z == 0))  # the floor 0 wins a tie, the ceiling 5 loses it
+        plane += (5 * up_z - plane) * z_first.view(np.int8)
+        np.minimum(t, t_z, out=t)
+        return plane
+
+    def _radiance(self, omega: np.ndarray, work: np.ndarray, plane: int | None = None) -> np.ndarray:
+        """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver along ``omega``
+        (x, y, z on the first axis) leave the room, through the planes of ``_exit_planes`` or
+        all through ``plane``, that of the floor cap 1e-6 rad inside every edge: then t is one
+        division by its own component and the lamp gain one scalar.  A ray delta from every
+        edge direction meets its face t sin(delta) from the border, so each other plane ahead
+        lies a relative sin(1e-6) farther, far past a division's 1e-16 rounding: the per-ray
+        rule's bits.  The intermediates go to ``work``, 5 floats a ray, and so does the result."""
         shape, n = omega.shape[1:], omega[0].size
         omega = omega.reshape(3, n)
         reach = work[: 3 * n].reshape(3, n)
         t, spare = work[3 * n : 5 * n].reshape(2, n)
-        up = omega > 0.0
-        np.copyto(reach, self.near_height)
-        np.copyto(reach, self.far_height, where=up)  # the plane ahead on each axis
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(reach, omega, out=reach)
-            if not omega.all():  # parallel to both planes of an axis
-                reach[omega == 0.0] = np.inf
-            (t_x, t_y, t_z), (up_x, up_y, up_z) = reach, up.view(np.int8)
-            np.minimum(t_x, t_y, out=t)
-            plane = 3 + up_y - (2 + up_y - up_x) * (t_x <= t_y).view(np.int8)  # x walls 1, 2 win a tie with y walls 3, 4
-            z_first = (t_z < t) | ((t_z == t) & (up_z == 0))  # the floor 0 wins a tie, the ceiling 5 loses it
-            plane += (5 * up_z - plane) * z_first.view(np.int8)
-            np.minimum(t, t_z, out=t)
+            if plane is None:
+                gain = self.lamp_gain.take(self._exit_planes(omega, reach, t))
+            else:  # the floor cap's plane
+                (k, at), gain = self.plane_at[plane], self.lamp_gain[plane]
+                np.divide(at, omega[k], out=t)
             v1 = np.subtract(np.multiply(t, omega, out=reach), self.lamp_column, out=reach)
             d1_sq = np.multiply(v1[0], v1[0], out=t)
             d1_sq += np.multiply(v1[1], v1[1], out=spare)
@@ -442,7 +459,7 @@ class _ReceiverView:
             cos_phi = np.maximum(np.divide(along, d1, out=along), 0.0, out=along)  # np.clip's lower bound alone
             cos_phi **= self.m1
             # cos(alpha) d1 is the lamp's height over the plane hit
-            radiance = np.multiply(self.lamp_gain.take(plane), cos_phi, out=cos_phi)
+            radiance = np.multiply(gain, cos_phi, out=cos_phi)
             radiance /= np.multiply(d1_sq, d1, out=spare)
         # nan only at the lamp itself (d1 = 0, on a plane it lies in) or past the float range; neither reflects
         np.copyto(radiance, 0.0, where=np.isnan(radiance))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import math
 import sys
@@ -537,18 +538,21 @@ def _summarize(
     return "\n".join(lines) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="indoorqkd",
-        description="Indoor wireless QKD feasibility sweeps: secure-region maps from one config file.",
-    )
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and kept for the process: ``parse_args`` keeps no state between calls."""
+    parser = argparse.ArgumentParser(prog="indoorqkd", description="Indoor wireless QKD feasibility sweeps: secure-region maps from one config file.")
     parser.add_argument("config", nargs="?", default=None, help="INI config file (defaults if omitted)")
     parser.add_argument("--scenario", choices=SCENARIOS, help="override the configured scenario")
     parser.add_argument("--resolution", type=int, metavar="N", help="bounce-quadrature rule order (resolution_patches_per_meter)")
     parser.add_argument("--strict", action="store_true", help="exit 3 when the bounce quadrature is not converged")
     parser.add_argument("--dump-defaults", action="store_true", help="print the default config and exit")
     parser.add_argument("--out", metavar="DIR", help="output directory (default from config)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.dump_defaults:
         sys.stdout.write(dump_defaults())

@@ -121,6 +121,7 @@ _TOLERANCE_PRECISION_DECADES = 0.01
 _BISECTION_LEVELS = 4  # undecided bisection levels flagged in one call: a map's 1 deg bracket takes 4 to reach 0.1 deg
 # A map's values along a search axis and their secure flags (see _largest_secure).
 MapFlags = tuple[Sequence[float], Sequence[bool]]
+_SETUPS: dict[int, tuple] = {}  # the scenario in use, its checked room, detector, protocol and ambient level and its lamp lit, by id
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,36 +184,43 @@ def build_setup(scenario: Scenario, fov_deg: float, source_level: float | np.nda
 
     ``source_level``, one level or an array, is the lamp PSD in W/nm for lamp
     scenarios and the ambient spectral irradiance in W/nm/m^2 for ambient-only
-    scenarios, whose lamp is off.
+    scenarios, whose lamp is off.  The scenario in use's checked setup is kept
+    (by object identity: equality takes a -0.0 override for 0.0) until a build
+    for another succeeds.  A call for it checks the levels and makes the room
+    at a new FOV, or one of another type, by ``dataclasses.replace``, which
+    re-runs the room's rules.
     """
     levels = _in_range("source_level", source_level, 0.0, _LARGEST_FLOAT).copy()  # Setup's own, writable
-    lamp_lit, corner, tx_semi_angle_deg, aimed = _SCENARIO_ROWS[scenario.name]
-    p = scenario.params()
+    entry = _SETUPS.get(id(scenario))
+    if entry is None:
+        lamp_lit, corner, tx_semi_angle_deg, aimed = _SCENARIO_ROWS[scenario.name]
+        p = scenario.params()
+        # Checked in every scenario, though only lamp scenarios read it.
+        ambient = _in_range("ambient_irradiance_w_nm_m2", p["ambient_irradiance_w_nm_m2"], 0.0, _LARGEST_FLOAT)
+        x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
+        detector = DetectorParams(efficiency=float(p["detector_efficiency"]), **{name: float(p[name]) for name in _DETECTOR_KEYS})
+        if p["filter_bandwidth_nm"] is None:
+            p["filter_bandwidth_nm"] = matched_filter_bandwidth_nm(detector)
+        lamp_x, lamp_y = (side / 2.0 if p[key] is None else float(p[key]) for side, key in ((x, "lamp_x_m"), (y, "lamp_y_m")))
+        down = Point3(0.0, 0.0, -1.0)
+        receiver = Pose(Point3(x / 2.0, y / 2.0, z), down)
+        lamp = Pose(Point3(lamp_x, lamp_y, z), down)
+        tx_position = Point3(0.0, 0.0, 0.0) if corner else Point3(x / 2.0, y / 2.0, 0.0)
+        room = RoomScenario(
+            **{name: float(p[name]) for name in _ROOM_KEYS}, lamp=lamp, receiver=receiver, fov_deg=fov_deg,
+            transmitter=Pose(tx_position, Point3(0.0, 0.0, 1.0)), tx_semi_angle_deg=tx_semi_angle_deg,
+        )
+        if aimed:  # only now, so that a bad room size is named by the room's rules
+            room = replace(room, transmitter=Pose.aimed_at(tx_position, receiver.position))
+        protocol = ProtocolParams(**{name: float(p[name]) for name in _PROTOCOL_KEYS})
+        _SETUPS.clear()
+        entry = _SETUPS[id(scenario)] = (scenario, room, detector, protocol, ambient, lamp_lit)  # the scenario held, so its id stays its own
+    _, room, detector, protocol, ambient, lamp_lit = entry
+    if type(fov_deg) is not type(room.fov_deg) or fov_deg != room.fov_deg:
+        room = replace(room, fov_deg=fov_deg)
     # x + 0.0 == x for every x >= 0: adding zeros spreads a fixed level over the swept ones
     zeros = levels * 0.0
-    # Checked in every scenario, though only lamp scenarios read it.
-    ambient = _in_range("ambient_irradiance_w_nm_m2", p["ambient_irradiance_w_nm_m2"], 0.0, _LARGEST_FLOAT)
     lamp_psd, ambient = (levels, zeros + ambient) if lamp_lit else (zeros + 0.0, levels)
-    x, y, z = float(p["room_x_m"]), float(p["room_y_m"]), float(p["room_z_m"])
-
-    detector = DetectorParams(efficiency=float(p["detector_efficiency"]), **{name: float(p[name]) for name in _DETECTOR_KEYS})
-    if p["filter_bandwidth_nm"] is None:
-        p["filter_bandwidth_nm"] = matched_filter_bandwidth_nm(detector)
-
-    lamp_x = x / 2.0 if p["lamp_x_m"] is None else float(p["lamp_x_m"])
-    lamp_y = y / 2.0 if p["lamp_y_m"] is None else float(p["lamp_y_m"])
-    down = Point3(0.0, 0.0, -1.0)
-    receiver = Pose(Point3(x / 2.0, y / 2.0, z), down)
-    lamp = Pose(Point3(lamp_x, lamp_y, z), down)
-
-    tx_position = Point3(0.0, 0.0, 0.0) if corner else Point3(x / 2.0, y / 2.0, 0.0)
-    room = RoomScenario(
-        **{name: float(p[name]) for name in _ROOM_KEYS}, lamp=lamp, receiver=receiver, fov_deg=fov_deg,
-        transmitter=Pose(tx_position, Point3(0.0, 0.0, 1.0)), tx_semi_angle_deg=tx_semi_angle_deg,
-    )
-    if aimed:  # only now, so that a bad room size is named by the room's rules
-        room = replace(room, transmitter=Pose.aimed_at(tx_position, receiver.position))
-    protocol = ProtocolParams(**{name: float(p[name]) for name in _PROTOCOL_KEYS})
     return Setup(room, detector, protocol, lamp_psd_w_per_nm=lamp_psd, ambient_irradiance_w_nm_m2=ambient)
 
 

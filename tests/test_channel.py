@@ -521,9 +521,9 @@ class TestOnePassBitInvariants:
         """The ring values of one call, and the rays of each block it traced with the work array it used."""
         radiance, blocks = _ReceiverView._radiance, []
 
-        def recording(self, omega, work):
+        def recording(self, omega, work, plane=None):
             blocks.append((omega[0].size, work.base))
-            return radiance(self, omega, work)
+            return radiance(self, omega, work, plane)
 
         with monkeypatch.context() as patch:
             patch.setattr(_ReceiverView, "_radiance", recording)
@@ -622,9 +622,9 @@ class TestOnePassBitInvariants:
         assert count[0] > arcs and count[1] == arcs
         radiance, rays = _ReceiverView._radiance, []
 
-        def recording(self, omega, work):
+        def recording(self, omega, work, plane=None):
             rays.append(omega.copy())
-            return radiance(self, omega, work)
+            return radiance(self, omega, work, plane)
 
         monkeypatch.setattr(_ReceiverView, "_radiance", recording)
         view.ring_integrals(psi, (arcs, nodes))
@@ -644,9 +644,9 @@ class TestOnePassBitInvariants:
         levels = _axis(config.source_min, config.source_max, config.source_steps, config.source_scale)
         radiance, blocks = _ReceiverView._radiance, []
 
-        def recording(self, omega, work):
+        def recording(self, omega, work, plane=None):
             blocks.append(omega.shape)
-            return radiance(self, omega, work)
+            return radiance(self, omega, work, plane)
 
         monkeypatch.setattr(_ReceiverView, "_radiance", recording)
         channel._VIEWS.clear()
@@ -771,6 +771,127 @@ class TestRingPins:
         assert np.count_nonzero(views["nominal"].frame == 0.0) == 6
         for kind in "tilted-a", "tilted-b":
             assert np.argwhere(views[kind].frame == 0.0).tolist() == [[1, 0]]
+
+
+def cap_rooms(kind, count=34):
+    """Seeded rooms of the benchmark's lamp draws (sides 3.5-5.5 x 3.5-5.5 x 2.5-3.5 m, a
+    ceiling lamp up to 0.75 m off centre) with lamp semi-angles of 5-80 degrees: the receiver
+    at the ceiling centre facing down ("ceiling"), tilted there ("tilted"), or lowered to
+    1-3.2 m and tilted ("lowered")."""
+    rng = np.random.default_rng([43, ("ceiling", "tilted", "lowered").index(kind)])
+    rooms = []
+    for _ in range(count):
+        x, y, z = rng.uniform(3.5, 5.5), rng.uniform(3.5, 5.5), rng.uniform(2.5, 3.5)
+        down = Point3(0.0, 0.0, -1.0)
+        lamp = Pose(Point3(x / 2.0 + rng.uniform(-0.75, 0.75), y / 2.0 + rng.uniform(-0.75, 0.75), z), down)
+        receiver = Pose(Point3(x / 2.0, y / 2.0, z), down)
+        if kind == "tilted":
+            receiver = Pose(receiver.position, Point3(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), -1.0).normalized())
+        elif kind == "lowered":
+            position = Point3(rng.uniform(0.5, x - 0.5), rng.uniform(0.5, y - 0.5), rng.uniform(1.0, z - 0.3))
+            receiver = Pose(position, Point3(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), -1.0).normalized())
+        rooms.append(nominal_room(
+            room_x_m=x, room_y_m=y, room_z_m=z, wall_reflectivity=rng.uniform(0.5, 0.85), floor_reflectivity=rng.uniform(0.05, 0.3),
+            lamp=lamp, lamp_semi_angle_deg=rng.uniform(5.0, 80.0), receiver=receiver,
+            transmitter=Pose(Point3(x / 2.0, y / 2.0, 0.0), Point3(0.0, 0.0, 1.0)),
+        ))
+    return rooms
+
+
+class TestFloorCap:
+    """A block of rings in the floor cap, 1e-6 rad below every edge's psi, traces every ray to the
+    axis ray's plane by one division: the bits of the per-ray rule, which picks that plane too."""
+
+    KINDS = [*RING_PINS, "ceiling", "tilted", "lowered"]
+
+    @staticmethod
+    def views(kind):
+        return [_ReceiverView(room) for room in ([ring_pin_room(kind)] if kind in RING_PINS else cap_rooms(kind))]
+
+    @staticmethod
+    def passes(view, order):
+        """The psi nodes of the passes over 23 FOVs from 1 to 89 degrees on a fresh view, laid out
+        as ``_reflected_gain`` lays them for one FOV a call, in turn: the whole pieces not yet summed,
+        then the FOV's partial one."""
+        ends = np.radians(np.linspace(1.0, 89.0, 23))
+        first = np.searchsorted(view.bounds, ends, side="right") - 1
+
+        def nodes(have, k):
+            partial, added = view.bounds[first[k]] < ends[k], max(0, int(first[k].max()) - have)
+            lo = np.concatenate([view.bounds[have : have + added], view.bounds[first[k][partial]]])
+            hi = np.concatenate([view.bounds[have + 1 : have + added + 1], ends[k][partial]])
+            return (lo[:, None] + (hi - lo)[:, None] * channel._mapped_rule(order)[0]).ravel()
+
+        return [nodes(int(first[:k].max(initial=0)), slice(k, k + 1)) for k in range(len(ends))]
+
+    @staticmethod
+    def recorded(monkeypatch, per_ray=False):
+        """Each ``_radiance`` call's plane argument, its ray count and (``per_ray``) the per-ray rule's plane of each ray."""
+        radiance, calls = _ReceiverView._radiance, []
+
+        def recording(self, omega, work, plane=None):
+            rays = omega.reshape(3, -1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rule = self._exit_planes(rays, np.empty(rays.shape), np.empty(rays.shape[1])) if per_ray else None
+            calls.append((plane, rays.shape[1], rule))
+            return radiance(self, omega, work, plane)
+
+        monkeypatch.setattr(_ReceiverView, "_radiance", recording)
+        return calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_cap_changes_no_bit(self, monkeypatch, kind):
+        # every ring of the passes at orders 10 and 20 that take the cap's route, with the
+        # view's cap and with it switched off; the seeded rooms send 7 % or more of their rays
+        # (of FOVs to 89 degrees) by that route
+        calls, capped, rays = self.recorded(monkeypatch), 0, 0
+        for view in self.views(kind):
+            for psi in (psi for order in (10, 20) for psi in self.passes(view, order)):
+                calls.clear()
+                on = view.ring_integrals(psi, view.theta_rule)
+                capped, rays = capped + sum(n for plane, n, _ in calls if plane is not None), rays + sum(n for _, n, _ in calls)
+                if all(plane is None for plane, _, _ in calls):
+                    continue
+                cap_psi, view.cap_psi = view.cap_psi, -math.inf
+                calls.clear()
+                off = view.ring_integrals(psi, view.theta_rule)
+                view.cap_psi = cap_psi
+                assert all(plane is None for plane, _, _ in calls)
+                assert on.view(np.uint64).tolist() == off.view(np.uint64).tolist()
+        assert kind in RING_PINS or capped > 0.07 * rays
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_per_ray_rule_picks_the_cap_plane_on_every_cap_ring(self, monkeypatch, kind):
+        calls, rings = self.recorded(monkeypatch, per_ray=True), 0
+        for view in self.views(kind):
+            for order in (10, 20):
+                psi = np.concatenate(self.passes(view, order))
+                cap = psi[psi < view.cap_psi]
+                calls.clear()
+                view.ring_integrals(cap, view.theta_rule)
+                rings += len(cap)
+                assert sum(n for _, n, _ in calls) == len(cap) * math.prod(view.theta_rule)
+                assert all(plane == view.cap_plane and (rule == plane).all() for plane, _, rule in calls)
+        assert kind in RING_PINS or rings > 0
+
+    def test_a_ring_inside_the_margin_takes_the_per_ray_route(self, monkeypatch):
+        # 5e-7 rad below the nearest edge's psi a ring meets no edge, yet lies inside the
+        # 1e-6 margin; 2e-6 below it, it lies in the cap
+        view = _ReceiverView(nominal_room())
+        edge = view.edge_psi[0].min()
+        psi = np.array([edge - 5e-7, edge - 2e-6])
+        assert (view._sub_arcs(psi[:, None], np.cos(psi)[:, None], np.sin(psi)[:, None], view.theta_rule[0])[2] == view.theta_rule[0]).all()
+        calls, routes = self.recorded(monkeypatch), []
+        for ring in psi:
+            calls.clear()
+            view.ring_integrals(np.array([ring]), view.theta_rule)
+            routes.append(calls[0][0])
+        assert routes == [None, 0] and view.cap_plane == 0  # the floor
+
+    def test_no_cap_where_an_edge_psi_is_nan(self):
+        # a receiver in a ceiling corner lies on three edges, whose psi is nan
+        view = _ReceiverView(nominal_room(receiver=Pose(Point3(0.0, 0.0, 3.0), Point3(1.0, 1.0, -1.0).normalized())))
+        assert math.isnan(view.cap_psi)
 
 
 class TestSubArcCuts:

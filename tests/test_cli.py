@@ -1165,6 +1165,40 @@ class TestColdProcess:
         assert done.stdout == "False\n"
 
 
+class TestParserReuse:
+    def test_each_call_in_one_process_behaves_as_a_fresh_process(self, tmp_path, monkeypatch, capsys):
+        # main's parser is built once a process; five calls in a row (a scenario override,
+        # none, --strict, an unknown option, a plain run) each give a fresh process's exit
+        # code, stdout, stderr and output bytes
+        import os
+        import subprocess
+
+        path = write_config(tmp_path, "[experiments]\nscenario = lamp-corner\nfov_steps = 3\nsource_steps = 2\n")
+        calls = [["--scenario", "ambient-only-center"], [], ["--strict", "--resolution", "1"], ["--no-such-option"], ["--resolution", "12"]]
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outputs(out):
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
+
+        capsys.readouterr()
+        codes, hits = [], cli._parser.cache_info().hits
+        for k, args in enumerate(calls):
+            argv = [str(path), *args, "--out", str(tmp_path / f"fresh{k}")]
+            fresh = subprocess.run([sys.executable, "-m", "indoorqkd.cli", *argv], capture_output=True, text=True, env=env)
+            try:
+                code = main([*argv[:-1], str(tmp_path / f"reused{k}")])
+            except SystemExit as exc:  # argparse's exit on a bad option
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), args
+            assert outputs(tmp_path / f"reused{k}") == outputs(tmp_path / f"fresh{k}"), args
+            codes.append((code, captured.err.startswith("usage: indoorqkd")))
+        assert codes == [(EXIT_OK, False), (EXIT_OK, False), (EXIT_STRICT_CONVERGENCE, False), (EXIT_CONFIG_ERROR, True), (EXIT_OK, False)]
+        assert cli._parser.cache_info().hits >= hits + len(calls) - 1  # built at most once here
+
+
 class TestMainEntry:
     def test_dump_defaults_flag(self, capsys):
         assert main(["--dump-defaults"]) == EXIT_OK

@@ -897,3 +897,100 @@ class TestScenarioHygiene:
                 Scenario("lamp-center", ((key, value),))
         for value in (NOMINAL[key], 1, 1.0, np.float64(1.0)):
             assert Scenario.named("lamp-center", {key: value}).params()[key] is value
+
+
+def fresh_setup(scenario, fov, level):
+    """``build_setup`` with no scenario kept: the setup every call made before the memo."""
+    experiments._SETUPS.clear()
+    return build_setup(scenario, fov, level)
+
+
+def assert_same_setup(got, want):
+    """Equal field by field: the same types, the same bits and the same repr."""
+    assert repr(got) == repr(want)
+    for part in ("room", "detector", "protocol"):
+        for f in fields(getattr(want, part)):
+            value, expected = getattr(getattr(got, part), f.name), getattr(getattr(want, part), f.name)
+            assert type(value) is type(expected) and repr(value) == repr(expected), (part, f.name)
+            assert f.type != "float" or bits(value) == bits(expected), (part, f.name)
+    for name in ("lamp_psd_w_per_nm", "ambient_irradiance_w_nm_m2"):
+        value, expected = getattr(got, name), getattr(want, name)
+        assert (type(value), value.dtype, value.shape) == (type(expected), expected.dtype, expected.shape) and bits(value) == bits(expected)
+
+
+class TestScenarioMemo:
+    """build_setup keeps the scenario in use's checked setup, by the Scenario object's identity,
+    and gives from it what a fresh build gives."""
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("fov", [0.25, 2, 30.0, 90.0])
+    @pytest.mark.parametrize("level", [3e-6, np.array([[0.0, 1e-7, 3e-6]])], ids=["scalar", "array"])
+    def test_a_hit_equals_a_fresh_build(self, name, fov, level):
+        scenario = Scenario.named(name, {"room_x_m": 5.0})
+        want = fresh_setup(scenario, fov, level)
+        build_setup(scenario, 10.0, 1e-7)  # kept at another FOV: the room is replaced
+        assert_same_setup(build_setup(scenario, fov, level), want)
+        assert_same_setup(build_setup(scenario, fov, level), want)  # at the kept FOV: the room is reused
+        assert list(experiments._SETUPS) == [id(scenario)] and experiments._SETUPS[id(scenario)][0] is scenario
+
+    def test_an_int_fov_after_an_equal_float_one_keeps_its_type(self):
+        scenario = Scenario.named("lamp-center")
+        build_setup(scenario, 30.0, 1e-6)
+        assert type(build_setup(scenario, 30, 1e-6).room.fov_deg) is int
+        assert type(build_setup(scenario, np.float64(30.0), 1e-6).room.fov_deg) is np.float64
+
+    @pytest.mark.parametrize("key", sorted(ZERO_IS_VALID))
+    def test_an_equal_scenario_with_a_signed_zero_gets_its_own_setup(self, key):
+        zero, signed = Scenario.named("lamp-center", {key: 0.0}), Scenario.named("lamp-center", {key: -0.0})
+        assert zero == signed and zero is not signed
+        want = fresh_setup(signed, 30.0, 1e-6)
+        build_setup(zero, 30.0, 1e-6)
+        got = build_setup(signed, 30.0, 1e-6)
+        assert_same_setup(got, want)
+        if key != "ambient_irradiance_w_nm_m2":  # 0.0 + -0.0 spreads +0.0 over the levels
+            assert repr(got) != repr(build_setup(zero, 30.0, 1e-6))
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, 91.0, np.array([10.0, 20.0])], ids=["nan", "zero", "91", "array"])
+    def test_a_bad_fov_after_a_hit_raises_the_fresh_builds_error(self, name, bad):
+        scenario = Scenario.named(name)
+        with pytest.raises(ValueError) as fresh:
+            fresh_setup(scenario, bad, 1e-6)
+        build_setup(scenario, 30.0, 1e-6)
+        with pytest.raises(ValueError) as hit:
+            build_setup(scenario, bad, 1e-6)
+        assert str(hit.value) == str(fresh.value)
+        assert_same_setup(build_setup(scenario, 30.0, 1e-6), fresh_setup(scenario, 30.0, 1e-6))
+
+    @pytest.mark.parametrize("override, fov", [({"room_x_m": -1.0}, 30.0), ({"lamp_x_m": 9.0}, 30.0), ({}, math.nan)])
+    def test_a_build_that_fails_keeps_no_entry(self, override, fov):
+        kept = Scenario.named("lamp-corner")
+        build_setup(kept, 30.0, 1e-6)
+        failing = Scenario.named("lamp-center", override)
+        for _ in range(2):  # and fails again, as a fresh build does
+            with pytest.raises(ValueError):
+                build_setup(failing, fov, 1e-6)
+            assert list(experiments._SETUPS) == [id(kept)]
+        experiments._SETUPS.clear()
+        with pytest.raises(ValueError):
+            build_setup(failing, fov, 1e-6)
+        assert experiments._SETUPS == {}
+
+    @pytest.mark.parametrize("workload, calls", [("lamp-map", 227), ("ambient-map", 216)])
+    def test_build_setup_calls_per_benchmark_op(self, monkeypatch, tmp_path, capsys, workload, calls):
+        # the 54 ops of seed 5, with build_setup wrapped in experiments and in cli as the
+        # benchmark's tracer wraps it: 4.20 calls an op on lamp-map and 4.00 on ambient-map
+        from indoorqkd import cli, spectra
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = __import__("workloads")
+        counted = []
+        for module in (experiments, cli):
+            monkeypatch.setattr(module, "build_setup", lambda *args, call=module.build_setup, **kwargs: counted.append(1) or call(*args, **kwargs))
+        for index in range(54):
+            op = workloads.GENERATORS[workload](5, index)
+            ini = tmp_path / f"op{index}.ini"
+            ini.write_text(op.ini(str(spectra.bundled_spectrum_path(op.spectrum[0])) if op.spectrum else None), encoding="utf-8")
+            assert cli.main([str(ini), "--out", str(tmp_path / f"op{index}")]) == 0
+        capsys.readouterr()
+        assert len(counted) == calls and round(calls / 54, 2) == {"lamp-map": 4.2, "ambient-map": 4.0}[workload]
