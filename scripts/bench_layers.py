@@ -18,6 +18,8 @@ others.  The layers:
   off centre, for a 70 deg lamp and for a 10 deg one, whose theta rules differ;
 * one cold reflected_gain_convergence of lamp-center at order 10: the
   order-10 value, the order-20 one and the theta check, in a new view;
+  and one warm, after the view is built and holds the order-10 value, as
+  after a CLI run's sweep: the refined passes alone;
 * building the receiver view of lamp-center with the lamp at (1.3, 2.0),
   what a call for a new room costs before its quadrature (the value is the
   sum of the view's psi cuts);
@@ -88,7 +90,12 @@ Rows that take microseconds time CALLS calls per round and report the time
 per call.  Each row runs in a fresh child process of this script
 (``--row NAME``), so that no row inherits the heap an earlier one left:
 glibc raises its mmap threshold after freeing a large block, and a row's
-page faults would otherwise depend on the rows before it.
+page faults would otherwise depend on the rows before it.  Each child
+runs with OPENBLAS_NUM_THREADS=1: OpenBLAS's idle worker threads otherwise
+spin after a call wakes them and give single rounds several times the
+others' CPU time.  Before each timed round the child prints "ready" and
+waits for a line on its stdin, so the parent paces it; from /dev/null it
+runs straight through.
 
 "Cold" clears every per-room memo (the receiver views, which hold the
 integrals) before every run.  Each layer also records a value it computed,
@@ -98,10 +105,12 @@ module.  --src picks the source tree to import (default: src/ of this
 checkout), so one copy of the script times this checkout and its parent.
 --label names the run inside the output file; runs stored there under
 other labels are kept, so one file can hold a before/after pair.  With
---pair PARENT_SRC the script times both trees itself, row by row: each
-row's two children run back to back, and which tree goes first alternates
-from row to row, so a host that drifts over the minutes of a run moves
-both trees' rows alike.  The parent's run is stored as "parent":
+--pair PARENT_SRC the script times both trees itself: each row starts one
+child per tree, sets both up and warms them, then alternates their timed
+rounds (ABAB...), the tree that goes first alternating from row to row.
+A row's rounds take a fraction of a second each, so both trees' rounds
+fall in the same phases of a host whose speed drifts, which whole rows
+back to back did not.  The parent's run is stored as "parent":
 
     python3 scripts/bench_layers.py --pair ../parent/src --label change --out BENCH.json
     python3 scripts/bench_layers.py --src ../parent/src --label parent --out BENCH.json  # one tree alone
@@ -129,6 +138,7 @@ import numpy as np
 RESOLUTIONS = (10, 20, 40, 80)
 ROUNDS = 7
 CALLS = 200
+READY = "ready"  # a child's line before each timed round; its last line is the row's JSON
 
 
 def git_sha(path: Path) -> tuple[str, bool]:
@@ -159,11 +169,18 @@ def minor_faults() -> int:
     return sum(resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
+def await_round() -> None:
+    """Say this child is ready for its next timed round and wait for the parent's go (a line on stdin, or its end)."""
+    print(READY, flush=True)
+    sys.stdin.readline()
+
+
 def timed(run, before=lambda: None, calls: int = 1) -> dict:
     before()
     value = run()  # warm-up, and the value recorded for the layer
     times, faults = [], []
     for _ in range(ROUNDS):
+        await_round()
         before()
         start, faults_before = cpu_s(), minor_faults()
         for _ in range(calls):
@@ -335,6 +352,12 @@ def layer_rows(src: Path) -> dict:
         off = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 2.7, "lamp_semi_angle_deg": float(semi_angle)}), 20.0, 1e-5).room
         rows[f"total_reflected_gain_10_per_m_lamp_0.7m_off_{semi_angle}deg"] = lambda off=off: fresh_integral(off, 10)
     rows["reflected_gain_convergence_cold_10_per_m"] = lambda: timed(lambda: channel.reflected_gain_convergence(room, 10).refined_value, cold)
+
+    def order_10_known() -> None:  # a new view holding the order-10 value, as a CLI run's sweep leaves it
+        cold()
+        total_reflected_gain(room, 10)
+
+    rows["reflected_gain_convergence_warm"] = lambda: timed(lambda: channel.reflected_gain_convergence(room, 10).refined_value, order_10_known)
     rows["receiver_view_new_room"] = lambda: timed(lambda: float(channel._ReceiverView(offset_room).bounds.sum()), calls=CALLS)
     rows["ring_integrals_full_ray_block"] = lambda: ring_call(np.linspace(0.01, 1.5, 63))
     # rings below every room edge, which keep their equal arcs: one block of the equal-arc route
@@ -401,8 +424,9 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     parser.add_argument("--label", required=True, help="name of this run in the output file")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write (runs with other labels stay)")
-    parser.add_argument("--pair", type=Path, metavar="PARENT_SRC", help="also time this source tree, stored as 'parent', alternating row by row")
-    parser.add_argument("--row", help="measure this one row in this process and print it as JSON (how each row's child runs)")
+    parser.add_argument("--pair", type=Path, metavar="PARENT_SRC", help="also time this source tree, stored as 'parent', alternating round by round")
+    parser.add_argument("--row", help="measure this one row in this process and print it as JSON (how each row's child runs; "
+                        "it waits for a line on stdin before each round)")
     args = parser.parse_args()
 
     src = args.src.resolve()
@@ -412,9 +436,10 @@ def main() -> int:
     trees = {args.label: src, **({"parent": args.pair.resolve()} if args.pair else {})}
     layers = {label: {} for label in trees}
     for k, name in enumerate(layer_rows(src)):
-        for label in sorted(trees, reverse=k % 2 == 1):  # with --pair, the first of each row's pair alternates
-            child = [sys.executable, __file__, "--src", str(trees[label]), "--label", label, "--out", str(args.out), "--row", name]
-            layers[label][name] = json.loads(subprocess.run(child, stdout=subprocess.PIPE, text=True, check=True).stdout)
+        order = sorted(trees, reverse=k % 2 == 1)  # with --pair, the tree that goes first alternates from row to row
+        rows = run_row(name, {label: trees[label] for label in order}, args)
+        for label in trees:
+            layers[label][name] = rows[label]
     results = json.loads(args.out.read_text()) if args.out.exists() else {}
     for label, tree in trees.items():
         results[label] = run_record(tree, layers[label], args.pair is not None)
@@ -422,6 +447,40 @@ def main() -> int:
     for label in trees:
         print_layers(label, layers[label])
     return 0
+
+
+def run_row(name: str, trees: dict[str, Path], args: argparse.Namespace) -> dict[str, dict]:
+    """One row in a child per tree, in ``trees``' order: each set up and warmed in turn, then their timed rounds
+    alternated, one child running at a time; each child's JSON by label."""
+    children, rows = {}, {}
+
+    def advance(label: str) -> None:  # wait until the child is ready for its next round, or take its JSON
+        child = children[label]
+        line = child.stdout.readline()
+        if line.strip() == READY:
+            return
+        if child.wait() != 0 or not line:
+            raise subprocess.CalledProcessError(child.returncode, child.args)
+        rows[label] = json.loads(line)
+
+    try:
+        for label, tree in trees.items():
+            command = [sys.executable, __file__, "--src", str(tree), "--label", label, "--out", str(args.out), "--row", name]
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # one BLAS thread, read when numpy loads
+            children[label] = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+            advance(label)
+        while len(rows) < len(trees):
+            for label in trees:
+                if label not in rows:
+                    children[label].stdin.write("go\n")
+                    children[label].stdin.flush()
+                    advance(label)
+    finally:
+        for child in children.values():
+            if child.poll() is None:
+                child.kill()
+            child.wait()
+    return rows
 
 
 def run_record(src: Path, layers: dict, paired: bool) -> dict:
@@ -435,8 +494,9 @@ def run_record(src: Path, layers: dict, paired: bool) -> dict:
         "src_lines": sum(lines.values()),
         "src_lines_by_module": lines,
         "clock": "CPU s per call, this process and its waited-for children, not scaled",
-        "order": "rows alternate between the two trees, each row's pair run back to back, the first of each pair alternating"
+        "order": "each row's timed rounds alternate between the two trees (ABAB), the tree that goes first alternating by row"
         if paired else "one tree, row after row",
+        "blas_threads": "OPENBLAS_NUM_THREADS=1 in every row's child",
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -39,7 +39,8 @@ replaces it.  It holds the integrals computed for the room so far, by (psi
 order, theta rule) and FOV, and the sums of the whole psi pieces below
 them, so a wider FOV sums only the pieces beyond.  A pass sorts the arc
 knots and both crossings of each edge plane of the rings that meet an edge
-in one bounds matrix; a ring that meets none keeps its equal arcs.  The
+in one bounds matrix; a ring that meets none keeps its equal arcs, and a
+pass none of whose rings meets one finds no crossing at all.  The
 crossings are reduced to [0, 2 pi] with np.fmod plus a turn where negative,
 and the nan of a ring that misses a plane set to 0; np.mod would give the
 same bits through a full divmod with a slow path on nan.  The rays then go
@@ -52,9 +53,14 @@ in any block and by either route.  The rays of a block in the floor cap, which
 ends 1e-6 rad below every edge's psi, all leave through the axis ray's plane:
 t is one division.  A ray that far from every edge direction lies a relative
 sin(1e-6) nearer its face than any other plane ahead, far past a division's
-1e-16 rounding, so the per-ray rule picks that plane too.  The ray directions
-skip the frame coefficients that are exactly 0: six of the nine for a receiver
-facing straight down.
+1e-16 rounding, so the per-ray rule picks that plane too.  The view finds that
+plane once, by the per-ray rule run on the axis ray in Python floats: the same
+divisions, comparisons and tie order.  The ray directions skip the frame
+coefficients that are exactly 0: six of the nine for a receiver facing straight
+down.  The frame and those terms are built once per receiver axis and shared,
+read-only, by the views of rooms with that axis; they are keyed by the axis's
+float64 bits, for a -0.0 component, equal to 0.0, gives the frame zeros of
+other signs.
 """
 
 from __future__ import annotations
@@ -113,6 +119,13 @@ _TURN = 2.0 * math.pi
 _RAY_BLOCK = 8192
 # Most psi nodes laid out at once (a FOV axis brings one piece per FOV).
 _PIECE_BLOCK = 4096
+# The 15-degree psi panels' cuts.
+_PANELS = np.radians(np.arange(0.0, 90.0, _PANEL_DEG)).tolist()
+# The room's corners, 0 (near) or 1 (far) on each axis, and its 12 edges, from each corner along each axis it is
+# near on: each edge's corner, axis and direction, and on which axes its start lies on the far plane.
+_CORNERS = np.indices((2, 2, 2)).reshape(3, 8).T
+_EDGE_CORNER, _EDGE_AXIS = np.nonzero(_CORNERS == 0)
+_EDGE_DIRECTION, _EDGE_FAR = np.eye(3)[_EDGE_AXIS], _CORNERS[_EDGE_CORNER] == 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,6 +251,15 @@ def _arc_knots(arcs: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _equal_arcs(arcs: int) -> np.ndarray:
+    """The start and the span of each of ``arcs`` equal arcs of a turn: the sub-arcs of a ring that meets no edge."""
+    knots = _arc_knots(arcs)
+    pattern = np.array([knots[:-1], knots[1:] - knots[:-1]])
+    pattern.flags.writeable = False
+    return pattern
+
+
+@lru_cache(maxsize=None)
 def _knot_trig(arcs: int, nodes: int) -> np.ndarray:
     """cos(theta), sin(theta) and span times weight at the ``nodes`` nodes of each of ``arcs`` equal arcs, as ``ring_integrals`` computes them."""
     theta = np.add(np.multiply(np.diff(_arc_knots(arcs))[:, None], _mapped_rule(nodes)[0]), _arc_knots(arcs)[:-1, None])
@@ -252,6 +274,20 @@ def _reduce_turns(x: np.ndarray) -> np.ndarray:
     np.fmod(x, _TURN, out=x)
     x += (x < 0.0) * _TURN  # as np.mod adds the turn; adding 0.0 turns -0 into its +0
     return np.fmax(x, 0.0, out=x)
+
+
+@lru_cache(maxsize=64)
+def _axis_frame(axis_bits: bytes) -> tuple[np.ndarray, list[list[tuple[float, int]]]]:
+    """The receiver's frame (its axis, then ``_frame``'s pair, as rows; read-only) and omega's terms, built once
+    per axis.  Keyed by the axis's float64 bits, for a -0.0 component, equal to 0.0, gives the frame zeros of other signs."""
+    axis = np.frombuffer(axis_bits)
+    frame = np.array([axis, *_frame(axis)])
+    frame.flags.writeable = False
+    # Each of omega's x, y, z as e1 sin(psi) cos(theta) + axis cos(psi) + e2 sin(psi) sin(theta),
+    # summed in that order, less the terms whose frame coefficient is 0 (they add 0 * x):
+    # (coefficient, 0 for cos(psi), 1 for the cos(theta) term, 2 for the sin(theta) one).
+    terms = [[(c, j) for c, j in ((on_e1, 1), (on_axis, 0), (on_e2, 2)) if c != 0.0] for on_axis, on_e1, on_e2 in frame.T.tolist()]
+    return frame, terms
 
 
 class _ReceiverView:
@@ -277,20 +313,15 @@ class _ReceiverView:
     normal = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
     def __init__(self, room: RoomScenario) -> None:
-        sides = np.array([room.room_x_m, room.room_y_m, room.room_z_m])
-        self.scale = math.ldexp(1.0, max(math.frexp(float(sides.min()))[1], math.frexp(float(sides.max()))[1] - 1022))
-        receiver = np.array(room.receiver.position.as_tuple())
-        near = -receiver / self.scale
-        far = near + sides / self.scale  # the room is the box [near, far] on each axis
-        axis = np.array(room.receiver.axis.as_tuple())
-        self.frame = np.array([axis, *_frame(axis)])
-        # Each of omega's x, y, z as e1 sin(psi) cos(theta) + axis cos(psi) + e2 sin(psi) sin(theta),
-        # summed in that order, less the terms whose frame coefficient is 0 (they add 0 * x):
-        # (coefficient, 0 for cos(psi), 1 for the cos(theta) term, 2 for the sin(theta) one).
-        self.omega_terms = [
-            [(c, j) for c, j in ((on_e1, 1), (on_axis, 0), (on_e2, 2)) if c != 0.0] for on_axis, on_e1, on_e2 in self.frame.T.tolist()
-        ]
-        self.lamp = (np.array(room.lamp.position.as_tuple()) - receiver) / self.scale
+        sides = (room.room_x_m, room.room_y_m, room.room_z_m)
+        self.scale = scale = math.ldexp(1.0, max(math.frexp(min(sides))[1], math.frexp(max(sides))[1] - 1022))
+        receiver = room.receiver.position.as_tuple()
+        near_xyz = [-c / scale for c in receiver]
+        far_xyz = [n + side / scale for n, side in zip(near_xyz, sides)]  # the room is the box [near, far] on each axis
+        near, far = np.array(near_xyz), np.array(far_xyz)
+        axis = np.array(room.receiver.axis.as_tuple(), dtype=float)  # float64 bits for the key, from int or float32 components too
+        self.frame, self.omega_terms = _axis_frame(axis.tobytes())
+        self.lamp = np.array([(c - r) / scale for c, r in zip(room.lamp.position.as_tuple(), receiver)])
         self.lamp_axis = np.array(room.lamp.axis.as_tuple())
         self.along_terms = [(k, c) for k, c in enumerate(self.lamp_axis.tolist()) if c != 0.0]  # the others add 0 * v1
         self.m1 = lambert_mode(room.lamp_semi_angle_deg)
@@ -298,16 +329,19 @@ class _ReceiverView:
 
         # Columns for _radiance: on each axis the plane ahead of a negative component, and of a positive one.
         self.near_height, self.far_height, self.lamp_column = near[:, None], far[:, None], self.lamp[:, None]
-        self.height = np.array([near[2], near[0], -far[0], near[1], -far[1], -far[2]])  # each plane's signed offset, <= 0 inside
-        self.plane_at = [(2, near[2]), (0, near[0]), (0, far[0]), (1, near[1]), (1, far[1]), (2, far[2])]  # each plane's axis and place on it
-        rho = np.append([g.reflectivity for g in wall_and_floor_grids(room, 1)], 0.0)
+        (nx, ny, nz), (fx, fy, fz) = near_xyz, far_xyz
+        self.height = np.array([nz, nx, -fx, ny, -fy, -fz])  # each plane's signed offset, <= 0 inside
+        self.plane_at = [(2, nz), (0, nx), (0, fx), (1, ny), (1, fy), (2, fz)]  # each plane's axis and place on it
+        rho = np.array([*(g.reflectivity for g in wall_and_floor_grids(room, 1)), 0.0])
         # rho times the lamp's height over each plane (cos(alpha) d1 on it); 0 on a plane that holds the receiver, seen edge-on
-        self.lamp_gain = rho * np.clip(self.normal @ self.lamp - self.height, 0.0, None) * (self.height < 0.0)
+        self.lamp_gain = rho * np.maximum(self.normal @ self.lamp - self.height, 0.0) * (self.height < 0.0)
 
-        side = np.indices((2, 2, 2)).reshape(3, 8).T  # each room corner: 0 (near) or 1 (far) on each axis
-        # The 12 edges, from each corner along each axis it is near on, less those that underflow in these units (they bound nothing).
-        corner, along = np.nonzero((side == 0) & (far > near))
-        u, direction, length = np.array([near, far])[side[corner], [0, 1, 2]], np.eye(3)[along], (far - near)[along]
+        # The 12 edges, less those along an axis that underflows in these units (they bound nothing).
+        along, direction, far_start = _EDGE_AXIS, _EDGE_DIRECTION, _EDGE_FAR
+        if not all(f > n for n, f in zip(near_xyz, far_xyz)):
+            kept = (far > near)[along]
+            along, direction, far_start = along[kept], direction[kept], far_start[kept]
+        u, length = np.where(far_start, far, near), (far - near)[along]
         self.edge_start, self.edge_end = u, np.where(direction == 1.0, far, u)  # an edge ends on the far plane of its axis
         # The normal, in the receiver's frame, of the plane through the receiver and each edge line.
         self.edge_normal = self.frame @ _cross(u, direction).T
@@ -320,31 +354,34 @@ class _ReceiverView:
             inner = (s > 0.0) & (s < length)
             # Each edge's start, end and interior extreme (its start again where it has none), and their psi.
             points = np.array([u, self.edge_end, np.where(inner[:, None], u + s[:, None] * direction, u)])
-            distance = np.linalg.norm(points, axis=2)
+            distance = np.sqrt(np.add.reduce(points * points, axis=2))  # np.linalg.norm's sum, without its checks
             psi = np.where((distance > 0.0) & (distance < math.inf), np.arccos(np.clip(points @ axis / distance, -1.0, 1.0)), math.nan)
             # Each edge's psi interval, a few ulps wider; nan, met by every ring, where a point lies at the receiver or past the float range.
             lo, hi = psi.min(axis=0), psi.max(axis=0)
             self.edge_psi = lo - 4.0 * np.spacing(lo), hi + 4.0 * np.spacing(hi)
-            # The floor cap: 1e-6 rad (edge psi errs by 1.5e-8 at most) below every edge, none if nan or <= 0; its rays leave as the axis ray.
-            self.cap_psi, self.cap_plane = self.edge_psi[0].min() - 1e-6, int(self._exit_planes(axis[:, None], np.empty((3, 1)), np.empty(1))[0])
-        panels = np.radians(np.arange(0.0, 90.0, _PANEL_DEG))
-        cuts = np.sort(np.concatenate([panels, psi[(psi > 0.0) & (psi < 0.5 * math.pi)], [0.5 * math.pi]]))
-        self.bounds = cuts[np.append(True, cuts[1:] != cuts[:-1])]  # np.unique's result, without its numpy.ma import
+        # The floor cap: 1e-6 rad (edge psi errs by 1.5e-8 at most) below every edge, none if nan or <= 0; its rays leave as the axis ray.
+        self.cap_psi, self.cap_plane = self.edge_psi[0].min() - 1e-6, self._exit_plane(axis.tolist())
+        self.bounds = np.array(sorted({*_PANELS, *(c for c in psi.ravel().tolist() if 0.0 < c < 0.5 * math.pi), 0.5 * math.pi}))
         self.integrals: dict[tuple[int, tuple[int, int]], dict[float, float]] = {}
         self.whole_pieces: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
 
     def piece_sums(self, lo: np.ndarray, hi: np.ndarray, positions: np.ndarray, weights: np.ndarray, theta_rule: tuple[int, int]) -> np.ndarray:
         """int_lo^hi sin(psi) cos(psi) (ring integral) d psi on each piece, by the mapped rule."""
-        psi = (lo[:, None] + (hi - lo)[:, None] * positions).ravel()
-        weight = ((hi - lo)[:, None] * weights).ravel() * np.sin(psi) * np.cos(psi)
-        return np.bincount(np.repeat(np.arange(len(lo)), len(positions)), weight * self.ring_integrals(psi, theta_rule))
+        width = (hi - lo)[:, None]
+        psi = (lo[:, None] + width * positions).ravel()
+        sin_psi, cos_psi = np.sin(psi), np.cos(psi)
+        weight = (width * weights).ravel() * sin_psi * cos_psi
+        return np.bincount(np.repeat(np.arange(len(lo)), len(positions)), weight * self.ring_integrals(psi, theta_rule, cos_psi, sin_psi))
 
-    def ring_integrals(self, psi: np.ndarray, theta_rule: tuple[int, int]) -> np.ndarray:
+    def ring_integrals(self, psi: np.ndarray, theta_rule: tuple[int, int], cos_psi: np.ndarray | None = None, sin_psi: np.ndarray | None = None) -> np.ndarray:
         """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi,
         by ``theta_rule`` (arcs, nodes per arc), traced in blocks of whole rings: by (arc, node, ring) from ``_knot_trig``
-        where every ring keeps its equal arcs, else by (sub-arc, node) computing theta's trig; each ring in (arc, node) order."""
+        where every ring keeps its equal arcs, else by (sub-arc, node) computing theta's trig; each ring in (arc, node) order.
+        ``cos_psi`` and ``sin_psi``, if given, are np.cos(psi) and np.sin(psi), which the caller already has."""
         arcs, nodes = theta_rule
-        cos_psi, sin_psi = np.cos(psi)[:, None], np.sin(psi)[:, None]
+        if cos_psi is None or sin_psi is None:
+            cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+        cos_psi, sin_psi = cos_psi[:, None], sin_psi[:, None]
         start, span, count = self._sub_arcs(psi[:, None], cos_psi, sin_psi, arcs)
         first, ends = [0, *count.cumsum().tolist()], [0]  # ring r's sub-arcs are first[r]:first[r + 1]
         while ends[-1] < len(psi):  # a block ends at the last ring end within _RAY_BLOCK rays of its start, or one ring on
@@ -353,7 +390,7 @@ class _ReceiverView:
         (positions, weights), out, table = _mapped_rule(nodes), np.empty(len(psi)), _knot_trig(arcs, nodes)
         for a, b in zip(ends, ends[1:]):
             k, n = slice(first[a], first[b]), (first[b] - first[a]) * nodes
-            equal = (count[a:b] == arcs).all()
+            equal = first[b] - first[a] == (b - a) * arcs  # every ring keeps its equal arcs, for none has fewer
             shape = (arcs, nodes, b - a) if equal else (first[b] - first[a], nodes)
             omega = work[: 3 * n].reshape(3, *shape)
             theta, cos_theta, sin_theta, term = trig = work[3 * n : 7 * n].reshape(4, *shape)
@@ -385,32 +422,42 @@ class _ReceiverView:
         """Every ring's sub-arcs, between its arc knots and where it crosses the plane through the receiver
         and each edge line, a cos(theta) + b sin(theta) = c, at mid -+ half: starts and spans, and the count per ring.
         A ring outside an edge's psi interval never meets the edge (both crossings 0, as a missed plane's); one that meets none gets no row."""
-        missed = (psi < self.edge_psi[0]) | (psi > self.edge_psi[1])
-        met, count = ~missed.all(axis=1), np.full(len(psi), arcs)
-        starts = spans = np.zeros(0)  # the met rings' sub-arcs
-        if met.any():
-            (n_axis, n_e1, n_e2), edges = self.edge_normal, self.edge_normal.shape[1]
-            a, b = sin_psi[met] * n_e1, sin_psi[met] * n_e2
-            bounds = np.empty((len(a), 2 * edges + arcs + 1))  # a met ring's row: its crossings, then the knots
-            bounds[:, 2 * edges :] = _arc_knots(arcs)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                half = np.hypot(a, b)
-                np.arccos(np.divide(-cos_psi[met] * n_axis, half, out=half), out=half)  # nan where the ring misses the plane
-                half[missed[met]] = math.nan  # an edge outside the ring's reach: both crossings reduce to 0, as a missed plane's
-                mid = np.arctan2(b, a, out=b)
-                np.subtract(mid, half, out=bounds[:, :edges])
-                np.add(mid, half, out=bounds[:, edges : 2 * edges])
-                _reduce_turns(bounds[:, : 2 * edges])
-            bounds.sort(axis=1)
-            width = bounds[:, 1:] - bounds[:, :-1]
-            arc = width > 0.0
-            count[met], starts, spans = arc.sum(axis=1), bounds[:, :-1][arc], width[arc]
+        missed, count = (psi < self.edge_psi[0]) | (psi > self.edge_psi[1]), np.full(len(psi), arcs)
+        if missed.all():  # no ring meets an edge, as in the floor cap: no crossing to find, every ring keeps its equal arcs
+            start, span = _equal_arcs(arcs)[:, None].repeat(len(psi), axis=1).reshape(2, -1, 1)
+            return start, span, count
+        met = ~missed.all(axis=1)  # the rings that meet an edge, one at least
+        (n_axis, n_e1, n_e2), edges = self.edge_normal, self.edge_normal.shape[1]
+        a, b = sin_psi[met] * n_e1, sin_psi[met] * n_e2
+        bounds = np.empty((len(a), 2 * edges + arcs + 1))  # a met ring's row: its crossings, then the knots
+        bounds[:, 2 * edges :] = _arc_knots(arcs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            half = np.hypot(a, b)
+            np.arccos(np.divide(-cos_psi[met] * n_axis, half, out=half), out=half)  # nan where the ring misses the plane
+            half[missed[met]] = math.nan  # an edge outside the ring's reach: both crossings reduce to 0, as a missed plane's
+            mid = np.arctan2(b, a, out=b)
+            np.subtract(mid, half, out=bounds[:, :edges])
+            np.add(mid, half, out=bounds[:, edges : 2 * edges])
+            _reduce_turns(bounds[:, : 2 * edges])
+        bounds.sort(axis=1)
+        width = bounds[:, 1:] - bounds[:, :-1]
+        arc = width > 0.0
+        count[met], starts, spans = arc.sum(axis=1), bounds[:, :-1][arc], width[arc]
         cut = np.repeat(met, count)
         start, span = np.empty((2, len(cut)))
         start[cut], span[cut] = starts, spans
-        np.place(start, ~cut, _arc_knots(arcs)[:-1])  # the knots' pattern again for each ring that meets no edge
-        np.place(span, ~cut, _arc_knots(arcs)[1:] - _arc_knots(arcs)[:-1])
+        np.place(start, ~cut, _equal_arcs(arcs)[0])  # the equal arcs again for each ring that meets no edge
+        np.place(span, ~cut, _equal_arcs(arcs)[1])
         return start[:, None], span[:, None], count
+
+    def _exit_plane(self, ray: tuple[float, float, float]) -> int:
+        """``_exit_planes`` for one ray in Python floats: the same divisions, comparisons and tie order."""
+        box = zip(ray, self.near_height.ravel().tolist(), self.far_height.ravel().tolist())
+        t_x, t_y, t_z = [(far if c > 0.0 else near) / c if c != 0.0 else math.inf for c, near, far in box]
+        up_x, up_y, up_z = (c > 0.0 for c in ray)
+        t = min(t_x, t_y)
+        plane = 1 + up_x if t_x <= t_y else 3 + up_y  # x walls 1, 2 win a tie with y walls 3, 4
+        return 5 * up_z if t_z < t or (t_z == t and not up_z) else plane  # the floor 0 wins a tie, the ceiling 5 loses it
 
     def _exit_planes(self, omega: np.ndarray, reach: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The per-ray rule: the plane each ray along ``omega`` (3, n) leaves through, the nearest of those ahead on each axis
@@ -520,25 +567,25 @@ def _reflected_gain(
     missing = [f for f in dict.fromkeys(fov_list) if f not in known]
     if missing:
         gains = [concentrator_gain(room.concentrator_index, f) for f in missing]
-        ends = np.array([math.radians(f) for f in missing])
-        first = np.searchsorted(view.bounds, ends, side="right") - 1  # the partial piece starts here
-        partial = view.bounds[first] < ends  # a FOV on a cut has none
+        bounds, ends = view.bounds.tolist(), [math.radians(f) for f in missing]
+        first = [bisect.bisect_right(bounds, end) - 1 for end in ends]  # the partial piece starts here
+        partial = [bounds[k] < end for k, end in zip(first, ends)]  # a FOV on a cut has none
         whole = view.whole_pieces.get(key, np.zeros(0))
-        have, added = len(whole), max(0, int(first.max()) - len(whole))  # the whole pieces summed and still to sum
-        lo = np.concatenate([view.bounds[have : have + added], view.bounds[first[partial]]])
-        hi = np.concatenate([view.bounds[have + 1 : have + added + 1], ends[partial]])
+        have, added = len(whole), max(0, max(first) - len(whole))  # the whole pieces summed and still to sum
+        lo = np.array(bounds[have : have + added] + [bounds[k] for k, cut in zip(first, partial) if cut])
+        hi = np.array(bounds[have + 1 : have + added + 1] + [end for end, cut in zip(ends, partial) if cut])
         positions, weights = _mapped_rule(order)
         step = max(1, _PIECE_BLOCK // len(positions))
         pieces = np.concatenate(
             [np.zeros(0), *(view.piece_sums(lo[k : k + step], hi[k : k + step], positions, weights, theta_rule) for k in range(0, len(lo), step))]
         )
         whole = view.whole_pieces[key] = np.concatenate([whole, pieces[:added]])
-        below = np.concatenate([[0.0], np.cumsum(whole)])
-        parts = np.zeros(len(missing))
-        parts[partial] = pieces[added:]
+        below, parts = [0.0, *np.cumsum(whole).tolist()], iter(pieces[added:].tolist())
         scale = room.detector_area_m2 * (view.m1 + 1.0) / (2.0 * math.pi**2) * room.filter_transmission
         with np.errstate(over="ignore"):  # a side under about 1e-155 m collects an unbounded gain
-            computed = [float((below[k] + part) / view.scale / view.scale * (scale * g)) for k, part, g in zip(first.tolist(), parts.tolist(), gains)]
+            computed = [
+                float((below[k] + (next(parts) if cut else 0.0)) / view.scale / view.scale * (scale * g)) for k, cut, g in zip(first, partial, gains)
+            ]
         known.update(zip(missing, computed))
     values = [known[f] for f in fov_list]
     return values[0] if fovs.ndim == 0 else np.reshape(values, fovs.shape)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from indoorqkd import channel
+from indoorqkd import channel, geometry
 from indoorqkd.channel import (
     ChannelGains,
     DetectorParams,
@@ -548,9 +548,9 @@ class TestOnePassBitInvariants:
         monkeypatch.setattr(channel, "_RAY_BLOCK", block)
         calls, ring_integrals = [], _ReceiverView.ring_integrals
 
-        def recording(self, psi, theta_rule):
+        def recording(self, psi, theta_rule, *trig):
             calls.append(psi)
-            return ring_integrals(self, psi, theta_rule)
+            return ring_integrals(self, psi, theta_rule, *trig)
 
         with monkeypatch.context() as patch:
             patch.setattr(_ReceiverView, "ring_integrals", recording)
@@ -892,6 +892,105 @@ class TestFloorCap:
         # a receiver in a ceiling corner lies on three edges, whose psi is nan
         view = _ReceiverView(nominal_room(receiver=Pose(Point3(0.0, 0.0, 3.0), Point3(1.0, 1.0, -1.0).normalized())))
         assert math.isnan(view.cap_psi)
+
+
+class TestScalarExitPlane:
+    """``_ReceiverView._exit_plane``, the per-ray rule in Python floats that picks the floor cap's plane
+    from the axis ray, against ``_exit_planes``: the same plane for every ray, ties included."""
+
+    @staticmethod
+    def vector_rule(view, rays):
+        omega = np.array(rays, dtype=float).T.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return view._exit_planes(omega, np.empty(omega.shape), np.empty(omega.shape[1])).tolist()
+
+    @pytest.mark.parametrize("kind", TestFloorCap.KINDS)
+    def test_the_axis_ray_of_every_pinned_and_seeded_room(self, kind):
+        for view in TestFloorCap.views(kind):
+            axis = tuple(view.frame[0].tolist())
+            assert view.cap_plane == view._exit_plane(axis) == self.vector_rule(view, [axis])[0]
+
+    def test_zero_components_ties_and_receivers_on_planes(self):
+        # from (2, 2, 3) in the 4 x 4 x 3 room, rays toward floor corners and floor-wall edges
+        # meet their planes at exactly equal distances, and from 1.5 m up toward ceiling-wall
+        # edges; receivers on the walls x = 0 and x = 4 and on the ceiling, whose plane a ray
+        # facing it meets at 0 / 0 or +-0; rays parallel to one or two axes, -0.0 components
+        # among them; and seeded rays with zero components
+        ties = [(-2, -2, -3), (2, 2, -3), (0, -2, -3), (2, 0, -3), (-2, -2, -1), (2, -2, -1), (2, 0, 1.5), (0, -2, 1.5), (-2, -2, 1.5)]
+        parallel = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0), (0, -1, -1), (-1, 0, 1)]
+        signed = [(-0.0, 0.0, -1.0), (0.0, -0.0, 1.0), (-0.0, -0.0, -0.0), (-1.0, -0.0, 0.0)]
+        rng = np.random.default_rng(44)
+        drawn = rng.normal(size=(200, 3)) * (rng.uniform(size=(200, 3)) > 0.3)
+        rays = [tuple(map(float, r)) for r in [*ties, *parallel, *signed, *drawn.tolist()]]
+        receivers = [
+            Pose(Point3(2.0, 2.0, 3.0), Point3(0.0, 0.0, -1.0)),
+            Pose(Point3(2.0, 2.0, 1.5), Point3(0.0, 0.0, -1.0)),
+            Pose(Point3(0.0, 1.0, 1.5), Point3(1.0, 0.0, 0.0)),
+            Pose(Point3(4.0, 1.0, 1.5), Point3(-1.0, 0.0, 0.0)),
+            Pose(Point3(1.0, 3.0, 3.0), Point3(-0.0, 0.0, -1.0)),
+            Pose(Point3(0.0, 0.0, 0.0), Point3(1.0, 1.0, 1.0).normalized()),
+        ]
+        for receiver in receivers:
+            view = _ReceiverView(nominal_room(receiver=receiver))
+            assert [view._exit_plane(ray) for ray in rays] == self.vector_rule(view, rays)
+            assert view.cap_plane == self.vector_rule(view, [receiver.axis.as_tuple()])[0]
+        # the floor-wall and ceiling-wall ties above: the floor wins one, the ceiling loses it
+        assert self.vector_rule(_ReceiverView(nominal_room()), ties[:4]) == [0, 0, 0, 0]
+        assert self.vector_rule(_ReceiverView(nominal_room(receiver=receivers[1])), ties[6:]) == [2, 3, 1]
+
+    @pytest.mark.parametrize("axis, plane", [((-1.0, 0.0, -1.0), 0), ((-1.0, 0.0, 1.0), 1), ((-1.0, -1.0, 0.0), 1)])
+    def test_a_tie_on_the_axis_ray(self, axis, plane):
+        # 1.5 m from the wall x = 0, the floor, the ceiling of the 3 m room and the wall y = 0:
+        # an axis at 45 degrees between two of them meets both at one distance, bit for bit
+        view = _ReceiverView(nominal_room(receiver=Pose(Point3(1.5, 1.5, 1.5), Point3(*axis).normalized())))
+        t = [abs(h / c) for h, c in zip(view.near_height[:, 0].tolist(), view.frame[0].tolist()) if c != 0.0]
+        assert t[0] == t[1]
+        assert view.cap_plane == self.vector_rule(view, [tuple(view.frame[0].tolist())])[0] == plane
+
+
+class TestAxisFrame:
+    """The receiver frame and omega's terms come from a cache by the axis's bits, read-only."""
+
+    def test_rooms_with_one_receiver_axis_share_it(self):
+        a = _ReceiverView(nominal_room())
+        b = _ReceiverView(nominal_room(room_x_m=5.5, lamp_semi_angle_deg=20.0, receiver=Pose(Point3(1.0, 3.0, 2.0), Point3(0.0, 0.0, -1.0))))
+        assert a.frame is b.frame and a.omega_terms is b.omega_terms
+        with pytest.raises(ValueError):
+            a.frame[0, 0] = 1.0
+        assert not a.frame.flags.writeable and a.frame[0].tolist() == [0.0, 0.0, -1.0]
+
+    @pytest.mark.parametrize("kind", list(RING_PINS))
+    def test_equal_to_the_frame_of_the_axis(self, kind):
+        room = ring_pin_room(kind)
+        axis = np.array(room.receiver.axis.as_tuple())
+        want = np.array([axis, *geometry._frame(axis)])
+        assert _ReceiverView(room).frame.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_a_negative_zero_component_gets_its_own_frame(self):
+        # -0.0 equals 0.0, yet its frame's zeros have other signs, which a crossing's arctan2 reads
+        plain = _ReceiverView(nominal_room())
+        signed = _ReceiverView(nominal_room(receiver=Pose(Point3(2.0, 2.0, 3.0), Point3(-0.0, 0.0, -1.0))))
+        want = np.array([[-0.0, 0.0, -1.0], *geometry._frame(np.array([-0.0, 0.0, -1.0]))])
+        assert signed.frame is not plain.frame
+        assert signed.frame.view(np.uint64).tolist() == want.view(np.uint64).tolist() != plain.frame.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("components", [(0, 0, -1), tuple(np.float32([0.0, 0.0, -1.0]))], ids=["int", "float32"])
+    def test_an_int_or_float32_axis_gives_the_float_axis_view(self, components):
+        # the cache reads the axis's float64 bits, whatever its components' type, so the frame holds no nan
+        def bits(x):
+            return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+        views, gains = [], []
+        for axis in [Point3(0.0, 0.0, -1.0), Point3(*components)]:
+            room = nominal_room(receiver=Pose(Point3(1.0, 2.5, 2.0), axis))
+            views.append(_ReceiverView(room))
+            channel._VIEWS.clear()  # the two rooms compare equal: each gain from its own view
+            gains.append(bits(total_reflected_gain(room, 10, fov_deg=[20.0, 45.0, 80.0])))
+        want, got = views
+        assert got.frame is want.frame and (got.cap_psi, got.cap_plane) == (want.cap_psi, want.cap_plane)
+        for name in ("edge_normal", "edge_start", "edge_end", "edge_psi", "bounds", "lamp_gain", "height"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+        assert gains[1] == gains[0]
 
 
 class TestSubArcCuts:
