@@ -26,8 +26,9 @@ others.  The layers:
 * one ring_integrals call of the quadrature, in that room's view, over the
   63 psi rings of 0.01-1.5 rad, whose 4,320 rays fit in one ray block
   (``channel._RAY_BLOCK``, 8,192; they were 8,080 while every ring was cut
-  at every edge plane it crosses): the row divided by 63 is the cost of
-  one ring; and one probe-sized call, the 10 rings of the order-10 rule on
+  at every edge plane it crosses), given the rings' cos and sin psi as a
+  pass gives them: the row divided by 63 is the cost of one ring; and one
+  probe-sized call, the 10 rings of the order-10 rule on
   15-20 deg (400 rays, 800 before), where the kernel's fixed cost per call
   shows; and the 63 rings of 0.01-0.55 rad, which meet no room edge and
   keep their equal arcs (2,520 rays, one block of the equal-arc route); and
@@ -276,8 +277,8 @@ def layer_rows(src: Path) -> dict:
     offset_room = build_setup(Scenario.named("lamp-center", {"lamp_x_m": 1.3}), 20.0, 1e-5).room
 
     def ring_call(psi: np.ndarray) -> dict:
-        view = channel._ReceiverView(offset_room)
-        return timed(lambda: float(view.ring_integrals(psi, view.theta_rule).sum()), calls=20)
+        view, cos_psi, sin_psi = channel._ReceiverView(offset_room), np.cos(psi), np.sin(psi)
+        return timed(lambda: float(view.ring_integrals(psi, view.theta_rule, cos_psi, sin_psi).sum()), calls=20)
 
     def new_fov_probe() -> dict:
         # every call at a FOV not yet in the room's view, inside the 15-30 deg psi panel, whose

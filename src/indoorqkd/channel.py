@@ -54,10 +54,9 @@ ends 1e-6 rad below every edge's psi, all leave through the axis ray's plane:
 t is one division.  A ray that far from every edge direction lies a relative
 sin(1e-6) nearer its face than any other plane ahead, far past a division's
 1e-16 rounding, so the per-ray rule picks that plane too.  The view finds that
-plane once, by the per-ray rule run on the axis ray in Python floats: the same
-divisions, comparisons and tie order.  The ray directions skip the frame
-coefficients that are exactly 0: six of the nine for a receiver facing straight
-down.  The frame and those terms are built once per receiver axis and shared,
+plane once, by the one per-ray rule run on the axis ray.  The ray directions
+skip the frame coefficients that are exactly 0: six of the nine for a receiver
+facing straight down.  The frame and those terms are built once per receiver axis and shared,
 read-only, by the views of rooms with that axis; they are keyed by the axis's
 float64 bits, for a -0.0 component, equal to 0.0, gives the frame zeros of
 other signs.
@@ -337,10 +336,8 @@ class _ReceiverView:
         self.lamp_gain = rho * np.maximum(self.normal @ self.lamp - self.height, 0.0) * (self.height < 0.0)
 
         # The 12 edges, less those along an axis that underflows in these units (they bound nothing).
-        along, direction, far_start = _EDGE_AXIS, _EDGE_DIRECTION, _EDGE_FAR
-        if not all(f > n for n, f in zip(near_xyz, far_xyz)):
-            kept = (far > near)[along]
-            along, direction, far_start = along[kept], direction[kept], far_start[kept]
+        kept = (far > near)[_EDGE_AXIS]
+        along, direction, far_start = _EDGE_AXIS[kept], _EDGE_DIRECTION[kept], _EDGE_FAR[kept]
         u, length = np.where(far_start, far, near), (far - near)[along]
         self.edge_start, self.edge_end = u, np.where(direction == 1.0, far, u)  # an edge ends on the far plane of its axis
         # The normal, in the receiver's frame, of the plane through the receiver and each edge line.
@@ -359,8 +356,8 @@ class _ReceiverView:
             # Each edge's psi interval, a few ulps wider; nan, met by every ring, where a point lies at the receiver or past the float range.
             lo, hi = psi.min(axis=0), psi.max(axis=0)
             self.edge_psi = lo - 4.0 * np.spacing(lo), hi + 4.0 * np.spacing(hi)
-        # The floor cap: 1e-6 rad (edge psi errs by 1.5e-8 at most) below every edge, none if nan or <= 0; its rays leave as the axis ray.
-        self.cap_psi, self.cap_plane = self.edge_psi[0].min() - 1e-6, self._exit_plane(axis.tolist())
+            # The floor cap: 1e-6 rad (edge psi errs by 1.5e-8 at most) below every edge, none if nan or <= 0; its rays leave as the axis ray.
+            self.cap_psi, self.cap_plane = self.edge_psi[0].min() - 1e-6, int(self._exit_planes(axis[:, None], np.empty((3, 1)), np.empty(1))[0])
         self.bounds = np.array(sorted({*_PANELS, *(c for c in psi.ravel().tolist() if 0.0 < c < 0.5 * math.pi), 0.5 * math.pi}))
         self.integrals: dict[tuple[int, tuple[int, int]], dict[float, float]] = {}
         self.whole_pieces: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
@@ -373,14 +370,11 @@ class _ReceiverView:
         weight = (width * weights).ravel() * sin_psi * cos_psi
         return np.bincount(np.repeat(np.arange(len(lo)), len(positions)), weight * self.ring_integrals(psi, theta_rule, cos_psi, sin_psi))
 
-    def ring_integrals(self, psi: np.ndarray, theta_rule: tuple[int, int], cos_psi: np.ndarray | None = None, sin_psi: np.ndarray | None = None) -> np.ndarray:
+    def ring_integrals(self, psi: np.ndarray, theta_rule: tuple[int, int], cos_psi: np.ndarray, sin_psi: np.ndarray) -> np.ndarray:
         """int_0^{2 pi} rho cos(phi)^m1 cos(alpha) / d1^2 d theta on the ring of directions at each psi,
         by ``theta_rule`` (arcs, nodes per arc), traced in blocks of whole rings: by (arc, node, ring) from ``_knot_trig``
-        where every ring keeps its equal arcs, else by (sub-arc, node) computing theta's trig; each ring in (arc, node) order.
-        ``cos_psi`` and ``sin_psi``, if given, are np.cos(psi) and np.sin(psi), which the caller already has."""
+        where every ring keeps its equal arcs, else by (sub-arc, node) computing theta's trig; each ring in (arc, node) order."""
         arcs, nodes = theta_rule
-        if cos_psi is None or sin_psi is None:
-            cos_psi, sin_psi = np.cos(psi), np.sin(psi)
         cos_psi, sin_psi = cos_psi[:, None], sin_psi[:, None]
         start, span, count = self._sub_arcs(psi[:, None], cos_psi, sin_psi, arcs)
         first, ends = [0, *count.cumsum().tolist()], [0]  # ring r's sub-arcs are first[r]:first[r + 1]
@@ -450,18 +444,10 @@ class _ReceiverView:
         np.place(span, ~cut, _equal_arcs(arcs)[1])
         return start[:, None], span[:, None], count
 
-    def _exit_plane(self, ray: tuple[float, float, float]) -> int:
-        """``_exit_planes`` for one ray in Python floats: the same divisions, comparisons and tie order."""
-        box = zip(ray, self.near_height.ravel().tolist(), self.far_height.ravel().tolist())
-        t_x, t_y, t_z = [(far if c > 0.0 else near) / c if c != 0.0 else math.inf for c, near, far in box]
-        up_x, up_y, up_z = (c > 0.0 for c in ray)
-        t = min(t_x, t_y)
-        plane = 1 + up_x if t_x <= t_y else 3 + up_y  # x walls 1, 2 win a tie with y walls 3, 4
-        return 5 * up_z if t_z < t or (t_z == t and not up_z) else plane  # the floor 0 wins a tie, the ceiling 5 loses it
-
     def _exit_planes(self, omega: np.ndarray, reach: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The per-ray rule: the plane each ray along ``omega`` (3, n) leaves through, the nearest of those ahead on each axis
-        (height / facing is exact: the normals are axis-aligned), ties as ``np.argmin`` over all six; its distance goes to ``t``."""
+        (height / facing is exact: the normals are axis-aligned), ties as ``np.argmin`` over all six; its distance goes to ``t``.
+        Run on the axis ray, it also picks the floor cap's plane."""
         up = omega > 0.0
         np.copyto(reach, self.near_height)
         np.copyto(reach, self.far_height, where=up)  # the plane ahead on each axis
@@ -476,10 +462,10 @@ class _ReceiverView:
         np.minimum(t, t_z, out=t)
         return plane
 
-    def _radiance(self, omega: np.ndarray, work: np.ndarray, plane: int | None = None) -> np.ndarray:
+    def _radiance(self, omega: np.ndarray, work: np.ndarray, plane: int | None) -> np.ndarray:
         """rho cos(phi)^m1 cos(alpha) / d1^2 where the rays from the receiver along ``omega``
-        (x, y, z on the first axis) leave the room, through the planes of ``_exit_planes`` or
-        all through ``plane``, that of the floor cap 1e-6 rad inside every edge: then t is one
+        (x, y, z on the first axis) leave the room, through the planes of ``_exit_planes`` (``plane``
+        None) or all through ``plane``, that of the floor cap 1e-6 rad inside every edge: then t is one
         division by its own component and the lamp gain one scalar.  A ray delta from every
         edge direction meets its face t sin(delta) from the border, so each other plane ahead
         lies a relative sin(1e-6) farther, far past a division's 1e-16 rounding: the per-ray

@@ -280,10 +280,11 @@ def sweep(
     The levels go in as the whole ``(n_fov, n_src)`` grid, one element per
     map cell, so every noise and report field of the map has its shape: the
     rate at FOV i and level j is ``report.rate[i, j]``.  Either axis may be
-    a sequence or a 1-D numpy array.
+    a sequence or a 1-D numpy array, non-empty.
     """
-    if not (len(fov_values_deg) and len(source_values)):
-        raise ValueError("sweep axes must be non-empty")
+    for name, values in (("fov_values_deg", fov_values_deg), ("source_values", source_values)):
+        if len(np.shape(values)) != 1 or not np.size(values):
+            raise ValueError(f"sweep axis {name} must be one-dimensional and non-empty, got shape {np.shape(values)}")
     levels = np.broadcast_to(source_values, (len(fov_values_deg), len(source_values)))
     return evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, order=order, signal_fov_cutoff=signal_fov_cutoff)
 

@@ -161,7 +161,7 @@ class TestRadiance:
     def _radiance(self, room, direction):
         omega = np.array(direction.normalized().as_tuple())[:, None, None]
         view = _ReceiverView(room)
-        return float(view._radiance(omega, np.empty(5))[0, 0]) / view.scale**2  # its units are the scale's
+        return float(view._radiance(omega, np.empty(5), plane=None)[0, 0]) / view.scale**2  # its units are the scale's
 
     def test_floor_point_matches_hand_formula(self):
         room = nominal_room(fov_deg=30.0)
@@ -435,14 +435,30 @@ def patch_sum_room(pin):
     )
 
 
-def six_plane_radiance(view, omega):
-    """The radiance with the exit plane found as the kernel once found it: the
+def six_plane_exit(view, omega):
+    """The exit plane of each ray as the kernel once found it, and its distance: the
     distance to each of the six planes the ray faces, and ``np.argmin`` over them."""
     facing = np.tensordot(view.normal, omega, axes=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = np.where(facing < 0.0, view.height.reshape((-1,) + (1,) * (omega.ndim - 1)) / facing, np.inf)
     plane = np.argmin(reach, axis=0)
-    t = np.take_along_axis(reach, plane[None], axis=0)[0]
+    return plane, np.take_along_axis(reach, plane[None], axis=0)[0]
+
+
+def exit_planes(view, omega):
+    """``_ReceiverView._exit_planes`` of the rays along ``omega`` (3, n)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return view._exit_planes(omega, np.empty(omega.shape), np.empty(omega.shape[1]))
+
+
+def axis_ray_exit(view):
+    """The six-plane rule's exit plane of the view's axis ray."""
+    return int(six_plane_exit(view, view.frame[0][:, None])[0][0])
+
+
+def six_plane_radiance(view, omega):
+    """The radiance at the exit plane of ``six_plane_exit``."""
+    plane, t = six_plane_exit(view, omega)
     v1 = t * omega - view.lamp.reshape((3,) + (1,) * (omega.ndim - 1))
     d1_sq = v1[0] * v1[0] + v1[1] * v1[1] + v1[2] * v1[2]
     d1 = np.sqrt(d1_sq)
@@ -455,7 +471,7 @@ def six_plane_radiance(view, omega):
 
 def assert_same_bits(room, omega):
     view = _ReceiverView(room)
-    got, want = view._radiance(omega, np.empty(5 * omega[0].size)), six_plane_radiance(view, omega)
+    got, want = view._radiance(omega, np.empty(5 * omega[0].size), plane=None), six_plane_radiance(view, omega)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     return got
@@ -512,6 +528,36 @@ class TestExitPlaneAgainstSixPlanes:
         omega = axis * np.cos(psi) + e1 * (np.sin(psi) * np.cos(theta)) + e2 * (np.sin(psi) * np.sin(theta))
         assert_same_bits(room, omega)
 
+    def test_exit_plane_index_on_ties_zero_components_and_receivers_on_planes(self):
+        # ``_exit_planes`` picks the six-plane argmin's plane for every ray, and so the cap's plane
+        # on the axis ray.  From (2, 2, 3) in the 4 x 4 x 3 room, rays toward floor corners and
+        # floor-wall edges meet their planes at exactly equal distances, and from 1.5 m up toward
+        # ceiling-wall edges; receivers on the walls x = 0 and x = 4 and on the ceiling, whose plane
+        # a ray facing it meets at 0 / 0 or +-0; rays parallel to one or two axes, -0.0 components
+        # among them; and seeded rays with zero components
+        ties = [(-2, -2, -3), (2, 2, -3), (0, -2, -3), (2, 0, -3), (-2, -2, -1), (2, -2, -1), (2, 0, 1.5), (0, -2, 1.5), (-2, -2, 1.5)]
+        parallel = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0), (0, -1, -1), (-1, 0, 1)]
+        signed = [(-0.0, 0.0, -1.0), (0.0, -0.0, 1.0), (-0.0, -0.0, -0.0), (-1.0, -0.0, 0.0)]
+        rng = np.random.default_rng(44)
+        drawn = rng.normal(size=(200, 3)) * (rng.uniform(size=(200, 3)) > 0.3)
+        omega = np.array([*ties, *parallel, *signed, *drawn.tolist()], dtype=float).T
+        assert omega.shape == (3, 222) and np.signbit(omega[:, 18:22]).any()
+        receivers = [
+            Pose(Point3(2.0, 2.0, 3.0), Point3(0.0, 0.0, -1.0)),
+            Pose(Point3(2.0, 2.0, 1.5), Point3(0.0, 0.0, -1.0)),
+            Pose(Point3(0.0, 1.0, 1.5), Point3(1.0, 0.0, 0.0)),
+            Pose(Point3(4.0, 1.0, 1.5), Point3(-1.0, 0.0, 0.0)),
+            Pose(Point3(1.0, 3.0, 3.0), Point3(-0.0, 0.0, -1.0)),
+            Pose(Point3(0.0, 0.0, 0.0), Point3(1.0, 1.0, 1.0).normalized()),
+        ]
+        for receiver in receivers:
+            view = _ReceiverView(nominal_room(receiver=receiver))
+            assert exit_planes(view, omega).tolist() == six_plane_exit(view, omega)[0].tolist()
+            assert view.cap_plane == axis_ray_exit(view)
+        # the floor-wall and ceiling-wall ties above: the floor wins one, the ceiling loses it
+        assert exit_planes(_ReceiverView(nominal_room()), omega[:, :4]).tolist() == [0, 0, 0, 0]
+        assert exit_planes(_ReceiverView(nominal_room(receiver=receivers[1])), omega[:, 6:9]).tolist() == [2, 3, 1]
+
 
 class TestOnePassBitInvariants:
     """A pass's ring values and a room's memo of whole psi pieces change no bit."""
@@ -521,13 +567,13 @@ class TestOnePassBitInvariants:
         """The ring values of one call, and the rays of each block it traced with the work array it used."""
         radiance, blocks = _ReceiverView._radiance, []
 
-        def recording(self, omega, work, plane=None):
+        def recording(self, omega, work, plane):
             blocks.append((omega[0].size, work.base))
             return radiance(self, omega, work, plane)
 
         with monkeypatch.context() as patch:
             patch.setattr(_ReceiverView, "_radiance", recording)
-            return view.ring_integrals(psi, theta_rule), blocks
+            return view.ring_integrals(psi, theta_rule, np.cos(psi), np.sin(psi)), blocks
 
     @pytest.mark.parametrize("kind", list(RING_PINS))
     @pytest.mark.parametrize("block", [1, 7, channel._RAY_BLOCK, 10**9])
@@ -548,9 +594,9 @@ class TestOnePassBitInvariants:
         monkeypatch.setattr(channel, "_RAY_BLOCK", block)
         calls, ring_integrals = [], _ReceiverView.ring_integrals
 
-        def recording(self, psi, theta_rule, *trig):
+        def recording(self, psi, theta_rule, cos_psi, sin_psi):
             calls.append(psi)
-            return ring_integrals(self, psi, theta_rule, *trig)
+            return ring_integrals(self, psi, theta_rule, cos_psi, sin_psi)
 
         with monkeypatch.context() as patch:
             patch.setattr(_ReceiverView, "ring_integrals", recording)
@@ -622,12 +668,12 @@ class TestOnePassBitInvariants:
         assert count[0] > arcs and count[1] == arcs
         radiance, rays = _ReceiverView._radiance, []
 
-        def recording(self, omega, work, plane=None):
+        def recording(self, omega, work, plane):
             rays.append(omega.copy())
             return radiance(self, omega, work, plane)
 
         monkeypatch.setattr(_ReceiverView, "_radiance", recording)
-        view.ring_integrals(psi, (arcs, nodes))
+        view.ring_integrals(psi, (arcs, nodes), np.cos(psi), np.sin(psi))
         [omega] = rays
         assert omega.shape == (3, count.sum(), nodes)  # laid out by (sub-arc, node): the general route
         trig = -omega[1::-1, count[0] :]  # cos(theta), sin(theta) at the horizontal ring's nodes
@@ -644,7 +690,7 @@ class TestOnePassBitInvariants:
         levels = _axis(config.source_min, config.source_max, config.source_steps, config.source_scale)
         radiance, blocks = _ReceiverView._radiance, []
 
-        def recording(self, omega, work, plane=None):
+        def recording(self, omega, work, plane):
             blocks.append(omega.shape)
             return radiance(self, omega, work, plane)
 
@@ -760,7 +806,7 @@ class TestRingPins:
         view = _ReceiverView(ring_pin_room(kind))
         psi = np.array(pin["psi_bits"], dtype=np.uint64).view(np.float64)
         assert psi.view(np.uint64).tolist() == ring_pin_nodes(view).view(np.uint64).tolist()
-        assert view.ring_integrals(psi, view.theta_rule).view(np.uint64).tolist() == pin["value_bits"]
+        assert view.ring_integrals(psi, view.theta_rule, np.cos(psi), np.sin(psi)).view(np.uint64).tolist() == pin["value_bits"]
 
     def test_pinned_rooms_cover_the_kernel_cases(self):
         views = {kind: _ReceiverView(ring_pin_room(kind)) for kind in RING_PINS}
@@ -829,11 +875,9 @@ class TestFloorCap:
         """Each ``_radiance`` call's plane argument, its ray count and (``per_ray``) the per-ray rule's plane of each ray."""
         radiance, calls = _ReceiverView._radiance, []
 
-        def recording(self, omega, work, plane=None):
+        def recording(self, omega, work, plane):
             rays = omega.reshape(3, -1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rule = self._exit_planes(rays, np.empty(rays.shape), np.empty(rays.shape[1])) if per_ray else None
-            calls.append((plane, rays.shape[1], rule))
+            calls.append((plane, rays.shape[1], exit_planes(self, rays) if per_ray else None))
             return radiance(self, omega, work, plane)
 
         monkeypatch.setattr(_ReceiverView, "_radiance", recording)
@@ -848,13 +892,13 @@ class TestFloorCap:
         for view in self.views(kind):
             for psi in (psi for order in (10, 20) for psi in self.passes(view, order)):
                 calls.clear()
-                on = view.ring_integrals(psi, view.theta_rule)
+                on = view.ring_integrals(psi, view.theta_rule, np.cos(psi), np.sin(psi))
                 capped, rays = capped + sum(n for plane, n, _ in calls if plane is not None), rays + sum(n for _, n, _ in calls)
                 if all(plane is None for plane, _, _ in calls):
                     continue
                 cap_psi, view.cap_psi = view.cap_psi, -math.inf
                 calls.clear()
-                off = view.ring_integrals(psi, view.theta_rule)
+                off = view.ring_integrals(psi, view.theta_rule, np.cos(psi), np.sin(psi))
                 view.cap_psi = cap_psi
                 assert all(plane is None for plane, _, _ in calls)
                 assert on.view(np.uint64).tolist() == off.view(np.uint64).tolist()
@@ -868,7 +912,7 @@ class TestFloorCap:
                 psi = np.concatenate(self.passes(view, order))
                 cap = psi[psi < view.cap_psi]
                 calls.clear()
-                view.ring_integrals(cap, view.theta_rule)
+                view.ring_integrals(cap, view.theta_rule, np.cos(cap), np.sin(cap))
                 rings += len(cap)
                 assert sum(n for _, n, _ in calls) == len(cap) * math.prod(view.theta_rule)
                 assert all(plane == view.cap_plane and (rule == plane).all() for plane, _, rule in calls)
@@ -882,61 +926,16 @@ class TestFloorCap:
         psi = np.array([edge - 5e-7, edge - 2e-6])
         assert (view._sub_arcs(psi[:, None], np.cos(psi)[:, None], np.sin(psi)[:, None], view.theta_rule[0])[2] == view.theta_rule[0]).all()
         calls, routes = self.recorded(monkeypatch), []
-        for ring in psi:
+        for ring in psi[:, None]:
             calls.clear()
-            view.ring_integrals(np.array([ring]), view.theta_rule)
+            view.ring_integrals(ring, view.theta_rule, np.cos(ring), np.sin(ring))
             routes.append(calls[0][0])
         assert routes == [None, 0] and view.cap_plane == 0  # the floor
 
-    def test_no_cap_where_an_edge_psi_is_nan(self):
-        # a receiver in a ceiling corner lies on three edges, whose psi is nan
-        view = _ReceiverView(nominal_room(receiver=Pose(Point3(0.0, 0.0, 3.0), Point3(1.0, 1.0, -1.0).normalized())))
-        assert math.isnan(view.cap_psi)
-
-
-class TestScalarExitPlane:
-    """``_ReceiverView._exit_plane``, the per-ray rule in Python floats that picks the floor cap's plane
-    from the axis ray, against ``_exit_planes``: the same plane for every ray, ties included."""
-
-    @staticmethod
-    def vector_rule(view, rays):
-        omega = np.array(rays, dtype=float).T.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return view._exit_planes(omega, np.empty(omega.shape), np.empty(omega.shape[1])).tolist()
-
-    @pytest.mark.parametrize("kind", TestFloorCap.KINDS)
-    def test_the_axis_ray_of_every_pinned_and_seeded_room(self, kind):
-        for view in TestFloorCap.views(kind):
-            axis = tuple(view.frame[0].tolist())
-            assert view.cap_plane == view._exit_plane(axis) == self.vector_rule(view, [axis])[0]
-
-    def test_zero_components_ties_and_receivers_on_planes(self):
-        # from (2, 2, 3) in the 4 x 4 x 3 room, rays toward floor corners and floor-wall edges
-        # meet their planes at exactly equal distances, and from 1.5 m up toward ceiling-wall
-        # edges; receivers on the walls x = 0 and x = 4 and on the ceiling, whose plane a ray
-        # facing it meets at 0 / 0 or +-0; rays parallel to one or two axes, -0.0 components
-        # among them; and seeded rays with zero components
-        ties = [(-2, -2, -3), (2, 2, -3), (0, -2, -3), (2, 0, -3), (-2, -2, -1), (2, -2, -1), (2, 0, 1.5), (0, -2, 1.5), (-2, -2, 1.5)]
-        parallel = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0), (0, -1, -1), (-1, 0, 1)]
-        signed = [(-0.0, 0.0, -1.0), (0.0, -0.0, 1.0), (-0.0, -0.0, -0.0), (-1.0, -0.0, 0.0)]
-        rng = np.random.default_rng(44)
-        drawn = rng.normal(size=(200, 3)) * (rng.uniform(size=(200, 3)) > 0.3)
-        rays = [tuple(map(float, r)) for r in [*ties, *parallel, *signed, *drawn.tolist()]]
-        receivers = [
-            Pose(Point3(2.0, 2.0, 3.0), Point3(0.0, 0.0, -1.0)),
-            Pose(Point3(2.0, 2.0, 1.5), Point3(0.0, 0.0, -1.0)),
-            Pose(Point3(0.0, 1.0, 1.5), Point3(1.0, 0.0, 0.0)),
-            Pose(Point3(4.0, 1.0, 1.5), Point3(-1.0, 0.0, 0.0)),
-            Pose(Point3(1.0, 3.0, 3.0), Point3(-0.0, 0.0, -1.0)),
-            Pose(Point3(0.0, 0.0, 0.0), Point3(1.0, 1.0, 1.0).normalized()),
-        ]
-        for receiver in receivers:
-            view = _ReceiverView(nominal_room(receiver=receiver))
-            assert [view._exit_plane(ray) for ray in rays] == self.vector_rule(view, rays)
-            assert view.cap_plane == self.vector_rule(view, [receiver.axis.as_tuple()])[0]
-        # the floor-wall and ceiling-wall ties above: the floor wins one, the ceiling loses it
-        assert self.vector_rule(_ReceiverView(nominal_room()), ties[:4]) == [0, 0, 0, 0]
-        assert self.vector_rule(_ReceiverView(nominal_room(receiver=receivers[1])), ties[6:]) == [2, 3, 1]
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_cap_plane_is_the_axis_rays(self, kind):
+        for view in self.views(kind):
+            assert view.cap_plane == axis_ray_exit(view)
 
     @pytest.mark.parametrize("axis, plane", [((-1.0, 0.0, -1.0), 0), ((-1.0, 0.0, 1.0), 1), ((-1.0, -1.0, 0.0), 1)])
     def test_a_tie_on_the_axis_ray(self, axis, plane):
@@ -945,7 +944,12 @@ class TestScalarExitPlane:
         view = _ReceiverView(nominal_room(receiver=Pose(Point3(1.5, 1.5, 1.5), Point3(*axis).normalized())))
         t = [abs(h / c) for h, c in zip(view.near_height[:, 0].tolist(), view.frame[0].tolist()) if c != 0.0]
         assert t[0] == t[1]
-        assert view.cap_plane == self.vector_rule(view, [tuple(view.frame[0].tolist())])[0] == plane
+        assert view.cap_plane == axis_ray_exit(view) == plane
+
+    def test_no_cap_where_an_edge_psi_is_nan(self):
+        # a receiver in a ceiling corner lies on three edges, whose psi is nan
+        view = _ReceiverView(nominal_room(receiver=Pose(Point3(0.0, 0.0, 3.0), Point3(1.0, 1.0, -1.0).normalized())))
+        assert math.isnan(view.cap_psi)
 
 
 class TestAxisFrame:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -388,11 +389,23 @@ class TestSweep:
         rates = grid.report.rate[0].tolist()
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(Scenario.named("lamp-center"), (), (1e-5,))
-        with pytest.raises(ValueError):
-            sweep(Scenario.named("lamp-center"), np.array([5.0]), np.array([]))
+    @pytest.mark.parametrize(
+        "fovs, levels, axis, shape",
+        [
+            ((), (1e-5,), "fov_values_deg", (0,)),
+            (np.array([5.0]), np.array([]), "source_values", (0,)),
+            (5.0, (1e-5,), "fov_values_deg", ()),  # len would raise a bare TypeError
+            (np.array([[2.0, 3.0]]), (1e-5,), "fov_values_deg", (1, 2)),  # len reads 1, the map would have 2 rows
+            (np.full((2, 2), 5.0), (1e-5,), "fov_values_deg", (2, 2)),  # would fail inside numpy's broadcast
+            ((5.0, 6.0), np.ones((2, 2)), "source_values", (2, 2)),  # would give a map of 2 x 2 levels read as one axis
+        ],
+        ids=["empty-fovs", "empty-levels", "scalar-fov", "1x2-fovs", "2x2-fovs", "2x2-levels"],
+    )
+    def test_empty_axis_rejected(self, monkeypatch, fovs, levels, axis, shape):
+        # refused before any work, naming the axis and its shape
+        monkeypatch.setattr(experiments, "evaluate_point", lambda *args, **kwargs: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match=re.escape(f"sweep axis {axis} must be one-dimensional and non-empty, got shape {shape}")):
+            sweep(Scenario.named("lamp-center"), fovs, levels)
 
     @pytest.mark.parametrize("name", ["ambient-only-center", "lamp-center"])
     def test_numpy_axes_equal_tuple_axes(self, name):
