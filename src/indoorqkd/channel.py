@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -74,7 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, RoomScenario, _cross, _frame, _in_range, _one_number, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, RoomScenario, _count, _cross, _frame, _in_range, _one_number, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
 
 __all__ = [
     "PLANCK_J_S",
@@ -98,20 +97,19 @@ CONVERGENCE_RTOL = 0.005
 _PANEL_DEG = 15.0
 # The theta rule by lamp mode: (largest m1, equal arcs a ring is cut into before the edge
 # crossings cut it further, Gauss-Legendre nodes per arc), the first row the lamp's m1
-# fits.  Lamps of 60 degrees and wider get the rule of fewest nodes on an uncut ring (of
-# 4-12 arcs, 4-12 nodes) whose theta change at order 10 and FOVs 2-30 degrees stays within
-# 5e-8 (1e-5 of CONVERGENCE_RTOL, the psi order's own change at order 10 for 10-60 degree
-# lamps) over this room set (tests/test_channel.py::theta_rule_rooms): the five
-# scenarios; lamps 0.5-1 m off a ceiling-centre receiver in 4 x 4 x 3, 5.5 x 3.5 x 2.5 and
-# 3.5 x 5.5 x 3.5 m rooms; a receiver aimed at a floor corner, a low tilted receiver and a
-# tilted lamp.  That is 4 x 10 (worst 5.3e-9 at 70 degrees, 6.8e-9 at 60; 6 x 8 gives 5.1e-8,
-# and 4 x 9, of fewer nodes, passes at 4.8e-8).  A narrow lamp's spot is a sharp peak along
-# the ring: for narrower lamps the smaller rules that pass fail the patch-sum gate at wide
-# FOVs (4 x 12: 1.9e-4 off at 80 degrees, against 1e-4) or use most of it (8 x 12: 0.73,
-# 12 x 12: 0.13), so they keep 12 x 12, and lamps of 5 degrees or less miss the bound even there (3.6e-7 at 5).
-# Receivers 1-4 m from a wide lamp can see 4 x 10 miss it too (up to 4e-5); the
-# convergence report shows every miss.  A theta order of 28 or more (the check doubles the
-# nodes) would wake the BLAS worker threads in _mapped_rule.
+# fits.  Lamps of 60 degrees and wider get 4 x 10, whose theta change at order 10 and FOVs
+# 2-30 degrees stays within 5e-8 (1e-5 of CONVERGENCE_RTOL, the psi order's own change at
+# order 10 for 10-60 degree lamps) over this room set (tests/test_channel.py::theta_rule_rooms):
+# the five scenarios; lamps 0.5-1 m off a ceiling-centre receiver in 4 x 4 x 3, 5.5 x 3.5 x 2.5
+# and 3.5 x 5.5 x 3.5 m rooms; a receiver aimed at a floor corner, a low tilted receiver and a
+# tilted lamp (worst 5.3e-9 at 70 degrees, 6.8e-9 at 60; 6 x 8 gives 5.1e-8).  4 x 9, of fewer
+# nodes, passes too, at 4.8e-8; 4 x 10 stays, for a change would move every wide-lamp number.
+# A narrow lamp's spot is a sharp peak along the ring: for narrower lamps the smaller rules that
+# pass fail the patch-sum gate at wide FOVs (4 x 12: 1.9e-4 off at 80 degrees, against 1e-4) or use
+# most of it (8 x 12: 0.73, 12 x 12: 0.13), so they keep 12 x 12, and lamps of 5 degrees or less
+# miss the bound even there (3.6e-7 at 5).  Receivers 1-4 m from a wide lamp can see 4 x 10 miss
+# it too (up to 4e-5); the convergence report shows every miss.  A theta order of 28 or more (the
+# check doubles the nodes) would wake the BLAS worker threads in _mapped_rule.
 _THETA_RULES = ((lambert_mode(60.0), 4, 10), (math.inf, 12, 12))
 _TURN = 2.0 * math.pi
 # Most rays traced at once (a block holds whole rings, at least one); its work array holds 8 floats a ray, 512 kB.
@@ -242,27 +240,20 @@ def _mapped_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _arc_knots(arcs: int) -> np.ndarray:
-    """The knots of ``arcs`` equal arcs of a turn: the first columns of every ring's bounds."""
+def _equal_arcs(arcs: int) -> tuple[np.ndarray, np.ndarray]:
+    """``arcs`` equal arcs of a turn: the knots (every ring's first bounds) and each arc's start and span (a ring's sub-arcs if it meets no edge)."""
     knots = np.linspace(0.0, _TURN, arcs + 1)
-    knots.flags.writeable = False
-    return knots
-
-
-@lru_cache(maxsize=None)
-def _equal_arcs(arcs: int) -> np.ndarray:
-    """The start and the span of each of ``arcs`` equal arcs of a turn: the sub-arcs of a ring that meets no edge."""
-    knots = _arc_knots(arcs)
     pattern = np.array([knots[:-1], knots[1:] - knots[:-1]])
-    pattern.flags.writeable = False
-    return pattern
+    knots.flags.writeable = pattern.flags.writeable = False
+    return knots, pattern
 
 
 @lru_cache(maxsize=None)
 def _knot_trig(arcs: int, nodes: int) -> np.ndarray:
     """cos(theta), sin(theta) and span times weight at the ``nodes`` nodes of each of ``arcs`` equal arcs, as ``ring_integrals`` computes them."""
-    theta = np.add(np.multiply(np.diff(_arc_knots(arcs))[:, None], _mapped_rule(nodes)[0]), _arc_knots(arcs)[:-1, None])
-    table = np.array([np.cos(theta), np.sin(theta), np.multiply(np.diff(_arc_knots(arcs))[:, None], _mapped_rule(nodes)[1])])
+    (start, span), (positions, weights) = _equal_arcs(arcs)[1], _mapped_rule(nodes)
+    theta = np.add(np.multiply(span[:, None], positions), start[:, None])
+    table = np.array([np.cos(theta), np.sin(theta), np.multiply(span[:, None], weights)])
     table.flags.writeable = False
     return table
 
@@ -418,13 +409,14 @@ class _ReceiverView:
         A ring outside an edge's psi interval never meets the edge (both crossings 0, as a missed plane's); one that meets none gets no row."""
         missed, count = (psi < self.edge_psi[0]) | (psi > self.edge_psi[1]), np.full(len(psi), arcs)
         if missed.all():  # no ring meets an edge, as in the floor cap: no crossing to find, every ring keeps its equal arcs
-            start, span = _equal_arcs(arcs)[:, None].repeat(len(psi), axis=1).reshape(2, -1, 1)
+            start, span = _equal_arcs(arcs)[1][:, None].repeat(len(psi), axis=1).reshape(2, -1, 1)
             return start, span, count
         met = ~missed.all(axis=1)  # the rings that meet an edge, one at least
         (n_axis, n_e1, n_e2), edges = self.edge_normal, self.edge_normal.shape[1]
         a, b = sin_psi[met] * n_e1, sin_psi[met] * n_e2
         bounds = np.empty((len(a), 2 * edges + arcs + 1))  # a met ring's row: its crossings, then the knots
-        bounds[:, 2 * edges :] = _arc_knots(arcs)
+        knots, (equal_start, equal_span) = _equal_arcs(arcs)
+        bounds[:, 2 * edges :] = knots
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             half = np.hypot(a, b)
             np.arccos(np.divide(-cos_psi[met] * n_axis, half, out=half), out=half)  # nan where the ring misses the plane
@@ -440,8 +432,8 @@ class _ReceiverView:
         cut = np.repeat(met, count)
         start, span = np.empty((2, len(cut)))
         start[cut], span[cut] = starts, spans
-        np.place(start, ~cut, _equal_arcs(arcs)[0])  # the equal arcs again for each ring that meets no edge
-        np.place(span, ~cut, _equal_arcs(arcs)[1])
+        np.place(start, ~cut, equal_start)  # the equal arcs again for each ring that meets no edge
+        np.place(span, ~cut, equal_span)
         return start[:, None], span[:, None], count
 
     def _exit_planes(self, omega: np.ndarray, reach: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -533,9 +525,7 @@ def total_reflected_gain(
     i, bit for bit.  The values stay on the room's view, so a call computes
     only the FOVs not yet known for the room at this order, all in one pass.
     """
-    if not isinstance(order, numbers.Integral) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    return _reflected_gain(room, int(order), fov_deg)
+    return _reflected_gain(room, _count("order", order), fov_deg)
 
 
 def _reflected_gain(
@@ -596,8 +586,8 @@ def reflected_gain_convergence(
     converged when both relative changes are at most ``CONVERGENCE_RTOL``,
     and the CLI's --strict reads that flag.
     """
+    order = _count("order", order)
     value = total_reflected_gain(room, order)
-    order = int(order)
     refined = total_reflected_gain(room, 2 * order)
     theta_refined = _reflected_gain(room, order, theta_nodes_factor=2)
     rel, theta_rel = _relative_change(value, refined), _relative_change(value, theta_refined)

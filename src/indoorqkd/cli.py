@@ -33,7 +33,7 @@ from .experiments import (
     secure_fov_boundary,
     sweep,
 )
-from .geometry import RoomScenario
+from .geometry import RoomScenario, _count
 from .spectra import KINDS, OutOfBandError, SpectrumFormatError, _check_distance, density_at, irradiance_to_psd, load_spectrum_csv
 
 __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main"]
@@ -149,8 +149,7 @@ _RUN_KEY_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "overri
 
 
 def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
-    if steps < 1:
-        raise ValueError(f"steps = {steps}: must be >= 1")
+    steps = _count("steps", steps)
     if steps > GRID_BUDGET:  # before an array of that length exists
         raise ValueError(f"steps = {steps}: more than the grid budget of {GRID_BUDGET:,} points")
     if scale not in ("linear", "log"):
@@ -278,8 +277,11 @@ def _resolve(
     except ValueError as exc:
         out.append(f"scenario = {config.scenario!r}: {exc}")
     resolution = config.resolution_patches_per_meter
-    if not 1 <= resolution <= MAX_RESOLUTION:
-        out.append(f"resolution_patches_per_meter = {resolution}: must be a positive integer no larger than {MAX_RESOLUTION:,}")
+    try:
+        if _count("resolution_patches_per_meter", resolution) > MAX_RESOLUTION:
+            out.append(f"resolution_patches_per_meter = {resolution}: must be a positive integer no larger than {MAX_RESOLUTION:,}")
+    except ValueError as exc:
+        out.append(f"resolution_patches_per_meter = {resolution!r}: {exc}")
     try:
         fov_values = _axis(config.fov_min_deg, config.fov_max_deg, config.fov_steps, config.fov_scale)
     except ValueError as exc:

@@ -8,6 +8,7 @@ receiver both hang there facing down in the nominal layout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -148,6 +149,13 @@ def _in_range(name: str, value: float | np.ndarray, lo: float, hi: float) -> flo
     raise ValueError(f"{name} must {rules.get((lo, hi), f'lie in {interval}')}, got {value!r}")
 
 
+def _count(name: str, value: int) -> int:
+    """``value`` as an int, once it is an integer (as ``numbers.Integral`` admits numpy's) of at least 1: the rule of every checked count."""
+    if isinstance(value, numbers.Integral) and value >= 1:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _one_number(**values: object) -> None:
     """Refuse an array as any of these one-number fields, naming it; a Python number costs no numpy call."""
     for name, value in values.items():
@@ -277,8 +285,7 @@ def wall_and_floor_grids(room: RoomScenario, patches_per_meter: int) -> tuple[Su
     Cell counts round to the nearest integer per meter so the grids always
     cover each surface exactly; cell size absorbs the remainder.
     """
-    if patches_per_meter < 1:
-        raise ValueError("patches_per_meter must be a positive integer")
+    patches_per_meter = _count("patches_per_meter", patches_per_meter)
     x, y, z = room.room_x_m, room.room_y_m, room.room_z_m
     r_wall, r_floor = room.wall_reflectivity, room.floor_reflectivity
     ex = Point3(1.0, 0.0, 0.0)

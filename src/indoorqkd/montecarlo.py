@@ -2,11 +2,13 @@
 
 Both are validation paths for the deterministic quadrature in the channel
 module and share none of its machinery but the Lambert mode and the frame
-helpers ``geometry._frame`` and ``geometry._cross``.  The Monte-Carlo
-estimate samples rays from the lamp's Lambertian lobe, traces them to their
-first wall or floor hit, and folds the last bounce into the receiver in
-analytically (next-event estimation); the expectation of the per-ray
-contribution equals the same double integral the quadrature approximates.
+helpers ``geometry._frame`` and ``geometry._cross``.  The sampler also
+takes the count rule ``geometry._count``, a check on its own ray count,
+not quadrature machinery.  The Monte-Carlo estimate samples rays from
+the lamp's Lambertian lobe, traces them to their first wall or floor
+hit, and folds the last bounce into the receiver in analytically
+(next-event estimation); the expectation of the per-ray contribution
+equals the same double integral the quadrature approximates.
 The floor-cone closed form is that integral done exactly, for the one
 geometry where it has an antiderivative.
 
@@ -34,13 +36,12 @@ straight down) are skipped.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .geometry import RoomScenario, _cross, _frame, lambert_mode
+from .geometry import RoomScenario, _count, _cross, _frame, lambert_mode
 
 __all__ = ["McEstimate", "estimate_reflected_gain", "floor_cone_closed_form"]
 
@@ -98,8 +99,7 @@ def estimate_reflected_gain(
     ``_uniform_blocks``); the rays of a block that can land are traced in
     packed batches (see ``_packed_batches``).
     """
-    if not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = _count("samples", samples)
     m1 = lambert_mode(room.lamp_semi_angle_deg)
     scene = _Scene(room, m1)
     u_min = _cone_threshold(scene, m1)

@@ -75,10 +75,10 @@ def isotropic_noise_power(
     The concentrator contributes a constant n^2: opening the field of view
     admits more sky while diluting the gain by exactly the same factor.
     """
-    _in_range("ambient_irradiance_w_nm_m2", ambient_irradiance_w_nm_m2, 0.0, math.inf)
+    irradiance = _in_range("ambient_irradiance_w_nm_m2", ambient_irradiance_w_nm_m2, 0.0, math.inf)
     with np.errstate(over="ignore"):
         return (
-            ambient_irradiance_w_nm_m2
+            irradiance
             * room.filter_bandwidth_nm
             * room.filter_transmission
             * room.detector_area_m2
@@ -88,9 +88,9 @@ def isotropic_noise_power(
 
 def photons_per_pulse(power_w: float | np.ndarray, detector: DetectorParams) -> float | np.ndarray:
     """Detected photons per pulse window from a steady optical power."""
-    _in_range("power_w", power_w, 0.0, math.inf)
+    power = _in_range("power_w", power_w, 0.0, math.inf)
     with np.errstate(over="ignore"):
-        return power_w * detector.pulse_width_s * (detector.efficiency / 2.0) / detector.photon_energy_j
+        return power * detector.pulse_width_s * (detector.efficiency / 2.0) / detector.photon_energy_j
 
 
 def lamp_noise_photons(
@@ -105,10 +105,10 @@ def lamp_noise_photons(
     one value or one per field of view; multiplying by the lamp's in-band
     energy per pulse (in the room's filter band) turns it into counts.
     """
-    _in_range("lamp_psd_w_per_nm", lamp_psd_w_per_nm, 0.0, math.inf)
-    _in_range("reflected_integral", reflected_integral, 0.0, math.inf)
+    psd = _in_range("lamp_psd_w_per_nm", lamp_psd_w_per_nm, 0.0, math.inf)
+    integral = _in_range("reflected_integral", reflected_integral, 0.0, math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        counts = photons_per_pulse(lamp_psd_w_per_nm * room.filter_bandwidth_nm, detector) * reflected_integral
+        counts = photons_per_pulse(psd * room.filter_bandwidth_nm, detector) * integral
     # An energy beyond the float range times a zero integral is nan: no bounce, no counts.
     return np.where(np.isnan(counts), 0.0, counts)[()]
 

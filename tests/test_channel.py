@@ -266,7 +266,7 @@ class TestTotalReflectedGain:
             assert total_reflected_gain(huge, 10) > 0.0
             assert min(cpu(huge) for _ in range(3)) < 5.0 * small + 0.01, key
 
-    @pytest.mark.parametrize("order", [2.5, 2.0, math.inf, math.nan, 0, -3, "10"])
+    @pytest.mark.parametrize("order", [2.5, 2.0, math.inf, math.nan, 0, -3, "10", None])
     def test_rule_order_is_an_integer_of_at_least_one(self, order):
         room = nominal_room()
         channel._VIEWS.clear()
@@ -274,6 +274,11 @@ class TestTotalReflectedGain:
             with pytest.raises(ValueError, match="order must be an integer >= 1"):
                 call(room, order)
         assert not channel._VIEWS  # refused before the memo is touched
+        # the same count rule, in the patch grids and the oracle's ray count
+        with pytest.raises(ValueError, match="^patches_per_meter must be an integer >= 1"):
+            geometry.wall_and_floor_grids(room, order)
+        with pytest.raises(ValueError, match="^samples must be an integer >= 1"):
+            estimate_reflected_gain(room, order)
 
     def test_numpy_integer_orders_share_the_int_table(self):
         room = nominal_room()
@@ -614,6 +619,20 @@ class TestOnePassBitInvariants:
             assert len(blocks) == len(psi)
         else:
             assert (len(blocks) == 1) == (block >= sum(ring_rays)) and len(blocks) < len(psi)
+
+    @pytest.mark.parametrize("order", [10, 20])
+    @pytest.mark.parametrize("block", [1, 7, channel._PIECE_BLOCK, 10**9])
+    def test_fov_array_values_do_not_depend_on_the_piece_block(self, monkeypatch, block, order):
+        # a FOV-array call lays its psi pieces out at most _PIECE_BLOCK nodes (one piece at
+        # least) at a time, the only bound on a pass's arrays when the FOV axis is long: each
+        # FOV's value keeps every bit however the pieces are split
+        room = build_setup(Scenario.named("lamp-corner", {"lamp_x_m": 1.3}), 30.0, 1e-5).room
+        fovs = np.linspace(2.0, 90.0, 45)
+        monkeypatch.setattr(channel, "_VIEWS", {})
+        expected = total_reflected_gain(room, order, fov_deg=fovs)
+        monkeypatch.setattr(channel, "_VIEWS", {})
+        monkeypatch.setattr(channel, "_PIECE_BLOCK", block)
+        assert total_reflected_gain(room, order, fov_deg=fovs).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("semi_angle, theta_nodes_factor", [(70.0, 1), (70.0, 2), (30.0, 1), (30.0, 2)])
     def test_work_array_holds_one_ray_block(self, monkeypatch, semi_angle, theta_nodes_factor):
@@ -1040,7 +1059,7 @@ class TestSubArcCuts:
         arcs = view.theta_rule[0]
         assert lo.min() == pytest.approx(math.atan2(2.0, 3.0), rel=1e-15)  # the floor edges' nearest points
         for bounds in self.sub_arcs(view, psi):  # each inner knot ends one arc and starts the next
-            assert bounds.tolist() == np.repeat(channel._arc_knots(arcs), [1, *[2] * (arcs - 1), 1]).tolist()
+            assert bounds.tolist() == np.repeat(channel._equal_arcs(arcs)[0], [1, *[2] * (arcs - 1), 1]).tolist()
         view.edge_psi = (np.full(len(lo), -math.inf), np.full(len(hi), math.inf))  # every edge met
         assert {len(bounds) // 2 for bounds in self.sub_arcs(view, psi)} == {2 * arcs}
 

@@ -391,7 +391,7 @@ class TestValidationDiagnostics:
         )
         out_dir = tmp_path / "out"
         assert main([str(write_config(tmp_path, body)), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
-        assert f"resolution_patches_per_meter = {resolution}: must be a positive integer" in capsys.readouterr().err
+        assert f"resolution_patches_per_meter = {resolution}: resolution_patches_per_meter must be an integer >= 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_grid_over_budget_refused_before_it_is_built(self):
@@ -407,6 +407,9 @@ class TestValidationDiagnostics:
         messages = validate(RunConfig(resolution_patches_per_meter=MAX_RESOLUTION + 1))
         assert any(m.startswith(f"resolution_patches_per_meter = {MAX_RESOLUTION + 1}: must be a positive integer") for m in messages)
         assert validate(RunConfig(resolution_patches_per_meter=MAX_RESOLUTION)) == []
+        # the count rule comes first: a non-integer is named here, not by the sweep it would fail in
+        messages = validate(RunConfig(resolution_patches_per_meter=2.5))
+        assert messages == ["resolution_patches_per_meter = 2.5: resolution_patches_per_meter must be an integer >= 1, got 2.5"]
 
     @pytest.mark.parametrize("key", ["room_x_m", "room_y_m", "room_z_m"])
     def test_a_huge_room_runs_like_a_small_one(self, tmp_path, key):
@@ -480,6 +483,7 @@ class TestValidationDiagnostics:
         assert any("exceeds max" in m for m in validate(config))
         config = RunConfig(source_scale="log", source_min=0.0)
         assert any("positive minimum" in m for m in validate(config))
+        assert validate(RunConfig(fov_steps=2.5)) == ["fov axis: steps must be an integer >= 1, got 2.5"]
 
     @pytest.mark.parametrize(
         "axis, message",

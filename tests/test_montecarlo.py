@@ -80,7 +80,7 @@ class TestFloorConeClosedForm:
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("indoorqkd"))
             for alias in node.names
         }
-        assert taken == {("geometry", "RoomScenario"), ("geometry", "lambert_mode"), ("geometry", "_frame"), ("geometry", "_cross")}
+        assert taken == {("geometry", "RoomScenario"), ("geometry", "lambert_mode"), ("geometry", "_frame"), ("geometry", "_cross"), ("geometry", "_count")}
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         for name in "_frame", "_cross":
             assert f"``geometry.{name}``" in montecarlo.__doc__ and f"`geometry.{name}`" in readme
@@ -111,6 +111,12 @@ class TestArguments:
     def test_non_positive_or_non_integer_counts_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             estimate_reflected_gain(room_at(20.0), **{name: value})
+
+    @pytest.mark.parametrize("samples", [3, 20_000])
+    def test_numpy_integer_counts_give_the_int_estimate(self, samples):
+        expected = estimate_reflected_gain(room_at(20.0), samples, seed=11)
+        for count in np.int64(samples), np.uint32(samples):
+            assert estimate_reflected_gain(room_at(20.0), count, seed=11) == expected
 
 
 # The lamp tilted 25 degrees towards +x, and 40 degrees towards -y.
