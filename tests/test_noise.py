@@ -152,11 +152,13 @@ class TestNoiseBudget:
 
 
 class TestArrayLevels:
-    @pytest.mark.parametrize("as_levels", [np.array, list], ids=["array", "list"])
-    def test_counts_are_elementwise_scalar_counts(self, as_levels):
+    def test_counts_are_elementwise_scalar_counts(self):
         levels = [0.0, 1e-9, 3e-7, 1e-5]
-        ambient = photons_per_pulse(as_levels(isotropic_noise_power(as_levels(levels), ROOM)), DET)
-        lamp = lamp_noise_photons(as_levels(levels), ROOM, DET, as_levels([6.5e-7] * len(levels)))
+        ambient = photons_per_pulse(isotropic_noise_power(np.array(levels), ROOM), DET)
+        lamp = lamp_noise_photons(np.array(levels), ROOM, DET, 6.5e-7)
+        # lists give the elements the arrays give
+        assert photons_per_pulse(isotropic_noise_power(levels, ROOM).tolist(), DET).tolist() == ambient.tolist()
+        assert lamp_noise_photons(levels, ROOM, DET, [6.5e-7] * len(levels)).tolist() == lamp.tolist()
         for k, level in enumerate(levels):
             assert ambient[k] == photons_per_pulse(isotropic_noise_power(level, ROOM), DET)
             assert lamp[k] == lamp_noise_photons(level, ROOM, DET, 6.5e-7)
