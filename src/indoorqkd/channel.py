@@ -204,7 +204,7 @@ def los_gain_for(
     rule, in place of the room's; the gain takes its shape, and each element
     is the one-FOV gain, bit for bit.
     """
-    fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg, dtype=float)
+    fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg)
     fov_list = fovs.ravel().tolist()
     g = [concentrator_gain(room.concentrator_index, f) for f in fov_list]
     geom = link_geometry(room.transmitter, room.receiver)
@@ -533,7 +533,7 @@ def _reflected_gain(
 ) -> float | np.ndarray:
     """``total_reflected_gain`` at psi rule order ``order``, with ``theta_nodes_factor``
     times the view's theta nodes per arc (the convergence check's theta refinement)."""
-    fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg, dtype=float)
+    fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg)
     fov_list = fovs.ravel().tolist()
     view = _receiver_view(room)
     arcs, nodes = view.theta_rule

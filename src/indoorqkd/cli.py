@@ -33,7 +33,7 @@ from .experiments import (
     secure_fov_boundary,
     sweep,
 )
-from .geometry import RoomScenario, _count
+from .geometry import _LARGEST_FLOAT, RoomScenario, _count, _in_range
 from .spectra import KINDS, OutOfBandError, SpectrumFormatError, _check_distance, density_at, irradiance_to_psd, load_spectrum_csv
 
 __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main"]
@@ -154,7 +154,7 @@ def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
         raise ValueError(f"steps = {steps}: more than the grid budget of {GRID_BUDGET:,} points")
     if scale not in ("linear", "log"):
         raise ValueError(f"scale = {scale!r}: must be 'linear' or 'log'")
-    if lo > hi:
+    if _in_range("min", lo, -_LARGEST_FLOAT, _LARGEST_FLOAT) > _in_range("max", hi, -_LARGEST_FLOAT, _LARGEST_FLOAT):  # each end named if not finite
         raise ValueError(f"min {lo!r} exceeds max {hi!r}")
     if scale == "log" and lo <= 0.0:
         raise ValueError(f"log scale needs a positive minimum, got {lo!r}")

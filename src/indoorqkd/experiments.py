@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channel import DEFAULT_ORDER, ChannelGains, DetectorParams, los_gain_for, total_reflected_gain
-from .geometry import _LARGEST_FLOAT, Point3, Pose, RoomScenario, _in_range
+from .geometry import _LARGEST_FLOAT, Point3, Pose, RoomScenario, _in_range, _one_number
 from .keyrate import KeyRateReport, ProtocolParams, secret_key_rate
 from .noise import (
     NoiseBudget,
@@ -139,6 +139,8 @@ class Scenario:
                 raise ValueError(f"unknown override key {key!r}")
             if not (isinstance(value, numbers.Real) or (value is None and NOMINAL[key] is None)):  # not text, an array or a stray None
                 raise ValueError(f"override {key} must be a number{' or None' if NOMINAL[key] is None else ''}, got {value!r}")
+            if isinstance(value, int):  # float() would overflow on an int past the float range
+                _in_range(f"override {key}", value, -math.inf, math.inf)
 
     @classmethod
     def named(cls, name: str, overrides: Mapping[str, float] | None = None) -> "Scenario":
@@ -242,11 +244,11 @@ def evaluate_point(
     order and FOV.  Each element is, bit for bit, the call at its FOV and
     level.  ``order`` is the bounce quadrature's rule order.
     """
-    fovs = np.asarray(fov_deg, dtype=float)
+    fovs = np.asarray(fov_deg)
     if fovs.size == 0:
         raise ValueError("fov_deg must hold at least one value")
     # The first FOV builds the room, as a scalar call would; los_gain_for checks the rest.
-    setup = build_setup(scenario, float(fovs.flat[0]), source_level)
+    setup = build_setup(scenario, fovs.item(0), source_level)
     room, det = setup.room, setup.detector
     lamp_psd, ambient = setup.lamp_psd_w_per_nm, setup.ambient_irradiance_w_nm_m2
     if fovs.ndim and lamp_psd.ndim:  # both levels have the source levels' shape
@@ -364,6 +366,7 @@ def secure_fov_boundary(
     def secure(fov: float | np.ndarray) -> bool | np.ndarray:
         return evaluate_point(scenario, fov, source_level, order=order).report.secure
 
+    _one_number(fov_max_deg=fov_max_deg)
     ladder = [f for f in _FOV_LADDER_DEG if f < fov_max_deg] + [fov_max_deg]
     return _largest_secure(secure, ladder, _BOUNDARY_PRECISION_DEG, known)
 

@@ -3,8 +3,8 @@
 Both are validation paths for the deterministic quadrature in the channel
 module and share none of its machinery but the Lambert mode and the frame
 helpers ``geometry._frame`` and ``geometry._cross``.  The sampler also
-takes the count rule ``geometry._count``, a check on its own ray count,
-not quadrature machinery.  The Monte-Carlo estimate samples rays from
+takes the count rule ``geometry._count``, a check on its own ray count
+and seed, not quadrature machinery.  The Monte-Carlo estimate samples rays from
 the lamp's Lambertian lobe, traces them to their first wall or floor
 hit, and folds the last bounce into the receiver in analytically
 (next-event estimation); the expectation of the per-ray contribution
@@ -99,7 +99,7 @@ def estimate_reflected_gain(
     ``_uniform_blocks``); the rays of a block that can land are traced in
     packed batches (see ``_packed_batches``).
     """
-    samples = _count("samples", samples)
+    samples, seed = _count("samples", samples), _count("seed", seed, 0)
     m1 = lambert_mode(room.lamp_semi_angle_deg)
     scene = _Scene(room, m1)
     u_min = _cone_threshold(scene, m1)

@@ -457,6 +457,12 @@ class TestValidationDiagnostics:
         assert main([str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
         assert "wavelength_nm = 1e-320: wavelength_nm must be positive and finite, with a finite photon energy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["room_x_m", "mean_photons_per_pulse"])
+    def test_an_int_override_past_the_float_range_is_named(self, key):
+        assert validate(RunConfig(overrides={key: 10**400})) == [
+            f"{key} = {10**400!r}: override {key} must lie in the float range, got an int of 1329 bits"
+        ]
+
     def test_overflowing_concentrator_gain_named(self):
         messages = validate(RunConfig(overrides={"concentrator_index": 1e300}))
         assert any(m.startswith("concentrator_index = 1e+300") and "finite gain" in m for m in messages)
@@ -484,6 +490,10 @@ class TestValidationDiagnostics:
         config = RunConfig(source_scale="log", source_min=0.0)
         assert any("positive minimum" in m for m in validate(config))
         assert validate(RunConfig(fov_steps=2.5)) == ["fov axis: steps must be an integer >= 1, got 2.5"]
+        # an end set in code, which a config file would refuse: named, before min and max are compared
+        for value, rule in ((math.nan, "be finite"), (math.inf, "be finite"), (None, "be a real number"), ("30", "be a number, not text")):
+            for end, axis, key in (("min", "fov", "fov_min_deg"), ("max", "source", "source_max")):
+                assert validate(RunConfig(**{key: value})) == [f"{axis} axis: {end} must {rule}, got {value!r}"]
 
     @pytest.mark.parametrize(
         "axis, message",

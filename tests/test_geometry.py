@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from indoorqkd.channel import ChannelGains, DetectorParams
-from indoorqkd.experiments import Scenario, build_setup
+from indoorqkd.channel import ChannelGains, DetectorParams, los_gain_for, total_reflected_gain
+from indoorqkd.experiments import Scenario, ambient_tolerance, build_setup, evaluate_point, secure_fov_boundary, sweep
 from indoorqkd.geometry import (
     _LARGEST_FLOAT,
     DegenerateGeometryError,
@@ -235,10 +235,18 @@ class TestInRange:
 
     def test_text_fails_with_its_name(self):
         # numpy would parse "1e-5" as a number; None fails as a nan does
+        lamp = Scenario.named("lamp-center")
         for call, argument in [
             (lambda v: ProtocolParams(v), "mean_photons_per_pulse"),  # a scalar field
             (lambda v: secret_key_rate(_SETUP.protocol, v, 1e-6), "transmittance"),  # a value that may be an array
-            (lambda v: build_setup(Scenario.named("lamp-center"), 10.0, v), "source_level"),
+            (lambda v: build_setup(lamp, 10.0, v), "source_level"),
+            # the FOV entry points, each FOV read by the room's rule; a None FOV there is the room's, so it goes in a list
+            (lambda v: evaluate_point(lamp, v, 1e-6), "fov_deg"),
+            (lambda v: sweep(lamp, np.ravel(v), (1e-6,)), "fov_deg"),
+            (lambda v: los_gain_for(_SETUP.room, fov_deg=[v]), "fov_deg"),
+            (lambda v: total_reflected_gain(_SETUP.room, fov_deg=[v]), "fov_deg"),
+            (lambda v: ambient_tolerance(Scenario.named("ambient-only-center"), fov_floor_deg=v), "fov_deg"),
+            (lambda v: secure_fov_boundary(lamp, 1e-5, fov_max_deg=v), "fov_max_deg"),
         ]:
             for text in ("1e-5", b"4", np.array(["1e-5", "1e-4"]), ["1e-5", 1e-4]):
                 with pytest.raises(ValueError, match=f"^{argument} must be a number, not text, got "):
@@ -300,6 +308,10 @@ _SCALAR_FIELDS = {
 }
 
 
+# Values that are no real number: text, None, a complex number (even with no imaginary part) and another object.
+_NOT_NUMBERS = ("4", None, 4 + 0j, {})
+
+
 def rule_text(lo, lo_excluded, hi, hi_excluded) -> str:
     if hi == math.inf:
         return {(0.0, False): "be non-negative and finite", (0.0, True): "be positive and finite", (1.0, False): "be >= 1 and finite"}[lo, lo_excluded]
@@ -330,9 +342,9 @@ class TestFieldRules:
 
     @pytest.mark.parametrize("field", list(_FIELD_RULES))
     def test_text_and_none_fail(self, field):
-        _, _, call = _FIELD_RULES[field]
-        for value in ("4", None):
-            with pytest.raises((TypeError, ValueError)):
+        name, _, call = _FIELD_RULES[field]
+        for value in _NOT_NUMBERS:
+            with pytest.raises(ValueError, match=f"^{name} must be a (number, not text|real number), got "):
                 call(value)
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (2, 2), (3,)])
@@ -343,6 +355,14 @@ class TestFieldRules:
         expected = f"{field.rpartition('.')[2]} must be one number, not an array of shape {shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             call(np.full(shape, value))
+
+    @pytest.mark.parametrize("value", _NOT_NUMBERS, ids=["text", "None", "complex", "dict"])
+    @pytest.mark.parametrize("field", list(_SCALAR_FIELDS))
+    def test_a_non_number_fails_naming_the_field(self, field, value):
+        _, call = _SCALAR_FIELDS[field]
+        # \b: the detector's efficiency is named "detector efficiency" by its interval rule, which reads it first
+        with pytest.raises(ValueError, match=rf"\b{field.rpartition('.')[2]} must be a (number, not text|real number), got "):
+            call(value)
 
 
 class TestTessellation:

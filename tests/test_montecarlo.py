@@ -107,16 +107,21 @@ class TestFloorConeClosedForm:
 
 
 class TestArguments:
-    @pytest.mark.parametrize("name, value", [("samples", 0), ("samples", -3), ("samples", 1e6)])
+    @pytest.mark.parametrize("name, value", [
+        ("samples", 0), ("samples", -3), ("samples", 1e6),
+        # None would draw an estimate no call repeats
+        ("seed", -1), ("seed", 1.5), ("seed", "a"), ("seed", None),
+    ])
     def test_non_positive_or_non_integer_counts_rejected(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            estimate_reflected_gain(room_at(20.0), **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            estimate_reflected_gain(room_at(20.0), **{"samples": 3, name: value})
 
     @pytest.mark.parametrize("samples", [3, 20_000])
     def test_numpy_integer_counts_give_the_int_estimate(self, samples):
         expected = estimate_reflected_gain(room_at(20.0), samples, seed=11)
         for count in np.int64(samples), np.uint32(samples):
             assert estimate_reflected_gain(room_at(20.0), count, seed=11) == expected
+            assert estimate_reflected_gain(room_at(20.0), samples, seed=type(count)(11)) == expected
 
 
 # The lamp tilted 25 degrees towards +x, and 40 degrees towards -y.
