@@ -11,25 +11,24 @@ import argparse
 
 from indoorqkd.channel import DEFAULT_ORDER, total_reflected_gain
 from indoorqkd.experiments import Scenario, build_setup
+from indoorqkd.geometry import _count
 from indoorqkd.montecarlo import estimate_reflected_gain, floor_cone_closed_form
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=positive_int, default=2_000_000)
+    parser.add_argument("--samples", type=int, default=2_000_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--resolution", type=positive_int, default=DEFAULT_ORDER, help="quadrature rule order")
+    parser.add_argument("--resolution", type=int, default=DEFAULT_ORDER, help="quadrature rule order")
     parser.add_argument(
         "--fov", type=float, nargs="+", default=[5.0, 11.0, 20.0, 30.0, 45.0, 60.0]
     )
     args = parser.parse_args()
+    for name, least in (("samples", 1), ("resolution", 1), ("seed", 0)):  # the library's count rule
+        try:
+            _count(name, getattr(args, name), least)
+        except ValueError as error:
+            parser.error(f"argument --{name}: {error}")
     try:  # the room's own rules name a bad FOV, before any row prints
         rooms = [build_setup(Scenario.named("lamp-center"), fov, 1e-5).room for fov in args.fov]
     except ValueError as error:

@@ -73,7 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, RoomScenario, _count, _cross, _frame, _in_range, _one_number, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, RoomScenario, _array, _count, _cross, _frame, _in_range, _one_number, concentrator_gain, lambert_mode, link_geometry, wall_and_floor_grids
 
 __all__ = [
     "PLANCK_J_S",
@@ -204,7 +204,7 @@ def los_gain_for(
     rule, in place of the room's; the gain takes its shape, and each element
     is the one-FOV gain, bit for bit.
     """
-    fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg)
+    fovs = _array("fov_deg", room.fov_deg if fov_deg is None else fov_deg)
     fov_list = fovs.ravel().tolist()
     g = [concentrator_gain(room.concentrator_index, f) for f in fov_list]
     geom = link_geometry(room.transmitter, room.receiver)
@@ -533,7 +533,7 @@ def _reflected_gain(
 ) -> float | np.ndarray:
     """``total_reflected_gain`` at psi rule order ``order``, with ``theta_nodes_factor``
     times the view's theta nodes per arc (the convergence check's theta refinement)."""
-    fovs = np.asarray(room.fov_deg if fov_deg is None else fov_deg)
+    fovs = _array("fov_deg", room.fov_deg if fov_deg is None else fov_deg)
     fov_list = fovs.ravel().tolist()
     view = _receiver_view(room)
     arcs, nodes = view.theta_rule

@@ -33,7 +33,7 @@ from .experiments import (
     secure_fov_boundary,
     sweep,
 )
-from .geometry import _LARGEST_FLOAT, RoomScenario, _count, _in_range
+from .geometry import _LARGEST_FLOAT, RoomScenario, _count, _in_range, _shown
 from .spectra import KINDS, OutOfBandError, SpectrumFormatError, _check_distance, density_at, irradiance_to_psd, load_spectrum_csv
 
 __all__ = ["RunConfig", "load_config", "validate", "dump_defaults", "run", "main"]
@@ -151,13 +151,13 @@ _RUN_KEY_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "overri
 def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
     steps = _count("steps", steps)
     if steps > GRID_BUDGET:  # before an array of that length exists
-        raise ValueError(f"steps = {steps}: more than the grid budget of {GRID_BUDGET:,} points")
+        raise ValueError(f"steps = {_shown(steps)}: more than the grid budget of {GRID_BUDGET:,} points")
     if scale not in ("linear", "log"):
-        raise ValueError(f"scale = {scale!r}: must be 'linear' or 'log'")
+        raise ValueError(f"scale = {_shown(scale)}: must be 'linear' or 'log'")
     if _in_range("min", lo, -_LARGEST_FLOAT, _LARGEST_FLOAT) > _in_range("max", hi, -_LARGEST_FLOAT, _LARGEST_FLOAT):  # each end named if not finite
-        raise ValueError(f"min {lo!r} exceeds max {hi!r}")
+        raise ValueError(f"min {_shown(lo)} exceeds max {_shown(hi)}")
     if scale == "log" and lo <= 0.0:
-        raise ValueError(f"log scale needs a positive minimum, got {lo!r}")
+        raise ValueError(f"log scale needs a positive minimum, got {_shown(lo)}")
     if steps == 1:
         return (lo,)
     with np.errstate(all="ignore"):
@@ -167,9 +167,9 @@ def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
             values = np.logspace(math.log10(lo), math.log10(hi), steps)
     if not np.isfinite(values).all():
         if scale == "linear":  # the step, (max - min) / (steps - 1), overflows
-            raise ValueError(f"max {hi!r} - min {lo!r} overflows to inf on a linear axis")
+            raise ValueError(f"max {_shown(hi)} - min {_shown(lo)} overflows to inf on a linear axis")
         end, value = ("min", lo) if not math.isfinite(values[0]) else ("max", hi)
-        raise ValueError(f"{end} {value!r} overflows to inf on a log axis")
+        raise ValueError(f"{end} {_shown(value)} overflows to inf on a log axis")
     values[0], values[-1] = lo, hi  # logspace's ends may miss them by an ulp
     return tuple(values.tolist())
 
@@ -275,18 +275,21 @@ def _resolve(
     try:
         Scenario.named(config.scenario)
     except ValueError as exc:
-        out.append(f"scenario = {config.scenario!r}: {exc}")
+        out.append(f"scenario = {_shown(config.scenario)}: {exc}")
     resolution = config.resolution_patches_per_meter
     try:
         if _count("resolution_patches_per_meter", resolution) > MAX_RESOLUTION:
-            out.append(f"resolution_patches_per_meter = {resolution}: must be a positive integer no larger than {MAX_RESOLUTION:,}")
+            out.append(f"resolution_patches_per_meter = {_shown(resolution)}: must be a positive integer no larger than {MAX_RESOLUTION:,}")
     except ValueError as exc:
-        out.append(f"resolution_patches_per_meter = {resolution!r}: {exc}")
+        out.append(f"resolution_patches_per_meter = {_shown(resolution)}: {exc}")
     try:
         fov_values = _axis(config.fov_min_deg, config.fov_max_deg, config.fov_steps, config.fov_scale)
     except ValueError as exc:
         out.append(f"fov axis: {exc}")
     spectrum = config.lamp_spectrum_file
+    if not isinstance(spectrum, str):  # open() would take an int as a file descriptor
+        out.append(f"lamp_spectrum_file = {_shown(spectrum)}: must be a file path, as text")
+        spectrum = ""
     try:  # checked even when a spectrum pins the source level
         source_values = _axis(config.source_min, config.source_max, config.source_steps, config.source_scale)
     except ValueError as exc:
@@ -296,11 +299,11 @@ def _resolve(
         _check_distance(config.lamp_spectrum_distance_m)
     except ValueError as exc:
         distance_ok = False
-        out.append(f"lamp_spectrum_distance_m = {config.lamp_spectrum_distance_m!r}: {exc}")
+        out.append(f"lamp_spectrum_distance_m = {_shown(config.lamp_spectrum_distance_m)}: {exc}")
     if config.lamp_spectrum_kind not in KINDS:
-        out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: must be one of {', '.join(KINDS)}")
+        out.append(f"lamp_spectrum_kind = {_shown(config.lamp_spectrum_kind)}: must be one of {', '.join(KINDS)}")
     elif spectrum and config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
-        out.append(f"lamp_spectrum_kind = {config.lamp_spectrum_kind!r}: ambient scenarios take an 'irradiance' spectrum, not a source PSD")
+        out.append(f"lamp_spectrum_kind = {_shown(config.lamp_spectrum_kind)}: ambient scenarios take an 'irradiance' spectrum, not a source PSD")
     elif spectrum and config.scenario in SCENARIOS:  # a spectrum is read at the scenario's wavelength
         try:
             curve = load_spectrum_csv(spectrum, config.lamp_spectrum_kind)
@@ -312,7 +315,7 @@ def _resolve(
             band = out[-1] if isinstance(exc, OutOfBandError) else None  # dropped below if wavelength_nm breaks its own rule
         except ValueError as exc:  # its distance (irradiance_to_psd): named above unless S over- or underflows
             if distance_ok:
-                out.append(f"lamp_spectrum_distance_m = {config.lamp_spectrum_distance_m!r}: {exc}")
+                out.append(f"lamp_spectrum_distance_m = {_shown(config.lamp_spectrum_distance_m)}: {exc}")
     if not spectrum and len(fov_values) * len(source_values) > GRID_BUDGET:  # a spectrum's one level cannot overflow it
         grid = f"{len(fov_values)} x {len(source_values)}"
         out.append(f"fov_steps x source_steps = {grid}: more than the grid budget of {GRID_BUDGET:,} points")
@@ -332,7 +335,7 @@ def _resolve(
         try:  # on any one scenario: each key's rule applies in all of them
             build_setup(Scenario.named("lamp-center", {key: value}), 10.0, 0.0)
         except ValueError as exc:
-            out.append(f"{key} = {value!r}: {exc}")
+            out.append(f"{key} = {_shown(value)}: {exc}")
             if key == "wavelength_nm" and band in out:
                 out.remove(band)
     return None, out or whole_run

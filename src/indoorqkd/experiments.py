@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channel import DEFAULT_ORDER, ChannelGains, DetectorParams, los_gain_for, total_reflected_gain
-from .geometry import _LARGEST_FLOAT, Point3, Pose, RoomScenario, _in_range, _one_number
+from .geometry import _LARGEST_FLOAT, Point3, Pose, RoomScenario, _array, _in_range, _one_number, _real, _shown
 from .keyrate import KeyRateReport, ProtocolParams, secret_key_rate
 from .noise import (
     NoiseBudget,
@@ -133,14 +133,14 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.name not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.name!r}; choose one of {SCENARIOS}")
+            raise ValueError(f"unknown scenario {_shown(self.name)}; choose one of {SCENARIOS}")
         for key, value in self.overrides:
             if key not in NOMINAL:
-                raise ValueError(f"unknown override key {key!r}")
+                raise ValueError(f"unknown override key {_shown(key)}")
             if not (isinstance(value, numbers.Real) or (value is None and NOMINAL[key] is None)):  # not text, an array or a stray None
-                raise ValueError(f"override {key} must be a number{' or None' if NOMINAL[key] is None else ''}, got {value!r}")
+                raise ValueError(f"override {key} must be a number{' or None' if NOMINAL[key] is None else ''}, got {_shown(value)}")
             if isinstance(value, int):  # float() would overflow on an int past the float range
-                _in_range(f"override {key}", value, -math.inf, math.inf)
+                _real(f"override {key}", value)
 
     @classmethod
     def named(cls, name: str, overrides: Mapping[str, float] | None = None) -> "Scenario":
@@ -244,7 +244,7 @@ def evaluate_point(
     order and FOV.  Each element is, bit for bit, the call at its FOV and
     level.  ``order`` is the bounce quadrature's rule order.
     """
-    fovs = np.asarray(fov_deg)
+    fovs = _array("fov_deg", fov_deg)
     if fovs.size == 0:
         raise ValueError("fov_deg must hold at least one value")
     # The first FOV builds the room, as a scalar call would; los_gain_for checks the rest.
@@ -284,11 +284,11 @@ def sweep(
     rate at FOV i and level j is ``report.rate[i, j]``.  Either axis may be
     a sequence or a 1-D numpy array, non-empty.
     """
-    for name, values in (("fov_values_deg", fov_values_deg), ("source_values", source_values)):
-        if len(np.shape(values)) != 1 or not np.size(values):
-            raise ValueError(f"sweep axis {name} must be one-dimensional and non-empty, got shape {np.shape(values)}")
-    levels = np.broadcast_to(source_values, (len(fov_values_deg), len(source_values)))
-    return evaluate_point(scenario, np.reshape(fov_values_deg, (-1, 1)), levels, order=order, signal_fov_cutoff=signal_fov_cutoff)
+    fovs, levels = _array("fov_deg", fov_values_deg), _array("source_level", source_values)  # named as evaluate_point names an element
+    for name, values in (("fov_values_deg", fovs), ("source_values", levels)):
+        if values.ndim != 1 or not values.size:
+            raise ValueError(f"sweep axis {name} must be one-dimensional and non-empty, got shape {values.shape}")
+    return evaluate_point(scenario, fovs[:, None], np.broadcast_to(levels, (len(fovs), len(levels))), order=order, signal_fov_cutoff=signal_fov_cutoff)
 
 
 def _largest_secure(
@@ -310,7 +310,7 @@ def _largest_secure(
     call, each call flagging every undecided midpoint of the next
     ``_BISECTION_LEVELS`` levels; the value returned was found secure.
     """
-    values, flags = np.array(known or ((), ()), dtype=float)  # the flags as 1 and 0
+    values, flags = np.atleast_2d(_real("known", ((), ()) if known is None else known))  # the flags as 1 and 0; a third row or none is a ValueError
     top, bottom = values[flags == 1.0].max(initial=-math.inf), values[flags == 0.0].min(initial=math.inf)
     if not top < bottom:
         top, bottom = -math.inf, math.inf
@@ -416,12 +416,13 @@ def path_loss_profile(
     ``Scenario.named``; an unknown key raises ValueError.
     """
     scenario = Scenario.named("lamp-center", overrides)
-    if not fov_values_deg:
+    fovs = _array("fov_deg", fov_values_deg).ravel()
+    if not fovs.size:
         return ()
     room = replace(
-        build_setup(scenario, fov_values_deg[0], 0.0).room,
+        build_setup(scenario, fovs.item(0), 0.0).room,
         transmitter=Pose(position, Point3(0.0, 0.0, 1.0)),
         tx_semi_angle_deg=tx_semi_angle_deg,
     )
-    gains = los_gain_for(room, enforce_fov=False, fov_deg=fov_values_deg).tolist()
+    gains = los_gain_for(room, enforce_fov=False, fov_deg=fovs).tolist()
     return tuple(-10.0 * math.log10(h) if h > 0.0 else math.inf for h in gains)

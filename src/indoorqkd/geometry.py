@@ -124,25 +124,43 @@ class SurfaceGrid:
         return self.n_u * self.cell_u * self.n_v * self.cell_v
 
 
+def _shown(value: object) -> str:
+    """``repr(value)``, but an int past Python's int-to-text limit shows as its size in bits, and a container holding one says so."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"an int of {value.bit_length()} bits" if isinstance(value, int) else f"a {type(value).__name__} holding an int too long to print"
+
+
+def _array(name: str, value: object) -> np.ndarray:
+    """``np.asarray(value)``, each element as given, once each is a bool, int or float of Python or numpy: the one reading of a caller's
+    number.  Text fails as text (numpy would parse it), and None, a complex number, a dict, a ragged sequence or another object as no real number."""
+    try:
+        checked = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        checked = np.asarray(None)
+    kind = checked.dtype.kind
+    if kind in "biuf" or (kind == "O" and all(isinstance(v, (int, float, np.bool_, np.integer, np.floating)) for v in checked.flat)):
+        return checked
+    raise ValueError(f"{name} must be {'a number, not text' if kind in 'SU' else 'a real number'}, got {_shown(value)}")
+
+
 def _real(name: str, value: object) -> np.ndarray:
-    """``value`` as a float array (0-d for one value), once every element is a bool, int or float of Python or numpy:
-    text fails as text (numpy would parse it), and None, a complex number, a dict or any other object as no real number."""
-    checked = np.asarray(value)
-    if checked.dtype.kind in "biuf":
-        return checked.astype(float, copy=False)
-    raise ValueError(f"{name} must be {'a number, not text' if checked.dtype.kind in 'SU' else 'a real number'}, got {value!r}")
+    """``_array(name, value)`` as a float array (0-d for one value): the one place that decides a Python int, a float in the float range."""
+    checked = _array(name, value)
+    for v in checked.flat if checked.dtype.kind == "O" else ():  # Python ints too large for a numpy int, maybe for a float
+        if isinstance(v, int) and not abs(v) <= _LARGEST_FLOAT:
+            raise ValueError(f"{name} must lie in the float range, got an int of {v.bit_length()} bits")
+    return checked.astype(float, copy=False)
 
 
 def _in_range(name: str, value: float | np.ndarray, lo: float, hi: float) -> float | np.ndarray:
-    """``value`` as a numpy float or a float array, once it is ``_real`` and it (each element) lies in
-    [lo, hi]: a nan fails, an int past the float range fails, an empty array passes.  The rule of every
-    checked number that is an interval, scalar or array: "non-negative" is [0, inf], "finite" ends at
-    _LARGEST_FLOAT (plain "finite" is [-_LARGEST_FLOAT, _LARGEST_FLOAT]) and "positive" starts at _SMALLEST_POSITIVE."""
-    if isinstance(value, (float, int)):  # a Python number or np.float64, compared without an array
+    """``value`` as a numpy float or a float array, once it is ``_real`` and it (each element) lies in [lo, hi]: a nan fails, an empty
+    array passes; only a Python float skips the array.  The rule of every checked number that is an interval, scalar or array: "non-negative" is
+    [0, inf], "finite" ends at _LARGEST_FLOAT (plain "finite" is [-_LARGEST_FLOAT, _LARGEST_FLOAT]) and "positive" starts at _SMALLEST_POSITIVE."""
+    if isinstance(value, float):  # a Python float or np.float64, compared without an array
         if lo <= value <= hi:
-            if isinstance(value, float) or abs(value) <= _LARGEST_FLOAT:
-                return np.float64(value)
-            raise ValueError(f"{name} must lie in the float range, got an int of {value.bit_length()} bits")
+            return np.float64(value)
     else:
         checked = _real(name, value)[()]
         if not checked.size or (checked.min() >= lo and checked.max() <= hi):  # min and max carry a nan through, so a nan element fails
@@ -150,21 +168,21 @@ def _in_range(name: str, value: float | np.ndarray, lo: float, hi: float) -> flo
     rules = {(0.0, math.inf): "be non-negative", (0.0, _LARGEST_FLOAT): "be non-negative and finite", (-_LARGEST_FLOAT, _LARGEST_FLOAT): "be finite",
              (_SMALLEST_POSITIVE, _LARGEST_FLOAT): "be positive and finite", (1.0, _LARGEST_FLOAT): "be >= 1 and finite"}
     interval = f"{'(0' if lo == _SMALLEST_POSITIVE else f'[{lo:g}'}, {hi:g}]"
-    raise ValueError(f"{name} must {rules.get((lo, hi), f'lie in {interval}')}, got {value!r}")
+    raise ValueError(f"{name} must {rules.get((lo, hi), f'lie in {interval}')}, got {_shown(value)}")
 
 
 def _count(name: str, value: int, least: int = 1) -> int:
     """``value`` as an int, once it is an integer (as ``numbers.Integral`` admits numpy's) of at least ``least``: the rule of every checked count and seed."""
     if isinstance(value, numbers.Integral) and value >= least:
         return int(value)
-    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
 
 
 def _one_number(**values: object) -> None:
-    """Refuse anything but one real number (see ``_real``) as any of these fields, naming it; a Python number costs no numpy call."""
+    """Refuse anything but one real number (see ``_real``) as any of these fields, naming it; a Python float costs no numpy call."""
     for name, value in values.items():
-        if not isinstance(value, (float, int)) and _real(name, value).ndim > 0:
-            raise ValueError(f"{name} must be one number, not an array of shape {np.shape(value)}")
+        if not isinstance(value, float) and (shape := _real(name, value).shape):
+            raise ValueError(f"{name} must be one number, not an array of shape {shape}")
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

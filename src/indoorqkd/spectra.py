@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 
-from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range, _one_number
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range, _one_number, _real
 
 __all__ = [
     "OutOfBandError",
@@ -56,9 +56,9 @@ class SpectralCurve:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise SpectrumKindError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if len(self.wavelengths_nm) != len(self.values):
+        if (shape := _real("wavelengths_nm", self.wavelengths_nm).shape) != _real("values", self.values).shape:
             raise ValueError("wavelength and value arrays differ in length")
-        if len(self.wavelengths_nm) < 2:
+        if len(shape) != 1 or shape[0] < 2:
             raise ValueError("a spectral curve needs at least two samples")
         for a, b in zip(self.wavelengths_nm, self.wavelengths_nm[1:]):
             if not b > a:
@@ -76,6 +76,7 @@ def density_at(curve: SpectralCurve, wavelength_nm: float) -> float:
     Raises OutOfBandError outside the sampled band; silent extrapolation of a
     measurement tail would invent data.
     """
+    _one_number(wavelength_nm=wavelength_nm)
     lo, hi = curve.band()
     if not lo <= wavelength_nm <= hi:
         raise OutOfBandError(

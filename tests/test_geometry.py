@@ -205,6 +205,14 @@ class TestInRange:
             with pytest.raises(ValueError, match="^v must lie in the float range"):
                 _in_range("v", value, -math.inf, math.inf)
         assert _in_range("v", 2**1023, 0.0, math.inf) == 2.0**1023
+        # the one-number fields and arguments that have no interval of their own
+        for call, argument in [
+            (lambert_mode, "semi_angle_deg"),
+            (lambda v: concentrator_gain(v, 10.0), "index"),
+            (lambda v: DetectorParams(**{**_DETECTOR, "wavelength_nm": v}), "wavelength_nm"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{argument} must lie in the float range, got an int of 1329 bits$"):
+                call(10**400)
 
     def test_empty_array_passes(self):
         checked = _in_range("v", np.zeros(0), 0.0, 1.0)
@@ -247,6 +255,8 @@ class TestInRange:
             (lambda v: total_reflected_gain(_SETUP.room, fov_deg=[v]), "fov_deg"),
             (lambda v: ambient_tolerance(Scenario.named("ambient-only-center"), fov_floor_deg=v), "fov_deg"),
             (lambda v: secure_fov_boundary(lamp, 1e-5, fov_max_deg=v), "fov_max_deg"),
+            # a map's values and flags; known=None alone is no map, so v fills both rows
+            (lambda v: secure_fov_boundary(lamp, 1e-5, known=[v, v]), "known"),
         ]:
             for text in ("1e-5", b"4", np.array(["1e-5", "1e-4"]), ["1e-5", 1e-4]):
                 with pytest.raises(ValueError, match=f"^{argument} must be a number, not text, got "):

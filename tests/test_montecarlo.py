@@ -111,6 +111,8 @@ class TestArguments:
         ("samples", 0), ("samples", -3), ("samples", 1e6),
         # None would draw an estimate no call repeats
         ("seed", -1), ("seed", 1.5), ("seed", "a"), ("seed", None),
+        # past Python's int-to-text limit, so the message cannot echo its digits
+        pytest.param("seed", -10**5000, id="seed-an-int-of-16610-bits"),
     ])
     def test_non_positive_or_non_integer_counts_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
