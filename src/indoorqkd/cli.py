@@ -13,6 +13,7 @@ import configparser
 import functools
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -262,16 +263,18 @@ def _resolve(
 ) -> tuple[tuple[Scenario, tuple[float, ...], tuple[float, ...], RoomScenario] | None, list[str]]:
     """Scenario, both sweep axes and room at ``fov_max_deg`` of a run, or None plus every diagnostic.
 
-    The range rules live in the setup dataclasses.  No axis or grid over
-    ``GRID_BUDGET`` points is built, and the run is built at both corners of
-    its grid, the second at ``fov_max_deg``, whose checked room a lit lamp
-    run's convergence report reuses.  When that fails, each overridden key is
-    built alone on the nominal table so that its diagnostic names it; a
-    failure no single key explains is reported as it is (a lamp outside a
-    shrunk room, say).
+    Each field's own rule runs first, and all of them are reported; the range
+    rules live in the setup dataclasses.  No axis or grid over ``GRID_BUDGET``
+    points is built.  The run is then built at both corners of its grid, the
+    second at ``fov_max_deg`` (whose checked room a lit lamp run's convergence
+    report reuses) and at a spectrum's level, read at the checked wavelength.
+    When that fails, each overridden key is built alone on the nominal table so
+    that its diagnostic names it; a failure no single key explains is reported
+    as it is (a lamp outside a shrunk room, or out of a spectrum's band, say).
     """
     out: list[str] = []
     fov_values = source_values = ()
+    curve = None
     try:
         Scenario.named(config.scenario)
     except ValueError as exc:
@@ -294,50 +297,50 @@ def _resolve(
         source_values = _axis(config.source_min, config.source_max, config.source_steps, config.source_scale)
     except ValueError as exc:
         out.append(f"source axis: {exc}")
-    distance_ok, band = True, None
     try:  # checked in every run, though only an irradiance file in a lamp run reads it
         _check_distance(config.lamp_spectrum_distance_m)
     except ValueError as exc:
-        distance_ok = False
         out.append(f"lamp_spectrum_distance_m = {_shown(config.lamp_spectrum_distance_m)}: {exc}")
     if config.lamp_spectrum_kind not in KINDS:
         out.append(f"lamp_spectrum_kind = {_shown(config.lamp_spectrum_kind)}: must be one of {', '.join(KINDS)}")
     elif spectrum and config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
         out.append(f"lamp_spectrum_kind = {_shown(config.lamp_spectrum_kind)}: ambient scenarios take an 'irradiance' spectrum, not a source PSD")
-    elif spectrum and config.scenario in SCENARIOS:  # a spectrum is read at the scenario's wavelength
+    elif spectrum and config.scenario in SCENARIOS:
         try:
             curve = load_spectrum_csv(spectrum, config.lamp_spectrum_kind)
-            if curve.kind == "irradiance" and config.scenario not in AMBIENT_SCENARIOS:
-                curve = irradiance_to_psd(curve, config.lamp_spectrum_distance_m)
-            source_values = (density_at(curve, float(config.effective_parameters()["wavelength_nm"])),)
-        except (SpectrumFormatError, OutOfBandError, OSError) as exc:  # the file, or the band it samples
+        except (SpectrumFormatError, OSError) as exc:
             out.append(f"lamp_spectrum_file: {exc}")
-            band = out[-1] if isinstance(exc, OutOfBandError) else None  # dropped below if wavelength_nm breaks its own rule
-        except ValueError as exc:  # its distance (irradiance_to_psd): named above unless S over- or underflows
-            if distance_ok:
-                out.append(f"lamp_spectrum_distance_m = {_shown(config.lamp_spectrum_distance_m)}: {exc}")
     if not spectrum and len(fov_values) * len(source_values) > GRID_BUDGET:  # a spectrum's one level cannot overflow it
         grid = f"{len(fov_values)} x {len(source_values)}"
         out.append(f"fov_steps x source_steps = {grid}: more than the grid budget of {GRID_BUDGET:,} points")
+    if not isinstance(config.output_dir, (str, os.PathLike)):
+        out.append(f"output_dir = {_shown(config.output_dir)}: must be a directory path")
+    if not isinstance(config.strict, (bool, np.bool_)):
+        out.append(f"strict = {_shown(config.strict)}: must be True or False")
 
     whole_run: list[str] = []
     if not out:
         try:
             scenario = Scenario.named(config.scenario, config.overrides)
-            build_setup(scenario, fov_values[0], source_values[0])
+            setup = build_setup(scenario, fov_values[0], source_values[0])
+            if curve is not None:  # every field rule has passed: the level at the wavelength the setup checked
+                if curve.kind == "irradiance" and config.scenario not in AMBIENT_SCENARIOS:
+                    try:  # at a checked distance, 4 pi d^2 E may still over- or underflow
+                        curve = irradiance_to_psd(curve, config.lamp_spectrum_distance_m)
+                    except ValueError as exc:
+                        raise ValueError(f"lamp_spectrum_distance_m = {_shown(config.lamp_spectrum_distance_m)}: {exc}") from None
+                source_values = (density_at(curve, setup.detector.wavelength_nm),)
             # fov_max_deg ends the boundary search, and the FOV axis unless it has one step.
             room = build_setup(scenario, config.fov_max_deg, source_values[-1]).room
             return (scenario, fov_values, source_values, room), []
-        except ValueError as exc:
-            whole_run.append(str(exc))
+        except ValueError as exc:  # a wavelength out of the band the spectrum file samples names the file
+            whole_run.append(f"lamp_spectrum_file: {exc}" if isinstance(exc, OutOfBandError) else str(exc))
 
     for key, value in config.overrides.items():
         try:  # on any one scenario: each key's rule applies in all of them
             build_setup(Scenario.named("lamp-center", {key: value}), 10.0, 0.0)
         except ValueError as exc:
             out.append(f"{key} = {_shown(value)}: {exc}")
-            if key == "wavelength_nm" and band in out:
-                out.remove(band)
     return None, out or whole_run
 
 

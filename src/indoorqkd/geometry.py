@@ -77,6 +77,7 @@ class Pose:
     axis: Point3
 
     def __post_init__(self) -> None:
+        _one_number(**{f"pose axis {k}": v for k, v in zip("xyz", self.axis.as_tuple())})
         if not abs(self.axis.norm() - 1.0) <= 1e-9:  # nan fails
             raise ValueError(f"pose axis must be a unit vector, got norm {self.axis.norm()!r}")
 
@@ -264,13 +265,8 @@ class RoomScenario:
         concentrator_gain(self.concentrator_index, self.fov_deg)
         _in_range("filter_transmission", self.filter_transmission, _SMALLEST_POSITIVE, 1.0)
         for name in ("lamp", "transmitter", "receiver"):
-            pos = getattr(self, name).position
-            if not (
-                0.0 <= pos.x <= self.room_x_m
-                and 0.0 <= pos.y <= self.room_y_m
-                and 0.0 <= pos.z <= self.room_z_m
-            ):
-                raise ValueError(f"{name} position {pos} lies outside the room volume")
+            for axis in "xyz":
+                _in_range(f"{name} position {axis}", getattr(getattr(self, name).position, axis), 0.0, getattr(self, f"room_{axis}_m"))
         if self.receiver.position.minus(self.transmitter.position).norm() < _COINCIDENT_EPS:
             sizes = ", ".join(f"{k} = {getattr(self, k)!r}" for k in ("room_x_m", "room_y_m", "room_z_m"))
             raise ValueError(f"transmitter and receiver lie closer than {_COINCIDENT_EPS} m apart in the room {sizes}")

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import pytest
 
 from indoorqkd.channel import ChannelGains, DetectorParams, los_gain_for, reflected_gain_convergence, total_reflected_gain
-from indoorqkd.cli import RunConfig, validate
+from indoorqkd.cli import EXIT_CONFIG_ERROR, RunConfig, run, validate
 from indoorqkd.experiments import (
     NOMINAL,
     Scenario,
@@ -23,11 +23,11 @@ from indoorqkd.experiments import (
     secure_fov_boundary,
     sweep,
 )
-from indoorqkd.geometry import Point3, RoomScenario, concentrator_gain, lambert_mode, wall_and_floor_grids
+from indoorqkd.geometry import Point3, Pose, RoomScenario, concentrator_gain, lambert_mode, wall_and_floor_grids
 from indoorqkd.keyrate import ProtocolParams, binary_entropy, secret_key_rate
 from indoorqkd.montecarlo import estimate_reflected_gain
 from indoorqkd.noise import NoiseBudget, isotropic_noise_power, lamp_noise_photons, photons_per_pulse
-from indoorqkd.spectra import SpectralCurve, density_at, irradiance_to_psd
+from indoorqkd.spectra import SpectralCurve, bundled_spectrum_path, density_at, irradiance_to_psd
 
 BAD = {
     "text": "10", "none": None, "complex": 1 + 1j, "dict": {}, "ragged": [10.0, [20.0]],
@@ -56,6 +56,13 @@ def _set(record, name):
 ARGUMENTS = {
     **{f"Point3.{axis}": _set(lambda **k: Point3(**{"x": 1.0, "y": 1.0, "z": 1.0, **k}), axis) for axis in "xyz"},
     **{f"RoomScenario.{f.name}": _set(lambda **k: replace(_ROOM, **k), f.name) for f in fields(RoomScenario) if f.type == "float"},
+    **{f"Pose.axis.{axis}": _set(lambda **k: Pose(Point3(1.0, 1.0, 1.0), Point3(**{"x": 0.0, "y": 0.0, "z": 1.0, **k})), axis) for axis in "xyz"},
+    **{
+        f"RoomScenario.{pose}.position.{axis}": (
+            lambda v, pose=pose, axis=axis: replace(_ROOM, **{pose: Pose(replace(getattr(_ROOM, pose).position, **{axis: v}), getattr(_ROOM, pose).axis)})
+        )
+        for pose in ("lamp", "transmitter", "receiver") for axis in "xyz"
+    },
     "concentrator_gain.index": lambda v: concentrator_gain(v, 10.0),
     "concentrator_gain.fov_deg": lambda v: concentrator_gain(1.5, v),
     "lambert_mode.semi_angle_deg": lambert_mode,
@@ -124,7 +131,7 @@ def test_each_bad_value_is_a_result_or_a_value_error(argument):
     assert escapes(ARGUMENTS[argument], values) == {}
 
 
-# overrides takes each NOMINAL key below; output_dir and strict are read by the run, not by validate
+# overrides takes each NOMINAL key below
 _RUN_FIELDS = [f.name for f in fields(RunConfig) if f.name != "overrides"]
 
 
@@ -137,17 +144,38 @@ def _validated(config):
 @pytest.mark.parametrize("field", _RUN_FIELDS)
 def test_validate_returns_diagnostics_for_each_bad_field(field):
     assert escapes(lambda v: _validated(RunConfig(**{field: v})), BAD) == {}
-    if field not in ("output_dir", "strict"):
-        for label, value in BAD.items():
+    for label, value in BAD.items():
+        if not (field == "output_dir" and label == "text"):  # "10" names a directory
             assert any(line.startswith(field) or "axis:" in line for line in _validated(RunConfig(**{field: value}))), label
+
+
+_IRRADIANCE_FILE = str(bundled_spectrum_path("cool_white_led_irradiance_50cm.csv"))
+# No spectrum file, then each bundled spectrum in a scenario that reads it: its level is read at the wavelength.
+SPECTRA = {
+    "none": {},
+    "psd-in-a-lamp-run": dict(scenario="lamp-center", lamp_spectrum_file=str(bundled_spectrum_path("cool_white_led.csv"))),
+    "irradiance-in-a-lamp-run": dict(
+        scenario="lamp-center", lamp_spectrum_file=_IRRADIANCE_FILE, lamp_spectrum_kind="irradiance", lamp_spectrum_distance_m=0.5,
+    ),
+    "irradiance-in-an-ambient-run": dict(scenario="ambient-only-center", lamp_spectrum_file=_IRRADIANCE_FILE, lamp_spectrum_kind="irradiance"),
+}
 
 
 @pytest.mark.parametrize("key", list(NOMINAL))
 def test_validate_returns_diagnostics_for_each_bad_override(key):
-    assert escapes(lambda v: _validated(RunConfig(overrides={key: v})), BAD) == {}
-    for label, value in BAD.items():
-        if not (value is None and NOMINAL[key] is None):  # None is the key's own default
-            assert any(line.startswith(f"{key} = ") for line in _validated(RunConfig(overrides={key: value}))), label
+    for spectrum, run_fields in SPECTRA.items():
+        assert escapes(lambda v: _validated(RunConfig(**run_fields, overrides={key: v})), BAD) == {}, spectrum
+        for label, value in BAD.items():
+            if not (value is None and NOMINAL[key] is None):  # None is the key's own default
+                assert any(line.startswith(f"{key} = ") for line in _validated(RunConfig(**run_fields, overrides={key: value}))), (spectrum, label)
+
+
+@pytest.mark.parametrize("spectrum", [name for name in SPECTRA if name != "none"])
+def test_a_wavelength_that_is_no_number_beside_a_spectrum_is_named_once(spectrum):
+    # the wavelength's own rule names it; the spectrum is read only at a checked wavelength
+    assert validate(RunConfig(**SPECTRA[spectrum], overrides={"wavelength_nm": "abc"})) == [
+        "wavelength_nm = 'abc': override wavelength_nm must be a number, got 'abc'"
+    ]
 
 
 # Inputs that ended in another exception, or in numpy's unnamed one, each with the argument its ValueError names
@@ -184,9 +212,16 @@ _BITS = (10**5000).bit_length()
     (RunConfig(source_steps=[10**5000]), ["source axis: steps must be an integer >= 1, got a list holding an int too long to print"]),
     (RunConfig(lamp_spectrum_file=1 + 1j), ["lamp_spectrum_file = (1+1j): must be a file path, as text"]),
     (RunConfig(lamp_spectrum_file=0), ["lamp_spectrum_file = 0: must be a file path, as text"]),
-], ids=["override", "resolution", "scenario", "fov-steps", "steps-in-a-list", "complex-spectrum-file", "int-spectrum-file"])
-def test_a_value_past_the_text_limit_or_not_a_path_is_a_diagnostic(config, expected):
+    (RunConfig(output_dir=1 + 1j), ["output_dir = (1+1j): must be a directory path"]),
+    (RunConfig(strict="false"), ["strict = 'false': must be True or False"]),
+], ids=[
+    "override", "resolution", "scenario", "fov-steps", "steps-in-a-list", "complex-spectrum-file", "int-spectrum-file",
+    "complex-output-dir", "text-strict",
+])
+def test_a_value_past_the_text_limit_or_not_a_path_is_a_diagnostic(config, expected, tmp_path, monkeypatch):
     diagnostics = validate(config)
     assert len(diagnostics) == len(expected)
     for line, start in zip(diagnostics, expected):
         assert line.startswith(start)
+    monkeypatch.chdir(tmp_path)  # where a relative output_dir would be made
+    assert run(config) == EXIT_CONFIG_ERROR and not any(tmp_path.iterdir())

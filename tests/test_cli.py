@@ -779,7 +779,7 @@ def small_run(tmp_path, case, **fields):
 
 class TestComputeThenRender:
     @pytest.mark.parametrize("case, expected", [
-        ("lamp-spectrum", [*SPECTRUM_CALLS, "build_setup", "build_setup", "sweep", "_csv_lines",
+        ("lamp-spectrum", ["load_spectrum_csv", "build_setup", "irradiance_to_psd", "density_at", "build_setup", "sweep", "_csv_lines",
                            "reflected_gain_convergence", "secure_fov_boundary"]),
         ("lamp", ["build_setup", "build_setup", "sweep", "_csv_lines", "reflected_gain_convergence", "secure_fov_boundary"]),
         ("lamp-off", ["build_setup", "build_setup", "sweep", "_csv_lines", "secure_fov_boundary"]),
