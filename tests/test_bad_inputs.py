@@ -2,8 +2,8 @@
 
 Each numeric argument of the public functions and dataclasses of geometry, channel, noise, keyrate,
 experiments, spectra and montecarlo takes each value of ``BAD``, every other input valid.  So does
-each ``RunConfig`` field, and each ``NOMINAL`` key as an override, through ``validate``, which must
-return its diagnostics.
+each ``RunConfig`` field, and each ``NOMINAL`` key as an override (with no spectrum file and with each bundled
+one), through ``validate``, which must return its diagnostics.
 """
 
 import math
@@ -150,7 +150,7 @@ def test_validate_returns_diagnostics_for_each_bad_field(field):
 
 
 _IRRADIANCE_FILE = str(bundled_spectrum_path("cool_white_led_irradiance_50cm.csv"))
-# No spectrum file, then each bundled spectrum in a scenario that reads it: its level is read at the wavelength.
+# No spectrum file, then each bundled spectrum in a scenario that reads its level at the run's wavelength.
 SPECTRA = {
     "none": {},
     "psd-in-a-lamp-run": dict(scenario="lamp-center", lamp_spectrum_file=str(bundled_spectrum_path("cool_white_led.csv"))),
