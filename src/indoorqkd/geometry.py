@@ -172,11 +172,14 @@ def _in_range(name: str, value: float | np.ndarray, lo: float, hi: float) -> flo
     raise ValueError(f"{name} must {rules.get((lo, hi), f'lie in {interval}')}, got {_shown(value)}")
 
 
-def _count(name: str, value: int, least: int = 1) -> int:
-    """``value`` as an int, once it is an integer (as ``numbers.Integral`` admits numpy's) of at least ``least``: the rule of every checked count and seed."""
-    if isinstance(value, numbers.Integral) and value >= least:
-        return int(value)
-    raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
+def _count(name: str, value: int, least: int = 1, most: int | None = None) -> int:
+    """``value`` as an int, once it is an integer (as ``numbers.Integral`` admits numpy's) of at least ``least``
+    and, where given, at most ``most``: the rule of every checked count and seed."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be an integer <= {most}, got an int of {int(value).bit_length()} bits")
+    return int(value)
 
 
 def _one_number(**values: object) -> None:

@@ -12,25 +12,27 @@ equals the same double integral the quadrature approximates.
 The floor-cone closed form is that integral done exactly, for the one
 geometry where it has an antiderivative.
 
-The sampler streams its draws in blocks of ``_BLOCK`` rays, and no array
-grows with the sample count or the chunk.  Most rays miss the receiver's
-cone, and two bounds, found once per call, drop a block's rays that cannot
-land before any trig.  ``_cone_threshold`` is a cos(phi) draw below which
-no ray lands: a cap about the lamp axis, as wide as the nearest plane of
-the faces the cone meets allows.  ``_sector_bands`` is a table over 64
-azimuth sectors, for cones whose footprints are ellipses: the azimuth draw
-picks a sector, and the sector gives the band of cos(phi) draws that the
-caps about the lamp's directions to the circles about those ellipses
-allow.  The rays that are left are copied, in ray order, into one batch of
-up to ``_BLOCK`` rays from as many blocks as fit, and the batch is traced
-with every temporary in one work array made per call, so no block's
-temporaries go back to the system to be faulted in again.  Every uniform
-is still drawn, every ray that lands is traced as before, and each block's
-contributions are summed on their own, so the stream, each sum and every
-estimate keep every bit.  The azimuth is reduced to a quarter turn plus an
-angle in [-pi/4, pi/4] before its one sin call, and terms whose
-coefficient is exactly zero (most of them for a lamp or receiver facing
-straight down) are skipped.
+The sampler draws only the rays that can land.  Most rays miss the
+receiver's cone, and two bounds, found once per call, prove it for all but
+a few cells of the unit square of (cos(phi) draw, azimuth draw) pairs.
+``_cone_threshold`` is a cos(phi) draw below which no ray lands: a cap
+about the lamp axis, as wide as the nearest plane of the faces the cone
+meets allows.  ``_sector_bands`` is a table over 64 azimuth sectors, for
+cones whose footprints are ellipses: the azimuth draw picks a sector, and
+the sector gives the band of cos(phi) draws that the caps about the lamp's
+directions to the circles about those ellipses allow.  ``_cells`` turns
+them into at most 64 cells.  One multinomial draw gives each cell's share
+of the requested rays, and only those rays are drawn, uniform in their
+cells; given the counts they are as the rays of a full draw that fall in
+the cells, so the estimate keeps its distribution, and the rays outside
+count as the 0 they would contribute.  The kept rays are traced in batches
+of up to ``_BLOCK``, with every temporary in one work array made per call,
+so no batch's temporaries go back to the system to be faulted in again,
+and no array grows with the sample count.  A seed fixes the estimate bit
+for bit.  The azimuth is reduced to a quarter turn plus an angle in
+[-pi/4, pi/4] before its one sin call, and terms whose coefficient is
+exactly zero (most of them for a lamp or receiver facing straight down)
+are skipped.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ from .geometry import RoomScenario, _count, _cross, _frame, lambert_mode
 
 __all__ = ["McEstimate", "estimate_reflected_gain", "floor_cone_closed_form"]
 
-# Rays drawn per block, and the most rays traced in one batch.  A seed's
-# estimate depends on it: each block's contributions are summed on their own.
+# The most rays drawn and traced in one batch.  A seed's estimate depends on
+# it: each batch's contributions are summed on their own.
 _BLOCK = 1 << 13
-# Rays per chunk of draws (see _uniform_blocks); a seed's estimate depends on it.
-_CHUNK = 2_000_000
+# The most rays a call takes: numpy's multinomial reads the count as a 64-bit int.
+_MOST_SAMPLES = 2**63 - 1
 # A plane closer to the lamp than this along the ray is the one it sits on.
 _T_MIN = 1e-12
 # cos and sin of q quarter turns, for the quadrant q = rint(4u) in 0..4 of an azimuth 2 pi u.
@@ -94,68 +96,77 @@ def estimate_reflected_gain(
     cos(phi)^m1 (sampled by inverting 1 - cos(phi)^(m1+1)), so the lobe
     factor and the first cosine of the bounce integrand are absorbed into
     the sampling measure and each ray only carries the reflect-and-collect
-    term of its hit point.  Each chunk of ``_CHUNK`` rays draws cos(phi)
-    and then the azimuth, read in blocks of ``_BLOCK`` (see
-    ``_uniform_blocks``); the rays of a block that can land are traced in
-    packed batches (see ``_packed_batches``).
+    term of its hit point.  ``np.random.default_rng(seed)`` first draws
+    how many of the ``samples`` rays fall in each cell of ``_cells`` (one
+    multinomial over the cells and the rest of the square), then the kept
+    rays, cell after cell, in batches of up to ``_BLOCK``: each batch's
+    cos(phi) draws, then its azimuth draws, each mapped onto its ray's cell.
+    The rays in no cell contribute 0, so the mean and its standard error
+    are still taken over ``samples``.
     """
-    samples, seed = _count("samples", samples), _count("seed", seed, 0)
+    samples, seed = _count("samples", samples, most=_MOST_SAMPLES), _count("seed", seed, 0)
     m1 = lambert_mode(room.lamp_semi_angle_deg)
     scene = _Scene(room, m1)
-    u_min = _cone_threshold(scene, m1)
-    bands = _sector_bands(scene, m1, u_min) if u_min > 0.0 else None
+    cells = _cells(scene, m1)
+    rng = np.random.default_rng(seed)
+    shares = [u_width * v_width for _, u_width, _, v_width in cells]
+    counts = rng.multinomial(samples, [*shares, max(1.0 - sum(shares), 0.0)]).tolist()
     work = np.empty((_WORK_ROWS, _BLOCK))
 
     total = 0.0
     total_sq = 0.0
-    for n, ends in _packed_batches(seed, samples, u_min, bands, work[0], work[1]):
-        landed, contrib = _trace(scene, work[:, :n])
-        squares = contrib * contrib
-        # Each block's landed rays sit together in ray order, so their sums
-        # are the ones a block traced alone gives; a block with none adds 0.
-        start = 0
-        for end in np.searchsorted(landed, ends).tolist():
-            if end > start:
-                total += float(np.sum(contrib[start:end]))
-                total_sq += float(np.sum(squares[start:end]))
-            start = end
+    for spans in _batches(cells, counts):
+        n = spans[-1][1]
+        cos_draws, azim_draws = rng.random(out=work[0, :n]), rng.random(out=work[1, :n])
+        for start, end, (u_lo, u_width, v_lo, v_width) in spans:
+            for draws, lo, width in ((cos_draws, u_lo, u_width), (azim_draws, v_lo, v_width)):
+                if lo != 0.0 or width != 1.0:  # the whole [0, 1) needs no map
+                    part = draws[start:end]
+                    part *= width
+                    part += lo
+        contrib = _trace(scene, work[:, :n])[1]
+        total += float(np.sum(contrib))
+        total_sq += float(np.sum(contrib * contrib))
 
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return McEstimate(value=mean, std_error=math.sqrt(var / samples), samples=samples)
 
 
-def _packed_batches(
-    seed: int, samples: int, u_min: float, bands: tuple[np.ndarray, np.ndarray] | None,
-    cos_batch: np.ndarray, azim_batch: np.ndarray,
-) -> Iterator[tuple[int, list[int]]]:
-    """Pack the rays that can land into ``cos_batch`` and ``azim_batch``, batch after batch.
+def _cells(scene: _Scene, m1: float) -> list[tuple[float, float, float, float]]:
+    """The cells of (cos(phi) draw, azimuth draw) pairs outside which no ray lands in the receiver's cone.
 
-    Each block's rays with a draw at least ``u_min`` (all of them at 0), and
-    within its sector's band where ``bands`` is given, are copied after the
-    previous block's, in ray order.  A block that would overflow the batch
-    starts the next one.  Yields the batch's ray count and the count after
-    each of its blocks.
+    Each is (u_lo, u_width, v_lo, v_width): the draws u_lo + w u_width and
+    v_lo + w v_width for w in [0, 1).  Without a sector table there is one
+    cell, [u_min, 1) x [0, 1), with u_min the draw of ``_cone_threshold``
+    (the whole square where it is 0).  With the table of ``_sector_bands``
+    there is one cell per sector s whose band [lo, hi] meets [u_min, 1]:
+    [max(lo, u_min), min(hi, 1)] x [s, s + 1) / ``_SECTORS``, in sector order.
     """
-    fill, ends = 0, []
-    for cos_draws, azim_draws in _uniform_blocks(seed, samples):
-        keep = np.flatnonzero(cos_draws >= u_min)
-        if bands is not None:
-            lo, hi = bands
-            sector = azim_draws.take(keep)
-            sector *= _SECTORS
-            sector = sector.astype(np.intp)
-            kept = cos_draws.take(keep)
-            keep = keep.compress((kept >= lo.take(sector)) & (kept <= hi.take(sector)))
-        if fill + keep.size > _BLOCK:
-            yield fill, ends
-            fill, ends = 0, []
-        cos_draws.take(keep, out=cos_batch[fill:fill + keep.size], mode="clip")
-        azim_draws.take(keep, out=azim_batch[fill:fill + keep.size], mode="clip")
-        fill += keep.size
-        ends.append(fill)
-    if fill:
-        yield fill, ends
+    u_min = _cone_threshold(scene, m1)
+    bands = _sector_bands(scene, m1, u_min) if u_min > 0.0 else None
+    if bands is None:
+        return [(u_min, 1.0 - u_min, 0.0, 1.0)]
+    lo, hi = np.maximum(bands[0], u_min).tolist(), np.minimum(bands[1], 1.0).tolist()
+    return [(lo[s], hi[s] - lo[s], s / _SECTORS, 1.0 / _SECTORS) for s in range(_SECTORS) if hi[s] > lo[s]]
+
+
+def _batches(cells: list[tuple[float, ...]], counts: list[int]) -> Iterator[list[tuple[int, int, tuple[float, ...]]]]:
+    """The kept rays, ``counts[i]`` in ``cells[i]``, cut in cell order into batches of up to ``_BLOCK``.
+
+    Each batch is its (start, end, cell) spans, one per cell it holds.
+    """
+    spans, fill = [], 0
+    for cell, count in zip(cells, counts):
+        while count:
+            size = min(count, _BLOCK - fill)
+            spans.append((fill, fill + size, cell))
+            fill, count = fill + size, count - size
+            if fill == _BLOCK:
+                yield spans
+                spans, fill = [], 0
+    if spans:
+        yield spans
 
 
 class _Scene:
@@ -243,10 +254,13 @@ def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     landing &= np.greater(d2, 1e-12, out=test)
     landing &= np.less(t, np.inf, out=test)
     k = np.flatnonzero(landing)
-    t = t.take(k)
-    face = np.where(t_floor.take(k) == t, 0, np.where(t_x.take(k) == t, 1 + (dx.take(k) > 0.0), 3 + (dy.take(k) > 0.0)))
-    d2 = d2.take(k)
-    return k, scene.weights.take(face) * cos_psi.take(k) / (math.pi * d2 * d2 * d2)
+    # The landed rays' values, gathered into rows that are read no more.
+    t, t_floor, t_x, dx, dy, d2, cos_psi = (
+        row.take(k, out=free[: k.size], mode="clip")
+        for row, free in zip((t, t_floor, t_x, dx, dy, d2, cos_psi), (cos_phi, sin_phi, dz, t_y, vx, vy, vz))
+    )
+    face = np.where(t_floor == t, 0, np.where(t_x == t, 1 + (dx > 0.0), 3 + (dy > 0.0)))
+    return k, scene.weights.take(face) * cos_psi / (math.pi * d2 * d2 * d2)
 
 
 def _cone_threshold(scene: _Scene, m1: float) -> float:
@@ -397,32 +411,6 @@ def _cap_arcs(scene: _Scene, centers: np.ndarray, radii: np.ndarray) -> tuple[np
     lo, hi = np.maximum(gamma - half, 0.0), np.minimum(gamma + half, math.pi / 2.0)
     meets = (gain >= cos_beta) & (lo <= hi)
     return np.where(everywhere, 0.0, np.where(meets, lo, np.inf)), np.where(everywhere, math.pi / 2.0, np.where(meets, hi, -np.inf))
-
-
-def _uniform_blocks(seed: int, samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The draws of ``np.random.default_rng(seed)`` as (cos(phi), azimuth) uniforms, block by block.
-
-    Each chunk of n rays (``_CHUNK``, the last one fewer) takes n uniforms
-    for cos(phi) and then n for the azimuth, as ``rng.random(n);
-    rng.random(n)`` would, and leaves the stream where those calls leave it.
-    A copy of the bit generator advanced by n reads the azimuths alongside
-    the cos(phi) draws, so no chunk-sized array is made.  The next block
-    overwrites a block's arrays.
-    """
-    bits = np.random.default_rng(seed).bit_generator
-    cos_block, azim_block = np.empty((2, _BLOCK))
-    done = 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
-        azim_bits = type(bits)()
-        azim_bits.state = bits.state
-        azim_bits.advance(n)
-        cos_rng, azim_rng = np.random.Generator(bits), np.random.Generator(azim_bits)
-        for start in range(0, n, _BLOCK):
-            size = min(_BLOCK, n - start)
-            yield cos_rng.random(out=cos_block[:size]), azim_rng.random(out=azim_block[:size])
-        bits = azim_bits
-        done += n
 
 
 def _unit_circle(u: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

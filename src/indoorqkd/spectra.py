@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 
-from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range, _one_number, _real
+from .geometry import _LARGEST_FLOAT, _SMALLEST_POSITIVE, _in_range, _one_number, _real, _shown
 
 __all__ = [
     "OutOfBandError",
@@ -120,6 +121,8 @@ def irradiance_to_psd(curve: SpectralCurve, distance_m: float) -> SpectralCurve:
 
 def load_spectrum_csv(path, kind: str) -> SpectralCurve:
     """Load a two-column (wavelength_nm, density) UTF-8 CSV, with or without a byte-order mark, with a header row."""
+    if not isinstance(path, (str, os.PathLike)):  # open() would take an int as a file descriptor, and close it
+        raise ValueError(f"path must be a file path, as text or os.PathLike, got {_shown(path)}")
     rows: list[tuple[float, float]] = []
     with open(path, "rb") as handle:
         data = handle.read()

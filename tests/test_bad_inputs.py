@@ -33,8 +33,9 @@ BAD = {
     "text": "10", "none": None, "complex": 1 + 1j, "dict": {}, "ragged": [10.0, [20.0]],
     "huge": 10**400, "past-text-limit": -(10**5000), "nan": math.nan,
 }
-# An int of any size passes the count rule, and a count that large runs without end or
-# exhausts memory, so the counts skip the huge ints.
+# An int of any size passes the count rule of a rule order or a patch density, and a count
+# that large exhausts memory, so those counts skip the huge ints.  The sampler's ray count
+# has a most value, so it takes them.
 HUGE = ("huge", "past-text-limit")
 
 _LAMP = Scenario.named("lamp-center")
@@ -108,7 +109,7 @@ ARGUMENTS = {
 }
 COUNTS = {
     "wall_and_floor_grids.patches_per_meter", "total_reflected_gain.order", "reflected_gain_convergence.order",
-    "evaluate_point.order", "sweep.order", "secure_fov_boundary.order", "estimate_reflected_gain.samples",
+    "evaluate_point.order", "sweep.order", "secure_fov_boundary.order",
 }
 
 

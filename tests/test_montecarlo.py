@@ -118,6 +118,13 @@ class TestArguments:
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
             estimate_reflected_gain(room_at(20.0), **{"samples": 3, name: value})
 
+    @pytest.mark.parametrize("samples, bits", [(2**63, 64), (np.uint64(2**64 - 1), 64), (10**400, 1329)])
+    def test_counts_past_the_most_rejected(self, samples, bits):
+        # numpy's multinomial reads the count as a 64-bit int; 10**400 once ran without end
+        message = f"samples must be an integer <= {2**63 - 1}, got an int of {bits} bits"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_reflected_gain(room_at(20.0), samples)
+
     @pytest.mark.parametrize("samples", [3, 20_000])
     def test_numpy_integer_counts_give_the_int_estimate(self, samples):
         expected = estimate_reflected_gain(room_at(20.0), samples, seed=11)
@@ -163,71 +170,67 @@ def pinned_room(kind, fov):
 
 
 # (value, std_error) of estimate_reflected_gain(pinned_room(kind, fov),
-# samples, seed) with montecarlo._CHUNK set to chunk_size.  The first
-# eleven were computed by the five-plane-pass sampler that preceded the slab
-# pass; the tilted lamps and the chunk of 3,001 rays (below the block size,
-# not dividing the samples) by the chunk-array sampler that preceded the
-# streaming one.  A ray whose hit surface or cone test flips moves an
-# estimate by far more than 1e-12.
+# samples, seed), recorded by the sampler that draws each cell's ray count
+# in one multinomial and then only the rays in the cells.  The rooms are
+# those that pinned the earlier samplers, odd counts among them.  A ray
+# whose hit surface or cone test flips moves an estimate by far more than
+# 1e-12.
 PINNED_ESTIMATES = {
-    ('center', 5.0, 500000, 7, 2000000): (6.520139143669395e-07, 1.1606646681620362e-08),
-    ('center', 11.0, 500000, 7, 2000000): (6.258864941820381e-07, 5.059912857220041e-09),
-    ('center', 30.0, 500000, 7, 2000000): (5.142688205806483e-07, 1.4330764517245573e-09),
-    ('center', 60.0, 500000, 7, 2000000): (1.49739886037122e-06, 2.316993681428602e-09),
-    ('center', 90.0, 500000, 7, 2000000): (1.8672014532882845e-06, 1.6347768984794365e-09),
-    ('offset-lamp', 45.0, 500000, 7, 2000000): (7.41579044697611e-07, 1.8795279231912176e-09),
-    ('wall-lamp', 60.0, 500000, 7, 2000000): (7.536119799084027e-07, 1.6643718065507817e-09),
-    ('steered-tilted', 30.0, 500000, 7, 2000000): (1.7982118745204887e-06, 7.161175838136634e-09),
-    ('reflectivities', 60.0, 500000, 7, 2000000): (1.5631851797576052e-06, 2.27979294548171e-09),
-    ('center', 15.0, 400000, 11, 2000000): (6.19426115926662e-07, 4.031500506266768e-09),
-    ('center', 20.0, 700001, 11, 300007): (5.88976906948722e-07, 2.146890118360975e-09),
-    ('lamp-tilted-xz', 30.0, 500000, 7, 2000000): (4.843803067488717e-07, 1.4023399134694008e-09),
-    ('lamp-tilted-yz', 60.0, 500000, 7, 2000000): (1.182214788757559e-06, 2.2147539290048934e-09),
-    ('center', 20.0, 200000, 5, 3001): (5.959148663927163e-07, 4.036465437184083e-09),
+    ('center', 5.0, 500000, 7): (6.489874968630166e-07, 1.1580677831623573e-08),
+    ('center', 11.0, 500000, 7): (6.327989422518974e-07, 5.08745435561325e-09),
+    ('center', 30.0, 500000, 7): (5.159088499069053e-07, 1.435770257238462e-09),
+    ('center', 60.0, 500000, 7): (1.5003232270227572e-06, 2.3197397557906092e-09),
+    ('center', 90.0, 500000, 7): (1.8692935682000387e-06, 1.6338446866555632e-09),
+    ('offset-lamp', 45.0, 500000, 7): (7.404105887006776e-07, 1.8784246324249213e-09),
+    ('wall-lamp', 60.0, 500000, 7): (7.576490767375023e-07, 1.6722920339425134e-09),
+    ('steered-tilted', 30.0, 500000, 7): (1.7971028903342953e-06, 7.166761009546824e-09),
+    ('reflectivities', 60.0, 500000, 7): (1.5659835843476002e-06, 2.2825109076901287e-09),
+    ('center', 15.0, 400000, 11): (6.127241625165689e-07, 4.011075894739382e-09),
+    ('center', 20.0, 700001, 11): (5.857849215148978e-07, 2.14144355720618e-09),
+    ('lamp-tilted-xz', 30.0, 500000, 7): (4.846741806879723e-07, 1.4031732726231129e-09),
+    ('lamp-tilted-yz', 60.0, 500000, 7): (1.1848677016326052e-06, 2.219671766759354e-09),
+    ('center', 20.0, 200000, 5): (5.904982600828317e-07, 4.019911338556424e-09),
 }
 
 
 class TestPinnedEstimates:
-    @pytest.mark.parametrize("kind, fov, samples, seed, chunk_size", sorted(PINNED_ESTIMATES, key=str))
-    def test_estimate_unchanged(self, monkeypatch, kind, fov, samples, seed, chunk_size):
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
+    @pytest.mark.parametrize("kind, fov, samples, seed", sorted(PINNED_ESTIMATES, key=str))
+    def test_estimate_unchanged(self, kind, fov, samples, seed):
         est = estimate_reflected_gain(pinned_room(kind, fov), samples=samples, seed=seed)
-        value, std_error = PINNED_ESTIMATES[(kind, fov, samples, seed, chunk_size)]
+        value, std_error = PINNED_ESTIMATES[(kind, fov, samples, seed)]
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
 
 
 # (value, std_error) of estimate_reflected_gain(pinned_room(kind, fov),
 # samples, seed) as the uint64 bits of the two floats, recorded by the
-# sampler that traced every ray before the cone bound skipped any.  The
-# rooms span the bound's cases: floor-only cones, a lamp 0.7 m from the
-# receiver (the asin term) and axes that differ (the axis angle), where it
-# skips rays; a receiver on a wall, a 2 degree lamp whose threshold
-# underflows and a 90 degree cone, where it skips none; and rooms 1e-3 m
-# and 1e6 m wide.  The last six were recorded by the sampler that bounded
-# with the threshold alone, before the sector table and the packed batches:
-# five rooms where the table drops rays the threshold keeps, and a cone
-# that meets a wall 0.4 m from the receiver, whose threshold takes s_min
-# from that wall.
+# sampler that draws only the rays in the cells.  The rooms span the
+# bounds' cases: floor-only cones, a lamp 0.7 m from the receiver (the
+# asin term) and axes that differ (the axis angle), where the threshold
+# drops rays; a receiver on a wall, a 2 degree lamp whose threshold
+# underflows and a 90 degree cone, where it drops none; rooms 1e-3 m and
+# 1e6 m wide; five rooms where the sector table drops rays the threshold
+# keeps; and a cone that meets a wall 0.4 m from the receiver, whose
+# threshold takes s_min from that wall.
 EXACT_BITS = {
-    ('center', 5.0, 300000, 19): (0x3ea5ccfd1af1ba15, 0x3e500f879bf0fcc3),
-    ('center', 10.0, 300000, 19): (0x3ea5b10bf0c4eb3d, 0x3e3f7f33ba51109a),
-    ('center', 30.0, 300000, 19): (0x3ea144c345cb6020, 0x3e1fd2f984eea46a),
-    ('lamp-1.3', 10.0, 300000, 19): (0x3ea366e80b09af9d, 0x3e3dd57b353a6dc3),
-    ('lamp-1.3', 55.0, 300000, 19): (0x3eb4e2166371a658, 0x3e2976ac199af160),
-    ('wall-receiver', 30.0, 300000, 19): (0x3e8c76a54694963c, 0x3e1581d5de1bb4a5),
-    ('narrow-lamp', 60.0, 300000, 19): (0x3eb1bd1ee6ddf247, 0x3d9dc5d8d7a953b0),
-    ('center', 90.0, 300000, 19): (0x3ebf5d3f777e5107, 0x3e221ef31795f60d),
-    ('mm-room', 20.0, 300000, 19): (0x40152466fb00bfe6, 0x3f9e2f1fdb82beea),
-    ('wide-room', 20.0, 300000, 19): (0x3ea3b4b97c2f3141, 0x3e2c2233b5b30f5d),
-    ('steered-tilted', 10.0, 300000, 19): (0x3eb296d3aea7f540, 0x3e514bc034808ea5),
-    ('lamp-tilted-xz', 15.0, 300000, 19): (0x3ea3289fc97d21e0, 0x3e333d4b57b3f4fd),
-    ('lamp-1.3', 7.0, 300000, 19): (0x3ea3b239ebf877a1, 0x3e45b43220233543),
-    ('lamp-1.3', 15.0, 300000, 19): (0x3ea2ccb934a38d07, 0x3e3311b33b735a10),
-    ('steered-tilted', 20.0, 300000, 19): (0x3eb8d730b882b471, 0x3e47ec6c10169cf6),
-    ('tilted-receiver', 10.0, 300000, 19): (0x3ea3ce05688397a3, 0x3e3b4f0facb3b740),
-    ('near-wall-receiver', 5.0, 300000, 19): (0x3ea5eb291d8c6de0, 0x3e501ab4d3c91799),
-    ('near-wall-receiver', 20.0, 300000, 19): (0x3eb4b974ac9b175b, 0x3e48dd9275e14c27),
+    ('center', 5.0, 300000, 19): (0x3ea5717693fad4f2, 0x3e4fdc543e44a72b),
+    ('center', 10.0, 300000, 19): (0x3ea52e7d97cab587, 0x3e3f22c48928e3b5),
+    ('center', 30.0, 300000, 19): (0x3ea1444ad586938b, 0x3e1fd0f0b9e6c8e7),
+    ('lamp-1.3', 10.0, 300000, 19): (0x3ea338d1706e5efc, 0x3e3db2471a7c98ca),
+    ('lamp-1.3', 55.0, 300000, 19): (0x3eb4dd55ff84b6b1, 0x3e296fd9aba21a27),
+    ('wall-receiver', 30.0, 300000, 19): (0x3e8cf4f8a92344a1, 0x3e15b2c6a027cd33),
+    ('narrow-lamp', 60.0, 300000, 19): (0x3eb1bd198e2b2f8a, 0x3d9de8f7112f89cf),
+    ('center', 90.0, 300000, 19): (0x3ebf4aaacbc29723, 0x3e222261fc9430c5),
+    ('mm-room', 20.0, 300000, 19): (0x40150c54353f59e0, 0x3f9e1ed956216728),
+    ('wide-room', 20.0, 300000, 19): (0x3ea39e48f4db9bbc, 0x3e2c1307acc6af72),
+    ('steered-tilted', 10.0, 300000, 19): (0x3eb28b0611106c2e, 0x3e513c93b0153bd6),
+    ('lamp-tilted-xz', 15.0, 300000, 19): (0x3ea3570d60e4f822, 0x3e3353f3881e8131),
+    ('lamp-1.3', 7.0, 300000, 19): (0x3ea383d754deeaa9, 0x3e459b21e72643fc),
+    ('lamp-1.3', 15.0, 300000, 19): (0x3ea2db4d289cb582, 0x3e3317f81f7ae0a4),
+    ('steered-tilted', 20.0, 300000, 19): (0x3eb8fb86cf16a558, 0x3e480bfbf6e90520),
+    ('tilted-receiver', 10.0, 300000, 19): (0x3ea390c916439524, 0x3e3b2428b053e64e),
+    ('near-wall-receiver', 5.0, 300000, 19): (0x3ea5a48984d0da5b, 0x3e5001260900e2ec),
+    ('near-wall-receiver', 20.0, 300000, 19): (0x3eb448f5404c4419, 0x3e484fef1d1b33ff),
 }
 
 
@@ -284,66 +287,105 @@ def random_rooms(count, seed):
 RANDOM_ROOMS = random_rooms(12, seed=2024)
 
 
+def cells(room):
+    m1 = montecarlo.lambert_mode(room.lamp_semi_angle_deg)
+    return montecarlo._cells(montecarlo._Scene(room, m1), m1)
+
+
+def in_cell(cell, u, v):
+    """Whether each (u, v) pair lies in the cell, as the sampler's map u_lo + w u_width (w in [0, 1)) can place it."""
+    u_lo, u_width, v_lo, v_width = cell
+    return (u >= u_lo) & (u <= u_lo + u_width) & (v >= v_lo) & (v <= v_lo + v_width)
+
+
+def sector_bounds(table):
+    """Per azimuth sector, the (lo, hi) of the cos(phi) draws in its cell, (inf, -inf) where none; each cell spans whole sectors."""
+    lo, hi = np.full(montecarlo._SECTORS, np.inf), np.full(montecarlo._SECTORS, -np.inf)
+    for u_lo, u_width, v_lo, v_width in table:
+        sectors = slice(round(v_lo * montecarlo._SECTORS), round((v_lo + v_width) * montecarlo._SECTORS))
+        lo[sectors], hi[sectors] = u_lo, u_lo + u_width
+    return lo, hi
+
+
+# Every case that pinned an estimate, and rooms of random shapes.
+BOUND_CASES = [
+    *(pytest.param(pinned_room(kind, fov), samples, seed, id=f"{kind}-{fov}-{samples}-{seed}")
+      for kind, fov, samples, seed in sorted(EXACT_BITS, key=str)),
+    *(pytest.param(pinned_room(kind, fov), samples, seed, id=f"pinned-{kind}-{fov}-{samples}-{seed}")
+      for kind, fov, samples, seed in sorted(PINNED_ESTIMATES, key=str)),
+    *(pytest.param(room, 200_000, 3, id=f"random-{i}") for i, room in enumerate(RANDOM_ROOMS)),
+]
+# Rooms whose threshold drops rays, with whether a sector table drops more.
+THRESHOLD_ROOMS = [
+    *(pytest.param(pinned_room(kind, fov), 1_000_000, 5, banded, id=f"{kind}-{fov}-banded-{banded}") for kind, fov, banded in (
+        ("center", 5.0, False), ("center", 30.0, False), ("lamp-1.3", 10.0, True), ("lamp-1.3", 55.0, False),
+        ("steered-tilted", 10.0, True), ("steered-tilted", 40.0, False), ("lamp-tilted-xz", 15.0, True),
+        ("lamp-tilted-yz", 30.0, True), ("mm-room", 20.0, False), ("wide-room", 20.0, False),
+        ("tilted-receiver", 10.0, True), ("near-wall-receiver", 5.0, True), ("near-wall-receiver", 20.0, False),
+    )),
+    *(pytest.param(room, 1_000_000, 5, banded, id=f"random-{i}-banded-{banded}")
+      for i, (room, banded) in enumerate(zip(RANDOM_ROOMS[:6], (True, False, False, True, True, False)))),
+]
+
+
 class TestConeBound:
-    @pytest.mark.parametrize("room, samples, seed, chunk_size", [
-        *(pytest.param(pinned_room(kind, fov), samples, seed, 2_000_000, id=f"{kind}-{fov}-{samples}-{seed}")
-          for kind, fov, samples, seed in sorted(EXACT_BITS, key=str)),
-        *(pytest.param(pinned_room(kind, fov), samples, seed, chunk, id=f"{kind}-{fov}-{samples}-{seed}-{chunk}")
-          for kind, fov, samples, seed, chunk in sorted(PINNED_ESTIMATES, key=str)),
-        *(pytest.param(room, 200_000, 3, 70_001, id=f"random-{i}") for i, room in enumerate(RANDOM_ROOMS)),
+    @pytest.mark.parametrize("room, samples, seed, banded", [
+        *(pytest.param(*case.values, None, id=case.id) for case in BOUND_CASES), *THRESHOLD_ROOMS,
     ])
-    def test_no_bound_gives_the_same_bits(self, monkeypatch, room, samples, seed, chunk_size):
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
-        bounded = estimate_bits(room, samples, seed)
+    def test_no_ray_outside_the_cells_lands_in_the_cone(self, room, samples, seed, banded):
+        # Draw as many uniform (u, v) pairs as the case's estimate stands
+        # for and trace those in no cell: each would give a positive
+        # contribution if it landed in the cone, and the sampler never
+        # draws them.
+        table, u_min = cells(room), threshold(room)
+        m1 = montecarlo.lambert_mode(room.lamp_semi_angle_deg)
+        scene = montecarlo._Scene(room, m1)
+        rng = np.random.default_rng(seed)
+        lo, hi = sector_bounds(table)
+        chunk = 1 << 16
+        work = np.empty((montecarlo._WORK_ROWS, chunk))
+        below = outside = landed = 0
+        for start in range(0, samples, chunk):
+            u, v = rng.random((2, min(chunk, samples - start)))
+            sector = (v * montecarlo._SECTORS).astype(np.intp)
+            out = (u < lo.take(sector)) | (u > hi.take(sector))
+            below += np.count_nonzero(u < u_min)
+            outside += np.count_nonzero(out & (u >= u_min))
+            n = np.count_nonzero(out)
+            work[0, :n], work[1, :n] = u[out], v[out]
+            landed += montecarlo._trace(scene, work[:, :n])[0].size
+        assert landed == 0
+        if banded is not None:
+            assert u_min > 0.0
+            assert any(v_width < 1.0 for *_, v_width in table) == banded
+            assert estimate_reflected_gain(room, samples=samples, seed=seed).value > 0.0
+            assert below > 0
+            assert outside > 0 or not banded
+
+    @pytest.mark.parametrize("room, samples, seed", BOUND_CASES)
+    def test_no_bound_agrees_within_five_standard_errors(self, monkeypatch, room, samples, seed):
+        # with the threshold at 0 the one cell is the whole square, and every ray is drawn and traced
+        bounded = estimate_reflected_gain(room, samples=samples, seed=seed)
         monkeypatch.setattr(montecarlo, "_cone_threshold", lambda scene, m1: 0.0)
-        assert estimate_bits(room, samples, seed) == bounded
+        assert cells(room) == [(0.0, 1.0, 0.0, 1.0)]
+        unbounded = estimate_reflected_gain(room, samples=samples, seed=seed)
+        assert unbounded.samples == bounded.samples == samples
+        assert abs(unbounded.value - bounded.value) <= 5.0 * math.hypot(unbounded.std_error, bounded.std_error)
 
     def test_random_rooms_mostly_bound_their_rays(self):
         thresholds = [threshold(room) for room in RANDOM_ROOMS]
         assert sum(u > 0.0 for u in thresholds) >= 8, thresholds
 
-    @pytest.mark.parametrize("room, banded", [
-        *(pytest.param(pinned_room(kind, fov), banded, id=f"{kind}-{fov}") for kind, fov, banded in (
-            ("center", 5.0, False), ("center", 30.0, False), ("lamp-1.3", 10.0, True), ("lamp-1.3", 55.0, False),
-            ("steered-tilted", 10.0, True), ("steered-tilted", 40.0, False), ("lamp-tilted-xz", 15.0, True),
-            ("lamp-tilted-yz", 30.0, True), ("mm-room", 20.0, False), ("wide-room", 20.0, False),
-            ("tilted-receiver", 10.0, True), ("near-wall-receiver", 5.0, True), ("near-wall-receiver", 20.0, False),
-        )),
-        *(pytest.param(room, banded, id=f"random-{i}")
-          for i, (room, banded) in enumerate(zip(RANDOM_ROOMS[:6], (True, False, False, True, True, False)))),
+    @pytest.mark.parametrize("kind, fov, shape", [
+        ("lamp-1.3", 10.0, "banded"), ("center", 5.0, "threshold-only"), ("center", 90.0, "unbounded"),
     ])
-    def test_no_ray_below_the_threshold_lands_in_the_cone(self, monkeypatch, room, banded):
-        # Trace 1e6 rays unfiltered, passing on only those the bounds drop:
-        # those whose draw lies below the threshold, and those above it but
-        # outside their azimuth sector's band.  Each gives a positive
-        # contribution if it lands in the cone, so the estimate over them is
-        # exactly 0 if none does.
-        u_min = threshold(room)
-        assert u_min > 0.0
-        m1 = montecarlo.lambert_mode(room.lamp_semi_angle_deg)
-        bands = montecarlo._sector_bands(montecarlo._Scene(room, m1), m1, u_min)
-        assert (bands is not None) == banded
-        samples = 1_000_000
-        assert estimate_reflected_gain(room, samples=samples, seed=5).value > 0.0
-        drawn = montecarlo._uniform_blocks
-        below, outside = [], []
-
-        def blocks_dropped(seed, samples):
-            for cos_draws, azim_draws in drawn(seed, samples):
-                dropped = cos_draws < u_min
-                below.append(np.count_nonzero(dropped))
-                if bands is not None:
-                    sector = (azim_draws * montecarlo._SECTORS).astype(np.intp)
-                    out_of_band = ~dropped & ((cos_draws < bands[0][sector]) | (cos_draws > bands[1][sector]))
-                    outside.append(np.count_nonzero(out_of_band))
-                    dropped |= out_of_band
-                yield cos_draws[dropped], azim_draws[dropped]
-
-        monkeypatch.setattr(montecarlo, "_uniform_blocks", blocks_dropped)
-        monkeypatch.setattr(montecarlo, "_cone_threshold", lambda scene, m1: 0.0)
-        assert estimate_reflected_gain(room, samples=samples, seed=5).value == 0.0
-        assert sum(below) > 0
-        assert sum(outside) > 0 or not banded
+    def test_estimates_spread_as_their_standard_error_says(self, kind, fov, shape):
+        room = pinned_room(kind, fov)
+        table = cells(room)
+        assert shape == ("unbounded" if table == [(0.0, 1.0, 0.0, 1.0)] else "threshold-only" if len(table) == 1 else "banded")
+        estimates = [estimate_reflected_gain(room, samples=50_000, seed=seed) for seed in range(40)]
+        spread = np.std([e.value for e in estimates], ddof=1)
+        assert 0.7 <= spread / np.median([e.std_error for e in estimates]) <= 1.4
 
     @pytest.mark.parametrize("fov", [5.0, 10.0, 20.0])
     @pytest.mark.parametrize("offset", [0.3, 0.6, 1.0])
@@ -368,22 +410,33 @@ class TestConeBound:
 
 
 class TestStreamingKernel:
-    @pytest.mark.parametrize("samples, chunk_size", [
-        (20_000, 2_000_000), (3 * montecarlo._BLOCK, 2_000_000), (50_001, 20_000), (10_007, 3_001), (5, 2),
-    ])
-    def test_blocks_read_the_chunked_draws(self, monkeypatch, samples, chunk_size):
-        # each chunk of n rays draws n cos(phi) uniforms, then n azimuth
-        # uniforms; a later chunk starts where the one before left the stream
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
-        rng = np.random.default_rng(29)
-        expected = []
-        for start in range(0, samples, chunk_size):
-            n = min(chunk_size, samples - start)
-            expected.append((rng.random(n), rng.random(n)))
-        blocks = [(c.copy(), a.copy()) for c, a in montecarlo._uniform_blocks(29, samples)]
-        assert all(c.size == a.size <= montecarlo._BLOCK for c, a in blocks)
-        for read, drawn in zip(zip(*blocks), zip(*expected)):
-            assert np.array_equal(np.concatenate(read), np.concatenate(drawn))
+    @pytest.mark.parametrize("block", [montecarlo._BLOCK, 97])
+    @pytest.mark.parametrize("samples", [5, 3 * montecarlo._BLOCK + 1, 20_000])
+    @pytest.mark.parametrize("kind, fov", [("lamp-1.3", 10.0), ("center", 90.0)], ids=["banded", "unbounded"])
+    def test_batches_hold_the_kept_rays_in_their_cells(self, monkeypatch, kind, fov, samples, block):
+        # the multinomial's counts, drawn first from the seed's stream, are the rays traced,
+        # cell after cell, in batches of up to the block (97 cuts the banded room's cells)
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        room = pinned_room(kind, fov)
+        table = cells(room)
+        assert (len(table) > 1) == (kind == "lamp-1.3")
+        shares = [u_width * v_width for _, u_width, _, v_width in table]
+        counts = np.random.default_rng(29).multinomial(samples, [*shares, max(1.0 - sum(shares), 0.0)])[:-1]
+        batches = []
+        trace = montecarlo._trace
+
+        def recording(scene, work):
+            batches.append(work[:2].copy())
+            return trace(scene, work)
+
+        monkeypatch.setattr(montecarlo, "_trace", recording)
+        estimate_reflected_gain(room, samples=samples, seed=29)
+        assert all(batch.shape[1] == block for batch in batches[:-1])
+        assert all(0 < batch.shape[1] <= block for batch in batches)
+        u, v = np.concatenate(batches, axis=1) if batches else np.empty((2, 0))
+        assert u.size == counts.sum()
+        for cell, start, end in zip(table, np.cumsum(counts) - counts, np.cumsum(counts)):
+            assert np.all(in_cell(cell, u[start:end], v[start:end]))
 
     def test_azimuth_agrees_with_cos_and_sin_of_two_pi_u(self):
         eighths = np.arange(8) / 8.0
@@ -431,18 +484,17 @@ class TestStreamingKernel:
         # a trace with a numpy temporary per step took about 615 on the 20 degree cone
         assert all(faults[f"{name} call 1"] <= 500 for name in ("offset-55", "floor-7", "floor-20")), faults
 
-    def test_peak_memory_does_not_grow_with_samples_or_chunk(self, monkeypatch):
+    def test_peak_memory_does_not_grow_with_samples(self):
         room = room_at(30.0)
         estimate_reflected_gain(room, samples=1_000, seed=1)  # one-off allocations of a first call
         peaks = {}
-        for samples, chunk_size in ((1_000_000, 2_000_000), (1_000_000, 1_000_000), (100_000, 2_000_000), (2_000_000, 700_001)):
-            monkeypatch.setattr(montecarlo, "_CHUNK", chunk_size)
+        for samples in (100_000, 1_000_000, 2_000_000):
             tracemalloc.start()
             try:
                 estimate_reflected_gain(room, samples=samples, seed=1)
-                peaks[samples, chunk_size] = tracemalloc.get_traced_memory()[1]
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # a few dozen block temporaries, the same for every call; one array of 1e6 rays is 8 MB
+        # a few dozen batch temporaries, the same for every call; one array of 1e6 rays is 8 MB
         assert max(peaks.values()) < 4e6, peaks
         assert max(peaks.values()) < 1.5 * min(peaks.values()), peaks

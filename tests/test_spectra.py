@@ -1,6 +1,7 @@
 """Spectral curve container, interpolation, unit conversion, CSV ingest."""
 
 import math
+import os
 import re
 
 import pytest
@@ -143,6 +144,14 @@ class TestCsvLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_spectrum_csv(tmp_path / "nope.csv", "source-psd")
+
+    @pytest.mark.parametrize("path", [0, None, 1.5, [b"s.csv"]], ids=["descriptor-0", "none", "float", "list"])
+    def test_a_path_that_is_not_text_or_path_like_is_refused_before_any_read(self, path):
+        # open() takes an int as a file descriptor: 0 would read standard input and then close it
+        os.fstat(0)
+        with pytest.raises(ValueError, match=f"^path must be a file path, as text or os.PathLike, got {re.escape(repr(path))}$"):
+            load_spectrum_csv(path, "source-psd")
+        os.fstat(0)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "s.csv"
