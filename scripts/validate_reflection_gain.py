@@ -9,10 +9,10 @@ lands in it prints a Monte-Carlo value of 0 and '-' for the gap.
 
 import argparse
 
-from indoorqkd.channel import DEFAULT_ORDER, total_reflected_gain
+from indoorqkd.channel import DEFAULT_ORDER, MAX_ORDER, total_reflected_gain
 from indoorqkd.experiments import Scenario, build_setup
 from indoorqkd.geometry import _count
-from indoorqkd.montecarlo import estimate_reflected_gain, floor_cone_closed_form
+from indoorqkd.montecarlo import _MOST_SAMPLES, estimate_reflected_gain, floor_cone_closed_form
 
 
 def main() -> int:
@@ -24,9 +24,10 @@ def main() -> int:
         "--fov", type=float, nargs="+", default=[5.0, 11.0, 20.0, 30.0, 45.0, 60.0]
     )
     args = parser.parse_args()
-    for name, least in (("samples", 1), ("resolution", 1), ("seed", 0)):  # the library's count rule
+    # the library's count rule and bounds, before any row prints
+    for name, least, most in (("samples", 1, _MOST_SAMPLES), ("resolution", 1, MAX_ORDER), ("seed", 0, None)):
         try:
-            _count(name, getattr(args, name), least)
+            _count(name, getattr(args, name), least, most)
         except ValueError as error:
             parser.error(f"argument --{name}: {error}")
     try:  # the room's own rules name a bad FOV, before any row prints

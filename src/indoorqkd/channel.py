@@ -91,6 +91,11 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 
 # The psi rule order per piece (config key resolution_patches_per_meter, from the old patch sum).
 DEFAULT_ORDER = 10
+# Largest psi rule order.  The rule's nodes come from a dense eigensolve whose memory grows with
+# the square of the order: a default lamp-center run, as a CLI subprocess on a 2-core x86 VM, took
+# 0.53 s of CPU (getrusage user + system, BLAS threads included; 0.29 s wall) and 75 MB peak RSS
+# at order 500 (1,000 in its convergence check), and 1.85 s (0.95 s wall) and 193 MB at 1,000.
+MAX_ORDER = 1_000
 # Largest relative change between the rule order and twice it that counts as converged.
 CONVERGENCE_RTOL = 0.005
 # Widest psi panel, so that one rule order serves a narrow cone and a wide one.
@@ -515,8 +520,8 @@ def total_reflected_gain(
 ) -> float | np.ndarray:
     """Single-bounce gain from the lamp via the walls and floor into the receiver.
 
-    ``order`` is the order of the Gauss-Legendre rule in psi on
-    each piece, so the cost grows linearly with it and does not depend on
+    ``order`` is the order of the Gauss-Legendre rule in psi on each piece,
+    at most ``MAX_ORDER``, so the cost grows linearly with it and not with
     the room size.  The theta rule is the view's, chosen by the lamp's mode.
     ``fov_deg`` puts one FOV or an array in place of the room's, as in
     ``los_gain_for``.  The value at a FOV is the sum over the whole psi
@@ -525,7 +530,7 @@ def total_reflected_gain(
     i, bit for bit.  The values stay on the room's view, so a call computes
     only the FOVs not yet known for the room at this order, all in one pass.
     """
-    return _reflected_gain(room, _count("order", order), fov_deg)
+    return _reflected_gain(room, _count("order", order, most=MAX_ORDER), fov_deg)
 
 
 def _reflected_gain(
@@ -578,15 +583,15 @@ def reflected_gain_convergence(
     room: RoomScenario,
     order: int = DEFAULT_ORDER,
 ) -> ConvergenceReport:
-    """The bounce integral at the requested rule order, at twice that order,
-    and at that order with twice the theta nodes per arc.
+    """The bounce integral at the requested rule order (at most ``MAX_ORDER // 2``),
+    at twice that order, and at that order with twice the theta nodes per arc.
 
     All three come from the room's view, so the first is the one a sweep of
     the room already computed.  The report is the only signal: it counts as
     converged when both relative changes are at most ``CONVERGENCE_RTOL``,
     and the CLI's --strict reads that flag.
     """
-    order = _count("order", order)
+    order = _count("order", order, most=MAX_ORDER // 2)
     value = total_reflected_gain(room, order)
     refined = total_reflected_gain(room, 2 * order)
     theta_refined = _reflected_gain(room, order, theta_nodes_factor=2)

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .channel import CONVERGENCE_RTOL, DEFAULT_ORDER, ConvergenceReport, reflected_gain_convergence
+from .channel import CONVERGENCE_RTOL, DEFAULT_ORDER, MAX_ORDER, ConvergenceReport, reflected_gain_convergence
 from .experiments import (
     AMBIENT_SCENARIOS,
     NOMINAL,
@@ -43,12 +43,8 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_STRICT_CONVERGENCE = 3
 
-# Largest resolution_patches_per_meter, the bounce quadrature's rule order.
-# The convergence check doubles it, and the rule's nodes come from a dense
-# eigensolve: a default lamp-center run, as a CLI subprocess on a 2-core x86 VM, took 0.53 s
-# of CPU (getrusage user + system, BLAS threads included; 0.29 s wall) and 75 MB peak RSS
-# at 500, and 1.85 s (0.95 s wall) and 193 MB at 1,000.
-MAX_RESOLUTION = 500
+# Largest resolution_patches_per_meter, the bounce quadrature's rule order: the convergence check doubles it.
+MAX_RESOLUTION = MAX_ORDER // 2
 # Most (FOV, source) points a run may sweep, and so the longest axis.  Peak
 # RSS is about 200 B a point on a square map and 300 B on one row; under a
 # 1 GiB address-space cap 2.5e6 points run (0.49, 0.76 GB) and 3e6 on a row
@@ -77,6 +73,8 @@ _EXPONENT_WORD = np.array([b"e%+03d" % k for k in range(-300, 301)], "S8").view(
 _E9_WIDTH = np.array([11 + len(b"e%+03d" % k) for k in range(-300, 301)])
 _FLAG_WORD = np.array([b"false\n", b"true\n"], "S8").view("<u8")
 _COMMA_TOP = np.uint64(ord(",") << 56)
+# Most sweep.csv cells formatted at once.
+_CSV_BLOCK = 1024
 
 
 # Section layout of the config file.  Parameter keys match the nominal table
@@ -150,9 +148,7 @@ _RUN_KEY_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "overri
 
 
 def _axis(lo: float, hi: float, steps: int, scale: str) -> tuple[float, ...]:
-    steps = _count("steps", steps)
-    if steps > GRID_BUDGET:  # before an array of that length exists
-        raise ValueError(f"steps = {_shown(steps)}: more than the grid budget of {GRID_BUDGET:,} points")
+    steps = _count("steps", steps, most=GRID_BUDGET)  # before an array of that length exists
     if scale not in ("linear", "log"):
         raise ValueError(f"scale = {_shown(scale)}: must be 'linear' or 'log'")
     if _in_range("min", lo, -_LARGEST_FLOAT, _LARGEST_FLOAT) > _in_range("max", hi, -_LARGEST_FLOAT, _LARGEST_FLOAT):  # each end named if not finite
@@ -268,39 +264,33 @@ def _resolve(
     points is built.  The run is then built at both corners of its grid, the
     second at ``fov_max_deg`` (whose checked room a lit lamp run's convergence
     report reuses) and at a spectrum's level, read at the checked wavelength.
-    When that fails, each overridden key is built alone on the nominal table so
-    that its diagnostic names it; a failure no single key explains is reported
-    as it is (a lamp outside a shrunk room, or out of a spectrum's band, say).
+    When that fails, each override is built on the nominal table beside those
+    before it in the table (room sizes first) that passed, so that its diagnostic
+    names it; a failure no override explains is reported as it is (a FOV past 90
+    degrees at ``fov_max_deg``, or a wavelength out of a spectrum's band, say).
     """
     out: list[str] = []
-    fov_values = source_values = ()
+
+    def checked(label: str, rule, *args, **kwargs):  # the rule's value, or None and its diagnostic under the label
+        try:
+            return rule(*args, **kwargs)
+        except ValueError as exc:
+            out.append(f"{label}: {exc}")
+            return None
+
     curve = None
-    try:
-        Scenario.named(config.scenario)
-    except ValueError as exc:
-        out.append(f"scenario = {_shown(config.scenario)}: {exc}")
+    checked(f"scenario = {_shown(config.scenario)}", Scenario.named, config.scenario)
     resolution = config.resolution_patches_per_meter
-    try:
-        if _count("resolution_patches_per_meter", resolution) > MAX_RESOLUTION:
-            out.append(f"resolution_patches_per_meter = {_shown(resolution)}: must be a positive integer no larger than {MAX_RESOLUTION:,}")
-    except ValueError as exc:
-        out.append(f"resolution_patches_per_meter = {_shown(resolution)}: {exc}")
-    try:
-        fov_values = _axis(config.fov_min_deg, config.fov_max_deg, config.fov_steps, config.fov_scale)
-    except ValueError as exc:
-        out.append(f"fov axis: {exc}")
+    checked(f"resolution_patches_per_meter = {_shown(resolution)}", _count, "resolution_patches_per_meter", resolution, most=MAX_RESOLUTION)
+    fov_values = checked("fov axis", _axis, config.fov_min_deg, config.fov_max_deg, config.fov_steps, config.fov_scale) or ()
     spectrum = config.lamp_spectrum_file
     if not isinstance(spectrum, str):  # open() would take an int as a file descriptor
         out.append(f"lamp_spectrum_file = {_shown(spectrum)}: must be a file path, as text")
         spectrum = ""
-    try:  # checked even when a spectrum pins the source level
-        source_values = _axis(config.source_min, config.source_max, config.source_steps, config.source_scale)
-    except ValueError as exc:
-        out.append(f"source axis: {exc}")
-    try:  # checked in every run, though only an irradiance file in a lamp run reads it
-        _check_distance(config.lamp_spectrum_distance_m)
-    except ValueError as exc:
-        out.append(f"lamp_spectrum_distance_m = {_shown(config.lamp_spectrum_distance_m)}: {exc}")
+    # checked even when a spectrum pins the source level
+    source_values = checked("source axis", _axis, config.source_min, config.source_max, config.source_steps, config.source_scale) or ()
+    # checked in every run, though only an irradiance file in a lamp run reads it
+    checked(f"lamp_spectrum_distance_m = {_shown(config.lamp_spectrum_distance_m)}", _check_distance, config.lamp_spectrum_distance_m)
     if config.lamp_spectrum_kind not in KINDS:
         out.append(f"lamp_spectrum_kind = {_shown(config.lamp_spectrum_kind)}: must be one of {', '.join(KINDS)}")
     elif spectrum and config.scenario in AMBIENT_SCENARIOS and config.lamp_spectrum_kind != "irradiance":
@@ -336,9 +326,12 @@ def _resolve(
         except ValueError as exc:  # a wavelength out of the band the spectrum file samples names the file
             whole_run.append(f"lamp_spectrum_file: {exc}" if isinstance(exc, OutOfBandError) else str(exc))
 
-    for key, value in config.overrides.items():
+    passed: dict[str, float | None] = {}
+    for key in sorted(config.overrides, key=[*NOMINAL, *config.overrides].index):  # a key not in the table last
+        value = config.overrides[key]
         try:  # on any one scenario: each key's rule applies in all of them
-            build_setup(Scenario.named("lamp-center", {key: value}), 10.0, 0.0)
+            build_setup(Scenario.named("lamp-center", {**passed, key: value}), 10.0, 0.0)
+            passed[key] = value
         except ValueError as exc:
             out.append(f"{key} = {_shown(value)}: {exc}")
     return None, out or whole_run
@@ -396,11 +389,9 @@ def _e9(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, widths
 
 
-def _csv_lines(
-    grid: OperatingPoint, fov_values: tuple[float, ...], source_values: tuple[float, ...], block: int = 1024
-) -> Iterator[bytes]:
+def _csv_lines(grid: OperatingPoint, fov_values: tuple[float, ...], source_values: tuple[float, ...]) -> Iterator[bytes]:
     """The ``sweep.csv`` data rows of a ``sweep`` map over these axes, FOV-major,
-    as bytes, at most ``block`` cells at a time.
+    as bytes, at most ``_CSV_BLOCK`` cells at a time.
 
     Each column (the two axes, then ``_CSV_COLUMNS``) keeps its own shape:
     (n_fov, 1) for the FOVs and gains, (1, n_src) for the levels and for a column
@@ -415,8 +406,8 @@ def _csv_lines(
     columns = [np.atleast_2d(c) for c in (np.array(fov_values)[:, None], source_values, *fields)]
     columns = [c[:1] if len(c) > 1 and bool((c.view(np.uint64) == c[:1].view(np.uint64)).all()) else c for c in columns]
     secure = np.broadcast_to(flags, shape)
-    fov_rows = max(1, block // shape[1])  # whole FOV rows in a block, or one row split into blocks of levels
-    span = min(shape[1], block)  # levels in a block
+    fov_rows = max(1, _CSV_BLOCK // shape[1])  # whole FOV rows in a block, or one row split into blocks of levels
+    span = min(shape[1], _CSV_BLOCK)  # levels in a block
     for i, j in itertools.product(range(0, shape[0], fov_rows), range(0, shape[1], span)):
         rows, part = slice(i, i + fov_rows), slice(j, j + span)
         pieces = [c[rows if len(c) > 1 else slice(None), part if c.shape[1] > 1 else slice(None)] for c in columns]

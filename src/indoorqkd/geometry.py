@@ -178,7 +178,7 @@ def _count(name: str, value: int, least: int = 1, most: int | None = None) -> in
     if not (isinstance(value, numbers.Integral) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
     if most is not None and value > most:
-        raise ValueError(f"{name} must be an integer <= {most}, got an int of {int(value).bit_length()} bits")
+        raise ValueError(f"{name} must be an integer <= {most:,}, got {_shown(value)}")
     return int(value)
 
 

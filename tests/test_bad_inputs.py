@@ -33,9 +33,9 @@ BAD = {
     "text": "10", "none": None, "complex": 1 + 1j, "dict": {}, "ragged": [10.0, [20.0]],
     "huge": 10**400, "past-text-limit": -(10**5000), "nan": math.nan,
 }
-# An int of any size passes the count rule of a rule order or a patch density, and a count
-# that large exhausts memory, so those counts skip the huge ints.  The sampler's ray count
-# has a most value, so it takes them.
+# An int of any size passes the count rule of a patch density, and a count that large
+# exhausts memory, so that count skips the huge ints.  The rule order and the sampler's
+# ray count have most values, so they take them.
 HUGE = ("huge", "past-text-limit")
 
 _LAMP = Scenario.named("lamp-center")
@@ -107,10 +107,7 @@ ARGUMENTS = {
     "estimate_reflected_gain.samples": lambda v: estimate_reflected_gain(_ROOM, v),
     "estimate_reflected_gain.seed": lambda v: estimate_reflected_gain(_ROOM, 100, seed=v),
 }
-COUNTS = {
-    "wall_and_floor_grids.patches_per_meter", "total_reflected_gain.order", "reflected_gain_convergence.order",
-    "evaluate_point.order", "sweep.order", "secure_fov_boundary.order",
-}
+COUNTS = {"wall_and_floor_grids.patches_per_meter"}
 
 
 def escapes(call, values):
@@ -207,9 +204,9 @@ _BITS = (10**5000).bit_length()
     (RunConfig(overrides={"room_x_m": 10**5000}),
      [f"room_x_m = an int of {_BITS} bits: override room_x_m must lie in the float range, got an int of {_BITS} bits"]),
     (RunConfig(resolution_patches_per_meter=10**5000),
-     [f"resolution_patches_per_meter = an int of {_BITS} bits: must be a positive integer no larger than 500"]),
+     [f"resolution_patches_per_meter = an int of {_BITS} bits: resolution_patches_per_meter must be an integer <= 500, got an int of {_BITS} bits"]),
     (RunConfig(scenario=-(10**5000)), [f"scenario = an int of {_BITS} bits: unknown scenario an int of {_BITS} bits; choose one of "]),
-    (RunConfig(fov_steps=10**5000), [f"fov axis: steps = an int of {_BITS} bits: more than the grid budget of 2,500,000 points"]),
+    (RunConfig(fov_steps=10**5000), [f"fov axis: steps must be an integer <= 2,500,000, got an int of {_BITS} bits"]),
     (RunConfig(source_steps=[10**5000]), ["source axis: steps must be an integer >= 1, got a list holding an int too long to print"]),
     (RunConfig(lamp_spectrum_file=1 + 1j), ["lamp_spectrum_file = (1+1j): must be a file path, as text"]),
     (RunConfig(lamp_spectrum_file=0), ["lamp_spectrum_file = 0: must be a file path, as text"]),

@@ -280,6 +280,16 @@ class TestTotalReflectedGain:
         with pytest.raises(ValueError, match="^samples must be an integer >= 1"):
             estimate_reflected_gain(room, order)
 
+    def test_rule_order_is_at_most_its_bound(self):
+        # the dense eigensolve of order 10**12 asked for 7.28 TiB; the convergence check doubles its order
+        room = nominal_room()
+        channel._VIEWS.clear()
+        for call, most in (total_reflected_gain, channel.MAX_ORDER), (reflected_gain_convergence, channel.MAX_ORDER // 2):
+            for order in most + 1, np.int64(most + 1), 10**12:
+                with pytest.raises(ValueError, match=f"^order must be an integer <= {most:,}, got "):
+                    call(room, order)
+        assert not channel._VIEWS  # refused before the memo is touched
+
     def test_numpy_integer_orders_share_the_int_table(self):
         room = nominal_room()
         channel._VIEWS.clear()

@@ -396,7 +396,7 @@ class TestValidationDiagnostics:
 
     def test_grid_over_budget_refused_before_it_is_built(self):
         messages = validate(RunConfig(fov_steps=10**12))
-        assert any(m.startswith("fov axis: steps = 1000000000000") and "grid budget" in m for m in messages)
+        assert "fov axis: steps must be an integer <= 2,500,000, got 1000000000000" in messages
         messages = validate(RunConfig(fov_steps=2000, source_steps=2000))
         assert any(m.startswith("fov_steps x source_steps = 2000 x 2000") and "grid budget" in m for m in messages)
 
@@ -405,7 +405,7 @@ class TestValidationDiagnostics:
 
     def test_resolution_over_its_bound_refused(self):
         messages = validate(RunConfig(resolution_patches_per_meter=MAX_RESOLUTION + 1))
-        assert any(m.startswith(f"resolution_patches_per_meter = {MAX_RESOLUTION + 1}: must be a positive integer") for m in messages)
+        assert "resolution_patches_per_meter = 501: resolution_patches_per_meter must be an integer <= 500, got 501" in messages
         assert validate(RunConfig(resolution_patches_per_meter=MAX_RESOLUTION)) == []
         # the count rule comes first: a non-integer is named here, not by the sweep it would fail in
         messages = validate(RunConfig(resolution_patches_per_meter=2.5))
@@ -472,6 +472,23 @@ class TestValidationDiagnostics:
         out_dir = tmp_path / "out"
         assert main([str(path), "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert not out_dir.exists()
+
+    # an override valid beside the ones before it is not blamed for a fault elsewhere in the run
+    @pytest.mark.parametrize("config, expected", [
+        (RunConfig(overrides={"room_x_m": 10.0, "lamp_x_m": 5.0}, fov_max_deg=95.0, fov_steps=1), ["fov_deg must lie in (0, 90], got 95.0"]),
+        (
+            RunConfig(overrides={"room_x_m": 10.0, "lamp_x_m": 5.0, "wavelength_nm": 2000.0}, lamp_spectrum_file=str(bundled_spectrum_path("cool_white_led.csv"))),
+            ["lamp_spectrum_file: wavelength 2000 nm outside sampled band [380, 1000] nm"],
+        ),
+        (RunConfig(overrides={"room_x_m": 10.0, "lamp_x_m": 5.0, "room_y_m": -1.0}), ["room_y_m = -1.0: room_y_m must be positive and finite, got -1.0"]),
+        (
+            RunConfig(overrides={"room_x_m": -1.0, "room_y_m": -2.0}),
+            ["room_x_m = -1.0: room_x_m must be positive and finite, got -1.0", "room_y_m = -2.0: room_y_m must be positive and finite, got -2.0"],
+        ),
+        (RunConfig(overrides={"lamp_x_m": 3.5, "room_x_m": 3.0}), ["lamp_x_m = 3.5: lamp position x must lie in [0, 3], got 3.5"]),
+    ], ids=["fov-past-90", "out-of-band", "bad-room-side", "two-bad-room-sides", "lamp-outside-shrunk-room"])
+    def test_each_override_is_checked_beside_the_ones_before_it(self, config, expected):
+        assert validate(config) == expected
 
     # a band so wide that the lamp counts overflow a float, in a room that
     # reflects nothing (inf times a zero integral) and in the nominal room
@@ -646,9 +663,10 @@ class TestSweepCsvText:
         assert e9_text(values) == ["%.9e" % v for v in values.tolist()]
 
     @pytest.mark.parametrize("shape, block", [((1, 50), 7), ((50, 1), 7), ((13, 11), 30), ((13, 11), 11), ((3, 40), 16), ((4, 5), 4096)])
-    def test_writer_equals_a_percent_per_cell(self, shape, block):
+    def test_writer_equals_a_percent_per_cell(self, shape, block, monkeypatch):
         grid, fovs, levels = synthetic_map(*shape)
-        blocks = list(_csv_lines(grid, fovs, levels, block=block))
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        blocks = list(_csv_lines(grid, fovs, levels))
         assert b"".join(blocks) == plain_csv(grid, fovs, levels)
         assert len(blocks) > 1 or block > shape[0] * shape[1]
 
@@ -658,8 +676,10 @@ class TestSweepCsvText:
         # nan, +-inf, -0.0, subnormals, negatives and three-digit exponents, in any column
         grid, fovs, levels = drawn
         expected = plain_csv(grid, fovs, levels)
-        for block in range(1, len(fovs) * len(levels) + 1):
-            assert b"".join(_csv_lines(grid, fovs, levels, block=block)) == expected, block
+        with pytest.MonkeyPatch.context() as patch:  # a fixture's would outlive one example
+            for block in range(1, len(fovs) * len(levels) + 1):
+                patch.setattr(cli, "_CSV_BLOCK", block)
+                assert b"".join(_csv_lines(grid, fovs, levels)) == expected, block
 
     def test_one_row_map_writes_in_bounded_memory(self, tmp_path):
         # a 1 x N map is one FOV row: the writer's peak must not grow with it

@@ -35,6 +35,8 @@ def test_cone_no_ray_lands_in_prints_a_dash_for_the_gap():
     (("--samples", "0"), "--samples"),
     (("--samples", "-5"), "--samples"),
     (("--samples", "1000", "--resolution", "0"), "--resolution"),
+    (("--samples", "1000", "--resolution", "1001"), "--resolution"),
+    (("--samples", "9223372036854775808"), "--samples"),
     (("--samples", "1000", "--seed", "-1"), "--seed"),
     (("--samples", "1000", "--fov", "0"), "--fov"),
     (("--samples", "1000", "--fov", "20", "nan"), "--fov"),
