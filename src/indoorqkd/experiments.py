@@ -144,7 +144,7 @@ class Scenario:
 
     @classmethod
     def named(cls, name: str, overrides: Mapping[str, float] | None = None) -> "Scenario":
-        items = tuple(sorted((overrides or {}).items()))
+        items = tuple(sorted((overrides or {}).items(), key=lambda item: str(item[0])))  # a key that is not text sorts by its text
         return cls(name=name, overrides=items)
 
     def params(self) -> dict[str, float | None]:

@@ -29,10 +29,9 @@ count as the 0 they would contribute.  The kept rays are traced in batches
 of up to ``_BLOCK``, with every temporary in one work array made per call,
 so no batch's temporaries go back to the system to be faulted in again,
 and no array grows with the sample count.  A seed fixes the estimate bit
-for bit.  The azimuth is reduced to a quarter turn plus an angle in
-[-pi/4, pi/4] before its one sin call, and terms whose coefficient is
-exactly zero (most of them for a lamp or receiver facing straight down)
-are skipped.
+for bit.  Each azimuth takes one tan call (see ``_unit_circle``), and
+terms whose coefficient is exactly zero (most of them for a lamp or
+receiver facing straight down) are skipped.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ _BLOCK = 1 << 13
 _MOST_SAMPLES = 2**63 - 1
 # A plane closer to the lamp than this along the ray is the one it sits on.
 _T_MIN = 1e-12
-# cos and sin of q quarter turns, for the quadrant q = rint(4u) in 0..4 of an azimuth 2 pi u.
-_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
-_QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
 # Slacks of the cone bounds (see _cone_threshold), each far above the rounding
 # it covers: an angle in rad, for the ray direction and the cone test (a few
 # 1e-8 rad at worst, near the axis, where an ulp of a cosine is an angle of
@@ -126,7 +122,7 @@ def estimate_reflected_gain(
                     part += lo
         contrib = _trace(scene, work[:, :n])[1]
         total += float(np.sum(contrib))
-        total_sq += float(np.sum(contrib * contrib))
+        total_sq += float(np.sum(np.multiply(contrib, contrib, out=work[1, : contrib.size])))
 
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
@@ -203,20 +199,19 @@ def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The batch's rays that land in the receiver's cone: their indices, ascending, and contributions.
 
     ``work[0]`` holds the batch's cos(phi) draws and ``work[1]`` its azimuth
-    draws; the other rows hold the temporaries, and all are overwritten.
-    The rays that miss give 0.
+    draws; all rows are overwritten, and the contributions come back in
+    one other than ``work[1]``.  The rays that miss give 0.
     """
     px, py, pz = scene.lamp
     rx, ry, rz = scene.receiver
     ax, ay, az = scene.receiver_axis
     lamp_axis, e1, e2 = scene.lamp_axis, scene.e1, scene.e2
     cos_phi, azim, sin_phi, dx, dy, dz, term, t_floor, t_x, t_y, t, vx, vy, vz, d2, cos_psi = work
-    cos_phi **= scene.power
-    np.multiply(cos_phi, cos_phi, out=sin_phi)
-    np.subtract(1.0, sin_phi, out=sin_phi)
-    np.sqrt(sin_phi, out=sin_phi)
+    with np.errstate(divide="ignore"):  # u^power as exp(power log u): a draw of 0 gives exp(-inf) = 0
+        np.exp(np.multiply(np.log(cos_phi, out=cos_phi), scene.power, out=cos_phi), out=cos_phi)
+    np.sqrt(np.subtract(1.0, np.multiply(cos_phi, cos_phi, out=sin_phi), out=sin_phi), out=sin_phi)
     # The azimuth's temporaries take the rows of the hit's, which come after them.
-    s_cos, s_sin = _unit_circle(azim, work[7:14])
+    s_cos, s_sin = _unit_circle(azim, work[7:11])
     s_cos *= sin_phi
     s_sin *= sin_phi
     for i, d in enumerate((dx, dy, dz)):
@@ -233,9 +228,7 @@ def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.minimum(np.minimum(t_floor, t_x, out=t), t_y, out=t)
 
         for v, p, r, d in ((vx, px, rx, dx), (vy, py, ry, dy), (vz, pz, rz, dz)):
-            np.multiply(t, d, out=v)
-            v += p
-            np.subtract(r, v, out=v)
+            np.subtract(r, np.add(np.multiply(t, d, out=v), p, out=v), out=v)
         np.multiply(vx, vx, out=d2)
         d2 += np.multiply(vy, vy, out=term)
         d2 += np.multiply(vz, vz, out=term)
@@ -243,24 +236,43 @@ def _trace(scene: _Scene, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _combine(cos_psi, term, (vx, -ax), (vy, -ay), (vz, -az))
         cos_psi /= d2
 
-    # The collect term for the rays that hit and land in the receiver's
-    # cone, not within 1e-12 m of it.  Its cos(beta) is h / d2, with h the
-    # receiver's distance from the face hit, so each face has one weight
-    # (``scene.weights``): its gain times h.  The face is indexed in
-    # ``_FACES`` order: ties go to the floor, then to an x wall, and on
-    # each axis the far wall is the one hit where the ray's component is
-    # positive.
     landing = np.greater_equal(cos_psi, scene.cos_fov, out=sign)
     landing &= np.greater(d2, 1e-12, out=test)
     landing &= np.less(t, np.inf, out=test)
-    k = np.flatnonzero(landing)
-    # The landed rays' values, gathered into rows that are read no more.
-    t, t_floor, t_x, dx, dy, d2, cos_psi = (
-        row.take(k, out=free[: k.size], mode="clip")
+    m = (k := np.flatnonzero(landing)).size
+    # The values of the rays that land (in the cone, not within 1e-12 m of the receiver), gathered into rows read no more.
+    return k, _collect(scene.weights, *(
+        row.take(k, out=free[:m], mode="clip")
         for row, free in zip((t, t_floor, t_x, dx, dy, d2, cos_psi), (cos_phi, sin_phi, dz, t_y, vx, vy, vz))
-    )
-    face = np.where(t_floor == t, 0, np.where(t_x == t, 1 + (dx > 0.0), 3 + (dy > 0.0)))
-    return k, scene.weights.take(face) * cos_psi / (math.pi * d2 * d2 * d2)
+    ), free=work[7:9, :m])
+
+
+def _collect(weights: np.ndarray, *landed: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """weight * cos(psi) / (pi d2^3) of the landed rays' t, t_floor, t_x, dx, dy, d2 and cos(psi), in t's row (t_floor's
+    and the 2 of ``free`` are scratch).  A face's weight (``weights``) is its gain times h, its distance from the receiver,
+    as cos(beta) = h / d2.  Its index in ``_FACES`` (int8s) is 0 on the floor, which wins ties, else 1 + (dx > 0) on an x
+    wall, which wins ties with y, else 3 + (dy > 0)."""
+    t, t_floor, t_x, dx, dy, d2, cos_psi = landed
+    face, step, off_floor, on_x, up_x, up_y = free[0].view(np.int8)[: 6 * t.size].reshape(6, t.size)
+    np.not_equal(t_floor, t, out=off_floor.view(np.bool_))
+    np.equal(t_x, t, out=on_x.view(np.bool_))
+    np.greater(dx, 0.0, out=up_x.view(np.bool_))
+    np.greater(dy, 0.0, out=up_y.view(np.bool_))
+    np.subtract(up_y, up_x, out=step)
+    step += 2
+    step *= on_x
+    np.add(up_y, 3, out=face)
+    face -= step
+    face *= off_floor
+    index = free[1].view(np.intp)
+    np.copyto(index, face)  # take's own index type, so it makes no copy
+    contrib = weights.take(index, out=t, mode="clip")
+    contrib *= cos_psi
+    cube = np.multiply(d2, math.pi, out=t_floor)
+    cube *= d2
+    cube *= d2
+    contrib /= cube
+    return contrib
 
 
 def _cone_threshold(scene: _Scene, m1: float) -> float:
@@ -414,32 +426,20 @@ def _cap_arcs(scene: _Scene, centers: np.ndarray, radii: np.ndarray) -> tuple[np
 
 
 def _unit_circle(u: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi u for u in [0, 1), from one sin call on [-pi/4, pi/4].
+    """cos and sin of 2 pi u for u in [0, 1), from one tan call on [-pi/2, pi/2].
 
-    With q = rint(4u), 4u - q in [-1/2, 1/2] is exact, and 2 pi u is q
-    quarter turns plus a = (4u - q) pi/2.  cos(a) = sqrt(1 - sin(a)^2) is at
-    least 0.707, so the root loses nothing; the quarter turns swap and negate
-    the pair exactly.  The temporaries and the two results are rows of
-    ``work``, 7 rows of at least u.size.
+    u - rint(u) in [-1/2, 1/2] is exact and drops a whole turn, so with
+    t = tan(pi (u - rint(u))) the half-angle forms give cos = (1 - t^2) /
+    (1 + t^2) and sin = 2t / (1 + t^2), within 4 ulps of 1, and (1, 0) at
+    u = 0.  The temporaries and results are 4 rows of ``work``, of u.size.
     """
-    quarters, q, sin_a, cos_a, turn_sin, cos_u, sin_u = work[:7, : u.size]
-    np.multiply(u, 4.0, out=quarters)
-    np.rint(quarters, out=q)
-    quarters -= q
-    quarters *= math.pi / 2.0
-    np.sin(quarters, out=sin_a)
-    np.multiply(sin_a, sin_a, out=cos_a)
-    np.subtract(1.0, cos_a, out=cos_a)
-    np.sqrt(cos_a, out=cos_a)
-    quadrant = quarters.view(np.intp)
-    np.copyto(quadrant, q, casting="unsafe")
-    turn_cos = _QUARTER_COS.take(quadrant, out=q, mode="clip")
-    _QUARTER_SIN.take(quadrant, out=turn_sin, mode="clip")
-    product = quarters  # the quadrant is read
-    np.multiply(turn_cos, cos_a, out=cos_u)
-    cos_u -= np.multiply(turn_sin, sin_a, out=product)
-    np.multiply(turn_sin, cos_a, out=sin_u)
-    sin_u += np.multiply(turn_cos, sin_a, out=product)
+    t, t_sq, cos_u, sin_u = work[:4, : u.size]
+    np.subtract(u, np.rint(u, out=t), out=t)
+    np.tan(np.multiply(t, math.pi, out=t), out=t)
+    np.subtract(1.0, np.multiply(t, t, out=t_sq), out=cos_u)
+    t_sq += 1.0
+    cos_u /= t_sq
+    np.divide(np.multiply(t, 2.0, out=sin_u), t_sq, out=sin_u)
     return cos_u, sin_u
 
 

@@ -490,6 +490,18 @@ class TestValidationDiagnostics:
     def test_each_override_is_checked_beside_the_ones_before_it(self, config, expected):
         assert validate(config) == expected
 
+    # a config built in code may mix key types, which sorted() of the keys alone cannot order
+    @pytest.mark.parametrize("overrides, expected", [
+        ({1: 2.0, "room_x_m": 3.0}, ["1 = 2.0: unknown override key 1"]),
+        ({"room_x_m": 3.0, 1: 2.0}, ["1 = 2.0: unknown override key 1"]),
+        (
+            {None: 1.0, "room_x_m": -3.0},
+            ["room_x_m = -3.0: room_x_m must be positive and finite, got -3.0", "None = 1.0: unknown override key None"],
+        ),
+    ], ids=["int-first", "int-last", "none-and-a-bad-side"])
+    def test_overrides_of_mixed_key_types_end_in_a_diagnostic(self, overrides, expected):
+        assert validate(RunConfig(overrides=overrides)) == expected
+
     # a band so wide that the lamp counts overflow a float, in a room that
     # reflects nothing (inf times a zero integral) and in the nominal room
     @pytest.mark.filterwarnings("error")

@@ -205,7 +205,8 @@ class TestPinnedEstimates:
 
 # (value, std_error) of estimate_reflected_gain(pinned_room(kind, fov),
 # samples, seed) as the uint64 bits of the two floats, recorded by the
-# sampler that draws only the rays in the cells.  The rooms span the
+# sampler that draws only the rays in the cells and takes each azimuth
+# from one tan and each cos(phi) from exp and log.  The rooms span the
 # bounds' cases: floor-only cones, a lamp 0.7 m from the receiver (the
 # asin term) and axes that differ (the axis angle), where the threshold
 # drops rays; a receiver on a wall, a 2 degree lamp whose threshold
@@ -214,7 +215,7 @@ class TestPinnedEstimates:
 # keeps; and a cone that meets a wall 0.4 m from the receiver, whose
 # threshold takes s_min from that wall.
 EXACT_BITS = {
-    ('center', 5.0, 300000, 19): (0x3ea5717693fad4f2, 0x3e4fdc543e44a72b),
+    ('center', 5.0, 300000, 19): (0x3ea5717693fad4f3, 0x3e4fdc543e44a72b),
     ('center', 10.0, 300000, 19): (0x3ea52e7d97cab587, 0x3e3f22c48928e3b5),
     ('center', 30.0, 300000, 19): (0x3ea1444ad586938b, 0x3e1fd0f0b9e6c8e7),
     ('lamp-1.3', 10.0, 300000, 19): (0x3ea338d1706e5efc, 0x3e3db2471a7c98ca),
@@ -222,16 +223,16 @@ EXACT_BITS = {
     ('wall-receiver', 30.0, 300000, 19): (0x3e8cf4f8a92344a1, 0x3e15b2c6a027cd33),
     ('narrow-lamp', 60.0, 300000, 19): (0x3eb1bd198e2b2f8a, 0x3d9de8f7112f89cf),
     ('center', 90.0, 300000, 19): (0x3ebf4aaacbc29723, 0x3e222261fc9430c5),
-    ('mm-room', 20.0, 300000, 19): (0x40150c54353f59e0, 0x3f9e1ed956216728),
+    ('mm-room', 20.0, 300000, 19): (0x40150c54353f59e1, 0x3f9e1ed956216728),
     ('wide-room', 20.0, 300000, 19): (0x3ea39e48f4db9bbc, 0x3e2c1307acc6af72),
-    ('steered-tilted', 10.0, 300000, 19): (0x3eb28b0611106c2e, 0x3e513c93b0153bd6),
-    ('lamp-tilted-xz', 15.0, 300000, 19): (0x3ea3570d60e4f822, 0x3e3353f3881e8131),
+    ('steered-tilted', 10.0, 300000, 19): (0x3eb28b0611106c2d, 0x3e513c93b0153bd6),
+    ('lamp-tilted-xz', 15.0, 300000, 19): (0x3ea3570d60e4f821, 0x3e3353f3881e8131),
     ('lamp-1.3', 7.0, 300000, 19): (0x3ea383d754deeaa9, 0x3e459b21e72643fc),
     ('lamp-1.3', 15.0, 300000, 19): (0x3ea2db4d289cb582, 0x3e3317f81f7ae0a4),
-    ('steered-tilted', 20.0, 300000, 19): (0x3eb8fb86cf16a558, 0x3e480bfbf6e90520),
+    ('steered-tilted', 20.0, 300000, 19): (0x3eb8fb86cf16a558, 0x3e480bfbf6e9051f),
     ('tilted-receiver', 10.0, 300000, 19): (0x3ea390c916439524, 0x3e3b2428b053e64e),
     ('near-wall-receiver', 5.0, 300000, 19): (0x3ea5a48984d0da5b, 0x3e5001260900e2ec),
-    ('near-wall-receiver', 20.0, 300000, 19): (0x3eb448f5404c4419, 0x3e484fef1d1b33ff),
+    ('near-wall-receiver', 20.0, 300000, 19): (0x3eb448f5404c4419, 0x3e484fef1d1b33fe),
 }
 
 
@@ -453,6 +454,40 @@ class TestStreamingKernel:
         cos_zero, sin_zero = montecarlo._unit_circle(np.zeros(1), np.empty((7, 1)))
         assert (cos_zero[0], sin_zero[0]) == (1.0, 0.0)
 
+    def test_landing_faces_give_the_where_formulas_bits(self):
+        # Rays from a lamp at (1.5, 2.5, 3) in a 4 x 5 m room, each aimed at a
+        # point whose planes lie at t = 1 exactly, so edges and corners tie.
+        lamp, sides = np.array([1.5, 2.5, 3.0]), (4.0, 5.0)
+        aimed = [  # (target point, the face the old formula picks)
+            ((2.0, 3.0, 0.0), 0), ((0.0, 3.0, 1.0), 1), ((4.0, 2.0, 1.0), 2), ((1.0, 0.0, 2.0), 3), ((2.0, 5.0, 0.5), 4),
+            ((0.0, 1.0, 0.0), 0), ((4.0, 3.0, 0.0), 0), ((1.0, 0.0, 0.0), 0), ((2.0, 5.0, 0.0), 0),  # floor-wall edges
+            ((0.0, 0.0, 1.0), 1), ((0.0, 5.0, 2.0), 1), ((4.0, 0.0, 1.0), 2), ((4.0, 5.0, 2.0), 2),  # x-y corners
+            ((0.0, 0.0, 0.0), 0), ((4.0, 5.0, 0.0), 0),  # floor corners
+        ]
+        directions = [np.array(target) - lamp for target, _ in aimed]
+        signed_zeros = [  # directions with +-0 components
+            ((0.0, -0.0, -1.0), 0), ((-0.0, 0.0, -1.0), 0), ((1.0, -0.0, -0.0), 2), ((-1.0, 0.0, 0.0), 1),
+            ((-0.0, 1.0, -0.0), 4), ((0.0, -1.0, 0.0), 3), ((-0.0, -0.0, -2.0), 0),
+        ]
+        directions += [np.array(d) for d, _ in signed_zeros]
+        rng = np.random.default_rng(53)
+        directions += list(rng.standard_normal((500, 3)))
+        d = np.array(directions).T
+        with np.errstate(divide="ignore"):
+            t_floor = np.where(np.signbit(d[2]), -lamp[2], math.inf) / d[2]
+            t_x, t_y = (np.where(np.signbit(d[i]), -lamp[i], sides[i] - lamp[i]) / d[i] for i in (0, 1))
+        t = np.minimum(np.minimum(t_floor, t_x), t_y)
+        d2, cos_psi = rng.uniform(0.01, 9.0, t.size), rng.uniform(0.0, 1.0, t.size)
+        weights = np.array([3.1e-7, 5.3e-6, 7.9e-6, 1.1e-5, 2.3e-6])
+        # the sampler's formula before its faces were int8s in the work array
+        face = np.where(t_floor == t, 0, np.where(t_x == t, 1 + (d[0] > 0.0), 3 + (d[1] > 0.0)))
+        reference = weights.take(face) * cos_psi / (math.pi * d2 * d2 * d2)
+        assert face[: len(aimed) + len(signed_zeros)].tolist() == [f for _, f in aimed + signed_zeros]
+        assert set(face.tolist()) == {0, 1, 2, 3, 4}
+        rows = [row.copy() for row in (t, t_floor, t_x, d[0], d[1], d2, cos_psi)]
+        contrib = montecarlo._collect(weights, *rows, free=np.empty((2, t.size)))
+        assert contrib.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+
     def test_a_second_call_faults_in_no_block_memory_after_a_lamp_map(self, tmp_path):
         # The trace's temporaries live in one array per call: none goes back
         # to the system after a batch, to be faulted in again by the next,
@@ -499,3 +534,17 @@ class TestStreamingKernel:
         # a few dozen batch temporaries, the same for every call; one array of 1e6 rays is 8 MB
         assert max(peaks.values()) < 4e6, peaks
         assert max(peaks.values()) < 1.5 * min(peaks.values()), peaks
+
+    @pytest.mark.parametrize("overrides, fov", [({"lamp_x_m": 1.3}, 55.0), ({}, 20.0)], ids=["offset-55", "floor-20"])
+    def test_peak_memory_is_the_work_array_and_two_rows(self, overrides, fov):
+        # every batch temporary but the landed rays' indices lives in the work array
+        room = build_setup(Scenario.named("lamp-center", overrides), fov, 1e-5).room
+        estimate_reflected_gain(room, samples=1_000, seed=1)  # one-off allocations of a first call
+        tracemalloc.start()
+        try:
+            estimate_reflected_gain(room, samples=1_000_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = montecarlo._BLOCK * np.dtype(np.float64).itemsize
+        assert peak <= (montecarlo._WORK_ROWS + 2) * row, (peak, montecarlo._WORK_ROWS * row)
